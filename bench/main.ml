@@ -1957,6 +1957,8 @@ let microbenches () =
   in
   let bits = Bitkit.Bitseq.random (Bitkit.Rng.create 1) 8192 in
   let bools = Bitkit.Bitseq.to_bool_list bits in
+  let hdlc = Stuffing.Fast.compile Stuffing.Rule.hdlc in
+  let framed = Stuffing.Fast.encode hdlc bits in
   let crc32 = Bitkit.Crc.make Bitkit.Crc.crc32 in
   let crc64 = Bitkit.Crc.make Bitkit.Crc.crc64_xz in
   let tests =
@@ -1964,7 +1966,9 @@ let microbenches () =
       Test.make ~name:"standard header decode (1KB)"
         (Staged.stage (fun () -> Transport.Wire.decode std_segment));
       Test.make ~name:"fast stuff (8Kbit)"
-        (Staged.stage (fun () -> Stuffing.Fast.stuff Stuffing.Rule.hdlc.rule bits));
+        (Staged.stage (fun () -> Stuffing.Fast.stuff hdlc bits));
+      Test.make ~name:"fast decode (8Kbit frame)"
+        (Staged.stage (fun () -> Stuffing.Fast.decode hdlc framed));
       Test.make ~name:"extraction-style stuff (8Kbit)"
         (Staged.stage (fun () -> Stuffing.Codec.stuff Stuffing.Rule.hdlc.rule bools));
       Test.make ~name:"crc32 (1KB)" (Staged.stage (fun () -> Bitkit.Crc.digest crc32 payload));

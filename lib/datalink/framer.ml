@@ -7,12 +7,13 @@ type t = {
 }
 
 let hdlc scheme =
+  let codec = Stuffing.Fast.compile scheme in
   {
     name = Printf.sprintf "hdlc[%s]" (Stuffing.Rule.string_of_bits scheme.Stuffing.Rule.flag);
-    frame = (fun payload -> Stuffing.Fast.encode scheme (Bitseq.of_string payload));
+    frame = (fun payload -> Stuffing.Fast.encode codec (Bitseq.of_string payload));
     deframe =
       (fun bits ->
-        match Stuffing.Fast.decode scheme bits with
+        match Stuffing.Fast.decode codec bits with
         | None -> None
         | Some body ->
             if Bitseq.length body land 7 = 0 then Some (Bitseq.to_string body)

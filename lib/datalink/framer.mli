@@ -15,7 +15,7 @@ val hdlc : Stuffing.Rule.scheme -> t
 (** Bit stuffing + flags per the given scheme (use [Stuffing.Rule.hdlc]
     for classic HDLC, [Stuffing.Rule.paper_best] for the improved one).
     Payload bits that are not a whole number of bytes after unstuffing are
-    rejected. *)
+    rejected. The scheme's {!Stuffing.Fast} tables are built here, once. *)
 
 val cobs : t
 (** Consistent Overhead Byte Stuffing with a 0x00 terminator. *)

@@ -1,91 +1,196 @@
 module Bitseq = Bitkit.Bitseq
 
-(* A growable MSB-first bit buffer. *)
-module Bitbuf = struct
-  type t = { mutable data : Bytes.t; mutable len : int }
+(* Stuffing and unstuffing as byte-at-a-time transducers.
 
-  let create n = { data = Bytes.make (max 1 ((n + 7) / 8)) '\000'; len = 0 }
+   Both run the trigger's string-matching automaton over the stuffed
+   stream: state [q] is the length of the longest suffix of the stream
+   that is a prefix of the trigger, so [q = k] exactly when the last [k]
+   bits are the trigger. That is the reference's window test together
+   with its [emitted >= k] warm-up guard: the automaton starts at 0 and
+   needs [k] real bits to reach [k], so [paper_best]'s trigger 0000001
+   never matches a zeroed window. When stuffing reaches [k] it emits the
+   stuffed bit and moves on it; unstuffing stays in [k], "the next bit
+   must be the stuffed bit", until that bit arrives.
 
-  let push t b =
-    let byte = t.len lsr 3 in
-    if byte >= Bytes.length t.data then begin
-      let bigger = Bytes.make (2 * Bytes.length t.data) '\000' in
-      Bytes.blit t.data 0 bigger 0 (Bytes.length t.data);
-      t.data <- bigger
-    end;
-    if b then
-      Bytes.set t.data byte
-        (Char.chr (Char.code (Bytes.get t.data byte) lor (0x80 lsr (t.len land 7))));
-    t.len <- t.len + 1
+   A transition packs the bits it emits (at most 16 per input byte),
+   their count and the next state into one int; -1 marks a wrong
+   stuffed bit. *)
 
-  let contents t = Bitseq.of_bytes_bits t.data t.len
-end
+type t = {
+  flag : Bitseq.t;
+  k : int;
+  sbit : int;
+  gap : int;  (* at least this many data bits precede each stuffed bit *)
+  delta : int array;  (* [2 * q + bit] -> next automaton state *)
+  stuff_tab : int array;  (* [(q lsl 8) lor byte] -> transition *)
+  unstuff_tab : int array;
+}
 
-let rule_ints rule =
-  let k = List.length rule.Rule.trigger in
-  let trig =
-    List.fold_left (fun acc b -> (acc lsl 1) lor (if b then 1 else 0)) 0 rule.Rule.trigger
+let pack next count bits = (next lsl 21) lor (count lsl 16) lor bits
+let next_of e = e lsr 21
+let count_of e = (e lsr 16) land 0x1F
+let bits_of e = e land 0xFFFF
+
+let automaton trigger =
+  let k = Array.length trigger in
+  Array.init (2 * (k + 1)) (fun i ->
+      (* the stream ends in trigger[0, q) then [bit] *)
+      let q = i / 2 in
+      let s = Array.append (Array.sub trigger 0 q) [| i land 1 |] in
+      let n = Array.length s in
+      let rec longest l =
+        let rec matches j = j >= l || (s.(n - l + j) = trigger.(j) && matches (j + 1)) in
+        if matches 0 then l else longest (l - 1)
+      in
+      longest (Int.min n k))
+
+let delta t q b = Array.unsafe_get t.delta ((2 * q) + b)
+
+let stuff_step t q b =
+  let q = delta t q b in
+  if q = t.k then pack (delta t q t.sbit) 2 ((b lsl 1) lor t.sbit) else pack q 1 b
+
+let unstuff_step t q b =
+  if q = t.k then if b <> t.sbit then -1 else pack (delta t q b) 0 0
+  else pack (delta t q b) 1 b
+
+(* Eight per-bit transitions folded into one table entry. *)
+let table t step =
+  let entry q v =
+    let rec go q i bits count =
+      if i < 0 then pack q count bits
+      else
+        let e = step t q ((v lsr i) land 1) in
+        if e < 0 then -1
+        else go (next_of e) (i - 1) ((bits lsl count_of e) lor bits_of e) (count + count_of e)
+    in
+    go q 7 0 0
   in
-  (k, trig, (1 lsl k) - 1)
+  Array.init ((t.k + 1) lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
-let stuff rule bits =
-  assert (Rule.rule_well_formed rule);
-  let k, trig, mask = rule_ints rule in
-  let n = Bitseq.length bits in
-  let out = Bitbuf.create (n + (n / k) + 8) in
-  let window = ref 0 in
-  let emitted = ref 0 in
-  let emit b =
-    Bitbuf.push out b;
-    incr emitted;
-    window := ((!window lsl 1) lor (if b then 1 else 0)) land mask
+let compile scheme =
+  let rule = scheme.Rule.rule in
+  if not (Rule.rule_well_formed rule) then invalid_arg "Fast.compile: ill-formed rule";
+  let trigger = Array.of_list (List.map Bool.to_int rule.Rule.trigger) in
+  let k = Array.length trigger and sbit = Bool.to_int rule.Rule.stuff in
+  let delta = automaton trigger in
+  let t =
+    { flag = Bitseq.of_bool_list scheme.Rule.flag; k; sbit;
+      (* after a stuffed bit the automaton climbs from here back to [k],
+         at most one state per data bit *)
+      gap = k - delta.((2 * k) + sbit); delta; stuff_tab = [||]; unstuff_tab = [||] }
   in
-  for i = 0 to n - 1 do
-    emit (Bitseq.get bits i);
-    if !emitted >= k && !window = trig then emit rule.Rule.stuff
-  done;
-  Bitbuf.contents out
+  { t with stuff_tab = table t stuff_step; unstuff_tab = table t unstuff_step }
 
-let unstuff rule bits =
-  assert (Rule.rule_well_formed rule);
-  let k, trig, mask = rule_ints rule in
-  let n = Bitseq.length bits in
-  let out = Bitbuf.create n in
-  let window = ref 0 in
-  let seen = ref 0 in
+(* Output goes through an int accumulator into a buffer with room for
+   the worst case; [take] copies out the exact frame. *)
+type writer = { dst : Bytes.t; mutable byte : int; mutable acc : int; mutable nacc : int }
+
+let writer nbits = { dst = Bytes.create ((nbits + 7) / 8); byte = 0; acc = 0; nacc = 0 }
+
+let emit w bits n =
+  w.acc <- (w.acc lsl n) lor bits;
+  w.nacc <- w.nacc + n;
+  while w.nacc >= 8 do
+    w.nacc <- w.nacc - 8;
+    Bytes.unsafe_set w.dst w.byte (Char.unsafe_chr ((w.acc lsr w.nacc) land 0xFF));
+    w.byte <- w.byte + 1
+  done
+
+let emit_seq w seq =
+  let n = Bitseq.length seq in
   let i = ref 0 in
-  let ok = ref true in
-  while !ok && !i < n do
-    let b = Bitseq.get bits !i in
-    incr i;
-    Bitbuf.push out b;
-    window := ((!window lsl 1) lor (if b then 1 else 0)) land mask;
-    incr seen;
-    if !seen >= k && !window = trig then
-      if !i >= n then ok := false (* stuffed bit missing *)
-      else begin
-        let s = Bitseq.get bits !i in
-        incr i;
-        if s <> rule.Rule.stuff then ok := false
-        else begin
-          window := ((!window lsl 1) lor (if s then 1 else 0)) land mask;
-          incr seen
-        end
-      end
+  while !i < n do
+    let take = Int.min 8 (n - !i) in
+    emit w (Bitseq.byte_at seq !i lsr (8 - take)) take;
+    i := !i + 8
+  done
+
+let take w =
+  let nbits = (8 * w.byte) + w.nacc in
+  if w.nacc > 0 then
+    Bytes.unsafe_set w.dst w.byte (Char.unsafe_chr ((w.acc lsl (8 - w.nacc)) land 0xFF));
+  let nbytes = (nbits + 7) / 8 in
+  let data = if nbytes = Bytes.length w.dst then w.dst else Bytes.sub w.dst 0 nbytes in
+  Bitseq.unsafe_of_bytes_bits data nbits
+
+(* [transduce t tab step w src pos len] feeds bits [pos, pos + len) of
+   [src] through the transducer into [w]: a table entry per whole byte,
+   then a step per remaining bit. It is false if a stuffed bit is wrong
+   or missing (the input ends in state [k]). *)
+let transduce t tab step w src pos len =
+  let data = Bitseq.to_string src and dst = w.dst and sh = pos land 7 in
+  let q = ref 0 and i = ref 0 and ok = ref true in
+  let acc = ref w.acc and nacc = ref w.nacc and o = ref w.byte in
+  while !ok && !i + 8 <= len do
+    (* bits [p, p + 8) lie in [src], so byte [j + 1] exists if they
+       straddle two *)
+    let j = (pos + !i) lsr 3 in
+    let v =
+      if sh = 0 then Char.code (String.unsafe_get data j)
+      else
+        (((Char.code (String.unsafe_get data j) lsl 8)
+         lor Char.code (String.unsafe_get data (j + 1)))
+         lsr (8 - sh))
+        land 0xFF
+    in
+    let e = Array.unsafe_get tab ((!q lsl 8) lor v) in
+    if e < 0 then ok := false
+    else begin
+      let c = count_of e in
+      acc := (!acc lsl c) lor bits_of e;
+      nacc := !nacc + c;
+      while !nacc >= 8 do
+        nacc := !nacc - 8;
+        Bytes.unsafe_set dst !o (Char.unsafe_chr ((!acc lsr !nacc) land 0xFF));
+        incr o
+      done;
+      q := next_of e;
+      i := !i + 8
+    end
   done;
-  if !ok then Some (Bitbuf.contents out) else None
+  w.acc <- !acc;
+  w.nacc <- !nacc;
+  w.byte <- !o;
+  while !ok && !i < len do
+    let e = step t !q (Bool.to_int (Bitseq.get src (pos + !i))) in
+    if e < 0 then ok := false
+    else begin
+      emit w (bits_of e) (count_of e);
+      q := next_of e;
+      incr i
+    end
+  done;
+  !ok && !q <> t.k
 
-let encode scheme bits =
-  let flag = Bitseq.of_bool_list scheme.Rule.flag in
-  Bitseq.concat [ flag; stuff scheme.Rule.rule bits; flag ]
+let stuffed_bound t len = len + (len / t.gap)
 
-let decode scheme bits =
-  let flag = Bitseq.of_bool_list scheme.Rule.flag in
-  match Bitseq.find_sub ~pattern:flag bits with
+let stuff t bits =
+  let len = Bitseq.length bits in
+  let w = writer (stuffed_bound t len) in
+  ignore (transduce t t.stuff_tab stuff_step w bits 0 len);
+  take w
+
+let unstuff_sub t bits ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bitseq.length bits then invalid_arg "Fast.unstuff_sub";
+  let w = writer len in
+  if transduce t t.unstuff_tab unstuff_step w bits pos len then Some (take w) else None
+
+let unstuff t bits = unstuff_sub t bits ~pos:0 ~len:(Bitseq.length bits)
+
+let encode t bits =
+  let len = Bitseq.length bits in
+  let w = writer (stuffed_bound t len + (2 * Bitseq.length t.flag)) in
+  emit_seq w t.flag;
+  ignore (transduce t t.stuff_tab stuff_step w bits 0 len);
+  emit_seq w t.flag;
+  take w
+
+let decode t bits =
+  match Bitseq.find_sub ~pattern:t.flag bits with
   | None -> None
   | Some start -> (
-      let body_start = start + Bitseq.length flag in
-      let rest = Bitseq.sub bits body_start (Bitseq.length bits - body_start) in
-      match Bitseq.find_sub ~pattern:flag rest with
+      let body = start + Bitseq.length t.flag in
+      match Bitseq.find_sub ~from:body ~pattern:t.flag bits with
       | None -> None
-      | Some stop -> unstuff scheme.Rule.rule (Bitseq.sub rest 0 stop))
+      | Some stop -> unstuff_sub t bits ~pos:body ~len:(stop - body))

@@ -1,12 +1,47 @@
 (** Performance-oriented stuffing codec over {!Bitkit.Bitseq}.
 
-    Semantically identical to the extraction-style {!Codec} (a qcheck
-    property in the test suite asserts bit-for-bit agreement), but using
-    integer windows and byte buffers. This is the "Tune" challenge (paper
-    §5) applied to the stuffing sublayer, and what the E6 throughput bench
-    measures. *)
+    {b Contract.} For every well-formed scheme and every input, each
+    function here returns bit for bit what its extraction-style {!Codec}
+    counterpart returns, including [None] on the same garbage: noise
+    before the opening flag, no closing flag, a wrong or missing stuffed
+    bit. Property tests check this for {!Rule.hdlc}, {!Rule.paper_best}
+    and random rules. This is the "Tune" challenge (paper §5) applied to
+    the framing sublayer: the mechanism gets faster, the service stays.
 
-val stuff : Rule.rule -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
-val unstuff : Rule.rule -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
-val encode : Rule.scheme -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
-val decode : Rule.scheme -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
+    {b Design.} {!compile} turns a scheme into two byte-transition
+    tables, one for stuffing and one for unstuffing, over the trigger's
+    string-matching automaton: state [q] counts how much of the trigger
+    the stuffed stream currently ends in, so the trigger fires only once
+    [k] real bits have gone by ([k] the trigger length), as in the
+    reference. Unstuffing reads state [k] as "the next bit must be the
+    stuffed bit". An entry maps state × input byte to the output bits,
+    their count and the next state; a partial last byte takes the
+    per-bit transitions the tables are built from. Output goes through
+    an int accumulator into a buffer sized for the worst case, then the
+    frame is copied out at its exact size. Build the tables once per
+    scheme ([Datalink.Framer.hdlc] closes over them), not once per
+    frame: they hold [(k + 1) × 256] ints each. *)
+
+type t
+(** A scheme compiled to its transition tables. *)
+
+val compile : Rule.scheme -> t
+(** Raises [Invalid_argument] if the rule is not well-formed
+    ({!Rule.rule_well_formed}). *)
+
+val stuff : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
+(** {!Codec.stuff} of the scheme's rule. *)
+
+val unstuff : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
+(** {!Codec.unstuff} of the scheme's rule. *)
+
+val unstuff_sub : t -> Bitkit.Bitseq.t -> pos:int -> len:int -> Bitkit.Bitseq.t option
+(** [unstuff_sub t bits ~pos ~len] is [unstuff t (Bitseq.sub bits pos len)]
+    without the copy. *)
+
+val encode : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
+(** {!Codec.encode}: flag, stuffed body, flag, written in one buffer. *)
+
+val decode : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
+(** {!Codec.decode}: find the opening flag, find the closing flag from
+    the body start, then unstuff the range between them in place. *)

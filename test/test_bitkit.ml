@@ -79,6 +79,81 @@ let prop_bitseq_of_bytes_bits =
       let whole = Bitseq.of_string s in
       Bitseq.equal (Bitseq.of_bytes_bits (Bytes.of_string s) n) (Bitseq.sub whole 0 n))
 
+(* Oracle properties: every byte-level operation against the same
+   operation on [bool list]s. Lengths run to 300 bits and offsets are
+   mostly unaligned. [canonical] checks the padding invariant after each
+   operation: a result equals (by [Stdlib.(=)]) the sequence rebuilt from
+   its bits, so its padding bits are zero and [equal] stays byte
+   equality. *)
+
+let canonical t = t = Bitseq.of_bool_list (Bitseq.to_bool_list t)
+let agrees t l = canonical t && Bitseq.to_bool_list t = l
+let list_gen = QCheck2.Gen.(list_size (0 -- 300) bool)
+let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
+let rec drop n = function _ :: tl when n > 0 -> drop (n - 1) tl | l -> l
+
+let prop_oracle_sub =
+  let gen =
+    QCheck2.Gen.(
+      list_gen >>= fun l ->
+      let n = List.length l in
+      0 -- n >>= fun pos -> map (fun len -> (l, pos, len)) (0 -- (n - pos)))
+  in
+  qtest "oracle: sub" gen (fun (l, pos, len) ->
+      agrees (Bitseq.sub (Bitseq.of_bool_list l) pos len) (take len (drop pos l)))
+
+let prop_oracle_append =
+  qtest "oracle: append" QCheck2.Gen.(pair list_gen list_gen) (fun (a, b) ->
+      agrees (Bitseq.append (Bitseq.of_bool_list a) (Bitseq.of_bool_list b)) (a @ b))
+
+let prop_oracle_concat =
+  qtest "oracle: concat" QCheck2.Gen.(list_size (0 -- 6) (list_size (0 -- 100) bool))
+    (fun ls -> agrees (Bitseq.concat (List.map Bitseq.of_bool_list ls)) (List.concat ls))
+
+let prop_oracle_flip =
+  let gen =
+    QCheck2.Gen.(
+      list_size (1 -- 300) bool >>= fun l ->
+      map (fun i -> (l, i)) (0 -- (List.length l - 1)))
+  in
+  qtest "oracle: flip" gen (fun (l, i) ->
+      agrees (Bitseq.flip (Bitseq.of_bool_list l) i)
+        (List.mapi (fun j b -> if j = i then not b else b) l))
+
+let prop_oracle_byte_at =
+  let gen = QCheck2.Gen.(pair list_gen (0 -- 310)) in
+  qtest "oracle: byte_at" gen (fun (l, pos) ->
+      let bit j = match List.nth_opt l j with Some true -> 1 | _ -> 0 in
+      let want = List.fold_left (fun acc j -> (acc lsl 1) lor bit (pos + j)) 0 [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+      Bitseq.byte_at (Bitseq.of_bool_list l) pos = want)
+
+(* First index [>= from] where [p] occurs in [l]. *)
+let find_ref ~from p l =
+  let a = Array.of_list l and p = Array.of_list p in
+  let m = Array.length p and n = Array.length a in
+  let rec at i j = j >= m || (a.(i + j) = p.(j) && at i (j + 1)) in
+  let rec go i = if i + m > n then None else if at i 0 then Some i else go (i + 1) in
+  go from
+
+(* Patterns of 0, 1-56 and 57-80 bits (the last take the generic scan),
+   random or cut from the haystack so that matches are common. *)
+let prop_oracle_find_sub =
+  let gen =
+    QCheck2.Gen.(
+      list_gen >>= fun hay ->
+      let n = List.length hay in
+      oneof
+        [ return [];
+          list_size (1 -- 56) bool;
+          list_size (57 -- 80) bool;
+          (0 -- n >>= fun pos -> map (fun len -> take len (drop pos hay)) (1 -- 56));
+          (0 -- n >>= fun pos -> map (fun len -> take len (drop pos hay)) (57 -- 80)) ]
+      >>= fun pat -> map (fun from -> (hay, pat, from)) (0 -- n))
+  in
+  qtest ~count:1000 "oracle: find_sub" gen (fun (hay, pat, from) ->
+      Bitseq.find_sub ~from ~pattern:(Bitseq.of_bool_list pat) (Bitseq.of_bool_list hay)
+      = find_ref ~from pat hay)
+
 (* --- Bitio --- *)
 
 let test_bitio_fields () =
@@ -293,6 +368,12 @@ let () =
           prop_bitseq_equal_structural;
           prop_bitseq_append_length;
           prop_bitseq_of_bytes_bits;
+          prop_oracle_sub;
+          prop_oracle_append;
+          prop_oracle_concat;
+          prop_oracle_flip;
+          prop_oracle_byte_at;
+          prop_oracle_find_sub;
         ] );
       ( "bitio",
         [

@@ -98,6 +98,31 @@ let test_hdlc_rejects_nonbyte () =
   let broken = Bitkit.Bitseq.sub framed 0 (Bitkit.Bitseq.length framed - 9) in
   check Alcotest.bool "truncated rejected" true (f.Framer.deframe broken = None)
 
+(* [Framer.hdlc] is the extraction-style codec plus byte packing: its
+   frames are [Codec.encode] of the payload's bits, and on any bits at
+   all it deframes to [Codec.decode] packed into bytes, or rejects where
+   that is not a whole number of bytes. *)
+let prop_hdlc_framer_is_codec =
+  let bits_of s = Bitkit.Bitseq.to_bool_list (Bitkit.Bitseq.of_string s) in
+  let pack l =
+    if List.length l land 7 <> 0 then None
+    else Some (Bitkit.Bitseq.to_string (Bitkit.Bitseq.of_bool_list l))
+  in
+  qtest "hdlc framer = codec + byte packing"
+    QCheck2.Gen.(pair payload_gen (list_size (0 -- 200) bool))
+    (fun (s, noise) ->
+      List.for_all
+        (fun scheme ->
+          let f = Framer.hdlc scheme in
+          let framed = bits_of s |> Stuffing.Codec.encode scheme in
+          let noisy = noise @ framed in
+          Bitkit.Bitseq.to_bool_list (f.Framer.frame s) = framed
+          && f.Framer.deframe (Bitkit.Bitseq.of_bool_list noisy)
+             = Option.bind (Stuffing.Codec.decode scheme noisy) pack
+          && f.Framer.deframe (Bitkit.Bitseq.of_bool_list noise)
+             = Option.bind (Stuffing.Codec.decode scheme noise) pack)
+        [ Stuffing.Rule.hdlc; Stuffing.Rule.paper_best ])
+
 (* --- Line codes --- *)
 
 let bits_gen = QCheck2.Gen.(map Bitkit.Bitseq.of_bool_list (list_size (0 -- 128) bool))
@@ -298,8 +323,7 @@ let test_deframer_shared_flag () =
   let d = Deframer.create () in
   let flag = Bitkit.Bitseq.of_bool_list Stuffing.Rule.hdlc.Stuffing.Rule.flag in
   let body p =
-    Stuffing.Fast.stuff Stuffing.Rule.hdlc.Stuffing.Rule.rule
-      (Bitkit.Bitseq.of_string p)
+    Stuffing.Fast.stuff (Stuffing.Fast.compile Stuffing.Rule.hdlc) (Bitkit.Bitseq.of_string p)
   in
   let stream =
     Bitkit.Bitseq.concat [ flag; body "one"; flag; body "two"; flag ]
@@ -333,6 +357,137 @@ let prop_deframer_roundtrip =
       let d = Deframer.create () in
       let stream = Bitkit.Bitseq.concat (List.map hdlc_framer.Framer.frame payloads) in
       feed_in_chunks d stream 11 = payloads)
+
+(* Frames between random noise, fed in random chunk sizes, give the
+   payloads and counts of the stream split at its flags, and the same as
+   the stream fed whole: flags and bodies that straddle chunks are
+   reassembled exactly. *)
+let prop_deframer_chunking_on_noise =
+  qtest ~count:100 "deframer chunking invariant on noisy streams"
+    QCheck2.Gen.(
+      triple
+        (list_size (1 -- 6) (pair (list_size (0 -- 30) bool) (string_size ~gen:char (0 -- 30))))
+        (1 -- 40) (list_size (0 -- 20) bool))
+    (fun (parts, chunk, tail) ->
+      let stream =
+        Bitkit.Bitseq.concat
+          (List.concat_map
+             (fun (noise, p) -> [ Bitkit.Bitseq.of_bool_list noise; hdlc_framer.Framer.frame p ])
+             parts
+          @ [ Bitkit.Bitseq.of_bool_list tail ])
+      in
+      let run chunk =
+        let d = Deframer.create () in
+        let got = feed_in_chunks d stream chunk in
+        (got, Deframer.frames_seen d, Deframer.noise_discarded d, Deframer.buffered_bits d)
+      in
+      (* the reference: split the whole stream at its flags and decode
+         each non-empty region with the extraction-style codec *)
+      let flag = Bitkit.Bitseq.of_bool_list Stuffing.Rule.hdlc.Stuffing.Rule.flag in
+      let rec regions from acc =
+        match Bitkit.Bitseq.find_sub ~from ~pattern:flag stream with
+        | None -> List.rev acc
+        | Some i ->
+            regions (i + Bitkit.Bitseq.length flag) (Bitkit.Bitseq.sub stream from (i - from) :: acc)
+      in
+      let regions =
+        match Bitkit.Bitseq.find_sub ~pattern:flag stream with
+        | None -> []
+        | Some i -> regions (i + Bitkit.Bitseq.length flag) []
+      in
+      let decoded =
+        List.filter_map
+          (fun r ->
+            if Bitkit.Bitseq.length r = 0 then None
+            else
+              Some
+                (match
+                   Stuffing.Codec.unstuff Stuffing.Rule.hdlc.Stuffing.Rule.rule
+                     (Bitkit.Bitseq.to_bool_list r)
+                 with
+                | Some l when List.length l land 7 = 0 ->
+                    Some (Bitkit.Bitseq.to_string (Bitkit.Bitseq.of_bool_list l))
+                | _ -> None))
+          regions
+      in
+      let got, frames, noise, _ = run chunk in
+      got = List.filter_map Fun.id decoded
+      && frames = List.length got
+      && noise = List.length decoded - frames
+      && run chunk = run (Bitkit.Bitseq.length stream + 1))
+
+(* The deframer's stated bound: a synced deframer fed idle ones never
+   sees a closing flag, so it discards the frame at [max_frame_bits],
+   counts it, and hunts for the next flag. *)
+let test_deframer_oversize_bound () =
+  let d = Deframer.create () in
+  let flag = Bitkit.Bitseq.of_bool_list Stuffing.Rule.hdlc.Stuffing.Rule.flag in
+  let ones = Bitkit.Bitseq.of_string (String.make 1024 '\xff') in
+  check Alcotest.(list string) "flag alone" [] (Deframer.push d flag);
+  for _ = 1 to 128 do
+    (* 128 x 8 Kbit = 1 Mbit of ones *)
+    check Alcotest.(list string) "no frame in idle ones" [] (Deframer.push d ones);
+    if Deframer.buffered_bits d >= Deframer.max_frame_bits + Bitkit.Bitseq.length flag then
+      Alcotest.failf "buffered %d bits" (Deframer.buffered_bits d)
+  done;
+  check Alcotest.bool "oversize counted" true (Deframer.oversize_discarded d >= 1);
+  check Alcotest.(list string) "next frame decodes" [ "after" ]
+    (Deframer.push d (hdlc_framer.Framer.frame "after"));
+  check Alcotest.int "one frame seen" 1 (Deframer.frames_seen d)
+
+(* A 32 Kbit frame fed a bit at a time: each bit is scanned once and
+   the frame is assembled once, so this stays cheap. *)
+let test_deframer_bitwise_feed_linear () =
+  let payload = String.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  let stream = hdlc_framer.Framer.frame payload in
+  let d = Deframer.create () in
+  check Alcotest.(list string) "bit by bit" [ payload ] (feed_in_chunks d stream 1)
+
+(* --- Pinned schedule: the seeded SW/GBN/SR trio at 5% corruption fires
+   the same events, goes idle at the same virtual instant and ends with
+   the same counters as the reference run recorded for this test. Any
+   observable change to a datalink sublayer moves one of them. --- *)
+
+let pin_payloads =
+  List.init 200 (fun i -> String.init 256 (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xFF)))
+
+let pinned_schedule arq seed =
+  let engine = Sim.Engine.create ~seed () in
+  let stats_a = Sublayer.Stats.create ~label:"A" ()
+  and stats_b = Sublayer.Stats.create ~label:"B" () in
+  let pool = Bitkit.Pool.create ~slots:256 ~slot_bytes:2048 () in
+  let spec =
+    { Stack.default_spec with arq; arq_config = { Arq.default_config with Arq.rto = 0.01 } }
+  in
+  let link =
+    Stack.link engine ~stats_a ~stats_b ~pool
+      { Sim.Channel.ideal with Sim.Channel.corruption = 0.05 } spec
+  in
+  List.iter (Stack.send link.Stack.a) pin_payloads;
+  while (not (Stack.is_idle link.Stack.a)) && Sim.Engine.step engine do () done;
+  let idle_at = Sim.Engine.now engine in
+  Sim.Engine.run ~until:(idle_at +. 1.0) engine;
+  let snapshot =
+    Sublayer.Stats.snapshot_to_json (Sublayer.Stats.snapshot stats_a)
+    ^ Sublayer.Stats.snapshot_to_json (Sublayer.Stats.snapshot stats_b)
+  in
+  check Alcotest.bool "delivered exactly" true
+    (List.of_seq (Queue.to_seq link.Stack.received_at_b) = pin_payloads);
+  (Sim.Engine.events_fired engine, Printf.sprintf "%h" idle_at, snapshot)
+
+let test_pinned_schedule () =
+  List.iteri
+    (fun k ((name, arq), (events, idle_at, digest)) ->
+      let ev, t, snapshot = pinned_schedule arq (100 + k) in
+      check Alcotest.int (name ^ " events") events ev;
+      check Alcotest.string (name ^ " idle at") idle_at t;
+      check Alcotest.string
+        (Printf.sprintf "%s stats digest of %s" name snapshot)
+        digest (Digest.to_hex (Digest.string snapshot)))
+    (List.combine arqs
+       [ (479, "0x1.666666666666bp-1", "25fd87cf031a398a1c2956fd0d36eb52");
+         (618, "0x1.a5e353f7ced95p-3", "1ecce2e07b8b1f908e1b8ce0ee4d1271");
+         (462, "0x1.7ced916872b04p-3", "1e8be1b071542264f61cf7646ad5c33e") ])
 
 (* --- MAC --- *)
 
@@ -386,6 +541,7 @@ let () =
           Alcotest.test_case "special payloads" `Quick test_framer_special_payloads;
           Alcotest.test_case "cobs overhead" `Quick test_cobs_overhead_bound;
           Alcotest.test_case "hdlc truncation" `Quick test_hdlc_rejects_nonbyte;
+          prop_hdlc_framer_is_codec;
         ] );
       ( "linecode",
         [
@@ -417,7 +573,11 @@ let () =
           Alcotest.test_case "chunking invariance" `Quick test_deframer_chunking_invariance;
           Alcotest.test_case "partial frames buffer" `Quick test_deframer_partial_then_complete;
           prop_deframer_roundtrip;
+          prop_deframer_chunking_on_noise;
+          Alcotest.test_case "oversize bound" `Quick test_deframer_oversize_bound;
+          Alcotest.test_case "bit-by-bit feed" `Quick test_deframer_bitwise_feed_linear;
         ] );
+      ("schedule", [ Alcotest.test_case "pinned trio" `Quick test_pinned_schedule ]);
       ( "mac",
         [
           Alcotest.test_case "aloha 1/e peak" `Slow test_aloha_peak_throughput;

@@ -165,27 +165,30 @@ let test_frame_expansion () =
 (* --- Fast codec agrees with the extraction-style codec --- *)
 
 let data_gen = QCheck2.Gen.(list_size (0 -- 300) bool)
+let hdlc = Fast.compile Rule.hdlc
+let best = Fast.compile Rule.paper_best
+let of_list = Bitkit.Bitseq.of_bool_list
+let to_list = Bitkit.Bitseq.to_bool_list
+let opt_list = Option.map to_list
+let schemes = [ (Rule.hdlc, hdlc); (Rule.paper_best, best) ]
 
 let prop_fast_stuff_agrees =
   qtest "fast stuff = codec stuff" data_gen (fun d ->
-      let slow = Codec.stuff Rule.hdlc.rule d in
-      let fast = Fast.stuff Rule.hdlc.rule (Bitkit.Bitseq.of_bool_list d) in
-      Bitkit.Bitseq.to_bool_list fast = slow)
+      List.for_all
+        (fun ((sc : Rule.scheme), fast) -> to_list (Fast.stuff fast (of_list d)) = Codec.stuff sc.rule d)
+        schemes)
 
 let prop_fast_unstuff_agrees =
   qtest "fast unstuff = codec unstuff" data_gen (fun d ->
       let stuffed = Codec.stuff Rule.paper_best.rule d in
-      let fast =
-        Fast.unstuff Rule.paper_best.rule (Bitkit.Bitseq.of_bool_list stuffed)
-      in
-      match fast with
-      | Some b -> Bitkit.Bitseq.to_bool_list b = d
+      match Fast.unstuff best (of_list stuffed) with
+      | Some b -> to_list b = d
       | None -> false)
 
 let prop_fast_decode_encode =
   qtest "fast decode (fast encode d) = d" data_gen (fun d ->
-      let b = Bitkit.Bitseq.of_bool_list d in
-      match Fast.decode Rule.hdlc (Fast.encode Rule.hdlc b) with
+      let b = of_list d in
+      match Fast.decode hdlc (Fast.encode hdlc b) with
       | Some got -> Bitkit.Bitseq.equal got b
       | None -> false)
 
@@ -194,12 +197,74 @@ let prop_fast_rejects_corruption_or_differs =
       match d with
       | [] -> true
       | _ ->
-          let b = Bitkit.Bitseq.of_bool_list d in
-          let e = Fast.encode Rule.hdlc b in
+          let b = of_list d in
+          let e = Fast.encode hdlc b in
           let flipped = Bitkit.Bitseq.flip e (List.length d / 2) in
-          (match Fast.decode Rule.hdlc flipped with
+          (match Fast.decode hdlc flipped with
           | Some got -> not (Bitkit.Bitseq.equal got b) || Bitkit.Bitseq.equal flipped e
           | None -> true))
+
+(* Every function, on both paper schemes, against the reference: on
+   arbitrary bits (mostly garbage to the decoder) and on the framed and
+   stuffed streams the encoder makes. *)
+let agrees (sc : Rule.scheme) fast d =
+  let b = of_list d in
+  to_list (Fast.stuff fast b) = Codec.stuff sc.rule d
+  && opt_list (Fast.unstuff fast b) = Codec.unstuff sc.rule d
+  && to_list (Fast.encode fast b) = Codec.encode sc d
+  && opt_list (Fast.decode fast b) = Codec.decode sc d
+  && (let e = Codec.encode sc d in
+      opt_list (Fast.decode fast (of_list e)) = Codec.decode sc e)
+  && (let st = Codec.stuff sc.rule d in
+      opt_list (Fast.unstuff fast (of_list st)) = Codec.unstuff sc.rule st)
+
+let prop_fast_all_functions =
+  qtest "fast = codec: stuff, unstuff, encode, decode" data_gen (fun d ->
+      List.for_all (fun (sc, fast) -> agrees sc fast d) schemes)
+
+(* Frames broken the ways a receiver meets them: noise before the
+   opening flag, no closing flag, and a body cut right after a trigger
+   so its stuffed bit is missing. *)
+let garbage_gen =
+  QCheck2.Gen.(triple (list_size (0 -- 40) bool) data_gen (int_bound 2))
+
+let prop_fast_decode_garbage =
+  qtest "fast decode = codec decode on broken frames" garbage_gen (fun (noise, d, how) ->
+      List.for_all
+        (fun ((sc : Rule.scheme), fast) ->
+          let broken =
+            match how with
+            | 0 -> noise @ Codec.encode sc d
+            | 1 -> sc.flag @ Codec.stuff sc.rule d @ noise
+            | _ -> sc.flag @ d @ sc.rule.trigger @ sc.flag
+          in
+          opt_list (Fast.decode fast (of_list broken)) = Codec.decode sc broken)
+        schemes)
+
+let test_fast_missing_stuffed_bit () =
+  let frame sc = sc.Rule.flag @ sc.rule.trigger @ sc.flag in
+  check Alcotest.bool "hdlc rejects" true (Fast.decode hdlc (of_list (frame Rule.hdlc)) = None);
+  List.iter
+    (fun (sc, fast) ->
+      let f = frame sc in
+      check Alcotest.(option (list bool)) "codec agrees" (Codec.decode sc f)
+        (opt_list (Fast.decode fast (of_list f))))
+    schemes
+
+(* Random well-formed rules, triggers of 1 to 12 bits, random flags. *)
+let rule_gen =
+  QCheck2.Gen.(
+    map3
+      (fun flag trigger stuff -> { Rule.flag; rule = { Rule.trigger; stuff } })
+      (list_size (return 8) bool)
+      (list_size (1 -- 12) bool)
+      bool)
+
+let prop_fast_random_rules =
+  qtest ~count:150 "fast = codec on random rules" (QCheck2.Gen.pair rule_gen data_gen)
+    (fun (sc, d) ->
+      QCheck2.assume (Rule.rule_well_formed sc.Rule.rule);
+      agrees sc (Fast.compile sc) d)
 
 let () =
   Alcotest.run "stuffing"
@@ -238,5 +303,9 @@ let () =
           prop_fast_unstuff_agrees;
           prop_fast_decode_encode;
           prop_fast_rejects_corruption_or_differs;
+          prop_fast_all_functions;
+          prop_fast_decode_garbage;
+          Alcotest.test_case "missing stuffed bit" `Quick test_fast_missing_stuffed_bit;
+          prop_fast_random_rules;
         ] );
     ]
