@@ -1165,7 +1165,7 @@ let e22 () =
 let e23 () =
   section "E23" "sharded parallel engine: events/sec vs domain count";
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let flow_counts = if smoke then [ 1_000 ] else [ 10_000; 100_000 ] in
+  let flow_counts = if smoke then [ 1_000 ] else [ 10_000; 30_000 ] in
   let bytes = if smoke then 2_000 else 512 in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "  host reports %d usable core%s\n" cores
@@ -1955,6 +1955,39 @@ let microbenches () =
         | None -> None)
     | None -> None
   in
+  (* The same segment as the stack really builds and peels it: four
+     header pushes onto the payload, one emit, and the zero-copy slice
+     decoders narrowing views of the received buffer. *)
+  let dm_h = { Transport.Segment.src_port = 1; dst_port = 2 } in
+  let cm_h =
+    { Transport.Segment.flags = Transport.Segment.no_cm_flags; isn_local = 7;
+      isn_remote = 9 }
+  in
+  let rd_h =
+    { Transport.Segment.seq = 1001; ack = 2002; len = 1000; has_data = true;
+      has_ack = true; sacks = [] }
+  in
+  let push owner write wb = Bitkit.Wirebuf.push wb ~owner write in
+  let push_emit () =
+    Bitkit.Wirebuf.of_string payload
+    |> push "osr" (Transport.Segment.write_osr Transport.Segment.default_osr)
+    |> push "rd" (Transport.Segment.write_rd rd_h)
+    |> push "cm" (Transport.Segment.write_cm cm_h)
+    |> push "dm" (Transport.Segment.write_dm dm_h)
+    |> Bitkit.Wirebuf.emit
+  in
+  let sub_slice = Bitkit.Slice.of_string sub_segment in
+  let decode_slices () =
+    match Transport.Segment.decode_dm_slice sub_slice with
+    | Some (_, cm) -> (
+        match Transport.Segment.decode_cm_slice cm with
+        | Some (_, rd) -> (
+            match Transport.Segment.decode_rd_slice rd with
+            | Some (_, osr) -> Transport.Segment.decode_osr_slice osr
+            | None -> None)
+        | None -> None)
+    | None -> None
+  in
   let bits = Bitkit.Bitseq.random (Bitkit.Rng.create 1) 8192 in
   let bools = Bitkit.Bitseq.to_bool_list bits in
   let hdlc = Stuffing.Fast.compile Stuffing.Rule.hdlc in
@@ -1968,6 +2001,8 @@ let microbenches () =
   let sealed = Bytes.of_string (payload ^ String.make 8 '\000') in
   let tests =
     [ Test.make ~name:"sublayered onion decode (1KB)" (Staged.stage decode_sub);
+      Test.make ~name:"onion push + emit (1KB)" (Staged.stage push_emit);
+      Test.make ~name:"onion slice decode (1KB)" (Staged.stage decode_slices);
       Test.make ~name:"standard header decode (1KB)"
         (Staged.stage (fun () -> Transport.Wire.decode std_segment));
       Test.make ~name:"fast stuff (8Kbit)"

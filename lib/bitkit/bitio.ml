@@ -19,29 +19,38 @@ module Writer = struct
       t.buf <- buf'
     end
 
-  let bit t b =
-    t.acc <- (t.acc lsl 1) lor (if b then 1 else 0);
-    t.nbits <- t.nbits + 1;
-    t.total <- t.total + 1;
-    if t.nbits = 8 then begin
-      ensure t 1;
-      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr t.acc);
-      t.len <- t.len + 1;
-      t.acc <- 0;
-      t.nbits <- 0
+  (* A field is shifted into the pending-bit accumulator in one step and
+     every whole byte it completes is stored at once. Fewer than 8 bits
+     wait in [acc] between calls, so a field of up to 56 bits fits beside
+     them in the 63-bit int; a wider one goes as two halves. *)
+  let rec bits t value width =
+    assert (width >= 0 && width <= 62);
+    if width > 56 then begin
+      bits t (value lsr 32) (width - 32);
+      bits t value 32
+    end
+    else begin
+      let n = t.nbits + width in
+      let acc = (t.acc lsl width) lor (value land ((1 lsl width) - 1)) in
+      let whole = n lsr 3 in
+      ensure t whole;
+      for i = 1 to whole do
+        Bytes.unsafe_set t.buf (t.len + i - 1)
+          (Char.unsafe_chr ((acc lsr (n - (8 * i))) land 0xFF))
+      done;
+      t.len <- t.len + whole;
+      t.nbits <- n land 7;
+      t.acc <- acc land ((1 lsl t.nbits) - 1);
+      t.total <- t.total + width
     end
 
-  let bits t value width =
-    assert (width >= 0 && width <= 62);
-    for i = width - 1 downto 0 do
-      bit t ((value lsr i) land 1 = 1)
-    done
+  let bit t b = bits t (Bool.to_int b) 1
 
   let uint8 t v = bits t v 8
   let uint16 t v = bits t v 16
   let uint32 t v = bits t v 32
 
-  let pad_to_byte t = while t.nbits <> 0 do bit t false done
+  let pad_to_byte t = if t.nbits <> 0 then bits t 0 (8 - t.nbits)
 
   let bytes t s =
     if t.nbits <> 0 then invalid_arg "Bitio.Writer.bytes: not byte-aligned";
@@ -129,20 +138,30 @@ module Reader = struct
       pos = 8 * sl.Slice.off;
       limit = 8 * (sl.Slice.off + sl.Slice.len) }
 
-  let bit t =
-    if t.pos >= t.limit then raise Truncated;
-    let b = Char.code (String.unsafe_get t.base (t.pos lsr 3)) in
-    let v = b land (0x80 lsr (t.pos land 7)) <> 0 in
-    t.pos <- t.pos + 1;
-    v
-
-  let bits t width =
+  (* The bytes a field covers are gathered big-endian into one int and
+     the field is shifted out of it. A field of up to 56 bits covers at
+     most 8 bytes, and the low 63 bits of those hold it whole; a wider one
+     is read as two halves. The bound is checked first, so a field that
+     runs past [limit] consumes nothing. *)
+  let rec bits t width =
     assert (width >= 0 && width <= 62);
-    let v = ref 0 in
-    for _ = 1 to width do
-      v := (!v lsl 1) lor (if bit t then 1 else 0)
-    done;
-    !v
+    if width > t.limit - t.pos then raise Truncated;
+    if width > 56 then begin
+      let hi = bits t (width - 32) in
+      (hi lsl 32) lor bits t 32
+    end
+    else begin
+      let stop = t.pos + width in
+      let last = (stop + 7) lsr 3 in
+      let acc = ref 0 in
+      for i = t.pos lsr 3 to last - 1 do
+        acc := (!acc lsl 8) lor Char.code (String.unsafe_get t.base i)
+      done;
+      t.pos <- stop;
+      (!acc lsr ((8 * last) - stop)) land ((1 lsl width) - 1)
+    end
+
+  let bit t = bits t 1 = 1
 
   let uint8 t = bits t 8
   let uint16 t = bits t 16

@@ -5,6 +5,13 @@
     by which test T3 (each sublayer owns disjoint packet bits) is enforced
     and audited. Multi-bit fields are MSB-first (network order).
 
+    Fields are packed and unpacked word by word, not bit by bit: a field
+    of any width up to 62 bits, at any bit alignment, is shifted into (or
+    out of) one integer accumulator and its whole bytes move at once. The
+    writer takes the low [width] bits of the value, whatever lies above
+    them; the reader checks a field against its limit before consuming
+    any of it.
+
     The writer is backed by a growable byte buffer and supports
     reserve-then-patch ({!Writer.reserve_uint16}/{!Writer.patch_uint16}),
     so a checksum field can be written after the bytes it covers without a
@@ -19,8 +26,10 @@ module Writer : sig
 
   val bit : t -> bool -> unit
   val bits : t -> int -> int -> unit
-  (** [bits w value width] appends the low [width] bits of [value],
-      MSB first. [0 <= width <= 62]. *)
+  (** [bits w value width] appends the low [width] bits of [value], MSB
+      first, at whatever bit position the writer has reached; the bits of
+      [value] above [width] (its sign included) are ignored.
+      [0 <= width <= 62]. *)
 
   val uint8 : t -> int -> unit
   val uint16 : t -> int -> unit
@@ -64,6 +73,11 @@ module Reader : sig
 
   val bit : t -> bool
   val bits : t -> int -> int
+  (** [bits r width] reads the next [width] bits, MSB first, as a
+      non-negative int. [0 <= width <= 62]. A field that runs past the
+      reader's limit raises {!Truncated} without consuming anything: the
+      reader stays where the field began. *)
+
   val uint8 : t -> int
   val uint16 : t -> int
   val uint32 : t -> int

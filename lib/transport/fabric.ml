@@ -22,6 +22,19 @@ type t = {
 let server_port f = 1024 + (2 * f)
 let client_port f = 1025 + (2 * f)
 
+(* DM ports are 16-bit: past this many flows the last flows' ports would
+   be truncated on the wire and those flows could never finish. *)
+let max_flows = ((0xFFFF - client_port 0) / 2) + 1
+
+let check_flows who flows =
+  if flows < 0 then invalid_arg (who ^ ": negative flow count");
+  if flows > max_flows then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %d flows exceed the 16-bit port space (flow f serves on port 1024 + 2f, \
+          so at most %d flows)"
+         who flows max_flows)
+
 (* The fabric owns its (shared) observability instances, so it also
    registers the sampling sources: the stats registry (once, not per
    host), the engine's own gauges, the process-global zero-copy counter
@@ -52,7 +65,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
     ?(factory = Host.sublayered) ?stats ?tracer ?monitors ?telemetry ?pool
     ?(seed = 7) ?link_faults ~channel ~flows ~bytes () =
   if hosts < 1 then invalid_arg "Fabric.create: need at least one host";
-  if flows < 0 then invalid_arg "Fabric.create: negative flow count";
+  check_flows "Fabric.create" flows;
   if bytes < 0 then invalid_arg "Fabric.create: negative flow size";
   (* Register sources only once the arguments are validated, so a raise
      never leaves the caller's telemetry polluted by a fabric that was
@@ -209,7 +222,7 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
   let nshards = Sim.Shard.shards shard in
   if hosts < nshards then
     invalid_arg "Fabric.create_sharded: need at least one host per shard";
-  if flows < 0 then invalid_arg "Fabric.create_sharded: negative flow count";
+  check_flows "Fabric.create_sharded" flows;
   if bytes < 0 then invalid_arg "Fabric.create_sharded: negative flow size";
   if Sim.Shard.lookahead shard > channel.Sim.Channel.delay then
     invalid_arg

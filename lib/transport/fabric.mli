@@ -32,6 +32,10 @@ val create :
     random bytes each ([seed] defaults to 7; payloads are deterministic
     in it). Nothing is connected until the workload launches a flow.
 
+    Flow [f] serves on port [1024 + 2f] and connects from [1025 + 2f],
+    and DM ports are 16-bit, so at most 32 256 flows fit: more raise
+    [Invalid_argument] naming the limit.
+
     When [link_faults] is given, the fabric switches from one shared
     ingress channel per host to one channel per {e directed} host pair,
     and [link_faults (src, dst)] may return a {!Sim.Faultplan} applied to
@@ -78,10 +82,10 @@ val create_sharded :
     run of this construction is bit-identical at every shard count —
     compare against [shards = 1], which runs the single engine directly.
 
-    Requires [hosts >= shards] and the shard group's lookahead to be at
-    most [channel.delay] (jitter, reordering, serialisation and fault
-    plans only ever add latency, so the conduits' conservative promise
-    holds).
+    Requires [hosts >= shards], at most 32 256 flows (as {!create}) and
+    the shard group's lookahead to be at most [channel.delay] (jitter,
+    reordering, serialisation and fault plans only ever add latency, so
+    the conduits' conservative promise holds).
 
     [stats] / [tracer] / [monitors] / [telemetry], when given, must hold
     one instance per shard — host [h] records into its shard's — and are

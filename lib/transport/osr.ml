@@ -39,26 +39,38 @@ module Outbuf = struct
 
   let length t = t.total
 
-  (* Take up to [n] bytes from the front. *)
+  (* Consume [k] bytes of the head chunk. *)
+  let drop t k =
+    t.total <- t.total - k;
+    t.head_used <- t.head_used + k;
+    if t.head_used = String.length (Queue.peek t.chunks) then begin
+      ignore (Queue.pop t.chunks);
+      t.head_used <- 0
+    end
+
+  (* Take up to [n] bytes from the front of a non-empty buffer. Written
+     strings are immutable, so a segment the head chunk holds whole is a
+     view of it; one that spans chunks is copied once, into a buffer of
+     its exact size. *)
   let take t n =
-    let buf = Buffer.create (min n t.total) in
-    let rec go need =
-      if need > 0 && not (Queue.is_empty t.chunks) then begin
+    let n = min n t.total in
+    if n <= String.length (Queue.peek t.chunks) - t.head_used then begin
+      let sl = Bitkit.Slice.make (Queue.peek t.chunks) ~off:t.head_used ~len:n in
+      drop t n;
+      sl
+    end
+    else begin
+      let b = Bytes.create n in
+      let pos = ref 0 in
+      while !pos < n do
         let head = Queue.peek t.chunks in
-        let avail = String.length head - t.head_used in
-        let grab = min avail need in
-        Buffer.add_substring buf head t.head_used grab;
-        if grab = avail then begin
-          ignore (Queue.pop t.chunks);
-          t.head_used <- 0
-        end
-        else t.head_used <- t.head_used + grab;
-        go (need - grab)
-      end
-    in
-    go n;
-    t.total <- t.total - Buffer.length buf;
-    Buffer.contents buf
+        let grab = min (String.length head - t.head_used) (n - !pos) in
+        Bytes.blit_string head t.head_used b !pos grab;
+        drop t grab;
+        pos := !pos + grab
+      done;
+      Bitkit.Slice.of_string (Bytes.unsafe_to_string b)
+    end
 end
 
 type conn = {
@@ -211,7 +223,7 @@ let try_send t c =
       let payload = Outbuf.take cn.outbuf want in
       let osr_pdu =
         Bitkit.Wirebuf.push
-          (Bitkit.Wirebuf.of_string payload)
+          (Bitkit.Wirebuf.of_slice payload)
           ~owner:"osr"
           (Segment.write_osr (my_header t cn))
       in
@@ -464,7 +476,7 @@ let handle_timer t Persist =
       let payload = Outbuf.take c.outbuf 1 in
       let osr_pdu =
         Bitkit.Wirebuf.push
-          (Bitkit.Wirebuf.of_string payload)
+          (Bitkit.Wirebuf.of_slice payload)
           ~owner:"osr"
           (Segment.write_osr (my_header t c))
       in

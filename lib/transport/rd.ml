@@ -314,10 +314,13 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
     end
   in
   if acked_off > c.snd_acked && acked_off <= c.snd_max then begin
-    (* New data acknowledged. *)
-    let newly, remaining =
-      List.partition (fun s -> s.s_off + s.s_len <= acked_off) c.sndq
+    (* New data acknowledged: [sndq] ascends by offset, so the acked
+       segments are a prefix of it. *)
+    let rec split newly = function
+      | s :: rest when s.s_off + s.s_len <= acked_off -> split (s :: newly) rest
+      | remaining -> (List.rev newly, remaining)
     in
+    let newly, remaining = split [] c.sndq in
     if Sublayer.Span.active t.sp then
       List.iter
         (fun s ->

@@ -187,11 +187,151 @@ let test_bitio_alignment () =
   check Alcotest.int "bits" 16 (Bitio.Writer.bit_length w)
 
 let prop_bitio_u32_roundtrip =
-  qtest "uint32 roundtrip" QCheck2.Gen.(0 -- 0xFFFFFF) (fun v ->
+  qtest "uint32 roundtrip" QCheck2.Gen.(0 -- 0xFFFF_FFFF) (fun v ->
       let w = Bitio.Writer.create () in
       Bitio.Writer.uint32 w v;
       let r = Bitio.Reader.of_string (Bitio.Writer.contents w) in
       Bitio.Reader.uint32 r = v)
+
+(* --- Bitio word-level fields = the bit-at-a-time oracle --- *)
+
+module BO = Bitio_oracle
+
+type write_op =
+  | Bit of bool
+  | Bits of int * int (* value, width *)
+  | U8 of int
+  | U16 of int
+  | U32 of int
+  | Pad_bytes of string
+  | Reserve of int (* the value patched in once every op has run *)
+
+(* Values are drawn wider than their fields, negative ones included:
+   both writers must keep exactly the low [width] bits. *)
+let write_op_gen =
+  QCheck2.Gen.(
+    let value = oneof [ int; int_range (-300) 300; int_range 0 0xFFFF_FFFF ] in
+    frequency
+      [ (2, map (fun b -> Bit b) bool);
+        (6, map2 (fun v w -> Bits (v, w)) value (int_range 0 62));
+        (1, map (fun v -> U8 v) value);
+        (1, map (fun v -> U16 v) value);
+        (1, map (fun v -> U32 v) value);
+        (1, map (fun s -> Pad_bytes s) (string_size ~gen:char (0 -- 5)));
+        (1, map (fun v -> Reserve v) (int_range 0 0xFFFF)) ])
+
+let print_write_op = function
+  | Bit b -> Printf.sprintf "bit %b" b
+  | Bits (v, w) -> Printf.sprintf "bits %d %d" v w
+  | U8 v -> Printf.sprintf "uint8 %d" v
+  | U16 v -> Printf.sprintf "uint16 %d" v
+  | U32 v -> Printf.sprintf "uint32 %d" v
+  | Pad_bytes s -> Printf.sprintf "pad; bytes %S" s
+  | Reserve v -> Printf.sprintf "reserve (patch %d)" v
+
+let prop_bitio_writer_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"bitio writer = bit-at-a-time oracle"
+       ~print:QCheck2.Print.(list print_write_op)
+       QCheck2.Gen.(list_size (0 -- 40) write_op_gen)
+       (fun ops ->
+         let w = Bitio.Writer.create ~size:1 () and o = BO.Writer.create () in
+         let patches =
+           List.fold_left
+             (fun patches op ->
+               match op with
+               | Bit b -> Bitio.Writer.bit w b; BO.Writer.bit o b; patches
+               | Bits (v, n) -> Bitio.Writer.bits w v n; BO.Writer.bits o v n; patches
+               | U8 v -> Bitio.Writer.uint8 w v; BO.Writer.uint8 o v; patches
+               | U16 v -> Bitio.Writer.uint16 w v; BO.Writer.uint16 o v; patches
+               | U32 v -> Bitio.Writer.uint32 w v; BO.Writer.uint32 o v; patches
+               | Pad_bytes s ->
+                   Bitio.Writer.pad_to_byte w;
+                   BO.Writer.pad_to_byte o;
+                   Bitio.Writer.bytes w s;
+                   BO.Writer.bytes o s;
+                   patches
+               | Reserve v ->
+                   Bitio.Writer.pad_to_byte w;
+                   BO.Writer.pad_to_byte o;
+                   (Bitio.Writer.reserve_uint16 w, BO.Writer.reserve_uint16 o, v) :: patches)
+             [] ops
+         in
+         List.iter
+           (fun (tw, t_o, v) ->
+             Bitio.Writer.patch_uint16 w tw v;
+             BO.Writer.patch_uint16 o t_o v)
+           patches;
+         Bitio.Writer.bit_length w = BO.Writer.bit_length o
+         && Bitio.Writer.contents w = BO.Writer.contents o))
+
+type read_op = Read_bit | Read_bits of int | Read_u16 | Read_u32
+
+(* The reads of one reader over a view, in order, up to and including the
+   first that raises [Truncated] (recorded as [None]). *)
+let run_reads ~truncated ~bit ~bits ops =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | op :: rest -> (
+        match
+          match op with
+          | Read_bit -> Bool.to_int (bit ())
+          | Read_bits n -> bits n
+          | Read_u16 -> bits 16
+          | Read_u32 -> bits 32
+        with
+        | v -> go (Some v :: acc) rest
+        | exception e when truncated e -> List.rev (None :: acc))
+  in
+  go [] ops
+
+(* Reads of random widths over a view in the middle of a buffer: the
+   bytes on either side must never leak into a field, every value must
+   match the oracle's, and both must give up on the same field. *)
+let prop_bitio_reader_oracle =
+  let gen =
+    QCheck2.Gen.(
+      let* s = string_size ~gen:char (0 -- 40) in
+      let n = String.length s in
+      let* off = int_range 0 n in
+      let* len = int_range 0 (n - off) in
+      let* ops =
+        list_size (0 -- 30)
+          (frequency
+             [ (2, return Read_bit);
+               (6, map (fun w -> Read_bits w) (int_range 0 62));
+               (1, return Read_u16);
+               (1, return Read_u32) ])
+      in
+      return (s, off, len, ops))
+  in
+  let print (s, off, len, ops) =
+    Printf.sprintf "len %d view [%d, %d) %d reads" (String.length s) off (off + len)
+      (List.length ops)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"bitio reader = bit-at-a-time oracle" ~print gen
+       (fun (s, off, len, ops) ->
+         let sl = Slice.make s ~off ~len in
+         let r = Bitio.Reader.of_slice sl and o = BO.Reader.of_slice sl in
+         run_reads ops
+           ~truncated:(( = ) Bitio.Reader.Truncated)
+           ~bit:(fun () -> Bitio.Reader.bit r)
+           ~bits:(Bitio.Reader.bits r)
+         = run_reads ops
+             ~truncated:(( = ) BO.Reader.Truncated)
+             ~bit:(fun () -> BO.Reader.bit o)
+             ~bits:(BO.Reader.bits o)))
+
+(* A field that runs past the view raises before consuming anything: the
+   reader is left where the field began. *)
+let test_bitio_truncated_consumes_nothing () =
+  let r = Bitio.Reader.of_slice (Slice.make "\xff\xff\xff" ~off:1 ~len:1) in
+  check Alcotest.int "three bits" 0b111 (Bitio.Reader.bits r 3);
+  Alcotest.check_raises "six bits past a five-bit remainder" Bitio.Reader.Truncated
+    (fun () -> ignore (Bitio.Reader.bits r 6));
+  check Alcotest.int "nothing consumed" 5 (Bitio.Reader.remaining_bits r);
+  check Alcotest.int "the remainder still reads" 0b11111 (Bitio.Reader.bits r 5)
 
 (* --- Crc --- *)
 
@@ -500,6 +640,10 @@ let () =
           Alcotest.test_case "truncated" `Quick test_bitio_truncated;
           Alcotest.test_case "alignment" `Quick test_bitio_alignment;
           prop_bitio_u32_roundtrip;
+          prop_bitio_writer_oracle;
+          prop_bitio_reader_oracle;
+          Alcotest.test_case "truncated field consumes nothing" `Quick
+            test_bitio_truncated_consumes_nothing;
         ] );
       ( "crc",
         [

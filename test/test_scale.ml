@@ -175,6 +175,105 @@ let test_shard_past_delivery_rejected () =
   Alcotest.(check bool) "boundary message fired" true !fired;
   Alcotest.(check int) "events accounted" 2 (Sim.Shard.events_fired shard)
 
+(* --- the 16-bit port space -------------------------------------------- *)
+
+(* Flow [f] serves on [1024 + 2f] and connects from [1025 + 2f]: flow
+   32 255 takes ports 65 534 and 65 535, the last pair DM's 16-bit fields
+   hold. Both constructors accept 32 256 flows, and the last of them
+   delivers; one flow more is refused, naming the limit, instead of
+   building flows whose ports the wire truncates. *)
+let port_limit = 32_256
+
+(* [build flows] returns the fabric's ops and a function that launches
+   one flow and runs the fabric until it is done. *)
+let check_port_limit name build () =
+  List.iter
+    (fun flows ->
+      let ops, run_flow = build flows in
+      let last = flows - 1 in
+      run_flow last;
+      Alcotest.(check bool)
+        (Printf.sprintf "flow %d of %d delivers exactly" last flows)
+        true
+        (ops.Sim.Workload.flow_finished last && ops.Sim.Workload.flow_exact last))
+    [ port_limit - 1; port_limit ];
+  Alcotest.check_raises "one flow more is refused"
+    (Invalid_argument
+       (Printf.sprintf
+          "%s: %d flows exceed the 16-bit port space (flow f serves on port 1024 + 2f, so \
+           at most %d flows)"
+          name (port_limit + 1) port_limit))
+    (fun () -> ignore (build (port_limit + 1)))
+
+let build_serial flows =
+  let engine = Sim.Engine.create ~seed:51 () in
+  let fabric =
+    Transport.Fabric.create engine ~hosts:8 ~channel:Sim.Channel.ideal ~flows ~bytes:8 ()
+  in
+  let ops = Transport.Fabric.ops fabric in
+  ( ops,
+    fun f ->
+      ops.Sim.Workload.launch f;
+      Sim.Engine.run ~until:30. engine )
+
+let build_sharded flows =
+  let shard = Sim.Shard.create ~seed:52 ~lookahead:0.001 ~shards:2 () in
+  let fabric =
+    Transport.Fabric.create_sharded shard ~hosts:8 ~channel:Sim.Channel.ideal ~flows
+      ~bytes:8 ()
+  in
+  let ops = Transport.Fabric.ops fabric in
+  ( ops,
+    fun f ->
+      let site = Sim.Shard.engine shard (Transport.Fabric.launch_site fabric f) in
+      ignore (Sim.Engine.at site ~time:0. (fun () -> ops.Sim.Workload.launch f));
+      Sim.Shard.run ~until:30. shard )
+
+(* --- pinned fabric schedules ------------------------------------------ *)
+
+(* The fabric data path with every byte-level detail that could shift
+   the schedule — header codecs, segmentation, the retransmit queue —
+   pinned to a recorded run: a lossy bulk-shaped run (pool and stats on)
+   and a churn run of many tiny flows. Events fired, the end instant and
+   a digest of every counter must match the recording exactly. *)
+let pinned_run ~seed ~flows ~bytes =
+  let engine = Sim.Engine.create ~seed ~backend:`Wheel () in
+  let stats = Sublayer.Stats.create ~label:"pinned" () in
+  let pool = Bitkit.Pool.create ~slots:512 ~slot_bytes:2048 () in
+  let channel = { (Sim.Channel.lossy 0.01) with Sim.Channel.delay = 0.02 } in
+  let fabric =
+    Transport.Fabric.create engine ~hosts:8 ~stats ~pool ~seed ~channel ~flows ~bytes ()
+  in
+  (* The instant of the last event fired, not the soak's slice-rounded
+     clock. *)
+  let last = ref 0. in
+  Sim.Engine.after_event engine (fun () -> last := Sim.Engine.now engine);
+  let r =
+    Sim.Workload.run ~spacing:0.005 ~name:"pinned" ~engine ~flows
+      (Transport.Fabric.ops fabric)
+  in
+  let snapshot = Sublayer.Stats.snapshot_to_json (Sublayer.Stats.snapshot stats) in
+  ( Sim.Workload.ok r && r.Sim.Workload.exact = flows,
+    r.Sim.Workload.soak.Sim.Soak.events_fired,
+    Printf.sprintf "%h" !last,
+    snapshot )
+
+let test_pinned_fabric () =
+  List.iter
+    (fun ((name, seed, flows, bytes), (events, vtime, digest)) ->
+      let ok, ev, t, snapshot = pinned_run ~seed ~flows ~bytes in
+      Alcotest.(check bool) (name ^ " delivered exactly") true ok;
+      Alcotest.(check int) (name ^ " events") events ev;
+      Alcotest.(check string) (name ^ " end time") vtime t;
+      Alcotest.(check string)
+        (Printf.sprintf "%s stats digest of %s" name snapshot)
+        digest
+        (Digest.to_hex (Digest.string snapshot)))
+    [ ( ("bulk 6 x 64 KiB", 41, 6, 65_536),
+        (1117, "0x1.2147ae147ae15p+2", "e7bf1aec0c0864315903d7c3e1b06f79") );
+      ( ("churn 100 x 256 B", 42, 100, 256),
+        (1137, "0x1.9c70a3d70a3d8p+5", "123c4a56490f17abe335bd2f280d9238") ) ]
+
 let () =
   Alcotest.run "scale"
     [
@@ -201,4 +300,11 @@ let () =
           Alcotest.test_case "no delivery into a shard's past" `Quick
             test_shard_past_delivery_rejected;
         ] );
+      ( "ports",
+        [ Alcotest.test_case "Fabric.create stops at the 16-bit port space" `Quick
+            (check_port_limit "Fabric.create" build_serial);
+          Alcotest.test_case "Fabric.create_sharded stops at the 16-bit port space"
+            `Quick (check_port_limit "Fabric.create_sharded" build_sharded) ] );
+      ( "pinned",
+        [ Alcotest.test_case "seeded fabric schedules" `Quick test_pinned_fabric ] );
     ]
