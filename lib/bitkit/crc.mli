@@ -6,7 +6,15 @@
     engine and the standard parameterisations used by those experiments.
 
     Widths from 8 to 64 bits are supported; [refin] must equal [refout]
-    (true of every catalogued CRC we use). *)
+    (true of every catalogued CRC we use).
+
+    One word-at-a-time kernel serves every width and both bit orders: it
+    folds eight input bytes per step through eight tables of unboxed
+    words (slicing-by-8), the MSB-first orders run as byte-swapped
+    registers so that they share the reflected orders' loop, and an
+    {!update} allocates nothing but its boxed result. The API and every
+    digest are those of the byte-at-a-time table engine it replaced,
+    which the tests keep as their oracle. *)
 
 type params = {
   name : string;
@@ -22,7 +30,8 @@ type params = {
 type t
 
 val make : params -> t
-(** Builds the 256-entry lookup table for [params]. *)
+(** Builds the kernel's eight 256-entry tables (16 KiB) and the initial
+    register for [params]. *)
 
 val params : t -> params
 

@@ -90,6 +90,24 @@ let digest_slice sl =
 
 let frame_key ~seq ~len ~digest = Printf.sprintf "dlf:%d:%d:%d" seq len digest
 
+module Fifo = struct
+  (* [front] then the reverse of [back]: a push conses onto [back], and a
+     pop that finds [front] empty reverses [back] once for all it holds. *)
+  type 'a t = { front : 'a list; back : 'a list }
+
+  let empty = { front = []; back = [] }
+  let is_empty = function { front = []; back = [] } -> true | _ -> false
+  let push q x = { q with back = x :: q.back }
+
+  let pop q =
+    match q.front with
+    | x :: front -> Some (x, { q with front })
+    | [] -> (
+        match List.rev q.back with
+        | [] -> None
+        | x :: front -> Some (x, { front; back = [] }))
+end
+
 type stats = {
   mutable data_sent : int;
   mutable retransmissions : int;

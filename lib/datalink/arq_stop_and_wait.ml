@@ -11,7 +11,7 @@ type t = {
   sp : Sublayer.Span.ctx;
   next : int;
   outstanding : (int * string) option;
-  queue : string list;
+  queue : string Arq.Fifo.t;  (* accepted while a PDU is outstanding *)
   rx_expected : int;
   retries : int;      (* consecutive timeouts for the outstanding PDU *)
   dead : bool;        (* max_retries exhausted; backlog was discarded *)
@@ -30,11 +30,11 @@ let initial ?stats ?span cfg =
     | None -> Arq.fresh_counters ()
   in
   let sp = Option.value span ~default:(Sublayer.Span.disabled name) in
-  { cfg; ctrs; sp; next = 0; outstanding = None; queue = [];
+  { cfg; ctrs; sp; next = 0; outstanding = None; queue = Arq.Fifo.empty;
     rx_expected = 0; retries = 0; dead = false }
 
 let stats t = Arq.snapshot t.ctrs
-let idle t = t.outstanding = None && t.queue = []
+let idle t = t.outstanding = None && Arq.Fifo.is_empty t.queue
 let gave_up t = t.dead
 
 let wire seq = Sublayer.Seqspace.wrap Arq.seqspace seq
@@ -64,7 +64,7 @@ let handle_up_req t payload =
   else
     match t.outstanding with
     | None -> start_send t payload
-    | Some _ -> ({ t with queue = t.queue @ [ payload ] }, [])
+    | Some _ -> ({ t with queue = Arq.Fifo.push t.queue payload }, [])
 
 let handle_ack t seq16 =
   match t.outstanding with
@@ -75,10 +75,10 @@ let handle_ack t seq16 =
         (* Release the frame-identity binding if delivery never took it. *)
         Sublayer.Span.unbind t.sp (fkey seq sent);
       let t = { t with outstanding = None; retries = 0 } in
-      match t.queue with
-      | [] -> (t, [ Cancel_timer Rto ])
-      | payload :: rest ->
-          let t, acts = start_send { t with queue = rest } payload in
+      match Arq.Fifo.pop t.queue with
+      | None -> (t, [ Cancel_timer Rto ])
+      | Some (payload, queue) ->
+          let t, acts = start_send { t with queue } payload in
           (t, Cancel_timer Rto :: acts))
   | Some _ | None -> (t, [ Note "stale ack ignored" ])
 
@@ -122,7 +122,7 @@ let handle_timer t Rto =
       Sublayer.Span.close_all t.sp ~detail:"dead" ();
       if Sublayer.Span.active t.sp then
         Sublayer.Span.unbind t.sp (fkey seq sent);
-      ( { t with outstanding = None; queue = []; dead = true },
+      ( { t with outstanding = None; queue = Arq.Fifo.empty; dead = true },
         [ Note "give up: max_retries exhausted" ] )
   | Some (seq, payload) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;

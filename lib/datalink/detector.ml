@@ -123,6 +123,7 @@ let fletcher16 =
 
 let crc params =
   let engine = Bitkit.Crc.make params in
+  let update st base off len = Bitkit.Crc.update engine st base off len in
   let bytes = (params.Bitkit.Crc.width + 7) / 8 in
   let tag_of d =
     String.init bytes (fun i ->
@@ -151,19 +152,19 @@ let crc params =
               Bitkit.Crc.digest_sub engine body.Bitkit.Slice.base
                 body.Bitkit.Slice.off body.Bitkit.Slice.len
             in
-            let tag = tag_of d in
-            let tag_pos = Bitkit.Slice.length sl - bytes in
-            let ok = ref true in
-            for i = 0 to bytes - 1 do
-              if Bitkit.Slice.get sl (tag_pos + i) <> tag.[i] then ok := false
+            (* the trailer read in place: the big-endian [d] of [tag_of] *)
+            let tag = ref 0L in
+            for i = Bitkit.Slice.length sl - bytes to Bitkit.Slice.length sl - 1 do
+              tag :=
+                Int64.logor (Int64.shift_left !tag 8)
+                  (Int64.of_int (Char.code (Bitkit.Slice.get sl i)))
             done;
-            if !ok then Some body else None);
+            if Int64.equal !tag d then Some body else None);
     chain_digest_into =
       (fun wb b pos ->
         let d =
           Bitkit.Crc.finish engine
-            (Bitkit.Wirebuf.fold_chunks wb ~init:(Bitkit.Crc.init engine)
-               ~f:(fun st base off len -> Bitkit.Crc.update engine st base off len))
+            (Bitkit.Wirebuf.fold_chunks wb ~init:(Bitkit.Crc.init engine) ~f:update)
         in
         for i = 0 to bytes - 1 do
           Bytes.set b (pos + i)

@@ -18,6 +18,7 @@ module Bitseq = Bitkit.Bitseq
 
 type t = {
   flag : Bitseq.t;
+  flag_tab : Bytes.t;  (* the flag's automaton a byte at a time, see [flag_table] *)
   k : int;
   sbit : int;
   gap : int;  (* at least this many data bits precede each stuffed bit *)
@@ -68,6 +69,28 @@ let table t step =
   in
   Array.init ((t.k + 1) lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
+(* The flag's string-matching automaton read a byte at a time: the entry
+   at [(q lsl 8) lor v] is the state after byte [v] from state [q], or
+   [found + i] if the flag ends at bit [i] of [v]. A search stops at its
+   first match, so the accepting state never starts a byte: [m] rows of
+   states below [found], for a flag of [m] bits. *)
+let found = 248
+
+let flag_table flag =
+  let m = Array.length flag in
+  if m > found then invalid_arg "Fast.compile: flag longer than 248 bits";
+  let delta = automaton flag in
+  let entry q v =
+    let rec go q i =
+      if i = 8 then q
+      else
+        let q = delta.((2 * q) + ((v lsr (7 - i)) land 1)) in
+        if q = m then found + i else go q (i + 1)
+    in
+    go q 0
+  in
+  Bytes.init (m lsl 8) (fun i -> Char.chr (entry (i lsr 8) (i land 0xFF)))
+
 let compile scheme =
   let rule = scheme.Rule.rule in
   if not (Rule.rule_well_formed rule) then invalid_arg "Fast.compile: ill-formed rule";
@@ -75,7 +98,8 @@ let compile scheme =
   let k = Array.length trigger and sbit = Bool.to_int rule.Rule.stuff in
   let delta = automaton trigger in
   let t =
-    { flag = Bitseq.of_bool_list scheme.Rule.flag; k; sbit;
+    { flag = Bitseq.of_bool_list scheme.Rule.flag;
+      flag_tab = flag_table (Array.of_list (List.map Bool.to_int scheme.Rule.flag)); k; sbit;
       (* after a stuffed bit the automaton climbs from here back to [k],
          at most one state per data bit *)
       gap = k - delta.((2 * k) + sbit); delta; stuff_tab = [||]; unstuff_tab = [||] }
@@ -186,11 +210,34 @@ let encode t bits =
   emit_seq w t.flag;
   take w
 
+(* One table step per byte from [from]. Bits past the end read as zero,
+   so a match that ends there is no match. The loop makes no call, so
+   the automaton state stays in a register. *)
+let find_flag t ~from bits =
+  let len = Bitseq.length bits and m = Bitseq.length t.flag in
+  if from < 0 || from > len then invalid_arg "Fast.find_flag";
+  if m = 0 then Some from
+  else begin
+    let data = Bitseq.to_string bits and tab = t.flag_tab and sh = from land 7 in
+    let n = String.length data in
+    let q = ref 0 and pos = ref from in
+    while !q < found && !pos < len do
+      let j = !pos lsr 3 in
+      let next = if j + 1 < n then Char.code (String.unsafe_get data (j + 1)) else 0 in
+      let v = (((Char.code (String.unsafe_get data j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
+      q := Char.code (Bytes.unsafe_get tab ((!q lsl 8) lor v));
+      pos := !pos + 8
+    done;
+    (* the flag's last bit, if it ended in the byte just read *)
+    let last = !pos - 8 + !q - found in
+    if !q >= found && last < len then Some (last + 1 - m) else None
+  end
+
 let decode t bits =
-  match Bitseq.find_sub ~pattern:t.flag bits with
+  match find_flag t ~from:0 bits with
   | None -> None
   | Some start -> (
       let body = start + Bitseq.length t.flag in
-      match Bitseq.find_sub ~from:body ~pattern:t.flag bits with
+      match find_flag t ~from:body bits with
       | None -> None
       | Some stop -> unstuff_sub t bits ~pos:body ~len:(stop - body))

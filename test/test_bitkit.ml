@@ -364,6 +364,84 @@ let prop_crc_incremental_disjoint =
       let t = Crc.make Crc.crc64_xz in
       a = b || Crc.digest t a <> Crc.digest t b)
 
+(* --- Crc kernel = the byte-at-a-time oracle --- *)
+
+module CO = Crc_oracle
+
+(* The catalogue, and random CRCs of every width and both bit orders. *)
+let crc_params_gen =
+  QCheck2.Gen.(
+    let random =
+      let* width = int_range 8 64 and* refl = bool in
+      let* poly = int64 and* init = int64 and* xorout = int64 in
+      let m = CO.mask_of_width width in
+      return
+        { Crc.name = Printf.sprintf "random-%d%s" width (if refl then "-refl" else "");
+          width; poly = Int64.logand poly m; init = Int64.logand init m; refin = refl;
+          refout = refl; xorout = Int64.logand xorout m; check = 0L }
+    in
+    oneof [ oneofl Crc.all; random ])
+
+(* Lengths cluster on 0-16 bytes and on the 8-byte word edges, and spread
+   up to 3000; the message sits at a non-zero offset of a larger string,
+   and the chain-digest path splits it at up to four random points. *)
+let crc_case_gen =
+  QCheck2.Gen.(
+    let* p = crc_params_gen in
+    let* len =
+      oneof
+        [ int_range 0 16;
+          map2 (fun k d -> max 0 ((8 * k) + d)) (int_range 0 375) (int_range (-1) 1);
+          int_range 0 3000 ]
+    in
+    let* msg = string_size ~gen:char (return len) and* pre = int_range 1 9
+    and* post = int_range 0 9 in
+    let* cuts = list_size (int_range 0 4) (int_range 0 len) in
+    return (p, msg, pre, post, List.sort compare cuts))
+
+let prop_crc_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"crc digest_sub/chained update = oracle"
+       ~print:(fun ((p : Crc.params), msg, pre, _, cuts) ->
+         Printf.sprintf "%s width=%d poly=%Lx init=%Lx xorout=%Lx len=%d pre=%d cuts=[%s]"
+           p.name p.width p.poly p.init p.xorout (String.length msg) pre
+           (String.concat ";" (List.map string_of_int cuts)))
+       crc_case_gen
+       (fun (p, msg, pre, post, cuts) ->
+         let t = Crc.make p and o = CO.make p in
+         let len = String.length msg in
+         let framed = String.make pre '<' ^ msg ^ String.make post '>' in
+         let chained =
+           let reg, last =
+             List.fold_left
+               (fun (reg, from) cut -> (Crc.update t reg framed (pre + from) (cut - from), cut))
+               (Crc.init t, 0) cuts
+           in
+           Crc.update t reg framed (pre + last) (len - last)
+         in
+         let expect = CO.update o (CO.init o) msg 0 len in
+         Crc.init t = CO.init o
+         && chained = expect
+         && Crc.finish t chained = CO.digest o msg
+         && Crc.digest_sub t framed pre len = CO.digest o msg))
+
+(* One update over 1 KiB allocates its boxed int64 result and nothing
+   else, whatever the width and bit order. *)
+let test_crc_update_allocation () =
+  let s = String.make 1024 'c' in
+  let calls = 1000 in
+  List.iter
+    (fun p ->
+      let t = Crc.make p in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Crc.update t (Crc.init t) s 0 1024))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int calls in
+      check Alcotest.bool (Printf.sprintf "%s update 1 KiB: %.1f words/call" p.Crc.name words)
+        true (words <= 3.))
+    Crc.all
+
 (* --- Checksum --- *)
 
 let test_internet_checksum () =
@@ -651,6 +729,9 @@ let () =
           Alcotest.test_case "detects single flips" `Quick test_crc_detects_flip;
           Alcotest.test_case "digest_sub" `Quick test_crc_digest_sub;
           prop_crc_incremental_disjoint;
+          prop_crc_oracle;
+          Alcotest.test_case "update allocates only its result" `Quick
+            test_crc_update_allocation;
         ] );
       ( "checksum",
         [

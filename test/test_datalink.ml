@@ -202,6 +202,28 @@ let test_arq_ideal_no_retransmissions () =
         0 (Stack.arq_stats link.Stack.a).Arq.retransmissions)
     arqs
 
+(* The sender's backlog costs O(1) per frame: handed 20 000 frames at
+   once, each ARQ spends about the minor words per frame it spends on
+   2 000. A backlog appended to as a list grows about tenfold here. *)
+let test_arq_backlog_linear () =
+  let words_per_frame arq n =
+    let payloads = List.init n (Printf.sprintf "f%05d") in
+    let engine = Sim.Engine.create ~seed:1 () in
+    let link = Stack.link engine Sim.Channel.ideal { Stack.default_spec with arq } in
+    let before = Gc.minor_words () in
+    let got = Stack.transfer engine link payloads in
+    let words = (Gc.minor_words () -. before) /. float_of_int n in
+    check Alcotest.bool "delivered exactly" true (got = payloads);
+    words
+  in
+  List.iter
+    (fun (name, arq) ->
+      let small = words_per_frame arq 2_000 and large = words_per_frame arq 20_000 in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f words/frame at 20 000 frames, %.0f at 2 000" name large small)
+        true (large <= 1.5 *. small))
+    arqs
+
 let test_arq_efficiency_ordering () =
   (* Under loss, selective repeat retransmits no more than go-back-N. *)
   let channel = Sim.Channel.lossy 0.1 in
@@ -556,6 +578,7 @@ let () =
           Alcotest.test_case "pdu codec" `Quick test_pdu_codec;
           Alcotest.test_case "reliable under harsh channel" `Slow test_arq_reliable_delivery;
           Alcotest.test_case "ideal: no retransmissions" `Quick test_arq_ideal_no_retransmissions;
+          Alcotest.test_case "backlog linear in frames" `Quick test_arq_backlog_linear;
           Alcotest.test_case "sr <= gbn retransmissions" `Slow test_arq_efficiency_ordering;
           Alcotest.test_case "duplicate suppression" `Quick test_arq_duplicate_suppression;
           Alcotest.test_case "bidirectional" `Quick test_arq_bidirectional;

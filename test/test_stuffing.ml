@@ -260,6 +260,27 @@ let rule_gen =
       (list_size (1 -- 12) bool)
       bool)
 
+(* The compiled flag search against [Bitseq.find_sub]: flags of 1-16
+   bits, self-overlapping ones among them, in random streams where the
+   flag is planted in the middle or on the last bits, from any [from]. *)
+let flag_search_gen =
+  QCheck2.Gen.(
+    let* flag =
+      oneof
+        [ list_size (1 -- 16) bool;
+          oneofl (List.map bits [ "0101"; "0110110"; "0"; "11"; "01111110"; "1010101010101010" ]) ]
+    in
+    let* noise = list_size (0 -- 300) bool and* tail = list_size (0 -- 20) bool in
+    let* stream = oneofl [ noise; noise @ flag; noise @ flag @ tail ] in
+    let* from = 0 -- List.length stream in
+    return (flag, stream, from))
+
+let prop_find_flag =
+  qtest ~count:500 "find_flag = Bitseq.find_sub" flag_search_gen (fun (flag, stream, from) ->
+      let fast = Fast.compile { Rule.hdlc with flag } in
+      let s = of_list stream in
+      Fast.find_flag fast ~from s = Bitkit.Bitseq.find_sub ~from ~pattern:(of_list flag) s)
+
 let prop_fast_random_rules =
   qtest ~count:150 "fast = codec on random rules" (QCheck2.Gen.pair rule_gen data_gen)
     (fun (sc, d) ->
@@ -307,5 +328,6 @@ let () =
           prop_fast_decode_garbage;
           Alcotest.test_case "missing stuffed bit" `Quick test_fast_missing_stuffed_bit;
           prop_fast_random_rules;
+          prop_find_flag;
         ] );
     ]
