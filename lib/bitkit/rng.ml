@@ -1,42 +1,53 @@
-type t = { mutable state : int64 }
+(* splitmix64. The 64-bit state lives unboxed in 8 bytes: every draw
+   below inlines [next], whose intermediate words stay in registers, so a
+   draw allocates nothing. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy t = Bytes.copy t
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let split t = { state = int64 t }
+let int64 t = next t
+
+let split t = of_state (next t)
 
 let bits t n =
   assert (n >= 0 && n <= 62);
   if n = 0 then 0
-  else Int64.to_int (Int64.shift_right_logical (int64 t) (64 - n))
+  else Int64.to_int (Int64.shift_right_logical (next t) (64 - n))
+
+(* Rejection sampling to avoid modulo bias. *)
+let rec below t bound =
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+  let v = r mod bound in
+  if r - v + (bound - 1) < 0 then below t bound else v
 
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec go () =
-    let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then go () else v
-  in
-  go ()
+  below t bound
 
-let float t =
-  let r = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
+let[@inline] float t =
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   Float.of_int r *. 0x1p-53
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let coin t p = float t < p
 

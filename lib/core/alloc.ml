@@ -86,14 +86,15 @@ let exit_ () = if Atomic.get enabled_flag then pop (Domain.DLS.get key)
    mid-step cannot leave an [enter] without its matching exit (or vice
    versa), and the pop runs even when [f] raises, so an exception in a
    machine step or callback never skews every later attribution on the
-   domain. *)
-let bracket c f =
+   domain. The step and its two arguments are passed apart, so the
+   disabled path calls [f a b] without building a closure. *)
+let bracket c f a b =
   if Atomic.get enabled_flag then begin
     let ctx = Domain.DLS.get key in
     push ctx c;
-    Fun.protect ~finally:(fun () -> pop ctx) f
+    Fun.protect ~finally:(fun () -> pop ctx) (fun () -> f a b)
   end
-  else f ()
+  else f a b
 
 let cross c =
   if Atomic.get enabled_flag then begin

@@ -54,11 +54,13 @@ val exit_ : unit -> unit
 (** Charge the open interval to the current cell and pop back to the
     cell that was current before the matching {!enter}. *)
 
-val bracket : cell option -> (unit -> unit) -> unit
-(** [bracket c f] runs [f] between an {!enter}/{!exit_} pair that is
-    exception-safe (the pop runs even when [f] raises) and immune to a
+val bracket : cell option -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [bracket c f a b] runs [f a b] between an {!enter}/{!exit_} pair that
+    is exception-safe (the pop runs even when [f] raises) and immune to a
     {!set_enabled} flip mid-[f] (the enabled decision is taken once, so
-    the cell stack can never be left unbalanced). Prefer this to calling
+    the cell stack can never be left unbalanced). Disabled, it is one
+    atomic load and the call: the step is passed apart from its
+    arguments so the caller builds no closure. Prefer this to calling
     the pair directly. *)
 
 val cross : cell option -> unit

@@ -32,6 +32,10 @@ module Stack
 struct
   let name = Upper.name ^ "/" ^ Lower.name
 
+  (* Note prefixes, built once per functor application. *)
+  let upper_tag = Upper.name ^ ": "
+  let lower_tag = Lower.name ^ ": "
+
   type t = Upper.t * Lower.t
   type up_req = Upper.up_req
   type up_ind = Upper.up_ind
@@ -39,56 +43,71 @@ struct
   type down_ind = Lower.down_ind
   type timer = (Upper.timer, Lower.timer) Either.t
 
+  (* The two states of one step. The drain updates them in place, so a
+     crossing costs no tuple. *)
+  type step = { mutable u : Upper.t; mutable l : Lower.t }
+
+  (* What is left once the list being drained runs out: the rest of the
+     other side's list, saved at the crossing that interrupted it. A
+     crossing that ends its list saves nothing. *)
+  type rest =
+    | Done
+    | Upper_rest of (Upper.up_ind, Upper.down_req, Upper.timer) action list * rest
+    | Lower_rest of (Lower.up_ind, Lower.down_req, Lower.timer) action list * rest
+
   (* Route the two sublayers' action streams across the internal boundary.
      An upper [Down r] becomes a lower [handle_up_req]; a lower [Up i]
      becomes an upper [handle_down_ind]. Actions are emitted in causal
      order: effects triggered by an action fire before later sibling
-     actions of the same batch. *)
-  let rec drain_upper (u, l) acts out =
+     actions of the same batch. The output list is built front to back
+     ([tail_mod_cons]), so nothing is reversed. *)
+  let[@tail_mod_cons] rec drain_upper st acts k =
     match acts with
-    | [] -> ((u, l), out)
-    | act :: rest -> (
-        match act with
-        | Up i -> drain_upper (u, l) rest (Up i :: out)
-        | Down r ->
-            let l, lower_acts = Lower.handle_up_req l r in
-            let (u, l), out = drain_lower (u, l) lower_acts out in
-            drain_upper (u, l) rest out
-        | Set_timer (tm, d) -> drain_upper (u, l) rest (Set_timer (Either.Left tm, d) :: out)
-        | Cancel_timer tm -> drain_upper (u, l) rest (Cancel_timer (Either.Left tm) :: out)
-        | Note s -> drain_upper (u, l) rest (Note (Upper.name ^ ": " ^ s) :: out))
+    | [] -> resume st k
+    | Up i :: acts -> Up i :: drain_upper st acts k
+    | Down r :: acts ->
+        let l, lower = Lower.handle_up_req st.l r in
+        st.l <- l;
+        drain_lower st lower (match acts with [] -> k | _ -> Upper_rest (acts, k))
+    | Set_timer (tm, d) :: acts -> Set_timer (Either.Left tm, d) :: drain_upper st acts k
+    | Cancel_timer tm :: acts -> Cancel_timer (Either.Left tm) :: drain_upper st acts k
+    | Note s :: acts -> Note (upper_tag ^ s) :: drain_upper st acts k
 
-  and drain_lower (u, l) acts out =
+  and[@tail_mod_cons] drain_lower st acts k =
     match acts with
-    | [] -> ((u, l), out)
-    | act :: rest -> (
-        match act with
-        | Up i ->
-            let u, upper_acts = Upper.handle_down_ind u i in
-            let (u, l), out = drain_upper (u, l) upper_acts out in
-            drain_lower (u, l) rest out
-        | Down r -> drain_lower (u, l) rest (Down r :: out)
-        | Set_timer (tm, d) -> drain_lower (u, l) rest (Set_timer (Either.Right tm, d) :: out)
-        | Cancel_timer tm -> drain_lower (u, l) rest (Cancel_timer (Either.Right tm) :: out)
-        | Note s -> drain_lower (u, l) rest (Note (Lower.name ^ ": " ^ s) :: out))
+    | [] -> resume st k
+    | Up i :: acts ->
+        let u, upper = Upper.handle_down_ind st.u i in
+        st.u <- u;
+        drain_upper st upper (match acts with [] -> k | _ -> Lower_rest (acts, k))
+    | Down r :: acts -> Down r :: drain_lower st acts k
+    | Set_timer (tm, d) :: acts -> Set_timer (Either.Right tm, d) :: drain_lower st acts k
+    | Cancel_timer tm :: acts -> Cancel_timer (Either.Right tm) :: drain_lower st acts k
+    | Note s :: acts -> Note (lower_tag ^ s) :: drain_lower st acts k
 
-  let finish (st, out) = (st, List.rev out)
+  and[@tail_mod_cons] resume st = function
+    | Done -> []
+    | Upper_rest (acts, k) -> drain_upper st acts k
+    | Lower_rest (acts, k) -> drain_lower st acts k
 
-  let handle_up_req (u, l) req =
-    let u, acts = Upper.handle_up_req u req in
-    finish (drain_upper (u, l) acts [])
+  (* Finish a step that began in the upper (lower) sublayer. The pair
+     going in is handed back when neither state moved. *)
+  let from_upper ((u0, l0) as t) (u, acts) =
+    let st = { u; l = l0 } in
+    let out = drain_upper st acts Done in
+    ((if st.u == u0 && st.l == l0 then t else (st.u, st.l)), out)
 
-  let handle_down_ind (u, l) ind =
-    let l, acts = Lower.handle_down_ind l ind in
-    finish (drain_lower (u, l) acts [])
+  let from_lower ((u0, l0) as t) (l, acts) =
+    let st = { u = u0; l } in
+    let out = drain_lower st acts Done in
+    ((if st.u == u0 && st.l == l0 then t else (st.u, st.l)), out)
 
-  let handle_timer (u, l) = function
-    | Either.Left tm ->
-        let u, acts = Upper.handle_timer u tm in
-        finish (drain_upper (u, l) acts [])
-    | Either.Right tm ->
-        let l, acts = Lower.handle_timer l tm in
-        finish (drain_lower (u, l) acts [])
+  let handle_up_req ((u, _) as t) req = from_upper t (Upper.handle_up_req u req)
+  let handle_down_ind ((_, l) as t) ind = from_lower t (Lower.handle_down_ind l ind)
+
+  let handle_timer ((u, l) as t) = function
+    | Either.Left tm -> from_upper t (Upper.handle_timer u tm)
+    | Either.Right tm -> from_lower t (Lower.handle_timer l tm)
 end
 
 module Identity (M : sig

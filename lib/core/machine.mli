@@ -48,7 +48,17 @@ end
 (** [Stack (Upper) (Lower)] is the sublayer whose service is [Upper]'s,
     running over [Lower]'s. [Upper]'s down port must match [Lower]'s up
     port. Actions crossing the internal boundary are routed immediately and
-    in causal order. *)
+    in causal order.
+
+    Cost of a crossing. One step (one [handle_*] call on the stack)
+    allocates one record holding both states, updated in place as
+    actions cross, and hands back the incoming pair when neither state
+    moved. Each action leaving the stack is wrapped once for this level
+    ([Either] around a timer, the sublayer's name before a [Note]) and
+    consed onto the output in order, so no list is reversed or rebuilt
+    and no state tuple is built per action. A crossing that interrupts a
+    list saves the list's rest; one that ends its list saves nothing.
+    The [Note] prefixes are built once per functor application. *)
 module Stack
     (Upper : S)
     (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) :

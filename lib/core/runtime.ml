@@ -12,6 +12,10 @@ type 'timer alloc_spec = {
 }
 
 module Make (S : Machine.S) = struct
+  (* One armed timer. Re-arming it reschedules this entry in place;
+     cancelling or firing it removes the entry. *)
+  type entry = { tm : S.timer; mutable handle : Sim.Engine.handle }
+
   type t = {
     engine : Sim.Engine.t;
     trace : Sim.Trace.t option;
@@ -20,10 +24,11 @@ module Make (S : Machine.S) = struct
     deliver : S.up_ind -> unit;
     alloc : S.timer alloc_spec option;
     mutable st : S.t;
-    (* Arming a timer that is already set re-arms it, so at most one event
-       per timer value is live. Timers are few per endpoint; an assoc list
-       with structural equality is simplest and deterministic. *)
-    mutable timers : (S.timer * Sim.Engine.handle) list;
+    (* The armed timers, at most one entry per timer value: arming a
+       timer that is already set re-arms it. An endpoint arms a handful
+       at a time, so a list searched with structural equality is short
+       and deterministic. *)
+    mutable timers : entry list;
     (* A halted runtime is inert: the link below it died (tunnel abort),
        so nothing must re-arm timers or transmit into the void. *)
     mutable halted : bool;
@@ -39,69 +44,85 @@ module Make (S : Machine.S) = struct
     | None -> ()
     | Some tr -> Sim.Trace.record tr ~time:(Sim.Engine.now t.engine) ~actor:t.name msg
 
+  let rec find tm = function
+    | [] -> raise_notrace Not_found
+    | e :: rest -> if e.tm = tm then e else find tm rest
+
+  let[@tail_mod_cons] rec without e = function
+    | [] -> []
+    | x :: rest -> if x == e then rest else x :: without e rest
+
   let cancel_timer t tm =
-    match List.assoc_opt tm t.timers with
-    | None -> ()
-    | Some handle ->
-        Sim.Engine.cancel handle;
-        t.timers <- List.remove_assoc tm t.timers
+    match find tm t.timers with
+    | e ->
+        Sim.Engine.cancel e.handle;
+        t.timers <- without e t.timers
+    | exception Not_found -> ()
 
   (* Bracket an excursion out of the stack (app delivery, wire transmit)
-     or into it (entry points below) so allocation between two probe
+     or into it (the entry points below) so allocation between two probe
      crossings lands on the machine actually running. Reentrancy — e.g.
      delivery calling back into [from_above] — nests via the cell stack;
-     [Alloc.bracket] keeps it balanced when a step or callback raises. *)
-  let excurse t cell f x =
+     [Alloc.bracket] keeps it balanced when a step or callback raises,
+     and calls [f a b] straight through while attribution is off. *)
+  let bracket t cell f a b =
     match t.alloc with
-    | None -> f x
-    | Some _ -> Alloc.bracket cell (fun () -> f x)
+    | None -> f a b
+    | Some spec -> Alloc.bracket (cell spec) f a b
 
-  let rec apply t acts = List.iter (apply_one t) acts
+  let call f x = f x
+
+  let rec apply t = function
+    | [] -> ()
+    | act :: acts ->
+        apply_one t act;
+        apply t acts
 
   and apply_one t = function
-    | Machine.Up ind ->
-        excurse t (match t.alloc with Some a -> a.al_app | None -> None) t.deliver ind
-    | Machine.Down req ->
-        excurse t (match t.alloc with Some a -> a.al_wire | None -> None) t.transmit req
+    | Machine.Up ind -> bracket t (fun a -> a.al_app) call t.deliver ind
+    | Machine.Down req -> bracket t (fun a -> a.al_wire) call t.transmit req
     | Machine.Note msg -> note t msg
     | Machine.Cancel_timer tm -> cancel_timer t tm
-    | Machine.Set_timer (tm, delay) ->
-        cancel_timer t tm;
-        let handle = Sim.Engine.schedule t.engine ~after:delay (fun () -> fire t tm) in
-        t.timers <- (tm, handle) :: t.timers
+    | Machine.Set_timer (tm, delay) -> (
+        match find tm t.timers with
+        | e ->
+            Sim.Engine.cancel e.handle;
+            e.handle <- arm t tm delay
+        | exception Not_found -> t.timers <- { tm; handle = arm t tm delay } :: t.timers)
+
+  and arm t tm delay = Sim.Engine.schedule t.engine ~after:delay (fun () -> fire t tm)
 
   and fire t tm =
-    t.timers <- List.remove_assoc tm t.timers;
-    if t.halted then ()
-    else
-    let body () =
-      let st, acts = S.handle_timer t.st tm in
-      t.st <- st;
-      apply t acts
-    in
-    match t.alloc with
-    | None -> body ()
-    | Some a -> Alloc.bracket (a.al_timer tm) body
-
-  let entry t cell step x =
-    if t.halted then ()
-    else
-      let body () =
-        let st, acts = step t.st x in
-        t.st <- st;
-        apply t acts
-      in
+    (match find tm t.timers with
+    | e -> t.timers <- without e t.timers
+    | exception Not_found -> ());
+    if not t.halted then
       match t.alloc with
-      | None -> body ()
-      | Some a -> Alloc.bracket (cell a) body
+      | None -> on_timer t tm
+      | Some a -> Alloc.bracket (a.al_timer tm) on_timer t tm
 
-  let from_above t req = entry t (fun a -> a.al_top) S.handle_up_req req
-  let from_below t ind = entry t (fun a -> a.al_bottom) S.handle_down_ind ind
+  and on_timer t tm =
+    let st, acts = S.handle_timer t.st tm in
+    t.st <- st;
+    apply t acts
+
+  let on_up_req t req =
+    let st, acts = S.handle_up_req t.st req in
+    t.st <- st;
+    apply t acts
+
+  let on_down_ind t ind =
+    let st, acts = S.handle_down_ind t.st ind in
+    t.st <- st;
+    apply t acts
+
+  let from_above t req = if not t.halted then bracket t (fun a -> a.al_top) on_up_req t req
+  let from_below t ind = if not t.halted then bracket t (fun a -> a.al_bottom) on_down_ind t ind
 
   let halt t =
     if not t.halted then begin
       t.halted <- true;
-      List.iter (fun (_, handle) -> Sim.Engine.cancel handle) t.timers;
+      List.iter (fun e -> Sim.Engine.cancel e.handle) t.timers;
       t.timers <- [];
       note t "halted"
     end

@@ -20,9 +20,13 @@ type ctx = {
   opens : (string, int) Hashtbl.t; (* key -> live span id *)
 }
 
+(* A ctx without a tracer never writes its table (every writer goes
+   through [with_tracer]), so all disabled ctxs share one empty table. *)
+let no_opens : (string, int) Hashtbl.t = Hashtbl.create 1
+
 let disabled sublayer =
   { tracer = None; track = ""; sublayer; scope = None; now = (fun () -> 0.);
-    opens = Hashtbl.create 1 }
+    opens = no_opens }
 
 let make ~tracer ?stats ~now ~track sublayer =
   { tracer = Some tracer; track; sublayer; scope = stats; now;

@@ -38,10 +38,16 @@ let create ?(label = "stats") () =
   { r_label = label; r_scopes = []; r_sources = [] }
 let label r = r.r_label
 
+(* Find-or-create lookups walk the list directly; the name getters are
+   closed functions, so a lookup that finds its entry allocates nothing. *)
+let rec named get name = function
+  | [] -> raise_notrace Not_found
+  | x :: rest -> if String.equal (get x) name then x else named get name rest
+
 let scope r name =
-  match List.find_opt (fun s -> s.s_name = name) r.r_scopes with
-  | Some s -> s
-  | None ->
+  match named (fun s -> s.s_name) name r.r_scopes with
+  | s -> s
+  | exception Not_found ->
       let s = { s_name = name; counters = []; gauges = []; hists = [] } in
       r.r_scopes <- s :: r.r_scopes;
       s
@@ -54,9 +60,9 @@ let scopes r =
   List.sort (fun a b -> compare a.s_name b.s_name) r.r_scopes
 
 let counter s name =
-  match List.find_opt (fun c -> c.c_name = name) s.counters with
-  | Some c -> c
-  | None ->
+  match named (fun c -> c.c_name) name s.counters with
+  | c -> c
+  | exception Not_found ->
       let c = { c_name = name; c = 0 } in
       s.counters <- c :: s.counters;
       c
@@ -66,9 +72,9 @@ let add c n = if Atomic.get enabled_flag then c.c <- c.c + n
 let value c = c.c
 
 let gauge s name =
-  match List.find_opt (fun g -> g.g_name = name) s.gauges with
-  | Some g -> g
-  | None ->
+  match named (fun g -> g.g_name) name s.gauges with
+  | g -> g
+  | exception Not_found ->
       let g = { g_name = name; g = 0 } in
       s.gauges <- g :: s.gauges;
       g
@@ -77,9 +83,9 @@ let set g v = if Atomic.get enabled_flag then g.g <- v
 let gauge_value g = g.g
 
 let histogram s name =
-  match List.find_opt (fun h -> h.h_name = name) s.hists with
-  | Some h -> h
-  | None ->
+  match named (fun h -> h.h_name) name s.hists with
+  | h -> h
+  | exception Not_found ->
       let h =
         { h_name = name; h_count = 0; h_sum = 0; buckets = Array.make n_buckets 0 }
       in

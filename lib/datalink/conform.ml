@@ -31,7 +31,7 @@ type alloc_pair = Sublayer.Alloc.cell option * Sublayer.Alloc.cell option
    destination's step. No-ops while [Sublayer.Alloc] is disabled. *)
 let with_alloc alloc obs_req obs_ind =
   match alloc with
-  | None -> (obs_req, obs_ind)
+  | None | Some (None, None) -> (obs_req, obs_ind)
   | Some (above, below) ->
       ( (fun r ->
           Sublayer.Alloc.cross below;

@@ -35,6 +35,12 @@ let check_flows who flows =
           so at most %d flows)"
          who flows max_flows)
 
+(* The learning switch's table: the host serving each 16-bit port, -1
+   for a port no flow uses. *)
+let port_table () = Array.make 0x10000 (-1)
+
+let host_of_port table port = if port >= 0 && port <= 0xFFFF then table.(port) else -1
+
 (* The fabric owns its (shared) observability instances, so it also
    registers the sampling sources: the stats registry (once, not per
    host), the engine's own gauges, the process-global zero-copy counter
@@ -80,7 +86,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
     (fun p ->
       Sim.Engine.after_event engine (fun () -> Bitkit.Pool.drain_deferred p))
     pool;
-  let port_host = Hashtbl.create (2 * flows) in
+  let port_host = port_table () in
   let ingress = Array.make hosts (fun (_ : Bitkit.Slice.t) -> ()) in
   let mk_chan dst =
     Sim.Channel.create engine channel ~size:Bitkit.Slice.length
@@ -117,14 +123,12 @@ let create engine ?(hosts = 8) ?(config = Config.default)
     match factory.Host.peek s with
     | None -> ()
     | Some (src_port, dst_port) -> (
-        match Hashtbl.find_opt port_host dst_port with
-        | None -> ()
-        | Some dst ->
+        match host_of_port port_host dst_port with
+        | -1 -> ()
+        | dst ->
             (* Every fabric port is registered at setup, so the source
                lookup only falls back when a foreign factory is probing. *)
-            let src =
-              Option.value ~default:dst (Hashtbl.find_opt port_host src_port)
-            in
+            let src = match host_of_port port_host src_port with -1 -> dst | h -> h in
             let ch = chan ~src ~dst in
             let loaned =
               match pool with
@@ -170,8 +174,8 @@ let create engine ?(hosts = 8) ?(config = Config.default)
   let by_server_port = Hashtbl.create (max 1 flows) in
   for f = 0 to flows - 1 do
     let sh = (f + 1) mod hosts and ch = f mod hosts in
-    Hashtbl.replace port_host (server_port f) sh;
-    Hashtbl.replace port_host (client_port f) ch;
+    port_host.(server_port f) <- sh;
+    port_host.(client_port f) <- ch;
     Host.listen harr.(sh) ~port:(server_port f);
     Hashtbl.replace by_server_port (server_port f) f
   done;
@@ -270,7 +274,7 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
       | None -> ())
     telemetry;
   let host_shard = Array.init hosts (fun h -> h * nshards / hosts) in
-  let port_host = Hashtbl.create (2 * flows) in
+  let port_host = port_table () in
   let ingress = Array.make hosts (fun (_ : Bitkit.Slice.t) -> ()) in
   let matrix =
     Array.init hosts (fun src ->
@@ -312,12 +316,10 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
     match factory.Host.peek s with
     | None -> ()
     | Some (src_port, dst_port) -> (
-        match Hashtbl.find_opt port_host dst_port with
-        | None -> ()
-        | Some dst ->
-            let src =
-              Option.value ~default:dst (Hashtbl.find_opt port_host src_port)
-            in
+        match host_of_port port_host dst_port with
+        | -1 -> ()
+        | dst ->
+            let src = match host_of_port port_host src_port with -1 -> dst | h -> h in
             let ch = matrix.(src).(dst) in
             let s_src = host_shard.(src) in
             let handled =
@@ -375,8 +377,8 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
   let by_server_port = Hashtbl.create (max 1 flows) in
   for f = 0 to flows - 1 do
     let sh = (f + 1) mod hosts and ch = f mod hosts in
-    Hashtbl.replace port_host (server_port f) sh;
-    Hashtbl.replace port_host (client_port f) ch;
+    port_host.(server_port f) <- sh;
+    port_host.(client_port f) <- ch;
     Host.listen harr.(sh) ~port:(server_port f);
     Hashtbl.replace by_server_port (server_port f) f
   done;

@@ -68,6 +68,25 @@ type conn = {
   mutable user_event : (Iface.app_ind -> unit) option;
 }
 
+(* Tables keyed by port numbers: a connection by [(local lsl 16) lor
+   remote], a port by itself. The multiplicative hash mixes the remote
+   port's bits with the local one's, so a host's connections spread over
+   the buckets even when their ports differ in the same few bits. *)
+module Ports = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x9E3779B1) lsr 16
+end)
+
+let conn_key ~local ~remote = (local lsl 16) lor remote
+
+let first_ephemeral = 49152
+let last_ephemeral = 65535
+let ephemeral_ports = last_ephemeral - first_ephemeral + 1
+
+exception Ports_exhausted of string
+
 type t = {
   engine : Sim.Engine.t;
   config : Config.t;
@@ -75,8 +94,12 @@ type t = {
   name : string;
   link : Bitkit.Slice.t Link.t;
   ins : I.t;
-  conns : (int * int, conn) Hashtbl.t;
-  listeners : (int, unit) Hashtbl.t;
+  conns : conn Ports.t;
+  (* Connections per local port (closed ones included: the table never
+     forgets a connection), so the ephemeral scan tests a port in O(1). *)
+  port_use : int Ports.t;
+  mutable ephemeral_used : int;  (* ephemeral ports with a connection *)
+  listeners : unit Ports.t;
   mutable accept_cb : (conn -> unit) option;
   mutable next_ephemeral : int;
 }
@@ -113,7 +136,10 @@ let make_conn host ~local_port ~remote_port ~accepted =
   let events e =
     match !cref with Some c -> handle_event host c e | None -> ()
   in
-  let name = Printf.sprintf "%s:%d>%d" host.name local_port remote_port in
+  let name =
+    String.concat ""
+      [ host.name; ":"; string_of_int local_port; ">"; string_of_int remote_port ]
+  in
   let ep =
     host.factory.make ~ins:host.ins host.engine ~name host.config ~local_port
       ~remote_port
@@ -128,15 +154,28 @@ let make_conn host ~local_port ~remote_port ~accepted =
       user_data = None; user_event = None }
   in
   cref := Some c;
-  Hashtbl.replace host.conns (local_port, remote_port) c;
+  let key = conn_key ~local:local_port ~remote:remote_port in
+  if not (Ports.mem host.conns key) then begin
+    let n = try Ports.find host.port_use local_port with Not_found -> 0 in
+    if n = 0 && local_port >= first_ephemeral && local_port <= last_ephemeral then
+      host.ephemeral_used <- host.ephemeral_used + 1;
+    Ports.replace host.port_use local_port (n + 1)
+  end;
+  Ports.replace host.conns key c;
   c
 
+(* The next ephemeral port with no connection, scanning round-robin from
+   where the last allocation stopped. *)
 let alloc_port host =
+  if host.ephemeral_used >= ephemeral_ports then
+    raise
+      (Ports_exhausted
+         (Printf.sprintf "Host.connect: all %d ephemeral ports of %s are in use"
+            ephemeral_ports host.name));
   let rec go () =
     let p = host.next_ephemeral in
-    host.next_ephemeral <-
-      (if host.next_ephemeral >= 65535 then 49152 else host.next_ephemeral + 1);
-    if Hashtbl.fold (fun (l, _) _ acc -> acc || l = p) host.conns false then go () else p
+    host.next_ephemeral <- (if p >= last_ephemeral then first_ephemeral else p + 1);
+    if Ports.mem host.port_use p then go () else p
   in
   go ()
 
@@ -156,7 +195,7 @@ let connect host ?local_port ~remote_port () =
   if Link.alive host.link then c.ep.ep_connect () else abort_conn host c;
   c
 
-let listen host ~port = Hashtbl.replace host.listeners port ()
+let listen host ~port = Ports.replace host.listeners port ()
 
 let on_accept host cb = host.accept_cb <- Some cb
 
@@ -164,10 +203,10 @@ let from_wire host wire =
   match host.factory.peek wire with
   | None -> ()
   | Some (src_port, dst_port) -> (
-      match Hashtbl.find_opt host.conns (dst_port, src_port) with
-      | Some c -> c.ep.ep_from_wire wire
-      | None ->
-          if Hashtbl.mem host.listeners dst_port then begin
+      match Ports.find host.conns (conn_key ~local:dst_port ~remote:src_port) with
+      | c -> c.ep.ep_from_wire wire
+      | exception Not_found ->
+          if Ports.mem host.listeners dst_port then begin
             let c =
               make_conn host ~local_port:dst_port ~remote_port:src_port ~accepted:true
             in
@@ -193,12 +232,13 @@ let create engine ?(config = Config.default) ?(factory = sublayered)
   in
   let host =
     { engine; config; factory; name; link; ins;
-      conns = Hashtbl.create 8;
-      listeners = Hashtbl.create 4; accept_cb = None; next_ephemeral = 49152 }
+      conns = Ports.create 8; port_use = Ports.create 8; ephemeral_used = 0;
+      listeners = Ports.create 4; accept_cb = None;
+      next_ephemeral = first_ephemeral }
   in
   Link.attach link (from_wire host);
   Link.on_death link (fun () ->
-      Hashtbl.iter (fun _ c -> abort_conn host c) host.conns);
+      Ports.iter (fun _ c -> abort_conn host c) host.conns);
   host
 
 let write c s = c.ep.ep_write s
@@ -226,7 +266,7 @@ let remote_port c = c.c_remote
 let on_data c cb = c.user_data <- Some cb
 let on_event c cb = c.user_event <- Some cb
 
-let connections host = Hashtbl.fold (fun _ c acc -> c :: acc) host.conns []
+let connections host = Ports.fold (fun _ c acc -> c :: acc) host.conns []
 
 (* A CRC-32 guard standing in for the data link's error-detection
    sublayer: corrupted wire segments are dropped, never delivered. The
@@ -234,7 +274,7 @@ let connections host = Hashtbl.fold (fun _ c acc -> c :: acc) host.conns []
    protection materialises a new buffer (it must append the trailer). *)
 (* Built eagerly at module init: [lazy] is not domain-safe (two shard
    domains racing to force it raise [Lazy.Undefined]), and the table is
-   1 KiB built once, so there is nothing worth deferring. *)
+   16 KiB built once, so there is nothing worth deferring. *)
 let crc_engine = Bitkit.Crc.make Bitkit.Crc.crc32
 
 let guard_digest sl =

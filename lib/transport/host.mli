@@ -90,7 +90,20 @@ val from_wire : t -> Bitkit.Slice.t -> unit
 
 type conn
 
+exception Ports_exhausted of string
+(** Raised by {!connect} when no ephemeral port is left; the message
+    names the host. *)
+
 val connect : t -> ?local_port:int -> remote_port:int -> unit -> conn
+(** Open a connection to [remote_port]. Without [local_port], the host
+    picks the next ephemeral port (49152–65535, round-robin from where
+    the last pick stopped) that no connection of this host uses,
+    skipping ports bound explicitly; each pick costs O(1) amortised.
+    A host never forgets a connection, closed ones included, so a port
+    stays taken once used: after 16 384 ephemeral connections {!connect}
+    raises {!Ports_exhausted} (without [local_port]) instead of reusing
+    one. *)
+
 val listen : t -> port:int -> unit
 val on_accept : t -> (conn -> unit) -> unit
 

@@ -45,12 +45,13 @@ let decode_dm_slice sl =
       let h = read_dm r in
       (h, R.rest_slice r))
 
-let peek_ports sl =
-  catch_truncated (fun () ->
-      let r = R.of_slice sl in
-      let src = R.uint16 r in
-      let dst = R.uint16 r in
-      (src, dst))
+(* The demux reads the two ports straight from the view: no reader, no
+   handler. *)
+let peek_ports (sl : Slice.t) =
+  if sl.len < dm_header_bytes then None
+  else
+    Some
+      (String.get_uint16_be sl.base sl.off, String.get_uint16_be sl.base (sl.off + 2))
 
 (* CM: flags:8 (syn|ack|fin|rst|0000) isn_local:32 isn_remote:32 *)
 

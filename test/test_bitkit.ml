@@ -655,6 +655,69 @@ let test_rng_split_independent () =
   let c = Rng.split a in
   check Alcotest.bool "split differs" true (Rng.int64 a <> Rng.int64 c)
 
+(* The splitmix64 stream as first written: a boxed [int64] state
+   replaced on every draw. The unboxed generator must reproduce it draw
+   for draw. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int64 t =
+    t.state <- Int64.add t.state golden;
+    mix t.state
+
+  let bits t n = if n = 0 then 0 else Int64.to_int (Int64.shift_right_logical (int64 t) (64 - n))
+
+  let rec int t bound =
+    let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
+    let v = r mod bound in
+    if r - v + (bound - 1) < 0 then int t bound else v
+
+  let float t = Float.of_int (Int64.to_int (Int64.shift_right_logical (int64 t) 11)) *. 0x1p-53
+  let bool t = Int64.logand (int64 t) 1L = 1L
+end
+
+let prop_rng_stream =
+  qtest "rng stream = boxed splitmix64"
+    QCheck2.Gen.(pair int (list_size (1 -- 50) (pair (0 -- 5) (1 -- 1_000_000))))
+    (fun (seed, draws) ->
+      let r = Rng.create seed and o = { Boxed_rng.state = Int64.of_int seed } in
+      let same (kind, n) =
+        match kind with
+        | 0 -> Rng.int64 r = Boxed_rng.int64 o
+        | 1 -> Rng.bits r (n mod 63) = Boxed_rng.bits o (n mod 63)
+        | 2 -> Rng.int r n = Boxed_rng.int o n
+        | 3 -> Rng.float r = Boxed_rng.float o
+        | 4 -> Rng.bool r = Boxed_rng.bool o
+        | _ ->
+            (* A split stream starts from the parent's next output. *)
+            let c = Rng.split r in
+            let oc = { Boxed_rng.state = Boxed_rng.int64 o } in
+            Rng.int64 c = Boxed_rng.int64 oc && Rng.copy r <> c
+      in
+      List.for_all same draws && Rng.int64 (Rng.copy r) = Boxed_rng.int64 o)
+
+(* A channel send makes several draws; none of them may allocate. *)
+let test_rng_draws_allocation_free () =
+  let r = Rng.create 9 in
+  let acc = ref 0 in
+  let draws = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    if Rng.coin r 0.3 then incr acc;
+    if Rng.bool r then incr acc;
+    acc := !acc + Rng.int r 1000 + Rng.bits r 12
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int (4 * draws) in
+  check Alcotest.bool (Printf.sprintf "%.3f words/draw (sum %d)" words !acc) true
+    (words < 0.01)
+
 let test_rng_bounds () =
   let r = Rng.create 7 in
   for _ = 1 to 1000 do
@@ -763,6 +826,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "coin bias" `Quick test_rng_coin_bias;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+          prop_rng_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocation_free;
         ] );
       ( "hexdump",
         [

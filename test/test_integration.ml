@@ -195,6 +195,7 @@ let prop_chaos_every_stream_exact =
           (fun spec ->
             let c = Transport.Host.connect a ~remote_port:80 () in
             let expected = Buffer.create 1024 in
+            let closing = ref false in
             let t = ref spec.start in
             List.iter
               (fun size ->
@@ -207,15 +208,23 @@ let prop_chaos_every_stream_exact =
                        Transport.Host.write c chunk));
                 t := !t +. Float.of_int (Bitkit.Rng.int rng 20) /. 1000.)
               spec.chunks;
-            ignore (Sim.Engine.at engine ~time:!t (fun () -> Transport.Host.close c));
-            (c, expected))
+            ignore
+              (Sim.Engine.at engine ~time:!t (fun () ->
+                   Transport.Host.close c;
+                   closing := true));
+            (c, expected, closing))
           conns
       in
+      (* A client whose first write is still scheduled has nothing unacked
+         and so counts as finished; only one that has issued its close is
+         really done. *)
       let rec drive n =
         if
           n < 600
           && not
-               (List.for_all (fun (c, _) -> Transport.Host.finished c) client_conns)
+               (List.for_all
+                  (fun (c, _, closing) -> !closing && Transport.Host.finished c)
+                  client_conns)
         then begin
           Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.5) engine;
           drive (n + 1)
@@ -226,7 +235,7 @@ let prop_chaos_every_stream_exact =
       (* every client connection's bytes arrived exactly at its peer *)
       List.length !server_conns = List.length client_conns
       && List.for_all
-           (fun (c, expected) ->
+           (fun (c, expected, _) ->
              let key = (Transport.Host.remote_port c, Transport.Host.local_port c) in
              match
                List.find_opt

@@ -100,6 +100,162 @@ let test_stack_causal_order () =
       check Alcotest.string "reply re-tagged" "Breply:hello" d
   | _ -> Alcotest.failf "unexpected action shape (%d actions)" (List.length acts)
 
+(* --- Stack drain = oracle --- *)
+
+(* A scripted machine: each transition picks one entry of its script by
+   state and input, then instantiates the entry's templates, so random
+   scripts reach every routing case, re-entrant crossings included.
+   Messages are ints whose hundreds count the crossings made so far;
+   past four, a crossing template becomes a note, which bounds the
+   recursion. *)
+type template = T_up | T_down | T_set of int | T_cancel of int | T_note
+
+let scripts : template list array array ref = ref [||]
+
+module Scripted (N : sig
+  val index : int
+end) =
+struct
+  let name = "m" ^ string_of_int N.index
+
+  type t = int
+  type up_req = int
+  type up_ind = int
+  type down_req = int
+  type down_ind = int
+  type timer = int
+
+  let step n kind m =
+    let n = ((n * 31) + (m * 3) + kind + 1) land 0xFFFF in
+    let entries = !scripts.(N.index) in
+    let deep = m >= 400 in
+    let act = function
+      | T_up -> if deep then Machine.Note "deep" else Machine.Up (m + 100 + N.index)
+      | T_down -> if deep then Machine.Note "deep" else Machine.Down (m + 100 + N.index)
+      | T_set k -> Machine.Set_timer (k, Float.of_int (n land 7) *. 0.125)
+      | T_cancel k -> Machine.Cancel_timer k
+      | T_note -> Machine.Note (Printf.sprintf "%d@%d" kind m)
+    in
+    (n, List.map act entries.(n mod Array.length entries))
+
+  let handle_up_req n m = step n 0 m
+  let handle_down_ind n m = step n 1 m
+  let handle_timer n k = step n 2 k
+end
+
+module M0 = Scripted (struct let index = 0 end)
+module M1 = Scripted (struct let index = 1 end)
+module M2 = Scripted (struct let index = 2 end)
+
+module Tap = Machine.Probe (struct
+  type req = int
+  type ind = int
+
+  let name = "tap"
+end)
+
+(* The probe's observations, in the order the drain made them. *)
+let tap_log = ref []
+
+let tap =
+  { Tap.obs_req = (fun m -> tap_log := `Req m :: !tap_log);
+    obs_ind = (fun m -> tap_log := `Ind m :: !tap_log) }
+
+module type STACK = functor
+  (U : Machine.S)
+  (L : Machine.S with type up_req = U.down_req and type up_ind = U.down_ind)
+  ->
+  Machine.S
+    with type t = U.t * L.t
+     and type up_req = U.up_req
+     and type up_ind = U.up_ind
+     and type down_req = L.down_req
+     and type down_ind = L.down_ind
+     and type timer = (U.timer, L.timer) Either.t
+
+(* Three shapes, two to four machines deep: a plain pair, a probe seam,
+   and a stacked upper over a stacked lower. *)
+module Shapes (Stack : STACK) = struct
+  module D2 = Stack (M0) (M1)
+  module D3 = Stack (M0) (Stack (Tap) (M1))
+  module D4 = Stack (Stack (M0) (Tap)) (Stack (M1) (M2))
+end
+
+module New = Shapes (Machine.Stack)
+module Old = Shapes (Stack_oracle.Stack)
+
+type input = Req of int | Ind of int | Tick of int * int
+
+(* Feed the inputs to a stack; every step's actions, then the final
+   state and the probe log. [timer j k] names machine [j]'s timer [k]. *)
+let run (type st tm)
+    (module S : Machine.S
+      with type t = st
+       and type up_req = int
+       and type up_ind = int
+       and type down_req = int
+       and type down_ind = int
+       and type timer = tm)
+    (st : st) (timer : int -> int -> tm) inputs =
+  tap_log := [];
+  let st, steps =
+    List.fold_left
+      (fun (st, acc) input ->
+        let st, acts =
+          match input with
+          | Req m -> S.handle_up_req st m
+          | Ind m -> S.handle_down_ind st m
+          | Tick (j, k) -> S.handle_timer st (timer j k)
+        in
+        (st, acts :: acc))
+      (st, []) inputs
+  in
+  (st, List.rev steps, List.rev !tap_log)
+
+let gen_script =
+  QCheck2.Gen.(
+    let template =
+      frequency
+        [ (3, pure T_up); (3, pure T_down); (1, map (fun k -> T_set k) (0 -- 2));
+          (1, map (fun k -> T_cancel k) (0 -- 2)); (1, pure T_note) ]
+    in
+    array_size (1 -- 4) (list_size (0 -- 3) template))
+
+let gen_drain =
+  QCheck2.Gen.(
+    let input =
+      oneof
+        [ map (fun m -> Req m) (0 -- 99); map (fun m -> Ind m) (0 -- 99);
+          map2 (fun j k -> Tick (j, k)) (0 -- 2) (0 -- 2) ]
+    in
+    pair (array_repeat 3 gen_script) (list_size (1 -- 6) input))
+
+(* States carry the probe's closures, so they are compared with
+   [compare], which never looks inside the (shared) probe record. *)
+let same (st, steps, log) (st', steps', log') =
+  compare st st' = 0 && steps = steps' && log = log'
+
+let prop_stack_matches_oracle =
+  qtest "stack drain = list-rebuilding oracle" gen_drain (fun (script, inputs) ->
+      scripts := script;
+      let t2 j k = if j = 0 then Either.Left k else Either.Right k in
+      let t3 j k = if j = 0 then Either.Left k else Either.Right (Either.Right k) in
+      let t4 j k =
+        match j with
+        | 0 -> Either.Left (Either.Left k)
+        | 1 -> Either.Right (Either.Left k)
+        | _ -> Either.Right (Either.Right k)
+      in
+      same
+        (run (module New.D2) (0, 0) t2 inputs)
+        (run (module Old.D2) (0, 0) t2 inputs)
+      && same
+           (run (module New.D3) (0, (tap, 0)) t3 inputs)
+           (run (module Old.D3) (0, (tap, 0)) t3 inputs)
+      && same
+           (run (module New.D4) ((0, tap), (0, 0)) t4 inputs)
+           (run (module Old.D4) ((0, tap), (0, 0)) t4 inputs))
+
 (* --- Runtime --- *)
 
 module Delay = struct
@@ -156,6 +312,97 @@ let test_runtime_trace_notes () =
   ignore rt;
   Sim.Trace.record trace ~time:0. ~actor:"e" "hello";
   check Alcotest.int "recorded" 1 (Sim.Trace.count trace "hello")
+
+(* --- Runtime timers = reference model --- *)
+
+(* Timer keys are nested [Either] values, as in a composed stack. *)
+module Timers = struct
+  let name = "timers"
+
+  type t = unit
+  type up_req = Arm of (int, int) Either.t * float | Disarm of (int, int) Either.t
+  type up_ind = (int, int) Either.t
+  type down_req = unit
+  type down_ind = unit
+  type timer = (int, int) Either.t
+
+  let handle_up_req () = function
+    | Arm (k, d) -> ((), [ Machine.Set_timer (k, d) ])
+    | Disarm k -> ((), [ Machine.Cancel_timer k ])
+
+  let handle_down_ind () () = ((), [])
+  let handle_timer () k = ((), [ Machine.Up k ])
+end
+
+module TimersRt = Runtime.Make (Timers)
+
+type timer_op = Set of int * int | Cancel of int | Advance of int | Halt
+
+(* What the runtime promises: one armed entry per key (re-arming moves
+   the deadline), fires in (deadline, arming order), nothing after a
+   halt. Times are in eighths of a second, so float sums are exact. *)
+let timer_model ops =
+  let armed = ref [] and seq = ref 0 and now = ref 0. and halted = ref false in
+  let fired = ref [] and counts = ref [] in
+  let disarm k = armed := List.filter (fun (k', _, _) -> k' <> k) !armed in
+  List.iter
+    (fun op ->
+      (match op with
+      | Set (k, d) when not !halted ->
+          disarm k;
+          incr seq;
+          armed := (k, !now +. (Float.of_int d *. 0.125), !seq) :: !armed
+      | Cancel k when not !halted -> disarm k
+      | Set _ | Cancel _ -> ()
+      | Advance d ->
+          let until = !now +. (Float.of_int d *. 0.125) in
+          let due, rest = List.partition (fun (_, at, _) -> at <= until) !armed in
+          let due = List.sort (fun (_, a, s) (_, b, s') -> compare (a, s) (b, s')) due in
+          List.iter (fun (k, at, _) -> fired := (k, at) :: !fired) due;
+          armed := rest;
+          now := until
+      | Halt ->
+          halted := true;
+          armed := []);
+      counts := List.length !armed :: !counts)
+    ops;
+  (List.rev !fired, List.rev !counts)
+
+let timer_key k = if k < 3 then Either.Left k else Either.Right k
+
+let timer_runtime ops =
+  let engine = Sim.Engine.create () in
+  let fired = ref [] and counts = ref [] in
+  let rt =
+    TimersRt.create engine ~name:"t" ~transmit:ignore
+      ~deliver:(fun k -> fired := (k, Sim.Engine.now engine) :: !fired)
+      ()
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Set (k, d) ->
+          TimersRt.from_above rt (Timers.Arm (timer_key k, Float.of_int d *. 0.125))
+      | Cancel k -> TimersRt.from_above rt (Timers.Disarm (timer_key k))
+      | Advance d ->
+          Sim.Engine.run ~until:(Sim.Engine.now engine +. (Float.of_int d *. 0.125)) engine
+      | Halt -> TimersRt.halt rt);
+      counts := TimersRt.active_timers rt :: !counts)
+    ops;
+  (List.rev !fired, List.rev !counts)
+
+let prop_runtime_timers =
+  qtest "runtime timers = reference model"
+    QCheck2.Gen.(
+      list_size (1 -- 40)
+        (frequency
+           [ (4, map2 (fun k d -> Set (k, d)) (0 -- 5) (0 -- 8));
+             (2, map (fun k -> Cancel k) (0 -- 5)); (3, map (fun d -> Advance d) (0 -- 8));
+             (1, pure Halt) ]))
+    (fun ops ->
+      let fired, counts = timer_model ops in
+      let fired = List.map (fun (k, at) -> (timer_key k, at)) fired in
+      (fired, counts) = timer_runtime ops)
 
 (* --- Layout --- *)
 
@@ -228,12 +475,14 @@ let () =
           Alcotest.test_case "wrong tag dropped" `Quick test_stack_wrong_tag_dropped;
           Alcotest.test_case "timer routing" `Quick test_stack_timer_routing;
           Alcotest.test_case "causal ordering" `Quick test_stack_causal_order;
+          prop_stack_matches_oracle;
         ] );
       ( "runtime",
         [
           Alcotest.test_case "timer fires" `Quick test_runtime_timer_fires;
           Alcotest.test_case "re-arm replaces" `Quick test_runtime_timer_rearm_replaces;
           Alcotest.test_case "trace notes" `Quick test_runtime_trace_notes;
+          prop_runtime_timers;
         ] );
       ( "layout",
         [

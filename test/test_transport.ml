@@ -57,6 +57,20 @@ let test_osr_codec () =
       check Alcotest.string "payload" "data" payload
   | None -> Alcotest.fail "decode failed"
 
+(* The demux's direct 4-byte read agrees with DM's decoder on any view,
+   short ones and ones at an offset included. *)
+let prop_peek_ports =
+  qtest "peek_ports = dm decoder"
+    QCheck2.Gen.(triple (string_size (0 -- 12)) (0 -- 4) (0 -- 4))
+    (fun (s, pre, post) ->
+      let len = max 0 (String.length s - pre - post) in
+      let pre = min pre (String.length s) in
+      let sl = Bitkit.Slice.make s ~off:pre ~len in
+      Segment.peek_ports sl
+      = Option.map
+          (fun ((h : Segment.dm), _) -> (h.src_port, h.dst_port))
+          (Segment.decode_dm_slice sl))
+
 let prop_onion_roundtrip =
   qtest "full onion roundtrip" payload_gen (fun p ->
       let osr = Segment.encode_osr Segment.default_osr ~payload:p in
@@ -1341,6 +1355,106 @@ let test_host_no_listener_ignored () =
   (* CM gives up after syn_retries and reports a reset *)
   check Alcotest.bool "reset reported" true (Host.was_reset c || Host.closed c)
 
+(* Ephemeral ports: a host whose endpoints do nothing, so only the port
+   table runs. Ports 49152, 50000 (bound twice, to two peers) and 65535
+   are taken explicitly; the scan must step over them, hand out every
+   other ephemeral port exactly once, and then refuse instead of
+   spinning. *)
+let inert_factory =
+  { Host.fname = "inert";
+    peek = Segment.peek_ports;
+    make =
+      (fun ?ins:_ _ ~name:_ _ ~local_port:_ ~remote_port:_ ~transmit:_ ~events:_ ->
+        { Host.ep_from_wire = ignore; ep_connect = ignore; ep_listen = ignore;
+          ep_write = ignore; ep_read = ignore; ep_close = ignore; ep_abort = ignore;
+          ep_finished = (fun () -> true) }) }
+
+let test_host_port_exhaustion () =
+  let engine = Sim.Engine.create () in
+  let link = Sublayer.Link.make ~id:"L" ~transmit:ignore () in
+  let host = Host.create engine ~factory:inert_factory ~name:"H" ~link () in
+  let bound = [ (49152, 80); (50000, 80); (50000, 81); (65535, 80) ] in
+  List.iter
+    (fun (local_port, remote_port) ->
+      ignore (Host.connect host ~local_port ~remote_port ()))
+    bound;
+  let taken = Hashtbl.create 16384 in
+  List.iter (fun (p, _) -> Hashtbl.replace taken p ()) bound;
+  let free = 16384 - Hashtbl.length taken in
+  for i = 1 to free do
+    let p = Host.local_port (Host.connect host ~remote_port:80 ()) in
+    if p < 49152 || p > 65535 || Hashtbl.mem taken p then
+      Alcotest.failf "connect %d got port %d, outside the range or taken" i p;
+    Hashtbl.replace taken p ()
+  done;
+  check Alcotest.int "every ephemeral port handed out" 16384 (Hashtbl.length taken);
+  (match Host.connect host ~remote_port:80 () with
+  | _ -> Alcotest.fail "connect past exhaustion returned a connection"
+  | exception Host.Ports_exhausted _ -> ());
+  (* An explicit port still works once the ephemeral range is spent. *)
+  let c = Host.connect host ~local_port:1000 ~remote_port:80 () in
+  check Alcotest.int "explicit bind after exhaustion" 1000 (Host.local_port c)
+
+(* The [Note] text of a traced [Tcp_sublayered] connection, pinned: a
+   lossy handshake (one SYN retransmitted), a short write, both closes
+   and a final halt. Each level of the stack prefixes its upper or lower
+   sublayer's name, so CM's notes climb five prefixes and RD's three. *)
+let note_pin =
+  let cm = "mon/rd/mon/cm/mon/dm: rd/mon/cm/mon/dm: mon/cm/mon/dm: cm/mon/dm: cm: " in
+  let rd = "mon/rd/mon/cm/mon/dm: rd/mon/cm/mon/dm: rd: " in
+  [
+    ("0.000000", "A", cm ^ "SYN_SENT (active open)");
+    ("0.200000", "A", cm ^ "SYN retransmit #1");
+    ("0.202000", "A", cm ^ "ESTABLISHED (syn|ack received)");
+    ("0.203000", "B", cm ^ "ESTABLISHED (handshake ack)");
+    ("0.402000", "A", rd ^ "rto retransmit offset=0 rto=0.40");
+    ("0.404000", "A", cm ^ "FIN_WAIT_1 (local close)");
+    ("0.605000", "B", cm ^ "CLOSE_WAIT (peer fin)");
+    ("30.001000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("30.201000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("30.601000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("33.001000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("36.201000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("42.601000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("55.401000", "A", cm ^ "segment dropped (wrong phase or identity)");
+    ("60.000000", "A", "halted");
+  ]
+
+let test_note_pin () =
+  let engine = Sim.Engine.create ~seed:3 () in
+  let trace = Sim.Trace.create () in
+  let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
+  let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
+  let ch dir =
+    Sim.Channel.create engine (Sim.Channel.lossy 0.3) ~size:Bitkit.Slice.length
+      ~deliver:(fun s -> !dir s)
+      ()
+  in
+  let ab = ch to_b and ba = ch to_a in
+  let mk name ~local_port ~remote_port ch =
+    Tcp_sublayered.create engine ~trace ~name Config.default ~local_port ~remote_port
+      ~transmit:(fun s -> Sim.Channel.send ch s)
+      ~events:(fun _ -> ())
+  in
+  let a = mk "A" ~local_port:1000 ~remote_port:80 ab in
+  let b = mk "B" ~local_port:80 ~remote_port:1000 ba in
+  to_a := Tcp_sublayered.from_wire a;
+  to_b := Tcp_sublayered.from_wire b;
+  Tcp_sublayered.listen b;
+  Tcp_sublayered.connect a;
+  Tcp_sublayered.write a (String.make 3000 'x');
+  Tcp_sublayered.close a;
+  Sim.Engine.run ~until:30. engine;
+  Tcp_sublayered.close b;
+  Sim.Engine.run ~until:60. engine;
+  Tcp_sublayered.halt a;
+  let got =
+    List.map
+      (fun (e : Sim.Trace.entry) -> (Printf.sprintf "%.6f" e.time, e.actor, e.event))
+      (Sim.Trace.entries trace)
+  in
+  check Alcotest.(list (triple string string string)) "trace entries" note_pin got
+
 (* --- sublayered vs monolithic behavioural comparison (E12 support) --- *)
 
 let test_sub_and_mono_same_outcomes () =
@@ -1369,6 +1483,7 @@ let () =
           Alcotest.test_case "rd codec + sacks" `Quick test_rd_codec_with_sacks;
           Alcotest.test_case "osr codec" `Quick test_osr_codec;
           prop_onion_roundtrip;
+          prop_peek_ports;
           Alcotest.test_case "T3 layout audit" `Quick test_layout_t3;
         ] );
       ( "wire",
@@ -1486,7 +1601,9 @@ let () =
           Alcotest.test_case "multiplexing" `Quick test_host_multiplexing;
           Alcotest.test_case "no listener" `Quick test_host_no_listener_ignored;
           Alcotest.test_case "take_received" `Quick test_host_take_received;
+          Alcotest.test_case "ephemeral port exhaustion" `Quick test_host_port_exhaustion;
         ] );
+      ("notes", [ Alcotest.test_case "handshake trace pinned" `Quick test_note_pin ]);
       ( "comparison",
         [ Alcotest.test_case "sub vs mono outcomes" `Slow test_sub_and_mono_same_outcomes ] );
     ]
