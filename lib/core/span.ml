@@ -9,7 +9,8 @@
    stats scope, so aggregate latency attribution needs no tracer at all.
 
    Every operation is a no-op (after one boolean load) when the ctx has
-   no tracer or tracing is globally disabled. *)
+   no tracer or tracing is globally disabled, and tests that before it
+   builds anything, so a disabled ctx allocates nothing. *)
 
 type ctx = {
   tracer : Sim.Tracer.t option;
@@ -20,8 +21,8 @@ type ctx = {
   opens : (string, int) Hashtbl.t; (* key -> live span id *)
 }
 
-(* A ctx without a tracer never writes its table (every writer goes
-   through [with_tracer]), so all disabled ctxs share one empty table. *)
+(* A ctx without a tracer never writes its table (every writer first
+   matches a live tracer), so all disabled ctxs share one empty table. *)
 let no_opens : (string, int) Hashtbl.t = Hashtbl.create 1
 
 let disabled sublayer =
@@ -35,23 +36,20 @@ let make ~tracer ?stats ~now ~track sublayer =
 let active ctx =
   match ctx.tracer with Some _ -> Sim.Tracer.enabled () | None -> false
 
-let with_tracer ctx f =
-  match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> f tr
-  | _ -> ()
-
 let fresh_trace ctx =
   match ctx.tracer with
   | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.fresh_trace tr
   | _ -> 0
 
 let open_ ctx ~key ?trace ?parent name =
-  with_tracer ctx (fun tr ->
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () ->
       let id =
         Sim.Tracer.start tr ~at:(ctx.now ()) ~track:ctx.track
           ~sublayer:ctx.sublayer ?trace ?parent name
       in
-      Hashtbl.replace ctx.opens key id)
+      Hashtbl.replace ctx.opens key id
+  | _ -> ()
 
 let id_of ctx ~key =
   match Hashtbl.find_opt ctx.opens key with Some id -> id | None -> 0
@@ -74,35 +72,42 @@ let observe ctx (sp : Sim.Tracer.span) =
 (* Close the keyed span if it is still live; if the peer already closed
    it cross-host, just forget the key. *)
 let close ctx ~key ?detail () =
-  with_tracer ctx (fun tr ->
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () -> (
       match Hashtbl.find_opt ctx.opens key with
       | None -> ()
-      | Some id ->
+      | Some id -> (
           Hashtbl.remove ctx.opens key;
-          (match Sim.Tracer.finish tr ~at:(ctx.now ()) ?detail id with
+          match Sim.Tracer.finish tr ~at:(ctx.now ()) ?detail id with
           | Some sp -> observe ctx sp
           | None -> ()))
+  | _ -> ()
 
 let close_all ctx ?detail () =
-  with_tracer ctx (fun _ ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) ctx.opens [] in
-      List.iter (fun key -> close ctx ~key ?detail ()) keys)
+  if active ctx then begin
+    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) ctx.opens [] in
+    List.iter (fun key -> close ctx ~key ?detail ()) keys
+  end
 
 let instant ctx ?trace ?parent ?detail name =
-  with_tracer ctx (fun tr ->
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () ->
       Sim.Tracer.instant tr ~at:(ctx.now ()) ~track:ctx.track
-        ~sublayer:ctx.sublayer ?trace ?parent ?detail name)
+        ~sublayer:ctx.sublayer ?trace ?parent ?detail name
+  | _ -> ()
 
 (* An instant child of the keyed span, in its trace: the retransmission
    lineage primitive. *)
 let child ctx ~key ?detail name =
-  with_tracer ctx (fun tr ->
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () -> (
       match Hashtbl.find_opt ctx.opens key with
       | None -> instant ctx ?detail name
       | Some id ->
           let trace = Option.value ~default:0 (Sim.Tracer.trace_of tr id) in
           Sim.Tracer.instant tr ~at:(ctx.now ()) ~track:ctx.track
             ~sublayer:ctx.sublayer ~trace ~parent:id ?detail name)
+  | _ -> ()
 
 (* Detached spans (not in [opens]): for intervals closed by another
    machine entirely, found again through the correlation table. *)
@@ -131,7 +136,10 @@ let trace_of_id ctx ~id =
 
 (* --- Correlation keys --- *)
 
-let bind ctx key v = with_tracer ctx (fun tr -> Sim.Tracer.bind tr key v)
+let bind ctx key v =
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.bind tr key v
+  | _ -> ()
 
 let lookup ctx key =
   match ctx.tracer with
@@ -139,7 +147,10 @@ let lookup ctx key =
       Option.value ~default:0 (Sim.Tracer.lookup tr key)
   | _ -> 0
 
-let unbind ctx key = with_tracer ctx (fun tr -> Sim.Tracer.unbind tr key)
+let unbind ctx key =
+  match ctx.tracer with
+  | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.unbind tr key
+  | _ -> ()
 
 let take ctx key =
   let v = lookup ctx key in
@@ -148,8 +159,9 @@ let take ctx key =
 
 (* Track-qualified keys: shared by the sublayers of one endpoint (OSR
    hands RD the trace of a stream offset this way) without colliding
-   across endpoints that share the tracer. *)
+   across endpoints that share the tracer. The key is built only for a
+   live tracer. *)
 let local ctx key = ctx.track ^ "|" ^ key
-let bind_local ctx key v = bind ctx (local ctx key) v
-let lookup_local ctx key = lookup ctx (local ctx key)
-let take_local ctx key = take ctx (local ctx key)
+let bind_local ctx key v = if active ctx then bind ctx (local ctx key) v
+let lookup_local ctx key = if active ctx then lookup ctx (local ctx key) else 0
+let take_local ctx key = if active ctx then take ctx (local ctx key) else 0

@@ -7,8 +7,10 @@
     {!Sim.Tracer}. Closing a keyed span also records its sojourn into a
     [<name>_us] log₂ histogram in the machine's {!Stats} scope.
 
-    All operations reduce to a single boolean load when the ctx was built
-    with {!disabled} or tracing is globally off ({!Sim.Tracer.set_enabled}). *)
+    All operations reduce to a single boolean load, and allocate nothing,
+    when the ctx was built with {!disabled} or tracing is globally off
+    ({!Sim.Tracer.set_enabled}). A caller that builds a key or detail
+    string for a span should build it only under {!active}. *)
 
 type ctx
 

@@ -103,8 +103,8 @@ let handle_data t seq16 payload =
   let t, deliveries =
     if seq = t.rx_expected then begin
       Sublayer.Stats.incr t.ctrs.Arq.c_delivered;
-      let detail = "seq=" ^ string_of_int seq in
       if Sublayer.Span.active t.sp then begin
+        let detail = "seq=" ^ string_of_int seq in
         (* Correlate with the sending flight via the frame's identity:
            the peer bound the flight span under a key derivable from the
            frame content alone. *)
@@ -150,7 +150,8 @@ let handle_timer t Rto =
       List.concat_map
         (fun (seq, payload) ->
           Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
-          Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
+          if Sublayer.Span.active t.sp then
+            Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
           [ Note "retransmit"; transmit t seq payload ])
         t.buf
     in

@@ -79,12 +79,13 @@ let handle_ack t seq16 =
   else begin
     (* Individual acks: close the one sequence this ack covers (repeats
        for an already-acked seq find no live span and are no-ops). *)
-    Sublayer.Span.close t.sp ~key:(skey a) ~detail:"acked" ();
-    if Sublayer.Span.active t.sp then
+    if Sublayer.Span.active t.sp then begin
+      Sublayer.Span.close t.sp ~key:(skey a) ~detail:"acked" ();
       (* Release the frame-identity binding if delivery never took it. *)
       List.iter
         (fun (s, p, _) -> if s = a then Sublayer.Span.unbind t.sp (fkey s p))
-        t.buf;
+        t.buf
+    end;
     let buf =
       List.map (fun (s, p, acked) -> if s = a then (s, p, true) else (s, p, acked)) t.buf
     in
@@ -176,6 +177,7 @@ let handle_timer t (Rto seq) =
         Note "give up: max_retries exhausted" :: cancels )
   | Some (_, payload, _) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
-      Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
+      if Sublayer.Span.active t.sp then
+        Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
       ( { t with retries = t.retries + 1 },
         [ Note "retransmit"; transmit t seq payload; Set_timer (Rto seq, t.cfg.rto) ] )

@@ -70,10 +70,11 @@ let handle_ack t seq16 =
   match t.outstanding with
   | Some (seq, sent)
     when Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:seq seq16 = seq -> (
-      Sublayer.Span.close t.sp ~key:(skey seq) ~detail:"acked" ();
-      if Sublayer.Span.active t.sp then
+      if Sublayer.Span.active t.sp then begin
+        Sublayer.Span.close t.sp ~key:(skey seq) ~detail:"acked" ();
         (* Release the frame-identity binding if delivery never took it. *)
-        Sublayer.Span.unbind t.sp (fkey seq sent);
+        Sublayer.Span.unbind t.sp (fkey seq sent)
+      end;
       let t = { t with outstanding = None; retries = 0 } in
       match Arq.Fifo.pop t.queue with
       | None -> (t, [ Cancel_timer Rto ])
@@ -88,8 +89,8 @@ let handle_data t seq16 payload =
   let ack = Down (Arq.ack_wirebuf seq16) in
   if seq = t.rx_expected then begin
     Sublayer.Stats.incr t.ctrs.Arq.c_delivered;
-    let detail = "seq=" ^ string_of_int seq in
     if Sublayer.Span.active t.sp then begin
+      let detail = "seq=" ^ string_of_int seq in
       (* Join the sending flight's trace via the frame's identity key. *)
       let fid =
         Sublayer.Span.take t.sp
@@ -126,6 +127,7 @@ let handle_timer t Rto =
         [ Note "give up: max_retries exhausted" ] )
   | Some (seq, payload) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;
-      Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
+      if Sublayer.Span.active t.sp then
+        Sublayer.Span.child t.sp ~key:(skey seq) ~detail:"rto" "retx";
       ( { t with retries = t.retries + 1 },
         [ Note "retransmit"; transmit t seq payload; Set_timer (Rto, t.cfg.rto) ] )

@@ -1,8 +1,9 @@
 module Bitseq = Bitkit.Bitseq
+module Slice = Bitkit.Slice
 
 type t = {
   name : string;
-  frame : string -> Bitseq.t;
+  frame : Slice.t -> Bitseq.t;
   deframe : Bitseq.t -> string option;
 }
 
@@ -10,7 +11,10 @@ let hdlc scheme =
   let codec = Stuffing.Fast.compile scheme in
   {
     name = Printf.sprintf "hdlc[%s]" (Stuffing.Rule.string_of_bits scheme.Stuffing.Rule.flag);
-    frame = (fun payload -> Stuffing.Fast.encode codec (Bitseq.of_string payload));
+    frame =
+      (fun (p : Slice.t) ->
+        Stuffing.Fast.encode_sub codec (Bitseq.of_string p.base) ~pos:(8 * p.off)
+          ~len:(8 * p.len));
     deframe =
       (fun bits ->
         match Stuffing.Fast.decode codec bits with
@@ -74,7 +78,7 @@ let cobs_decode s =
 let cobs =
   {
     name = "cobs";
-    frame = (fun payload -> Bitseq.of_string (cobs_encode payload));
+    frame = (fun payload -> Bitseq.of_string (cobs_encode (Slice.to_string payload)));
     deframe =
       (fun bits ->
         if Bitseq.length bits land 7 <> 0 then None
@@ -122,7 +126,7 @@ let dle_stx_decode s =
 let dle_stx =
   {
     name = "dle-stx";
-    frame = (fun payload -> Bitseq.of_string (dle_stx_encode payload));
+    frame = (fun payload -> Bitseq.of_string (dle_stx_encode (Slice.to_string payload)));
     deframe =
       (fun bits ->
         if Bitseq.length bits land 7 <> 0 then None
@@ -134,6 +138,7 @@ let length_prefix =
     name = "length-prefix";
     frame =
       (fun payload ->
+        let payload = Slice.to_string payload in
         let n = String.length payload in
         if n > 0xFFFF then invalid_arg "Framer.length_prefix: payload too long";
         let header = String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xFF)) in
@@ -153,4 +158,4 @@ let length_prefix =
 
 let all = [ hdlc Stuffing.Rule.hdlc; cobs; dle_stx; length_prefix ]
 
-let framed_bits t payload = Bitseq.length (t.frame payload)
+let framed_bits t payload = Bitseq.length (t.frame (Slice.of_string payload))

@@ -127,14 +127,15 @@ module Framing = struct
       malformed = Sublayer.Stats.counter scope "frames_malformed";
     }
 
-  (* Crossing into the bit domain is an inherent materialisation: for a
-     whole-string view (the unpooled detector's output) [to_string] is
-     free; a pool-slot view pays its length here, once — the data path's
-     one remaining byte copy when pooling is on. *)
+  (* Crossing into the bit domain: the framer takes the detector's view
+     as it is, a whole string or a pool slot, and the HDLC framer stuffs
+     straight from its bytes, so nothing is copied on the way. The slot
+     may be released at the end of the event because the frame shares
+     none of its bytes. *)
   let handle_up_req t pdu =
     Sublayer.Stats.incr t.framed;
     Sublayer.Span.instant t.sp "frame";
-    (t, [ Down (t.framer.Framer.frame (Bitkit.Slice.to_string pdu)) ])
+    (t, [ Down (t.framer.Framer.frame pdu) ])
 
   let handle_down_ind t bits =
     match t.framer.Framer.deframe bits with

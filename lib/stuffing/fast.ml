@@ -12,13 +12,15 @@ module Bitseq = Bitkit.Bitseq
    stuffed bit and moves on it; unstuffing stays in [k], "the next bit
    must be the stuffed bit", until that bit arrives.
 
-   A transition packs the bits it emits (at most 16 per input byte),
-   their count and the next state into one int; -1 marks a wrong
-   stuffed bit. *)
+   A transition packs the bits it emits (at most 16 per input byte) from
+   bit 24 up, their count in bits 16-23 and the next state in bits 8-15,
+   so the entry masked with 0xFF00 is already the next byte's row: the
+   path one byte waits on is a [land], a [lor] and a load. -1 marks a
+   wrong stuffed bit. *)
 
 type t = {
   flag : Bitseq.t;
-  flag_tab : Bytes.t;  (* the flag's automaton a byte at a time, see [flag_table] *)
+  find_tab : int array;  (* the flag's automaton a byte at a time, see [find_table] *)
   k : int;
   sbit : int;
   gap : int;  (* at least this many data bits precede each stuffed bit *)
@@ -27,10 +29,10 @@ type t = {
   unstuff_tab : int array;
 }
 
-let pack next count bits = (next lsl 21) lor (count lsl 16) lor bits
-let next_of e = e lsr 21
-let count_of e = (e lsr 16) land 0x1F
-let bits_of e = e land 0xFFFF
+let pack next count bits = (bits lsl 24) lor (count lsl 16) lor (next lsl 8)
+let next_of e = (e lsr 8) land 0xFF
+let count_of e = (e lsr 16) land 0xFF
+let bits_of e = e lsr 24
 
 let automaton trigger =
   let k = Array.length trigger in
@@ -69,37 +71,35 @@ let table t step =
   in
   Array.init ((t.k + 1) lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
-(* The flag's string-matching automaton read a byte at a time: the entry
-   at [(q lsl 8) lor v] is the state after byte [v] from state [q], or
-   [found + i] if the flag ends at bit [i] of [v]. A search stops at its
-   first match, so the accepting state never starts a byte: [m] rows of
-   states below [found], for a flag of [m] bits. *)
-let found = 248
-
-let flag_table flag =
+(* The flag's string-matching automaton read a byte at a time, its
+   states kept multiplied by 256: the entry at [q lor v] is the state
+   after byte [v], times 256, or [-1 - i] if the flag ends at bit [i] of
+   [v]. A search stops at its first match, so the accepting state never
+   starts a byte: [m] rows for a flag of [m] bits. *)
+let find_table flag =
   let m = Array.length flag in
-  if m > found then invalid_arg "Fast.compile: flag longer than 248 bits";
   let delta = automaton flag in
   let entry q v =
     let rec go q i =
-      if i = 8 then q
+      if i = 8 then q lsl 8
       else
         let q = delta.((2 * q) + ((v lsr (7 - i)) land 1)) in
-        if q = m then found + i else go q (i + 1)
+        if q = m then -1 - i else go q (i + 1)
     in
     go q 0
   in
-  Bytes.init (m lsl 8) (fun i -> Char.chr (entry (i lsr 8) (i land 0xFF)))
+  Array.init (m lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
 let compile scheme =
   let rule = scheme.Rule.rule in
   if not (Rule.rule_well_formed rule) then invalid_arg "Fast.compile: ill-formed rule";
   let trigger = Array.of_list (List.map Bool.to_int rule.Rule.trigger) in
   let k = Array.length trigger and sbit = Bool.to_int rule.Rule.stuff in
+  if k > 0xFF then invalid_arg "Fast.compile: trigger longer than 255 bits";
   let delta = automaton trigger in
   let t =
     { flag = Bitseq.of_bool_list scheme.Rule.flag;
-      flag_tab = flag_table (Array.of_list (List.map Bool.to_int scheme.Rule.flag)); k; sbit;
+      find_tab = find_table (Array.of_list (List.map Bool.to_int scheme.Rule.flag)); k; sbit;
       (* after a stuffed bit the automaton climbs from here back to [k],
          at most one state per data bit *)
       gap = k - delta.((2 * k) + sbit); delta; stuff_tab = [||]; unstuff_tab = [||] }
@@ -138,54 +138,74 @@ let take w =
   let data = if nbytes = Bytes.length w.dst then w.dst else Bytes.sub w.dst 0 nbytes in
   Bitseq.unsafe_of_bytes_bits data nbits
 
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* The low 32 bits of [x] at bytes [o, o + 4), most significant first. *)
+let[@inline] store32_be dst o x =
+  let x = Int32.of_int x in
+  set32u dst o (if Sys.big_endian then x else swap32 x)
+
 (* [transduce t tab step w src pos len] feeds bits [pos, pos + len) of
    [src] through the transducer into [w]: a table entry per whole byte,
    then a step per remaining bit. It is false if a stuffed bit is wrong
-   or missing (the input ends in state [k]). *)
+   or missing (the input ends in state [k]).
+
+   The accumulator leaves in one 32-bit store once 32 bits are pending.
+   Those are output bits, so the store stays inside the worst-case
+   buffer. *)
 let transduce t tab step w src pos len =
   let data = Bitseq.to_string src and dst = w.dst and sh = pos land 7 in
-  let q = ref 0 and i = ref 0 and ok = ref true in
-  let acc = ref w.acc and nacc = ref w.nacc and o = ref w.byte in
-  while !ok && !i + 8 <= len do
-    (* bits [p, p + 8) lie in [src], so byte [j + 1] exists if they
-       straddle two *)
-    let j = (pos + !i) lsr 3 in
+  let j = ref (pos lsr 3) and stop = (pos lsr 3) + (len lsr 3) in
+  let e = ref 0 and acc = ref w.acc and nacc = ref w.nacc and o = ref w.byte in
+  while !j < stop do
+    (* bits [8j + sh, 8j + sh + 8) lie in [src], so byte [j + 1] exists
+       if they straddle two *)
     let v =
-      if sh = 0 then Char.code (String.unsafe_get data j)
+      if sh = 0 then Char.code (String.unsafe_get data !j)
       else
-        (((Char.code (String.unsafe_get data j) lsl 8)
-         lor Char.code (String.unsafe_get data (j + 1)))
+        (((Char.code (String.unsafe_get data !j) lsl 8)
+         lor Char.code (String.unsafe_get data (!j + 1)))
          lsr (8 - sh))
         land 0xFF
     in
-    let e = Array.unsafe_get tab ((!q lsl 8) lor v) in
-    if e < 0 then ok := false
+    let x = Array.unsafe_get tab ((!e land 0xFF00) lor v) in
+    e := x;
+    if x < 0 then j := stop
     else begin
-      let c = count_of e in
-      acc := (!acc lsl c) lor bits_of e;
+      let c = count_of x in
+      acc := (!acc lsl c) lor bits_of x;
       nacc := !nacc + c;
-      while !nacc >= 8 do
-        nacc := !nacc - 8;
-        Bytes.unsafe_set dst !o (Char.unsafe_chr ((!acc lsr !nacc) land 0xFF));
-        incr o
-      done;
-      q := next_of e;
-      i := !i + 8
+      if !nacc >= 32 then begin
+        nacc := !nacc - 32;
+        store32_be dst !o (!acc lsr !nacc);
+        o := !o + 4
+      end;
+      incr j
     end
   done;
-  w.acc <- !acc;
-  w.nacc <- !nacc;
-  w.byte <- !o;
-  while !ok && !i < len do
-    let e = step t !q (Bool.to_int (Bitseq.get src (pos + !i))) in
-    if e < 0 then ok := false
-    else begin
-      emit w (bits_of e) (count_of e);
-      q := next_of e;
-      incr i
-    end
-  done;
-  !ok && !q <> t.k
+  if !e < 0 then false
+  else begin
+    while !nacc >= 8 do
+      nacc := !nacc - 8;
+      Bytes.unsafe_set dst !o (Char.unsafe_chr ((!acc lsr !nacc) land 0xFF));
+      incr o
+    done;
+    w.acc <- !acc;
+    w.nacc <- !nacc;
+    w.byte <- !o;
+    let q = ref (next_of !e) and i = ref (len land lnot 7) and ok = ref true in
+    while !ok && !i < len do
+      let x = step t !q (Bool.to_int (Bitseq.get src (pos + !i))) in
+      if x < 0 then ok := false
+      else begin
+        emit w (bits_of x) (count_of x);
+        q := next_of x;
+        incr i
+      end
+    done;
+    !ok && !q <> t.k
+  end
 
 let stuffed_bound t len = len + (len / t.gap)
 
@@ -195,42 +215,56 @@ let stuff t bits =
   ignore (transduce t t.stuff_tab stuff_step w bits 0 len);
   take w
 
+let check_range name bits pos len =
+  if pos < 0 || len < 0 || pos + len > Bitseq.length bits then invalid_arg name
+
 let unstuff_sub t bits ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bitseq.length bits then invalid_arg "Fast.unstuff_sub";
+  check_range "Fast.unstuff_sub" bits pos len;
   let w = writer len in
   if transduce t t.unstuff_tab unstuff_step w bits pos len then Some (take w) else None
 
 let unstuff t bits = unstuff_sub t bits ~pos:0 ~len:(Bitseq.length bits)
 
-let encode t bits =
-  let len = Bitseq.length bits in
+let encode_sub t bits ~pos ~len =
+  check_range "Fast.encode_sub" bits pos len;
   let w = writer (stuffed_bound t len + (2 * Bitseq.length t.flag)) in
   emit_seq w t.flag;
-  ignore (transduce t t.stuff_tab stuff_step w bits 0 len);
+  ignore (transduce t t.stuff_tab stuff_step w bits pos len);
   emit_seq w t.flag;
   take w
 
-(* One table step per byte from [from]. Bits past the end read as zero,
-   so a match that ends there is no match. The loop makes no call, so
-   the automaton state stays in a register. *)
+let encode t bits = encode_sub t bits ~pos:0 ~len:(Bitseq.length bits)
+
+(* One table step per byte from [from]: the bytes themselves when [from]
+   is byte-aligned, as every frame the encoder writes is, else each
+   8-bit window shifted out of two. Bits past the end read as zero, so a
+   match that ends there is no match. The loops make no call, so the
+   automaton state stays in a register. *)
 let find_flag t ~from bits =
   let len = Bitseq.length bits and m = Bitseq.length t.flag in
   if from < 0 || from > len then invalid_arg "Fast.find_flag";
   if m = 0 then Some from
   else begin
-    let data = Bitseq.to_string bits and tab = t.flag_tab and sh = from land 7 in
-    let n = String.length data in
-    let q = ref 0 and pos = ref from in
-    while !q < found && !pos < len do
-      let j = !pos lsr 3 in
-      let next = if j + 1 < n then Char.code (String.unsafe_get data (j + 1)) else 0 in
-      let v = (((Char.code (String.unsafe_get data j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
-      q := Char.code (Bytes.unsafe_get tab ((!q lsl 8) lor v));
-      pos := !pos + 8
-    done;
-    (* the flag's last bit, if it ended in the byte just read *)
-    let last = !pos - 8 + !q - found in
-    if !q >= found && last < len then Some (last + 1 - m) else None
+    let data = Bitseq.to_string bits and tab = t.find_tab and sh = from land 7 in
+    (* the windows starting at bits [8j + sh] below [len] *)
+    let j = ref (from lsr 3) and stop = (len - sh + 7) lsr 3 and q = ref 0 in
+    if sh = 0 then
+      while !q >= 0 && !j < stop do
+        q := Array.unsafe_get tab (!q lor Char.code (String.unsafe_get data !j));
+        incr j
+      done
+    else begin
+      let n = String.length data in
+      while !q >= 0 && !j < stop do
+        let next = if !j + 1 < n then Char.code (String.unsafe_get data (!j + 1)) else 0 in
+        let v = (((Char.code (String.unsafe_get data !j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
+        q := Array.unsafe_get tab (!q lor v);
+        incr j
+      done
+    end;
+    (* the flag's last bit, if it ended in the window just read *)
+    let last = (8 * (!j - 1)) + sh - 1 - !q in
+    if !q < 0 && last < len then Some (last + 1 - m) else None
   end
 
 let decode t bits =

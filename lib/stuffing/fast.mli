@@ -14,23 +14,33 @@
     the stuffed stream currently ends in, so the trigger fires only once
     [k] real bits have gone by ([k] the trigger length), as in the
     reference. Unstuffing reads state [k] as "the next bit must be the
-    stuffed bit". An entry maps state × input byte to the output bits,
-    their count and the next state; a partial last byte takes the
-    per-bit transitions the tables are built from. Output goes through
-    an int accumulator into a buffer sized for the worst case, then the
-    frame is copied out at its exact size. {!compile} also turns the
-    flag's string-matching automaton into a byte table, so {!decode}
-    hunts both flags a byte per step. Build the tables once per scheme
-    ([Datalink.Framer.hdlc] closes over them), not once per frame: the
-    transducers hold [(k + 1) × 256] ints each, the flag search
-    [m × 256] bytes for an [m]-bit flag. *)
+    stuffed bit". The entry for state × input byte is
+    [(bits lsl 24) lor (count lsl 16) lor (next lsl 8)]: the output bits,
+    their count and the next state, which sits where the next byte's row
+    index wants it, so a byte step is [tab.((e land 0xFF00) lor byte)]
+    and the path each byte waits on is that [land], [lor] and load. [-1]
+    marks a wrong stuffed bit. The 8-bit state field is why a trigger
+    may be at most 255 bits long. A partial last byte takes the per-bit
+    transitions the tables are built from. Output gathers in an int
+    accumulator and leaves in one 32-bit big-endian store whenever 32
+    bits are pending, into a buffer sized for the worst case; the frame
+    is then copied out at its exact size. {!compile} also turns the
+    flag's string-matching automaton into an int table over states kept
+    multiplied by 256, a match stored as [-1 - i] for the bit [i] it ends
+    at, so {!find_flag} hunts a byte per step with one [lor] and one
+    load, reading whole bytes when the search starts on a byte boundary.
+    {!encode_sub} stuffs a range of a larger sequence in place, so a
+    framer can read a payload from the buffer it already sits in. Build
+    the tables once per scheme ([Datalink.Framer.hdlc] closes over them),
+    not once per frame: the transducers hold [(k + 1) × 256] ints each,
+    the flag search [m × 256] for an [m]-bit flag. *)
 
 type t
 (** A scheme compiled to its transition tables. *)
 
 val compile : Rule.scheme -> t
 (** Raises [Invalid_argument] if the rule is not well-formed
-    ({!Rule.rule_well_formed}) or the flag is longer than 248 bits. *)
+    ({!Rule.rule_well_formed}) or its trigger is longer than 255 bits. *)
 
 val stuff : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
 (** {!Codec.stuff} of the scheme's rule. *)
@@ -40,10 +50,16 @@ val unstuff : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
 
 val unstuff_sub : t -> Bitkit.Bitseq.t -> pos:int -> len:int -> Bitkit.Bitseq.t option
 (** [unstuff_sub t bits ~pos ~len] is [unstuff t (Bitseq.sub bits pos len)]
-    without the copy. *)
+    without the copy. Raises [Invalid_argument] unless the range lies in
+    [bits]. *)
 
 val encode : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t
 (** {!Codec.encode}: flag, stuffed body, flag, written in one buffer. *)
+
+val encode_sub : t -> Bitkit.Bitseq.t -> pos:int -> len:int -> Bitkit.Bitseq.t
+(** [encode_sub t bits ~pos ~len] is [encode t (Bitseq.sub bits pos len)]
+    without the copy. Raises [Invalid_argument] unless the range lies in
+    [bits]. *)
 
 val find_flag : t -> from:int -> Bitkit.Bitseq.t -> int option
 (** [find_flag t ~from bits] is [Bitkit.Bitseq.find_sub ~from ~pattern:flag

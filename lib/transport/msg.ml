@@ -154,7 +154,7 @@ let try_send t c =
           end;
           acts := Down (`Transmit (cn.next_off, want, pdu)) :: !acts;
           let finished_msg = cn.sendq_off + want >= String.length body in
-          if finished_msg then
+          if finished_msg && Sublayer.Span.active t.sp then
             Sublayer.Span.close t.sp
               ~key:("m:" ^ string_of_int msg_id)
               ~detail:"fragmented" ();
@@ -175,9 +175,10 @@ let maybe_fin c =
 let enqueue t c body =
   Sublayer.Stats.incr t.ctrs.c_messages_sent;
   if String.length body > 0xFFFF then invalid_arg "Msg: message too long";
-  Sublayer.Span.open_ t.sp
-    ~key:("m:" ^ string_of_int c.next_id)
-    ~trace:(Sublayer.Span.fresh_trace t.sp) "msg_send";
+  if Sublayer.Span.active t.sp then
+    Sublayer.Span.open_ t.sp
+      ~key:("m:" ^ string_of_int c.next_id)
+      ~trace:(Sublayer.Span.fresh_trace t.sp) "msg_send";
   { c with sendq = c.sendq @ [ (c.next_id, body) ]; next_id = (c.next_id + 1) land 0xFFFF }
 
 let handle_up_req t (req : up_req) =
@@ -219,9 +220,10 @@ let accept_fragment t c ~frag_trace (h : header) payload =
   if partial.p_got >= partial.p_len then begin
     Hashtbl.remove c.partials h.msg_id;
     Sublayer.Stats.incr t.ctrs.c_messages_delivered;
-    Sublayer.Span.instant t.sp ~trace:frag_trace
-      ~detail:(Printf.sprintf "msg_id=%d len=%d" h.msg_id h.msg_len)
-      "msg_delivered";
+    if Sublayer.Span.active t.sp then
+      Sublayer.Span.instant t.sp ~trace:frag_trace
+        ~detail:(Printf.sprintf "msg_id=%d len=%d" h.msg_id h.msg_len)
+        "msg_delivered";
     let body = Bytes.to_string partial.p_buf in
     let body = if h.msg_len = 0 then "" else body in
     let c = { c with buffered = max 0 (c.buffered - (partial.p_len - n)) } in
@@ -258,7 +260,9 @@ let handle_down_ind t (ind : down_ind) =
       | None -> (t, [ Note "undecodable msg pdu" ])
       | Some (h, payload) ->
           let frag_trace =
-            Sublayer.Span.take_local t.sp ("off:" ^ string_of_int offset)
+            if Sublayer.Span.active t.sp then
+              Sublayer.Span.take_local t.sp ("off:" ^ string_of_int offset)
+            else 0
           in
           let c = { c with peer_window = h.window } in
           (* App boundary: the fragment materialises to an owned string

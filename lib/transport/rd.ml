@@ -374,7 +374,8 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
       | Some victim ->
           Sublayer.Stats.incr t.ctrs.c_retransmits;
           Sublayer.Stats.incr t.ctrs.c_fast_retransmits;
-          Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"fast" "retx";
+          if Sublayer.Span.active t.sp then
+            Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"fast" "retx";
           let resend = { victim with s_retx = true; s_sent_at = t.now () } in
           let sndq =
             List.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
@@ -469,7 +470,8 @@ let handle_timer t tm =
                  acked: resend the oldest anyway. *)
               Sublayer.Stats.incr t.ctrs.c_retransmits;
               Sublayer.Stats.incr t.ctrs.c_timeouts;
-              Sublayer.Span.child t.sp ~key:(fkey all_sacked.s_off) ~detail:"rto" "retx";
+              if Sublayer.Span.active t.sp then
+                Sublayer.Span.child t.sp ~key:(fkey all_sacked.s_off) ~detail:"rto" "retx";
               let resend = { all_sacked with s_retx = true; s_sent_at = t.now () } in
               let sndq =
                 List.map (fun s -> if s.s_off = resend.s_off then resend else s) c.sndq
@@ -482,7 +484,8 @@ let handle_timer t tm =
       | Some victim ->
           Sublayer.Stats.incr t.ctrs.c_retransmits;
           Sublayer.Stats.incr t.ctrs.c_timeouts;
-          Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"rto" "retx";
+          if Sublayer.Span.active t.sp then
+            Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"rto" "retx";
           let resend = { victim with s_retx = true; s_sent_at = t.now () } in
           let sndq =
             List.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq

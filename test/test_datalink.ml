@@ -68,16 +68,19 @@ let framers =
   [ Framer.hdlc Stuffing.Rule.hdlc; Framer.hdlc Stuffing.Rule.paper_best; Framer.cobs;
     Framer.dle_stx; Framer.length_prefix ]
 
+(* [frame f s] frames the whole string [s] through a slice view. *)
+let frame f s = f.Framer.frame (Bitkit.Slice.of_string s)
+
 let prop_framer_roundtrip =
   qtest "deframe . frame = Some" payload_gen (fun s ->
-      List.for_all (fun f -> f.Framer.deframe (f.Framer.frame s) = Some s) framers)
+      List.for_all (fun f -> f.Framer.deframe (frame f s) = Some s) framers)
 
 let test_framer_special_payloads () =
   List.iter
     (fun f ->
       List.iter
         (fun s ->
-          match f.Framer.deframe (f.Framer.frame s) with
+          match f.Framer.deframe (frame f s) with
           | Some got when got = s -> ()
           | _ -> Alcotest.failf "%s failed on %S" f.Framer.name s)
         [ ""; "\x00"; "\x00\x00\x00"; "\x10\x02\x10\x03"; "\x7e\x7e";
@@ -88,13 +91,13 @@ let test_framer_special_payloads () =
 let test_cobs_overhead_bound () =
   (* COBS adds at most one byte per 254 plus the terminator and leading code. *)
   let s = String.make 1000 'x' in
-  let framed_bytes = Bitkit.Bitseq.length (Framer.cobs.Framer.frame s) / 8 in
+  let framed_bytes = Bitkit.Bitseq.length (frame Framer.cobs s) / 8 in
   check Alcotest.bool "bounded overhead" true (framed_bytes <= 1000 + (1000 / 254) + 2)
 
 let test_hdlc_rejects_nonbyte () =
   let f = Framer.hdlc Stuffing.Rule.hdlc in
   (* A framed stream with a truncated body does not decode. *)
-  let framed = f.Framer.frame "abc" in
+  let framed = frame f "abc" in
   let broken = Bitkit.Bitseq.sub framed 0 (Bitkit.Bitseq.length framed - 9) in
   check Alcotest.bool "truncated rejected" true (f.Framer.deframe broken = None)
 
@@ -116,7 +119,7 @@ let prop_hdlc_framer_is_codec =
           let f = Framer.hdlc scheme in
           let framed = bits_of s |> Stuffing.Codec.encode scheme in
           let noisy = noise @ framed in
-          Bitkit.Bitseq.to_bool_list (f.Framer.frame s) = framed
+          Bitkit.Bitseq.to_bool_list (frame f s) = framed
           && f.Framer.deframe (Bitkit.Bitseq.of_bool_list noisy)
              = Option.bind (Stuffing.Codec.decode scheme noisy) pack
           && f.Framer.deframe (Bitkit.Bitseq.of_bool_list noise)
@@ -324,7 +327,7 @@ let feed_in_chunks d stream chunk =
 let test_deframer_basic_stream () =
   let d = Deframer.create () in
   let payloads = [ "alpha"; "beta"; "gamma" ] in
-  let stream = Bitkit.Bitseq.concat (List.map hdlc_framer.Framer.frame payloads) in
+  let stream = Bitkit.Bitseq.concat (List.map (frame hdlc_framer) payloads) in
   check Alcotest.(list string) "all frames" payloads (feed_in_chunks d stream 5)
 
 let test_deframer_noise_and_idle () =
@@ -332,9 +335,9 @@ let test_deframer_noise_and_idle () =
   let stream =
     Bitkit.Bitseq.concat
       [ Bitkit.Bitseq.of_bits "110010101";      (* line noise before sync *)
-        hdlc_framer.Framer.frame "first";
+        frame hdlc_framer "first";
         Bitkit.Bitseq.of_bits "1111111111111"; (* idle ones between frames *)
-        hdlc_framer.Framer.frame "second" ]
+        frame hdlc_framer "second" ]
   in
   check Alcotest.(list string) "frames through noise" [ "first"; "second" ]
     (feed_in_chunks d stream 3);
@@ -354,7 +357,7 @@ let test_deframer_shared_flag () =
 
 let test_deframer_chunking_invariance () =
   let payloads = List.init 10 (Printf.sprintf "payload-%d") in
-  let stream = Bitkit.Bitseq.concat (List.map hdlc_framer.Framer.frame payloads) in
+  let stream = Bitkit.Bitseq.concat (List.map (frame hdlc_framer) payloads) in
   List.iter
     (fun chunk ->
       let d = Deframer.create () in
@@ -364,7 +367,7 @@ let test_deframer_chunking_invariance () =
 
 let test_deframer_partial_then_complete () =
   let d = Deframer.create () in
-  let framed = hdlc_framer.Framer.frame "split" in
+  let framed = frame hdlc_framer "split" in
   let n = Bitkit.Bitseq.length framed in
   let first = Bitkit.Bitseq.sub framed 0 (n - 4) in
   let rest = Bitkit.Bitseq.sub framed (n - 4) 4 in
@@ -377,7 +380,7 @@ let prop_deframer_roundtrip =
     QCheck2.Gen.(list_size (1 -- 8) (string_size ~gen:char (1 -- 40)))
     (fun payloads ->
       let d = Deframer.create () in
-      let stream = Bitkit.Bitseq.concat (List.map hdlc_framer.Framer.frame payloads) in
+      let stream = Bitkit.Bitseq.concat (List.map (frame hdlc_framer) payloads) in
       feed_in_chunks d stream 11 = payloads)
 
 (* Frames between random noise, fed in random chunk sizes, give the
@@ -394,7 +397,7 @@ let prop_deframer_chunking_on_noise =
       let stream =
         Bitkit.Bitseq.concat
           (List.concat_map
-             (fun (noise, p) -> [ Bitkit.Bitseq.of_bool_list noise; hdlc_framer.Framer.frame p ])
+             (fun (noise, p) -> [ Bitkit.Bitseq.of_bool_list noise; frame hdlc_framer p ])
              parts
           @ [ Bitkit.Bitseq.of_bool_list tail ])
       in
@@ -454,14 +457,14 @@ let test_deframer_oversize_bound () =
   done;
   check Alcotest.bool "oversize counted" true (Deframer.oversize_discarded d >= 1);
   check Alcotest.(list string) "next frame decodes" [ "after" ]
-    (Deframer.push d (hdlc_framer.Framer.frame "after"));
+    (Deframer.push d (frame hdlc_framer "after"));
   check Alcotest.int "one frame seen" 1 (Deframer.frames_seen d)
 
 (* A 32 Kbit frame fed a bit at a time: each bit is scanned once and
    the frame is assembled once, so this stays cheap. *)
 let test_deframer_bitwise_feed_linear () =
   let payload = String.init 4096 (fun i -> Char.chr (i land 0xFF)) in
-  let stream = hdlc_framer.Framer.frame payload in
+  let stream = frame hdlc_framer payload in
   let d = Deframer.create () in
   check Alcotest.(list string) "bit by bit" [ payload ] (feed_in_chunks d stream 1)
 
@@ -473,16 +476,16 @@ let test_deframer_bitwise_feed_linear () =
 let pin_payloads =
   List.init 200 (fun i -> String.init 256 (fun j -> Char.chr (((i * 31) + (j * 7)) land 0xFF)))
 
-let pinned_schedule arq seed =
+let pinned_schedule ?(pooled = true) arq seed =
   let engine = Sim.Engine.create ~seed () in
   let stats_a = Sublayer.Stats.create ~label:"A" ()
   and stats_b = Sublayer.Stats.create ~label:"B" () in
-  let pool = Bitkit.Pool.create ~slots:256 ~slot_bytes:2048 () in
+  let pool = if pooled then Some (Bitkit.Pool.create ~slots:256 ~slot_bytes:2048 ()) else None in
   let spec =
     { Stack.default_spec with arq; arq_config = { Arq.default_config with Arq.rto = 0.01 } }
   in
   let link =
-    Stack.link engine ~stats_a ~stats_b ~pool
+    Stack.link engine ~stats_a ~stats_b ?pool
       { Sim.Channel.ideal with Sim.Channel.corruption = 0.05 } spec
   in
   List.iter (Stack.send link.Stack.a) pin_payloads;
@@ -505,7 +508,13 @@ let test_pinned_schedule () =
       check Alcotest.string (name ^ " idle at") idle_at t;
       check Alcotest.string
         (Printf.sprintf "%s stats digest of %s" name snapshot)
-        digest (Digest.to_hex (Digest.string snapshot)))
+        digest (Digest.to_hex (Digest.string snapshot));
+      (* Without the pool every frame leaves the detector as a heap
+         string instead of a slot view; the wire, and so the schedule,
+         is the same. [pinned_schedule] checks the deliveries. *)
+      let ev, t, _ = pinned_schedule ~pooled:false arq (100 + k) in
+      check Alcotest.int (name ^ " events, pool off") events ev;
+      check Alcotest.string (name ^ " idle at, pool off") idle_at t)
     (List.combine arqs
        [ (479, "0x1.666666666666bp-1", "25fd87cf031a398a1c2956fd0d36eb52");
          (618, "0x1.a5e353f7ced95p-3", "1ecce2e07b8b1f908e1b8ce0ee4d1271");

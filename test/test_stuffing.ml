@@ -287,6 +287,79 @@ let prop_fast_random_rules =
       QCheck2.assume (Rule.rule_well_formed sc.Rule.rule);
       agrees sc (Fast.compile sc) d)
 
+(* The kernels' edges: every bit offset of a range inside a larger
+   sequence, ranges of 0-16 bits (shorter than the whole-byte loop and
+   just past it) and outputs of 24-72 bits (either side of the 32-bit
+   stores). Data leans toward ones or zeros so triggers fire. *)
+let edge_gen =
+  QCheck2.Gen.(
+    let* lean = bool in
+    let bit = frequency [ (1, bool); (1, return lean) ] in
+    let* d = oneof [ list_size (0 -- 16) bit; list_size (24 -- 72) bit ] in
+    let* lead = list_size (return 7) bool and* tail = list_size (0 -- 16) bool in
+    return (lead, d, tail))
+
+let edges_agree (sc : Rule.scheme) fast (lead, d, tail) =
+  let flag = of_list sc.flag in
+  let st = Codec.stuff sc.rule d in
+  List.for_all
+    (fun off ->
+      (* [body] at bits [off, off + length body) of a larger sequence *)
+      let within body = of_list (List.filteri (fun i _ -> i < off) lead @ body @ tail) in
+      let sub body f = f (within body) ~pos:off ~len:(List.length body) in
+      let flag_from b =
+        List.for_all
+          (fun from -> Fast.find_flag fast ~from b = Bitkit.Bitseq.find_sub ~from ~pattern:flag b)
+          [ 0; off; Bitkit.Bitseq.length b ]
+      in
+      opt_list (sub st (Fast.unstuff_sub fast)) = Some d
+      && opt_list (sub d (Fast.unstuff_sub fast)) = Codec.unstuff sc.rule d
+      && to_list (sub d (Fast.encode_sub fast)) = Codec.encode sc d
+      && flag_from (within (Codec.encode sc d))
+      && flag_from (within d))
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+  && to_list (Fast.stuff fast (of_list d)) = st
+
+let prop_fast_edges =
+  qtest ~count:200 "fast = codec at every bit offset, short and store-sized"
+    QCheck2.Gen.(pair rule_gen edge_gen)
+    (fun (random, case) ->
+      List.for_all (fun (sc, fast) -> edges_agree sc fast case) schemes
+      && ((not (Rule.rule_well_formed random.Rule.rule))
+         || edges_agree random (Fast.compile random) case))
+
+(* A payload in place in a larger buffer, as a framer reads it from a
+   pool slot, frames exactly like its bytes copied out. *)
+let prop_encode_sub_in_place =
+  qtest ~count:200 "encode_sub in place = encode of the copied bytes"
+    QCheck2.Gen.(
+      let* buf = string_size ~gen:char (1 -- 80) in
+      let* off = 1 -- String.length buf in
+      let* len = 0 -- (String.length buf - off) in
+      let* random = rule_gen in
+      return (buf, off, len, random))
+    (fun (buf, off, len, random) ->
+      let copied = Bitkit.Bitseq.of_string (String.sub buf off len) in
+      let same fast =
+        Bitkit.Bitseq.equal
+          (Fast.encode_sub fast (Bitkit.Bitseq.of_string buf) ~pos:(8 * off) ~len:(8 * len))
+          (Fast.encode fast copied)
+      in
+      List.for_all (fun (_, fast) -> same fast) schemes
+      && ((not (Rule.rule_well_formed random.Rule.rule)) || same (Fast.compile random)))
+
+(* The transition tables keep the state in 8 bits. *)
+let test_fast_trigger_limit () =
+  let scheme n = { Rule.hdlc with rule = { Rule.trigger = List.init n (fun _ -> true); stuff = false } } in
+  let long = Fast.compile (scheme 255) in
+  let d = List.init 600 (fun i -> i mod 300 <> 0) in
+  check Alcotest.(list bool) "255-bit trigger stuffs" (Codec.stuff (scheme 255).rule d)
+    (to_list (Fast.stuff long (of_list d)));
+  check Alcotest.bool "256-bit trigger rejected" true
+    (match Fast.compile (scheme 256) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "stuffing"
     [
@@ -329,5 +402,8 @@ let () =
           Alcotest.test_case "missing stuffed bit" `Quick test_fast_missing_stuffed_bit;
           prop_fast_random_rules;
           prop_find_flag;
+          prop_fast_edges;
+          prop_encode_sub_in_place;
+          Alcotest.test_case "trigger limit" `Quick test_fast_trigger_limit;
         ] );
     ]

@@ -474,6 +474,53 @@ let test_disabled_records_nothing () =
       check Alcotest.int "nothing recorded" 0 (Tracer.recorded tracer);
       check Alcotest.int "nothing live" 0 (List.length (Tracer.live_spans tracer)))
 
+(* Every span operation on a disabled ctx, and on a ctx whose tracer is
+   switched off, is a test and a return: these calls sit on every data
+   path, so they must not even build the closure or key they would use. *)
+let test_disabled_span_allocates_nothing () =
+  let tracer = Tracer.create () in
+  let off = Sublayer.Span.disabled "rd"
+  and muted = Sublayer.Span.make ~tracer ~now:(fun () -> 0.) ~track:"A" "rd" in
+  let ops ctx =
+    Sublayer.Span.instant ctx "frame";
+    Sublayer.Span.instant ctx ~trace:3 ~parent:4 ~detail:"dropped" "corrupt";
+    Sublayer.Span.open_ ctx ~key:"f:0" ~trace:1 "flight";
+    Sublayer.Span.close ctx ~key:"f:0" ~detail:"acked" ();
+    Sublayer.Span.close_all ctx ~detail:"reset" ();
+    Sublayer.Span.child ctx ~key:"f:0" ~detail:"fast" "retx";
+    Sublayer.Span.bind ctx "k" 1;
+    Sublayer.Span.unbind ctx "k";
+    ignore (Sys.opaque_identity (Sublayer.Span.fresh_trace ctx));
+    ignore (Sys.opaque_identity (Sublayer.Span.lookup ctx "k"));
+    ignore (Sys.opaque_identity (Sublayer.Span.take ctx "k"));
+    ignore (Sys.opaque_identity (Sublayer.Span.id_of ctx ~key:"f:0"));
+    ignore (Sys.opaque_identity (Sublayer.Span.trace_of ctx ~key:"f:0"));
+    ignore (Sys.opaque_identity (Sublayer.Span.start_free ctx "free"));
+    ignore (Sys.opaque_identity (Sublayer.Span.close_id ctx ~id:1 ()));
+    ignore (Sys.opaque_identity (Sublayer.Span.trace_of_id ctx ~id:1));
+    Sublayer.Span.bind_local ctx "off:0" 1;
+    ignore (Sys.opaque_identity (Sublayer.Span.lookup_local ctx "off:0"));
+    ignore (Sys.opaque_identity (Sublayer.Span.take_local ctx "off:0"))
+  in
+  Tracer.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Tracer.set_enabled true)
+    (fun () ->
+      List.iter
+        (fun (name, ctx) ->
+          ops ctx;
+          let before = Gc.minor_words () in
+          for _ = 1 to 1_000 do
+            ops ctx
+          done;
+          let words = Gc.minor_words () -. before in
+          (* the float [Gc.minor_words] returns is the only allocation *)
+          check Alcotest.bool
+            (Printf.sprintf "%s: %.0f words for 1 000 rounds" name words)
+            true (words <= 2.))
+        [ ("disabled ctx", off); ("tracer switched off", muted) ]);
+  check Alcotest.int "nothing recorded" 0 (Tracer.recorded tracer)
+
 let () =
   Alcotest.run "trace"
     [
@@ -504,5 +551,7 @@ let () =
         [
           Alcotest.test_case "disabled tracer records nothing" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "disabled spans allocate nothing" `Quick
+            test_disabled_span_allocates_nothing;
         ] );
     ]
