@@ -141,11 +141,6 @@ let take w =
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
-(* The low 32 bits of [x] at bytes [o, o + 4), most significant first. *)
-let[@inline] store32_be dst o x =
-  let x = Int32.of_int x in
-  set32u dst o (if Sys.big_endian then x else swap32 x)
-
 (* [transduce t tab step w src pos len] feeds bits [pos, pos + len) of
    [src] through the transducer into [w]: a table entry per whole byte,
    then a step per remaining bit. It is false if a stuffed bit is wrong
@@ -153,7 +148,10 @@ let[@inline] store32_be dst o x =
 
    The accumulator leaves in one 32-bit store once 32 bits are pending.
    Those are output bits, so the store stays inside the worst-case
-   buffer. *)
+   buffer, which [emit] and [take] also write unchecked. The store is
+   unchecked as well: [Bytes.set_int32_be]'s bounds check spilled the
+   loop's bounds to the stack and cost 4 % of [datalink] goodput
+   (EXPERIMENTS.md, E39). *)
 let transduce t tab step w src pos len =
   let data = Bitseq.to_string src and dst = w.dst and sh = pos land 7 in
   let j = ref (pos lsr 3) and stop = (pos lsr 3) + (len lsr 3) in
@@ -178,7 +176,8 @@ let transduce t tab step w src pos len =
       nacc := !nacc + c;
       if !nacc >= 32 then begin
         nacc := !nacc - 32;
-        store32_be dst !o (!acc lsr !nacc);
+        let x = Int32.of_int (!acc lsr !nacc) in
+        set32u dst !o (if Sys.big_endian then x else swap32 x);
         o := !o + 4
       end;
       incr j
@@ -186,14 +185,11 @@ let transduce t tab step w src pos len =
   done;
   if !e < 0 then false
   else begin
-    while !nacc >= 8 do
-      nacc := !nacc - 8;
-      Bytes.unsafe_set dst !o (Char.unsafe_chr ((!acc lsr !nacc) land 0xFF));
-      incr o
-    done;
     w.acc <- !acc;
     w.nacc <- !nacc;
     w.byte <- !o;
+    (* write out the whole bytes still pending *)
+    emit w 0 0;
     let q = ref (next_of !e) and i = ref (len land lnot 7) and ok = ref true in
     while !ok && !i < len do
       let x = step t !q (Bool.to_int (Bitseq.get src (pos + !i))) in
@@ -235,33 +231,25 @@ let encode_sub t bits ~pos ~len =
 
 let encode t bits = encode_sub t bits ~pos:0 ~len:(Bitseq.length bits)
 
-(* One table step per byte from [from]: the bytes themselves when [from]
-   is byte-aligned, as every frame the encoder writes is, else each
-   8-bit window shifted out of two. Bits past the end read as zero, so a
-   match that ends there is no match. The loops make no call, so the
-   automaton state stays in a register. *)
+(* One table step per byte from [from], each 8-bit window shifted out
+   of two bytes (a byte-aligned [from] shifts by nothing). Bits past the
+   end read as zero, so a match that ends there is no match. The loop
+   makes no call, so the automaton state stays in a register. *)
 let find_flag t ~from bits =
   let len = Bitseq.length bits and m = Bitseq.length t.flag in
   if from < 0 || from > len then invalid_arg "Fast.find_flag";
   if m = 0 then Some from
   else begin
     let data = Bitseq.to_string bits and tab = t.find_tab and sh = from land 7 in
+    let n = String.length data in
     (* the windows starting at bits [8j + sh] below [len] *)
     let j = ref (from lsr 3) and stop = (len - sh + 7) lsr 3 and q = ref 0 in
-    if sh = 0 then
-      while !q >= 0 && !j < stop do
-        q := Array.unsafe_get tab (!q lor Char.code (String.unsafe_get data !j));
-        incr j
-      done
-    else begin
-      let n = String.length data in
-      while !q >= 0 && !j < stop do
-        let next = if !j + 1 < n then Char.code (String.unsafe_get data (!j + 1)) else 0 in
-        let v = (((Char.code (String.unsafe_get data !j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
-        q := Array.unsafe_get tab (!q lor v);
-        incr j
-      done
-    end;
+    while !q >= 0 && !j < stop do
+      let next = if !j + 1 < n then Char.code (String.unsafe_get data (!j + 1)) else 0 in
+      let v = (((Char.code (String.unsafe_get data !j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
+      q := Array.unsafe_get tab (!q lor v);
+      incr j
+    done;
     (* the flag's last bit, if it ended in the window just read *)
     let last = (8 * (!j - 1)) + sh - 1 - !q in
     if !q < 0 && last < len then Some (last + 1 - m) else None

@@ -27,13 +27,14 @@
     is then copied out at its exact size. {!compile} also turns the
     flag's string-matching automaton into an int table over states kept
     multiplied by 256, a match stored as [-1 - i] for the bit [i] it ends
-    at, so {!find_flag} hunts a byte per step with one [lor] and one
-    load, reading whole bytes when the search starts on a byte boundary.
-    {!encode_sub} stuffs a range of a larger sequence in place, so a
-    framer can read a payload from the buffer it already sits in. Build
-    the tables once per scheme ([Datalink.Framer.hdlc] closes over them),
-    not once per frame: the transducers hold [(k + 1) × 256] ints each,
-    the flag search [m × 256] for an [m]-bit flag. *)
+    at, so {!find_flag} hunts a byte per step: each 8-bit window is
+    shifted out of two bytes, off the path each step waits on, which is
+    one [lor] and one load. {!encode_sub} stuffs a range of a larger
+    sequence in place, so a framer can read a payload from the buffer it
+    already sits in. Build the tables once per scheme
+    ([Datalink.Framer.hdlc] closes over them), not once per frame: the
+    transducers hold [(k + 1) × 256] ints each, the flag search
+    [m × 256] for an [m]-bit flag. *)
 
 type t
 (** A scheme compiled to its transition tables. *)
