@@ -1,7 +1,10 @@
-(* The full experiment harness: one section per experiment E1..E25 of
-   DESIGN.md / EXPERIMENTS.md, regenerating every figure and quantitative
-   claim of the paper, plus a Bechamel microbenchmark suite for the
-   performance-shape experiments (E6/E12). Run with:
+(* The paper's experiment harness: one section per experiment E1..E16
+   and E18 of DESIGN.md / EXPERIMENTS.md, regenerating every figure and
+   quantitative claim of the paper and the fault study, plus a Bechamel
+   microbenchmark suite for the performance-shape experiments (E6/E12).
+   End-to-end performance is measured by perf/ (BENCHMARK.json), and the
+   identities the later experiments established are asserted by the
+   test suites. Run with:
 
      dune exec bench/main.exe            (everything)
      dune exec bench/main.exe -- E3 E8   (selected experiments)
@@ -12,21 +15,9 @@ let section id title =
 
 let headline fmt = Printf.ksprintf (fun s -> Printf.printf "  ** %s\n%!" s) fmt
 
-let args = Array.to_list Sys.argv |> List.tl
-
-let smoke = List.mem "--smoke" args
-(* --smoke shrinks the workloads so CI can run an experiment in seconds. *)
-
 let selected =
-  let ids = List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args in
+  let ids = Array.to_list Sys.argv |> List.tl in
   fun id -> ids = [] || List.mem id ids
-
-(* Every file artifact lands under _bench_out/ (gitignored), never the
-   repo root. *)
-let out_path name =
-  let dir = "_bench_out" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Filename.concat dir name
 
 let random_data seed n =
   let rng = Bitkit.Rng.create seed in
@@ -390,17 +381,13 @@ let e11 () =
 (* ------------------------------------------------------------------ *)
 (* E12 — §3.1 performance objection: sublayered vs monolithic cost. *)
 
-(* One clock for every wall-time figure. [Sys.time] is process CPU time:
-   it overstates multi-domain runs (summing across cores) and stalls
-   while the process sleeps, so benches that mixed it with
-   [Unix.gettimeofday] (E23) were not comparable. Every bench below
-   reads this wall clock. *)
-let now_wall = Unix.gettimeofday
-
+(* A wall clock, not [Sys.time]: process CPU time overstates
+   multi-domain runs (summing across cores) and stalls while the process
+   sleeps. *)
 let wall f =
-  let t0 = now_wall () in
+  let t0 = Unix.gettimeofday () in
   let r = f () in
-  (r, now_wall () -. t0)
+  (r, Unix.gettimeofday () -. t0)
 
 let e12 () =
   section "E12" "performance (§3.1): sublayered vs monolithic processing cost";
@@ -791,1131 +778,6 @@ let e18 () =
     "equal average loss, very different goodput: concentrated bursts are cheap for SACK at low rates but ~10x worse at 10%%; a blackholed sender aborts on deadline and the engine quiesces"
 
 (* ------------------------------------------------------------------ *)
-(* E19 — per-sublayer observability: every machine in the three
-   transport stacks owns named counters; running the E18 fault
-   schedules and diffing against an ideal-channel baseline shows
-   exactly which sublayer absorbed the faults. A JSON report of every
-   snapshot is written for offline comparison (and the CI artifact). *)
-
-let e19 () =
-  section "E19" "per-sublayer stats: counter deltas under E18 fault schedules";
-  let open Transport in
-  let run ~factory ~seed ~bytes channel =
-    let stats_a = Sublayer.Stats.create ~label:"A" () in
-    let stats_b = Sublayer.Stats.create ~label:"B" () in
-    let engine = Sim.Engine.create ~seed () in
-    let a, b =
-      Host.pair engine ~factory_a:factory ~factory_b:factory ~stats_a ~stats_b channel
-    in
-    Host.listen b ~port:80;
-    let server = ref None in
-    Host.on_accept b (fun c -> server := Some c);
-    let c = Host.connect a ~remote_port:80 () in
-    let data = random_data seed bytes in
-    Host.write c data;
-    Host.close c;
-    let rec drive () =
-      if Sim.Engine.now engine < 600. && not (Host.finished c) then begin
-        Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.1) engine;
-        drive ()
-      end
-    in
-    drive ();
-    Sim.Engine.run ~until:(Sim.Engine.now engine +. 30.) engine;
-    let ok = match !server with Some srv -> Host.received srv = data | None -> false in
-    (ok, Sublayer.Stats.snapshot stats_a, Sublayer.Stats.snapshot stats_b)
-  in
-  let schedules =
-    [ ("iid loss=0.05", { (Sim.Channel.lossy 0.05) with delay = 0.02 });
-      ( "burst loss=0.05 len=6",
-        { (Sim.Channel.burst_lossy ~loss:0.05 ~burst_len:6.) with delay = 0.02 } ) ]
-  in
-  let stacks =
-    [ ("sublayered", Host.sublayered);
-      ("watson", Tcp_watson.factory ());
-      ("secure", Tcp_secure.factory ~key:Tcp_secure.demo_key) ]
-  in
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "{";
-  let first_json = ref true in
-  let add_json key snap =
-    if not !first_json then Buffer.add_char json ',';
-    first_json := false;
-    Buffer.add_string json
-      (Printf.sprintf "%S:%s" key (Sublayer.Stats.snapshot_to_json snap))
-  in
-  List.iter
-    (fun (sname, factory) ->
-      Printf.printf "\n  -- stack: %s --\n" sname;
-      let ok0, base, _ =
-        run ~factory ~seed:91 ~bytes:120_000 { Sim.Channel.ideal with delay = 0.02 }
-      in
-      add_json (sname ^ "/baseline") base;
-      Printf.printf "  baseline (ideal channel, 120KB, exact=%b), sender counters:\n" ok0;
-      List.iter (fun (k, v) -> Printf.printf "    %-28s %10d\n" k v) base;
-      List.iter
-        (fun (cname, ch) ->
-          let ok, snap, _ = run ~factory ~seed:91 ~bytes:120_000 ch in
-          let d = Sublayer.Stats.delta ~before:base ~after:snap in
-          add_json (Printf.sprintf "%s/%s" sname cname) d;
-          Printf.printf "  delta vs baseline under %s (exact=%b):\n" cname ok;
-          List.iter (fun (k, v) -> Printf.printf "    %-28s %+10d\n" k v) d)
-        schedules)
-    stacks;
-  Buffer.add_char json '}';
-  let path = out_path "e19_stats.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  headline
-    "faults localise in the counters: loss shows up as rd.retransmits/cc.losses, never in dm or rec — the per-sublayer view a monolith cannot give"
-
-(* ------------------------------------------------------------------ *)
-(* E20 — causal span tracing: where does a byte's latency go? The
-   sublayered stack runs the E18 fault schedules with a shared tracer;
-   every finished span is a sojourn in one sublayer, so grouping span
-   durations by sublayer.name is a latency-attribution table, and the
-   whole run exports as Chrome trace_event JSON for Perfetto. *)
-
-let e20 () =
-  section "E20" "span tracing: per-sublayer latency attribution under E18 faults";
-  let open Transport in
-  let bytes = if smoke then 20_000 else 120_000 in
-  let was_enabled = Sim.Tracer.enabled () in
-  Sim.Tracer.set_enabled true;
-  let schedules =
-    [ ("iid loss=0.05", { (Sim.Channel.lossy 0.05) with delay = 0.02 });
-      ( "burst loss=0.05 len=6",
-        { (Sim.Channel.burst_lossy ~loss:0.05 ~burst_len:6.) with delay = 0.02 } ) ]
-  in
-  let last_trace = ref None in
-  List.iter
-    (fun (cname, channel) ->
-      let tracer = Sim.Tracer.create ~capacity:65536 () in
-      let engine = Sim.Engine.create ~seed:91 () in
-      let a, b = Host.pair engine ~tracer channel in
-      Host.listen b ~port:80;
-      let server = ref None in
-      Host.on_accept b (fun c -> server := Some c);
-      let c = Host.connect a ~remote_port:80 () in
-      let data = random_data 91 bytes in
-      Host.write c data;
-      Host.close c;
-      let rec drive () =
-        if Sim.Engine.now engine < 600. && not (Host.finished c) then begin
-          Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.1) engine;
-          drive ()
-        end
-      in
-      drive ();
-      Sim.Engine.run ~until:(Sim.Engine.now engine +. 30.) engine;
-      let ok = match !server with Some srv -> Host.received srv = data | None -> false in
-      (* Each finished interval span is one sojourn; instants (duration 0)
-         are markers, not waiting time, and stay out of the table. *)
-      let spans =
-        List.filter
-          (fun s ->
-            Float.is_finite s.Sim.Tracer.sp_end && Sim.Tracer.duration s > 0.)
-          (Sim.Tracer.spans tracer)
-      in
-      let groups = Hashtbl.create 16 in
-      List.iter
-        (fun s ->
-          let k = s.Sim.Tracer.sp_sublayer ^ "." ^ s.Sim.Tracer.sp_name in
-          let l = Option.value ~default:[] (Hashtbl.find_opt groups k) in
-          Hashtbl.replace groups k (Sim.Tracer.duration s :: l))
-        spans;
-      let total =
-        Hashtbl.fold (fun _ ds acc -> acc +. List.fold_left ( +. ) 0. ds) groups 0.
-      in
-      let pct sorted p =
-        let n = Array.length sorted in
-        sorted.(min (n - 1) (int_of_float (Float.of_int n *. p)))
-      in
-      Printf.printf "\n  %s (exact=%b, %d interval spans, %d evicted from ring):\n"
-        cname ok (List.length spans) (Sim.Tracer.dropped tracer);
-      Printf.printf "  %-24s %8s %12s %12s %8s\n" "sublayer.span" "count"
-        "p50(ms)" "p99(ms)" "share";
-      let rows = Hashtbl.fold (fun k ds acc -> (k, ds) :: acc) groups [] in
-      List.iter
-        (fun (k, ds) ->
-          let a = Array.of_list (List.sort Float.compare ds) in
-          let sum = Array.fold_left ( +. ) 0. a in
-          Printf.printf "  %-24s %8d %12.2f %12.2f %7.1f%%\n" k (Array.length a)
-            (pct a 0.5 *. 1e3) (pct a 0.99 *. 1e3)
-            (100. *. sum /. total))
-        (List.sort compare rows);
-      last_trace := Some (Sim.Tracer.to_chrome_json tracer))
-    schedules;
-  (match !last_trace with
-  | Some json ->
-      let path = out_path "e20_trace.json" in
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf
-        "\n  Chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n"
-        path
-  | None -> ());
-  Sim.Tracer.set_enabled was_enabled;
-  headline
-    "burst loss moves latency share from osr.buffer into rd.flight and osr.reasm — the trace names the sublayer that held the byte"
-
-(* ------------------------------------------------------------------ *)
-(* E21 — many-flow scale: the timing-wheel scheduler vs the reference
-   binary heap under thousands of concurrent sublayered TCP flows on the
-   N-host fabric. Reports wall time, events/sec, the live-timer
-   high-water mark and allocation for each (backend, flow-count) cell;
-   every cell must reach exact delivery and quiescence. *)
-
-let e21 () =
-  section "E21" "many-flow scale: wheel vs heap scheduler at 10/100/1k/5k flows";
-  let flow_counts = if smoke then [ 10; 100 ] else [ 10; 100; 1000; 5000 ] in
-  let bytes = if smoke then 2_000 else 8_000 in
-  let cell ~backend ~flows =
-    let engine = Sim.Engine.create ~seed:67 ~backend () in
-    let channel =
-      { (Sim.Channel.lossy 0.01) with Sim.Channel.delay = 0.02 }
-    in
-    let fabric =
-      Transport.Fabric.create engine ~hosts:8 ~channel ~flows ~bytes ()
-    in
-    let alloc0 = Gc.allocated_bytes () in
-    let wall0 = now_wall () in
-    let r =
-      Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"e21" ~engine ~flows
-        (Transport.Fabric.ops fabric)
-    in
-    let wall = now_wall () -. wall0 in
-    let alloc = Gc.allocated_bytes () -. alloc0 in
-    let fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
-    let eps = if wall > 0. then float_of_int fired /. wall else 0. in
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %s/%d NOT CLEAN: %s\n"
-        (match backend with `Wheel -> "wheel" | `Heap -> "heap")
-        flows
-        (Format.asprintf "%a" Sim.Workload.pp_report r);
-    (r, wall, alloc, fired, eps)
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\"cells\":[";
-  let first = ref true in
-  Printf.printf "  %-7s %7s %10s %10s %12s %10s %10s %6s\n" "backend" "flows"
-    "events" "wall(s)" "events/sec" "live_hwm" "alloc(MB)" "exact";
-  let speed = Hashtbl.create 8 in
-  List.iter
-    (fun flows ->
-      List.iter
-        (fun backend ->
-          let bname = match backend with `Wheel -> "wheel" | `Heap -> "heap" in
-          let r, wall, alloc, fired, eps = cell ~backend ~flows in
-          Hashtbl.replace speed (bname, flows) eps;
-          Printf.printf "  %-7s %7d %10d %10.3f %12.0f %10d %10.1f %5d/%d\n"
-            bname flows fired wall eps r.Sim.Workload.live_hwm
-            (alloc /. 1048576.) r.Sim.Workload.exact r.Sim.Workload.flows;
-          if not !first then Buffer.add_char json ',';
-          first := false;
-          Buffer.add_string json
-            (Printf.sprintf
-               "{\"backend\":%S,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"live_hwm\":%d,\"allocated_bytes\":%.0f,\"exact\":%d,\"ok\":%b}"
-               bname flows fired wall eps r.Sim.Workload.live_hwm alloc
-               r.Sim.Workload.exact (Sim.Workload.ok r)))
-        [ `Heap; `Wheel ])
-    flow_counts;
-  Buffer.add_string json "]}";
-  let path = out_path "e21_scale.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  let biggest = List.fold_left max 0 flow_counts in
-  let w = try Hashtbl.find speed ("wheel", biggest) with Not_found -> 0. in
-  let h = try Hashtbl.find speed ("heap", biggest) with Not_found -> 1. in
-  headline
-    "wheel vs heap at %d flows: %.0f vs %.0f events/sec (%.2fx) — O(1) schedule/cancel is what survives contact with thousands of RTO timers"
-    biggest w h (if h > 0. then w /. h else 0.)
-
-(* E22 — zero-copy data path: the wirebuf/slice path (one buffer per
-   packet, headers pushed, views narrowed on rx) vs the legacy
-   copy-per-sublayer mode ([Wirebuf.set_eager true], bit-identical wire
-   bytes) on both scheduler backends. Reports bytes copied per delivered
-   segment (from [Slice]'s process-wide copy accounting over DM's
-   [segments_in] counter) and events/sec; same-seed cells must fire the
-   same event count in both modes. *)
-
-let e22 () =
-  section "E22" "zero-copy slice path vs copy-per-sublayer at 100/1k/5k flows";
-  let flow_counts = if smoke then [ 20; 100 ] else [ 100; 1000; 5000 ] in
-  let bytes = if smoke then 2_000 else 8_000 in
-  let cell ~backend ~eager ~flows =
-    Bitkit.Wirebuf.set_eager eager;
-    Fun.protect
-      ~finally:(fun () -> Bitkit.Wirebuf.set_eager false)
-      (fun () ->
-        let engine = Sim.Engine.create ~seed:68 ~backend () in
-        let channel =
-          { (Sim.Channel.lossy 0.01) with Sim.Channel.delay = 0.02 }
-        in
-        let stats = Sublayer.Stats.create ~label:"e22" () in
-        let fabric =
-          Transport.Fabric.create engine ~hosts:8 ~stats ~channel ~flows ~bytes
-            ()
-        in
-        Bitkit.Slice.reset_copied ();
-        let wall0 = now_wall () in
-        let r =
-          Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"e22" ~engine
-            ~flows
-            (Transport.Fabric.ops fabric)
-        in
-        let wall = now_wall () -. wall0 in
-        let copied = Bitkit.Slice.copied_bytes () in
-        let segments =
-          List.fold_left
-            (fun acc (name, v) ->
-              if Filename.check_suffix name "dm.segments_in" then acc + v
-              else acc)
-            0
-            (Sublayer.Stats.snapshot stats)
-        in
-        let fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
-        let eps = if wall > 0. then float_of_int fired /. wall else 0. in
-        if not (Sim.Workload.ok r) then
-          Printf.printf "  !! %s/%s/%d NOT CLEAN: %s\n"
-            (match backend with `Wheel -> "wheel" | `Heap -> "heap")
-            (if eager then "copy" else "slice")
-            flows
-            (Format.asprintf "%a" Sim.Workload.pp_report r);
-        (r, wall, copied, segments, fired, eps))
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\"cells\":[";
-  let first = ref true in
-  Printf.printf "  %-7s %-6s %7s %10s %12s %12s %12s %10s\n" "backend" "mode"
-    "flows" "events" "events/sec" "copied(B)" "segments" "B/segment";
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun flows ->
-      List.iter
-        (fun backend ->
-          let bname = match backend with `Wheel -> "wheel" | `Heap -> "heap" in
-          List.iter
-            (fun eager ->
-              let mode = if eager then "copy" else "slice" in
-              let r, wall, copied, segments, fired, eps =
-                cell ~backend ~eager ~flows
-              in
-              let per_seg =
-                if segments > 0 then
-                  float_of_int copied /. float_of_int segments
-                else 0.
-              in
-              Hashtbl.replace table (bname, mode, flows) (per_seg, eps, fired);
-              Printf.printf "  %-7s %-6s %7d %10d %12.0f %12d %12d %10.1f\n"
-                bname mode flows fired eps copied segments per_seg;
-              if not !first then Buffer.add_char json ',';
-              first := false;
-              Buffer.add_string json
-                (Printf.sprintf
-                   "{\"backend\":%S,\"mode\":%S,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"copied_bytes\":%d,\"segments\":%d,\"bytes_per_segment\":%.1f,\"exact\":%d,\"ok\":%b}"
-                   bname mode flows fired wall eps copied segments per_seg
-                   r.Sim.Workload.exact (Sim.Workload.ok r)))
-            [ true; false ];
-          (* Same seed, same backend: the two modes must be step-for-step
-             identical simulations. *)
-          let fired_of mode =
-            let _, _, f = Hashtbl.find table (bname, mode, flows) in
-            f
-          in
-          if fired_of "copy" <> fired_of "slice" then
-            Printf.printf "  !! %s/%d: copy and slice runs diverged (%d vs %d events)\n"
-              bname flows (fired_of "copy") (fired_of "slice"))
-        [ `Heap; `Wheel ])
-    flow_counts;
-  Buffer.add_string json "]}";
-  let path = out_path "e22_zerocopy.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  let biggest = List.fold_left max 0 flow_counts in
-  let copy_ps, copy_eps, _ = Hashtbl.find table ("wheel", "copy", biggest) in
-  let slice_ps, slice_eps, _ = Hashtbl.find table ("wheel", "slice", biggest) in
-  headline
-    "copy vs slice at %d flows (wheel): %.0f vs %.0f bytes copied per delivered segment (%.1fx less), %.0f vs %.0f events/sec — one buffer per packet, headers pushed, views narrowed"
-    biggest copy_ps slice_ps
-    (if slice_ps > 0. then copy_ps /. slice_ps else 0.)
-    copy_eps slice_eps
-
-(* E23 — sharded parallel engine: the many-flow fabric partitioned
-   across per-domain Sim.Engine shards exchanging cross-shard segments
-   through conservative-lookahead conduits. Every cell must reach exact
-   delivery, and every multi-domain cell must fire exactly the event
-   count of the 1-domain cell on the same seed — the parallelism is
-   free of observable effect by construction, so the only number that
-   may move is events/sec. Speedup needs real cores: the harness prints
-   the host's recommended domain count next to the cells so a
-   single-core container's flat curve reads as what it is. *)
-
-let e23 () =
-  section "E23" "sharded parallel engine: events/sec vs domain count";
-  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let flow_counts = if smoke then [ 1_000 ] else [ 10_000; 30_000 ] in
-  let bytes = if smoke then 2_000 else 512 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  host reports %d usable core%s\n" cores
-    (if cores = 1 then "" else "s");
-  let cell ~domains ~flows =
-    let channel = { (Sim.Channel.lossy 0.01) with Sim.Channel.delay = 0.02 } in
-    let shard =
-      Sim.Shard.create ~seed:67 ~lookahead:channel.Sim.Channel.delay
-        ~shards:domains ()
-    in
-    let fabric =
-      Transport.Fabric.create_sharded shard ~hosts:16 ~channel ~flows ~bytes ()
-    in
-    let wall0 = now_wall () in
-    let r =
-      Sim.Workload.run_sharded ~spacing:0.0005 ~until:900. ~name:"e23" ~shard
-        ~launch_site:(Transport.Fabric.launch_site fabric)
-        ~flows
-        (Transport.Fabric.ops fabric)
-    in
-    let wall = now_wall () -. wall0 in
-    let fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
-    let eps = if wall > 0. then float_of_int fired /. wall else 0. in
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %d domains/%d flows NOT CLEAN: %s\n" domains flows
-        (Format.asprintf "%a" Sim.Workload.pp_report r);
-    (r, wall, fired, eps)
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\"cells\":[";
-  let first = ref true in
-  Printf.printf "  %-7s %8s %10s %10s %12s %10s %8s %9s\n" "domains" "flows"
-    "events" "wall(s)" "events/sec" "live_hwm" "exact" "identical";
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun flows ->
-      List.iter
-        (fun domains ->
-          let r, wall, fired, eps = cell ~domains ~flows in
-          Hashtbl.replace table (domains, flows) (fired, eps);
-          let serial_fired, _ = Hashtbl.find table (1, flows) in
-          let identical = fired = serial_fired in
-          if not identical then
-            Printf.printf
-              "  !! %d domains/%d flows diverged from serial (%d vs %d events)\n"
-              domains flows fired serial_fired;
-          Printf.printf "  %-7d %8d %10d %10.3f %12.0f %10d %7d/%d %9s\n"
-            domains flows fired wall eps r.Sim.Workload.live_hwm
-            r.Sim.Workload.exact r.Sim.Workload.flows
-            (if identical then "yes" else "NO");
-          if not !first then Buffer.add_char json ',';
-          first := false;
-          Buffer.add_string json
-            (Printf.sprintf
-               "{\"domains\":%d,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"live_hwm\":%d,\"exact\":%d,\"identical_to_serial\":%b,\"ok\":%b}"
-               domains flows fired wall eps r.Sim.Workload.live_hwm
-               r.Sim.Workload.exact identical (Sim.Workload.ok r)))
-        domain_counts)
-    flow_counts;
-  Buffer.add_string json
-    (Printf.sprintf "],\"cores\":%d}" cores);
-  let path = out_path "e23_shard.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  let biggest = List.fold_left max 0 flow_counts in
-  let _, serial_eps = Hashtbl.find table (1, biggest) in
-  let best_domains, best_eps =
-    List.fold_left
-      (fun (bd, be) d ->
-        let _, eps = Hashtbl.find table (d, biggest) in
-        if eps > be then (d, eps) else (bd, be))
-      (1, serial_eps) domain_counts
-  in
-  headline
-    "sharding at %d flows: %.0f events/sec serial, best %.0f at %d domains (%.2fx on %d core%s) — bit-identical delivery at every domain count"
-    biggest serial_eps best_eps best_domains
-    (if serial_eps > 0. then best_eps /. serial_eps else 0.)
-    cores
-    (if cores = 1 then "" else "s")
-
-(* E25 — runtime conformance monitors: the many-flow fabric with every
-   T2 interface probe live vs with no registry attached (the probes stay
-   in the composition either way, carrying no-op closures). Same seed,
-   same backend: the two modes must fire the same event count — monitors
-   observe, they never perturb the schedule. Reports crossings checked,
-   violations (must be zero) and the events/sec overhead. *)
-
-let e25 () =
-  section "E25" "conformance monitors on vs off at 100/1k/5k flows (wheel)";
-  let flow_counts = if smoke then [ 20; 100 ] else [ 100; 1000; 5000 ] in
-  let bytes = if smoke then 2_000 else 8_000 in
-  let cell ~monitored ~flows =
-    let engine = Sim.Engine.create ~seed:67 ~backend:`Wheel () in
-    let channel =
-      { (Sim.Channel.lossy 0.01) with Sim.Channel.delay = 0.02 }
-    in
-    let monitors =
-      if monitored then Some (Monitor.Runtime.create ~label:"e25" ()) else None
-    in
-    let fabric =
-      Transport.Fabric.create engine ?monitors ~hosts:8 ~channel ~flows ~bytes
-        ()
-    in
-    let wall0 = now_wall () in
-    let r =
-      Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"e25" ~engine ~flows
-        ?invariant:(Option.map Monitor.Runtime.invariant monitors)
-        ?verdicts:
-          (Option.map (fun m () -> Monitor.Runtime.verdicts m) monitors)
-        (Transport.Fabric.ops fabric)
-    in
-    let wall = now_wall () -. wall0 in
-    let fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
-    let eps = if wall > 0. then float_of_int fired /. wall else 0. in
-    let checked = match monitors with Some m -> Monitor.Runtime.checked m | None -> 0 in
-    let viols =
-      match monitors with Some m -> Monitor.Runtime.violation_count m | None -> 0
-    in
-    (match monitors with
-    | Some m ->
-        List.iter (fun v -> Printf.printf "  !! %s\n" v) (Monitor.Runtime.violations m)
-    | None -> ());
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %s/%d NOT CLEAN: %s\n"
-        (if monitored then "on" else "off")
-        flows
-        (Format.asprintf "%a" Sim.Workload.pp_report r);
-    (r, wall, fired, eps, checked, viols)
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\"cells\":[";
-  let first = ref true in
-  Printf.printf "  %-5s %7s %10s %12s %12s %10s %6s\n" "mode" "flows" "events"
-    "events/sec" "checked" "viols" "exact";
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun flows ->
-      List.iter
-        (fun monitored ->
-          let mode = if monitored then "on" else "off" in
-          let r, wall, fired, eps, checked, viols = cell ~monitored ~flows in
-          Hashtbl.replace table (mode, flows) (eps, fired);
-          Printf.printf "  %-5s %7d %10d %12.0f %12d %10d %5d/%d\n" mode flows
-            fired eps checked viols r.Sim.Workload.exact r.Sim.Workload.flows;
-          if not !first then Buffer.add_char json ',';
-          first := false;
-          Buffer.add_string json
-            (Printf.sprintf
-               "{\"mode\":%S,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"events_per_sec\":%.0f,\"checked\":%d,\"violations\":%d,\"exact\":%d,\"ok\":%b}"
-               mode flows fired wall eps checked viols r.Sim.Workload.exact
-               (Sim.Workload.ok r)))
-        [ false; true ];
-      let fired_of mode = snd (Hashtbl.find table (mode, flows)) in
-      if fired_of "off" <> fired_of "on" then
-        Printf.printf
-          "  !! %d flows: monitored and unmonitored runs diverged (%d vs %d events)\n"
-          flows (fired_of "off") (fired_of "on"))
-    flow_counts;
-  Buffer.add_string json "]}";
-  let path = out_path "e25_monitor.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  let biggest = List.fold_left max 0 flow_counts in
-  let off_eps, _ = Hashtbl.find table ("off", biggest) in
-  let on_eps, _ = Hashtbl.find table ("on", biggest) in
-  headline
-    "monitors at %d flows: %.0f vs %.0f events/sec (%.1f%% overhead) — every T2 crossing conformance-checked, zero violations, same event schedule"
-    biggest off_eps on_eps
-    (if off_eps > 0. then (off_eps -. on_eps) /. off_eps *. 100. else 0.)
-
-(* ------------------------------------------------------------------ *)
-(* E26 — continuous telemetry: bounded-ring counter series sampled at
-   the soak's slice boundaries, with per-sublayer allocation attribution
-   (Sublayer.Alloc through the probe taps), under the E18 fault
-   schedules. Reports minor words per delivered segment per sublayer,
-   checks telemetry-on and -off runs fire identical schedules, and that
-   a 2-shard run's merged deterministic series is bit-identical to the
-   single-engine run. *)
-
-let e26 () =
-  section "E26" "continuous telemetry: counter series + per-sublayer allocation";
-  let flow_counts = if smoke then [ 20; 100 ] else [ 100; 1000; 5000 ] in
-  let bytes = if smoke then 2_000 else 8_000 in
-  let channels =
-    [ ("iid loss=0.05", { (Sim.Channel.lossy 0.05) with Sim.Channel.delay = 0.02 });
-      ( "burst loss=0.05 len=6",
-        { (Sim.Channel.burst_lossy ~loss:0.05 ~burst_len:6.) with
-          Sim.Channel.delay = 0.02 } ) ]
-  in
-  let sublayers = [ "osr"; "rd"; "cm"; "dm"; "app"; "wire" ] in
-  let words_of stats sub =
-    Sublayer.Stats.value
-      (Sublayer.Stats.counter (Sublayer.Stats.scope stats sub) "gc.minor_words")
-  in
-  let segments_of stats =
-    Sublayer.Stats.value
-      (Sublayer.Stats.counter (Sublayer.Stats.scope stats "dm") "segments_in")
-  in
-  let cell ~telemetry_on ~flows ~channel =
-    let engine = Sim.Engine.create ~seed:68 ~backend:`Wheel () in
-    let stats = Sublayer.Stats.create ~label:"e26" () in
-    let telemetry =
-      if telemetry_on then Some (Sim.Telemetry.create ~label:"e26" ()) else None
-    in
-    if telemetry_on then Sublayer.Alloc.set_enabled true;
-    Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-    @@ fun () ->
-    let fabric =
-      Transport.Fabric.create engine ~hosts:8 ~stats ?telemetry ~channel ~flows
-        ~bytes ()
-    in
-    let wall0 = now_wall () in
-    let r =
-      Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"e26" ~engine ~flows
-        ?telemetry:(Option.map (fun t -> [ t ]) telemetry)
-        (Transport.Fabric.ops fabric)
-    in
-    let wall = now_wall () -. wall0 in
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %s/%d NOT CLEAN: %s\n"
-        (if telemetry_on then "on" else "off")
-        flows
-        (Format.asprintf "%a" Sim.Workload.pp_report r);
-    (r, wall, stats, telemetry)
-  in
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "{\"cells\":[";
-  let first = ref true in
-  Printf.printf "  %-24s %7s %10s %9s |" "channel" "flows" "segments" "samples";
-  List.iter (fun sub -> Printf.printf " %9s" (sub ^ " w/seg")) sublayers;
-  Printf.printf "\n";
-  let last_series = ref None in
-  List.iter
-    (fun (chan_name, channel) ->
-      List.iter
-        (fun flows ->
-          let r_off, _, _, _ = cell ~telemetry_on:false ~flows ~channel in
-          let r, wall, stats, telemetry = cell ~telemetry_on:true ~flows ~channel in
-          let tele = Option.get telemetry in
-          let off_fired = r_off.Sim.Workload.soak.Sim.Soak.events_fired in
-          let on_fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
-          if off_fired <> on_fired then
-            Printf.printf
-              "  !! %s/%d: telemetry perturbed the schedule (%d vs %d events)\n"
-              chan_name flows off_fired on_fired;
-          let segs = segments_of stats in
-          let per_seg sub =
-            if segs = 0 then 0.
-            else float_of_int (words_of stats sub) /. float_of_int segs
-          in
-          Printf.printf "  %-24s %7d %10d %9d |" chan_name flows segs
-            (Sim.Telemetry.recorded tele);
-          List.iter (fun sub -> Printf.printf " %9.1f" (per_seg sub)) sublayers;
-          Printf.printf "\n";
-          last_series := Some (chan_name, flows, tele);
-          if not !first then Buffer.add_char json ',';
-          first := false;
-          Buffer.add_string json
-            (Printf.sprintf
-               "{\"channel\":%S,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"segments\":%d,\"samples\":%d,\"ring_dropped\":%d,\"schedule_identical\":%b,\"minor_words\":{%s},\"exact\":%d,\"ok\":%b}"
-               chan_name flows on_fired wall segs
-               (Sim.Telemetry.recorded tele)
-               (Sim.Telemetry.dropped tele)
-               (off_fired = on_fired)
-               (String.concat ","
-                  (List.map
-                     (fun sub ->
-                       Printf.sprintf "\"%s\":%d" sub (words_of stats sub))
-                     sublayers))
-               r.Sim.Workload.exact (Sim.Workload.ok r)))
-        flow_counts)
-    channels;
-  (* Shard identity: the merged per-shard deterministic series must equal
-     the single-engine series bit for bit (smallest workload — the
-     property, not the scale, is under test here). *)
-  let small = List.fold_left min max_int flow_counts in
-  let sharded_series shards =
-    let shard = Sim.Shard.create ~seed:68 ~lookahead:0.001 ~shards () in
-    let stats =
-      Array.init shards (fun i ->
-          Sublayer.Stats.create ~label:(Printf.sprintf "shard%d" i) ())
-    in
-    let telemetry =
-      Array.init shards (fun i ->
-          Sim.Telemetry.create ~label:(Printf.sprintf "shard%d" i) ())
-    in
-    let fabric =
-      Transport.Fabric.create_sharded shard ~hosts:8 ~stats ~telemetry
-        ~channel:(snd (List.hd channels)) ~flows:small ~bytes ()
-    in
-    let r =
-      Sim.Workload.run_sharded ~spacing:0.005 ~until:900. ~name:"e26-shard"
-        ~shard
-        ~launch_site:(Transport.Fabric.launch_site fabric)
-        ~telemetry:(Array.to_list telemetry) ~flows:small
-        (Transport.Fabric.ops fabric)
-    in
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %d-shard run NOT CLEAN\n" shards;
-    Sim.Telemetry.merged_deterministic (Array.to_list telemetry)
-  in
-  let serial = sharded_series 1 in
-  let sharded = sharded_series 2 in
-  let shard_identical = serial = sharded in
-  if not shard_identical then
-    Printf.printf "  !! 2-shard deterministic series diverged from single-engine\n";
-  Printf.printf "\n  shard identity at %d flows: %s (%d samples)\n" small
-    (if shard_identical then "bit-identical" else "DIVERGED")
-    (List.length serial);
-  (* One counter time series, printed and embedded in the artifact. *)
-  (match !last_series with
-  | Some (chan_name, flows, tele) ->
-      let key = "fabric.osr.bytes_delivered" in
-      let series =
-        List.filter_map
-          (fun (ts, kvs) ->
-            Option.map (fun v -> (ts, v)) (List.assoc_opt key kvs))
-          (Sim.Telemetry.deterministic_series tele)
-      in
-      Printf.printf "\n  %s over virtual time (%s, %d flows, per-slice deltas):\n"
-        key chan_name flows;
-      let n = List.length series in
-      List.iteri
-        (fun i (ts, v) ->
-          if i < 6 || i >= n - 2 then Printf.printf "    t=%7.2f  +%d\n" ts v
-          else if i = 6 then Printf.printf "    ... (%d more slices)\n" (n - 8))
-        series;
-      Buffer.add_string json
-        (Printf.sprintf "],\"shard_identical\":%b,\"series\":%s}" shard_identical
-           (Sim.Telemetry.to_json tele))
-  | None -> Buffer.add_string json "],\"shard_identical\":false}");
-  let path = out_path "e26_telemetry.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  (match !last_series with
-  | Some (_, flows, _) ->
-      headline
-        "per-sublayer allocation attributed through the probe taps at %d flows — counter series sampled at every soak slice, telemetry-on/off schedules identical, 2-shard series bit-identical to single-engine"
-        flows
-  | None -> ())
-
-(* ------------------------------------------------------------------ *)
-(* E27 — steady-state pooled data path: Bitkit.Pool arena loans vs
-   per-segment heap emits, with the chain-digest detector trailer. *)
-
-let e27 () =
-  section "E27" "pooled data path: arena loans vs heap emits at 100/1k/5k flows";
-  let flow_counts = if smoke then [ 20; 100 ] else [ 100; 1000; 5000 ] in
-  let bytes = if smoke then 2_000 else 8_000 in
-  let channel = { (Sim.Channel.lossy 0.05) with Sim.Channel.delay = 0.02 } in
-  let sublayers = [ "osr"; "rd"; "cm"; "dm"; "app"; "wire" ] in
-  let counter stats sub name =
-    Sublayer.Stats.value
-      (Sublayer.Stats.counter (Sublayer.Stats.scope stats sub) name)
-  in
-  let cell ~pooled ~flows =
-    let engine = Sim.Engine.create ~seed:68 ~backend:`Wheel () in
-    let stats = Sublayer.Stats.create ~label:"e27" () in
-    (* Telemetry is present only so the endpoints install their
-       allocation cells; nothing samples it — both modes pay the same
-       (inert) probe cost, keeping the comparison fair. *)
-    let telemetry = Sim.Telemetry.create ~label:"e27" () in
-    Sublayer.Alloc.set_enabled true;
-    Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-    @@ fun () ->
-    let pool =
-      if pooled then Some (Bitkit.Pool.create ~slots:4096 ~slot_bytes:2048 ())
-      else None
-    in
-    Bitkit.Slice.reset_copied ();
-    let fabric =
-      Transport.Fabric.create engine ~hosts:8 ~stats ~telemetry ?pool ~channel
-        ~flows ~bytes ()
-    in
-    let wall0 = now_wall () in
-    let r =
-      Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"e27" ~engine ~flows
-        ~drops:(fun () -> Transport.Fabric.pool_stats fabric)
-        (Transport.Fabric.ops fabric)
-    in
-    let wall = now_wall () -. wall0 in
-    if not (Sim.Workload.ok r) then
-      Printf.printf "  !! %s/%d NOT CLEAN: %s\n"
-        (if pooled then "pool" else "heap")
-        flows
-        (Format.asprintf "%a" Sim.Workload.pp_report r);
-    (r, wall, stats, Bitkit.Slice.copied_bytes (),
-     Transport.Fabric.pool_stats fabric)
-  in
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "{\"fabric\":[";
-  let first = ref true in
-  Printf.printf "  %-5s %7s %10s %8s %12s %8s %8s |" "mode" "flows" "segments"
-    "wall(s)" "copied_B" "hwm" "overrun";
-  List.iter (fun sub -> Printf.printf " %9s" (sub ^ " w/seg")) sublayers;
-  Printf.printf "\n";
-  List.iter
-    (fun flows ->
-      let r_off, wall_off, stats_off, copied_off, _ =
-        cell ~pooled:false ~flows
-      in
-      let r_on, wall_on, stats_on, copied_on, pstats =
-        cell ~pooled:true ~flows
-      in
-      (* Loans must not perturb the run: same events, same virtual
-         time, same per-slice samples, same delivery outcome. *)
-      let identical =
-        r_off.Sim.Workload.soak.Sim.Soak.events_fired
-          = r_on.Sim.Workload.soak.Sim.Soak.events_fired
-        && r_off.Sim.Workload.soak.Sim.Soak.vtime
-             = r_on.Sim.Workload.soak.Sim.Soak.vtime
-        && r_off.Sim.Workload.soak.Sim.Soak.samples
-             = r_on.Sim.Workload.soak.Sim.Soak.samples
-        && r_off.Sim.Workload.exact = r_on.Sim.Workload.exact
-      in
-      if not identical then
-        Printf.printf "  !! %d flows: pool perturbed the schedule\n" flows;
-      let row tag r wall stats copied pstats =
-        let segs = counter stats "dm" "segments_in" in
-        let per_seg sub =
-          if segs = 0 then 0.
-          else float_of_int (counter stats sub "gc.minor_words")
-               /. float_of_int segs
-        in
-        Printf.printf "  %-5s %7d %10d %8.2f %12d %8d %8d |" tag flows segs wall
-          copied
-          (match List.assoc_opt "hwm" pstats with Some v -> v | None -> 0)
-          (match List.assoc_opt "overruns" pstats with Some v -> v | None -> 0);
-        List.iter (fun sub -> Printf.printf " %9.1f" (per_seg sub)) sublayers;
-        Printf.printf "\n";
-        if not !first then Buffer.add_char json ',';
-        first := false;
-        Buffer.add_string json
-          (Printf.sprintf
-             "{\"mode\":%S,\"flows\":%d,\"events\":%d,\"wall_s\":%.6f,\"segments\":%d,\"copied_bytes\":%d,\"copied_app_bytes\":%d,\"schedule_identical\":%b,\"minor_words\":{%s},\"pool\":{%s},\"exact\":%d,\"ok\":%b}"
-             tag flows r.Sim.Workload.soak.Sim.Soak.events_fired wall segs
-             copied
-             (counter stats "osr" "copied_app_bytes")
-             identical
-             (String.concat ","
-                (List.map
-                   (fun sub ->
-                     Printf.sprintf "\"%s\":%d" sub
-                       (counter stats sub "gc.minor_words"))
-                   sublayers))
-             (String.concat ","
-                (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) pstats))
-             r.Sim.Workload.exact (Sim.Workload.ok r))
-      in
-      row "heap" r_off wall_off stats_off copied_off [];
-      row "pool" r_on wall_on stats_on copied_on pstats)
-    flow_counts;
-  (* The Rec seal boundary: one secure pair, pooled vs heap. Pool-on,
-     the record is built (and encrypted, and tagged) in the slot the
-     wire sees — [copied_seal_bytes] counts the payload move alone. *)
-  let seal_cell ~pooled =
-    let engine = Sim.Engine.create ~seed:69 () in
-    let stats_a = Sublayer.Stats.create ~label:"A" () in
-    let stats_b = Sublayer.Stats.create ~label:"B" () in
-    let telemetry = Sim.Telemetry.create ~label:"e27s" () in
-    Sublayer.Alloc.set_enabled true;
-    Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-    @@ fun () ->
-    let factory =
-      Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key
-    in
-    let pool =
-      if pooled then Some (Bitkit.Pool.create ~slots:256 ~slot_bytes:2048 ())
-      else None
-    in
-    let a, b =
-      Transport.Host.pair engine ~factory_a:factory ~factory_b:factory ~stats_a
-        ~stats_b ~telemetry ?pool Sim.Channel.ideal
-    in
-    Transport.Host.listen b ~port:80;
-    Bitkit.Slice.reset_copied ();
-    let c = Transport.Host.connect a ~remote_port:80 () in
-    Transport.Host.write c (String.make 40_000 's');
-    Transport.Host.close c;
-    Sim.Engine.run ~until:60. engine;
-    let both name =
-      counter stats_a "rec" name + counter stats_b "rec" name
-    in
-    ( Transport.Host.finished c,
-      Sim.Engine.events_fired engine,
-      both "copied_seal_bytes",
-      both "gc.minor_words",
-      both "records_sent",
-      Bitkit.Slice.copied_bytes () )
-  in
-  let ok_off, ev_off, seal_off, rw_off, rec_off, total_off =
-    seal_cell ~pooled:false
-  in
-  let ok_on, ev_on, seal_on, rw_on, rec_on, total_on = seal_cell ~pooled:true in
-  let perr recs v =
-    if recs = 0 then 0. else float_of_int v /. float_of_int recs
-  in
-  Printf.printf
-    "\n  rec seal (40 kB secure pair): heap %d B sealed, %.0f w/record; pool %d \
-     B, %.0f w/record; %d B total both; schedules %s\n"
-    seal_off (perr rec_off rw_off) seal_on (perr rec_on rw_on) total_on
-    (if ev_off = ev_on then "identical" else "DIVERGED");
-  if not (ok_off && ok_on && total_off = total_on) then
-    Printf.printf "  !! seal pair NOT CLEAN\n";
-  Buffer.add_string json
-    (Printf.sprintf
-       "],\"seal\":{\"heap\":{\"copied_seal_bytes\":%d,\"minor_words\":%d,\"records\":%d,\"copied_bytes\":%d},\"pool\":{\"copied_seal_bytes\":%d,\"minor_words\":%d,\"records\":%d,\"copied_bytes\":%d},\"schedule_identical\":%b,\"ok\":%b}"
-       seal_off rw_off rec_off total_off seal_on rw_on rec_on total_on
-       (ev_off = ev_on) (ok_off && ok_on));
-  (* The detector trailer: the chain digest folds over the wirebuf in a
-     loaned slot, so the only bytes this sublayer copies are the trailer
-     itself (2 for Fletcher-16) — heap mode flattens the whole frame. *)
-  let dl_cell ~pooled ~payload_bytes =
-    let engine = Sim.Engine.create ~seed:70 () in
-    let stats_a = Sublayer.Stats.create ~label:"A" () in
-    let telemetry = Sim.Telemetry.create ~label:"e27dl" () in
-    Sublayer.Alloc.set_enabled true;
-    Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-    @@ fun () ->
-    let pool =
-      if pooled then Some (Bitkit.Pool.create ~slots:64 ~slot_bytes:4096 ())
-      else None
-    in
-    (* Fletcher-16 keeps the fold state in an immediate int, so the
-       pooled protect allocates nothing proportional to the frame — the
-       CRC detectors stream identically but box their Int64 state. *)
-    let spec =
-      { Datalink.Stack.default_spec with
-        Datalink.Stack.detector = Datalink.Detector.fletcher16 }
-    in
-    let link =
-      Datalink.Stack.link engine ~stats_a ~telemetry ?pool Sim.Channel.ideal
-        spec
-    in
-    let payloads =
-      List.init 200 (fun i ->
-          Printf.sprintf "%04d%s" i (String.make (payload_bytes - 4) 'd'))
-    in
-    let got = Datalink.Stack.transfer engine link payloads in
-    let frames = counter stats_a "detector" "frames_protected" in
-    ( List.length got = List.length payloads,
-      frames,
-      counter stats_a "detector" "copied_trailer_bytes",
-      counter stats_a "detector" "gc.minor_words" )
-  in
-  let per fr v = if fr = 0 then 0. else float_of_int v /. float_of_int fr in
-  (* Sweep the frame size: the heap path's per-frame words grow with the
-     frame (it flattens it), the pooled path's stay a constant bit of
-     machinery — the per-byte allocation is gone. *)
-  Printf.printf "\n  detector (200 frames): %8s %12s %12s %12s %12s\n" "bytes"
-    "heap B/frm" "heap w/frm" "pool B/frm" "pool w/frm";
-  Buffer.add_string json ",\"datalink\":[";
-  let dl_first = ref true in
-  let dl_rows =
-    List.map
-      (fun payload_bytes ->
-        let ok_off, fr_off, tr_off, dw_off =
-          dl_cell ~pooled:false ~payload_bytes
-        in
-        let ok_on, fr_on, tr_on, dw_on = dl_cell ~pooled:true ~payload_bytes in
-        Printf.printf "  %21d %12.0f %12.1f %12.0f %12.1f\n" payload_bytes
-          (per fr_off tr_off) (per fr_off dw_off) (per fr_on tr_on)
-          (per fr_on dw_on);
-        if not (ok_off && ok_on) then
-          Printf.printf "  !! datalink link NOT CLEAN at %d B\n" payload_bytes;
-        if not !dl_first then Buffer.add_char json ',';
-        dl_first := false;
-        Buffer.add_string json
-          (Printf.sprintf
-             "{\"payload_bytes\":%d,\"heap\":{\"frames\":%d,\"copied_trailer_bytes\":%d,\"minor_words\":%d},\"pool\":{\"frames\":%d,\"copied_trailer_bytes\":%d,\"minor_words\":%d},\"ok\":%b}"
-             payload_bytes fr_off tr_off dw_off fr_on tr_on dw_on
-             (ok_off && ok_on));
-        (payload_bytes, per fr_off tr_off, per fr_on tr_on))
-      [ 128; 512; 1024 ]
-  in
-  Buffer.add_string json "]}";
-  let _, tr_off_big, tr_on_big =
-    List.nth dl_rows (List.length dl_rows - 1)
-  in
-  let path = out_path "e27_pool.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  headline
-    "arena loans keep the emit path in place — pooled schedules bit-identical \
-     to heap, detector trailer copies drop from %.0f to %.0f B/frame"
-    tr_off_big tr_on_big
-
-(* ------------------------------------------------------------------ *)
-(* E28 — recursive sublayering: a complete inner sublayered-TCP
-   connection rides a Transport.Tunnel over an outer (Rec-secured)
-   transport connection, vs the flat stack at matched loss. Reports
-   goodput, the two congestion controllers' cwnd traces (outer and
-   inner CC both probe the same impaired path), and per-level p99
-   latency attribution from the shared tracer. *)
-
-let e28 () =
-  section "E28" "recursive sublayering: tunneled inner stack vs flat at matched loss";
-  let open Transport in
-  let bytes = if smoke then 30_000 else 200_000 in
-  let losses = if smoke then [ 0.02 ] else [ 0.0; 0.02; 0.05 ] in
-  let was_enabled = Sim.Tracer.enabled () in
-  Sim.Tracer.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sim.Tracer.set_enabled was_enabled)
-  @@ fun () ->
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "{\"experiment\":\"E28\",\"runs\":[";
-  let first_run = ref true in
-  let tunnel_run ~channel ~seed =
-    let engine = Sim.Engine.create ~seed () in
-    let stats = Sublayer.Stats.create ~label:"e28" () in
-    let tracer = Sim.Tracer.create ~capacity:262144 () in
-    let factory = Tcp_secure.factory ~key:Tcp_secure.demo_key in
-    let oa, ob, _, _ =
-      Host.pair_channels engine ~factory_a:factory ~factory_b:factory
-        ~stats_a:stats ~stats_b:stats ~tracer channel
-    in
-    Host.listen ob ~port:443;
-    let osrv = ref None in
-    Host.on_accept ob (fun c -> osrv := Some c);
-    let ocli = Host.connect oa ~remote_port:443 () in
-    let rec wait_accept () =
-      if !osrv = None && Sim.Engine.now engine < 60. then begin
-        Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.1) engine;
-        wait_accept ()
-      end
-    in
-    wait_accept ();
-    let srv_conn =
-      match !osrv with Some c -> c | None -> failwith "E28: outer accept"
-    in
-    let tun_a = Tunnel.create ~id:"tun-a" ocli in
-    let tun_b = Tunnel.create ~id:"tun-b" srv_conn in
-    let ins = Sublayer.Instrument.v ~stats ~tracer ~level:1 () in
-    let ia = Host.create engine ~ins ~name:"iA" ~link:(Tunnel.link tun_a) () in
-    let ib = Host.create engine ~ins ~name:"iB" ~link:(Tunnel.link tun_b) () in
-    Host.listen ib ~port:80;
-    let srv = ref None in
-    Host.on_accept ib (fun c -> srv := Some c);
-    let c = Host.connect ia ~remote_port:80 () in
-    let data = random_data seed bytes in
-    Host.write c data;
-    Host.close c;
-    (* The double-CC trace: both controllers' cwnd gauges live in the
-       one registry, the level tag telling them apart. *)
-    let outer_cwnd = Sublayer.Stats.gauge (Sublayer.Stats.scope stats "cc") "cwnd_bytes" in
-    let inner_cwnd =
-      Sublayer.Stats.gauge (Sublayer.Stats.scope stats "l1:cc") "cwnd_bytes"
-    in
-    let series = ref [] in
-    let rec sampler () =
-      series :=
-        (Sim.Engine.now engine, Sublayer.Stats.gauge_value outer_cwnd,
-         Sublayer.Stats.gauge_value inner_cwnd)
-        :: !series;
-      if not (Host.finished c) then
-        ignore (Sim.Engine.schedule engine ~after:0.25 sampler)
-    in
-    sampler ();
-    let rec drive () =
-      if Sim.Engine.now engine < 600. && not (Host.finished c) then begin
-        Sim.Engine.run ~until:(Sim.Engine.now engine +. 0.1) engine;
-        drive ()
-      end
-    in
-    drive ();
-    let vtime = Float.max 0.001 (Sim.Engine.now engine) in
-    Sim.Engine.run ~until:(Sim.Engine.now engine +. 30.) engine;
-    let ok = match !srv with Some s -> Host.received s = data | None -> false in
-    (* Per-level flight p99 out of the same tracer: sublayer names carry
-       the level prefix, so grouping is one string compare. *)
-    let flights level =
-      let want = if level = 0 then "rd" else "l1:rd" in
-      List.filter_map
-        (fun s ->
-          if s.Sim.Tracer.sp_sublayer = want && s.Sim.Tracer.sp_name = "flight"
-             && Float.is_finite s.Sim.Tracer.sp_end
-          then Some (Sim.Tracer.duration s)
-          else None)
-        (Sim.Tracer.spans tracer)
-    in
-    let pct ds p =
-      match List.sort Float.compare ds with
-      | [] -> 0.
-      | l ->
-          let a = Array.of_list l in
-          a.(min (Array.length a - 1)
-              (int_of_float (Float.of_int (Array.length a) *. p)))
-    in
-    ( ok, vtime, Float.of_int bytes /. vtime, List.rev !series,
-      (pct (flights 0) 0.99, pct (flights 1) 0.99),
-      (Tunnel.frames_out tun_a, Tunnel.frames_in tun_b) )
-  in
-  Printf.printf "  %-22s %8s %10s %14s %12s %12s\n" "path" "exact" "time(s)"
-    "goodput(KB/s)" "p99 l0(ms)" "p99 l1(ms)";
-  List.iter
-    (fun loss ->
-      let channel = { (Sim.Channel.lossy loss) with delay = 0.02 } in
-      let flat = run_transfer ~seed:95 ~bytes channel in
-      let ok, vtime, goodput, series, (p99_0, p99_1), (fout, fin) =
-        tunnel_run ~channel ~seed:95
-      in
-      Printf.printf "  %-22s %8b %10.2f %14.0f %12s %12s\n"
-        (Printf.sprintf "flat   loss=%.2f" loss)
-        flat.ok flat.vtime (flat.goodput /. 1024.) "-" "-";
-      Printf.printf "  %-22s %8b %10.2f %14.0f %12.2f %12.2f\n"
-        (Printf.sprintf "tunnel loss=%.2f" loss)
-        ok vtime (goodput /. 1024.) (p99_0 *. 1e3) (p99_1 *. 1e3);
-      if not !first_run then Buffer.add_char json ',';
-      first_run := false;
-      Buffer.add_string json
-        (Printf.sprintf
-           "{\"loss\":%.3f,\"flat\":{\"ok\":%b,\"vtime\":%.3f,\"goodput\":%.0f},\
-            \"tunnel\":{\"ok\":%b,\"vtime\":%.3f,\"goodput\":%.0f,\
-            \"frames_out\":%d,\"frames_in\":%d,\
-            \"p99_flight_l0\":%.6f,\"p99_flight_l1\":%.6f,\"cwnd\":["
-           loss flat.ok flat.vtime flat.goodput ok vtime goodput fout fin
-           p99_0 p99_1);
-      List.iteri
-        (fun i (t, o, inr) ->
-          if i > 0 then Buffer.add_char json ',';
-          Buffer.add_string json
-            (Printf.sprintf "[%.2f,%d,%d]" t o inr))
-        series;
-      Buffer.add_string json "]}}")
-    losses;
-  Buffer.add_string json "]}";
-  let path = out_path "e28_tunnel.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\n  JSON report written to %s\n" path;
-  headline
-    "a whole sublayered-TCP stack runs over another transport connection \
-     through the Core.Link seam; two congestion controllers stack, and the \
-     level tags keep every span and counter attributable"
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: per-segment codec and stuffing costs. *)
 
 let microbenches () =
@@ -2043,8 +905,6 @@ let () =
     [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
       ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11); ("E12", e12);
       ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E18", e18);
-      ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22); ("E23", e23);
-      ("E25", e25); ("E26", e26); ("E27", e27); ("E28", e28);
       ("MICRO", microbenches) ]
   in
   List.iter (fun (id, f) -> if selected id then f ()) experiments;

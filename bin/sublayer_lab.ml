@@ -304,14 +304,14 @@ let scale_cmd =
     let fabric =
       Transport.Fabric.create engine ~hosts ~channel ~flows ~bytes ~monitors ()
     in
-    let wall0 = Sys.time () in
+    let wall0 = Unix.gettimeofday () in
     let r =
       Sim.Workload.run ~spacing:0.005 ~until:900. ~name:"scale" ~engine ~flows
         ~invariant:(Monitor.Runtime.invariant monitors)
         ~verdicts:(fun () -> Monitor.Runtime.verdicts monitors)
         (Transport.Fabric.ops fabric)
     in
-    let wall = Sys.time () -. wall0 in
+    let wall = Unix.gettimeofday () -. wall0 in
     Format.printf "%a@." Sim.Workload.pp_report r;
     let fired = r.Sim.Workload.soak.Sim.Soak.events_fired in
     Printf.printf "%d events in %.3fs wall = %.0f events/sec\n" fired wall

@@ -107,7 +107,3 @@ let hwm t = t.hwm
 let loans t = t.loans
 let releases t = t.releases
 let overruns t = t.overruns
-
-let stats t =
-  [ ("slots", t.n_slots); ("hwm", t.hwm); ("in_use", t.in_use);
-    ("loans", t.loans); ("releases", t.releases); ("overruns", t.overruns) ]

@@ -73,7 +73,3 @@ val hwm : t -> int
 val loans : t -> int
 val releases : t -> int
 val overruns : t -> int
-
-val stats : t -> (string * int) list
-(** [[("slots", _); ("hwm", _); ("in_use", _); ("loans", _);
-    ("releases", _); ("overruns", _)]] — report-ready key/value pairs. *)

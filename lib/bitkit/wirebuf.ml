@@ -12,8 +12,8 @@
    [set_eager true] switches the whole process to the legacy
    copy-per-sublayer behaviour: [push] materializes immediately, so every
    crossing pays the copy the old string codecs paid. The wire bytes are
-   identical by construction, which is what lets E22 compare the two
-   modes on bit-identical seeded runs. *)
+   identical by construction, which is what lets [test_zerocopy] compare
+   the two modes on bit-identical seeded runs. *)
 
 type header = { h_owner : string; h_bytes : string; h_bits : int }
 type t = { headers : header list; hdr_len : int; payload : Slice.t }

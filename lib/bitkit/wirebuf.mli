@@ -73,8 +73,8 @@ val outer_header : t -> Slice.t option
 
     With eager mode on, {!push} materializes immediately — every sublayer
     crossing pays the copy the old string codecs paid, while producing
-    bit-identical wire bytes. E22 uses this to compare the two data paths
-    on identical seeded runs. *)
+    bit-identical wire bytes. [test_zerocopy] uses this to compare the two
+    data paths on identical seeded runs. *)
 
 val set_eager : bool -> unit
 val eager : unit -> bool

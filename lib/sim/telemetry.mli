@@ -84,9 +84,6 @@ val clear : t -> unit
 (** Forget retained samples and re-anchor counter baselines at the next
     reading; [recorded]/[dropped] reset. *)
 
-val deterministic_series : t -> (float * (string * int) list) list
-(** The reproducible half: [(ts, det)] per sample, oldest first. *)
-
 val merged_deterministic : t list -> (float * (string * int) list) list
 (** Pointwise sum of several instances' deterministic series (one per
     shard, all ticked at the same barrier times): samples are matched by

@@ -16,7 +16,6 @@ type t = {
   hosts : Host.t array;
   flows : flow array;
   host_shard : int array; (* host -> owning shard; all zero when unsharded *)
-  pools : Bitkit.Pool.t array; (* one per shard; empty when unpooled *)
 }
 
 let server_port f = 1024 + (2 * f)
@@ -190,8 +189,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
                 | `Peer_closed -> Host.close c
                 | _ -> ())))
     harr;
-  { hosts = harr; flows = farr; host_shard = Array.make hosts 0;
-    pools = (match pool with None -> [||] | Some p -> [| p |]) }
+  { hosts = harr; flows = farr; host_shard = Array.make hosts 0 }
 
 (* --- sharded construction --------------------------------------------- *)
 
@@ -393,35 +391,11 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
                 | `Peer_closed -> Host.close c
                 | _ -> ())))
     harr;
-  { hosts = harr; flows = farr; host_shard;
-    pools =
-      Array.of_list (List.filter_map (fun p -> p) (Array.to_list pools)) }
+  { hosts = harr; flows = farr; host_shard }
 
 let hosts t = t.hosts
 let host_shard t h = t.host_shard.(h)
 let launch_site t f = t.host_shard.(f mod Array.length t.hosts)
-
-let pool_stats t =
-  match t.pools with
-  | [||] -> []
-  | pools ->
-      (* Summed across shards; key for key the same list one pool
-         reports, so [Workload.run ~drops] callers need no sharding
-         special case. *)
-      let acc = Hashtbl.create 8 in
-      let order = ref [] in
-      Array.iter
-        (fun p ->
-          List.iter
-            (fun (k, v) ->
-              match Hashtbl.find_opt acc k with
-              | None ->
-                  order := k :: !order;
-                  Hashtbl.replace acc k v
-              | Some v0 -> Hashtbl.replace acc k (v0 + v))
-            (Bitkit.Pool.stats p))
-        pools;
-      List.rev_map (fun k -> (k, Hashtbl.find acc k)) !order
 
 let ops t =
   let nh = Array.length t.hosts in

@@ -117,8 +117,3 @@ val ops : t -> Sim.Workload.ops
     exact = the received bytes equal the payload. *)
 
 val hosts : t -> Host.t array
-
-val pool_stats : t -> (string * int) list
-(** The fabric's pool counters ({!Bitkit.Pool.stats}), summed across
-    shards; [[]] when the fabric was built without pools. Report these
-    next to ring-drop counts (e.g. via {!Sim.Workload.run}'s [?drops]). *)

@@ -1,7 +1,7 @@
 (* Runtime conformance monitors (E25): legal runs on every stack are
-   violation-free on both engine backends, mutated sublayers are caught
-   and blamed by name, and the global kill switch makes observation
-   free. *)
+   violation-free on both engine backends, a monitored fabric fires the
+   unmonitored schedule, mutated sublayers are caught and blamed by
+   name, and the global kill switch makes observation free. *)
 
 open Transport
 
@@ -88,6 +88,38 @@ let test_transport_coverage () =
       if not (List.mem sub subs) then
         Alcotest.failf "no verdicts for sublayer %s" sub)
     [ "app"; "osr"; "rd"; "cm"; "dm" ]
+
+(* Monitors observe, they never perturb: the many-flow fabric with every
+   T2 probe live fires exactly the schedule of the same fabric with no
+   registry attached, and checks crossings without a violation. *)
+let fabric_run ?monitors () =
+  let engine = Sim.Engine.create ~seed:35 () in
+  let fabric =
+    Fabric.create engine ?monitors ~hosts:4 ~channel:(Sim.Channel.lossy 0.03)
+      ~flows:60 ~bytes:1024 ()
+  in
+  let r =
+    Sim.Workload.run ~spacing:0.01 ~name:"monitored" ~engine ~flows:60
+      ?invariant:(Option.map Monitor.Runtime.invariant monitors)
+      (Fabric.ops fabric)
+  in
+  if not (Sim.Workload.ok r) then
+    Alcotest.failf "fabric workload not ok: %a" Sim.Workload.pp_report r;
+  r
+
+let test_fabric_on_off () =
+  let monitors = Monitor.Runtime.create ~label:"fabric" () in
+  let off = fabric_run () and on = fabric_run ~monitors () in
+  let soak r = r.Sim.Workload.soak in
+  check Alcotest.int "events fired identical" (soak off).Sim.Soak.events_fired
+    (soak on).Sim.Soak.events_fired;
+  check Alcotest.bool "virtual end time identical" true
+    ((soak off).Sim.Soak.vtime = (soak on).Sim.Soak.vtime);
+  check Alcotest.int "exact flows identical" off.Sim.Workload.exact
+    on.Sim.Workload.exact;
+  if Monitor.Runtime.checked monitors = 0 then
+    Alcotest.fail "no interface crossings checked";
+  check Alcotest.int "no violations" 0 (Monitor.Runtime.violation_count monitors)
 
 (* --- Legal traces: data link ------------------------------------- *)
 
@@ -277,6 +309,7 @@ let () =
           Alcotest.test_case "transport on heap" `Quick (test_legal_transport `Heap);
           Alcotest.test_case "all transport interfaces covered" `Quick
             test_transport_coverage;
+          Alcotest.test_case "fabric on = off" `Quick test_fabric_on_off;
           Alcotest.test_case "datalink trio on wheel" `Quick (test_legal_datalink `Wheel);
           Alcotest.test_case "datalink trio on heap" `Quick (test_legal_datalink `Heap) ] );
       ( "mutations",

@@ -1,5 +1,5 @@
 (* Many-flow scale harness: Sim.Workload driving Transport.Fabric. Small
-   flow counts here (CI-sized); E21 pushes the same harness to 1k/5k. *)
+   flow counts here (CI-sized); E21 measured the same harness at 1k/5k. *)
 
 let run_workload ?(flows = 40) ?(bytes = 512) ?(loss = 0.) ~backend ~seed () =
   let engine = Sim.Engine.create ~seed ~backend () in

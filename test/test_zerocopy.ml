@@ -434,8 +434,9 @@ let test_rec_seq_top_bit_authenticated () =
   Alcotest.(check int) "and counts the failure" 1 (Rec.auth_failures rx)
 
 (* A pooled fabric run must be schedule-identical to the unpooled run —
-   loans change where bytes live, never what happens — while actually
-   exercising the arena, and must hand every slot back by the end. *)
+   loans change where bytes live, never what happens, down to the
+   per-slice live-event samples — while actually exercising the arena,
+   and must hand every slot back by the end. *)
 let pool_fingerprint ?pool () =
   let engine = Sim.Engine.create ~seed:33 () in
   let fabric =
@@ -450,17 +451,22 @@ let pool_fingerprint ?pool () =
     Alcotest.failf "pooled workload not ok: %a" Sim.Workload.pp_report r;
   ( r.Sim.Workload.soak.Sim.Soak.events_fired,
     r.Sim.Workload.soak.Sim.Soak.vtime,
-    r.Sim.Workload.exact )
+    r.Sim.Workload.exact,
+    r.Sim.Workload.soak.Sim.Soak.samples )
 
 let test_pooled_unpooled_identical () =
   let base = pool_fingerprint () in
   let pool = Bitkit.Pool.create ~slots:512 ~slot_bytes:2048 () in
   let pooled = pool_fingerprint ~pool () in
-  let fired (f, _, _) = f and vtime (_, v, _) = v and exact (_, _, e) = e in
+  let fired (f, _, _, _) = f and vtime (_, v, _, _) = v
+  and exact (_, _, e, _) = e and samples (_, _, _, s) = s in
   Alcotest.(check int) "events fired identical" (fired base) (fired pooled);
   Alcotest.(check bool) "virtual end time identical" true
     (vtime base = vtime pooled);
   Alcotest.(check int) "exact flows identical" (exact base) (exact pooled);
+  Alcotest.(check bool) "per-slice samples recorded" true (samples base <> []);
+  Alcotest.(check bool) "per-slice samples identical" true
+    (samples base = samples pooled);
   Alcotest.(check bool) "the arena was exercised" true (Bitkit.Pool.loans pool > 0);
   Alcotest.(check int) "every slot handed back" 0 (Bitkit.Pool.in_use pool)
 
