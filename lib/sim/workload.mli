@@ -38,7 +38,6 @@ val run :
   ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
-  ?drops:(unit -> (string * int) list) ->
   name:string ->
   engine:Engine.t ->
   flows:int ->
@@ -49,9 +48,9 @@ val run :
     slices (default 0.5) until every flow is finished or virtual time
     [until] (default 600). The report embeds the {!Soak.report}, whose
     per-slice samples record the engine's live-timer count.
-    [events] / [telemetry] / [on_slice] / [drops] pass through to the
-    soak: telemetry ticks at every slice boundary and ring drop counts
-    land in [soak.drops]. *)
+    [events] / [telemetry] / [on_slice] pass through to the soak:
+    telemetry ticks at every slice boundary and ring drop counts land in
+    [soak.drops]. *)
 
 val run_sharded :
   ?spacing:float ->
@@ -63,7 +62,6 @@ val run_sharded :
   ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
-  ?drops:(unit -> (string * int) list) ->
   name:string ->
   shard:Shard.t ->
   launch_site:(int -> int) ->

@@ -219,7 +219,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
      instance. Merge after the run with [Monitor.Runtime.merged_verdicts]
      / [Tracer.merged_chrome_json]. *)
 let create_sharded shard ?(hosts = 8) ?(config = Config.default)
-    ?(factory = Host.sublayered) ?stats ?tracer ?monitors ?telemetry ?pools
+    ?(factory = Host.sublayered) ?stats ?tracer ?monitors ?telemetry
     ?(seed = 7) ?link_faults ~channel ~flows ~bytes () =
   let nshards = Sim.Shard.shards shard in
   if hosts < nshards then
@@ -245,19 +245,6 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
   let tracer = per_shard "tracer" tracer in
   let monitors = per_shard "monitors" monitors in
   let telemetry = per_shard "telemetry" telemetry in
-  (* A pool is single-domain state: one per shard, drained on that
-     shard's engine, and never loaned across a conduit (the transmit
-     closure copies out of the slot for cross-shard sends). *)
-  let pools = per_shard "pools" pools in
-  Array.iteri
-    (fun s p ->
-      Option.iter
-        (fun p ->
-          Sim.Engine.after_event
-            (Sim.Shard.engine shard s)
-            (fun () -> Bitkit.Pool.drain_deferred p))
-        p)
-    pools;
   (* Per-shard instances register the SAME source names as the serial
      fabric, so summing the deterministic series across shards
      ([Telemetry.merged_deterministic]) reproduces the single-engine
@@ -318,37 +305,14 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
         | -1 -> ()
         | dst ->
             let src = match host_of_port port_host src_port with -1 -> dst | h -> h in
-            let ch = matrix.(src).(dst) in
-            let s_src = host_shard.(src) in
-            let handled =
-              match pools.(s_src) with
-              | None -> false
-              | Some p -> (
-                  match Bitkit.Pool.slot_of_slice p s with
-                  | None -> false
-                  | Some slot ->
-                      if host_shard.(dst) = s_src then begin
-                        Bitkit.Pool.retain p slot;
-                        Sim.Channel.send ~loan:(p, slot) ch s;
-                        true
-                      end
-                      else begin
-                        (* The slot dies with the source shard's event;
-                           the conduit delivers on another domain, so the
-                           bytes must leave the arena here. *)
-                        Sim.Channel.send ch
-                          (Bitkit.Slice.of_string (Bitkit.Slice.to_string s));
-                        true
-                      end)
-            in
-            if not handled then Sim.Channel.send ch s)
+            Sim.Channel.send matrix.(src).(dst) s)
   in
   let harr =
     Array.init hosts (fun h ->
         let s = host_shard.(h) in
         let ins =
           Sublayer.Instrument.v ?stats:stats.(s) ?tracer:tracer.(s)
-            ?monitors:monitors.(s) ?telemetry:telemetry.(s) ?pool:pools.(s) ()
+            ?monitors:monitors.(s) ?telemetry:telemetry.(s) ()
         in
         let link =
           Sublayer.Link.make

@@ -65,7 +65,6 @@ val create_sharded :
   ?tracer:Sim.Tracer.t array ->
   ?monitors:Monitor.Runtime.t array ->
   ?telemetry:Sim.Telemetry.t array ->
-  ?pools:Bitkit.Pool.t array ->
   ?seed:int ->
   ?link_faults:(int * int -> Sim.Faultplan.t option) ->
   channel:Sim.Channel.config ->
@@ -95,13 +94,7 @@ val create_sharded :
     instance registers the same source names as the serial fabric
     ([slice.copied_bytes] only on shard 0 — the counter is process
     global), so the pointwise sum of the per-shard deterministic series
-    is comparable key-for-key with a single-engine run.
-
-    [pools], when given, likewise holds one pool per shard: a pool is
-    single-domain state, so host [h] emits from its shard's pool and the
-    transmit closure loans a slot to the channel only when source and
-    destination share a shard — a cross-shard send copies out of the
-    arena before handing the segment to the conduit. *)
+    is comparable key-for-key with a single-engine run. *)
 
 val launch_site : t -> int -> int
 (** Shard owning flow [f]'s client host — where

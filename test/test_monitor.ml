@@ -92,31 +92,11 @@ let test_transport_coverage () =
 (* Monitors observe, they never perturb: the many-flow fabric with every
    T2 probe live fires exactly the schedule of the same fabric with no
    registry attached, and checks crossings without a violation. *)
-let fabric_run ?monitors () =
-  let engine = Sim.Engine.create ~seed:35 () in
-  let fabric =
-    Fabric.create engine ?monitors ~hosts:4 ~channel:(Sim.Channel.lossy 0.03)
-      ~flows:60 ~bytes:1024 ()
-  in
-  let r =
-    Sim.Workload.run ~spacing:0.01 ~name:"monitored" ~engine ~flows:60
-      ?invariant:(Option.map Monitor.Runtime.invariant monitors)
-      (Fabric.ops fabric)
-  in
-  if not (Sim.Workload.ok r) then
-    Alcotest.failf "fabric workload not ok: %a" Sim.Workload.pp_report r;
-  r
-
 let test_fabric_on_off () =
   let monitors = Monitor.Runtime.create ~label:"fabric" () in
-  let off = fabric_run () and on = fabric_run ~monitors () in
-  let soak r = r.Sim.Workload.soak in
-  check Alcotest.int "events fired identical" (soak off).Sim.Soak.events_fired
-    (soak on).Sim.Soak.events_fired;
-  check Alcotest.bool "virtual end time identical" true
-    ((soak off).Sim.Soak.vtime = (soak on).Sim.Soak.vtime);
-  check Alcotest.int "exact flows identical" off.Sim.Workload.exact
-    on.Sim.Workload.exact;
+  Fingerprint.check_same
+    (Fingerprint.run ~seed:35 ())
+    (Fingerprint.run ~seed:35 ~monitors ());
   if Monitor.Runtime.checked monitors = 0 then
     Alcotest.fail "no interface crossings checked";
   check Alcotest.int "no violations" 0 (Monitor.Runtime.violation_count monitors)

@@ -232,45 +232,30 @@ let test_series_identity_faults () =
 
 (* Sampling only reads, so attaching telemetry (and allocation
    attribution) must not perturb the event schedule. *)
-let fabric_fingerprint ~with_telemetry ~seed =
-  let engine = Sim.Engine.create ~seed () in
-  let stats = Sublayer.Stats.create ~label:"fp" () in
-  let telemetry = if with_telemetry then Some (Telemetry.create ()) else None in
-  if with_telemetry then Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
-  let fabric =
-    Transport.Fabric.create engine ~hosts:4 ~stats ?telemetry
-      ~channel:(Sim.Channel.lossy 0.02) ~flows:40 ~bytes:512 ()
-  in
-  let r =
-    Sim.Workload.run ~spacing:0.01 ~name:"on-off" ~engine
-      ?telemetry:(Option.map (fun t -> [ t ]) telemetry)
-      ~flows:40 (Transport.Fabric.ops fabric)
-  in
-  if not (Sim.Workload.ok r) then
-    Alcotest.failf "workload not ok: %a" Sim.Workload.pp_report r;
-  ( r.Sim.Workload.soak.Sim.Soak.events_fired,
-    r.Sim.Workload.soak.Sim.Soak.vtime,
-    telemetry )
-
 let test_on_off_identity () =
-  let on_fired, on_vtime, tele = fabric_fingerprint ~with_telemetry:true ~seed:41 in
-  let off_fired, off_vtime, _ = fabric_fingerprint ~with_telemetry:false ~seed:41 in
-  check Alcotest.int "events fired identical" off_fired on_fired;
-  check Alcotest.bool "virtual end time identical" true (on_vtime = off_vtime);
+  let fingerprint ?telemetry () =
+    Fingerprint.run ~seed:41 ~loss:0.02 ~flows:40 ~bytes:512
+      ~stats:(Sublayer.Stats.create ~label:"fp" ())
+      ?telemetry ()
+  in
+  let t = Telemetry.create () in
+  let on =
+    Sublayer.Alloc.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
+      (fun () -> fingerprint ~telemetry:t ())
+  in
+  Fingerprint.check_same (fingerprint ()) on;
   (* The enabled run must have attributed allocation somewhere. *)
-  match tele with
-  | Some t ->
-      let attributed =
+  let attributed =
+    List.exists
+      (fun s ->
         List.exists
-          (fun s ->
-            List.exists
-              (fun (k, v) -> v > 0 && Filename.check_suffix k "gc.minor_words")
-              s.Telemetry.nondet)
-          (Telemetry.samples t)
-      in
-      check Alcotest.bool "per-sublayer minor words attributed" true attributed
-  | None -> Alcotest.fail "telemetry instance missing"
+          (fun (k, v) -> v > 0 && Filename.check_suffix k "gc.minor_words")
+          s.Telemetry.nondet)
+      (Telemetry.samples t)
+  in
+  check Alcotest.bool "per-sublayer minor words attributed" true attributed
 
 (* --- disabled path ------------------------------------------------------ *)
 

@@ -437,36 +437,11 @@ let test_rec_seq_top_bit_authenticated () =
    loans change where bytes live, never what happens, down to the
    per-slice live-event samples — while actually exercising the arena,
    and must hand every slot back by the end. *)
-let pool_fingerprint ?pool () =
-  let engine = Sim.Engine.create ~seed:33 () in
-  let fabric =
-    Transport.Fabric.create engine ~hosts:4 ~channel:(Sim.Channel.lossy 0.03)
-      ?pool ~flows:60 ~bytes:1024 ()
-  in
-  let r =
-    Sim.Workload.run ~spacing:0.01 ~name:"pooled" ~engine ~flows:60
-      (Transport.Fabric.ops fabric)
-  in
-  if not (Sim.Workload.ok r) then
-    Alcotest.failf "pooled workload not ok: %a" Sim.Workload.pp_report r;
-  ( r.Sim.Workload.soak.Sim.Soak.events_fired,
-    r.Sim.Workload.soak.Sim.Soak.vtime,
-    r.Sim.Workload.exact,
-    r.Sim.Workload.soak.Sim.Soak.samples )
-
 let test_pooled_unpooled_identical () =
-  let base = pool_fingerprint () in
   let pool = Bitkit.Pool.create ~slots:512 ~slot_bytes:2048 () in
-  let pooled = pool_fingerprint ~pool () in
-  let fired (f, _, _, _) = f and vtime (_, v, _, _) = v
-  and exact (_, _, e, _) = e and samples (_, _, _, s) = s in
-  Alcotest.(check int) "events fired identical" (fired base) (fired pooled);
-  Alcotest.(check bool) "virtual end time identical" true
-    (vtime base = vtime pooled);
-  Alcotest.(check int) "exact flows identical" (exact base) (exact pooled);
-  Alcotest.(check bool) "per-slice samples recorded" true (samples base <> []);
-  Alcotest.(check bool) "per-slice samples identical" true
-    (samples base = samples pooled);
+  Fingerprint.check_same
+    (Fingerprint.run ~seed:33 ())
+    (Fingerprint.run ~seed:33 ~pool ());
   Alcotest.(check bool) "the arena was exercised" true (Bitkit.Pool.loans pool > 0);
   Alcotest.(check int) "every slot handed back" 0 (Bitkit.Pool.in_use pool)
 
@@ -513,35 +488,14 @@ let soak_fingerprint ~eager ~backend =
   Bitkit.Wirebuf.set_eager eager;
   Fun.protect
     ~finally:(fun () -> Bitkit.Wirebuf.set_eager false)
-    (fun () ->
-      let engine = Sim.Engine.create ~seed:31 ~backend () in
-      let fabric =
-        Transport.Fabric.create engine ~hosts:4
-          ~channel:(Sim.Channel.lossy 0.03) ~flows:60 ~bytes:1024 ()
-      in
-      let r =
-        Sim.Workload.run ~spacing:0.01 ~name:"fingerprint" ~engine ~flows:60
-          (Transport.Fabric.ops fabric)
-      in
-      if not (Sim.Workload.ok r) then
-        Alcotest.failf "fingerprint workload not ok: %a" Sim.Workload.pp_report
-          r;
-      ( r.Sim.Workload.soak.Sim.Soak.events_fired,
-        r.Sim.Workload.soak.Sim.Soak.vtime,
-        r.Sim.Workload.exact ))
+    (fun () -> Fingerprint.run ~seed:31 ~backend ())
 
 let test_eager_lazy_identical () =
   List.iter
     (fun backend ->
-      let lazy_fp = soak_fingerprint ~eager:false ~backend in
-      let eager_fp = soak_fingerprint ~eager:true ~backend in
-      let fired (f, _, _) = f and vtime (_, v, _) = v and exact (_, _, e) = e in
-      Alcotest.(check int) "events fired identical" (fired eager_fp)
-        (fired lazy_fp);
-      Alcotest.(check bool) "virtual end time identical" true
-        (vtime eager_fp = vtime lazy_fp);
-      Alcotest.(check int) "exact flows identical" (exact eager_fp)
-        (exact lazy_fp))
+      Fingerprint.check_same
+        (soak_fingerprint ~eager:true ~backend)
+        (soak_fingerprint ~eager:false ~backend))
     [ `Wheel; `Heap ]
 
 (* The copying mode really copies: the same run must move strictly more
