@@ -829,7 +829,7 @@ let microbenches () =
     { Transport.Segment.seq = 1001; ack = 2002; len = 1000; has_data = true;
       has_ack = true; sacks = [] }
   in
-  let push owner write wb = Bitkit.Wirebuf.push wb ~owner write in
+  let push owner header wb = Bitkit.Wirebuf.push wb ~owner header in
   let push_emit () =
     Bitkit.Wirebuf.of_string payload
     |> push "osr" (Transport.Segment.write_osr Transport.Segment.default_osr)

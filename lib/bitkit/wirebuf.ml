@@ -6,8 +6,10 @@
    the tail — so a retransmit queue can hold one level's view while lower
    sublayers keep wrapping fresh copies of it.
 
-   Headers are packed eagerly into small strings (never closures), so
-   wirebufs remain safe for structural comparison and hashing.
+   Each header arrives as its packed bytes (never a closure), so
+   wirebufs remain safe for structural comparison and hashing. A packed
+   header is always whole bytes, which is all the layout audit needs to
+   know of its length.
 
    [set_eager true] switches the whole process to the legacy
    copy-per-sublayer behaviour: [push] materializes immediately, so every
@@ -15,7 +17,7 @@
    identical by construction, which is what lets [test_zerocopy] compare
    the two modes on bit-identical seeded runs. *)
 
-type header = { h_owner : string; h_bytes : string; h_bits : int }
+type header = { h_owner : string; h_bytes : string }
 type t = { headers : header list; hdr_len : int; payload : Slice.t }
 
 (* Atomic so sharded runs on several domains read a coherent mode; it is
@@ -86,10 +88,9 @@ let pack f =
   let w = Bitio.Writer.create ~size:32 () in
   f w;
   Bitio.Writer.pad_to_byte w;
-  (Bitio.Writer.contents w, Bitio.Writer.bit_length w)
+  Bitio.Writer.contents w
 
-let push t ~owner f =
-  let h_bytes, h_bits = pack f in
+let push t ~owner h_bytes =
   if Atomic.get eager_mode then begin
     (* Legacy path: materialize on every crossing. *)
     let k = String.length h_bytes in
@@ -100,11 +101,12 @@ let push t ~owner f =
     of_string (Bytes.unsafe_to_string b)
   end
   else
-    { headers = { h_owner = owner; h_bytes; h_bits } :: t.headers;
+    { headers = { h_owner = owner; h_bytes } :: t.headers;
       hdr_len = t.hdr_len + String.length h_bytes;
       payload = t.payload }
 
-let appendices t = List.map (fun h -> (h.h_owner, h.h_bits)) t.headers
+let appendices t =
+  List.map (fun h -> (h.h_owner, 8 * String.length h.h_bytes)) t.headers
 
 let outer_header t =
   match t.headers with

@@ -6,8 +6,8 @@
     packet reaches the wire and {!emit}/{!to_slice} lays headers and
     payload into a single buffer. Values are persistent: [push] returns a
     new wirebuf sharing the tail, so retransmit queues can safely hold a
-    mid-stack view. Headers are packed eagerly into strings (never
-    closures), keeping wirebufs safe for structural comparison. *)
+    mid-stack view. Headers are packed strings (never closures), keeping
+    wirebufs safe for structural comparison. *)
 
 type t
 
@@ -17,10 +17,15 @@ val of_string : string -> t
 val length : t -> int
 (** Total bytes: headers plus payload. *)
 
-val push : t -> owner:string -> (Bitio.Writer.t -> unit) -> t
-(** [push t ~owner f] runs [f] on a fresh writer and makes the packed
-    (byte-padded) result the new outermost header. [owner] names the
-    sublayer for {!appendices} audits. *)
+val push : t -> owner:string -> string -> t
+(** [push t ~owner header] makes [header], a sublayer's packed header
+    bytes, the new outermost header. [owner] names the sublayer for
+    {!appendices} audits. *)
+
+val pack : (Bitio.Writer.t -> unit) -> string
+(** [pack f] runs [f] on a fresh {!Bitio} writer and returns the
+    byte-padded result: the argument {!push} takes, for headers written
+    field by field. *)
 
 val emit : t -> string
 (** Lay the packet into one fresh buffer: headers outermost-first, then
@@ -64,7 +69,8 @@ val copy_cost : t -> int
 
 val appendices : t -> (string * int) list
 (** [(owner, bits)] per pushed header, outermost first — the input to
-    {!Sublayer.Layout.check_appendix}. *)
+    {!Sublayer.Layout.check_appendix}. A header's bits are 8 times its
+    length. *)
 
 val outer_header : t -> Slice.t option
 (** The outermost pushed header's packed bytes, if any (zero-copy). *)

@@ -43,12 +43,13 @@ let write_data_header seq w =
 let data_wirebuf ~seq payload =
   Bitkit.Wirebuf.push
     (Bitkit.Wirebuf.of_string payload)
-    ~owner:"arq" (write_data_header seq)
+    ~owner:"arq" (Bitkit.Wirebuf.pack (write_data_header seq))
 
 let ack_wirebuf seq =
-  Bitkit.Wirebuf.push Bitkit.Wirebuf.empty ~owner:"arq" (fun w ->
-      Bitkit.Bitio.Writer.uint8 w 1;
-      Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF))
+  Bitkit.Wirebuf.push Bitkit.Wirebuf.empty ~owner:"arq"
+    (Bitkit.Wirebuf.pack (fun w ->
+         Bitkit.Bitio.Writer.uint8 w 1;
+         Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF)))
 
 type rx = Rx_data of int * Bitkit.Slice.t | Rx_ack of int
 
@@ -89,24 +90,6 @@ let digest_slice sl =
   !h
 
 let frame_key ~seq ~len ~digest = Printf.sprintf "dlf:%d:%d:%d" seq len digest
-
-module Fifo = struct
-  (* [front] then the reverse of [back]: a push conses onto [back], and a
-     pop that finds [front] empty reverses [back] once for all it holds. *)
-  type 'a t = { front : 'a list; back : 'a list }
-
-  let empty = { front = []; back = [] }
-  let is_empty = function { front = []; back = [] } -> true | _ -> false
-  let push q x = { q with back = x :: q.back }
-
-  let pop q =
-    match q.front with
-    | x :: front -> Some (x, { q with front })
-    | [] -> (
-        match List.rev q.back with
-        | [] -> None
-        | x :: front -> Some (x, { front; back = [] }))
-end
 
 type stats = {
   mutable data_sent : int;

@@ -8,9 +8,9 @@
     them behind the same interface. All are full duplex and deliver each
     accepted payload exactly once, in order, assuming the sublayer below
     only ever delivers uncorrupted PDUs (the error-detection sublayer's
-    contract). Payloads accepted beyond the window wait in a {!Fifo}
-    backlog that costs O(1) per frame, however many are handed over at
-    once. *)
+    contract). Payloads accepted beyond the window wait in a
+    {!Bitkit.Fifo} backlog that costs O(1) per frame, however many are
+    handed over at once. *)
 
 type config = {
   window : int;  (** sender window (ignored by stop-and-wait) *)
@@ -64,20 +64,6 @@ val digest_slice : Bitkit.Slice.t -> int
     slice variants agree on equal byte content. *)
 
 val frame_key : seq:int -> len:int -> digest:int -> string
-
-(** The sender's backlog of payloads not yet admitted to the window: a
-    persistent FIFO of two lists, O(1) amortised per payload, so a
-    backlog of [n] payloads costs O(n) in all. A persistent queue
-    re-reverses its back list on every pop whose result is thrown away,
-    so the variants check the window before they {!Fifo.pop}. *)
-module Fifo : sig
-  type 'a t
-
-  val empty : 'a t
-  val is_empty : 'a t -> bool
-  val push : 'a t -> 'a -> 'a t
-  val pop : 'a t -> ('a * 'a t) option
-end
 
 (** Statistics every implementation maintains, for efficiency benches.
     Since the observability PR this is a read-only snapshot of the

@@ -13,7 +13,7 @@ type t = {
   base : int;
   next : int;
   buf : (int * string) list;  (** unacked, ascending seq, = [base..next) *)
-  queue : string Arq.Fifo.t;  (** accepted, not yet admitted to the window *)
+  queue : string Bitkit.Fifo.t;  (** accepted, not yet admitted to the window *)
   rx_expected : int;
   retries : int;  (* consecutive timeouts with no window slide *)
   dead : bool;    (* max_retries exhausted; backlog was discarded *)
@@ -32,11 +32,11 @@ let initial ?stats ?span cfg =
     | None -> Arq.fresh_counters ()
   in
   let sp = Option.value span ~default:(Sublayer.Span.disabled name) in
-  { cfg; ctrs; sp; base = 0; next = 0; buf = []; queue = Arq.Fifo.empty;
+  { cfg; ctrs; sp; base = 0; next = 0; buf = []; queue = Bitkit.Fifo.empty;
     rx_expected = 0; retries = 0; dead = false }
 
 let stats t = Arq.snapshot t.ctrs
-let idle t = t.buf = [] && Arq.Fifo.is_empty t.queue
+let idle t = t.buf = [] && Bitkit.Fifo.is_empty t.queue
 let gave_up t = t.dead
 
 let wire seq = Sublayer.Seqspace.wrap Arq.seqspace seq
@@ -51,10 +51,10 @@ let transmit t seq payload =
   Down (Arq.data_wirebuf ~seq:(wire seq) payload)
 
 (* Admit queued payloads while the window has room; the window is checked
-   before the pop (see {!Arq.Fifo}). The timer is (re)armed iff anything
+   before the pop (see {!Bitkit.Fifo}). The timer is (re)armed iff anything
    is outstanding. *)
 let rec admit t acts =
-  match if t.next - t.base < t.cfg.window then Arq.Fifo.pop t.queue else None with
+  match if t.next - t.base < t.cfg.window then Bitkit.Fifo.pop t.queue else None with
   | Some (payload, queue) ->
       let seq = t.next in
       let t = { t with next = t.next + 1; buf = t.buf @ [ (seq, payload) ]; queue } in
@@ -74,7 +74,7 @@ let with_timer t acts =
 let handle_up_req t payload =
   if t.dead then (t, [ Note "link declared dead; payload dropped" ])
   else begin
-    let t = { t with queue = Arq.Fifo.push t.queue payload } in
+    let t = { t with queue = Bitkit.Fifo.push t.queue payload } in
     let t, acts = admit t [] in
     if acts = [] then (t, []) else with_timer t acts
   end
@@ -141,7 +141,7 @@ let handle_timer t Rto =
     Sublayer.Span.close_all t.sp ~detail:"dead" ();
     if Sublayer.Span.active t.sp then
       List.iter (fun (s, p) -> Sublayer.Span.unbind t.sp (fkey s p)) t.buf;
-    ( { t with buf = []; queue = Arq.Fifo.empty; dead = true },
+    ( { t with buf = []; queue = Bitkit.Fifo.empty; dead = true },
       [ Note "give up: max_retries exhausted" ] )
   end
   else begin

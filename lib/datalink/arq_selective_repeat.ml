@@ -12,7 +12,7 @@ type t = {
   base : int;
   next : int;
   buf : (int * string * bool) list;  (** (seq, payload, acked), ascending *)
-  queue : string Arq.Fifo.t;  (** accepted, not yet admitted to the window *)
+  queue : string Bitkit.Fifo.t;  (** accepted, not yet admitted to the window *)
   rx_expected : int;
   rx_buf : (int * Bitkit.Slice.t * int) list;
       (** (seq, payload view, sending-flight span id) of received frames,
@@ -36,11 +36,11 @@ let initial ?stats ?span cfg =
     | None -> Arq.fresh_counters ()
   in
   let sp = Option.value span ~default:(Sublayer.Span.disabled name) in
-  { cfg; ctrs; sp; base = 0; next = 0; buf = []; queue = Arq.Fifo.empty;
+  { cfg; ctrs; sp; base = 0; next = 0; buf = []; queue = Bitkit.Fifo.empty;
     rx_expected = 0; rx_buf = []; retries = 0; dead = false }
 
 let stats t = Arq.snapshot t.ctrs
-let idle t = t.buf = [] && Arq.Fifo.is_empty t.queue
+let idle t = t.buf = [] && Bitkit.Fifo.is_empty t.queue
 let gave_up t = t.dead
 
 let wire seq = Sublayer.Seqspace.wrap Arq.seqspace seq
@@ -54,9 +54,9 @@ let transmit t seq payload =
   Sublayer.Stats.incr t.ctrs.Arq.c_data_sent;
   Down (Arq.data_wirebuf ~seq:(wire seq) payload)
 
-(* The window is checked before the pop: see {!Arq.Fifo}. *)
+(* The window is checked before the pop: see {!Bitkit.Fifo}. *)
 let rec admit t acts =
-  match if t.next - t.base < t.cfg.window then Arq.Fifo.pop t.queue else None with
+  match if t.next - t.base < t.cfg.window then Bitkit.Fifo.pop t.queue else None with
   | Some (payload, queue) ->
       let seq = t.next in
       let t = { t with next = t.next + 1; buf = t.buf @ [ (seq, payload, false) ]; queue } in
@@ -71,7 +71,7 @@ let rec admit t acts =
 
 let handle_up_req t payload =
   if t.dead then (t, [ Note "link declared dead; payload dropped" ])
-  else admit { t with queue = Arq.Fifo.push t.queue payload } []
+  else admit { t with queue = Bitkit.Fifo.push t.queue payload } []
 
 let handle_ack t seq16 =
   let a = Sublayer.Seqspace.reconstruct Arq.seqspace ~reference:t.base seq16 in
@@ -173,7 +173,7 @@ let handle_timer t (Rto seq) =
           (fun (s, p, acked) ->
             if not acked then Sublayer.Span.unbind t.sp (fkey s p))
           t.buf;
-      ( { t with buf = []; queue = Arq.Fifo.empty; dead = true },
+      ( { t with buf = []; queue = Bitkit.Fifo.empty; dead = true },
         Note "give up: max_retries exhausted" :: cancels )
   | Some (_, payload, _) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;

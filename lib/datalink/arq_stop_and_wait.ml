@@ -11,7 +11,7 @@ type t = {
   sp : Sublayer.Span.ctx;
   next : int;
   outstanding : (int * string) option;
-  queue : string Arq.Fifo.t;  (* accepted while a PDU is outstanding *)
+  queue : string Bitkit.Fifo.t;  (* accepted while a PDU is outstanding *)
   rx_expected : int;
   retries : int;      (* consecutive timeouts for the outstanding PDU *)
   dead : bool;        (* max_retries exhausted; backlog was discarded *)
@@ -30,11 +30,11 @@ let initial ?stats ?span cfg =
     | None -> Arq.fresh_counters ()
   in
   let sp = Option.value span ~default:(Sublayer.Span.disabled name) in
-  { cfg; ctrs; sp; next = 0; outstanding = None; queue = Arq.Fifo.empty;
+  { cfg; ctrs; sp; next = 0; outstanding = None; queue = Bitkit.Fifo.empty;
     rx_expected = 0; retries = 0; dead = false }
 
 let stats t = Arq.snapshot t.ctrs
-let idle t = t.outstanding = None && Arq.Fifo.is_empty t.queue
+let idle t = t.outstanding = None && Bitkit.Fifo.is_empty t.queue
 let gave_up t = t.dead
 
 let wire seq = Sublayer.Seqspace.wrap Arq.seqspace seq
@@ -64,7 +64,7 @@ let handle_up_req t payload =
   else
     match t.outstanding with
     | None -> start_send t payload
-    | Some _ -> ({ t with queue = Arq.Fifo.push t.queue payload }, [])
+    | Some _ -> ({ t with queue = Bitkit.Fifo.push t.queue payload }, [])
 
 let handle_ack t seq16 =
   match t.outstanding with
@@ -76,7 +76,7 @@ let handle_ack t seq16 =
         Sublayer.Span.unbind t.sp (fkey seq sent)
       end;
       let t = { t with outstanding = None; retries = 0 } in
-      match Arq.Fifo.pop t.queue with
+      match Bitkit.Fifo.pop t.queue with
       | None -> (t, [ Cancel_timer Rto ])
       | Some (payload, queue) ->
           let t, acts = start_send { t with queue } payload in
@@ -123,7 +123,7 @@ let handle_timer t Rto =
       Sublayer.Span.close_all t.sp ~detail:"dead" ();
       if Sublayer.Span.active t.sp then
         Sublayer.Span.unbind t.sp (fkey seq sent);
-      ( { t with outstanding = None; queue = Arq.Fifo.empty; dead = true },
+      ( { t with outstanding = None; queue = Bitkit.Fifo.empty; dead = true },
         [ Note "give up: max_retries exhausted" ] )
   | Some (seq, payload) ->
       Sublayer.Stats.incr t.ctrs.Arq.c_retransmissions;

@@ -6,6 +6,7 @@ type conn = { local_port : int; remote_port : int }
 
 type t = {
   conn : conn;
+  header : string;  (* this connection's DM header, written once *)
   pool : Bitkit.Pool.t option;
   segments_out : Sublayer.Stats.counter;
   segments_in : Sublayer.Stats.counter;
@@ -25,6 +26,7 @@ let make ?stats ?span ?pool ~local_port ~remote_port () =
   in
   {
     conn = { local_port; remote_port };
+    header = Segment.write_dm { Segment.src_port = local_port; dst_port = remote_port };
     pool;
     segments_out = Sublayer.Stats.counter sc "segments_out";
     segments_in = Sublayer.Stats.counter sc "segments_in";
@@ -35,14 +37,11 @@ let make ?stats ?span ?pool ~local_port ~remote_port () =
 let conn t = t.conn
 
 let handle_up_req t pdu =
-  let header =
-    { Segment.src_port = t.conn.local_port; dst_port = t.conn.remote_port }
-  in
   Sublayer.Stats.incr t.segments_out;
   (* Demultiplexing is synchronous, so these mark T2 crossings rather
      than measure time; they carry no trace (DM cannot see one). *)
   Sublayer.Span.instant t.sp "segment_out";
-  let wb = Bitkit.Wirebuf.push pdu ~owner:"dm" (Segment.write_dm header) in
+  let wb = Bitkit.Wirebuf.push pdu ~owner:"dm" t.header in
   Segment.audit_wirebuf wb;
   match t.pool with
   | None -> (t, [ Down (Bitkit.Wirebuf.to_slice wb) ])

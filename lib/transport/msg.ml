@@ -140,7 +140,7 @@ let try_send t c =
           let pdu =
             Bitkit.Wirebuf.push
               (Bitkit.Wirebuf.of_string fragment)
-              ~owner:"msg" (write_header header)
+              ~owner:"msg" (Bitkit.Wirebuf.pack (write_header header))
           in
           if Sublayer.Span.active t.sp then begin
             (* Fragments inherit the message's trace; RD picks it up

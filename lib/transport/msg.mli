@@ -21,8 +21,8 @@ type header = { window : int; msg_id : int; frag_off : int; msg_len : int }
 val header_bytes : int
 
 val write_header : header -> Bitkit.Bitio.Writer.t -> unit
-(** Append just the header bits — the {!Bitkit.Wirebuf.push} form used on
-    the zero-copy transmit path. *)
+(** Append just the header bits; packed by {!Bitkit.Wirebuf.pack}, this
+    is what the zero-copy transmit path pushes. *)
 
 val encode_header : header -> payload:string -> string
 (** Legacy string codec (header + copied payload), kept as the reference

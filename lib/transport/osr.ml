@@ -160,7 +160,7 @@ let my_header t c =
     ecn_echo = t.now () -. c.last_ce < echo_period;
     ecn_ce = false }
 
-let block t c = Segment.encode_osr (my_header t c) ~payload:""
+let block t c = Segment.write_osr (my_header t c)
 
 (* Each write gets a fresh trace and a "buffer" span covering its wait in
    the outbound stream; [wq] remembers (offset, length, trace) so the
@@ -308,6 +308,12 @@ let stage t payload =
         (Bitkit.Pool.slice pool slot ~len, slot)
       end
 
+(* Stage [owned] at [offset] in the offset-ascending reassembly store;
+   offsets are unique there, so this is the sorted insert. *)
+let rec insert offset owned = function
+  | (off, _) as staged :: rest when off < offset -> staged :: insert offset owned rest
+  | rest -> (offset, owned) :: rest
+
 (* Insert a segment into the reassembly store and deliver the in-order
    prefix. Duplicate offsets cannot occur (RD delivers exactly once), but
    a segment at an already-delivered offset is ignored defensively.
@@ -332,9 +338,7 @@ let accept_segment t c offset payload =
       if offset = c.rcv_cum then (payload, Bitkit.Pool.no_slot)
       else stage t payload
     in
-    let reasm =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) ((offset, owned) :: c.reasm)
-    in
+    let reasm = insert offset owned c.reasm in
     let rec drain cum reasm delivered =
       match reasm with
       | (off, (sl, slot)) :: rest when off = cum ->

@@ -4,22 +4,18 @@ type t = (int * int) list
 let empty = []
 let is_empty t = t = []
 
-let add t lo hi =
-  if lo >= hi then (t, false)
-  else begin
-    (* Split into intervals strictly below, overlapping/adjacent, above. *)
-    let below = List.filter (fun (_, b) -> b < lo) t in
-    let above = List.filter (fun (a, _) -> a > hi) t in
-    let touching = List.filter (fun (a, b) -> b >= lo && a <= hi) t in
-    let merged_lo = List.fold_left (fun acc (a, _) -> min acc a) lo touching in
-    let merged_hi = List.fold_left (fun acc (_, b) -> max acc b) hi touching in
-    let covered =
-      List.fold_left (fun acc (a, b) -> acc + (min b hi - max a lo)) 0
-        (List.filter (fun (a, b) -> b > lo && a < hi) t)
-    in
-    let fresh = covered < hi - lo in
-    (below @ [ (merged_lo, merged_hi) ] @ above, fresh)
-  end
+(* [add]'s one walk over the sorted intervals: those ending before [lo]
+   are kept (collected reversed in [below]); those touching [lo, hi]
+   widen the merged interval and add the bytes of [lo, hi) they already
+   hold to [covered]; the first one starting past [hi] ends the walk. *)
+let rec merge lo hi below mlo mhi covered = function
+  | (_, b) as iv :: rest when b < lo -> merge lo hi (iv :: below) mlo mhi covered rest
+  | (a, b) :: rest when a <= hi ->
+      merge lo hi below (Int.min mlo a) (Int.max mhi b)
+        (covered + (Int.min b hi - Int.max a lo)) rest
+  | above -> (List.rev_append below ((mlo, mhi) :: above), covered < hi - lo)
+
+let add t lo hi = if lo >= hi then (t, false) else merge lo hi [] lo hi 0 t
 
 let cumulative = function (0, b) :: _ -> b | _ -> 0
 

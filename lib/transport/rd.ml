@@ -43,7 +43,7 @@ type conn = {
   isn_local : int;
   isn_remote : int;
   (* sender *)
-  sndq : sent list;  (* ascending offset *)
+  sndq : sent Bitkit.Fifo.t;  (* ascending offset *)
   snd_acked : int;
   snd_max : int;     (* high-water mark of submitted stream bytes *)
   dup_acks : int;
@@ -223,9 +223,9 @@ let handle_up_req t (req : up_req) =
               (Sublayer.Span.id_of t.sp ~key:(fkey offset))
           end;
           let act = send_data t c sent in
-          let was_idle = c.sndq = [] in
+          let was_idle = Bitkit.Fifo.is_empty c.sndq in
           let c =
-            { c with sndq = c.sndq @ [ sent ];
+            { c with sndq = Bitkit.Fifo.push c.sndq sent;
               snd_max = max c.snd_max (offset + len);
               (* an idle sender's give-up clock starts when data is
                  queued, not at establishment — else the first write
@@ -310,17 +310,15 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
                lo <= s.s_off && s.s_off + s.s_len <= hi)
              rd.Segment.sacks
       in
-      { c with sndq = List.map (fun s -> { s with s_sacked = sacked s }) c.sndq }
+      { c with sndq = Bitkit.Fifo.map (fun s -> { s with s_sacked = sacked s }) c.sndq }
     end
   in
   if acked_off > c.snd_acked && acked_off <= c.snd_max then begin
     (* New data acknowledged: [sndq] ascends by offset, so the acked
        segments are a prefix of it. *)
-    let rec split newly = function
-      | s :: rest when s.s_off + s.s_len <= acked_off -> split (s :: newly) rest
-      | remaining -> (List.rev newly, remaining)
+    let newly, remaining =
+      Bitkit.Fifo.split_while (fun s -> s.s_off + s.s_len <= acked_off) c.sndq
     in
-    let newly, remaining = split [] c.sndq in
     if Sublayer.Span.active t.sp then
       List.iter
         (fun s ->
@@ -354,14 +352,14 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
       { c with sndq = remaining; snd_acked = acked_off; dup_acks = 0;
         backoffs = 0; last_progress = t.now () }
     in
-    let timer_act = if remaining = [] then Cancel_timer Rto else arm_rto t c in
+    let timer_act = if Bitkit.Fifo.is_empty remaining then Cancel_timer Rto else arm_rto t c in
     (* The timer action must precede the [`Acked] indication: delivering
        it makes OSR release new segments synchronously, and those arm the
        RTO — a stale Cancel_timer sequenced afterwards would silently
        disarm it and deadlock the transfer. *)
     (c, [ timer_act; Up (`Acked (acked_off, osr_pdu, rtt_sample)) ])
   end
-  else if acked_off = c.snd_acked && c.sndq <> [] then begin
+  else if acked_off = c.snd_acked && not (Bitkit.Fifo.is_empty c.sndq) then begin
     (* Duplicate ack. Once the threshold is reached we enter SACK-style
        recovery: each further dupack may refetch the next hole (earliest
        unsacked segment not already retransmitted this window), so
@@ -369,7 +367,7 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
        congestion controller is told once per window. *)
     let c = { c with dup_acks = c.dup_acks + 1 } in
     if c.dup_acks >= t.cfg.Config.dupack_threshold then begin
-      match List.find_opt (fun s -> not (s.s_sacked || s.s_retx)) c.sndq with
+      match Bitkit.Fifo.find_opt (fun s -> not (s.s_sacked || s.s_retx)) c.sndq with
       | None -> (c, [])
       | Some victim ->
           Sublayer.Stats.incr t.ctrs.c_retransmits;
@@ -378,7 +376,7 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
             Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"fast" "retx";
           let resend = { victim with s_retx = true; s_sent_at = t.now () } in
           let sndq =
-            List.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
+            Bitkit.Fifo.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
           in
           let fresh_window = c.snd_acked >= c.recover in
           let c = { c with sndq; recover = (if fresh_window then c.snd_max else c.recover) } in
@@ -402,11 +400,11 @@ let handle_down_ind t (ind : down_ind) =
       match t.conn with
       | None ->
           let conn =
-            { isn_local; isn_remote; sndq = []; snd_acked = 0; snd_max = 0;
+            { isn_local; isn_remote; sndq = Bitkit.Fifo.empty; snd_acked = 0; snd_max = 0;
               dup_acks = 0; recover = 0; srtt = None; rttvar = 0.;
               rto = t.cfg.Config.rto_init;
               backoffs = 0; last_progress = t.now ();
-              block = Segment.encode_osr Segment.default_osr ~payload:"";
+              block = Segment.write_osr Segment.default_osr;
               rcv = Ranges.empty; ack_pending = false }
           in
           ({ t with conn = Some conn }, [ Up `Established ])
@@ -448,7 +446,7 @@ let handle_timer t tm =
           else (t, []))
   | Rto ->
   with_conn t (fun c ->
-      if c.sndq <> [] && give_up t c then begin
+      if (not (Bitkit.Fifo.is_empty c.sndq)) && give_up t c then begin
         (* Retransmission exhausted: the path is (as far as RD can tell)
            a blackhole. Abort upward with ETIMEDOUT semantics and tell
            CM to tear the connection down — all within this sublayer's
@@ -461,11 +459,11 @@ let handle_timer t tm =
             Cancel_timer Ack_delay; Up `Aborted; Down `Abort ] )
       end
       else
-      match List.find_opt (fun s -> not s.s_sacked) c.sndq with
+      match Bitkit.Fifo.find_opt (fun s -> not s.s_sacked) c.sndq with
       | None -> (
-          match c.sndq with
-          | [] -> (t, [])
-          | all_sacked :: _ ->
+          match Bitkit.Fifo.find_opt (fun _ -> true) c.sndq with
+          | None -> (t, [])
+          | Some all_sacked ->
               (* Everything outstanding is sacked but not cumulatively
                  acked: resend the oldest anyway. *)
               Sublayer.Stats.incr t.ctrs.c_retransmits;
@@ -474,7 +472,7 @@ let handle_timer t tm =
                 Sublayer.Span.child t.sp ~key:(fkey all_sacked.s_off) ~detail:"rto" "retx";
               let resend = { all_sacked with s_retx = true; s_sent_at = t.now () } in
               let sndq =
-                List.map (fun s -> if s.s_off = resend.s_off then resend else s) c.sndq
+                Bitkit.Fifo.map (fun s -> if s.s_off = resend.s_off then resend else s) c.sndq
               in
               let c =
                 { c with sndq; backoffs = c.backoffs + 1;
@@ -488,7 +486,7 @@ let handle_timer t tm =
             Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"rto" "retx";
           let resend = { victim with s_retx = true; s_sent_at = t.now () } in
           let sndq =
-            List.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
+            Bitkit.Fifo.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
           in
           let c =
             { c with sndq; backoffs = c.backoffs + 1;

@@ -1,16 +1,36 @@
-module W = Bitkit.Bitio.Writer
-module R = Bitkit.Bitio.Reader
 module Slice = Bitkit.Slice
 module Wirebuf = Bitkit.Wirebuf
 
-let catch_truncated f = match f () with v -> Some v | exception R.Truncated -> None
+(* Each sublayer's header has one writer and one reader. [write_x]
+   returns the header's exact bytes, filled by big-endian 8/16/32-bit
+   stores that mask every field to its width. [decode_x_slice] checks
+   the view's length once, reads the fields in place and returns a
+   zero-copy view of the rest. No bit writer, reader, closure or
+   exception is involved. The string forms [encode_x]/[decode_x] wrap
+   the same pair for callers holding whole strings, and charge the
+   payload bytes they copy. *)
 
-(* Each sublayer's codec comes in three forms sharing one header writer:
-   [write_x] appends just the header bits (the wirebuf push used by the
-   zero-copy transmit path), [encode_x] is the legacy string codec
-   (header + copied payload), and [decode_x_slice]/[decode_x] peel the
-   header off a slice/string, the slice form returning a zero-copy view
-   of the rest. *)
+(* Each store keeps the field's low 8, 16 or 32 bits: the mask [Bitio]
+   applies, negative values included. *)
+let set8 = Bytes.set_uint8
+let set16 = Bytes.set_uint16_be
+let set32 b i v = Bytes.set_int32_be b i (Int32.of_int v)
+let get8 = String.get_uint8
+let get16 = String.get_uint16_be
+let get32 s i = Int32.to_int (String.get_int32_be s i) land 0xFFFFFFFF
+let bit b mask = if b then mask else 0
+
+(* The view past an [n]-byte header. *)
+let rest (sl : Slice.t) n = Slice.sub sl ~pos:n ~len:(sl.len - n)
+
+let with_payload header payload =
+  Slice.note_copy (String.length payload);
+  header ^ payload
+
+let decode_string decode_slice s =
+  match decode_slice (Slice.of_string s) with
+  | None -> None
+  | Some (h, rest) -> Some (h, Slice.to_string rest)
 
 (* DM: src_port:16 dst_port:16 *)
 
@@ -18,40 +38,25 @@ type dm = { src_port : int; dst_port : int }
 
 let dm_header_bytes = 4
 
-let write_dm t w =
-  W.uint16 w t.src_port;
-  W.uint16 w t.dst_port
+let write_dm t =
+  let b = Bytes.create dm_header_bytes in
+  set16 b 0 t.src_port;
+  set16 b 2 t.dst_port;
+  Bytes.unsafe_to_string b
 
-let encode_dm t ~payload =
-  let w = W.create () in
-  write_dm t w;
-  W.bytes w payload;
-  W.contents w
-
-let read_dm r =
-  let src_port = R.uint16 r in
-  let dst_port = R.uint16 r in
-  { src_port; dst_port }
-
-let decode_dm s =
-  catch_truncated (fun () ->
-      let r = R.of_string s in
-      let h = read_dm r in
-      (h, R.rest r))
-
-let decode_dm_slice sl =
-  catch_truncated (fun () ->
-      let r = R.of_slice sl in
-      let h = read_dm r in
-      (h, R.rest_slice r))
-
-(* The demux reads the two ports straight from the view: no reader, no
-   handler. *)
-let peek_ports (sl : Slice.t) =
+let decode_dm_slice (sl : Slice.t) =
   if sl.len < dm_header_bytes then None
   else
     Some
-      (String.get_uint16_be sl.base sl.off, String.get_uint16_be sl.base (sl.off + 2))
+      ( { src_port = get16 sl.base sl.off; dst_port = get16 sl.base (sl.off + 2) },
+        rest sl dm_header_bytes )
+
+let encode_dm t ~payload = with_payload (write_dm t) payload
+let decode_dm s = decode_string decode_dm_slice s
+
+let peek_ports (sl : Slice.t) =
+  if sl.len < dm_header_bytes then None
+  else Some (get16 sl.base sl.off, get16 sl.base (sl.off + 2))
 
 (* CM: flags:8 (syn|ack|fin|rst|0000) isn_local:32 isn_remote:32 *)
 
@@ -63,45 +68,34 @@ type cm = { flags : cm_flags; isn_local : int; isn_remote : int }
 
 let cm_header_bytes = 9
 
-let write_cm t w =
+let write_cm t =
   let f = t.flags in
-  W.bit w f.syn;
-  W.bit w f.ack;
-  W.bit w f.fin;
-  W.bit w f.rst;
-  W.bits w 0 4;
-  W.uint32 w (t.isn_local land 0xFFFFFFFF);
-  W.uint32 w (t.isn_remote land 0xFFFFFFFF)
+  let b = Bytes.create cm_header_bytes in
+  set8 b 0 (bit f.syn 0x80 lor bit f.ack 0x40 lor bit f.fin 0x20 lor bit f.rst 0x10);
+  set32 b 1 t.isn_local;
+  set32 b 5 t.isn_remote;
+  Bytes.unsafe_to_string b
 
-let encode_cm t ~payload =
-  let w = W.create () in
-  write_cm t w;
-  W.bytes w payload;
-  W.contents w
+(* A data segment carries no flag, so it shares [no_cm_flags]. *)
+let cm_flags_of fl =
+  if fl land 0xF0 = 0 then no_cm_flags
+  else
+    { syn = fl land 0x80 <> 0; ack = fl land 0x40 <> 0; fin = fl land 0x20 <> 0;
+      rst = fl land 0x10 <> 0 }
 
-let read_cm r =
-  let syn = R.bit r in
-  let ack = R.bit r in
-  let fin = R.bit r in
-  let rst = R.bit r in
-  let _pad = R.bits r 4 in
-  let isn_local = R.uint32 r in
-  let isn_remote = R.uint32 r in
-  { flags = { syn; ack; fin; rst }; isn_local; isn_remote }
+let decode_cm_slice (sl : Slice.t) =
+  if sl.len < cm_header_bytes then None
+  else
+    let s = sl.base and o = sl.off in
+    Some
+      ( { flags = cm_flags_of (get8 s o); isn_local = get32 s (o + 1);
+          isn_remote = get32 s (o + 5) },
+        rest sl cm_header_bytes )
 
-let decode_cm s =
-  catch_truncated (fun () ->
-      let r = R.of_string s in
-      let h = read_cm r in
-      (h, R.rest r))
+let encode_cm t ~payload = with_payload (write_cm t) payload
+let decode_cm s = decode_string decode_cm_slice s
 
-let decode_cm_slice sl =
-  catch_truncated (fun () ->
-      let r = R.of_slice sl in
-      let h = read_cm r in
-      (h, R.rest_slice r))
-
-(* RD: seq:32 ack:32 flags:8 (has_data|has_ack|sack_count:2|0000),
+(* RD: seq:32 ack:32 len:16 flags:8 (has_data|has_ack|sack_count:2|0000),
    then sack_count * (start:32 end:32) *)
 
 type sack_block = { sack_start : int; sack_end : int }
@@ -117,56 +111,47 @@ type rd = {
 
 let rd_header_bytes = 11
 
-let write_rd t w =
-  let sacks =
-    if List.length t.sacks > 3 then invalid_arg "encode_rd: >3 sacks" else t.sacks
-  in
-  W.uint32 w (t.seq land 0xFFFFFFFF);
-  W.uint32 w (t.ack land 0xFFFFFFFF);
-  W.uint16 w (t.len land 0xFFFF);
-  W.bit w t.has_data;
-  W.bit w t.has_ack;
-  W.bits w (List.length sacks) 2;
-  W.bits w 0 4;
-  List.iter
-    (fun b ->
-      W.uint32 w (b.sack_start land 0xFFFFFFFF);
-      W.uint32 w (b.sack_end land 0xFFFFFFFF))
-    sacks
+let rec put_sacks b pos = function
+  | [] -> ()
+  | blk :: more ->
+      set32 b pos blk.sack_start;
+      set32 b (pos + 4) blk.sack_end;
+      put_sacks b (pos + 8) more
 
-let encode_rd t ~payload =
-  let w = W.create () in
-  write_rd t w;
-  W.bytes w payload;
-  W.contents w
+let write_rd t =
+  let n = List.length t.sacks in
+  if n > 3 then invalid_arg "encode_rd: >3 sacks";
+  let b = Bytes.create (rd_header_bytes + (8 * n)) in
+  set32 b 0 t.seq;
+  set32 b 4 t.ack;
+  set16 b 8 t.len;
+  set8 b 10 (bit t.has_data 0x80 lor bit t.has_ack 0x40 lor (n lsl 4));
+  put_sacks b rd_header_bytes t.sacks;
+  Bytes.unsafe_to_string b
 
-let read_rd r =
-  let seq = R.uint32 r in
-  let ack = R.uint32 r in
-  let len = R.uint16 r in
-  let has_data = R.bit r in
-  let has_ack = R.bit r in
-  let nsacks = R.bits r 2 in
-  let _pad = R.bits r 4 in
-  let sacks =
-    List.init nsacks (fun _ ->
-        let sack_start = R.uint32 r in
-        let sack_end = R.uint32 r in
-        { sack_start; sack_end })
-  in
-  { seq; ack; len; has_data; has_ack; sacks }
+let rec get_sacks s pos n =
+  if n = 0 then []
+  else
+    let blk = { sack_start = get32 s pos; sack_end = get32 s (pos + 4) } in
+    blk :: get_sacks s (pos + 8) (n - 1)
 
-let decode_rd s =
-  catch_truncated (fun () ->
-      let r = R.of_string s in
-      let h = read_rd r in
-      (h, R.rest r))
+let decode_rd_slice (sl : Slice.t) =
+  if sl.len < rd_header_bytes then None
+  else
+    let s = sl.base and o = sl.off in
+    let fl = get8 s (o + 10) in
+    let nsacks = (fl lsr 4) land 3 in
+    let hlen = rd_header_bytes + (8 * nsacks) in
+    if sl.len < hlen then None
+    else
+      Some
+        ( { seq = get32 s o; ack = get32 s (o + 4); len = get16 s (o + 8);
+            has_data = fl land 0x80 <> 0; has_ack = fl land 0x40 <> 0;
+            sacks = get_sacks s (o + rd_header_bytes) nsacks },
+          rest sl hlen )
 
-let decode_rd_slice sl =
-  catch_truncated (fun () ->
-      let r = R.of_slice sl in
-      let h = read_rd r in
-      (h, R.rest_slice r))
+let encode_rd t ~payload = with_payload (write_rd t) payload
+let decode_rd s = decode_string decode_rd_slice s
 
 (* OSR: window:16 flags:8 (ecn_echo|ecn_ce|000000) *)
 
@@ -176,36 +161,23 @@ let default_osr = { window = 0xFFFF; ecn_echo = false; ecn_ce = false }
 
 let osr_header_bytes = 3
 
-let write_osr t w =
-  W.uint16 w t.window;
-  W.bit w t.ecn_echo;
-  W.bit w t.ecn_ce;
-  W.bits w 0 6
+let write_osr t =
+  let b = Bytes.create osr_header_bytes in
+  set16 b 0 t.window;
+  set8 b 2 (bit t.ecn_echo 0x80 lor bit t.ecn_ce 0x40);
+  Bytes.unsafe_to_string b
 
-let encode_osr t ~payload =
-  let w = W.create () in
-  write_osr t w;
-  W.bytes w payload;
-  W.contents w
+let decode_osr_slice (sl : Slice.t) =
+  if sl.len < osr_header_bytes then None
+  else
+    let fl = get8 sl.base (sl.off + 2) in
+    Some
+      ( { window = get16 sl.base sl.off; ecn_echo = fl land 0x80 <> 0;
+          ecn_ce = fl land 0x40 <> 0 },
+        rest sl osr_header_bytes )
 
-let read_osr r =
-  let window = R.uint16 r in
-  let ecn_echo = R.bit r in
-  let ecn_ce = R.bit r in
-  let _pad = R.bits r 6 in
-  { window; ecn_echo; ecn_ce }
-
-let decode_osr s =
-  catch_truncated (fun () ->
-      let r = R.of_string s in
-      let h = read_osr r in
-      (h, R.rest r))
-
-let decode_osr_slice sl =
-  catch_truncated (fun () ->
-      let r = R.of_slice sl in
-      let h = read_osr r in
-      (h, R.rest_slice r))
+let encode_osr t ~payload = with_payload (write_osr t) payload
+let decode_osr s = decode_string decode_osr_slice s
 
 let header_bytes = dm_header_bytes + cm_header_bytes + rd_header_bytes + osr_header_bytes
 
@@ -259,8 +231,7 @@ let mark_ce wire =
                 | Some (osr, payload) ->
                     Wirebuf.of_slice payload
                     |> (fun wb ->
-                         Wirebuf.push wb ~owner:"osr"
-                           (write_osr { osr with ecn_ce = true }))
+                         Wirebuf.push wb ~owner:"osr" (write_osr { osr with ecn_ce = true }))
                     |> (fun wb -> Wirebuf.push wb ~owner:"rd" (write_rd rd))
                     |> (fun wb -> Wirebuf.push wb ~owner:"cm" (write_cm cm))
                     |> (fun wb -> Wirebuf.push wb ~owner:"dm" (write_dm dm))

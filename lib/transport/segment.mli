@@ -6,12 +6,13 @@
     after them as an opaque payload — test T3 holds by construction, and
     {!layout} lets tests audit the bit-level field map.
 
-    Each codec comes in three forms sharing one header writer: [write_x]
-    appends just the header bits to a caller-supplied writer (what a
-    {!Bitkit.Wirebuf} push uses on the zero-copy transmit path),
-    [encode_x] is the legacy string codec (header plus a copied payload),
-    and [decode_x_slice]/[decode_x] peel the header off a slice/string —
-    the slice form hands back a zero-copy view of the rest.
+    Each header has one writer and one reader. [write_x] returns the
+    header's exact bytes (big-endian stores, every field masked to its
+    width), ready for {!Bitkit.Wirebuf.push} on the zero-copy transmit
+    path. [decode_x_slice] checks the length once, reads the fields in
+    place and hands back a zero-copy view of the rest; it returns [None]
+    on a short view and never raises. [encode_x]/[decode_x] are string
+    wrappers over the same pair (header plus a copied payload).
 
     Sequence and acknowledgement numbers are absolute 32-bit values
     ([ISN + 1 + byte offset], as in standard TCP) so that the {!Shim} can
@@ -22,7 +23,7 @@
 type dm = { src_port : int; dst_port : int }
 
 val dm_header_bytes : int
-val write_dm : dm -> Bitkit.Bitio.Writer.t -> unit
+val write_dm : dm -> string
 val encode_dm : dm -> payload:string -> string
 val decode_dm : string -> (dm * string) option
 val decode_dm_slice : Bitkit.Slice.t -> (dm * Bitkit.Slice.t) option
@@ -42,7 +43,7 @@ type cm = {
 }
 
 val cm_header_bytes : int
-val write_cm : cm -> Bitkit.Bitio.Writer.t -> unit
+val write_cm : cm -> string
 val encode_cm : cm -> payload:string -> string
 val decode_cm : string -> (cm * string) option
 val decode_cm_slice : Bitkit.Slice.t -> (cm * Bitkit.Slice.t) option
@@ -64,7 +65,10 @@ type rd = {
 val rd_header_bytes : int
 (** Fixed part, without SACK blocks. *)
 
-val write_rd : rd -> Bitkit.Bitio.Writer.t -> unit
+val write_rd : rd -> string
+(** [rd_header_bytes + 8 * List.length sacks] bytes; raises
+    [Invalid_argument] on more than 3 SACK blocks. *)
+
 val encode_rd : rd -> payload:string -> string
 val decode_rd : string -> (rd * string) option
 val decode_rd_slice : Bitkit.Slice.t -> (rd * Bitkit.Slice.t) option
@@ -79,7 +83,7 @@ type osr = {
 
 val default_osr : osr
 val osr_header_bytes : int
-val write_osr : osr -> Bitkit.Bitio.Writer.t -> unit
+val write_osr : osr -> string
 val encode_osr : osr -> payload:string -> string
 val decode_osr : string -> (osr * string) option
 val decode_osr_slice : Bitkit.Slice.t -> (osr * Bitkit.Slice.t) option

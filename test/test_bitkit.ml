@@ -754,6 +754,46 @@ let test_hex_roundtrip () =
 let prop_hex_roundtrip =
   qtest "hex roundtrip" string_gen (fun s -> Hexdump.to_string (Hexdump.of_string s) = s)
 
+(* --- Fifo --- *)
+
+type fifo_op = Push of int | Pop | Map | Find of int | Split of int
+
+(* Every operation against a plain list in queue order: the same
+   results, and the same elements left in the same order. *)
+let prop_fifo_model =
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [ (4, map (fun x -> Push x) (0 -- 50)); (2, return Pop); (1, return Map);
+          (1, map (fun k -> Find k) (0 -- 60)); (1, map (fun k -> Split k) (0 -- 60)) ])
+  in
+  qtest "fifo = list model" QCheck2.Gen.(list_size (0 -- 60) op_gen) (fun ops ->
+      let rec drain q = match Fifo.pop q with None -> [] | Some (x, q) -> x :: drain q in
+      let rec prefix p = function
+        | x :: rest when p x -> let taken, rest = prefix p rest in (x :: taken, rest)
+        | l -> ([], l)
+      in
+      let step (q, model, ok) op =
+        let q, model, same =
+          match op with
+          | Push x -> (Fifo.push q x, model @ [ x ], true)
+          | Pop -> (
+              match (Fifo.pop q, model) with
+              | None, [] -> (q, model, true)
+              | Some (x, q), y :: model -> (q, model, x = y)
+              | _ -> (q, model, false))
+          | Map -> (Fifo.map succ q, List.map succ model, true)
+          | Find k -> (q, model, Fifo.find_opt (fun x -> x > k) q = List.find_opt (fun x -> x > k) model)
+          | Split k ->
+              let taken, q = Fifo.split_while (fun x -> x < k) q in
+              let taken', model = prefix (fun x -> x < k) model in
+              (q, model, taken = taken')
+        in
+        (q, model, ok && same && drain q = model && Fifo.is_empty q = (model = []))
+      in
+      let _, _, ok = List.fold_left step (Fifo.empty, [], true) ops in
+      ok)
+
 let () =
   Alcotest.run "bitkit"
     [
@@ -786,6 +826,7 @@ let () =
           Alcotest.test_case "truncated field consumes nothing" `Quick
             test_bitio_truncated_consumes_nothing;
         ] );
+      ("fifo", [ prop_fifo_model ]);
       ( "crc",
         [
           Alcotest.test_case "catalogue vectors" `Quick test_crc_catalogue;

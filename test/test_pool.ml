@@ -161,8 +161,7 @@ let prop_tests =
        bytes as a granted slot, just from the heap. *)
     qtest "overrun fallback emits identical bytes" payload_gen (fun data ->
         let wb =
-          Wirebuf.push (Wirebuf.of_string data) ~owner:"t" (fun w ->
-              Bitio.Writer.bytes w "\x01\x02\x03")
+          Wirebuf.push (Wirebuf.of_string data) ~owner:"t" "\x01\x02\x03"
         in
         let roomy = Pool.create ~slots:2 ~slot_bytes:128 () in
         let slot, pooled = Wirebuf.emit_pooled wb roomy in

@@ -303,9 +303,19 @@ let prop_ranges_model =
             end
           done;
           let rec cum i = if Hashtbl.mem model i then cum (i + 1) else i in
+          (* the maximal runs of the byte set, ascending: the one sorted,
+             disjoint, non-adjacent form the interval set may take *)
+          let rec runs i acc =
+            if i > 75 then List.rev acc
+            else if Hashtbl.mem model i then
+              let j = cum i in
+              runs j ((i, j) :: acc)
+            else runs (i + 1) acc
+          in
           fresh = !model_fresh
           && Ranges.cumulative !r = cum 0
-          && Ranges.total_bytes !r = Hashtbl.length model)
+          && Ranges.total_bytes !r = Hashtbl.length model
+          && Ranges.intervals !r = runs 0 [])
         ops)
 
 (* --- CM driven as a pure machine --- *)

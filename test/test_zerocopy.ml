@@ -1,7 +1,7 @@
 (* Property tests for the zero-copy data path: every sublayer's slice
-   decoder must agree with its legacy string codec on random inputs
+   decoder must agree with its reference string codec on random inputs
    (including truncated and garbage ones, without raising), the wirebuf
-   push path must emit bit-identical bytes to the string encoders, slice
+   push path must emit bit-identical bytes to the reference encoders, slice
    decoding must be position-independent (a view into the middle of a
    larger buffer decodes the same), and whole seeded runs must be
    bit-identical between the copying (eager) and zero-copy (lazy) wirebuf
@@ -20,18 +20,24 @@ let garbage_gen = QCheck2.Gen.(string_size ~gen:char (0 -- 24))
 let u16 = QCheck2.Gen.(0 -- 0xFFFF)
 let u32 = QCheck2.Gen.(0 -- 0xFFFFFFFF)
 
-let dm_gen =
+(* A field as a caller may hand it to a writer: mostly within its width,
+   sometimes any int at all, negative ones included. The writers must
+   mask exactly as [Bitio] does. *)
+let wide bits =
+  QCheck2.Gen.(frequency [ (3, 0 -- ((1 lsl bits) - 1)); (1, int) ])
+
+let dm_of u16 =
   QCheck2.Gen.(
     map (fun (s, d) -> { Segment.src_port = s; dst_port = d }) (pair u16 u16))
 
-let cm_gen =
+let cm_of u32 =
   QCheck2.Gen.(
     map
       (fun ((syn, ack, fin, rst), (il, ir)) ->
         { Segment.flags = { syn; ack; fin; rst }; isn_local = il; isn_remote = ir })
       (pair (quad bool bool bool bool) (pair u32 u32)))
 
-let rd_gen =
+let rd_of u16 u32 =
   QCheck2.Gen.(
     map
       (fun ((seq, ack, len), (has_data, has_ack), sacks) ->
@@ -43,7 +49,7 @@ let rd_gen =
       (triple (triple u32 u32 u16) (pair bool bool)
          (list_size (0 -- 3) (pair u32 u32))))
 
-let osr_gen =
+let osr_of u16 =
   QCheck2.Gen.(
     map
       (fun (window, ecn_echo, ecn_ce) -> { Segment.window; ecn_echo; ecn_ce })
@@ -71,9 +77,26 @@ let offset_slice s =
   let padded = "\xAA\xBB\xCC" ^ s ^ "\xDD" in
   Bitkit.Slice.sub (Bitkit.Slice.of_string padded) ~pos:3 ~len:(String.length s)
 
-(* One sublayer codec: string decode, slice decode (at offset 0 and
-   mid-buffer), and the wirebuf push path must all tell the same story. *)
-let codec_props name hgen ~encode ~decode ~decode_slice ~write ~owner =
+(* One header codec against its reference string codec [encode]/[decode]
+   ([Codec_oracle]'s Bitio codec for the transport headers): the
+   library's [decode_slice] must agree with it on valid, garbage and
+   truncated input, read whole or as a mid-buffer view, and the
+   library's [write] must emit the reference bytes for any field values
+   [wide] draws. *)
+let codec_props name hgen ~wide ~encode ~decode ~decode_slice ~write ~owner =
+  let agree s =
+    match
+      ( decode s,
+        decode_slice (Bitkit.Slice.of_string s),
+        decode_slice (offset_slice s) )
+    with
+    | None, None, None -> true
+    | Some (h1, p1), Some (h2, p2), Some (h3, p3) ->
+        h1 = h2 && h1 = h3
+        && Bitkit.Slice.equal_string p2 p1
+        && Bitkit.Slice.equal_string p3 p1
+    | _ -> false
+  in
   [ qtest (name ^ ": slice decode = string decode")
       (QCheck2.Gen.pair hgen payload_gen)
       (fun (h, p) ->
@@ -90,61 +113,91 @@ let codec_props name hgen ~encode ~decode ~decode_slice ~write ~owner =
         | Some (h', p') -> h' = h && Bitkit.Slice.equal_string p' p
         | None -> false);
     qtest (name ^ ": wirebuf push emits identical bytes")
-      (QCheck2.Gen.pair hgen payload_gen)
+      (QCheck2.Gen.pair wide payload_gen)
       (fun (h, p) ->
         let wb =
           Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string p) ~owner (write h)
         in
         Bitkit.Wirebuf.to_string wb = encode h ~payload:p);
-    qtest (name ^ ": garbage never raises, decoders agree") garbage_gen
-      (fun s ->
-        match (decode s, decode_slice (Bitkit.Slice.of_string s)) with
-        | None, None -> true
-        | Some (h1, p1), Some (h2, p2) ->
-            h1 = h2 && Bitkit.Slice.equal_string p2 p1
-        | _ -> false);
+    qtest (name ^ ": garbage never raises, decoders agree") garbage_gen agree;
     qtest (name ^ ": truncation -> None without raising")
-      (QCheck2.Gen.pair hgen payload_gen)
+      (QCheck2.Gen.pair wide payload_gen)
       (fun (h, p) ->
+        (* every strict prefix must decode alike everywhere, and every
+           prefix short of the whole header (SACK blocks included) must
+           be rejected *)
         let s = encode h ~payload:p in
-        (* every strict prefix short of the fixed header must be rejected
-           the same way by both decoders *)
-        let ok = ref true in
-        for cut = 0 to String.length s - 1 do
-          let short = String.sub s 0 cut in
-          match (decode short, decode_slice (Bitkit.Slice.of_string short)) with
-          | None, None -> ()
-          | Some (h1, p1), Some (h2, p2) ->
-              if not (h1 = h2 && Bitkit.Slice.equal_string p2 p1) then ok := false
-          | _ -> ok := false
-        done;
-        !ok)
+        let header_len = String.length (encode h ~payload:"") in
+        List.for_all
+          (fun cut ->
+            let short = String.sub s 0 cut in
+            agree short
+            && (cut >= header_len || decode_slice (offset_slice short) = None))
+          (List.init (String.length s) Fun.id))
   ]
 
+(* The transport headers also keep string forms, which must wrap the
+   same codec — same bytes, same decodes, same bytes charged to the copy
+   counter — and each header must be exactly its owner's bits in the
+   Figure 6 layout, plus one 64-bit block per SACK for RD. *)
+let transport_props name hgen wgen ~encode ~decode ~decode_slice ~write
+    ~lib_encode ~lib_decode ~sack_blocks =
+  let charged f =
+    let before = Bitkit.Slice.copied_bytes () in
+    let v = f () in
+    (v, Bitkit.Slice.copied_bytes () - before)
+  in
+  codec_props name hgen ~wide:wgen ~encode ~decode ~decode_slice ~write ~owner:name
+  @ [ qtest (name ^ ": string forms = oracle")
+        QCheck2.Gen.(triple wgen payload_gen garbage_gen)
+        (fun (h, p, g) ->
+          let s = encode h ~payload:p in
+          charged (fun () -> lib_encode h ~payload:p)
+          = charged (fun () -> encode h ~payload:p)
+          && List.for_all
+               (fun s -> charged (fun () -> lib_decode s) = charged (fun () -> decode s))
+               [ s; g; String.sub s 0 (String.length s / 2) ]);
+      qtest (name ^ ": header bits = layout bits") wgen (fun h ->
+          8 * String.length (write h)
+          = Sublayer.Layout.bits_of Segment.layout name + (64 * sack_blocks h))
+    ]
+
+let no_sacks _ = 0
+
 let dm_props =
-  codec_props "dm" dm_gen ~encode:Segment.encode_dm ~decode:Segment.decode_dm
-    ~decode_slice:Segment.decode_dm_slice ~write:Segment.write_dm ~owner:"dm"
+  transport_props "dm" (dm_of u16) (dm_of (wide 16))
+    ~encode:Codec_oracle.encode_dm ~decode:Codec_oracle.decode_dm
+    ~decode_slice:Segment.decode_dm_slice ~write:Segment.write_dm
+    ~lib_encode:Segment.encode_dm ~lib_decode:Segment.decode_dm ~sack_blocks:no_sacks
 
 let cm_props =
-  codec_props "cm" cm_gen ~encode:Segment.encode_cm ~decode:Segment.decode_cm
-    ~decode_slice:Segment.decode_cm_slice ~write:Segment.write_cm ~owner:"cm"
+  transport_props "cm" (cm_of u32) (cm_of (wide 32))
+    ~encode:Codec_oracle.encode_cm ~decode:Codec_oracle.decode_cm
+    ~decode_slice:Segment.decode_cm_slice ~write:Segment.write_cm
+    ~lib_encode:Segment.encode_cm ~lib_decode:Segment.decode_cm ~sack_blocks:no_sacks
 
 let rd_props =
-  codec_props "rd" rd_gen ~encode:Segment.encode_rd ~decode:Segment.decode_rd
-    ~decode_slice:Segment.decode_rd_slice ~write:Segment.write_rd ~owner:"rd"
+  transport_props "rd" (rd_of u16 u32) (rd_of (wide 16) (wide 32))
+    ~encode:Codec_oracle.encode_rd ~decode:Codec_oracle.decode_rd
+    ~decode_slice:Segment.decode_rd_slice ~write:Segment.write_rd
+    ~lib_encode:Segment.encode_rd ~lib_decode:Segment.decode_rd
+    ~sack_blocks:(fun h -> List.length h.Segment.sacks)
 
 let osr_props =
-  codec_props "osr" osr_gen ~encode:Segment.encode_osr
-    ~decode:Segment.decode_osr ~decode_slice:Segment.decode_osr_slice
-    ~write:Segment.write_osr ~owner:"osr"
+  transport_props "osr" (osr_of u16) (osr_of (wide 16))
+    ~encode:Codec_oracle.encode_osr ~decode:Codec_oracle.decode_osr
+    ~decode_slice:Segment.decode_osr_slice ~write:Segment.write_osr
+    ~lib_encode:Segment.encode_osr ~lib_decode:Segment.decode_osr ~sack_blocks:no_sacks
 
 let msg_props =
-  codec_props "msg" msg_gen ~encode:Msg.encode_header
+  codec_props "msg" msg_gen ~wide:msg_gen ~encode:Msg.encode_header
     ~decode:(fun s ->
       match Msg.decode_header_slice (Bitkit.Slice.of_string s) with
       | Some (h, p) -> Some (h, Bitkit.Slice.to_string p)
       | None -> None)
-    ~decode_slice:Msg.decode_header_slice ~write:Msg.write_header ~owner:"msg"
+    ~decode_slice:Msg.decode_header_slice
+    ~write:(fun h -> Bitkit.Wirebuf.pack (Msg.write_header h))
+    ~owner:"msg"
 
 (* --- The RFC 793 wire codec (checksummed, so garbage mostly fails) --- *)
 
@@ -261,8 +314,7 @@ let wirebuf_gen =
       (fun (p, headers) ->
         List.fold_left
           (fun wb h ->
-            Bitkit.Wirebuf.push wb ~owner:"hdr" (fun w ->
-                Bitkit.Bitio.Writer.bytes w h))
+            Bitkit.Wirebuf.push wb ~owner:"hdr" h)
           (Bitkit.Wirebuf.of_string p) headers)
       (pair payload_gen (list_size (0 -- 4) header_gen)))
 
@@ -292,8 +344,7 @@ let chain_digest_props =
             let wb =
               Bitkit.Wirebuf.push
                 (Bitkit.Wirebuf.of_slice (offset_slice p))
-                ~owner:"hdr"
-                (fun w -> Bitkit.Bitio.Writer.bytes w h)
+                ~owner:"hdr" h
             in
             let trailer = protect_trailer d (Bitkit.Wirebuf.to_string wb) in
             let b = Bytes.make (max n 1) '\x00' in
@@ -344,8 +395,8 @@ let test_rec_pooled_seal_identical () =
     let wb =
       if i mod 2 = 0 then Bitkit.Wirebuf.of_string payload
       else
-        Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string payload) ~owner:"cm" (fun w ->
-            Bitkit.Bitio.Writer.bits w i 24)
+        Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string payload) ~owner:"cm"
+          (Bitkit.Wirebuf.pack (fun w -> Bitkit.Bitio.Writer.bits w i 24))
     in
     let out r =
       match Rec.handle_up_req !r wb with
