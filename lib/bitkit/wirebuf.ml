@@ -84,12 +84,6 @@ let emit_pooled t pool =
 let to_string t =
   if t.headers = [] then Slice.to_string t.payload else emit t
 
-let pack f =
-  let w = Bitio.Writer.create ~size:32 () in
-  f w;
-  Bitio.Writer.pad_to_byte w;
-  Bitio.Writer.contents w
-
 let push t ~owner h_bytes =
   if Atomic.get eager_mode then begin
     (* Legacy path: materialize on every crossing. *)

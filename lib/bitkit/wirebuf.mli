@@ -2,7 +2,7 @@
     already-packed sublayer headers, outermost first.
 
     This is the transmit half of the zero-copy data path. Each descending
-    sublayer {!push}es its header bits; nothing is concatenated until the
+    sublayer {!push}es its header bytes; nothing is concatenated until the
     packet reaches the wire and {!emit}/{!to_slice} lays headers and
     payload into a single buffer. Values are persistent: [push] returns a
     new wirebuf sharing the tail, so retransmit queues can safely hold a
@@ -18,14 +18,10 @@ val length : t -> int
 (** Total bytes: headers plus payload. *)
 
 val push : t -> owner:string -> string -> t
-(** [push t ~owner header] makes [header], a sublayer's packed header
-    bytes, the new outermost header. [owner] names the sublayer for
-    {!appendices} audits. *)
-
-val pack : (Bitio.Writer.t -> unit) -> string
-(** [pack f] runs [f] on a fresh {!Bitio} writer and returns the
-    byte-padded result: the argument {!push} takes, for headers written
-    field by field. *)
+(** [push t ~owner header] makes [header] the new outermost header:
+    the exact bytes its sublayer's writer returned, always a whole number
+    of bytes. Nothing is copied (outside eager mode, below). [owner]
+    names the sublayer for {!appendices} audits. *)
 
 val emit : t -> string
 (** Lay the packet into one fresh buffer: headers outermost-first, then

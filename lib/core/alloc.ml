@@ -102,3 +102,16 @@ let cross c =
     charge ctx;
     ctx.cur <- c
   end
+
+type pair = cell option * cell option
+
+let wrap_taps alloc obs_req obs_ind =
+  match alloc with
+  | None | Some (None, None) -> (obs_req, obs_ind)
+  | Some (above, below) ->
+      ( (fun r ->
+          cross below;
+          obs_req r),
+        fun i ->
+          cross above;
+          obs_ind i )

@@ -67,3 +67,16 @@ val cross : cell option -> unit
 (** Charge the open interval to the current cell and make [cell]
     current, without pushing — used by probe taps as a message passes a
     T2 boundary. *)
+
+type pair = cell option * cell option
+(** [(above, below)]: the cells on either side of one T2 boundary. A
+    request heading down charges what follows to [below], an indication
+    heading up to [above]. *)
+
+val wrap_taps :
+  pair option -> ('req -> unit) -> ('ind -> unit) -> ('req -> unit) * ('ind -> unit)
+(** [wrap_taps alloc obs_req obs_ind] is the probe charging policy,
+    "cross before observe": each observer first {!cross}es into the
+    destination's cell, so the observation itself is charged with the
+    destination's step. With no cells ([None] or [Some (None, None)])
+    the observers come back unwrapped, and crossings are unattributed. *)

@@ -2,69 +2,39 @@ type config = { window : int; rto : float; max_retries : int }
 
 let default_config = { window = 8; rto = 0.25; max_retries = 30 }
 
-type pdu = Data of int * string | Ack of int
-
 let seqspace = Sublayer.Seqspace.create ~width:16
 
-let encode_pdu pdu =
-  let w = Bitkit.Bitio.Writer.create () in
-  (match pdu with
-  | Data (seq, payload) ->
-      Bitkit.Bitio.Writer.uint8 w 0;
-      Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF);
-      Bitkit.Bitio.Writer.bytes w payload
-  | Ack seq ->
-      Bitkit.Bitio.Writer.uint8 w 1;
-      Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF));
-  Bitkit.Bitio.Writer.contents w
+(* kind:8 (0 data, 1 ack) seq:16, then a data PDU's payload. Data PDUs
+   start the packet's wirebuf (the detector below appends its trailer
+   at materialisation), and received PDUs are read in place as views of
+   the frame: the payload only becomes an owned string when the ARQ
+   delivers it to the application. *)
 
-let decode_pdu s =
-  match
-    let r = Bitkit.Bitio.Reader.of_string s in
-    let kind = Bitkit.Bitio.Reader.uint8 r in
-    let seq = Bitkit.Bitio.Reader.uint16 r in
-    match kind with
-    | 0 -> Some (Data (seq, Bitkit.Bitio.Reader.rest r))
-    | 1 -> if Bitkit.Bitio.Reader.remaining_bits r = 0 then Some (Ack seq) else None
-    | _ -> None
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
+let header_bytes = 3
 
-(* The zero-copy wire crossing: data PDUs start the packet's wirebuf
-   (the detector below appends its trailer at materialisation), and
-   received PDUs decode as views of the frame — the payload only becomes
-   an owned string when the ARQ delivers it to the application. *)
-
-let write_data_header seq w =
-  Bitkit.Bitio.Writer.uint8 w 0;
-  Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF)
+let header kind seq =
+  let b = Bytes.create header_bytes in
+  Bytes.set_uint8 b 0 kind;
+  Bytes.set_uint16_be b 1 seq;
+  Bytes.unsafe_to_string b
 
 let data_wirebuf ~seq payload =
-  Bitkit.Wirebuf.push
-    (Bitkit.Wirebuf.of_string payload)
-    ~owner:"arq" (Bitkit.Wirebuf.pack (write_data_header seq))
+  Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string payload) ~owner:"arq" (header 0 seq)
 
-let ack_wirebuf seq =
-  Bitkit.Wirebuf.push Bitkit.Wirebuf.empty ~owner:"arq"
-    (Bitkit.Wirebuf.pack (fun w ->
-         Bitkit.Bitio.Writer.uint8 w 1;
-         Bitkit.Bitio.Writer.uint16 w (seq land 0xFFFF)))
+let ack_wirebuf seq = Bitkit.Wirebuf.push Bitkit.Wirebuf.empty ~owner:"arq" (header 1 seq)
 
 type rx = Rx_data of int * Bitkit.Slice.t | Rx_ack of int
 
-let decode_pdu_slice sl =
-  match
-    let r = Bitkit.Bitio.Reader.of_slice sl in
-    let kind = Bitkit.Bitio.Reader.uint8 r in
-    let seq = Bitkit.Bitio.Reader.uint16 r in
-    match kind with
-    | 0 -> Some (Rx_data (seq, Bitkit.Bitio.Reader.rest_slice r))
-    | 1 -> if Bitkit.Bitio.Reader.remaining_bits r = 0 then Some (Rx_ack seq) else None
+let decode_pdu_slice (sl : Bitkit.Slice.t) =
+  if sl.len < header_bytes then None
+  else
+    let seq = String.get_uint16_be sl.base (sl.off + 1) in
+    match String.get_uint8 sl.base sl.off with
+    | 0 ->
+        let payload = Bitkit.Slice.sub sl ~pos:header_bytes ~len:(sl.len - header_bytes) in
+        Some (Rx_data (seq, payload))
+    | 1 when sl.len = header_bytes -> Some (Rx_ack seq)
     | _ -> None
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
 
 (* Frame-identity correlation: a key both ends of the link can
    reconstruct from the frame content alone — wire sequence number,
@@ -91,19 +61,10 @@ let digest_slice sl =
 
 let frame_key ~seq ~len ~digest = Printf.sprintf "dlf:%d:%d:%d" seq len digest
 
-type stats = {
-  mutable data_sent : int;
-  mutable retransmissions : int;
-  mutable acks_sent : int;
-  mutable delivered : int;
-}
-
-let fresh_stats () =
-  { data_sent = 0; retransmissions = 0; acks_sent = 0; delivered = 0 }
+type stats = { data_sent : int; retransmissions : int; acks_sent : int; delivered : int }
 
 (* Counter bundle shared by the three ARQ variants.  The hot path bumps
-   these [Stats] cells; [snapshot] rebuilds the legacy [stats] record for
-   callers that read fields directly. *)
+   these [Stats] cells; [snapshot] reads them into a [stats] record. *)
 type counters = {
   c_data_sent : Sublayer.Stats.counter;
   c_retransmissions : Sublayer.Stats.counter;

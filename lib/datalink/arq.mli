@@ -22,32 +22,33 @@ type config = {
 
 val default_config : config
 
-(** Wire format owned by this sublayer: a kind byte, a 16-bit sequence
-    number, and for data PDUs the payload. *)
-type pdu =
-  | Data of int * string  (** [Data (seq16, payload)] *)
-  | Ack of int            (** cumulative for go-back-N, individual else *)
+(** {2 Wire format}
 
-val encode_pdu : pdu -> string
-val decode_pdu : string -> pdu option
+    This sublayer owns a 3-byte header: a kind byte (0 data, 1 ack) and a
+    big-endian 16-bit sequence number, followed by the payload in a data
+    PDU. It has one writer and one reader. On transmit the ARQ starts the
+    packet's {!Bitkit.Wirebuf}: the header's bytes, written by stores, are
+    pushed in front of the payload without copying it. On receive it
+    reads a {!Bitkit.Slice} of the verified frame in place, materialising
+    the payload only at delivery. *)
 
-(** {2 Zero-copy wire crossing}
-
-    On transmit the ARQ starts the packet's {!Bitkit.Wirebuf} — its
-    header is pushed in front of the payload view without copying either
-    — and on receive it decodes a {!Bitkit.Slice} of the verified frame,
-    materialising the payload only at delivery. [encode_pdu]/[decode_pdu]
-    remain as the reference string codec (and property tests check the
-    two agree). *)
+val header_bytes : int
 
 val data_wirebuf : seq:int -> string -> Bitkit.Wirebuf.t
+(** A data PDU; [seq] is stored as its low 16 bits. *)
+
 val ack_wirebuf : int -> Bitkit.Wirebuf.t
+(** An ACK (cumulative for go-back-N, individual else): the header
+    alone. *)
 
 type rx =
   | Rx_data of int * Bitkit.Slice.t  (** payload as a view of the frame *)
   | Rx_ack of int
 
 val decode_pdu_slice : Bitkit.Slice.t -> rx option
+(** One length check, then the fields in place. A data PDU needs kind 0;
+    an ACK needs kind 1 and exactly {!header_bytes} bytes. [None] for
+    anything else; never raises. *)
 
 (** {2 Frame-identity correlation}
 
@@ -65,18 +66,14 @@ val digest_slice : Bitkit.Slice.t -> int
 
 val frame_key : seq:int -> len:int -> digest:int -> string
 
-(** Statistics every implementation maintains, for efficiency benches.
-    Since the observability PR this is a read-only snapshot of the
-    machine's {!counters}; the mutable fields remain only for
-    compatibility with existing readers. *)
+(** Statistics every implementation maintains, for efficiency benches:
+    a read-only snapshot of the machine's {!counters}. *)
 type stats = {
-  mutable data_sent : int;        (** data PDUs sent, incl. retransmissions *)
-  mutable retransmissions : int;
-  mutable acks_sent : int;
-  mutable delivered : int;
+  data_sent : int;        (** data PDUs sent, incl. retransmissions *)
+  retransmissions : int;
+  acks_sent : int;
+  delivered : int;
 }
-
-val fresh_stats : unit -> stats
 
 (** The counter bundle every ARQ variant owns and bumps on its hot path
     (fields exposed so the sibling implementations can reach them). *)

@@ -23,23 +23,6 @@ end)
 
 let nop _ = ()
 
-type alloc_pair = Sublayer.Alloc.cell option * Sublayer.Alloc.cell option
-
-(* Same discipline as the transport probes: a request heading down means
-   the machine below runs next, an indication heading up the machine
-   above; cross first so the observation itself is charged with the
-   destination's step. No-ops while [Sublayer.Alloc] is disabled. *)
-let with_alloc alloc obs_req obs_ind =
-  match alloc with
-  | None | Some (None, None) -> (obs_req, obs_ind)
-  | Some (above, below) ->
-      ( (fun r ->
-          Sublayer.Alloc.cross below;
-          obs_req r),
-        fun i ->
-          Sublayer.Alloc.cross above;
-          obs_ind i )
-
 let arq_det ?alloc mon ~key ~variant ~window =
   let obs_req, obs_ind =
     match mon with
@@ -57,20 +40,14 @@ let arq_det ?alloc mon ~key ~variant ~window =
       let d_data = idd "data" and d_ack = idd "ack"
       and u_data = idu "data" and u_ack = idu "ack" in
       let ob mid ~a ~b = Monitor.Runtime.observe inst mid ~a ~b in
-      (* The outer header of an outgoing wirebuf is the ARQ's own: a kind
-         byte then a big-endian 16-bit sequence number. *)
+      (* The outer header of an outgoing wirebuf is the ARQ's own, so
+         the ARQ's reader decodes it; the payload follows it. *)
       let obs_req buf =
-        match Bitkit.Wirebuf.outer_header buf with
-        | Some h when Bitkit.Slice.length h >= 3 ->
-            let kind = Char.code (Bitkit.Slice.get h 0) in
-            let seq =
-              (Char.code (Bitkit.Slice.get h 1) lsl 8)
-              lor Char.code (Bitkit.Slice.get h 2)
-            in
-            if kind = 0 then
-              ob d_data ~a:seq ~b:(Bitkit.Wirebuf.length buf - 3)
-            else if kind = 1 then ob d_ack ~a:seq ~b:0
-        | _ -> ()
+        match Option.bind (Bitkit.Wirebuf.outer_header buf) Arq.decode_pdu_slice with
+        | Some (Arq.Rx_data (seq, _)) ->
+            ob d_data ~a:seq ~b:(Bitkit.Wirebuf.length buf - Arq.header_bytes)
+        | Some (Arq.Rx_ack seq) -> ob d_ack ~a:seq ~b:0
+        | None -> ()
       and obs_ind sl =
         match Arq.decode_pdu_slice sl with
         | Some (Arq.Rx_data (seq, payload)) ->
@@ -80,7 +57,7 @@ let arq_det ?alloc mon ~key ~variant ~window =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_arq_det.obs_req; obs_ind }
 
 let spec_det_frm =
@@ -105,7 +82,7 @@ let det_frm ?alloc mon ~key =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_det_frm.obs_req; obs_ind }
 
 let frm_line ?alloc mon ~key =
@@ -124,5 +101,5 @@ let frm_line ?alloc mon ~key =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_frm_line.obs_req; obs_ind }

@@ -2,7 +2,8 @@
     (with decoded sequence numbers checked against the ARQ variant's
     window discipline), detector⇄framer and framer⇄linecode (length
     sanity). Mirrors {!Transport.Conform}: the probes are always in the
-    composition and carry no-op closures when no registry is given. *)
+    composition and carry no-op closures when no registry is given, and
+    [?alloc] cells charge crossings through {!Sublayer.Alloc.wrap_taps}. *)
 
 module P_arq_det : sig
   type t = {
@@ -52,12 +53,8 @@ module P_frm_line : sig
        and type timer = Sublayer.Machine.Nothing.t
 end
 
-type alloc_pair = Sublayer.Alloc.cell option * Sublayer.Alloc.cell option
-(** [(above, below)] cells for {!Sublayer.Alloc} crossings at this
-    boundary, as in {!Transport.Conform}. *)
-
 val arq_det :
-  ?alloc:alloc_pair ->
+  ?alloc:Sublayer.Alloc.pair ->
   Monitor.Runtime.t option ->
   key:string ->
   variant:string ->
@@ -65,13 +62,13 @@ val arq_det :
   P_arq_det.t
 (** [variant] is the ARQ module's [name] ("arq-sw", "arq-gbn",
     "arq-sr"); unknown names get the most permissive (selective-repeat)
-    window discipline. Down PDUs are decoded from the wirebuf's outer
-    header, Up PDUs via {!Arq.decode_pdu_slice}; undecodable PDUs are
-    skipped — a frame the detector wrongly let through is not the
-    interface's protocol violation. *)
+    window discipline. Down PDUs are read from the wirebuf's outer
+    header, Up PDUs from the frame, both by {!Arq.decode_pdu_slice};
+    undecodable PDUs are skipped — a frame the detector wrongly let
+    through is not the interface's protocol violation. *)
 
 val det_frm :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> key:string -> P_det_frm.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> key:string -> P_det_frm.t
 
 val frm_line :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> key:string -> P_frm_line.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> key:string -> P_frm_line.t

@@ -26,24 +26,6 @@ end)
    record itself. *)
 let nop _ = ()
 
-type alloc_pair = Sublayer.Alloc.cell option * Sublayer.Alloc.cell option
-
-(* Allocation attribution at the boundary: a [req] is heading down (the
-   machine below runs next), an [ind] up. The cross happens before the
-   observation so the monitor's own (zero-allocation) work is charged to
-   the destination machine along with its step. The hooks themselves are
-   no-ops while [Sublayer.Alloc] is disabled. *)
-let with_alloc alloc obs_req obs_ind =
-  match alloc with
-  | None | Some (None, None) -> (obs_req, obs_ind)
-  | Some (above, below) ->
-      ( (fun r ->
-          Sublayer.Alloc.cross below;
-          obs_req r),
-        fun i ->
-          Sublayer.Alloc.cross above;
-          obs_ind i )
-
 (* Resolve the alphabet ids once at attach time; the per-event closures
    then do a constructor match and one [observe] call. *)
 
@@ -83,7 +65,7 @@ let osr_rd ?(spec = Monitor.Specs.osr_rd) ?alloc mon ~conn =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_osr_rd.obs_req; obs_ind }
 
 let rd_cm ?alloc mon ~conn =
@@ -116,7 +98,7 @@ let rd_cm ?alloc mon ~conn =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_rd_cm.obs_req; obs_ind }
 
 let spec_cm_dm =
@@ -143,7 +125,7 @@ let pdu spec ?alloc mon ~conn =
         in
         (obs_req, obs_ind)
   in
-  let obs_req, obs_ind = with_alloc alloc obs_req obs_ind in
+  let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
   { P_pdu.obs_req; obs_ind }
 
 let cm_dm = pdu spec_cm_dm

@@ -6,7 +6,9 @@
     CM⇄DM, CM⇄Rec, Rec⇄DM. The probes are {e always} part of the
     composition; when no {!Monitor.Runtime.t} is supplied their state is
     a pair of shared no-op closures, so a monitored and an unmonitored
-    endpoint have identical types, event counts and schedules. *)
+    endpoint have identical types, event counts and schedules. Each
+    constructor's [?alloc] cells charge its crossings through
+    {!Sublayer.Alloc.wrap_taps}; omitted, crossings are unattributed. *)
 
 module P_osr_rd : sig
   type t = {
@@ -56,16 +58,9 @@ module P_pdu : sig
        and type timer = Sublayer.Machine.Nothing.t
 end
 
-type alloc_pair = Sublayer.Alloc.cell option * Sublayer.Alloc.cell option
-(** [(above, below)]: where {!Sublayer.Alloc} charges the interval that
-    opens as a message crosses this boundary — a request heading down
-    charges what follows to [below], an indication heading up to
-    [above].  Omitted (or [None] cells), crossings are unattributed; the
-    hooks are free while [Alloc] is globally disabled either way. *)
-
 val osr_rd :
   ?spec:Monitor.Spec.t ->
-  ?alloc:alloc_pair ->
+  ?alloc:Sublayer.Alloc.pair ->
   Monitor.Runtime.t option ->
   conn:string ->
   P_osr_rd.t
@@ -73,16 +68,16 @@ val osr_rd :
     [Monitor.Specs.stream_rd ~upper:"msg"]. *)
 
 val rd_cm :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> conn:string -> P_rd_cm.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_rd_cm.t
 
 val cm_dm :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
 
 val cm_rec :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
 
 val rec_dm :
-  ?alloc:alloc_pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
+  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
 
 val app :
   Monitor.Runtime.t option ->

@@ -8,33 +8,25 @@ type header = { window : int; msg_id : int; frag_off : int; msg_len : int }
 
 let header_bytes = 8
 
-let write_header h w =
-  Bitkit.Bitio.Writer.uint16 w h.window;
-  Bitkit.Bitio.Writer.uint16 w h.msg_id;
-  Bitkit.Bitio.Writer.uint16 w h.frag_off;
-  Bitkit.Bitio.Writer.uint16 w h.msg_len
+(* window:16 msg_id:16 frag_off:16 msg_len:16, each stored as its low
+   16 bits and read in place. *)
+let write_header h =
+  let b = Bytes.create header_bytes in
+  Bytes.set_uint16_be b 0 h.window;
+  Bytes.set_uint16_be b 2 h.msg_id;
+  Bytes.set_uint16_be b 4 h.frag_off;
+  Bytes.set_uint16_be b 6 h.msg_len;
+  Bytes.unsafe_to_string b
 
-let encode_header h ~payload =
-  let w = Bitkit.Bitio.Writer.create () in
-  write_header h w;
-  Bitkit.Bitio.Writer.bytes w payload;
-  Bitkit.Bitio.Writer.contents w
-
-let read_header r =
-  let window = Bitkit.Bitio.Reader.uint16 r in
-  let msg_id = Bitkit.Bitio.Reader.uint16 r in
-  let frag_off = Bitkit.Bitio.Reader.uint16 r in
-  let msg_len = Bitkit.Bitio.Reader.uint16 r in
-  { window; msg_id; frag_off; msg_len }
-
-let decode_header_slice sl =
-  match
-    let r = Bitkit.Bitio.Reader.of_slice sl in
-    let h = read_header r in
-    (h, Bitkit.Bitio.Reader.rest_slice r)
-  with
-  | v -> Some v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
+let decode_header_slice (sl : Bitkit.Slice.t) =
+  if sl.len < header_bytes then None
+  else
+    let s = sl.base and o = sl.off in
+    Some
+      ( { window = String.get_uint16_be s o; msg_id = String.get_uint16_be s (o + 2);
+          frag_off = String.get_uint16_be s (o + 4);
+          msg_len = String.get_uint16_be s (o + 6) },
+        Bitkit.Slice.sub sl ~pos:header_bytes ~len:(sl.len - header_bytes) )
 
 type up_req = [ `Connect | `Listen | `Send of string | `Close ]
 
@@ -104,8 +96,7 @@ let stream_finished t =
 let my_header c ~msg_id ~frag_off ~msg_len =
   { window = min 0xFFFF c.advertised; msg_id; frag_off; msg_len }
 
-let block c =
-  encode_header (my_header c ~msg_id:0 ~frag_off:0 ~msg_len:0) ~payload:""
+let block c = write_header (my_header c ~msg_id:0 ~frag_off:0 ~msg_len:0)
 
 (* Fragment queued messages into RD segments within the windows. *)
 let try_send t c =
@@ -140,7 +131,7 @@ let try_send t c =
           let pdu =
             Bitkit.Wirebuf.push
               (Bitkit.Wirebuf.of_string fragment)
-              ~owner:"msg" (Bitkit.Wirebuf.pack (write_header header))
+              ~owner:"msg" (write_header header)
           in
           if Sublayer.Span.active t.sp then begin
             (* Fragments inherit the message's trace; RD picks it up

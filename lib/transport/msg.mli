@@ -20,17 +20,15 @@ type header = { window : int; msg_id : int; frag_off : int; msg_len : int }
 
 val header_bytes : int
 
-val write_header : header -> Bitkit.Bitio.Writer.t -> unit
-(** Append just the header bits; packed by {!Bitkit.Wirebuf.pack}, this
-    is what the zero-copy transmit path pushes. *)
-
-val encode_header : header -> payload:string -> string
-(** Legacy string codec (header + copied payload), kept as the reference
-    the slice decoder is property-tested against. *)
+val write_header : header -> string
+(** The header's exact [header_bytes] bytes (big-endian stores, each
+    field masked to 16 bits): what the transmit path pushes onto a
+    fragment's wirebuf, and the block OSR's slot carries. *)
 
 val decode_header_slice : Bitkit.Slice.t -> (header * Bitkit.Slice.t) option
-(** Peel the header off a slice view; the returned payload is a narrowed
-    view of the input (no copy). [None] on truncation. *)
+(** Read the header in place after one length check; the returned
+    payload is a narrowed view of the input (no copy). [None] on
+    truncation; never raises. *)
 
 type up_req = [ `Connect | `Listen | `Send of string | `Close ]
 

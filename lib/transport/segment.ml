@@ -6,12 +6,10 @@ module Wirebuf = Bitkit.Wirebuf
    stores that mask every field to its width. [decode_x_slice] checks
    the view's length once, reads the fields in place and returns a
    zero-copy view of the rest. No bit writer, reader, closure or
-   exception is involved. The string forms [encode_x]/[decode_x] wrap
-   the same pair for callers holding whole strings, and charge the
-   payload bytes they copy. *)
+   exception is involved. *)
 
-(* Each store keeps the field's low 8, 16 or 32 bits: the mask [Bitio]
-   applies, negative values included. *)
+(* Each store keeps the field's low 8, 16 or 32 bits, negative values
+   included. *)
 let set8 = Bytes.set_uint8
 let set16 = Bytes.set_uint16_be
 let set32 b i v = Bytes.set_int32_be b i (Int32.of_int v)
@@ -22,15 +20,6 @@ let bit b mask = if b then mask else 0
 
 (* The view past an [n]-byte header. *)
 let rest (sl : Slice.t) n = Slice.sub sl ~pos:n ~len:(sl.len - n)
-
-let with_payload header payload =
-  Slice.note_copy (String.length payload);
-  header ^ payload
-
-let decode_string decode_slice s =
-  match decode_slice (Slice.of_string s) with
-  | None -> None
-  | Some (h, rest) -> Some (h, Slice.to_string rest)
 
 (* DM: src_port:16 dst_port:16 *)
 
@@ -50,9 +39,6 @@ let decode_dm_slice (sl : Slice.t) =
     Some
       ( { src_port = get16 sl.base sl.off; dst_port = get16 sl.base (sl.off + 2) },
         rest sl dm_header_bytes )
-
-let encode_dm t ~payload = with_payload (write_dm t) payload
-let decode_dm s = decode_string decode_dm_slice s
 
 let peek_ports (sl : Slice.t) =
   if sl.len < dm_header_bytes then None
@@ -92,9 +78,6 @@ let decode_cm_slice (sl : Slice.t) =
           isn_remote = get32 s (o + 5) },
         rest sl cm_header_bytes )
 
-let encode_cm t ~payload = with_payload (write_cm t) payload
-let decode_cm s = decode_string decode_cm_slice s
-
 (* RD: seq:32 ack:32 len:16 flags:8 (has_data|has_ack|sack_count:2|0000),
    then sack_count * (start:32 end:32) *)
 
@@ -120,7 +103,7 @@ let rec put_sacks b pos = function
 
 let write_rd t =
   let n = List.length t.sacks in
-  if n > 3 then invalid_arg "encode_rd: >3 sacks";
+  if n > 3 then invalid_arg "write_rd: >3 sacks";
   let b = Bytes.create (rd_header_bytes + (8 * n)) in
   set32 b 0 t.seq;
   set32 b 4 t.ack;
@@ -150,9 +133,6 @@ let decode_rd_slice (sl : Slice.t) =
             sacks = get_sacks s (o + rd_header_bytes) nsacks },
           rest sl hlen )
 
-let encode_rd t ~payload = with_payload (write_rd t) payload
-let decode_rd s = decode_string decode_rd_slice s
-
 (* OSR: window:16 flags:8 (ecn_echo|ecn_ce|000000) *)
 
 type osr = { window : int; ecn_echo : bool; ecn_ce : bool }
@@ -175,9 +155,6 @@ let decode_osr_slice (sl : Slice.t) =
       ( { window = get16 sl.base sl.off; ecn_echo = fl land 0x80 <> 0;
           ecn_ce = fl land 0x40 <> 0 },
         rest sl osr_header_bytes )
-
-let encode_osr t ~payload = with_payload (write_osr t) payload
-let decode_osr s = decode_string decode_osr_slice s
 
 let header_bytes = dm_header_bytes + cm_header_bytes + rd_header_bytes + osr_header_bytes
 

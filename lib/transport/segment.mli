@@ -6,13 +6,12 @@
     after them as an opaque payload — test T3 holds by construction, and
     {!layout} lets tests audit the bit-level field map.
 
-    Each header has one writer and one reader. [write_x] returns the
-    header's exact bytes (big-endian stores, every field masked to its
-    width), ready for {!Bitkit.Wirebuf.push} on the zero-copy transmit
-    path. [decode_x_slice] checks the length once, reads the fields in
-    place and hands back a zero-copy view of the rest; it returns [None]
-    on a short view and never raises. [encode_x]/[decode_x] are string
-    wrappers over the same pair (header plus a copied payload).
+    Each header has exactly one writer and one reader. [write_x] returns
+    the header's exact bytes (big-endian stores, every field masked to
+    its width); a segment is built by {!Bitkit.Wirebuf.push}ing them onto
+    the payload, innermost first. [decode_x_slice] checks the length
+    once, reads the fields in place and hands back a zero-copy view of
+    the rest; it returns [None] on a short view and never raises.
 
     Sequence and acknowledgement numbers are absolute 32-bit values
     ([ISN + 1 + byte offset], as in standard TCP) so that the {!Shim} can
@@ -24,8 +23,6 @@ type dm = { src_port : int; dst_port : int }
 
 val dm_header_bytes : int
 val write_dm : dm -> string
-val encode_dm : dm -> payload:string -> string
-val decode_dm : string -> (dm * string) option
 val decode_dm_slice : Bitkit.Slice.t -> (dm * Bitkit.Slice.t) option
 val peek_ports : Bitkit.Slice.t -> (int * int) option
 (** Ports of a wire segment without consuming it (the mux's view). *)
@@ -44,8 +41,6 @@ type cm = {
 
 val cm_header_bytes : int
 val write_cm : cm -> string
-val encode_cm : cm -> payload:string -> string
-val decode_cm : string -> (cm * string) option
 val decode_cm_slice : Bitkit.Slice.t -> (cm * Bitkit.Slice.t) option
 
 (** {1 RD: reliable delivery} *)
@@ -69,8 +64,6 @@ val write_rd : rd -> string
 (** [rd_header_bytes + 8 * List.length sacks] bytes; raises
     [Invalid_argument] on more than 3 SACK blocks. *)
 
-val encode_rd : rd -> payload:string -> string
-val decode_rd : string -> (rd * string) option
 val decode_rd_slice : Bitkit.Slice.t -> (rd * Bitkit.Slice.t) option
 
 (** {1 OSR: ordering, segmenting and rate control} *)
@@ -84,8 +77,6 @@ type osr = {
 val default_osr : osr
 val osr_header_bytes : int
 val write_osr : osr -> string
-val encode_osr : osr -> payload:string -> string
-val decode_osr : string -> (osr * string) option
 val decode_osr_slice : Bitkit.Slice.t -> (osr * Bitkit.Slice.t) option
 
 val mark_ce : Bitkit.Slice.t -> Bitkit.Slice.t

@@ -1,3 +1,6 @@
+module Slice = Bitkit.Slice
+module Wirebuf = Bitkit.Wirebuf
+
 let mask32 = 0xFFFFFFFF
 let w32 v = v land mask32
 
@@ -16,7 +19,7 @@ type t = {
      sequence number and connection ports until our own cumulative ack
      catches up. *)
   mutable pending_fin : (int * (int * int)) option;
-  inbound : string Queue.t;
+  inbound : Slice.t Queue.t;
 }
 
 let create () =
@@ -36,9 +39,10 @@ let advance current candidate =
 
 let std t ports ?(payload = "") ?(seq = t.snd_nxt) ?(ack = t.rcv_nxt) flags =
   let src_port, dst_port = ports in
-  [ Wire.encode
-      { Wire.src_port; dst_port; seq; ack; flags; window = t.last_window }
-      ~payload ]
+  [ Slice.of_string
+      (Wire.encode
+         { Wire.src_port; dst_port; seq; ack; flags; window = t.last_window }
+         ~payload) ]
 
 let cm_hdr t flags =
   { Segment.flags;
@@ -46,11 +50,16 @@ let cm_hdr t flags =
     isn_local = Option.value ~default:0 t.remote_isn;
     isn_remote = Option.value ~default:0 t.local_isn }
 
+let push owner header wb = Wirebuf.push wb ~owner header
+
+(* A sublayered segment: CM and DM headers pushed onto [rd_pdu], which
+   is empty for a CM control. *)
 let sub t ports cm_flags rd_pdu =
   let src_port, dst_port = ports in
-  Segment.encode_dm
-    { Segment.src_port; dst_port }
-    ~payload:(Segment.encode_cm (cm_hdr t cm_flags) ~payload:rd_pdu)
+  rd_pdu
+  |> push "cm" (Segment.write_cm (cm_hdr t cm_flags))
+  |> push "dm" (Segment.write_dm { Segment.src_port; dst_port })
+  |> Wirebuf.to_slice
 
 (* Once our cumulative ack reaches a parked FIN, hand it to CM. *)
 let maybe_release_fin t =
@@ -59,17 +68,17 @@ let maybe_release_fin t =
       t.pending_fin <- None;
       t.peer_fin_seen <- true;
       t.rcv_nxt <- w32 (fin_seq + 1);
-      Queue.add (sub t ports { Segment.no_cm_flags with fin = true } "") t.inbound
+      Queue.add (sub t ports { Segment.no_cm_flags with fin = true } Wirebuf.empty) t.inbound
   | _ -> ()
 
 (* --- outgoing: sublayered -> standard --- *)
 
 let sub_to_std t wire =
-  match Segment.decode_dm wire with
+  match Segment.decode_dm_slice wire with
   | None -> []
   | Some (dm, rest) -> (
       let ports = (dm.Segment.src_port, dm.Segment.dst_port) in
-      match Segment.decode_cm rest with
+      match Segment.decode_cm_slice rest with
       | None -> []
       | Some (cm, rd_pdu) ->
           let f = cm.Segment.flags in
@@ -100,10 +109,10 @@ let sub_to_std t wire =
           end
           else begin
             (* Data path: RD + OSR fields map directly. *)
-            match Segment.decode_rd rd_pdu with
+            match Segment.decode_rd_slice rd_pdu with
             | None -> []
             | Some (rd, osr_pdu) -> (
-                match Segment.decode_osr osr_pdu with
+                match Segment.decode_osr_slice osr_pdu with
                 | None -> []
                 | Some (osr_hdr, payload) ->
                     t.last_window <- osr_hdr.Segment.window;
@@ -115,7 +124,7 @@ let sub_to_std t wire =
                     if rd.Segment.has_data then
                       t.snd_nxt <- advance t.snd_nxt (w32 (rd.Segment.seq + rd.Segment.len));
                     t.handshake_done <- true;
-                    std t ports ~payload ~seq
+                    std t ports ~payload:(Slice.to_string payload) ~seq
                       ~ack:(if rd.Segment.has_ack then rd.Segment.ack else t.rcv_nxt)
                       { Wire.no_flags with ack = rd.Segment.has_ack })
           end)
@@ -123,66 +132,69 @@ let sub_to_std t wire =
 (* --- incoming: standard -> sublayered --- *)
 
 let data_pdu (h : Wire.t) payload =
+  let len = Slice.length payload in
   let rd =
     { Segment.seq = h.Wire.seq;
       ack = h.Wire.ack;
-      len = String.length payload;
-      has_data = String.length payload > 0;
+      len;
+      has_data = len > 0;
       has_ack = h.Wire.flags.Wire.ack;
       sacks = [] }
   in
   let osr =
     { Segment.window = h.Wire.window; ecn_echo = false; ecn_ce = false }
   in
-  Segment.encode_rd rd ~payload:(Segment.encode_osr osr ~payload)
+  Wirebuf.of_slice payload
+  |> push "osr" (Segment.write_osr osr)
+  |> push "rd" (Segment.write_rd rd)
 
 let std_to_sub t wire =
-  match Wire.decode wire with
+  match Wire.decode_slice wire with
   | None -> []
   | Some (h, payload) ->
       let ports = (h.Wire.src_port, h.Wire.dst_port) in
       let f = h.Wire.flags in
-      if f.Wire.rst then [ sub t ports { Segment.no_cm_flags with rst = true } "" ]
+      if f.Wire.rst then [ sub t ports { Segment.no_cm_flags with rst = true } Wirebuf.empty ]
       else if f.Wire.syn && not f.Wire.ack then begin
         t.remote_isn <- Some h.Wire.seq;
         t.rcv_nxt <- w32 (h.Wire.seq + 1);
-        [ sub t ports { Segment.no_cm_flags with syn = true } "" ]
+        [ sub t ports { Segment.no_cm_flags with syn = true } Wirebuf.empty ]
       end
       else if f.Wire.syn && f.Wire.ack then begin
         t.remote_isn <- Some h.Wire.seq;
         t.rcv_nxt <- w32 (h.Wire.seq + 1);
         if t.local_isn = None then t.local_isn <- Some (w32 (h.Wire.ack - 1));
-        [ sub t ports { Segment.no_cm_flags with syn = true; ack = true } "" ]
+        [ sub t ports { Segment.no_cm_flags with syn = true; ack = true } Wirebuf.empty ]
       end
       else begin
         let out = ref [] in
         let emit s = out := s :: !out in
         (* The peer's window rides every segment; deliver data and acks
            through the RD/OSR path. *)
-        if String.length payload > 0 || (f.Wire.ack && not f.Wire.fin) then
+        if Slice.length payload > 0 || (f.Wire.ack && not f.Wire.fin) then
           emit (sub t ports Segment.no_cm_flags (data_pdu h payload));
         (* An ack that covers our FIN completes CM's teardown. *)
         (match (f.Wire.ack, t.fin_sent_seq) with
         | true, Some fin_seq when h.Wire.ack = w32 (fin_seq + 1) ->
-            emit (sub t ports { Segment.no_cm_flags with ack = true } "")
+            emit (sub t ports { Segment.no_cm_flags with ack = true } Wirebuf.empty)
         | _ -> ());
         (* The handshake's third ack, before any data has flowed. *)
         (match (t.local_isn, t.handshake_done) with
         | Some isn, false
-          when f.Wire.ack && String.length payload = 0 && h.Wire.ack = w32 (isn + 1) ->
+          when f.Wire.ack && Slice.length payload = 0 && h.Wire.ack = w32 (isn + 1) ->
             t.handshake_done <- true;
-            emit (sub t ports { Segment.no_cm_flags with ack = true } "")
+            emit (sub t ports { Segment.no_cm_flags with ack = true } Wirebuf.empty)
         | _ -> ());
         if f.Wire.fin then begin
-          let fin_seq = w32 (h.Wire.seq + String.length payload) in
+          let fin_seq = w32 (h.Wire.seq + Slice.length payload) in
           if t.peer_fin_seen then
             (* retransmitted FIN after release: CM re-acks it *)
-            emit (sub t ports { Segment.no_cm_flags with fin = true } "")
+            emit (sub t ports { Segment.no_cm_flags with fin = true } Wirebuf.empty)
           else if fin_seq = t.rcv_nxt then begin
             (* in sequence: the byte stream is complete *)
             t.peer_fin_seen <- true;
             t.rcv_nxt <- w32 (fin_seq + 1);
-            emit (sub t ports { Segment.no_cm_flags with fin = true } "")
+            emit (sub t ports { Segment.no_cm_flags with fin = true } Wirebuf.empty)
           end
           else
             (* data still missing below the FIN: park it *)
@@ -204,21 +216,13 @@ let factory =
         let ins = { ins with Sublayer.Instrument.pool = None } in
         let shim = create () in
         let inner_ref = ref None in
-        (* The shim's codecs translate between formats, which means
-           re-encoding either way — so it bridges the slice boundary by
-           materialising; translation is inherently a copying path. *)
         let pump () =
           match !inner_ref with
           | None -> ()
-          | Some inner ->
-              List.iter
-                (fun s -> inner.Host.ep_from_wire (Bitkit.Slice.of_string s))
-                (drain_inbound shim)
+          | Some inner -> List.iter inner.Host.ep_from_wire (drain_inbound shim)
         in
         let inner_transmit seg =
-          List.iter
-            (fun s -> transmit (Bitkit.Slice.of_string s))
-            (sub_to_std shim (Bitkit.Slice.to_string seg));
+          List.iter transmit (sub_to_std shim seg);
           pump ()
         in
         let inner =
@@ -229,9 +233,7 @@ let factory =
         {
           Host.ep_from_wire =
             (fun wire ->
-              List.iter
-                (fun s -> inner.Host.ep_from_wire (Bitkit.Slice.of_string s))
-                (std_to_sub shim (Bitkit.Slice.to_string wire));
+              List.iter inner.Host.ep_from_wire (std_to_sub shim wire);
               pump ());
           ep_connect = inner.Host.ep_connect;
           ep_listen = inner.Host.ep_listen;

@@ -15,16 +15,19 @@ type t
 
 val create : unit -> t
 
-val sub_to_std : t -> string -> string list
+val sub_to_std : t -> Bitkit.Slice.t -> Bitkit.Slice.t list
 (** Translate one outgoing sublayered segment to standard segments
-    (usually one; empty if untranslatable). *)
+    (usually one; empty if untranslatable). Headers are read in place
+    with the [Segment] slice readers and written by {!Wire.encode}. *)
 
-val std_to_sub : t -> string -> string list
-(** Translate one incoming standard segment to sublayered segments (a
-    data+FIN segment splits in two; an ack completing our FIN adds a CM
-    acknowledgement). *)
+val std_to_sub : t -> Bitkit.Slice.t -> Bitkit.Slice.t list
+(** Translate one incoming standard segment, read by
+    {!Wire.decode_slice}, to sublayered segments built with the
+    [Segment] writers (a data+FIN segment splits in two; an ack
+    completing our FIN adds a CM acknowledgement). Each result owns its
+    bytes: none is a view of the input. *)
 
-val drain_inbound : t -> string list
+val drain_inbound : t -> Bitkit.Slice.t list
 (** Sublayered segments the shim generated on its own (a FIN it parked
     until the byte stream completed); {!factory} pumps these into the
     inner endpoint after every translation. *)

@@ -301,7 +301,7 @@ let update_rtt t sample =
    in one, as in the pseudocode on p.948 of TCP/IP Illustrated vol 2) --- *)
 
 let from_wire t wire =
-  match Wire.decode wire with
+  match Wire.decode_slice wire with
   | None -> note t "bad segment dropped"
   | Some (h, payload) ->
       (* demultiplexing check (DM's job, inline here) *)
@@ -433,8 +433,8 @@ let from_wire t wire =
                      try_output t
                    end
                    else if
-                     ack_abs = t.snd_una && t.unacked <> [] && payload = ""
-                     && not f.Wire.fin
+                     ack_abs = t.snd_una && t.unacked <> []
+                     && Bitkit.Slice.length payload = 0 && not f.Wire.fin
                    then begin
                      t.dupacks <- t.dupacks + 1;
                      if
@@ -456,12 +456,12 @@ let from_wire t wire =
                    end
                  end);
                 (* --- data processing --- *)
-                let len = String.length payload in
+                let len = Bitkit.Slice.length payload in
                 (if len > 0 then begin
                    if seq_abs = t.rcv_nxt then begin
                      t.rcv_nxt <- t.rcv_nxt + len;
                      t.unread <- t.unread + len;
-                     t.events (`Data (Bitkit.Slice.of_string payload));
+                     t.events (`Data payload);
                      (* drain reassembly *)
                      let rec drain () =
                        match t.reasm with
@@ -483,9 +483,10 @@ let from_wire t wire =
                    end
                    else if seq_abs > t.rcv_nxt && not (List.mem_assoc seq_abs t.reasm)
                    then
+                     (* the view outlives this call: copy it *)
                      t.reasm <-
                        List.sort (fun (a, _) (b, _) -> Int.compare a b)
-                         ((seq_abs, payload) :: t.reasm);
+                         ((seq_abs, Bitkit.Slice.to_string payload) :: t.reasm);
                    (* always ack data (with the updated window) *)
                    update_rcv_wnd t;
                    send_segment t ~flags:{ Wire.no_flags with ack = true } t.snd_nxt
@@ -515,14 +516,14 @@ let factory =
     peek = Wire.peek_ports;
     make =
       (fun ?ins:_ engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
-        (* The monolith is deliberately opaque: no per-sublayer counters
-           or spans exist to register (that contrast is the point of E19).
-           It also keeps its string-based wire handling — it is the
-           copying baseline — so the slice boundary is bridged here. *)
+        (* The monolith is deliberately opaque: it ignores the instrument
+           context, since no per-sublayer counters or spans exist to
+           register. It reads each received segment in place; its
+           segments are the strings [Wire.encode] writes. *)
         let transmit s = transmit (Bitkit.Slice.of_string s) in
         let t = create engine ~name cfg ~local_port ~remote_port ~transmit ~events in
         {
-          Host.ep_from_wire = (fun sl -> from_wire t (Bitkit.Slice.to_string sl));
+          Host.ep_from_wire = from_wire t;
           ep_connect = (fun () -> connect t);
           ep_listen = (fun () -> listen t);
           ep_write = write t;

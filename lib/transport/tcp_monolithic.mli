@@ -35,7 +35,10 @@ val read : t -> int -> unit
 (** Flow-control credit: the application consumed [n] delivered bytes. *)
 
 val close : t -> unit
-val from_wire : t -> string -> unit
+val from_wire : t -> Bitkit.Slice.t -> unit
+(** Decode a received segment in place with {!Wire.decode_slice}. The
+    view need only live for the call: in-order data is handed up as a
+    view of it, and out-of-order data is copied before it is kept. *)
 
 val state_name : t -> string
 val stream_finished : t -> bool

@@ -13,103 +13,55 @@ type t = {
 
 let header_bytes = 20
 
-(* Single-pass encode: the checksum field is reserved while the header
-   and payload stream through, then patched with the RFC 1071 sum over
-   the whole buffer (the reserved zeros contribute nothing), so no second
-   encoding pass is needed. *)
+(* src_port:16 dst_port:16 seq:32 ack:32 data_offset:4 reserved:6
+   flags:6 (urg|ack|psh|rst|syn|fin) window:16 checksum:16 urgent:16,
+   then [4 * (data_offset - 5)] option bytes. Stores keep each field's
+   low 16 or 32 bits; the checksum field is zero while the RFC 1071 sum
+   runs over header and payload, then stored in place. *)
+
+let bit b mask = if b then mask else 0
+let get16 = String.get_uint16_be
+let get32 s i = Int32.to_int (String.get_int32_be s i) land 0xFFFFFFFF
+
 let encode t ~payload =
-  let w = Bitkit.Bitio.Writer.create ~size:(header_bytes + String.length payload) () in
-  let open Bitkit.Bitio.Writer in
-  uint16 w t.src_port;
-  uint16 w t.dst_port;
-  uint32 w (t.seq land 0xFFFFFFFF);
-  uint32 w (t.ack land 0xFFFFFFFF);
-  bits w 5 4 (* data offset: 5 words *);
-  bits w 0 6 (* reserved *);
-  bit w t.flags.urg;
-  bit w t.flags.ack;
-  bit w t.flags.psh;
-  bit w t.flags.rst;
-  bit w t.flags.syn;
-  bit w t.flags.fin;
-  uint16 w t.window;
-  let cks = reserve_uint16 w in
-  uint16 w 0 (* urgent pointer *);
-  bytes w payload;
-  patch_uint16 w cks (internet_checksum w);
-  contents w
+  let n = header_bytes + String.length payload in
+  let b = Bytes.create n in
+  let f = t.flags in
+  Bytes.set_uint16_be b 0 t.src_port;
+  Bytes.set_uint16_be b 2 t.dst_port;
+  Bytes.set_int32_be b 4 (Int32.of_int t.seq);
+  Bytes.set_int32_be b 8 (Int32.of_int t.ack);
+  Bytes.set_uint16_be b 12
+    ((5 lsl 12) lor bit f.urg 0x20 lor bit f.ack 0x10 lor bit f.psh 0x08
+    lor bit f.rst 0x04 lor bit f.syn 0x02 lor bit f.fin 0x01);
+  Bytes.set_uint16_be b 14 t.window;
+  Bytes.set_int32_be b 16 0l (* checksum and urgent pointer *);
+  Bytes.blit_string payload 0 b header_bytes (String.length payload);
+  Bitkit.Slice.note_copy (String.length payload);
+  let cks = Bitkit.Checksum.internet_sub (Bytes.unsafe_to_string b) ~pos:0 ~len:n in
+  Bytes.set_uint16_be b 16 cks;
+  Bytes.unsafe_to_string b
 
-let decode_fields r =
-  let open Bitkit.Bitio.Reader in
-  let src_port = uint16 r in
-  let dst_port = uint16 r in
-  let seq = uint32 r in
-  let ack = uint32 r in
-  let data_offset = bits r 4 in
-  let _reserved = bits r 6 in
-  let urg = bit r in
-  let ackf = bit r in
-  let psh = bit r in
-  let rst = bit r in
-  let syn = bit r in
-  let fin = bit r in
-  let window = uint16 r in
-  let _checksum = uint16 r in
-  let _urgent = uint16 r in
-  if data_offset < 5 then None
-  else begin
-    (* Skip any options. *)
-    let opts = 4 * (data_offset - 5) in
-    if 8 * opts > remaining_bits r then None
-    else begin
-      let (_ : string) = bytes r opts in
+let decode_slice (sl : Bitkit.Slice.t) =
+  if sl.len < header_bytes then None
+  else
+    let s = sl.base and o = sl.off in
+    let hlen = 4 * (String.get_uint8 s (o + 12) lsr 4) in
+    if hlen < header_bytes || hlen > sl.len then None
+    else if Bitkit.Checksum.internet_sub s ~pos:o ~len:sl.len <> 0 then None
+    else
+      let fl = String.get_uint8 s (o + 13) in
       Some
-        { src_port; dst_port; seq; ack;
-          flags = { urg; ack = ackf; psh; rst; syn; fin }; window }
-    end
-  end
+        ( { src_port = get16 s o; dst_port = get16 s (o + 2); seq = get32 s (o + 4);
+            ack = get32 s (o + 8);
+            flags =
+              { urg = fl land 0x20 <> 0; ack = fl land 0x10 <> 0; psh = fl land 0x08 <> 0;
+                rst = fl land 0x04 <> 0; syn = fl land 0x02 <> 0; fin = fl land 0x01 <> 0 };
+            window = get16 s (o + 14) },
+          Bitkit.Slice.sub sl ~pos:hlen ~len:(sl.len - hlen) )
 
-let decode s =
-  if String.length s < header_bytes then None
-  else if not (Bitkit.Checksum.internet_valid s) then None
-  else begin
-    match
-      let r = Bitkit.Bitio.Reader.of_string s in
-      match decode_fields r with
-      | None -> None
-      | Some t -> Some (t, Bitkit.Bitio.Reader.rest r)
-    with
-    | v -> v
-    | exception Bitkit.Bitio.Reader.Truncated -> None
-  end
-
-let decode_slice sl =
-  if Bitkit.Slice.length sl < header_bytes then None
-  else if
-    Bitkit.Checksum.internet_sub sl.Bitkit.Slice.base ~pos:sl.Bitkit.Slice.off
-      ~len:sl.Bitkit.Slice.len
-    <> 0
-  then None
-  else begin
-    match
-      let r = Bitkit.Bitio.Reader.of_slice sl in
-      match decode_fields r with
-      | None -> None
-      | Some t -> Some (t, Bitkit.Bitio.Reader.rest_slice r)
-    with
-    | v -> v
-    | exception Bitkit.Bitio.Reader.Truncated -> None
-  end
-
-let peek_ports sl =
-  match
-    let r = Bitkit.Bitio.Reader.of_slice sl in
-    let src = Bitkit.Bitio.Reader.uint16 r in
-    let dst = Bitkit.Bitio.Reader.uint16 r in
-    (src, dst)
-  with
-  | v -> Some v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
+let peek_ports (sl : Bitkit.Slice.t) =
+  if sl.len < 4 then None else Some (get16 sl.base sl.off, get16 sl.base (sl.off + 2))
 
 let pp fmt t =
   let f = t.flags in

@@ -1,7 +1,11 @@
-(** The standard TCP header (RFC 793, 20 bytes, no options), used by the
-    monolithic baseline and as the {!Shim}'s interop target. The checksum
-    is the Internet checksum over the header and payload (no pseudo-header
-    — the simulator has no IP layer underneath these experiments). *)
+(** The standard TCP header (RFC 793, 20 bytes), used by the monolithic
+    baseline and as the {!Shim}'s interop target. The checksum is the
+    Internet checksum over the header and payload (no pseudo-header — the
+    simulator has no IP layer underneath these experiments).
+
+    The header has one writer, {!encode}, and one reader,
+    {!decode_slice}, both working on the bytes in place through
+    big-endian loads and stores. *)
 
 type flags = {
   urg : bool;
@@ -26,16 +30,17 @@ type t = {
 val header_bytes : int
 
 val encode : t -> payload:string -> string
-(** Fills in the checksum, single pass: the field is reserved while the
-    header and payload stream through, then patched in place. *)
-
-val decode : string -> (t * string) option
-(** Validates the checksum; [None] for corrupt or short segments. *)
+(** The segment's exact bytes: the header (no options, each field masked
+    to its width) then [payload], with the checksum over both stored in
+    place. *)
 
 val decode_slice : Bitkit.Slice.t -> (t * Bitkit.Slice.t) option
-(** Like {!decode}, validating the checksum in place over the viewed
-    bytes and returning the payload as a zero-copy view. *)
+(** Validates the checksum over the viewed bytes, skips any options
+    ([data_offset > 5]) and returns the payload as a zero-copy view.
+    [None] for short, corrupt or inconsistent segments; never raises. *)
 
 val peek_ports : Bitkit.Slice.t -> (int * int) option
+(** [(src_port, dst_port)] from the first four bytes, without validating
+    the rest (the host's demultiplexing view). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,10 @@
-(* Reference oracle for [Transport.Segment]'s DM, CM, RD and OSR header
-   codecs: the [Bitkit.Bitio] writers and readers they replaced, kept as
+(* Reference oracle for every header codec in [Transport] and
+   [Datalink]: Figure 6's DM, CM, RD and OSR, the RFC 793 header of
+   [Transport.Wire], the ARQ PDU and [Transport.Msg]'s header. These are
+   the [Bitkit.Bitio] writers and readers the libraries replaced, kept as
    they were (one writer or reader call per field, masking left to
    [Bitio], a short input caught as [Truncated]) because each reads as
-   the Figure 6 field list itself. Property tests hold the library's
+   its field list itself. Property tests hold the libraries'
    store-based writers and in-place readers to these, byte for byte and
    field for field. *)
 
@@ -116,3 +118,120 @@ let encode_rd = encode write_rd
 let decode_rd = decode read_rd
 let encode_osr = encode write_osr
 let decode_osr = decode read_osr
+
+(* RFC 793: src_port:16 dst_port:16 seq:32 ack:32 data_offset:4
+   reserved:6 urg ack psh rst syn fin window:16 checksum:16 urgent:16,
+   then options; the checksum is reserved, then patched over the whole
+   segment. *)
+module Wire = struct
+  open Transport.Wire
+
+  let encode t ~payload =
+    let w = W.create ~size:(header_bytes + String.length payload) () in
+    W.uint16 w t.src_port;
+    W.uint16 w t.dst_port;
+    W.uint32 w (t.seq land 0xFFFFFFFF);
+    W.uint32 w (t.ack land 0xFFFFFFFF);
+    W.bits w 5 4 (* data offset: 5 words *);
+    W.bits w 0 6 (* reserved *);
+    W.bit w t.flags.urg;
+    W.bit w t.flags.ack;
+    W.bit w t.flags.psh;
+    W.bit w t.flags.rst;
+    W.bit w t.flags.syn;
+    W.bit w t.flags.fin;
+    W.uint16 w t.window;
+    let cks = W.reserve_uint16 w in
+    W.uint16 w 0 (* urgent pointer *);
+    W.bytes w payload;
+    W.patch_uint16 w cks (W.internet_checksum w);
+    W.contents w
+
+  let read r =
+    let src_port = R.uint16 r in
+    let dst_port = R.uint16 r in
+    let seq = R.uint32 r in
+    let ack = R.uint32 r in
+    let data_offset = R.bits r 4 in
+    let _reserved = R.bits r 6 in
+    let urg = R.bit r in
+    let ackf = R.bit r in
+    let psh = R.bit r in
+    let rst = R.bit r in
+    let syn = R.bit r in
+    let fin = R.bit r in
+    let window = R.uint16 r in
+    let _checksum = R.uint16 r in
+    let _urgent = R.uint16 r in
+    if data_offset < 5 then None
+    else begin
+      (* Skip any options. *)
+      let opts = 4 * (data_offset - 5) in
+      if 8 * opts > R.remaining_bits r then None
+      else begin
+        let (_ : string) = R.bytes r opts in
+        Some
+          { src_port; dst_port; seq; ack;
+            flags = { urg; ack = ackf; psh; rst; syn; fin }; window }
+      end
+    end
+
+  let decode s =
+    if String.length s < header_bytes then None
+    else if not (Bitkit.Checksum.internet_valid s) then None
+    else
+      Option.join
+        (catch_truncated (fun () ->
+             let r = R.of_string s in
+             Option.map (fun t -> (t, R.rest r)) (read r)))
+end
+
+(* ARQ: kind:8 (0 data, 1 ack) seq:16, then a data PDU's payload; an
+   ACK carries nothing after its header. *)
+module Arq = struct
+  type pdu = Data of int * string | Ack of int
+
+  let encode_pdu pdu =
+    let w = W.create () in
+    (match pdu with
+    | Data (seq, payload) ->
+        W.uint8 w 0;
+        W.uint16 w (seq land 0xFFFF);
+        W.bytes w payload
+    | Ack seq ->
+        W.uint8 w 1;
+        W.uint16 w (seq land 0xFFFF));
+    W.contents w
+
+  let decode_pdu s =
+    Option.join
+      (catch_truncated (fun () ->
+           let r = R.of_string s in
+           let kind = R.uint8 r in
+           let seq = R.uint16 r in
+           match kind with
+           | 0 -> Some (Data (seq, R.rest r))
+           | 1 -> if R.remaining_bits r = 0 then Some (Ack seq) else None
+           | _ -> None))
+end
+
+(* Msg: window:16 msg_id:16 frag_off:16 msg_len:16 *)
+module Msg = struct
+  open Transport.Msg
+
+  let write_header h w =
+    W.uint16 w h.window;
+    W.uint16 w h.msg_id;
+    W.uint16 w h.frag_off;
+    W.uint16 w h.msg_len
+
+  let read_header r =
+    let window = R.uint16 r in
+    let msg_id = R.uint16 r in
+    let frag_off = R.uint16 r in
+    let msg_len = R.uint16 r in
+    { window; msg_id; frag_off; msg_len }
+
+  let encode_header = encode write_header
+  let decode_header = decode read_header
+end

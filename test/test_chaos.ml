@@ -409,15 +409,14 @@ let test_cm_timer_partition () =
   (* A delayed duplicate from the dead incarnation, with ISNs the server
      no longer recognises, must be dropped (delta-t trust). *)
   let stale =
-    Segment.encode_dm { Segment.src_port = 5000; dst_port = 80 }
-      ~payload:
-        (Segment.encode_cm
-           { Segment.flags = Segment.no_cm_flags; isn_local = 999; isn_remote = 111 }
-           ~payload:
-             (Segment.encode_rd
-                { Segment.seq = 1000; ack = 0; len = 5; has_data = true;
-                  has_ack = false; sacks = [] }
-                ~payload:(Segment.encode_osr Segment.default_osr ~payload:"ghost")))
+    String.concat ""
+      [ Segment.write_dm { Segment.src_port = 5000; dst_port = 80 };
+        Segment.write_cm
+          { Segment.flags = Segment.no_cm_flags; isn_local = 999; isn_remote = 111 };
+        Segment.write_rd
+          { Segment.seq = 1000; ack = 0; len = 5; has_data = true; has_ack = false;
+            sacks = [] };
+        Segment.write_osr Segment.default_osr; "ghost" ]
   in
   let before = Host.received_length srv1 in
   Host.from_wire b (Bitkit.Slice.of_string stale);

@@ -262,12 +262,21 @@ let test_arq_bidirectional () =
     = List.map (fun p -> p ^ "-rev") payloads)
 
 let test_pdu_codec () =
-  let roundtrip p = Arq.decode_pdu (Arq.encode_pdu p) = Some p in
-  check Alcotest.bool "data" true (roundtrip (Arq.Data (12345, "hello")));
-  check Alcotest.bool "empty data" true (roundtrip (Arq.Data (0, "")));
-  check Alcotest.bool "ack" true (roundtrip (Arq.Ack 65535));
-  check Alcotest.bool "garbage" true (Arq.decode_pdu "\xFF" = None);
-  check Alcotest.bool "bad kind" true (Arq.decode_pdu "\x07\x00\x01" = None)
+  let decode s =
+    match Arq.decode_pdu_slice (Bitkit.Slice.of_string s) with
+    | Some (Arq.Rx_data (seq, p)) -> Some (`Data (seq, Bitkit.Slice.to_string p))
+    | Some (Arq.Rx_ack seq) -> Some (`Ack seq)
+    | None -> None
+  in
+  let sent wb = decode (Bitkit.Wirebuf.to_string wb) in
+  check Alcotest.bool "data" true
+    (sent (Arq.data_wirebuf ~seq:12345 "hello") = Some (`Data (12345, "hello")));
+  check Alcotest.bool "empty data" true
+    (sent (Arq.data_wirebuf ~seq:0 "") = Some (`Data (0, "")));
+  check Alcotest.bool "ack" true (sent (Arq.ack_wirebuf 65535) = Some (`Ack 65535));
+  check Alcotest.bool "garbage" true (decode "\xFF" = None);
+  check Alcotest.bool "bad kind" true (decode "\x07\x00\x01" = None);
+  check Alcotest.bool "ack with trailing bytes" true (decode "\x01\x00\x01\x00" = None)
 
 (* --- Replaceability: every (detector, framer, linecode) combination
    works without touching the other sublayers (E1). --- *)

@@ -14,24 +14,34 @@ let payload_gen = QCheck2.Gen.(string_size ~gen:char (0 -- 200))
 
 (* --- Segment codecs --- *)
 
+(* A wire segment as the stack lays it out: each header's bytes from its
+   writer, outermost first, then the payload. *)
+let onion headers payload = String.concat "" headers ^ payload
+
+(* A slice reader applied to a whole string, the rest copied out. *)
+let decode_string decode s =
+  Option.map
+    (fun (h, rest) -> (h, Bitkit.Slice.to_string rest))
+    (decode (Bitkit.Slice.of_string s))
+
 let test_dm_codec () =
   let dm = { Segment.src_port = 1234; dst_port = 80 } in
-  let s = Segment.encode_dm dm ~payload:"rest" in
+  let s = onion [ Segment.write_dm dm ] "rest" in
   check Alcotest.int "header size" Segment.dm_header_bytes (String.length s - 4);
-  (match Segment.decode_dm s with
+  (match decode_string Segment.decode_dm_slice s with
   | Some (got, payload) ->
       check Alcotest.bool "fields" true (got = dm);
       check Alcotest.string "payload" "rest" payload
   | None -> Alcotest.fail "decode failed");
   check Alcotest.(option (pair int int)) "peek" (Some (1234, 80)) (Segment.peek_ports (Bitkit.Slice.of_string s));
-  check Alcotest.bool "short rejected" true (Segment.decode_dm "\x01" = None)
+  check Alcotest.bool "short rejected" true (decode_string Segment.decode_dm_slice "\x01" = None)
 
 let test_cm_codec () =
   let cm =
     { Segment.flags = { syn = true; ack = false; fin = false; rst = false };
       isn_local = 0xDEADBEEF; isn_remote = 0 }
   in
-  match Segment.decode_cm (Segment.encode_cm cm ~payload:"p") with
+  match decode_string Segment.decode_cm_slice (onion [ Segment.write_cm cm ] "p") with
   | Some (got, payload) ->
       check Alcotest.bool "fields" true (got = cm);
       check Alcotest.string "payload" "p" payload
@@ -43,7 +53,7 @@ let test_rd_codec_with_sacks () =
       sacks = [ { Segment.sack_start = 100; sack_end = 200 };
                 { Segment.sack_start = 300; sack_end = 400 } ] }
   in
-  match Segment.decode_rd (Segment.encode_rd rd ~payload:"xyz") with
+  match decode_string Segment.decode_rd_slice (onion [ Segment.write_rd rd ] "xyz") with
   | Some (got, payload) ->
       check Alcotest.bool "fields" true (got = rd);
       check Alcotest.string "payload" "xyz" payload
@@ -51,7 +61,7 @@ let test_rd_codec_with_sacks () =
 
 let test_osr_codec () =
   let osr = { Segment.window = 12345; ecn_echo = true; ecn_ce = false } in
-  match Segment.decode_osr (Segment.encode_osr osr ~payload:"data") with
+  match decode_string Segment.decode_osr_slice (onion [ Segment.write_osr osr ] "data") with
   | Some (got, payload) ->
       check Alcotest.bool "fields" true (got = osr);
       check Alcotest.string "payload" "data" payload
@@ -71,33 +81,32 @@ let prop_peek_ports =
           (fun ((h : Segment.dm), _) -> (h.src_port, h.dst_port))
           (Segment.decode_dm_slice sl))
 
+(* A data segment's four headers and payload, as [Segment]'s writers lay
+   them out, peeled by the four slice readers. *)
+let data_segment ?(dm = { Segment.src_port = 5; dst_port = 6 })
+    ?(cm = { Segment.flags = Segment.no_cm_flags; isn_local = 3; isn_remote = 4 })
+    ?(seq = 1) ?(ack = 2) ?(osr = Segment.default_osr) payload =
+  onion
+    [ Segment.write_dm dm; Segment.write_cm cm;
+      Segment.write_rd
+        { Segment.seq; ack; len = String.length payload; has_data = true;
+          has_ack = true; sacks = [] };
+      Segment.write_osr osr ]
+    payload
+
+let peel wire =
+  Option.bind (Segment.decode_dm_slice wire) (fun (dm, rest) ->
+      Option.bind (Segment.decode_cm_slice rest) (fun (cm, rest) ->
+          Option.bind (Segment.decode_rd_slice rest) (fun (rd, rest) ->
+              Option.map
+                (fun (osr, payload) -> (dm, cm, rd, osr, Bitkit.Slice.to_string payload))
+                (Segment.decode_osr_slice rest))))
+
 let prop_onion_roundtrip =
   qtest "full onion roundtrip" payload_gen (fun p ->
-      let osr = Segment.encode_osr Segment.default_osr ~payload:p in
-      let rd =
-        Segment.encode_rd
-          { Segment.seq = 1; ack = 2; len = String.length p; has_data = true;
-            has_ack = true; sacks = [] }
-          ~payload:osr
-      in
-      let cm =
-        Segment.encode_cm
-          { Segment.flags = Segment.no_cm_flags; isn_local = 3; isn_remote = 4 }
-          ~payload:rd
-      in
-      let wire = Segment.encode_dm { Segment.src_port = 5; dst_port = 6 } ~payload:cm in
-      match Segment.decode_dm wire with
-      | None -> false
-      | Some (_, cm') -> (
-          match Segment.decode_cm cm' with
-          | None -> false
-          | Some (_, rd') -> (
-              match Segment.decode_rd rd' with
-              | None -> false
-              | Some (_, osr') -> (
-                  match Segment.decode_osr osr' with
-                  | None -> false
-                  | Some (_, p') -> p' = p))))
+      match peel (Bitkit.Slice.of_string (data_segment p)) with
+      | Some (_, _, _, _, p') -> p' = p
+      | None -> false)
 
 (* T3: the Figure 6 layout is fully owned, disjointly, by the four
    sublayers. *)
@@ -126,7 +135,7 @@ let test_wire_codec () =
     { Wire.src_port = 80; dst_port = 1234; seq = 0x12345678; ack = 0x9ABCDEF0;
       flags = { Wire.no_flags with syn = true; ack = true }; window = 5000 }
   in
-  match Wire.decode (Wire.encode h ~payload:"hello") with
+  match decode_string Wire.decode_slice (Wire.encode h ~payload:"hello") with
   | Some (got, payload) ->
       check Alcotest.bool "fields" true (got = h);
       check Alcotest.string "payload" "hello" payload
@@ -137,8 +146,9 @@ let test_wire_checksum_rejects () =
   let s = Wire.encode h ~payload:"data!" in
   let bad = Bytes.of_string s in
   Bytes.set bad 22 (Char.chr (Char.code (Bytes.get bad 22) lxor 1));
-  check Alcotest.bool "corrupt rejected" true (Wire.decode (Bytes.to_string bad) = None);
-  check Alcotest.bool "short rejected" true (Wire.decode "tiny" = None)
+  check Alcotest.bool "corrupt rejected" true
+    (decode_string Wire.decode_slice (Bytes.to_string bad) = None);
+  check Alcotest.bool "short rejected" true (decode_string Wire.decode_slice "tiny" = None)
 
 let prop_wire_roundtrip =
   qtest "wire roundtrip" payload_gen (fun p ->
@@ -146,7 +156,7 @@ let prop_wire_roundtrip =
         { Wire.src_port = 42; dst_port = 4242; seq = 99; ack = 100;
           flags = { Wire.no_flags with ack = true; psh = true }; window = 1 }
       in
-      match Wire.decode (Wire.encode h ~payload:p) with
+      match decode_string Wire.decode_slice (Wire.encode h ~payload:p) with
       | Some (got, p') -> got = h && p' = p
       | None -> false)
 
@@ -170,7 +180,7 @@ let test_wire_options_skipped () =
     Bytes.set b 17 (Char.chr (c land 0xFF));
     Bytes.to_string b
   in
-  match Wire.decode with_options with
+  match decode_string Wire.decode_slice with_options with
   | Some (got, payload) ->
       check Alcotest.bool "header fields" true (got = h);
       check Alcotest.string "payload after options" "PAY" payload
@@ -364,9 +374,10 @@ let test_cm_rejects_old_incarnation () =
   let a, acts_a = feed a (downs acts_b) in
   let b, _ = feed b (downs acts_a) in
   let stale =
-    Segment.encode_cm
-      { Segment.flags = Segment.no_cm_flags; isn_local = 424242; isn_remote = 515151 }
-      ~payload:"ghost"
+    onion
+      [ Segment.write_cm
+          { Segment.flags = Segment.no_cm_flags; isn_local = 424242; isn_remote = 515151 } ]
+      "ghost"
   in
   let _, acts = Cm.handle_down_ind b (Bitkit.Slice.of_string stale) in
   check Alcotest.bool "no Up for stale identity" true
@@ -419,7 +430,7 @@ let test_cm_malformed_handshake_rst () =
   let b, _ = Cm.handle_up_req b `Listen in
   let forged flags ~isn_local ~isn_remote payload =
     Bitkit.Slice.of_string
-      (Segment.encode_cm { Segment.flags; isn_local; isn_remote } ~payload)
+      (onion [ Segment.write_cm { Segment.flags; isn_local; isn_remote } ] payload)
   in
   (* A handshake ACK out of nowhere (no SYN first): dropped, no raise. *)
   let b, acts = Cm.handle_down_ind b
@@ -610,44 +621,28 @@ let test_regression_rto_survives_ack_cancel () =
 
 let test_mark_ce_rewrites_only_osr () =
   let payload = "data" in
-  let osr = Segment.encode_osr Segment.default_osr ~payload in
-  let rd =
-    Segment.encode_rd
-      { Segment.seq = 9; ack = 8; len = 4; has_data = true; has_ack = true; sacks = [] }
-      ~payload:osr
+  let wire =
+    data_segment ~dm:{ Segment.src_port = 1; dst_port = 2 }
+      ~cm:{ Segment.flags = Segment.no_cm_flags; isn_local = 1; isn_remote = 2 }
+      ~seq:9 ~ack:8 payload
   in
-  let cm =
-    Segment.encode_cm
-      { Segment.flags = Segment.no_cm_flags; isn_local = 1; isn_remote = 2 }
-      ~payload:rd
-  in
-  let wire = Segment.encode_dm { Segment.src_port = 1; dst_port = 2 } ~payload:cm in
-  let marked = Bitkit.Slice.to_string (Segment.mark_ce (Bitkit.Slice.of_string wire)) in
-  check Alcotest.bool "changed" true (marked <> wire);
-  (match Segment.decode_dm marked with
-  | Some (dm, rest) -> (
+  let marked = Segment.mark_ce (Bitkit.Slice.of_string wire) in
+  check Alcotest.bool "changed" true (Bitkit.Slice.to_string marked <> wire);
+  (match peel marked with
+  | Some (dm, _, rd, hdr, p) ->
       check Alcotest.bool "dm intact" true (dm = { Segment.src_port = 1; dst_port = 2 });
-      match Segment.decode_cm rest with
-      | Some (_, rd_pdu) -> (
-          match Segment.decode_rd rd_pdu with
-          | Some (rd, osr_pdu) -> (
-              check Alcotest.int "rd intact" 9 rd.Segment.seq;
-              match Segment.decode_osr osr_pdu with
-              | Some (hdr, p) ->
-                  check Alcotest.bool "ce set" true hdr.Segment.ecn_ce;
-                  check Alcotest.string "payload intact" payload p
-              | None -> Alcotest.fail "osr undecodable")
-          | None -> Alcotest.fail "rd undecodable")
-      | None -> Alcotest.fail "cm undecodable")
-  | None -> Alcotest.fail "dm undecodable");
+      check Alcotest.int "rd intact" 9 rd.Segment.seq;
+      check Alcotest.bool "ce set" true hdr.Segment.ecn_ce;
+      check Alcotest.string "payload intact" payload p
+  | None -> Alcotest.fail "marked segment undecodable");
   (* control segments pass through unchanged *)
   let syn =
-    Segment.encode_dm { Segment.src_port = 1; dst_port = 2 }
-      ~payload:
-        (Segment.encode_cm
-           { Segment.flags = { Segment.no_cm_flags with syn = true }; isn_local = 5;
-             isn_remote = 0 }
-           ~payload:"")
+    onion
+      [ Segment.write_dm { Segment.src_port = 1; dst_port = 2 };
+        Segment.write_cm
+          { Segment.flags = { Segment.no_cm_flags with syn = true }; isn_local = 5;
+            isn_remote = 0 } ]
+      ""
   in
   check Alcotest.string "syn unchanged" syn
     (Bitkit.Slice.to_string (Segment.mark_ce (Bitkit.Slice.of_string syn)))
@@ -972,15 +967,14 @@ let test_watson_rejects_stale_identity () =
   (* First contact with identity (111, 0). *)
   let seg ~isn_local ~isn_remote seq payload =
     Bitkit.Slice.of_string
-    @@ Segment.encode_dm { Segment.src_port = 1; dst_port = 80 }
-      ~payload:
-        (Segment.encode_cm
-           { Segment.flags = Segment.no_cm_flags; isn_local; isn_remote }
-           ~payload:
-             (Segment.encode_rd
-                { Segment.seq; ack = 0; len = String.length payload; has_data = true;
-                  has_ack = false; sacks = [] }
-                ~payload:(Segment.encode_osr Segment.default_osr ~payload)))
+      (onion
+         [ Segment.write_dm { Segment.src_port = 1; dst_port = 80 };
+           Segment.write_cm { Segment.flags = Segment.no_cm_flags; isn_local; isn_remote };
+           Segment.write_rd
+             { Segment.seq; ack = 0; len = String.length payload; has_data = true;
+               has_ack = false; sacks = [] };
+           Segment.write_osr Segment.default_osr ]
+         payload)
   in
   Tcp_watson.from_wire b (seg ~isn_local:111 ~isn_remote:0 112 "live");
   let live = !received in
@@ -1276,15 +1270,16 @@ let test_shim_translation_isomorphism () =
   let shim = Shim.create () in
   (* teach the shim the handshake *)
   let syn =
-    Segment.encode_dm { Segment.src_port = 1; dst_port = 2 }
-      ~payload:(Segment.encode_cm
-                  { Segment.flags = { Segment.no_cm_flags with syn = true };
-                    isn_local = 1000; isn_remote = 0 }
-                  ~payload:"")
+    onion
+      [ Segment.write_dm { Segment.src_port = 1; dst_port = 2 };
+        Segment.write_cm
+          { Segment.flags = { Segment.no_cm_flags with syn = true };
+            isn_local = 1000; isn_remote = 0 } ]
+      ""
   in
-  (match Shim.sub_to_std shim syn with
+  (match Shim.sub_to_std shim (Bitkit.Slice.of_string syn) with
   | [ wire ] -> (
-      match Wire.decode wire with
+      match Wire.decode_slice wire with
       | Some (h, _) ->
           check Alcotest.bool "syn flag" true h.Wire.flags.Wire.syn;
           check Alcotest.int "seq = isn" 1000 h.Wire.seq
@@ -1297,11 +1292,11 @@ let test_shim_translation_isomorphism () =
         flags = { Wire.no_flags with syn = true; ack = true }; window = 4096 }
       ~payload:""
   in
-  match Shim.std_to_sub shim synack with
+  match Shim.std_to_sub shim (Bitkit.Slice.of_string synack) with
   | [ seg ] -> (
-      match Segment.decode_dm seg with
+      match Segment.decode_dm_slice seg with
       | Some (_, rest) -> (
-          match Segment.decode_cm rest with
+          match Segment.decode_cm_slice rest with
           | Some (cm, _) ->
               check Alcotest.bool "syn+ack" true
                 (cm.Segment.flags.Segment.syn && cm.Segment.flags.Segment.ack);
@@ -1319,6 +1314,77 @@ let test_interop_both_directions () =
     [ (Shim.factory, Tcp_monolithic.factory, "shim->mono");
       (Tcp_monolithic.factory, Shim.factory, "mono->shim");
       (Shim.factory, Shim.factory, "shim->shim") ]
+
+(* The four E4 pairings that put RFC 793 on the wire, pinned to a
+   recorded run: each factory's transmit is tapped, and a 20 KB transfer
+   at 3 % loss must fire the same events, send its last segment at the
+   same virtual time, deliver exactly, and put the same segments on the
+   wire, byte for byte and in order, in each direction. *)
+
+type tap = { mutable segs : int; mutable last : float; bytes : Buffer.t }
+
+let tap () = { segs = 0; last = 0.; bytes = Buffer.create 65536 }
+
+let tapped (f : Host.factory) tap =
+  { f with
+    Host.make =
+      (fun ?ins engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
+        f.Host.make ?ins engine ~name cfg ~local_port ~remote_port ~events
+          ~transmit:(fun (sl : Bitkit.Slice.t) ->
+            tap.segs <- tap.segs + 1;
+            tap.last <- Sim.Engine.now engine;
+            Buffer.add_substring tap.bytes sl.base sl.off sl.len;
+            transmit sl)) }
+
+let wire_pin_run ~seed fa fb =
+  let engine = Sim.Engine.create ~seed () in
+  let ta = tap () and tb = tap () in
+  let a, b =
+    Host.pair engine ~factory_a:(tapped fa ta) ~factory_b:(tapped fb tb)
+      (Sim.Channel.lossy 0.03)
+  in
+  Host.listen b ~port:80;
+  let server = ref None in
+  Host.on_accept b (fun c -> server := Some c);
+  let c = Host.connect a ~remote_port:80 () in
+  let data = random_data seed 20_000 in
+  Host.write c data;
+  Host.close c;
+  ignore (drive engine [ c ] 300.);
+  let exact = match !server with Some s -> Host.received s = data | None -> false in
+  let dir t = (t.segs, Digest.to_hex (Digest.string (Buffer.contents t.bytes))) in
+  ( Sim.Engine.events_fired engine,
+    Printf.sprintf "%h" (Float.max ta.last tb.last),
+    exact, dir ta, dir tb )
+
+let test_wire_bytes_pinned () =
+  List.iter
+    (fun ((name, seed, fa, fb), (events, vtime, (segs_ab, digest_ab), (segs_ba, digest_ba))) ->
+      let ev, t, exact, (sa, da), (sb, db) = wire_pin_run ~seed fa fb in
+      Printf.eprintf "PIN %s (%d, %S, (%d, %S), (%d, %S)) exact=%b\n%!" name ev t sa da sb db exact;
+      check Alcotest.bool (name ^ " exact") true exact;
+      check Alcotest.int (name ^ " events") events ev;
+      check Alcotest.string (name ^ " end time") vtime t;
+      check Alcotest.int (name ^ " segments a->b") segs_ab sa;
+      check Alcotest.string (name ^ " bytes a->b") digest_ab da;
+      check Alcotest.int (name ^ " segments b->a") segs_ba sb;
+      check Alcotest.string (name ^ " bytes b->a") digest_ba db)
+    [ ( ("mono<->mono", 70, Tcp_monolithic.factory, Tcp_monolithic.factory),
+        ( 47, "0x1.d2f1a9fbe76c9p-5",
+          (24, "940d3b8f461de7b8fa5287c6bbb57cea"),
+          (23, "8ef922d2cdee2ea660c43f80a10d724f") ) );
+      ( ("shim->mono", 71, Shim.factory, Tcp_monolithic.factory),
+        ( 47, "0x1.e353f7ced9169p-5",
+          (24, "552c88169152deb994cdced6437fb3f3"),
+          (22, "56ccf14dbde66aaecb489ff01925b8bb") ) );
+      ( ("mono->shim", 72, Tcp_monolithic.factory, Shim.factory),
+        ( 43, "0x1.47ae147ae147bp-8",
+          (23, "3e5f5d0bdef05f54c79c42f6ebb1bd11"),
+          (22, "56ccf14dbde66aaecb489ff01925b8bb") ) );
+      ( ("shim<->shim", 73, Shim.factory, Shim.factory),
+        ( 49, "0x1.09374bc6a7efap-2",
+          (25, "e9d6c743d358cefc9524f55b63e304c4"),
+          (24, "3aae7888e03e8d032f6345e63ac753d6") ) ) ]
 
 let test_interop_bidirectional () =
   let o =
@@ -1605,6 +1671,7 @@ let () =
           Alcotest.test_case "header translation" `Quick test_shim_translation_isomorphism;
           Alcotest.test_case "interop both directions (E4)" `Slow test_interop_both_directions;
           Alcotest.test_case "interop bidirectional" `Quick test_interop_bidirectional;
+          Alcotest.test_case "E4 wire bytes pinned" `Quick test_wire_bytes_pinned;
         ] );
       ( "host",
         [

@@ -1,7 +1,7 @@
-(* Property tests for the zero-copy data path: every sublayer's slice
-   decoder must agree with its reference string codec on random inputs
-   (including truncated and garbage ones, without raising), the wirebuf
-   push path must emit bit-identical bytes to the reference encoders, slice
+(* Property tests for the zero-copy data path: every header's slice
+   reader must agree with its [Codec_oracle] reference on random inputs
+   (including truncated and garbage ones, without raising), its writer
+   must emit the reference bytes through the wirebuf push path, slice
    decoding must be position-independent (a view into the middle of a
    larger buffer decodes the same), and whole seeded runs must be
    bit-identical between the copying (eager) and zero-copy (lazy) wirebuf
@@ -55,7 +55,7 @@ let osr_of u16 =
       (fun (window, ecn_echo, ecn_ce) -> { Segment.window; ecn_echo; ecn_ce })
       (triple u16 bool bool))
 
-let wire_gen =
+let wire_of u16 u32 =
   QCheck2.Gen.(
     map
       (fun ((sp, dp, seq, ack), (urg, a, psh, rst), (syn, fin, window)) ->
@@ -64,7 +64,7 @@ let wire_gen =
       (triple (quad u16 u16 u32 u32) (quad bool bool bool bool)
          (triple bool bool u16)))
 
-let msg_gen =
+let msg_of u16 =
   QCheck2.Gen.(
     map
       (fun ((window, msg_id), (frag_off, msg_len)) ->
@@ -77,26 +77,24 @@ let offset_slice s =
   let padded = "\xAA\xBB\xCC" ^ s ^ "\xDD" in
   Bitkit.Slice.sub (Bitkit.Slice.of_string padded) ~pos:3 ~len:(String.length s)
 
-(* One header codec against its reference string codec [encode]/[decode]
-   ([Codec_oracle]'s Bitio codec for the transport headers): the
-   library's [decode_slice] must agree with it on valid, garbage and
-   truncated input, read whole or as a mid-buffer view, and the
-   library's [write] must emit the reference bytes for any field values
-   [wide] draws. *)
-let codec_props name hgen ~wide ~encode ~decode ~decode_slice ~write ~owner =
-  let agree s =
-    match
-      ( decode s,
-        decode_slice (Bitkit.Slice.of_string s),
-        decode_slice (offset_slice s) )
-    with
-    | None, None, None -> true
-    | Some (h1, p1), Some (h2, p2), Some (h3, p3) ->
-        h1 = h2 && h1 = h3
-        && Bitkit.Slice.equal_string p2 p1
-        && Bitkit.Slice.equal_string p3 p1
-    | _ -> false
-  in
+(* The oracle's [decode] and the library's [decode_slice], read whole and
+   as a mid-buffer view, agree on [s]. *)
+let agree decode decode_slice s =
+  match
+    (decode s, decode_slice (Bitkit.Slice.of_string s), decode_slice (offset_slice s))
+  with
+  | None, None, None -> true
+  | Some (h1, p1), Some (h2, p2), Some (h3, p3) ->
+      h1 = h2 && h1 = h3
+      && Bitkit.Slice.equal_string p2 p1
+      && Bitkit.Slice.equal_string p3 p1
+  | _ -> false
+
+(* One header reader against its [Codec_oracle] reference
+   [encode]/[decode]: the library's [decode_slice] must agree with it on
+   valid, garbage and truncated input, read whole or as a mid-buffer
+   view. *)
+let reader_props name hgen ~wide ~encode ~decode ~decode_slice =
   [ qtest (name ^ ": slice decode = string decode")
       (QCheck2.Gen.pair hgen payload_gen)
       (fun (h, p) ->
@@ -112,14 +110,8 @@ let codec_props name hgen ~wide ~encode ~decode ~decode_slice ~write ~owner =
         match decode_slice (offset_slice s) with
         | Some (h', p') -> h' = h && Bitkit.Slice.equal_string p' p
         | None -> false);
-    qtest (name ^ ": wirebuf push emits identical bytes")
-      (QCheck2.Gen.pair wide payload_gen)
-      (fun (h, p) ->
-        let wb =
-          Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string p) ~owner (write h)
-        in
-        Bitkit.Wirebuf.to_string wb = encode h ~payload:p);
-    qtest (name ^ ": garbage never raises, decoders agree") garbage_gen agree;
+    qtest (name ^ ": garbage never raises, decoders agree") garbage_gen
+      (agree decode decode_slice);
     qtest (name ^ ": truncation -> None without raising")
       (QCheck2.Gen.pair wide payload_gen)
       (fun (h, p) ->
@@ -131,33 +123,27 @@ let codec_props name hgen ~wide ~encode ~decode ~decode_slice ~write ~owner =
         List.for_all
           (fun cut ->
             let short = String.sub s 0 cut in
-            agree short
+            agree decode decode_slice short
             && (cut >= header_len || decode_slice (offset_slice short) = None))
           (List.init (String.length s) Fun.id))
   ]
 
-(* The transport headers also keep string forms, which must wrap the
-   same codec — same bytes, same decodes, same bytes charged to the copy
-   counter — and each header must be exactly its owner's bits in the
-   Figure 6 layout, plus one 64-bit block per SACK for RD. *)
-let transport_props name hgen wgen ~encode ~decode ~decode_slice ~write
-    ~lib_encode ~lib_decode ~sack_blocks =
-  let charged f =
-    let before = Bitkit.Slice.copied_bytes () in
-    let v = f () in
-    (v, Bitkit.Slice.copied_bytes () - before)
-  in
+(* ... and the library's [write] must emit the reference bytes for any
+   field values [wide] draws. *)
+let codec_props name hgen ~wide ~encode ~decode ~decode_slice ~write ~owner =
+  reader_props name hgen ~wide ~encode ~decode ~decode_slice
+  @ [ qtest (name ^ ": wirebuf push emits identical bytes")
+        (QCheck2.Gen.pair wide payload_gen)
+        (fun (h, p) ->
+          let wb = Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string p) ~owner (write h) in
+          Bitkit.Wirebuf.to_string wb = encode h ~payload:p)
+    ]
+
+(* Each Figure 6 header must be exactly its owner's bits in the layout,
+   plus one 64-bit block per SACK for RD. *)
+let transport_props name hgen wgen ~encode ~decode ~decode_slice ~write ~sack_blocks =
   codec_props name hgen ~wide:wgen ~encode ~decode ~decode_slice ~write ~owner:name
-  @ [ qtest (name ^ ": string forms = oracle")
-        QCheck2.Gen.(triple wgen payload_gen garbage_gen)
-        (fun (h, p, g) ->
-          let s = encode h ~payload:p in
-          charged (fun () -> lib_encode h ~payload:p)
-          = charged (fun () -> encode h ~payload:p)
-          && List.for_all
-               (fun s -> charged (fun () -> lib_decode s) = charged (fun () -> decode s))
-               [ s; g; String.sub s 0 (String.length s / 2) ]);
-      qtest (name ^ ": header bits = layout bits") wgen (fun h ->
+  @ [ qtest (name ^ ": header bits = layout bits") wgen (fun h ->
           8 * String.length (write h)
           = Sublayer.Layout.bits_of Segment.layout name + (64 * sack_blocks h))
     ]
@@ -167,99 +153,126 @@ let no_sacks _ = 0
 let dm_props =
   transport_props "dm" (dm_of u16) (dm_of (wide 16))
     ~encode:Codec_oracle.encode_dm ~decode:Codec_oracle.decode_dm
-    ~decode_slice:Segment.decode_dm_slice ~write:Segment.write_dm
-    ~lib_encode:Segment.encode_dm ~lib_decode:Segment.decode_dm ~sack_blocks:no_sacks
+    ~decode_slice:Segment.decode_dm_slice ~write:Segment.write_dm ~sack_blocks:no_sacks
 
 let cm_props =
   transport_props "cm" (cm_of u32) (cm_of (wide 32))
     ~encode:Codec_oracle.encode_cm ~decode:Codec_oracle.decode_cm
-    ~decode_slice:Segment.decode_cm_slice ~write:Segment.write_cm
-    ~lib_encode:Segment.encode_cm ~lib_decode:Segment.decode_cm ~sack_blocks:no_sacks
+    ~decode_slice:Segment.decode_cm_slice ~write:Segment.write_cm ~sack_blocks:no_sacks
 
 let rd_props =
   transport_props "rd" (rd_of u16 u32) (rd_of (wide 16) (wide 32))
     ~encode:Codec_oracle.encode_rd ~decode:Codec_oracle.decode_rd
     ~decode_slice:Segment.decode_rd_slice ~write:Segment.write_rd
-    ~lib_encode:Segment.encode_rd ~lib_decode:Segment.decode_rd
     ~sack_blocks:(fun h -> List.length h.Segment.sacks)
 
 let osr_props =
   transport_props "osr" (osr_of u16) (osr_of (wide 16))
     ~encode:Codec_oracle.encode_osr ~decode:Codec_oracle.decode_osr
-    ~decode_slice:Segment.decode_osr_slice ~write:Segment.write_osr
-    ~lib_encode:Segment.encode_osr ~lib_decode:Segment.decode_osr ~sack_blocks:no_sacks
+    ~decode_slice:Segment.decode_osr_slice ~write:Segment.write_osr ~sack_blocks:no_sacks
 
 let msg_props =
-  codec_props "msg" msg_gen ~wide:msg_gen ~encode:Msg.encode_header
-    ~decode:(fun s ->
-      match Msg.decode_header_slice (Bitkit.Slice.of_string s) with
-      | Some (h, p) -> Some (h, Bitkit.Slice.to_string p)
-      | None -> None)
-    ~decode_slice:Msg.decode_header_slice
-    ~write:(fun h -> Bitkit.Wirebuf.pack (Msg.write_header h))
-    ~owner:"msg"
+  codec_props "msg" (msg_of u16) ~wide:(msg_of (wide 16))
+    ~encode:Codec_oracle.Msg.encode_header ~decode:Codec_oracle.Msg.decode_header
+    ~decode_slice:Msg.decode_header_slice ~write:Msg.write_header ~owner:"msg"
 
-(* --- The RFC 793 wire codec (checksummed, so garbage mostly fails) --- *)
+(* --- The RFC 793 header (checksummed, so garbage mostly fails) --- *)
+
+(* [Wire.encode] writes the whole segment, checksum included, so it is
+   held to the oracle's encoder directly; [Wire.decode_slice] is held to
+   the oracle's decoder like every reader (odd-length payloads
+   included), and also on segments carrying 4 to 40 option bytes
+   ([data_offset] 6 to 15), every truncation of those, and any one
+   flipped bit. *)
+
+let wire_gen = wire_of u16 u32
+let wire_wide = wire_of (wide 16) (wide 32)
+let wire_agree = agree Codec_oracle.Wire.decode Wire.decode_slice
+
+(* [s] rewritten with [data_offset] [5 + words] and [words] option words
+   spliced in after the fixed header, its checksum recomputed. *)
+let with_options s ~words ~fill =
+  let b =
+    Bytes.of_string
+      (String.sub s 0 20 ^ String.make (4 * words) fill
+      ^ String.sub s 20 (String.length s - 20))
+  in
+  Bytes.set_uint8 b 12 (((5 + words) lsl 4) lor (Bytes.get_uint8 b 12 land 0x0F));
+  Bytes.set_uint16_be b 16 0;
+  Bytes.set_uint16_be b 16 (Bitkit.Checksum.internet (Bytes.to_string b));
+  Bytes.to_string b
 
 let wire_props =
-  [ qtest "wire: slice decode = string decode"
-      (QCheck2.Gen.pair wire_gen payload_gen)
-      (fun (h, p) ->
-        let s = Wire.encode h ~payload:p in
-        match (Wire.decode s, Wire.decode_slice (Bitkit.Slice.of_string s)) with
-        | Some (h1, p1), Some (h2, p2) ->
-            h1 = h && h2 = h && p1 = p && Bitkit.Slice.equal_string p2 p
-        | _ -> false);
-    qtest "wire: mid-buffer slice decodes the same"
-      (QCheck2.Gen.pair wire_gen payload_gen)
-      (fun (h, p) ->
-        let s = Wire.encode h ~payload:p in
-        match Wire.decode_slice (offset_slice s) with
-        | Some (h', p') -> h' = h && Bitkit.Slice.equal_string p' p
-        | None -> false);
-    qtest "wire: garbage never raises, decoders agree" garbage_gen
-      (fun s ->
-        match (Wire.decode s, Wire.decode_slice (Bitkit.Slice.of_string s)) with
-        | None, None -> true
-        | Some (h1, p1), Some (h2, p2) ->
-            h1 = h2 && Bitkit.Slice.equal_string p2 p1
-        | _ -> false)
-  ]
+  reader_props "wire" wire_gen ~wide:wire_wide
+    ~encode:Codec_oracle.Wire.encode ~decode:Codec_oracle.Wire.decode
+    ~decode_slice:Wire.decode_slice
+  @ [ qtest "wire: encode = oracle encode"
+        (QCheck2.Gen.pair wire_wide payload_gen)
+        (fun (h, p) -> Wire.encode h ~payload:p = Codec_oracle.Wire.encode h ~payload:p);
+      qtest "wire: options skipped as the oracle skips them"
+        QCheck2.Gen.(triple (pair wire_gen payload_gen) (1 -- 10) char)
+        (fun ((h, p), words, fill) ->
+          let s = with_options (Wire.encode h ~payload:p) ~words ~fill in
+          (match Wire.decode_slice (offset_slice s) with
+          | Some (h', p') -> h' = h && Bitkit.Slice.equal_string p' p
+          | None -> false)
+          && List.for_all
+               (fun cut -> wire_agree (String.sub s 0 cut))
+               (List.init (String.length s + 1) Fun.id));
+      qtest "wire: a flipped bit is rejected"
+        QCheck2.Gen.(pair (pair wire_gen payload_gen) nat)
+        (fun ((h, p), k) ->
+          let b = Bytes.of_string (Wire.encode h ~payload:p) in
+          let k = k mod (8 * Bytes.length b) in
+          Bytes.set_uint8 b (k / 8) (Bytes.get_uint8 b (k / 8) lxor (0x80 lsr (k mod 8)));
+          let bad = Bytes.to_string b in
+          wire_agree bad && Wire.decode_slice (Bitkit.Slice.of_string bad) = None)
+    ]
 
 (* --- ARQ PDUs --- *)
 
-let arq_pdu_gen =
+let arq_pdu_gen u16 =
   QCheck2.Gen.(
     bind bool (fun is_data ->
         if is_data then
-          map (fun (seq, p) -> Datalink.Arq.Data (seq, p)) (pair u16 payload_gen)
-        else map (fun seq -> Datalink.Arq.Ack seq) u16))
+          map (fun (seq, p) -> Codec_oracle.Arq.Data (seq, p)) (pair u16 payload_gen)
+        else map (fun seq -> Codec_oracle.Arq.Ack seq) u16))
 
 let arq_agrees pdu rx =
   match (pdu, rx) with
-  | Some (Datalink.Arq.Data (s1, p1)), Some (Datalink.Arq.Rx_data (s2, p2)) ->
+  | Some (Codec_oracle.Arq.Data (s1, p1)), Some (Datalink.Arq.Rx_data (s2, p2)) ->
       s1 = s2 && Bitkit.Slice.equal_string p2 p1
-  | Some (Datalink.Arq.Ack s1), Some (Datalink.Arq.Rx_ack s2) -> s1 = s2
+  | Some (Codec_oracle.Arq.Ack s1), Some (Datalink.Arq.Rx_ack s2) -> s1 = s2
   | None, None -> true
   | _ -> false
 
+(* The oracle's decode and the library's, whole and mid-buffer. *)
+let arq_agree s =
+  let pdu = Codec_oracle.Arq.decode_pdu s in
+  arq_agrees pdu (Datalink.Arq.decode_pdu_slice (Bitkit.Slice.of_string s))
+  && arq_agrees pdu (Datalink.Arq.decode_pdu_slice (offset_slice s))
+
 let arq_props =
-  [ qtest "arq: slice decode = string decode" arq_pdu_gen (fun pdu ->
-        let s = Datalink.Arq.encode_pdu pdu in
-        arq_agrees (Some pdu)
-          (Datalink.Arq.decode_pdu_slice (Bitkit.Slice.of_string s))
-        && arq_agrees (Datalink.Arq.decode_pdu s)
-             (Datalink.Arq.decode_pdu_slice (Bitkit.Slice.of_string s)));
-    qtest "arq: wirebuf forms emit identical bytes" arq_pdu_gen (fun pdu ->
+  [ qtest "arq: slice decode = string decode" (arq_pdu_gen u16) (fun pdu ->
+        let s = Codec_oracle.Arq.encode_pdu pdu in
+        arq_agrees (Some pdu) (Datalink.Arq.decode_pdu_slice (offset_slice s))
+        && arq_agree s);
+    qtest "arq: wirebuf forms emit identical bytes" (arq_pdu_gen (wide 16)) (fun pdu ->
         let wb =
           match pdu with
-          | Datalink.Arq.Data (seq, p) -> Datalink.Arq.data_wirebuf ~seq p
-          | Datalink.Arq.Ack seq -> Datalink.Arq.ack_wirebuf seq
+          | Codec_oracle.Arq.Data (seq, p) -> Datalink.Arq.data_wirebuf ~seq p
+          | Codec_oracle.Arq.Ack seq -> Datalink.Arq.ack_wirebuf seq
         in
-        Bitkit.Wirebuf.to_string wb = Datalink.Arq.encode_pdu pdu);
-    qtest "arq: garbage never raises, decoders agree" garbage_gen (fun s ->
-        arq_agrees (Datalink.Arq.decode_pdu s)
-          (Datalink.Arq.decode_pdu_slice (Bitkit.Slice.of_string s)))
+        Bitkit.Wirebuf.to_string wb = Codec_oracle.Arq.encode_pdu pdu);
+    qtest "arq: truncation and trailing bytes, decoders agree"
+      QCheck2.Gen.(pair (arq_pdu_gen u16) garbage_gen)
+      (fun (pdu, tail) ->
+        let s = Codec_oracle.Arq.encode_pdu pdu in
+        arq_agree (s ^ tail)
+        && List.for_all
+             (fun cut -> arq_agree (String.sub s 0 cut))
+             (List.init (String.length s) Fun.id));
+    qtest "arq: garbage never raises, decoders agree" garbage_gen arq_agree
   ]
 
 (* --- Error detectors: verify_slice = verify, in place --- *)
@@ -396,7 +409,7 @@ let test_rec_pooled_seal_identical () =
       if i mod 2 = 0 then Bitkit.Wirebuf.of_string payload
       else
         Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_string payload) ~owner:"cm"
-          (Bitkit.Wirebuf.pack (fun w -> Bitkit.Bitio.Writer.bits w i 24))
+          (String.init 3 (fun k -> Char.chr ((i lsr (16 - (8 * k))) land 0xFF)))
     in
     let out r =
       match Rec.handle_up_req !r wb with
