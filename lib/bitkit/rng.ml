@@ -43,6 +43,16 @@ let int t bound =
   assert (bound > 0);
   below t bound
 
+(* Byte [i] is what [int t 256] would draw: bits 2–9 of one draw (a
+   power-of-two bound never rejects). *)
+let bytes t n =
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical (next t) 2) land 0xFF))
+  done;
+  Bytes.unsafe_to_string b
+
 let[@inline] float t =
   let r = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   Float.of_int r *. 0x1p-53

@@ -25,6 +25,12 @@ val bits : t -> int -> int
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). [bound] must be positive. *)
 
+val bytes : t -> int -> string
+(** [bytes t n] is [n] uniform bytes, one draw each: the same string, and
+    the same generator state after, as
+    [String.init n (fun _ -> Char.chr (int t 256))], without a closure
+    call or a division per byte. *)
+
 val float : t -> float
 (** Uniform float in [0, 1). *)
 

@@ -13,9 +13,10 @@
     ({!Runtime}) and under the explicit-state model checker ([Mcheck]).
 
     {!Stack} composes two sublayers into one (test T1: the upper sublayer
-    uses and improves the service of the lower). Because composition is by
-    module functor over the port types, the stack has no access to either
-    sublayer's internal state — test T3's state separation holds by
+    uses and improves the service of the lower), and {!Seam} does the same
+    with a conformance {!Probe} watching the boundary. Because composition
+    is by module functor over the port types, the stack has no access to
+    either sublayer's internal state — test T3's state separation holds by
     construction. *)
 
 type ('up_ind, 'down_req, 'timer) action =
@@ -70,6 +71,57 @@ module Stack
      and type down_ind = Lower.down_ind
      and type timer = (Upper.timer, Lower.timer) Either.t
 
+(** What a {!Seam} needs of its tap: a name and a record of two
+    observers. Every {!Probe} instantiation is one. *)
+module type TAP = sig
+  val name : string
+
+  type up_req
+  type up_ind
+  type t = { obs_req : up_req -> unit; obs_ind : up_ind -> unit }
+end
+
+(** [Seam (Upper) (P) (Lower)] is [Stack (Upper) (Stack (P) (Lower))]
+    with the probe [P] fused into the boundary, so a crossing climbs one
+    drain level instead of two. [Stack] and [Seam] run the same drain;
+    a stack is a seam without a tap.
+
+    Contract: a seam is observably the two levels it replaces. It makes
+    the same sublayer calls in the same order, calls the tap's observers
+    in the same order, and returns the same actions, with two shapes
+    flatter: the state is a triple and a timer is wrapped once,
+    [Left] for [Upper]'s and [Right] for [Lower]'s. Its [name] is the
+    nested stack's, and a [Note] from [Lower] carries both prefixes the
+    nested stack gives it (["P/Lower: Lower: "]), so trace text is
+    unchanged.
+
+    Observation order. [obs_req r] runs just before
+    [Lower.handle_up_req r]. When [Lower] returns a list of actions,
+    from any of its three handlers, [obs_ind] sees every [Up] in it as
+    the list arrives, before [Upper] handles the first of them — the
+    probe level's inner stack drained [Lower]'s whole list before the
+    outer stack saw any of it. Observing each [Up] only when [Upper]
+    takes it would reorder observations against [Upper]'s own
+    crossings.
+
+    Cost. Against the nested pair, a crossing saves a whole drain
+    level: the probe's own step and action list, a second state record,
+    the inner level's re-wrapping and re-consing of every action that
+    passes, and one [Either] per [Lower] timer. The tap's observers are
+    called straight from the drain; each list [Lower] returns is walked
+    once more to show its [Up]s to the tap. *)
+module Seam
+    (Upper : S)
+    (P : TAP with type up_req = Upper.down_req and type up_ind = Upper.down_ind)
+    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) :
+  S
+    with type t = Upper.t * P.t * Lower.t
+     and type up_req = Upper.up_req
+     and type up_ind = Upper.up_ind
+     and type down_req = Lower.down_req
+     and type down_ind = Lower.down_ind
+     and type timer = (Upper.timer, Lower.timer) Either.t
+
 (** The empty type, for sublayers with no timers. *)
 module Nothing : sig
   type t = |
@@ -96,7 +148,8 @@ end) :
     calling the observation closures on the way past. Its state is the
     pair of closures, so the same stack type can carry live monitors or
     no-op functions — composition and event counts are identical either
-    way. *)
+    way. A probe composes as a level of its own, or as the {!TAP} of a
+    {!Seam}, which calls the same closures from inside the boundary. *)
 module Probe (M : sig
   type req
   type ind

@@ -72,11 +72,14 @@ module Make (S : Machine.S) = struct
 
   let call f x = f x
 
+  (* A callback may halt the runtime mid-list (a delivery that aborts the
+     connection); the rest of the list is then dropped, so a halted
+     runtime arms no timer and transmits nothing. *)
   let rec apply t = function
     | [] -> ()
     | act :: acts ->
         apply_one t act;
-        apply t acts
+        if not t.halted then apply t acts
 
   and apply_one t = function
     | Machine.Up ind -> bracket t (fun a -> a.al_app) call t.deliver ind

@@ -47,7 +47,8 @@ module Make (S : Machine.S) : sig
       [from_above]/[from_below]/timer fires into no-ops.  The give-up
       path for a stack whose link died underneath it (a tunnel's outer
       connection aborting) — state is kept readable, nothing runs.
-      Idempotent. *)
+      Called from a [deliver] or [transmit] callback, it also drops the
+      actions left in the step being applied. Idempotent. *)
 
   val halted : t -> bool
   val active_timers : t -> int

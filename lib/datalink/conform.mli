@@ -2,8 +2,10 @@
     (with decoded sequence numbers checked against the ARQ variant's
     window discipline), detector⇄framer and framer⇄linecode (length
     sanity). Mirrors {!Transport.Conform}: the probes are always in the
-    composition and carry no-op closures when no registry is given, and
-    [?alloc] cells charge crossings through {!Sublayer.Alloc.wrap_taps}. *)
+    composition, each the tap of the {!Sublayer.Machine.Seam} between
+    the sublayers it watches, and carry no-op closures when no registry
+    is given, and [?alloc] cells charge crossings through
+    {!Sublayer.Alloc.wrap_taps}. *)
 
 module P_arq_det : sig
   type t = {

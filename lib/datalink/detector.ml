@@ -177,7 +177,7 @@ let crc params =
 let residual_error_rate det rng ~trials ~payload_len ~flips =
   let undetected = ref 0 in
   for _ = 1 to trials do
-    let payload = String.init payload_len (fun _ -> Char.chr (Bitkit.Rng.int rng 256)) in
+    let payload = Bitkit.Rng.bytes rng payload_len in
     let frame = Bytes.of_string (det.protect payload) in
     let nbits = 8 * Bytes.length frame in
     for _ = 1 to flips do

@@ -1,5 +1,5 @@
 (** The stateless data-link sublayers as {!Sublayer.Machine.S} machines,
-    ready for {!Sublayer.Machine.Stack} composition. Each machine's state
+    ready for {!Sublayer.Machine.Seam} composition. Each machine's state
     is its mechanism value ({!Detector.t}, {!Framer.t}, {!Linecode.t})
     plus its own counters, so replacing the mechanism is replacing the
     state — the surrounding stack code never changes (test T3) — and

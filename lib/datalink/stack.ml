@@ -48,12 +48,10 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
   let name = I.tagged_name ins name in
   let module A = (val spec.arq : Arq.S) in
   let module Lower =
-    Machine.Stack (Layers.Framing) (Machine.Stack (Conform.P_frm_line) (Layers.Line_coding))
+    Machine.Seam (Layers.Framing) (Conform.P_frm_line) (Layers.Line_coding)
   in
-  let module Middle =
-    Machine.Stack (Layers.Error_detection) (Machine.Stack (Conform.P_det_frm) (Lower))
-  in
-  let module Full = Machine.Stack (A) (Machine.Stack (Conform.P_arq_det) (Middle)) in
+  let module Middle = Machine.Seam (Layers.Error_detection) (Conform.P_det_frm) (Lower) in
+  let module Full = Machine.Seam (A) (Conform.P_arq_det) (Middle) in
   let module R = Runtime.Make (Full) in
   (* One scope per sublayer, so the registry reports [arq.*],
      [detector.*], [framer.*] and [linecode.*] side by side (level-
@@ -78,39 +76,30 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
         | Either.Left _ -> arq_c
         | Either.Right (Either.Left _) -> .
         | Either.Right (Either.Right (Either.Left _)) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))) ->
-            .
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))))
-          ->
-            .
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Right _)))))
-          ->
-            .);
+        | Either.Right (Either.Right (Either.Right _)) -> .);
     }
   in
   let st =
     ( A.initial ?stats:(in_scope "arq") ?span:(sp "arq") spec.arq_config,
-      ( Conform.arq_det ~alloc:(arq_c, det_c) monitors ~key:name ~variant:A.name
-          ~window:spec.arq_config.Arq.window,
-        ( Layers.Error_detection.make ?stats:(in_scope "detector")
-            ?span:(sp "detector") ?pool spec.detector,
-          ( Conform.det_frm ~alloc:(det_c, frm_c) monitors ~key:name,
-            ( Layers.Framing.make ?stats:(in_scope "framer") ?span:(sp "framer")
-                spec.framer,
-              ( Conform.frm_line ~alloc:(frm_c, line_c) monitors ~key:name,
-                Layers.Line_coding.make ?stats:(in_scope "linecode")
-                  ?span:(sp "linecode") spec.linecode ) ) ) ) ) )
+      Conform.arq_det ~alloc:(arq_c, det_c) monitors ~key:name ~variant:A.name
+        ~window:spec.arq_config.Arq.window,
+      ( Layers.Error_detection.make ?stats:(in_scope "detector")
+          ?span:(sp "detector") ?pool spec.detector,
+        Conform.det_frm ~alloc:(det_c, frm_c) monitors ~key:name,
+        ( Layers.Framing.make ?stats:(in_scope "framer") ?span:(sp "framer")
+            spec.framer,
+          Conform.frm_line ~alloc:(frm_c, line_c) monitors ~key:name,
+          Layers.Line_coding.make ?stats:(in_scope "linecode")
+            ?span:(sp "linecode") spec.linecode ) ) )
   in
   let r = R.create engine ?trace ~alloc ~name ~transmit ~deliver st in
+  let arq () = let a, _, _ = R.state r in a in
   {
     send = R.from_above r;
     from_wire = R.from_below r;
-    arq_stats = (fun () -> A.stats (fst (R.state r)));
-    is_idle = (fun () -> A.idle (fst (R.state r)));
-    arq_gave_up = (fun () -> A.gave_up (fst (R.state r)));
+    arq_stats = (fun () -> A.stats (arq ()));
+    is_idle = (fun () -> A.idle (arq ()));
+    arq_gave_up = (fun () -> A.gave_up (arq ()));
     halt = (fun () -> R.halt r);
     killed = false;
   }

@@ -4,11 +4,14 @@
     stacks expose — app⇄OSR (closures around the endpoint, since the app
     sits above the stack), OSR⇄RD, RD⇄CM and the opaque PDU boundaries
     CM⇄DM, CM⇄Rec, Rec⇄DM. The probes are {e always} part of the
-    composition; when no {!Monitor.Runtime.t} is supplied their state is
-    a pair of shared no-op closures, so a monitored and an unmonitored
-    endpoint have identical types, event counts and schedules. Each
-    constructor's [?alloc] cells charge its crossings through
-    {!Sublayer.Alloc.wrap_taps}; omitted, crossings are unattributed. *)
+    composition: each factory passes one as the tap of the
+    {!Sublayer.Machine.Seam} between the two sublayers it watches, so a
+    probe costs no drain level of its own. When no {!Monitor.Runtime.t}
+    is supplied a probe's state is a pair of shared no-op closures, so a
+    monitored and an unmonitored endpoint have identical types, event
+    counts and schedules. Each constructor's [?alloc] cells charge its
+    crossings through {!Sublayer.Alloc.wrap_taps}; omitted, crossings
+    are unattributed. *)
 
 module P_osr_rd : sig
   type t = {

@@ -167,7 +167,7 @@ let create engine ?(hosts = 8) ?(config = Config.default)
   let rng = Bitkit.Rng.create seed in
   let farr =
     Array.init flows (fun _ ->
-        { f_data = String.init bytes (fun _ -> Char.chr (Bitkit.Rng.int rng 256));
+        { f_data = Bitkit.Rng.bytes rng bytes;
           f_client = None; f_server = None })
   in
   let by_server_port = Hashtbl.create (max 1 flows) in
@@ -333,7 +333,7 @@ let create_sharded shard ?(hosts = 8) ?(config = Config.default)
   let rng = Bitkit.Rng.create seed in
   let farr =
     Array.init flows (fun _ ->
-        { f_data = String.init bytes (fun _ -> Char.chr (Bitkit.Rng.int rng 256));
+        { f_data = Bitkit.Rng.bytes rng bytes;
           f_client = None; f_server = None })
   in
   let by_server_port = Hashtbl.create (max 1 flows) in

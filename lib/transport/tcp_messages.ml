@@ -1,9 +1,9 @@
 module Machine = Sublayer.Machine
 
 (* Identical lower stack to Tcp_sublayered; only the top module differs. *)
-module Lower = Machine.Stack (Cm) (Machine.Stack (Conform.P_pdu) (Dm))
-module Middle = Machine.Stack (Rd) (Machine.Stack (Conform.P_rd_cm) (Lower))
-module Full = Machine.Stack (Msg) (Machine.Stack (Conform.P_osr_rd) (Middle))
+module Lower = Machine.Seam (Cm) (Conform.P_pdu) (Dm)
+module Middle = Machine.Seam (Rd) (Conform.P_rd_cm) (Lower)
+module Full = Machine.Seam (Msg) (Conform.P_osr_rd) (Middle)
 module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
@@ -21,9 +21,8 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ~local_port ~remote_port () in
   R.create engine ?trace ~name ~transmit ~deliver:events
     ( msg,
-      ( Conform.osr_rd ~spec:(Monitor.Specs.stream_rd ~upper:"msg") monitors
-          ~conn:name,
-        (rd, (Conform.rd_cm monitors ~conn:name, (cm, (Conform.cm_dm monitors ~conn:name, dm)))) ) )
+      Conform.osr_rd ~spec:(Monitor.Specs.stream_rd ~upper:"msg") monitors ~conn:name,
+      (rd, Conform.rd_cm monitors ~conn:name, (cm, Conform.cm_dm monitors ~conn:name, dm)) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -32,7 +31,7 @@ let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
 
-let msg_state t = fst (R.state t)
+let msg_state t = let msg, _, _ = R.state t in msg
 let messages_sent t = Msg.messages_sent (msg_state t)
 let messages_delivered t = Msg.messages_delivered (msg_state t)
 let finished t = Msg.stream_finished (msg_state t)

@@ -1,10 +1,10 @@
 module Machine = Sublayer.Machine
 
 (* Tcp_sublayered with one extra module slotted in below CM. *)
-module Bottom = Machine.Stack (Rec) (Machine.Stack (Conform.P_pdu) (Dm))
-module Lower = Machine.Stack (Cm) (Machine.Stack (Conform.P_pdu) (Bottom))
-module Middle = Machine.Stack (Rd) (Machine.Stack (Conform.P_rd_cm) (Lower))
-module Full = Machine.Stack (Osr) (Machine.Stack (Conform.P_osr_rd) (Middle))
+module Bottom = Machine.Seam (Rec) (Conform.P_pdu) (Dm)
+module Lower = Machine.Seam (Cm) (Conform.P_pdu) (Bottom)
+module Middle = Machine.Seam (Rd) (Conform.P_rd_cm) (Lower)
+module Full = Machine.Seam (Osr) (Conform.P_osr_rd) (Middle)
 module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
@@ -27,40 +27,15 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~key ~name cfg
     { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = app_c;
       al_wire = wire_c;
       al_timer =
-        (* Only OSR, RD and CM own timers; every probe, Rec and DM slot
-           is [Nothing.t], discharged by refutation cases. *)
+        (* Only OSR, RD and CM own timers; the Rec and DM slots are
+           [Nothing.t], discharged by refutation cases. *)
         (fun (tm : Full.timer) ->
         match tm with
         | Either.Left _ -> osr_c
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right (Either.Left _)) -> rd_c
+        | Either.Right (Either.Left _) -> rd_c
+        | Either.Right (Either.Right (Either.Left _)) -> cm_c
         | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))) ->
-            cm_c
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))))
-          ->
-            .
-        | Either.Right
-            (Either.Right
-              (Either.Right
-                (Either.Right (Either.Right (Either.Right (Either.Left _))))))
-          ->
-            .
-        | Either.Right
-            (Either.Right
-              (Either.Right
-                (Either.Right
-                  (Either.Right (Either.Right (Either.Right (Either.Left _)))))))
-          ->
-            .
-        | Either.Right
-            (Either.Right
-              (Either.Right
-                (Either.Right
-                  (Either.Right (Either.Right (Either.Right (Either.Right _)))))))
-          ->
-            .);
+        | Either.Right (Either.Right (Either.Right (Either.Right _))) -> .);
     }
   in
   let osr =
@@ -76,12 +51,12 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~key ~name cfg
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
   R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
     ( osr,
-      ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
-        ( rd,
-          ( Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
-            ( cm,
-              ( Conform.cm_rec ~alloc:(cm_c, rec_c) monitors ~conn:name,
-                (rec_, (Conform.rec_dm ~alloc:(rec_c, dm_c) monitors ~conn:name, dm)) ) ) ) ) ) )
+      Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
+      ( rd,
+        Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
+        ( cm,
+          Conform.cm_rec ~alloc:(cm_c, rec_c) monitors ~conn:name,
+          (rec_, Conform.rec_dm ~alloc:(rec_c, dm_c) monitors ~conn:name, dm) ) ) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -90,9 +65,9 @@ let read t n = R.from_above t (`Read n)
 let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
-let stream_finished t = Osr.stream_finished (fst (R.state t))
+let stream_finished t = let osr, _, _ = R.state t in Osr.stream_finished osr
 
-let rec_state t = fst (snd (snd (snd (snd (snd (snd (R.state t)))))))
+let rec_state t = let _, _, (_, _, (_, _, (rec_, _, _))) = R.state t in rec_
 let records_sent t = Rec.records_sent (rec_state t)
 let auth_failures t = Rec.auth_failures (rec_state t)
 

@@ -1,11 +1,12 @@
 module Machine = Sublayer.Machine
 
 (* The Figure 5 stack, composed bottom-up: CM over DM, RD over that, OSR
-   on top. The functor composition type-checks the narrow interfaces of
-   Iface: any module with the same ports drops in. *)
-module Lower = Machine.Stack (Cm) (Machine.Stack (Conform.P_pdu) (Dm))
-module Middle = Machine.Stack (Rd) (Machine.Stack (Conform.P_rd_cm) (Lower))
-module Full = Machine.Stack (Osr) (Machine.Stack (Conform.P_osr_rd) (Middle))
+   on top, each boundary a seam with its conformance probe. The functor
+   composition type-checks the narrow interfaces of Iface: any module
+   with the same ports drops in. *)
+module Lower = Machine.Seam (Cm) (Conform.P_pdu) (Dm)
+module Middle = Machine.Seam (Rd) (Conform.P_rd_cm) (Lower)
+module Full = Machine.Seam (Osr) (Conform.P_osr_rd) (Middle)
 module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
@@ -28,24 +29,14 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
     { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = app_c;
       al_wire = wire_c;
       al_timer =
-        (* Only OSR, RD and CM own timers; probe and DM slots are
-           [Nothing.t], discharged by refutation cases. *)
+        (* Only OSR, RD and CM own timers; DM's slot is [Nothing.t],
+           discharged by a refutation case. *)
         (fun (tm : Full.timer) ->
         match tm with
         | Either.Left _ -> osr_c
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right (Either.Left _)) -> rd_c
-        | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))) ->
-            cm_c
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))))
-          ->
-            .
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Right _)))))
-          ->
-            .);
+        | Either.Right (Either.Left _) -> rd_c
+        | Either.Right (Either.Right (Either.Left _)) -> cm_c
+        | Either.Right (Either.Right (Either.Right _)) -> .);
     }
   in
   let osr =
@@ -57,10 +48,10 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
   R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
     ( osr,
-      ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
-        ( rd,
-          ( Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
-            (cm, (Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm)) ) ) ) )
+      Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
+      ( rd,
+        Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
+        (cm, Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm) ) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -70,9 +61,9 @@ let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
 
-let osr_state t = fst (R.state t)
-let rd_state t = fst (snd (snd (R.state t)))
-let cm_state t = fst (snd (snd (snd (snd (R.state t)))))
+let osr_state t = let osr, _, _ = R.state t in osr
+let rd_state t = let _, _, (rd, _, _) = R.state t in rd
+let cm_state t = let _, _, (_, _, (cm, _, _)) = R.state t in cm
 
 let cm_phase t = Cm.phase_name (cm_state t)
 let rd_stats t = Rd.stats (rd_state t)

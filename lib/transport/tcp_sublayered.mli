@@ -1,5 +1,5 @@
 (** The sublayered TCP endpoint: {!Osr} / {!Rd} / {!Cm} / {!Dm} composed
-    with {!Sublayer.Machine.Stack} (Figure 5). One value of {!t} is one
+    with {!Sublayer.Machine.Seam} (Figure 5). One value of {!t} is one
     end of one connection; multi-connection port demultiplexing lives in
     {!Host}. *)
 

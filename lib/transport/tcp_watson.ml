@@ -1,9 +1,9 @@
 module Machine = Sublayer.Machine
 
 (* Only the CM module differs from Tcp_sublayered. *)
-module Lower = Machine.Stack (Cm_timer) (Machine.Stack (Conform.P_pdu) (Dm))
-module Middle = Machine.Stack (Rd) (Machine.Stack (Conform.P_rd_cm) (Lower))
-module Full = Machine.Stack (Osr) (Machine.Stack (Conform.P_osr_rd) (Middle))
+module Lower = Machine.Seam (Cm_timer) (Conform.P_pdu) (Dm)
+module Middle = Machine.Seam (Rd) (Conform.P_rd_cm) (Lower)
+module Full = Machine.Seam (Osr) (Conform.P_osr_rd) (Middle)
 module R = Sublayer.Runtime.Make (Full)
 
 type t = R.t
@@ -24,23 +24,13 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none)
       al_wire = wire_c;
       al_timer =
         (* OSR, RD and CM-with-timer own timers (the Watson variant adds
-           [Idle]); probe and DM slots are [Nothing.t]. *)
+           [Idle]); DM's slot is [Nothing.t]. *)
         (fun (tm : Full.timer) ->
         match tm with
         | Either.Left _ -> osr_c
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right (Either.Left _)) -> rd_c
-        | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))) ->
-            cm_c
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Left _)))))
-          ->
-            .
-        | Either.Right
-            (Either.Right (Either.Right (Either.Right (Either.Right (Either.Right _)))))
-          ->
-            .);
+        | Either.Right (Either.Left _) -> rd_c
+        | Either.Right (Either.Right (Either.Left _)) -> cm_c
+        | Either.Right (Either.Right (Either.Right _)) -> .);
     }
   in
   let osr =
@@ -55,10 +45,10 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none)
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
   R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
     ( osr,
-      ( Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
-        ( rd,
-          ( Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
-            (cm, (Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm)) ) ) ) )
+      Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
+      ( rd,
+        Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
+        (cm, Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm) ) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -67,8 +57,11 @@ let read t n = R.from_above t (`Read n)
 let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
-let cm_phase t = Cm_timer.phase_name (fst (snd (snd (snd (snd (R.state t))))))
-let stream_finished t = Osr.stream_finished (fst (R.state t))
+let cm_phase t =
+  let _, _, (_, _, (cm, _, _)) = R.state t in
+  Cm_timer.phase_name cm
+
+let stream_finished t = let osr, _, _ = R.state t in Osr.stream_finished osr
 
 let factory ?idle_timeout () =
   {

@@ -116,8 +116,10 @@ let create ?(id = "tunnel") ?mtu ?(cost = 1.) conn =
   in
   let t = { conn; lk; rx = Deframer.create (); n_in = 0; n_out = 0 } in
   tref := Some t;
-  Host.on_data conn (fun _chunk -> drain t);
+  (* The stream is read from the connection's buffer, so the tunnel takes
+     no [on_data] chunk (that would copy each one into a string). *)
   Host.on_event conn (function
+    | `Data _ -> drain t
     | `Aborted | `Reset | `Closed -> Link.kill lk
     | _ -> ());
   (* Catch up with whatever happened before we took the callbacks over. *)

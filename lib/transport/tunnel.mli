@@ -23,8 +23,8 @@ val create : ?id:string -> ?mtu:int -> ?cost:float -> Host.conn -> t
 (** Wrap [conn].  [mtu], when given, is advertised as the link's MTU
     hint so the inner host caps its MSS to what fits one record
     comfortably.  [cost] defaults to 1.  The tunnel takes over the
-    connection's [on_data]/[on_event] callbacks and drains its receive
-    buffer; don't share [conn] with another consumer. *)
+    connection's [on_event] callback and drains its receive buffer on
+    each [`Data] event; don't share [conn] with another consumer. *)
 
 val link : t -> Bitkit.Slice.t Sublayer.Link.t
 (** The link to hand to an inner {!Host.create}. *)

@@ -703,6 +703,14 @@ let prop_rng_stream =
       in
       List.for_all same draws && Rng.int64 (Rng.copy r) = Boxed_rng.int64 o)
 
+let prop_rng_bytes =
+  qtest "rng bytes = a byte per int draw"
+    QCheck2.Gen.(pair int (0 -- 5_000))
+    (fun (seed, n) ->
+      let r = Rng.create seed and o = Rng.create seed in
+      let s = Rng.bytes r n in
+      s = String.init n (fun _ -> Char.chr (Rng.int o 256)) && Rng.int64 r = Rng.int64 o)
+
 (* A channel send makes several draws; none of them may allocate. *)
 let test_rng_draws_allocation_free () =
   let r = Rng.create 9 in
@@ -868,6 +876,7 @@ let () =
           Alcotest.test_case "coin bias" `Quick test_rng_coin_bias;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           prop_rng_stream;
+          prop_rng_bytes;
           Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocation_free;
         ] );
       ( "hexdump",

@@ -154,12 +154,15 @@ module Tap = Machine.Probe (struct
   let name = "tap"
 end)
 
-(* The probe's observations, in the order the drain made them. *)
+(* The probes' observations, in the order the drain made them, each
+   with the number of the tap that made it. *)
 let tap_log = ref []
 
-let tap =
-  { Tap.obs_req = (fun m -> tap_log := `Req m :: !tap_log);
-    obs_ind = (fun m -> tap_log := `Ind m :: !tap_log) }
+let tap_at n =
+  { Tap.obs_req = (fun m -> tap_log := (n, `Req m) :: !tap_log);
+    obs_ind = (fun m -> tap_log := (n, `Ind m) :: !tap_log) }
+
+let tap = tap_at 0
 
 module type STACK = functor
   (U : Machine.S)
@@ -256,6 +259,94 @@ let prop_stack_matches_oracle =
            (run (module New.D4) ((0, tap), (0, 0)) t4 inputs)
            (run (module Old.D4) ((0, tap), (0, 0)) t4 inputs))
 
+(* --- Seam = stack over probe --- *)
+
+(* Each timer as its owner's number and key: the seams wrap a timer once
+   per level, the nested stacks twice. *)
+let owned owner =
+  List.map
+    (List.map (function
+      | Machine.Set_timer (tm, d) -> Machine.Set_timer (owner tm, d)
+      | Machine.Cancel_timer tm -> Machine.Cancel_timer (owner tm)
+      | Machine.Up i -> Machine.Up i
+      | Machine.Down r -> Machine.Down r
+      | Machine.Note s -> Machine.Note s))
+
+(* A run reduced to what both shapes share: the sublayers' states, the
+   actions with owned timers and [Note] text as is, and the tap log. *)
+let view project owner (st, steps, log) = (project st, owned owner steps, log)
+
+(* One seam, and a seam over a seam, each against the probe levels it
+   replaces, nested by the library's [Stack] and by the oracle's. *)
+module Seam1 = Machine.Seam (M0) (Tap) (M1)
+module Seam2 = Machine.Seam (M0) (Tap) (Machine.Seam (M1) (Tap) (M2))
+
+let seam1 inputs =
+  view (fun (a, _, b) -> (a, b))
+    (function Either.Left k -> (0, k) | Either.Right k -> (1, k))
+    (run (module Seam1) (0, tap, 0)
+       (fun j k -> if j = 0 then Either.Left k else Either.Right k)
+       inputs)
+
+let seam2 inputs =
+  view (fun (a, _, (b, _, c)) -> (a, (b, c)))
+    (function
+      | Either.Left k -> (0, k)
+      | Either.Right (Either.Left k) -> (1, k)
+      | Either.Right (Either.Right k) -> (2, k))
+    (run (module Seam2) (0, tap, (0, tap_at 1, 0))
+       (fun j k ->
+         match j with
+         | 0 -> Either.Left k
+         | 1 -> Either.Right (Either.Left k)
+         | _ -> Either.Right (Either.Right k))
+       inputs)
+
+module Nested (Stack : STACK) = struct
+  module N1 = Stack (M0) (Stack (Tap) (M1))
+  module N2 = Stack (M0) (Stack (Tap) (Stack (M1) (Stack (Tap) (M2))))
+
+  let run1 inputs =
+    view (fun (a, (_, b)) -> (a, b))
+      (fun (tm : N1.timer) ->
+        match tm with
+        | Either.Left k -> (0, k)
+        | Either.Right (Either.Left _) -> .
+        | Either.Right (Either.Right k) -> (1, k))
+      (run (module N1) (0, (tap, 0))
+         (fun j k -> if j = 0 then Either.Left k else Either.Right (Either.Right k))
+         inputs)
+
+  let run2 inputs =
+    view (fun (a, (_, (b, (_, c)))) -> (a, (b, c)))
+      (fun (tm : N2.timer) ->
+        match tm with
+        | Either.Left k -> (0, k)
+        | Either.Right (Either.Left _) -> .
+        | Either.Right (Either.Right (Either.Left k)) -> (1, k)
+        | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
+        | Either.Right (Either.Right (Either.Right (Either.Right k))) -> (2, k))
+      (run (module N2) (0, (tap, (0, (tap_at 1, 0))))
+         (fun j k ->
+           match j with
+           | 0 -> Either.Left k
+           | 1 -> Either.Right (Either.Right (Either.Left k))
+           | _ -> Either.Right (Either.Right (Either.Right (Either.Right k))))
+         inputs)
+end
+
+module New_nested = Nested (Machine.Stack)
+module Old_nested = Nested (Stack_oracle.Stack)
+
+let prop_seam_matches_stack =
+  qtest ~count:1000 "seam = stack over probe" gen_drain (fun (script, inputs) ->
+      scripts := script;
+      let s1 = seam1 inputs and s2 = seam2 inputs in
+      s1 = New_nested.run1 inputs
+      && s1 = Old_nested.run1 inputs
+      && s2 = New_nested.run2 inputs
+      && s2 = Old_nested.run2 inputs)
+
 (* --- Runtime --- *)
 
 module Delay = struct
@@ -301,6 +392,45 @@ let test_runtime_timer_rearm_replaces () =
   DelayRt.from_above rt "x";
   Sim.Engine.run engine;
   check Alcotest.(list string) "one firing" [ "x" ] !sent
+
+(* A machine answering a request with an indication, a timer and a
+   transmission, in that order. *)
+module Burst = struct
+  let name = "burst"
+
+  type t = unit
+  type up_req = unit
+  type up_ind = unit
+  type down_req = unit
+  type down_ind = unit
+  type timer = int
+
+  let handle_up_req () () =
+    ((), [ Machine.Up (); Machine.Set_timer (1, 0.5); Machine.Down () ])
+
+  let handle_down_ind () () = ((), [])
+  let handle_timer () _ = ((), [])
+end
+
+module BurstRt = Runtime.Make (Burst)
+
+let test_runtime_halt_mid_apply () =
+  (* The delivery halts the runtime: the timer and the transmission
+     after it in the same list must not happen. *)
+  let engine = Sim.Engine.create () in
+  let sent = ref 0 and rt = ref None in
+  let r =
+    BurstRt.create engine ~name:"b"
+      ~transmit:(fun () -> incr sent)
+      ~deliver:(fun () -> Option.iter BurstRt.halt !rt)
+      ()
+  in
+  rt := Some r;
+  BurstRt.from_above r ();
+  check Alcotest.bool "halted" true (BurstRt.halted r);
+  check Alcotest.int "no transmit after the halt" 0 !sent;
+  check Alcotest.int "no armed timer" 0 (BurstRt.active_timers r);
+  check Alcotest.int "no pending event" 0 (Sim.Engine.pending engine)
 
 let test_runtime_trace_notes () =
   let engine = Sim.Engine.create () in
@@ -476,12 +606,14 @@ let () =
           Alcotest.test_case "timer routing" `Quick test_stack_timer_routing;
           Alcotest.test_case "causal ordering" `Quick test_stack_causal_order;
           prop_stack_matches_oracle;
+          prop_seam_matches_stack;
         ] );
       ( "runtime",
         [
           Alcotest.test_case "timer fires" `Quick test_runtime_timer_fires;
           Alcotest.test_case "re-arm replaces" `Quick test_runtime_timer_rearm_replaces;
           Alcotest.test_case "trace notes" `Quick test_runtime_trace_notes;
+          Alcotest.test_case "halt mid-apply stays inert" `Quick test_runtime_halt_mid_apply;
           prop_runtime_timers;
         ] );
       ( "layout",

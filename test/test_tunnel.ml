@@ -442,6 +442,15 @@ let test_pinned_schedule () =
     [ ((71, 0.0), (581, "0x1.8666666666666p+2", "a1117e883e8e053a635679acf2f7704b"));
       ((76, 0.03), (605, "0x1.8666666666666p+2", "3947b6dbf7d37a937fc90027dc633808")) ]
 
+(* The bytes copied in one pinned run. The tunnel reads the outer
+   stream from the connection's buffer, so no outer chunk is copied into
+   a string on its way to the deframer. *)
+let test_pinned_copies () =
+  Bitkit.Slice.reset_copied ();
+  let ok, _, _, _ = pinned_run (71, 0.0) in
+  check Alcotest.bool "delivered exactly" true ok;
+  check Alcotest.int "bytes copied" 652_075 (Bitkit.Slice.copied_bytes ())
+
 (* --- Tunnel framing: linear work however finely the stream is cut --- *)
 
 let frame record =
@@ -538,7 +547,9 @@ let () =
             test_ouroboros_reproducible;
           Alcotest.test_case "sojourn identity per level" `Quick
             test_sojourn_identity_per_level ] );
-      ( "pinned", [ Alcotest.test_case "seeded tunnel schedule" `Quick test_pinned_schedule ] );
+      ( "pinned",
+        [ Alcotest.test_case "seeded tunnel schedule" `Quick test_pinned_schedule;
+          Alcotest.test_case "bytes copied in a seeded run" `Quick test_pinned_copies ] );
       ( "framing",
         [ Alcotest.test_case "4 MiB record in 1 KiB chunks is linear" `Quick
             test_deframer_multi_mib_linear;
