@@ -6,8 +6,9 @@
    - [`Wheel] (default): the hierarchical timing wheel — O(1) schedule
      and cancel for the near horizon, where RTO/delayed-ack/ARQ timers
      overwhelmingly live and die.
-   - [`Heap]: the original binary heap, kept as the reference the
-     equivalence property test drives in lockstep against the wheel.
+   - [`Heap]: one binary heap ([Wheel.Eheap], also the wheel's front and
+     overflow queue), kept as the reference the equivalence property
+     test drives in lockstep against the wheel.
 
    Both fire the exact same (time, seq) stream, so seeded runs are
    bit-identical across backends. *)
@@ -34,12 +35,12 @@ module Heapq = struct
   let create () = { heap = Wheel.Eheap.create ~capacity:64 (); compactions = 0 }
 
   let rec purge q =
-    match Wheel.Eheap.peek q.heap with
-    | Some ev when ev.dead ->
-        ignore (Wheel.Eheap.pop q.heap);
-        decr ev.dead_in_heap;
-        purge q
-    | _ -> ()
+    let ev = Wheel.Eheap.top q.heap in
+    if Wheel.Eheap.size q.heap > 0 && ev.dead then begin
+      ignore (Wheel.Eheap.pop q.heap);
+      decr ev.dead_in_heap;
+      purge q
+    end
 
   (* Drop cancelled entries and re-establish the heap property in place.
      Long soaks cancel far more timers than ever fire (every ack cancels
@@ -124,7 +125,8 @@ let cancel ev =
 
 let cancelled ev = ev.dead
 
-(* The earliest live event, left in place: [horizon] bounds how far the
+(* The earliest live event, left in place ([Wheel.none] when there is
+   none, so a dequeue allocates no option): [horizon] bounds how far the
    wheel's cursor advances (the heap ignores it). The returned event may
    still have [time > horizon] — callers compare. *)
 let peek t ~horizon =
@@ -135,7 +137,7 @@ let peek t ~horizon =
   match t.queue with
   | Q_heap q ->
       Heapq.purge q;
-      Wheel.Eheap.peek q.Heapq.heap
+      Wheel.Eheap.top q.Heapq.heap
   | Q_wheel w -> Wheel.peek w ~horizon
 
 let drop_top t =
@@ -164,38 +166,41 @@ let fire t ev =
    routes insertions at or before its cursor through the front heap,
    preserving exact (time, seq) order. *)
 let next_time t =
-  match peek t ~horizon:infinity with
-  | None -> None
-  | Some ev -> Some ev.time
+  let ev = peek t ~horizon:infinity in
+  if ev == Wheel.none then None else Some ev.time
 
 let step t =
-  match peek t ~horizon:infinity with
-  | None -> false
-  | Some ev ->
-      drop_top t;
-      fire t ev;
-      true
+  let ev = peek t ~horizon:infinity in
+  ev != Wheel.none
+  && begin
+       drop_top t;
+       fire t ev;
+       true
+     end
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
   let horizon = match until with Some u -> u | None -> infinity in
   let continue = ref true in
   while !continue && !budget > 0 do
-    match peek t ~horizon with
-    | None ->
-        (* "Run until T" leaves the clock at T even if nothing is left to
-           do, so callers polling in fixed virtual-time slices always make
-           progress. *)
-        if Float.is_finite horizon && horizon > t.clock then t.clock <- horizon;
-        continue := false
-    | Some ev when ev.time > horizon ->
-        (* Leave it queued: the caller may resume later. *)
-        t.clock <- horizon;
-        continue := false
-    | Some ev ->
-        drop_top t;
-        decr budget;
-        fire t ev
+    let ev = peek t ~horizon in
+    if ev == Wheel.none then begin
+      (* "Run until T" leaves the clock at T even if nothing is left to
+         do, so callers polling in fixed virtual-time slices always make
+         progress. *)
+      if Float.is_finite horizon && horizon > t.clock then t.clock <- horizon;
+      continue := false
+    end
+    else if ev.time > horizon then begin
+      (* Leave it queued: the caller may resume later. *)
+      t.clock <- horizon;
+      continue := false
+    end
+    else begin
+      drop_top t;
+      decr budget;
+      fire t ev
+    end
   done
 
 let live t = !(t.live)

@@ -12,9 +12,11 @@ type handle
 
 type backend = [ `Heap | `Wheel ]
 (** Event-queue implementation: the hierarchical timing wheel (default —
-    O(1) schedule/cancel near the horizon) or the original binary heap,
+    O(1) schedule/cancel near the horizon) or one binary heap
+    ({!Wheel.Eheap}, whose entries' keys sit in flat arrays beside them),
     kept as the reference the equivalence property test runs against.
-    Both fire the exact same (time, insertion-seq) stream. *)
+    Both fire the exact same (time, insertion-seq) stream, and neither
+    allocates to dequeue an event. *)
 
 val create : ?seed:int -> ?backend:backend -> unit -> t
 (** [create ~seed ()] makes an engine with virtual time 0.

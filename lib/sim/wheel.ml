@@ -33,84 +33,144 @@ type event = {
   dead_in_heap : int ref;
 }
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let dummy =
+(* The event no queue holds: what [peek], [pop] and the heaps' [top]
+   and [pop] return when there is none, and the filler of every unused
+   heap slot (so a heap retains no event it no longer queues). *)
+let none =
   { time = 0.; seq = -1; fn = ignore; dead = true; live = ref 0;
     dead_in_heap = ref 0 }
 
-(* A plain binary min-heap on (time, seq): the front and overflow queues,
-   and the engine's reference backend. *)
+(* A binary min-heap on (time, seq): the front and overflow queues, and
+   the engine's reference backend. Each entry's key sits beside it in two
+   flat arrays, [times] unboxed, so a comparison reads no event record,
+   and a sift moves a hole and writes the sifted entry once. Push, pop and
+   compact compare as the swap-based heap in test/heap_oracle.ml does, so
+   both lay their entries out alike. *)
 module Eheap = struct
-  type t = { mutable arr : event array; mutable size : int }
+  type t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable evs : event array;
+    mutable size : int;
+  }
 
-  let create ?(capacity = 16) () = { arr = Array.make capacity dummy; size = 0 }
+  let create ?(capacity = 16) () =
+    let n = max 1 capacity in
+    { times = Array.make n 0.; seqs = Array.make n 0; evs = Array.make n none;
+      size = 0 }
+
   let size h = h.size
 
-  let swap h i j =
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- tmp
+  let[@inline] set h i time seq ev =
+    Array.unsafe_set h.times i time;
+    Array.unsafe_set h.seqs i seq;
+    Array.unsafe_set h.evs i ev
 
-  let rec sift_up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if earlier h.arr.(i) h.arr.(parent) then begin
-        swap h i parent;
-        sift_up h parent
+  let[@inline] move h ~src ~dst =
+    set h dst (Array.unsafe_get h.times src) (Array.unsafe_get h.seqs src)
+      (Array.unsafe_get h.evs src)
+
+  (* The entry at [i] moves towards the root while it is earlier than
+     its parent. *)
+  let sift_up h i =
+    let time = Array.unsafe_get h.times i and seq = Array.unsafe_get h.seqs i in
+    let ev = Array.unsafe_get h.evs i in
+    let hole = ref i and moving = ref true in
+    while !moving && !hole > 0 do
+      let p = (!hole - 1) / 2 in
+      let tp = Array.unsafe_get h.times p in
+      if time < tp || (time = tp && seq < Array.unsafe_get h.seqs p) then begin
+        move h ~src:p ~dst:!hole;
+        hole := p
       end
-    end
+      else moving := false
+    done;
+    set h !hole time seq ev
 
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.size && earlier h.arr.(l) h.arr.(!smallest) then smallest := l;
-    if r < h.size && earlier h.arr.(r) h.arr.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      sift_down h !smallest
-    end
+  (* The entry at [i] moves towards the leaves while a child is earlier:
+     the left child if it is earlier than the entry, then the right one
+     if it is earlier than the earliest of those two. *)
+  let sift_down h i =
+    let time = Array.unsafe_get h.times i and seq = Array.unsafe_get h.seqs i in
+    let ev = Array.unsafe_get h.evs i in
+    let hole = ref i and moving = ref true in
+    while !moving do
+      let l = (2 * !hole) + 1 in
+      let r = l + 1 in
+      let c =
+        if l < h.size
+           && (let tl = Array.unsafe_get h.times l in
+               tl < time || (tl = time && Array.unsafe_get h.seqs l < seq))
+        then
+          if r < h.size
+             && (let tr = Array.unsafe_get h.times r
+                 and tl = Array.unsafe_get h.times l in
+                 tr < tl
+                 || (tr = tl && Array.unsafe_get h.seqs r < Array.unsafe_get h.seqs l))
+          then r
+          else l
+        else if r < h.size
+                && (let tr = Array.unsafe_get h.times r in
+                    tr < time || (tr = time && Array.unsafe_get h.seqs r < seq))
+        then r
+        else -1
+      in
+      if c < 0 then moving := false
+      else begin
+        move h ~src:c ~dst:!hole;
+        hole := c
+      end
+    done;
+    set h !hole time seq ev
 
   let push h ev =
-    if h.size = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.size) dummy in
-      Array.blit h.arr 0 bigger 0 h.size;
-      h.arr <- bigger
+    let n = Array.length h.evs in
+    if h.size = n then begin
+      let times = Array.make (2 * n) 0. and seqs = Array.make (2 * n) 0 in
+      let evs = Array.make (2 * n) none in
+      Array.blit h.times 0 times 0 n;
+      Array.blit h.seqs 0 seqs 0 n;
+      Array.blit h.evs 0 evs 0 n;
+      h.times <- times;
+      h.seqs <- seqs;
+      h.evs <- evs
     end;
-    h.arr.(h.size) <- ev;
+    set h h.size ev.time ev.seq ev;
     h.size <- h.size + 1;
     sift_up h (h.size - 1)
 
-  let peek h = if h.size = 0 then None else Some h.arr.(0)
+  (* Slot 0 holds [none] when the heap is empty. *)
+  let top h = Array.unsafe_get h.evs 0
 
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.size <- h.size - 1;
-      h.arr.(0) <- h.arr.(h.size);
-      h.arr.(h.size) <- dummy;
-      if h.size > 0 then sift_down h 0;
-      Some top
-    end
+    let top = Array.unsafe_get h.evs 0 in
+    if h.size > 0 then begin
+      let last = h.size - 1 in
+      h.size <- last;
+      move h ~src:last ~dst:0;
+      Array.unsafe_set h.evs last none;
+      if last > 0 then sift_down h 0
+    end;
+    top
 
   let iter h f =
     for i = 0 to h.size - 1 do
-      f h.arr.(i)
+      f h.evs.(i)
     done
 
   (* Drop dead entries in place and re-establish the heap property. *)
   let compact h ~on_drop =
     let kept = ref 0 in
     for i = 0 to h.size - 1 do
-      if h.arr.(i).dead then on_drop h.arr.(i)
+      let ev = h.evs.(i) in
+      if ev.dead then on_drop ev
       else begin
-        h.arr.(!kept) <- h.arr.(i);
+        move h ~src:i ~dst:!kept;
         incr kept
       end
     done;
     for i = !kept to h.size - 1 do
-      h.arr.(i) <- dummy
+      h.evs.(i) <- none
     done;
     h.size <- !kept;
     for i = (h.size / 2) - 1 downto 0 do
@@ -175,48 +235,59 @@ let add t ev =
     else Eheap.push t.overflow ev
   end
 
-(* Move every event of the l0 slot holding tick [cur] into the front
-   heap; dead entries are swept out here instead. *)
+(* Move [evs], an l0 slot's events, into the front heap; dead entries
+   are swept out here instead. *)
+let rec to_front t = function
+  | [] -> ()
+  | ev :: evs ->
+      t.l0_count <- t.l0_count - 1;
+      if ev.dead then drop_dead t ev else Eheap.push t.front ev;
+      to_front t evs
+
+(* Drain the l0 slot holding tick [cur]. *)
 let drain_l0 t s =
   let evs = t.l0.(s) in
   t.l0.(s) <- [];
-  List.iter
-    (fun ev ->
-      t.l0_count <- t.l0_count - 1;
-      if ev.dead then drop_dead t ev else Eheap.push t.front ev)
-    evs
+  to_front t evs
 
-(* Entering window [w]: spread its l1 bucket over the l0 tick slots. *)
-let cascade t w =
-  let s = w mod t.n in
-  let evs = t.l1.(s) in
-  t.l1.(s) <- [];
-  List.iter
-    (fun ev ->
+(* Spread [evs], an l1 bucket's events, over the l0 tick slots. *)
+let rec to_l0 t = function
+  | [] -> ()
+  | ev :: evs ->
       t.l1_count <- t.l1_count - 1;
       if ev.dead then drop_dead t ev
       else begin
         let k = tick_of t ev.time in
         t.l0.(k mod t.n) <- ev :: t.l0.(k mod t.n);
         t.l0_count <- t.l0_count + 1
-      end)
-    evs
+      end;
+      to_l0 t evs
 
+(* Entering window [w]: cascade its l1 bucket. *)
+let cascade t w =
+  let s = w mod t.n in
+  let evs = t.l1.(s) in
+  t.l1.(s) <- [];
+  to_l0 t evs
+
+(* The overflow heap's earliest live entry ([none] if there is none),
+   dead tops swept out on the way. *)
 let rec overflow_top t =
-  match Eheap.peek t.overflow with
-  | Some ev when ev.dead ->
-      ignore (Eheap.pop t.overflow);
-      drop_dead t ev;
-      overflow_top t
-  | other -> other
+  let ev = Eheap.top t.overflow in
+  if Eheap.size t.overflow > 0 && ev.dead then begin
+    ignore (Eheap.pop t.overflow);
+    drop_dead t ev;
+    overflow_top t
+  end
+  else ev
 
 let rec purge_front t =
-  match Eheap.peek t.front with
-  | Some ev when ev.dead ->
-      ignore (Eheap.pop t.front);
-      drop_dead t ev;
-      purge_front t
-  | _ -> ()
+  let ev = Eheap.top t.front in
+  if Eheap.size t.front > 0 && ev.dead then begin
+    ignore (Eheap.pop t.front);
+    drop_dead t ev;
+    purge_front t
+  end
 
 (* Jump the cursor to the start of window [w] (which must be ahead of
    [w0]): pull newly-near overflow entries into the wheels, then cascade
@@ -226,13 +297,14 @@ let enter_window t w =
   t.cur <- (w * t.n) - 1;
   let continue = ref true in
   while !continue do
-    match overflow_top t with
-    | Some top when tick_of t top.time / t.n - w < t.n ->
-        ignore (Eheap.pop t.overflow);
-        t.total <- t.total - 1;
-        (* [add] re-counts it and routes it to l0 or l1. *)
-        add t top
-    | _ -> continue := false
+    let top = overflow_top t in
+    if top != none && (tick_of t top.time / t.n) - w < t.n then begin
+      ignore (Eheap.pop t.overflow);
+      t.total <- t.total - 1;
+      (* [add] re-counts it and routes it to l0 or l1. *)
+      add t top
+    end
+    else continue := false
   done;
   cascade t w
 
@@ -271,40 +343,39 @@ let advance t htick =
       else enter_window t w
     end
     else begin
-      match overflow_top t with
-      | Some top ->
-          let k = tick_of t top.time in
-          if k > htick || k = max_int then continue := false
-          else enter_window t (k / t.n)
-      | None -> continue := false
+      let top = overflow_top t in
+      if top == none then continue := false
+      else begin
+        let k = tick_of t top.time in
+        if k > htick || k = max_int then continue := false
+        else enter_window t (k / t.n)
+      end
     end
   done
 
 (* The earliest event whose tick is within [horizon]'s tick (it may still
    have [time > horizon]: same tick, later in the slot — the engine
-   compares times). [None] means no event at or before that tick. When
+   compares times). [none] means no event at or before that tick. When
    the wheels are empty the overflow top is the global minimum and is
    served in place, covering the beyond-arithmetic-range tail. *)
 let peek t ~horizon =
   advance t (tick_of t horizon);
-  match Eheap.peek t.front with
-  | Some _ as r -> r
-  | None -> if t.l0_count = 0 && t.l1_count = 0 then overflow_top t else None
+  if Eheap.size t.front > 0 then Eheap.top t.front
+  else if t.l0_count = 0 && t.l1_count = 0 then overflow_top t
+  else none
 
 (* Remove the event the last [peek] returned. *)
 let pop t =
   purge_front t;
-  match Eheap.pop t.front with
-  | Some ev ->
-      t.total <- t.total - 1;
-      Some ev
-  | None -> (
-      match overflow_top t with
-      | Some _ ->
-          let ev = Eheap.pop t.overflow in
-          t.total <- t.total - 1;
-          ev
-      | None -> None)
+  if Eheap.size t.front > 0 then begin
+    t.total <- t.total - 1;
+    Eheap.pop t.front
+  end
+  else if overflow_top t == none then none
+  else begin
+    t.total <- t.total - 1;
+    Eheap.pop t.overflow
+  end
 
 let iter t f =
   Eheap.iter t.front f;

@@ -383,7 +383,7 @@ let ops t =
   let flow_exact f =
     let fl = t.flows.(f) in
     match fl.f_server with
-    | Some s -> Host.received s = fl.f_data
+    | Some s -> Host.received_equal s fl.f_data
     | None -> false
   in
   { Sim.Workload.launch; flow_finished; flow_exact }

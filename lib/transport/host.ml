@@ -58,7 +58,7 @@ type conn = {
   c_accepted : bool;  (** spawned by a listener *)
   ep : endpoint;
   mutable auto_read : bool;
-  buf : Buffer.t;
+  store : Bitkit.Blockbuf.t;  (** delivered bytes since the last [take_received] *)
   mutable c_established : bool;
   mutable c_peer_closed : bool;
   mutable c_closed : bool;
@@ -117,8 +117,8 @@ let handle_event host c (e : Iface.app_ind) =
       end
   | `Data s -> (
       (* The app-ingest copy: the delivered view is only valid for this
-         event, so the stream buffer takes the bytes now. *)
-      Bitkit.Slice.add_to_buffer c.buf s;
+         event, so the receive store takes the bytes now. *)
+      Bitkit.Blockbuf.add c.store s;
       if c.auto_read then c.ep.ep_read (Bitkit.Slice.length s);
       match c.user_data with Some cb -> cb (Bitkit.Slice.to_string s) | None -> ())
   | `Peer_closed -> c.c_peer_closed <- true
@@ -148,7 +148,7 @@ let make_conn host ~local_port ~remote_port ~accepted =
   in
   let c =
     { c_local = local_port; c_remote = remote_port; c_accepted = accepted; ep;
-      auto_read = true; buf = Buffer.create 256; c_established = false;
+      auto_read = true; store = Bitkit.Blockbuf.create (); c_established = false;
       c_peer_closed = false;
       c_closed = false; c_reset = false; c_aborted = false;
       user_data = None; user_event = None }
@@ -247,12 +247,13 @@ let close c = c.ep.ep_close ()
 let set_autoread c enabled = c.auto_read <- enabled
 
 let consume c n = c.ep.ep_read n
-let received c = Buffer.contents c.buf
-let received_length c = Buffer.length c.buf
+let received c = Bitkit.Blockbuf.contents c.store
+let received_length c = Bitkit.Blockbuf.length c.store
+let received_equal c s = Bitkit.Blockbuf.equal_string c.store s
 
 let take_received c =
-  let s = Buffer.contents c.buf in
-  Buffer.clear c.buf;
+  let s = Bitkit.Blockbuf.contents c.store in
+  Bitkit.Blockbuf.clear c.store;
   s
 
 let established c = c.c_established

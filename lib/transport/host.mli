@@ -120,12 +120,27 @@ val set_autoread : conn -> bool -> unit
 val consume : conn -> int -> unit
 (** Grant [n] bytes of flow-control credit (reopening the window). *)
 
+(** Each connection keeps what it delivers in a receive store
+    ({!Bitkit.Blockbuf}): taking the bytes in is the one counted copy
+    of a delivery ({!Bitkit.Slice.copied_bytes}), and the store grows
+    by adding blocks without moving a stored byte. *)
+
 val received : conn -> string
-(** Everything delivered in order so far. *)
+(** Everything delivered in order since the last {!take_received}
+    (since the connection opened, if there was none), concatenated into
+    one new string. *)
 
 val received_length : conn -> int
+(** The length of {!received}, in O(1). *)
+
+val received_equal : conn -> string -> bool
+(** [received_equal c s] holds exactly when [received c = s]. Every
+    byte is compared in place, with no allocation: the exactness check
+    for a whole flow without building the flow's string. *)
+
 val take_received : conn -> string
-(** Return and clear the delivery buffer (streaming consumers). *)
+(** {!received}, then empty the store (streaming consumers); its blocks
+    stay for the next deliveries. *)
 
 val established : conn -> bool
 val peer_closed : conn -> bool

@@ -23,8 +23,9 @@ type app_ind =
   | `Data of Bitkit.Slice.t
       (** In-order stream bytes, as a view of the buffer they arrived in
           — valid for the duration of the delivering event; consumers
-          that keep the bytes copy them out ({!Bitkit.Slice.add_to_buffer}
-          into the host's stream buffer). *)
+          that keep the bytes copy them out (the host appends them to
+          its receive store, {!Bitkit.Blockbuf.add}, whose blocks never
+          move). *)
   | `Peer_closed      (** peer finished sending *)
   | `Closed           (** connection fully closed *)
   | `Reset

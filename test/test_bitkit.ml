@@ -802,6 +802,104 @@ let prop_fifo_model =
       let _, _, ok = List.fold_left step (Fifo.empty, [], true) ops in
       ok)
 
+(* --- Blockbuf --- *)
+
+type store_op = Add of int | Beyond | Contents | Clear | Check
+
+(* A store's first block is 256 bytes and each new block brings its
+   capacity to a power-of-two multiple of 256, so every block boundary
+   is one of these positions; one byte either side of each, plus the
+   first and the last byte. *)
+let boundary_positions len =
+  let rec go b acc = if b > len then acc else go (2 * b) ((b - 1) :: b :: (b + 1) :: acc) in
+  List.filter (fun p -> p >= 0 && p < len) (0 :: (len - 1) :: go 256 [])
+
+(* Random deliveries (empty, inside a block, across one or several block
+   boundaries, and past all capacity so far) interleaved with contents,
+   clear and the exactness check, against a [Buffer]: the same length
+   and contents after every step, the ingest copy charged exactly, and
+   [equal_string] true on the contents and false after any length change
+   or any single flipped byte at a block boundary. *)
+let prop_blockbuf_model =
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [ (1, return (Add 0)); (4, map (fun n -> Add n) (1 -- 64));
+          (3, map (fun n -> Add n) (65 -- 700)); (2, map (fun n -> Add n) (701 -- 5_000));
+          (1, return Beyond); (2, return Contents); (1, return Clear); (2, return Check) ])
+  in
+  qtest ~count:200 "blockbuf = Buffer model"
+    QCheck2.Gen.(pair int (list_size (0 -- 40) op_gen))
+    (fun (seed, ops) ->
+      let rng = Rng.create seed in
+      let t = Blockbuf.create () and model = Buffer.create 16 in
+      let exact () =
+        let s = Buffer.contents model in
+        let n = String.length s in
+        let flipped p =
+          let b = Bytes.of_string s in
+          Bytes.set b p (Char.chr (Char.code s.[p] lxor (1 + Rng.int rng 255)));
+          Bytes.unsafe_to_string b
+        in
+        Blockbuf.length t = n
+        && Blockbuf.equal_string t s
+        && (not (Blockbuf.equal_string t (s ^ "x")))
+        && (n = 0 || not (Blockbuf.equal_string t (String.sub s 0 (n - 1))))
+        && List.for_all
+             (fun p -> not (Blockbuf.equal_string t (flipped p)))
+             (boundary_positions n)
+      in
+      let step op =
+        match op with
+        | Add _ | Beyond ->
+            let n =
+              match op with
+              | Add n -> n
+              | _ -> min 200_000 ((2 * Buffer.length model) + 257)
+            in
+            let off = Rng.int rng 21 in
+            let base = Rng.bytes rng (n + 20) in
+            let before = Slice.copied_bytes () in
+            Blockbuf.add t (Slice.make base ~off ~len:n);
+            Buffer.add_substring model base off n;
+            Slice.copied_bytes () - before = n && Blockbuf.length t = Buffer.length model
+        | Contents -> Blockbuf.contents t = Buffer.contents model
+        | Clear ->
+            Blockbuf.clear t;
+            Buffer.clear model;
+            Blockbuf.length t = 0 && Blockbuf.contents t = ""
+        | Check -> exact ()
+      in
+      List.for_all step ops && exact ())
+
+(* A 64 KiB stream in 1 000-byte deliveries allocates its bytes once
+   (blocks of 256, 768, 1 024, ... 32 768 bytes; a [Buffer] allocates
+   about twice that and copies about as much again), and neither the
+   exactness check nor a refill after [clear] allocates anything. *)
+let test_blockbuf_allocation () =
+  let data = Rng.bytes (Rng.create 4) 65_536 in
+  let deliveries =
+    Array.init 66 (fun i -> Slice.make data ~off:(1_000 * i) ~len:(min 1_000 (65_536 - (1_000 * i))))
+  in
+  let t = Blockbuf.create () in
+  let fill () = Array.iter (Blockbuf.add t) deliveries in
+  let a0 = Gc.allocated_bytes () in
+  fill ();
+  let grown = Gc.allocated_bytes () -. a0 in
+  check Alcotest.bool (Printf.sprintf "%.0f bytes allocated for 65 536" grown) true
+    (grown < 65_536. +. 1_024.);
+  check Alcotest.bool "exact" true (Blockbuf.equal_string t data);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Blockbuf.equal_string t data)
+  done;
+  Blockbuf.clear t;
+  fill ();
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool (Printf.sprintf "%.0f words for 100 checks and a refill" words) true
+    (words <= 8.);
+  check Alcotest.bool "refilled" true (Blockbuf.contents t = data)
+
 let () =
   Alcotest.run "bitkit"
     [
@@ -835,6 +933,12 @@ let () =
             test_bitio_truncated_consumes_nothing;
         ] );
       ("fifo", [ prop_fifo_model ]);
+      ( "blockbuf",
+        [
+          prop_blockbuf_model;
+          Alcotest.test_case "allocates each byte once, checks in place" `Quick
+            test_blockbuf_allocation;
+        ] );
       ( "crc",
         [
           Alcotest.test_case "catalogue vectors" `Quick test_crc_catalogue;

@@ -382,6 +382,130 @@ let test_soak_drops () =
   check Alcotest.(option int) "custom drops appended" (Some 7)
     (List.assoc_opt "custom" r.Sim.Soak.drops)
 
+(* --- timer owners ---------------------------------------------------------- *)
+
+(* Each factory maps a fired timer to its owner's allocation cell by hand
+   ([al_timer]). Fire one timer at a time, with nothing else happening
+   in that event, and check that the owner's [gc.minor_words] counter
+   takes words while the sublayers the fire never reaches, and the other
+   host, take none: a map that sends a timer to another sublayer's cell
+   charges that cell and leaves the owner at zero. *)
+
+module Host = Transport.Host
+
+(* Per host, each scope's [gc.minor_words]. *)
+let cells regs scopes =
+  List.map
+    (fun reg ->
+      List.map
+        (fun sub ->
+          ( sub,
+            Sublayer.Stats.value
+              (Sublayer.Stats.counter (Sublayer.Stats.scope reg sub) "gc.minor_words") ))
+        scopes)
+    regs
+
+(* Fire the next event alone; what each cell of each host took. *)
+let fire_one engine regs scopes =
+  let before = cells regs scopes in
+  check Alcotest.bool "an event fired" true (Sim.Engine.step engine);
+  List.map2
+    (List.map2 (fun (sub, w0) (_, w1) -> (sub, w1 - w0)))
+    before (cells regs scopes)
+
+let owner_took ~what ~owner ~untouched ~idle_host taken =
+  let words sub = List.assoc sub taken in
+  check Alcotest.bool (Printf.sprintf "%s: %s took words" what owner) true (words owner > 0);
+  List.iter
+    (fun sub -> check Alcotest.int (Printf.sprintf "%s: %s took none" what sub) 0 (words sub))
+    untouched;
+  List.iter
+    (fun (sub, w) ->
+      check Alcotest.int (Printf.sprintf "%s: other host's %s took none" what sub) 0 w)
+    idle_host
+
+(* A client connected to a server that closes when the client does.
+   Watson's stack opens with its first data segment, so the server
+   connection exists only once one has arrived. *)
+let timer_pair ?(autoread = true) factory =
+  let engine = Sim.Engine.create ~seed:61 () in
+  let stats_a = Sublayer.Stats.create ~label:"A" ()
+  and stats_b = Sublayer.Stats.create ~label:"B" () in
+  let config =
+    { Transport.Config.default with
+      Transport.Config.delayed_ack = true; ack_delay = 0.01; rto_init = 1.0; rto_min = 0.5 }
+  in
+  let a, b =
+    Host.pair engine ~config ~factory_a:factory ~factory_b:factory ~stats_a ~stats_b
+      ~telemetry:(Telemetry.create ()) Sim.Channel.ideal
+  in
+  let server = ref None in
+  Host.listen b ~port:80;
+  Host.on_accept b (fun c ->
+      server := Some c;
+      Host.set_autoread c autoread;
+      Host.on_event c (function `Peer_closed -> Host.close c | _ -> ()));
+  let c = Host.connect a ~remote_port:80 () in
+  (engine, stats_a, [ stats_a; stats_b ], c, server)
+
+let received server = match !server with Some s -> Host.received_length s | None -> 0
+
+let test_timer_owners ~factory ~cm ~below_cm () =
+  Sublayer.Alloc.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
+  let scopes = [ "osr"; "rd"; cm ] @ below_cm @ [ "app"; "wire" ] in
+  (* RD's delayed ack: the server's only timer due before the client's
+     RTO; the ack it sends goes down, never up to OSR. *)
+  let engine, _, regs, c, server = timer_pair factory in
+  Host.write c "ten bytes!";
+  while received server < 10 do
+    ignore (Sim.Engine.step engine)
+  done;
+  check (Alcotest.option (Alcotest.float 0.)) "ack delay due next"
+    (Some (Sim.Engine.now engine +. 0.01))
+    (Sim.Engine.next_time engine);
+  (match fire_one engine regs scopes with
+  | [ client; srv ] ->
+      owner_took ~what:"ack delay" ~owner:"rd" ~untouched:[ "osr" ] ~idle_host:client srv
+  | _ -> assert false);
+  (* CM's close timer (TIME_WAIT, or Watson's quiet period): the event
+     closes one connection, and the [`Closed] goes up, never down. *)
+  let srv = Option.get !server in
+  Host.close c;
+  Sim.Engine.run ~until:(Sim.Engine.now engine +. 1.) engine;
+  let was_closed = (Host.closed c, Host.closed srv) in
+  check Alcotest.bool "one still open" false (fst was_closed && snd was_closed);
+  (match fire_one engine regs scopes with
+  | [ client; srv_cells ] ->
+      let owner, other =
+        match (was_closed, (Host.closed c, Host.closed srv)) with
+        | (false, s), (true, s') when s = s' -> (client, srv_cells)
+        | (c0, false), (c1, true) when c0 = c1 -> (srv_cells, client)
+        | _ -> Alcotest.fail "the event did not close exactly one connection"
+      in
+      owner_took ~what:"close timer" ~owner:cm ~untouched:below_cm ~idle_host:other owner
+  | _ -> assert false);
+  (* OSR's persist probe: the server reads nothing, so the client's
+     window closes and only the persist timer makes its OSR send. *)
+  let engine, stats_a, regs, c, server = timer_pair ~autoread:false factory in
+  Host.write c (String.make 80_000 'p');
+  Sim.Engine.run ~until:5. engine;
+  check Alcotest.bool "window closed" true (received server < 80_000);
+  let sent () =
+    Sublayer.Stats.value
+      (Sublayer.Stats.counter (Sublayer.Stats.scope stats_a "osr") "segments_out")
+  in
+  let rec persist budget =
+    if budget = 0 then Alcotest.fail "no persist probe within 100 events";
+    let before = sent () in
+    let taken = fire_one engine regs scopes in
+    if sent () > before then taken else persist (budget - 1)
+  in
+  match persist 100 with
+  | [ client; srv ] ->
+      owner_took ~what:"persist" ~owner:"osr" ~untouched:[] ~idle_host:srv client
+  | _ -> assert false
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -405,6 +529,18 @@ let () =
         [
           Alcotest.test_case "probe path free" `Quick test_disabled_costs_nothing;
           Alcotest.test_case "no samples" `Quick test_no_telemetry_no_samples;
+        ] );
+      ( "timer owners",
+        [
+          Alcotest.test_case "sublayered" `Quick
+            (test_timer_owners ~factory:Host.sublayered ~cm:"cm" ~below_cm:[ "dm" ]);
+          Alcotest.test_case "watson" `Quick
+            (test_timer_owners ~factory:(Transport.Tcp_watson.factory ()) ~cm:"cm-timer"
+               ~below_cm:[ "dm" ]);
+          Alcotest.test_case "secure" `Quick
+            (test_timer_owners
+               ~factory:(Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key)
+               ~cm:"cm" ~below_cm:[ "rec"; "dm" ]);
         ] );
       ( "boundaries",
         [

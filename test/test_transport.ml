@@ -196,10 +196,16 @@ let test_host_take_received () =
   Host.write c "hello";
   Sim.Engine.run ~until:5. engine;
   let srv = Option.get !server in
+  check Alcotest.bool "equal" true (Host.received_equal srv "hello");
+  check Alcotest.bool "not a prefix" false (Host.received_equal srv "hell");
+  check Alcotest.bool "not one byte off" false (Host.received_equal srv "hellp");
   check Alcotest.string "take" "hello" (Host.take_received srv);
   check Alcotest.string "cleared" "" (Host.take_received srv);
+  check Alcotest.bool "cleared equals empty" true (Host.received_equal srv "");
   Host.write c " again";
   Sim.Engine.run ~until:10. engine;
+  check Alcotest.int "length since the take" 6 (Host.received_length srv);
+  check Alcotest.bool "equal since the take" true (Host.received_equal srv " again");
   check Alcotest.string "streams on" " again" (Host.take_received srv)
 
 (* --- ISN generators --- *)
