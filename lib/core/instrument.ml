@@ -23,14 +23,20 @@ let level_tag t = "l" ^ string_of_int t.level
 let scoped t name = if t.level = 0 then name else level_tag t ^ ":" ^ name
 let tagged_name = scoped
 
+(* Each helper matches instead of [Option.map]ping, so a factory asking
+   for an instrument that is absent builds no closure. *)
 let scope t sub =
-  Option.map (fun reg -> Stats.scope reg (scoped t sub)) t.stats
+  match t.stats with
+  | None -> None
+  | Some reg -> Some (Stats.scope reg (scoped t sub))
 
 let span t ~now ~track sub =
-  Option.map
-    (fun tr ->
-      Span.make ~tracer:tr ?stats:(scope t sub) ~now ~track (scoped t sub))
-    t.tracer
+  match t.tracer with
+  | None -> None
+  | Some tr -> Some (Span.make ~tracer:tr ?stats:(scope t sub) ~now ~track (scoped t sub))
+
+let attributed t = t.telemetry <> None && t.stats <> None
+let labelled t = t.monitors <> None || t.tracer <> None
 
 let alloc_cell t sub =
   match (t.telemetry, t.stats) with

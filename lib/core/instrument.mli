@@ -54,8 +54,10 @@ val tagged_name : t -> string -> string
 
 (** {1 Factory helpers}
 
-    The three idioms every stack factory repeats, centralised.  All
-    three respect the level namespace. *)
+    The idioms every stack factory repeats, centralised.  The three
+    constructors respect the level namespace; an absent instrument costs
+    none of them a closure, so an endpoint nothing observes pays only
+    for what it is given. *)
 
 val scope : t -> string -> Stats.scope option
 (** The sublayer's stats scope, when a registry is present. *)
@@ -68,3 +70,12 @@ val alloc_cell : t -> string -> Alloc.cell option
 (** The sublayer's allocation-attribution cell — present only when both
     [telemetry] and [stats] are (cells add [gc.minor_words] counters a
     plain stats run should not see). *)
+
+val attributed : t -> bool
+(** Whether {!alloc_cell} returns cells: [telemetry] and [stats] are
+    both present. A factory builds its {!Runtime.alloc_spec} and its
+    probes' cell pairs only then. *)
+
+val labelled : t -> bool
+(** Whether anything reads an endpoint's name: a monitor (its key) or a
+    tracer (its track). Without either, the name goes unread. *)

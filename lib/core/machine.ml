@@ -60,7 +60,7 @@ struct
   let upper_tag = Upper.name ^ ": "
 
   (* The states of one step. The drain updates them in place, so a
-     crossing costs no tuple. *)
+     crossing costs no tuple. A seam keeps this record as its state. *)
   type step = { mutable u : Upper.t; tap : Tap.t; mutable l : Lower.t }
 
   (* What is left once the list being drained runs out: the rest of the
@@ -185,24 +185,31 @@ struct
 
   let name = Upper.name ^ "/" ^ P.name ^ "/" ^ Lower.name
 
-  type t = Upper.t * P.t * Lower.t
+  (* The drain's own record is the state: a step copies the incoming one,
+     drains into the copy and hands the copy on, so it allocates one
+     record. A copy is never written once its step returns. *)
+  type t = step
 
-  let from_upper ((u0, p, l0) as t) (u, acts) =
-    let st = { u; tap = p; l = l0 } in
+  let make u tap l = { u; tap; l }
+  let upper t = t.u
+  let lower t = t.l
+
+  let from_upper t (u, acts) =
+    let st = { u; tap = t.tap; l = t.l } in
     let out = run_upper st acts in
-    ((if st.u == u0 && st.l == l0 then t else (st.u, p, st.l)), out)
+    ((if st.u == t.u && st.l == t.l then t else st), out)
 
-  let from_lower ((u0, p, l0) as t) (l, acts) =
-    let st = { u = u0; tap = p; l } in
+  let from_lower t (l, acts) =
+    let st = { u = t.u; tap = t.tap; l } in
     let out = run_lower st acts in
-    ((if st.u == u0 && st.l == l0 then t else (st.u, p, st.l)), out)
+    ((if st.u == t.u && st.l == t.l then t else st), out)
 
-  let handle_up_req ((u, _, _) as t) req = from_upper t (Upper.handle_up_req u req)
-  let handle_down_ind ((_, _, l) as t) ind = from_lower t (Lower.handle_down_ind l ind)
+  let handle_up_req t req = from_upper t (Upper.handle_up_req t.u req)
+  let handle_down_ind t ind = from_lower t (Lower.handle_down_ind t.l ind)
 
-  let handle_timer ((u, _, l) as t) = function
-    | Either.Left tm -> from_upper t (Upper.handle_timer u tm)
-    | Either.Right tm -> from_lower t (Lower.handle_timer l tm)
+  let handle_timer t = function
+    | Either.Left tm -> from_upper t (Upper.handle_timer t.u tm)
+    | Either.Right tm -> from_lower t (Lower.handle_timer t.l tm)
 end
 
 module Identity (M : sig

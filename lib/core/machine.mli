@@ -89,11 +89,11 @@ end
     Contract: a seam is observably the two levels it replaces. It makes
     the same sublayer calls in the same order, calls the tap's observers
     in the same order, and returns the same actions, with two shapes
-    flatter: the state is a triple and a timer is wrapped once,
-    [Left] for [Upper]'s and [Right] for [Lower]'s. Its [name] is the
-    nested stack's, and a [Note] from [Lower] carries both prefixes the
-    nested stack gives it (["P/Lower: Lower: "]), so trace text is
-    unchanged.
+    flatter: the state is one record, built with [make] and read with
+    [upper] and [lower], and a timer is wrapped once, [Left] for
+    [Upper]'s and [Right] for [Lower]'s. Its [name] is the nested
+    stack's, and a [Note] from [Lower] carries both prefixes the nested
+    stack gives it (["P/Lower: Lower: "]), so trace text is unchanged.
 
     Observation order. [obs_req r] runs just before
     [Lower.handle_up_req r]. When [Lower] returns a list of actions,
@@ -109,18 +109,29 @@ end
     the inner level's re-wrapping and re-consing of every action that
     passes, and one [Either] per [Lower] timer. The tap's observers are
     called straight from the drain; each list [Lower] returns is walked
-    once more to show its [Up]s to the tap. *)
+    once more to show its [Up]s to the tap. The state is the drain's own
+    record: a step copies the incoming state, drains into the copy and
+    returns it (or the incoming state, when neither sublayer's moved), so
+    a step allocates that one record and no tuple. A returned state is
+    never written again, so old states stay valid. *)
 module Seam
     (Upper : S)
     (P : TAP with type up_req = Upper.down_req and type up_ind = Upper.down_ind)
-    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) :
-  S
-    with type t = Upper.t * P.t * Lower.t
-     and type up_req = Upper.up_req
-     and type up_ind = Upper.up_ind
-     and type down_req = Lower.down_req
-     and type down_ind = Lower.down_ind
-     and type timer = (Upper.timer, Lower.timer) Either.t
+    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) : sig
+  include
+    S
+      with type up_req = Upper.up_req
+       and type up_ind = Upper.up_ind
+       and type down_req = Lower.down_req
+       and type down_ind = Lower.down_ind
+       and type timer = (Upper.timer, Lower.timer) Either.t
+
+  val make : Upper.t -> P.t -> Lower.t -> t
+  (** The seam's state from its sublayers' states and its tap. *)
+
+  val upper : t -> Upper.t
+  val lower : t -> Lower.t
+end
 
 (** The empty type, for sublayers with no timers. *)
 module Nothing : sig

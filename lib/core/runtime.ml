@@ -12,9 +12,11 @@ type 'timer alloc_spec = {
 }
 
 module Make (S : Machine.S) = struct
-  (* One armed timer. Re-arming it reschedules this entry in place;
-     cancelling or firing it removes the entry. *)
-  type entry = { tm : S.timer; mutable handle : Sim.Engine.handle }
+  (* One armed timer. Re-arming it reschedules this entry in place with
+     the fire closure built when the entry was, so a re-arm allocates
+     only the engine's event; cancelling or firing it removes the
+     entry. *)
+  type entry = { tm : S.timer; mutable handle : Sim.Engine.handle; fire : unit -> unit }
 
   type t = {
     engine : Sim.Engine.t;
@@ -90,10 +92,11 @@ module Make (S : Machine.S) = struct
         match find tm t.timers with
         | e ->
             Sim.Engine.cancel e.handle;
-            e.handle <- arm t tm delay
-        | exception Not_found -> t.timers <- { tm; handle = arm t tm delay } :: t.timers)
-
-  and arm t tm delay = Sim.Engine.schedule t.engine ~after:delay (fun () -> fire t tm)
+            e.handle <- Sim.Engine.schedule t.engine ~after:delay e.fire
+        | exception Not_found ->
+            let fire () = fire t tm in
+            let handle = Sim.Engine.schedule t.engine ~after:delay fire in
+            t.timers <- { tm; handle; fire } :: t.timers)
 
   and fire t tm =
     (match find tm t.timers with

@@ -1,7 +1,14 @@
 (** Runs a sublayer (or a whole {!Machine.Stack}) under the discrete-event
     simulator: timers become engine events, [Down] requests go to a
     transmit function (usually a {!Sim.Channel}), [Up] indications go to a
-    delivery callback, and [Note]s are recorded in an optional trace. *)
+    delivery callback, and [Note]s are recorded in an optional trace.
+
+    Timers. The runtime keeps one entry per armed timer value. The entry
+    is made when the timer is first set, together with the one closure
+    its engine events will call; setting the timer again while it is
+    armed re-schedules that entry with the same closure, so a re-arm
+    allocates the engine's event and nothing else. Firing or cancelling
+    the timer drops the entry. *)
 
 type 'timer alloc_spec = {
   al_top : Alloc.cell option;  (** machine that handles [from_above] *)
@@ -14,7 +21,9 @@ type 'timer alloc_spec = {
     seams.  Probe taps inside the stack handle the crossings {e between}
     machines; this spec covers entry (which machine a [from_above],
     [from_below] or timer fire starts in) and the excursions out of the
-    stack ([deliver]/[transmit] callbacks). *)
+    stack ([deliver]/[transmit] callbacks).  A runtime created without
+    one brackets nothing, so a factory passes a spec only when it has
+    cells to put in it. *)
 
 module Make (S : Machine.S) : sig
   type t

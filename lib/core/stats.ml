@@ -24,7 +24,12 @@ type scope = {
   mutable counters : counter list; (* newest first *)
   mutable gauges : gauge list;
   mutable hists : histogram list;
+  (* What each memo built on this scope. The list only grows, by a
+     compare-and-set, so a memo resolves safely from any domain. *)
+  memos : binding list Atomic.t;
 }
+
+and binding = Binding : 'a Type.Id.t * 'a -> binding
 
 type registry = {
   r_label : string;
@@ -44,15 +49,18 @@ let rec named get name = function
   | [] -> raise_notrace Not_found
   | x :: rest -> if String.equal (get x) name then x else named get name rest
 
+let fresh_scope name =
+  { s_name = name; counters = []; gauges = []; hists = []; memos = Atomic.make [] }
+
 let scope r name =
   match named (fun s -> s.s_name) name r.r_scopes with
   | s -> s
   | exception Not_found ->
-      let s = { s_name = name; counters = []; gauges = []; hists = [] } in
+      let s = fresh_scope name in
       r.r_scopes <- s :: r.r_scopes;
       s
 
-let unregistered name = { s_name = name; counters = []; gauges = []; hists = [] }
+let unregistered = fresh_scope
 
 let scope_name s = s.s_name
 
@@ -122,6 +130,29 @@ let hist_buckets h =
     if h.buckets.(b) > 0 then out := (1 lsl b, h.buckets.(b)) :: !out
   done;
   !out
+
+type 'a memo = { id : 'a Type.Id.t; build : scope -> 'a }
+
+let memo build = { id = Type.Id.make (); build }
+
+let rec recall : type a. a Type.Id.t -> binding list -> a =
+ fun id -> function
+  | [] -> raise_notrace Not_found
+  | Binding (id', v) :: rest -> (
+      match Type.Id.provably_equal id id' with
+      | Some Type.Equal -> v
+      | None -> recall id rest)
+
+(* A domain that loses the race to publish re-reads the list, so every
+   caller gets the value that was published first. *)
+let rec memoised m s =
+  let seen = Atomic.get s.memos in
+  match recall m.id seen with
+  | v -> v
+  | exception Not_found ->
+      let v = m.build s in
+      if Atomic.compare_and_set s.memos seen (Binding (m.id, v) :: seen) then v
+      else memoised m s
 
 type snapshot = (string * int) list
 

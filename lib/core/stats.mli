@@ -75,6 +75,31 @@ val hist_buckets : histogram -> (int * int) list
 (** Non-empty buckets as [(lower_bound, count)]; bucket [b] covers
     values [v] with [2^b <= v < 2^(b+1)] (bucket 0 also holds [v <= 1]). *)
 
+(** {1 Per-scope memos}
+
+    A sublayer resolves its instruments into a record of its own (its
+    counters, say) when it sets a connection up. Every connection on one
+    scope would build the same record from the same cells, so the record
+    is built once per scope and kept there. *)
+
+type 'a memo
+(** A typed key naming one kind of record and how to build it. *)
+
+val memo : (scope -> 'a) -> 'a memo
+(** [memo build] is a fresh key; make it once, at module
+    initialisation. [build] should only look instruments up. *)
+
+val memoised : 'a memo -> scope -> 'a
+(** [memoised m s] is the value [m]'s builder made for [s]: built on the
+    first call, the physically same value on every later call, for any
+    number of connections. Distinct scopes keep distinct values, so two
+    registries, two recursion levels, or two scopes from {!unregistered}
+    never share one. Publication is domain-safe: scopes keep their memos
+    in an [Atomic.t] and publish with a compare-and-set, so when two
+    domains build at once both get the value published first (the
+    instruments a builder looks up are, as ever, one domain's: registries
+    are per shard). A hit allocates nothing. *)
+
 (** {1 Snapshots and reports} *)
 
 type snapshot = (string * int) list

@@ -62,38 +62,54 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
   (match (telemetry, stats) with
   | Some tele, Some reg -> Sublayer.Stats.telemetry_source tele ~name reg
   | _ -> ());
+  (* Cells, the alloc spec and the probes' cell pairs exist only under
+     telemetry. *)
   let acell sub = I.alloc_cell ins sub in
   let arq_c = acell "arq" and det_c = acell "detector" and frm_c = acell "framer"
-  and line_c = acell "linecode" and app_c = acell "app"
-  and wire_c = acell "wire" in
+  and line_c = acell "linecode" in
   let alloc =
-    { Sublayer.Runtime.al_top = arq_c; al_bottom = line_c; al_app = app_c;
-      al_wire = wire_c;
-      al_timer =
-        (* Only the ARQ owns timers; every other slot is [Nothing.t]. *)
-        (fun (tm : Full.timer) ->
-        match tm with
-        | Either.Left _ -> arq_c
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right (Either.Left _)) -> .
-        | Either.Right (Either.Right (Either.Right _)) -> .);
-    }
+    if not (I.attributed ins) then None
+    else
+      Some
+        { Sublayer.Runtime.al_top = arq_c; al_bottom = line_c; al_app = acell "app";
+          al_wire = acell "wire";
+          al_timer =
+            (* Only the ARQ owns timers; every other slot is [Nothing.t]. *)
+            (fun (tm : Full.timer) ->
+            match tm with
+            | Either.Left _ -> arq_c
+            | Either.Right (Either.Left _) -> .
+            | Either.Right (Either.Right (Either.Left _)) -> .
+            | Either.Right (Either.Right (Either.Right _)) -> .);
+        }
   in
+  (* Built bottom-up: scopes and monitor instances register from the line
+     code upward. *)
+  let between = Sublayer.Alloc.between in
+  let line =
+    Layers.Line_coding.make ?stats:(in_scope "linecode") ?span:(sp "linecode")
+      spec.linecode
+  in
+  let frm_line = Conform.frm_line ?alloc:(between frm_c line_c) monitors ~key:name in
+  let framing =
+    Layers.Framing.make ?stats:(in_scope "framer") ?span:(sp "framer") spec.framer
+  in
+  let det_frm = Conform.det_frm ?alloc:(between det_c frm_c) monitors ~key:name in
+  let detection =
+    Layers.Error_detection.make ?stats:(in_scope "detector") ?span:(sp "detector")
+      ?pool spec.detector
+  in
+  let arq_det =
+    Conform.arq_det ?alloc:(between arq_c det_c) monitors ~key:name ~variant:A.name
+      ~window:spec.arq_config.Arq.window
+  in
+  let arq = A.initial ?stats:(in_scope "arq") ?span:(sp "arq") spec.arq_config in
   let st =
-    ( A.initial ?stats:(in_scope "arq") ?span:(sp "arq") spec.arq_config,
-      Conform.arq_det ~alloc:(arq_c, det_c) monitors ~key:name ~variant:A.name
-        ~window:spec.arq_config.Arq.window,
-      ( Layers.Error_detection.make ?stats:(in_scope "detector")
-          ?span:(sp "detector") ?pool spec.detector,
-        Conform.det_frm ~alloc:(det_c, frm_c) monitors ~key:name,
-        ( Layers.Framing.make ?stats:(in_scope "framer") ?span:(sp "framer")
-            spec.framer,
-          Conform.frm_line ~alloc:(frm_c, line_c) monitors ~key:name,
-          Layers.Line_coding.make ?stats:(in_scope "linecode")
-            ?span:(sp "linecode") spec.linecode ) ) )
+    Full.make arq arq_det
+      (Middle.make detection det_frm (Lower.make framing frm_line line))
   in
-  let r = R.create engine ?trace ~alloc ~name ~transmit ~deliver st in
-  let arq () = let a, _, _ = R.state r in a in
+  let r = R.create engine ?trace ?alloc ~name ~transmit ~deliver st in
+  let arq () = Full.upper (R.state r) in
   {
     send = R.from_above r;
     from_wire = R.from_below r;

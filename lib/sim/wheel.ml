@@ -383,25 +383,38 @@ let iter t f =
   Array.iter (fun l -> List.iter f l) t.l1;
   Eheap.iter t.overflow f
 
+(* A slot's live events in their order, counting each into [kept]; dead
+   ones are dropped. A slot whose events all live comes back as is, so a
+   sweep conses only in front of an event it drops. *)
+let rec live_of t kept = function
+  | [] -> []
+  | ev :: rest as slot ->
+      if ev.dead then begin
+        drop_dead t ev;
+        live_of t kept rest
+      end
+      else begin
+        incr kept;
+        let rest' = live_of t kept rest in
+        if rest' == rest then slot else ev :: rest'
+      end
+
 (* Sweep dead entries out of every structure (the >50%-dead trigger lives
-   in the engine, shared with the heap backend). *)
+   in the engine, shared with the heap backend). No closure is built per
+   slot, and an empty slot costs one load. *)
+let sweep t slots =
+  let kept = ref 0 in
+  for i = 0 to Array.length slots - 1 do
+    match slots.(i) with
+    | [] -> ()
+    | slot -> slots.(i) <- live_of t kept slot
+  done;
+  !kept
+
 let compact t =
+  t.l0_count <- sweep t t.l0;
+  t.l1_count <- sweep t t.l1;
   let drop ev = drop_dead t ev in
-  let sweep arr =
-    let kept_total = ref 0 in
-    for i = 0 to Array.length arr - 1 do
-      let kept =
-        List.filter
-          (fun ev -> if ev.dead then (drop ev; false) else true)
-          arr.(i)
-      in
-      arr.(i) <- kept;
-      kept_total := !kept_total + List.length kept
-    done;
-    !kept_total
-  in
-  t.l0_count <- sweep t.l0;
-  t.l1_count <- sweep t.l1;
   Eheap.compact t.front ~on_drop:drop;
   Eheap.compact t.overflow ~on_drop:drop;
   t.compactions <- t.compactions + 1

@@ -158,15 +158,27 @@ let aimd ~alpha ~beta =
 
 let all = [ reno; cubic; vegas; fixed 8; aimd ~alpha:1.0 ~beta:0.5 ]
 
+type instruments = {
+  acks : Sublayer.Stats.counter;
+  losses : Sublayer.Stats.counter;
+  ecn_marks : Sublayer.Stats.counter;
+  cwnd : Sublayer.Stats.gauge;
+}
+
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let instruments =
+  Sublayer.Stats.memo (fun sc ->
+      let open Sublayer.Stats in
+      { acks = counter sc "acks"; losses = counter sc "losses";
+        ecn_marks = counter sc "ecn_marks"; cwnd = gauge sc "cwnd_bytes" })
+
 (* Wrap an instance's callbacks so any algorithm is observable without
    touching its implementation: signal counters plus a cwnd gauge sampled
    after every event that can move the window. *)
 let instrument sc inst =
   let open Sublayer.Stats in
-  let acks = counter sc "acks" in
-  let losses = counter sc "losses" in
-  let ecn_marks = counter sc "ecn_marks" in
-  let cwnd = gauge sc "cwnd_bytes" in
+  let { acks; losses; ecn_marks; cwnd } = memoised instruments sc in
   let update () = set cwnd (int_of_float (inst.window ())) in
   update ();
   {

@@ -41,24 +41,27 @@ type down_req = Bitkit.Wirebuf.t
 type down_ind = Bitkit.Slice.t
 type timer = Handshake | Fin_retx | Time_wait_expiry
 
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        c_established = Sublayer.Stats.counter sc "established";
+        c_resets_sent = Sublayer.Stats.counter sc "resets_sent";
+        c_resets_received = Sublayer.Stats.counter sc "resets_received";
+        c_handshake_retx = Sublayer.Stats.counter sc "handshake_retx";
+        c_dropped = Sublayer.Stats.counter sc "segments_dropped";
+      })
+
+let no_span = Sublayer.Span.disabled name
+
 let initial ?stats ?span cfg ~isn ~local_port ~remote_port =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "cm"
   in
-  let sp =
-    match span with Some sp -> sp | None -> Sublayer.Span.disabled name
-  in
-  let ctrs =
-    {
-      c_established = Sublayer.Stats.counter sc "established";
-      c_resets_sent = Sublayer.Stats.counter sc "resets_sent";
-      c_resets_received = Sublayer.Stats.counter sc "resets_received";
-      c_handshake_retx = Sublayer.Stats.counter sc "handshake_retx";
-      c_dropped = Sublayer.Stats.counter sc "segments_dropped";
-    }
-  in
+  let sp = match span with Some sp -> sp | None -> no_span in
   { cfg; isn; local_port; remote_port; phase = Closed; isn_local = None;
-    isn_remote = None; ctrs; sp }
+    isn_remote = None; ctrs = Sublayer.Stats.memoised counters sc; sp }
 
 let phase t = t.phase
 

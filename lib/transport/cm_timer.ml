@@ -34,20 +34,26 @@ type down_req = Bitkit.Wirebuf.t
 type down_ind = Bitkit.Slice.t
 type timer = Idle
 
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        c_established = Sublayer.Stats.counter sc "established";
+        c_stamped = Sublayer.Stats.counter sc "segments_stamped";
+        c_dropped = Sublayer.Stats.counter sc "segments_dropped";
+        c_idle_closes = Sublayer.Stats.counter sc "idle_closes";
+      })
+
+let no_span = Sublayer.Span.disabled name
+
 let initial ?stats ?span cfg ~isn ~local_port ~remote_port ~idle_timeout =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "cm-timer"
   in
-  let ctrs =
-    {
-      c_established = Sublayer.Stats.counter sc "established";
-      c_stamped = Sublayer.Stats.counter sc "segments_stamped";
-      c_dropped = Sublayer.Stats.counter sc "segments_dropped";
-      c_idle_closes = Sublayer.Stats.counter sc "idle_closes";
-    }
-  in
-  { cfg; isn; local_port; remote_port; idle_timeout; ctrs;
-    sp = (match span with Some sp -> sp | None -> Sublayer.Span.disabled name);
+  { cfg; isn; local_port; remote_port; idle_timeout;
+    ctrs = Sublayer.Stats.memoised counters sc;
+    sp = (match span with Some sp -> sp | None -> no_span);
     phase = Closed }
 
 let phase_name t =

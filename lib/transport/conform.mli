@@ -11,7 +11,13 @@
     monitored and an unmonitored endpoint have identical types, event
     counts and schedules. Each constructor's [?alloc] cells charge its
     crossings through {!Sublayer.Alloc.wrap_taps}; omitted, crossings
-    are unattributed. *)
+    are unattributed.
+
+    A probe with no monitor and no cell ([?alloc] absent, or both sides
+    [None]) observes nothing and charges nothing, so each constructor
+    then returns one inert probe shared by every endpoint, the
+    physically same record each time, and allocates nothing. A monitor
+    or a cell gets the endpoint a probe of its own. *)
 
 module P_osr_rd : sig
   type t = {
@@ -88,4 +94,5 @@ val app :
   (Iface.app_req -> unit) * (Iface.app_ind -> unit)
 (** Observation closures for the application boundary; the endpoint
     wrappers call them just before handing the request to the stack /
-    the indication to the app. *)
+    the indication to the app. {!Host.stack_endpoint} asks for them only
+    when a monitor is attached, and otherwise wires nothing there. *)

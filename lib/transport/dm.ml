@@ -4,13 +4,17 @@ let name = "dm"
 
 type conn = { local_port : int; remote_port : int }
 
+type counters = {
+  segments_out : Sublayer.Stats.counter;
+  segments_in : Sublayer.Stats.counter;
+  rejected : Sublayer.Stats.counter;
+}
+
 type t = {
   conn : conn;
   header : string;  (* this connection's DM header, written once *)
   pool : Bitkit.Pool.t option;
-  segments_out : Sublayer.Stats.counter;
-  segments_in : Sublayer.Stats.counter;
-  rejected : Sublayer.Stats.counter;
+  ctrs : counters;
   sp : Sublayer.Span.ctx;
 }
 
@@ -20,6 +24,18 @@ type down_req = Bitkit.Slice.t
 type down_ind = Bitkit.Slice.t
 type timer = Nothing.t
 
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        segments_out = Sublayer.Stats.counter sc "segments_out";
+        segments_in = Sublayer.Stats.counter sc "segments_in";
+        rejected = Sublayer.Stats.counter sc "rejected";
+      })
+
+let no_span = Sublayer.Span.disabled name
+
 let make ?stats ?span ?pool ~local_port ~remote_port () =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "dm"
@@ -28,16 +44,14 @@ let make ?stats ?span ?pool ~local_port ~remote_port () =
     conn = { local_port; remote_port };
     header = Segment.write_dm { Segment.src_port = local_port; dst_port = remote_port };
     pool;
-    segments_out = Sublayer.Stats.counter sc "segments_out";
-    segments_in = Sublayer.Stats.counter sc "segments_in";
-    rejected = Sublayer.Stats.counter sc "rejected";
-    sp = (match span with Some sp -> sp | None -> Sublayer.Span.disabled name);
+    ctrs = Sublayer.Stats.memoised counters sc;
+    sp = (match span with Some sp -> sp | None -> no_span);
   }
 
 let conn t = t.conn
 
 let handle_up_req t pdu =
-  Sublayer.Stats.incr t.segments_out;
+  Sublayer.Stats.incr t.ctrs.segments_out;
   (* Demultiplexing is synchronous, so these mark T2 crossings rather
      than measure time; they carry no trace (DM cannot see one). *)
   Sublayer.Span.instant t.sp "segment_out";
@@ -57,18 +71,18 @@ let handle_up_req t pdu =
 let handle_down_ind t wire =
   match Segment.decode_dm_slice wire with
   | None ->
-      Sublayer.Stats.incr t.rejected;
+      Sublayer.Stats.incr t.ctrs.rejected;
       (t, [ Note "short segment dropped" ])
   | Some (dm, payload) ->
       if dm.Segment.dst_port = t.conn.local_port
          && dm.Segment.src_port = t.conn.remote_port
       then begin
-        Sublayer.Stats.incr t.segments_in;
+        Sublayer.Stats.incr t.ctrs.segments_in;
         Sublayer.Span.instant t.sp "segment_in";
         (t, [ Up payload ])
       end
       else begin
-        Sublayer.Stats.incr t.rejected;
+        Sublayer.Stats.incr t.ctrs.rejected;
         (t, [ Note "segment for another connection dropped" ])
       end
 

@@ -27,6 +27,42 @@ type factory = {
     endpoint;
 }
 
+type 's stack = {
+  from_above : 's -> Iface.app_req -> unit;
+  from_below : 's -> Bitkit.Slice.t -> unit;
+  halt : 's -> unit;
+  finished : 's -> bool;
+}
+
+let stack_endpoint stack ~ins ~name ~events create =
+  (* The app boundary's probe is wired only when a monitor will read it:
+     otherwise the stack delivers straight to [events] and requests go
+     straight down. *)
+  let above, t =
+    match ins.I.monitors with
+    | None ->
+        let t = create events in
+        (stack.from_above t, t)
+    | Some _ as mon ->
+        let app_req, app_ind = Conform.app mon ~conn:name in
+        let t = create (fun e -> app_ind e; events e) in
+        ((fun r -> app_req r; stack.from_above t r), t)
+  in
+  {
+    ep_from_wire = stack.from_below t;
+    ep_connect = (fun () -> above `Connect);
+    ep_listen = (fun () -> above `Listen);
+    ep_write = (fun s -> above (`Write s));
+    ep_read = (fun n -> above (`Read n));
+    ep_close = (fun () -> above `Close);
+    ep_abort = (fun () -> stack.halt t);
+    ep_finished = (fun () -> stack.finished t);
+  }
+
+let sublayered_stack =
+  { from_above = Tcp_sublayered.from_above; from_below = Tcp_sublayered.from_wire;
+    halt = Tcp_sublayered.halt; finished = Tcp_sublayered.stream_finished }
+
 let sublayered =
   {
     fname = "sublayered";
@@ -34,29 +70,16 @@ let sublayered =
     make =
       (fun ?(ins = I.none) engine ~name cfg ~local_port ~remote_port ~transmit
            ~events ->
-        let app_req, app_ind = Conform.app ins.I.monitors ~conn:name in
-        let t =
-          Tcp_sublayered.create engine ~ins ~name cfg ~local_port ~remote_port
-            ~transmit
-            ~events:(fun e -> app_ind e; events e)
-        in
-        {
-          ep_from_wire = Tcp_sublayered.from_wire t;
-          ep_connect = (fun () -> app_req `Connect; Tcp_sublayered.connect t);
-          ep_listen = (fun () -> app_req `Listen; Tcp_sublayered.listen t);
-          ep_write = (fun str -> app_req (`Write str); Tcp_sublayered.write t str);
-          ep_read = (fun n -> app_req (`Read n); Tcp_sublayered.read t n);
-          ep_close = (fun () -> app_req `Close; Tcp_sublayered.close t);
-          ep_abort = (fun () -> Tcp_sublayered.halt t);
-          ep_finished = (fun () -> Tcp_sublayered.stream_finished t);
-        });
+        stack_endpoint sublayered_stack ~ins ~name ~events (fun events ->
+            Tcp_sublayered.create engine ~ins ~name cfg ~local_port ~remote_port
+              ~transmit ~events));
   }
 
 type conn = {
   c_local : int;
   c_remote : int;
   c_accepted : bool;  (** spawned by a listener *)
-  ep : endpoint;
+  mutable ep : endpoint;  (** [unbound] until the factory has made it *)
   mutable auto_read : bool;
   store : Bitkit.Blockbuf.t;  (** delivered bytes since the last [take_received] *)
   mutable c_established : bool;
@@ -93,6 +116,7 @@ type t = {
   factory : factory;
   name : string;
   link : Bitkit.Slice.t Link.t;
+  transmit : Bitkit.Slice.t -> unit;  (* into [link], shared by every connection *)
   ins : I.t;
   conns : conn Ports.t;
   (* Connections per local port (closed ones included: the table never
@@ -131,29 +155,30 @@ let handle_event host c (e : Iface.app_ind) =
       c.c_closed <- true);
   match c.user_event with Some cb -> cb e | None -> ()
 
+let unbound =
+  { ep_from_wire = ignore; ep_connect = ignore; ep_listen = ignore; ep_write = ignore;
+    ep_read = ignore; ep_close = ignore; ep_abort = ignore;
+    ep_finished = (fun () -> false) }
+
 let make_conn host ~local_port ~remote_port ~accepted =
-  let cref = ref None in
-  let events e =
-    match !cref with Some c -> handle_event host c e | None -> ()
-  in
-  let name =
-    String.concat ""
-      [ host.name; ":"; string_of_int local_port; ">"; string_of_int remote_port ]
-  in
-  let ep =
-    host.factory.make ~ins:host.ins host.engine ~name host.config ~local_port
-      ~remote_port
-      ~transmit:(fun s -> Link.transmit host.link s)
-      ~events
-  in
   let c =
-    { c_local = local_port; c_remote = remote_port; c_accepted = accepted; ep;
-      auto_read = true; store = Bitkit.Blockbuf.create (); c_established = false;
-      c_peer_closed = false;
+    { c_local = local_port; c_remote = remote_port; c_accepted = accepted;
+      ep = unbound; auto_read = true; store = Bitkit.Blockbuf.create ();
+      c_established = false; c_peer_closed = false;
       c_closed = false; c_reset = false; c_aborted = false;
       user_data = None; user_event = None }
   in
-  cref := Some c;
+  (* The label is a monitor key and a span track; with neither attached
+     nothing reads it, so the host's own name stands in. *)
+  let name =
+    if not (I.labelled host.ins) then host.name
+    else
+      String.concat ""
+        [ host.name; ":"; string_of_int local_port; ">"; string_of_int remote_port ]
+  in
+  c.ep <-
+    host.factory.make ~ins:host.ins host.engine ~name host.config ~local_port
+      ~remote_port ~transmit:host.transmit ~events:(handle_event host c);
   let key = conn_key ~local:local_port ~remote:remote_port in
   if not (Ports.mem host.conns key) then begin
     let n = try Ports.find host.port_use local_port with Not_found -> 0 in
@@ -231,7 +256,7 @@ let create engine ?(config = Config.default) ?(factory = sublayered)
     | None -> config
   in
   let host =
-    { engine; config; factory; name; link; ins;
+    { engine; config; factory; name; link; transmit = Link.transmit link; ins;
       conns = Ports.create 8; port_use = Ports.create 8; ephemeral_used = 0;
       listeners = Ports.create 4; accept_cb = None;
       next_ephemeral = first_ephemeral }

@@ -42,9 +42,42 @@ type factory = {
     transmit:(Bitkit.Slice.t -> unit) ->
     events:(Iface.app_ind -> unit) ->
     endpoint;
+      (** [make ?ins engine ~name cfg ...] builds one endpoint. [name] is
+          the connection's label ["<host>:<lport>><rport>"] when
+          {!Sublayer.Instrument.labelled} holds for [ins] (a monitor keys
+          its instances by it, a tracer tracks spans under it); otherwise
+          nothing reads it, and the host passes its own name instead of
+          building a string per connection. *)
 }
 
 val sublayered : factory
+
+(** {1 Building endpoints over a stack} *)
+
+type 's stack = {
+  from_above : 's -> Iface.app_req -> unit;
+  from_below : 's -> Bitkit.Slice.t -> unit;
+  halt : 's -> unit;
+  finished : 's -> bool;
+}
+(** What an endpoint needs of a running stack of type ['s]: one value per
+    factory, made once. *)
+
+val stack_endpoint :
+  's stack ->
+  ins:Sublayer.Instrument.t ->
+  name:string ->
+  events:(Iface.app_ind -> unit) ->
+  ((Iface.app_ind -> unit) -> 's) ->
+  endpoint
+(** [stack_endpoint stack ~ins ~name ~events create] is the endpoint of
+    the stack [create] builds around the delivery callback it is given.
+    With [ins.monitors], the application boundary's probe
+    ({!Conform.app}, keyed by [name]) sees every request before the
+    stack does and every indication before [events] does. Without a
+    monitor nothing is wired there: [create] gets [events] itself and
+    requests go straight to [stack.from_above]. {!sublayered},
+    [Tcp_secure.factory] and [Tcp_watson.factory] are built with it. *)
 
 type t
 

@@ -73,16 +73,23 @@ type t = {
   conn : conn option;
 }
 
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      { c_messages_sent = Sublayer.Stats.counter sc "messages_sent";
+        c_messages_delivered = Sublayer.Stats.counter sc "messages_delivered" })
+
+let no_span = Sublayer.Span.disabled name
+
 let initial ?stats ?cc_stats ?span cfg ~now =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "msg"
   in
   { cfg; now;
-    ctrs =
-      { c_messages_sent = Sublayer.Stats.counter sc "messages_sent";
-        c_messages_delivered = Sublayer.Stats.counter sc "messages_delivered" };
+    ctrs = Sublayer.Stats.memoised counters sc;
     cc_stats;
-    sp = (match span with Some sp -> sp | None -> Sublayer.Span.disabled name);
+    sp = (match span with Some sp -> sp | None -> no_span);
     pre_sends = []; pre_close = false; conn = None }
 
 let messages_delivered t = Sublayer.Stats.value t.ctrs.c_messages_delivered

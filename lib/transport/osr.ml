@@ -15,13 +15,16 @@ type counters = {
   c_copied_app_bytes : Sublayer.Stats.counter;
 }
 
-let counters_in sc =
-  {
-    c_bytes_written = Sublayer.Stats.counter sc "bytes_written";
-    c_bytes_delivered = Sublayer.Stats.counter sc "bytes_delivered";
-    c_segments_out = Sublayer.Stats.counter sc "segments_out";
-    c_copied_app_bytes = Sublayer.Stats.counter sc "copied_app_bytes";
-  }
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        c_bytes_written = Sublayer.Stats.counter sc "bytes_written";
+        c_bytes_delivered = Sublayer.Stats.counter sc "bytes_delivered";
+        c_segments_out = Sublayer.Stats.counter sc "segments_out";
+        c_copied_app_bytes = Sublayer.Stats.counter sc "copied_app_bytes";
+      })
 
 (* The outgoing byte stream not yet segmented: a chunk queue with a
    partially-consumed head. Mutable by design (like [stats]); the
@@ -115,14 +118,14 @@ type timer = Persist
 (* Zero-window probe interval. *)
 let persist_interval = 0.5
 
+let no_span = Sublayer.Span.disabled name
+
 let initial ?stats ?cc_stats ?span ?pool cfg ~now =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "osr"
   in
-  let sp =
-    match span with Some sp -> sp | None -> Sublayer.Span.disabled name
-  in
-  { cfg; now; ctrs = counters_in sc; cc_stats; sp; pool;
+  let sp = match span with Some sp -> sp | None -> no_span in
+  { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; cc_stats; sp; pool;
     pre_writes = []; pre_close = false; conn = None }
 
 (* Fresh snapshot of the counters in the legacy record shape. *)

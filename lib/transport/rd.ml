@@ -20,15 +20,18 @@ type counters = {
   c_dup_segments : Sublayer.Stats.counter;
 }
 
-let counters_in sc =
-  {
-    c_segments_sent = Sublayer.Stats.counter sc "segments_sent";
-    c_retransmits = Sublayer.Stats.counter sc "retransmits";
-    c_fast_retransmits = Sublayer.Stats.counter sc "fast_retransmits";
-    c_timeouts = Sublayer.Stats.counter sc "timeouts";
-    c_acks_only = Sublayer.Stats.counter sc "acks_only";
-    c_dup_segments = Sublayer.Stats.counter sc "dup_segments";
-  }
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        c_segments_sent = Sublayer.Stats.counter sc "segments_sent";
+        c_retransmits = Sublayer.Stats.counter sc "retransmits";
+        c_fast_retransmits = Sublayer.Stats.counter sc "fast_retransmits";
+        c_timeouts = Sublayer.Stats.counter sc "timeouts";
+        c_acks_only = Sublayer.Stats.counter sc "acks_only";
+        c_dup_segments = Sublayer.Stats.counter sc "dup_segments";
+      })
 
 type sent = {
   s_off : int;
@@ -73,14 +76,14 @@ type down_req = Iface.cm_req
 type down_ind = Iface.cm_ind
 type timer = Rto | Ack_delay
 
+let no_span = Sublayer.Span.disabled name
+
 let initial ?stats ?span cfg ~now =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "rd"
   in
-  let sp =
-    match span with Some sp -> sp | None -> Sublayer.Span.disabled name
-  in
-  { cfg; now; ctrs = counters_in sc; sp; conn = None }
+  let sp = match span with Some sp -> sp | None -> no_span in
+  { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; sp; conn = None }
 
 (* The flight span of a segment is correlated across hosts by a key both
    ends can compute: the connection's ISN pair (swapped on the receiver)

@@ -2,6 +2,12 @@ open Sublayer.Machine
 
 let name = "rec"
 
+type counters = {
+  c_sent : Sublayer.Stats.counter;
+  c_failures : Sublayer.Stats.counter;
+  c_copied_seal : Sublayer.Stats.counter;
+}
+
 type t = {
   key : string;
   mac_key : string;
@@ -9,11 +15,21 @@ type t = {
   remote_port : int;
   seq : int;
   pool : Bitkit.Pool.t option;
-  c_sent : Sublayer.Stats.counter;
-  c_failures : Sublayer.Stats.counter;
-  c_copied_seal : Sublayer.Stats.counter;
+  ctrs : counters;
   sp : Sublayer.Span.ctx;
 }
+
+(* Resolved once per scope: every connection on a shared registry holds
+   the same record. *)
+let counters =
+  Sublayer.Stats.memo (fun sc ->
+      {
+        c_sent = Sublayer.Stats.counter sc "records_sent";
+        c_failures = Sublayer.Stats.counter sc "auth_failures";
+        c_copied_seal = Sublayer.Stats.counter sc "copied_seal_bytes";
+      })
+
+let no_span = Sublayer.Span.disabled name
 
 (* The MAC key is derived from the cipher key so callers manage one
    secret; block 0 of an all-zero nonce is reserved for this derivation
@@ -27,13 +43,11 @@ let initial ?stats ?span ?pool ~key ~local_port ~remote_port () =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "rec"
   in
   { key; mac_key = derive_mac_key key; local_port; remote_port; seq = 0; pool;
-    c_sent = Sublayer.Stats.counter sc "records_sent";
-    c_failures = Sublayer.Stats.counter sc "auth_failures";
-    c_copied_seal = Sublayer.Stats.counter sc "copied_seal_bytes";
-    sp = (match span with Some sp -> sp | None -> Sublayer.Span.disabled name) }
+    ctrs = Sublayer.Stats.memoised counters sc;
+    sp = (match span with Some sp -> sp | None -> no_span) }
 
-let records_sent t = Sublayer.Stats.value t.c_sent
-let auth_failures t = Sublayer.Stats.value t.c_failures
+let records_sent t = Sublayer.Stats.value t.ctrs.c_sent
+let auth_failures t = Sublayer.Stats.value t.ctrs.c_failures
 
 type up_req = Bitkit.Wirebuf.t
 type up_ind = Bitkit.Slice.t
@@ -103,7 +117,7 @@ let open_slice t record =
     if not (Int64.equal (mac t ~port s ~pos:off ~len:(n - 8))
               (String.get_int64_le s (off + n - 8)))
     then begin
-      Sublayer.Stats.incr t.c_failures;
+      Sublayer.Stats.incr t.ctrs.c_failures;
       None
     end
     else begin
@@ -116,7 +130,7 @@ let open_slice t record =
 
 let seal t pdu =
   let record = seal_heap t (Bitkit.Wirebuf.of_string pdu) in
-  Sublayer.Stats.incr t.c_sent;
+  Sublayer.Stats.incr t.ctrs.c_sent;
   ({ t with seq = t.seq + 1 }, record)
 
 let open_ t record = open_slice t (Bitkit.Slice.of_string record)
@@ -127,8 +141,8 @@ let open_ t record = open_slice t (Bitkit.Slice.of_string record)
    wirebuf for DM. *)
 let handle_up_req t pdu =
   let record = seal_record t pdu in
-  Sublayer.Stats.incr t.c_sent;
-  Sublayer.Stats.add t.c_copied_seal (Bitkit.Wirebuf.emit_cost pdu);
+  Sublayer.Stats.incr t.ctrs.c_sent;
+  Sublayer.Stats.add t.ctrs.c_copied_seal (Bitkit.Wirebuf.emit_cost pdu);
   if Sublayer.Span.active t.sp then
     Sublayer.Span.instant t.sp ~detail:(Printf.sprintf "seq=%d" t.seq) "seal";
   ({ t with seq = t.seq + 1 }, [ Down (Bitkit.Wirebuf.of_slice record) ])

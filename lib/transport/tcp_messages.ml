@@ -19,10 +19,13 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let rd = Rd.initial ?stats:(sc "rd") ?span:(sp "rd") cfg ~now in
   let cm = Cm.initial ?stats:(sc "cm") ?span:(sp "cm") cfg ~isn ~local_port ~remote_port in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ~local_port ~remote_port () in
+  let cm_dm = Conform.cm_dm monitors ~conn:name in
+  let rd_cm = Conform.rd_cm monitors ~conn:name in
+  let msg_rd =
+    Conform.osr_rd ~spec:(Monitor.Specs.stream_rd ~upper:"msg") monitors ~conn:name
+  in
   R.create engine ?trace ~name ~transmit ~deliver:events
-    ( msg,
-      Conform.osr_rd ~spec:(Monitor.Specs.stream_rd ~upper:"msg") monitors ~conn:name,
-      (rd, Conform.rd_cm monitors ~conn:name, (cm, Conform.cm_dm monitors ~conn:name, dm)) )
+    (Full.make msg msg_rd (Middle.make rd rd_cm (Lower.make cm cm_dm dm)))
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -31,7 +34,7 @@ let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
 
-let msg_state t = let msg, _, _ = R.state t in msg
+let msg_state t = Full.upper (R.state t)
 let messages_sent t = Msg.messages_sent (msg_state t)
 let messages_delivered t = Msg.messages_delivered (msg_state t)
 let finished t = Msg.stream_finished (msg_state t)

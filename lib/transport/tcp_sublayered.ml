@@ -20,24 +20,27 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let sp sub = I.span ins ~now ~track:name sub in
   (* Allocation cells exist only under telemetry (they add a
      gc.minor_words counter per scope to the registry, which a plain
-     stats run should not see); with all cells [None] the alloc spec is
-     inert beyond one atomic load per crossing. *)
+     stats run should not see). Without them the runtime gets no alloc
+     spec and the probes no cell pairs. *)
   let acell sub = I.alloc_cell ins sub in
   let osr_c = acell "osr" and rd_c = acell "rd" and cm_c = acell "cm"
-  and dm_c = acell "dm" and app_c = acell "app" and wire_c = acell "wire" in
+  and dm_c = acell "dm" in
   let alloc =
-    { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = app_c;
-      al_wire = wire_c;
-      al_timer =
-        (* Only OSR, RD and CM own timers; DM's slot is [Nothing.t],
-           discharged by a refutation case. *)
-        (fun (tm : Full.timer) ->
-        match tm with
-        | Either.Left _ -> osr_c
-        | Either.Right (Either.Left _) -> rd_c
-        | Either.Right (Either.Right (Either.Left _)) -> cm_c
-        | Either.Right (Either.Right (Either.Right _)) -> .);
-    }
+    if not (I.attributed ins) then None
+    else
+      Some
+        { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = acell "app";
+          al_wire = acell "wire";
+          al_timer =
+            (* Only OSR, RD and CM own timers; DM's slot is [Nothing.t],
+               discharged by a refutation case. *)
+            (fun (tm : Full.timer) ->
+            match tm with
+            | Either.Left _ -> osr_c
+            | Either.Right (Either.Left _) -> rd_c
+            | Either.Right (Either.Right (Either.Left _)) -> cm_c
+            | Either.Right (Either.Right (Either.Right _)) -> .);
+        }
   in
   let osr =
     Osr.initial ?stats:(sc "osr") ?cc_stats:(sc "cc") ?span:(sp "osr") ?pool cfg
@@ -46,13 +49,14 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none) ~name cfg ~local_port
   let rd = Rd.initial ?stats:(sc "rd") ?span:(sp "rd") cfg ~now in
   let cm = Cm.initial ?stats:(sc "cm") ?span:(sp "cm") cfg ~isn ~local_port ~remote_port in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
-    ( osr,
-      Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
-      ( rd,
-        Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
-        (cm, Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm) ) )
+  let between = Sublayer.Alloc.between in
+  let cm_dm = Conform.cm_dm ?alloc:(between cm_c dm_c) monitors ~conn:name in
+  let rd_cm = Conform.rd_cm ?alloc:(between rd_c cm_c) monitors ~conn:name in
+  let osr_rd = Conform.osr_rd ?alloc:(between osr_c rd_c) monitors ~conn:name in
+  R.create engine ?trace ?alloc ~name ~transmit ~deliver:events
+    (Full.make osr osr_rd (Middle.make rd rd_cm (Lower.make cm cm_dm dm)))
 
+let from_above = R.from_above
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
 let write t s = R.from_above t (`Write s)
@@ -61,9 +65,9 @@ let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
 
-let osr_state t = let osr, _, _ = R.state t in osr
-let rd_state t = let _, _, (rd, _, _) = R.state t in rd
-let cm_state t = let _, _, (_, _, (cm, _, _)) = R.state t in cm
+let osr_state t = Full.upper (R.state t)
+let rd_state t = Middle.upper (Full.lower (R.state t))
+let cm_state t = Lower.upper (Middle.lower (Full.lower (R.state t)))
 
 let cm_phase t = Cm.phase_name (cm_state t)
 let rd_stats t = Rd.stats (rd_state t)

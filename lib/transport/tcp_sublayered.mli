@@ -33,6 +33,10 @@ val create :
     [ins.pool], OSR stages out-of-order segments in arena slots and DM
     emits outgoing segments into them (see {!Osr.initial}, {!Dm.make}). *)
 
+val from_above : t -> Iface.app_req -> unit
+(** Hand the stack one application request: {!connect}, {!listen},
+    {!write}, {!read} and {!close} each hand it one of them. *)
+
 val connect : t -> unit
 val listen : t -> unit
 val write : t -> string -> unit

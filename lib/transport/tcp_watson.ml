@@ -18,20 +18,23 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none)
   let sp sub = I.span ins ~now ~track:name sub in
   let acell sub = I.alloc_cell ins sub in
   let osr_c = acell "osr" and rd_c = acell "rd" and cm_c = acell "cm-timer"
-  and dm_c = acell "dm" and app_c = acell "app" and wire_c = acell "wire" in
+  and dm_c = acell "dm" in
   let alloc =
-    { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = app_c;
-      al_wire = wire_c;
-      al_timer =
-        (* OSR, RD and CM-with-timer own timers (the Watson variant adds
-           [Idle]); DM's slot is [Nothing.t]. *)
-        (fun (tm : Full.timer) ->
-        match tm with
-        | Either.Left _ -> osr_c
-        | Either.Right (Either.Left _) -> rd_c
-        | Either.Right (Either.Right (Either.Left _)) -> cm_c
-        | Either.Right (Either.Right (Either.Right _)) -> .);
-    }
+    if not (I.attributed ins) then None
+    else
+      Some
+        { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = acell "app";
+          al_wire = acell "wire";
+          al_timer =
+            (* OSR, RD and CM-with-timer own timers (the Watson variant
+               adds [Idle]); DM's slot is [Nothing.t]. *)
+            (fun (tm : Full.timer) ->
+            match tm with
+            | Either.Left _ -> osr_c
+            | Either.Right (Either.Left _) -> rd_c
+            | Either.Right (Either.Right (Either.Left _)) -> cm_c
+            | Either.Right (Either.Right (Either.Right _)) -> .);
+        }
   in
   let osr =
     Osr.initial ?stats:(sc "osr") ?cc_stats:(sc "cc") ?span:(sp "osr") ?pool cfg
@@ -43,12 +46,12 @@ let create engine ?trace ?(ins = Sublayer.Instrument.none)
       ~local_port ~remote_port ~idle_timeout
   in
   let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  R.create engine ?trace ~alloc ~name ~transmit ~deliver:events
-    ( osr,
-      Conform.osr_rd ~alloc:(osr_c, rd_c) monitors ~conn:name,
-      ( rd,
-        Conform.rd_cm ~alloc:(rd_c, cm_c) monitors ~conn:name,
-        (cm, Conform.cm_dm ~alloc:(cm_c, dm_c) monitors ~conn:name, dm) ) )
+  let between = Sublayer.Alloc.between in
+  let cm_dm = Conform.cm_dm ?alloc:(between cm_c dm_c) monitors ~conn:name in
+  let rd_cm = Conform.rd_cm ?alloc:(between rd_c cm_c) monitors ~conn:name in
+  let osr_rd = Conform.osr_rd ?alloc:(between osr_c rd_c) monitors ~conn:name in
+  R.create engine ?trace ?alloc ~name ~transmit ~deliver:events
+    (Full.make osr osr_rd (Middle.make rd rd_cm (Lower.make cm cm_dm dm)))
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
@@ -57,11 +60,12 @@ let read t n = R.from_above t (`Read n)
 let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
 let halt t = R.halt t
-let cm_phase t =
-  let _, _, (_, _, (cm, _, _)) = R.state t in
-  Cm_timer.phase_name cm
+let cm_phase t = Cm_timer.phase_name (Lower.upper (Middle.lower (Full.lower (R.state t))))
+let stream_finished t = Osr.stream_finished (Full.upper (R.state t))
 
-let stream_finished t = let osr, _, _ = R.state t in Osr.stream_finished osr
+let stack =
+  { Host.from_above = R.from_above; from_below = R.from_below; halt = R.halt;
+    finished = stream_finished }
 
 let factory ?idle_timeout () =
   {
@@ -70,22 +74,7 @@ let factory ?idle_timeout () =
     make =
       (fun ?(ins = Sublayer.Instrument.none) engine ~name cfg ~local_port
            ~remote_port ~transmit ~events ->
-        let app_req, app_ind =
-          Conform.app ins.Sublayer.Instrument.monitors ~conn:name
-        in
-        let t =
-          create engine ~ins ?idle_timeout ~name cfg ~local_port ~remote_port
-            ~transmit
-            ~events:(fun e -> app_ind e; events e)
-        in
-        {
-          Host.ep_from_wire = from_wire t;
-          ep_connect = (fun () -> app_req `Connect; connect t);
-          ep_listen = (fun () -> app_req `Listen; listen t);
-          ep_write = (fun str -> app_req (`Write str); write t str);
-          ep_read = (fun n -> app_req (`Read n); read t n);
-          ep_close = (fun () -> app_req `Close; close t);
-          ep_abort = (fun () -> halt t);
-          ep_finished = (fun () -> stream_finished t);
-        });
+        Host.stack_endpoint stack ~ins ~name ~events (fun events ->
+            create engine ~ins ?idle_timeout ~name cfg ~local_port ~remote_port
+              ~transmit ~events));
   }

@@ -304,6 +304,25 @@ let test_mechanism_matrix () =
         framers)
     [ Detector.crc Bitkit.Crc.crc32; Detector.crc Bitkit.Crc.crc64_xz; Detector.internet ]
 
+(* Probes that observe nothing and charge nothing are one shared record
+   per interface; a monitor or an allocation cell gets an endpoint a
+   probe of its own. *)
+let test_inert_probes_shared () =
+  let module C = Datalink.Conform in
+  let mon = Some (Monitor.Runtime.create ()) in
+  let cell = Some (Sublayer.Alloc.cell (Sublayer.Stats.unregistered "x")) in
+  let shared name probe =
+    Alcotest.(check bool) (name ^ ": unobserved shared") true
+      (probe None None ~key:"x" == probe None None ~key:"y");
+    Alcotest.(check bool) (name ^ ": monitored own") false
+      (probe None mon ~key:"x" == probe None None ~key:"x");
+    Alcotest.(check bool) (name ^ ": attributed own") false
+      (probe (Some (cell, None)) None ~key:"x" == probe None None ~key:"x")
+  in
+  shared "arq-det" (fun alloc mon ~key -> C.arq_det ?alloc mon ~key ~variant:"arq-gbn" ~window:8);
+  shared "det-frm" (fun alloc mon ~key -> C.det_frm ?alloc mon ~key);
+  shared "frm-line" (fun alloc mon ~key -> C.frm_line ?alloc mon ~key)
+
 let test_corruption_needs_detection () =
   (* With the null detector and a corrupting channel, damaged payloads
      reach the application; with CRC-32 they never do. *)
@@ -605,6 +624,7 @@ let () =
         [
           Alcotest.test_case "mechanism matrix (E1)" `Slow test_mechanism_matrix;
           Alcotest.test_case "corruption needs detection" `Quick test_corruption_needs_detection;
+          Alcotest.test_case "inert probes shared" `Quick test_inert_probes_shared;
         ] );
       ( "deframer",
         [

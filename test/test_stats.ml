@@ -106,6 +106,72 @@ let test_json () =
   check Alcotest.string "registry json" {|{"label":"a","stats":{"arq.data_sent":1}}|}
     (Stats.to_json reg)
 
+(* --- Per-scope memos --- *)
+
+(* A sublayer-shaped counter record, resolved through one memo. *)
+type ctrs = { sent : Stats.counter; lost : Stats.counter }
+
+let builds = ref 0
+
+let ctrs =
+  Stats.memo (fun sc ->
+      incr builds;
+      { sent = Stats.counter sc "sent"; lost = Stats.counter sc "lost" })
+
+(* Every connection on one scope holds the physically same record, built
+   once; a hit allocates nothing. Two registries, two recursion levels of
+   one registry and two scopes from [unregistered] each keep their own,
+   and a second memo on a scope does not disturb the first. *)
+let test_memo_per_scope () =
+  let reg = Stats.create () in
+  let sc = Stats.scope reg "rd" in
+  builds := 0;
+  let first = Stats.memoised ctrs sc in
+  for _ = 1 to 100 do
+    check Alcotest.bool "same record per connection" true (Stats.memoised ctrs sc == first)
+  done;
+  check Alcotest.bool "same record through a fresh scope lookup" true
+    (Stats.memoised ctrs (Stats.scope reg "rd") == first);
+  check Alcotest.int "built once" 1 !builds;
+  check Alcotest.bool "cells are the scope's" true (first.sent == Stats.counter sc "sent");
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Stats.memoised ctrs sc))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool (Printf.sprintf "hits allocate nothing (%.0f words)" words) true
+    (words <= 8.);
+  let other = Stats.memoised ctrs (Stats.scope (Stats.create ()) "rd") in
+  check Alcotest.bool "another registry: its own record" false (other == first);
+  check Alcotest.bool "another registry: its own cells" false (other.sent == first.sent);
+  let level l = Sublayer.Instrument.v ~stats:reg ~level:l () in
+  let at l = Option.get (Sublayer.Instrument.scope (level l) "rd") in
+  check Alcotest.bool "level 0 is the bare scope" true (Stats.memoised ctrs (at 0) == first);
+  let l1 = Stats.memoised ctrs (at 1) in
+  check Alcotest.bool "level 1: its own record" false (l1 == first);
+  check Alcotest.bool "level 1: one record per level" true (Stats.memoised ctrs (at 1) == l1);
+  let u1 = Stats.unregistered "rd" and u2 = Stats.unregistered "rd" in
+  let r1 = Stats.memoised ctrs u1 in
+  check Alcotest.bool "unregistered: its own record" false (Stats.memoised ctrs u2 == r1);
+  check Alcotest.bool "unregistered: kept" true (Stats.memoised ctrs u1 == r1);
+  let gauge = Stats.memo (fun sc -> Stats.gauge sc "window") in
+  let g = Stats.memoised gauge sc in
+  check Alcotest.bool "second memo: its own value" true (Stats.memoised gauge sc == g);
+  check Alcotest.bool "second memo: first kept" true (Stats.memoised ctrs sc == first)
+
+(* Two domains resolving the same fresh scopes at once both get the
+   value that was published first: a loser of the compare-and-set
+   re-reads and takes the winner's. *)
+let test_memo_two_domains () =
+  let cells = Stats.memo (fun _ -> ref 0) in
+  let scopes = Array.init 2_000 (fun i -> Stats.unregistered (string_of_int i)) in
+  let resolve () = Array.map (Stats.memoised cells) scopes in
+  let other = Domain.spawn resolve in
+  let mine = resolve () in
+  let theirs = Domain.join other in
+  check Alcotest.bool "one value per scope" true
+    (Array.for_all2 ( == ) mine theirs)
+
 (* --- Integration: counters vs. the structured trace --- *)
 
 let test_arq_retransmits_match_trace () =
@@ -151,6 +217,11 @@ let () =
           Alcotest.test_case "histograms" `Quick test_histograms;
           Alcotest.test_case "enabled switch" `Quick test_enabled_switch;
           Alcotest.test_case "unregistered scope" `Quick test_unregistered_scope;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "one record per scope" `Quick test_memo_per_scope;
+          Alcotest.test_case "two domains, one value" `Quick test_memo_two_domains;
         ] );
       ( "reports",
         [

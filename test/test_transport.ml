@@ -1451,6 +1451,123 @@ let inert_factory =
           ep_write = ignore; ep_read = ignore; ep_close = ignore; ep_abort = ignore;
           ep_finished = (fun () -> true) }) }
 
+(* --- What an endpoint costs to set up --- *)
+
+(* An endpoint nothing but a stats registry observes costs its protocol
+   state: its sublayers share the registry's counter records, its probes
+   are the shared inert ones, and it gets no alloc spec, no app probe and
+   no label. At most 200 words per endpoint (307 when every endpoint
+   resolved its own counters and built its own probes, spec and
+   closures). *)
+let test_unobserved_endpoint_words () =
+  let engine = Sim.Engine.create () in
+  let ins = Sublayer.Instrument.v ~stats:(Sublayer.Stats.create ()) () in
+  let make i =
+    ignore
+      (Sys.opaque_identity
+         (Host.sublayered.Host.make ~ins engine ~name:"A" Config.default
+            ~local_port:(1024 + i) ~remote_port:80 ~transmit:ignore ~events:ignore))
+  in
+  make 0;
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    make i
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check Alcotest.bool (Printf.sprintf "%.1f words per endpoint" per) true (per <= 200.)
+
+(* Probes that observe nothing and charge nothing are one shared record
+   per interface; a monitor or an allocation cell gets an endpoint a
+   probe of its own. *)
+let test_inert_probes_shared () =
+  let mon = Some (Monitor.Runtime.create ()) in
+  let cell = Some (Sublayer.Alloc.cell (Sublayer.Stats.unregistered "x")) in
+  let shared name probe =
+    check Alcotest.bool (name ^ ": unobserved shared") true
+      (probe None None ~conn:"x" == probe None None ~conn:"y");
+    check Alcotest.bool (name ^ ": no cells shared") true
+      (probe (Some (None, None)) None ~conn:"x" == probe None None ~conn:"x");
+    check Alcotest.bool (name ^ ": monitored own") false
+      (probe None mon ~conn:"x" == probe None None ~conn:"x");
+    check Alcotest.bool (name ^ ": attributed own") false
+      (probe (Some (cell, None)) None ~conn:"x" == probe None None ~conn:"x")
+  in
+  shared "osr-rd" (fun alloc mon ~conn -> Conform.osr_rd ?alloc mon ~conn);
+  shared "rd-cm" (fun alloc mon ~conn -> Conform.rd_cm ?alloc mon ~conn);
+  shared "cm-dm" (fun alloc mon ~conn -> Conform.cm_dm ?alloc mon ~conn);
+  shared "cm-rec" (fun alloc mon ~conn -> Conform.cm_rec ?alloc mon ~conn);
+  shared "rec-dm" (fun alloc mon ~conn -> Conform.rec_dm ?alloc mon ~conn)
+
+(* [Host.sublayered], recording the name each endpoint is given. *)
+let naming names =
+  { Host.sublayered with
+    Host.make =
+      (fun ?ins engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
+        names := name :: !names;
+        Host.sublayered.Host.make ?ins engine ~name cfg ~local_port ~remote_port
+          ~transmit ~events) }
+
+(* One short connection A -> B:80 under the given instruments: the names
+   its two endpoints got, and A's registry. *)
+let observed_run ?tracer ?monitors ?telemetry () =
+  let engine = Sim.Engine.create ~seed:5 () in
+  let names = ref [] in
+  let stats_a = Sublayer.Stats.create ~label:"A" () in
+  let a, b =
+    Host.pair engine ~factory_a:(naming names) ~factory_b:(naming names) ~stats_a
+      ?tracer ?monitors ?telemetry Sim.Channel.ideal
+  in
+  Host.listen b ~port:80;
+  let c = Host.connect a ~remote_port:80 () in
+  Host.write c "observed";
+  Host.close c;
+  Sim.Engine.run ~until:30. engine;
+  check Alcotest.bool "closed" true (Host.closed c);
+  (List.sort compare !names, stats_a)
+
+(* With a monitor or a tracer attached, each endpoint still gets its full
+   label, as monitor key and as span track, and probes of its own at
+   every boundary, the application's included; with telemetry, cells at
+   every seam. Without them, the host's name stands in and no
+   allocation counter appears. *)
+let test_observed_endpoints () =
+  let labels = [ "A:49152>80"; "B:80>49152" ] in
+  let names, stats_a = observed_run () in
+  check Alcotest.(list string) "stats only: host names" [ "A"; "B" ] names;
+  check Alcotest.bool "stats only: no allocation counters" false
+    (List.exists
+       (fun (k, _) -> Filename.check_suffix k "gc.minor_words")
+       (Sublayer.Stats.snapshot stats_a));
+  let monitors = Monitor.Runtime.create () in
+  let names, _ = observed_run ~monitors () in
+  check Alcotest.(list string) "monitor: labels" labels names;
+  check
+    Alcotest.(list string)
+    "monitor: every boundary checked" [ "app"; "cm"; "dm"; "osr"; "rd" ]
+    (List.filter_map
+       (fun (sub, checked, violated) ->
+         if checked > 0 && violated = 0 then Some sub else None)
+       (Monitor.Runtime.verdicts monitors));
+  let tracer = Sim.Tracer.create () in
+  let names, _ = observed_run ~tracer () in
+  check Alcotest.(list string) "tracer: labels" labels names;
+  check Alcotest.(list string) "tracer: spans tracked by label" labels
+    (List.sort_uniq compare
+       (List.map (fun sp -> sp.Sim.Tracer.sp_track) (Sim.Tracer.spans tracer)));
+  Sublayer.Alloc.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
+  let names, stats_a = observed_run ~telemetry:(Sim.Telemetry.create ()) () in
+  check Alcotest.(list string) "telemetry: no name read" [ "A"; "B" ] names;
+  List.iter
+    (fun sub ->
+      let words =
+        Sublayer.Stats.value
+          (Sublayer.Stats.counter (Sublayer.Stats.scope stats_a sub) "gc.minor_words")
+      in
+      check Alcotest.bool (Printf.sprintf "telemetry: %s charged" sub) true (words > 0))
+    [ "osr"; "rd"; "cm"; "dm"; "app"; "wire" ]
+
 let test_host_port_exhaustion () =
   let engine = Sim.Engine.create () in
   let link = Sublayer.Link.make ~id:"L" ~transmit:ignore () in
@@ -1685,6 +1802,10 @@ let () =
           Alcotest.test_case "no listener" `Quick test_host_no_listener_ignored;
           Alcotest.test_case "take_received" `Quick test_host_take_received;
           Alcotest.test_case "ephemeral port exhaustion" `Quick test_host_port_exhaustion;
+          Alcotest.test_case "unobserved endpoint words" `Quick
+            test_unobserved_endpoint_words;
+          Alcotest.test_case "inert probes shared" `Quick test_inert_probes_shared;
+          Alcotest.test_case "observed endpoints labelled" `Quick test_observed_endpoints;
         ] );
       ("notes", [ Alcotest.test_case "handshake trace pinned" `Quick test_note_pin ]);
       ( "comparison",

@@ -301,6 +301,42 @@ let test_dequeue_allocation_free () =
         true (words <= 200.))
     [ `Wheel; `Heap ]
 
+(* Compacting sweeps every slot of both levels (2 x 1 024 by default),
+   but it must cost what the live entries cost, not what the slots do.
+   [k] live events spread over both levels, each followed in its slot by
+   a dead one, so the sweep conses once in front of every dropped event:
+   3 words per live entry at most, plus a constant. The sweep that
+   filtered every slot with a closure of its own took about 8 200 words
+   even for an empty wheel. *)
+let test_compact_allocation () =
+  List.iter
+    (fun k ->
+      let w = Wheel.create () in
+      let live = ref 0 and dead_in_heap = ref 0 in
+      let add j ~dead =
+        (* Even [j] in L0's 1 s window, odd [j] in L1 buckets. *)
+        let time = if j mod 2 = 0 then 1e-3 *. float_of_int j else 2. *. float_of_int j in
+        let seq = (2 * j) + if dead then 0 else 1 in
+        Wheel.add w { Wheel.time; seq; fn = ignore; dead; live; dead_in_heap };
+        if dead then incr dead_in_heap else incr live
+      in
+      (* A slot lists its events newest first: each dead event goes in
+         first, so it sits behind its live neighbour. *)
+      for j = 0 to k - 1 do
+        add j ~dead:true;
+        add j ~dead:false
+      done;
+      let w0 = Gc.minor_words () in
+      Wheel.compact w;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) (Printf.sprintf "k = %d: dead swept" k) 0 !dead_in_heap;
+      Alcotest.(check int) (Printf.sprintf "k = %d: live kept" k) k (Wheel.total w);
+      Alcotest.(check bool)
+        (Printf.sprintf "k = %d: %.0f words" k words)
+        true
+        (words <= float_of_int ((3 * k) + 64)))
+    [ 0; 1; 16; 256 ]
+
 let () =
   Alcotest.run "wheel"
     [
@@ -322,5 +358,7 @@ let () =
             test_schedule_after_bounded_run;
           Alcotest.test_case "backend selection" `Quick test_default_backend;
           Alcotest.test_case "dequeue allocates nothing" `Quick test_dequeue_allocation_free;
+          Alcotest.test_case "compaction allocates per live entry" `Quick
+            test_compact_allocation;
         ] );
     ]
