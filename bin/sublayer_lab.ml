@@ -244,6 +244,7 @@ let trace_cmd =
   let run loss bytes =
     let engine = Sim.Engine.create ~seed:2 () in
     let trace = Sim.Trace.create () in
+    let ins = Sublayer.Instrument.v ~trace () in
     let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let ch dir =
@@ -254,13 +255,13 @@ let trace_cmd =
     let ab = ch to_b and ba = ch to_a in
     let received = Buffer.create 1024 in
     let a =
-      Transport.Tcp_sublayered.create engine ~trace ~name:"client"
+      Transport.Tcp_sublayered.create engine ~ins ~name:"client"
         Transport.Config.default ~local_port:1000 ~remote_port:80
         ~transmit:(fun s -> Sim.Channel.send ab s)
         ~events:(fun _ -> ())
     in
     let b =
-      Transport.Tcp_sublayered.create engine ~trace ~name:"server"
+      Transport.Tcp_sublayered.create engine ~ins ~name:"server"
         Transport.Config.default ~local_port:80 ~remote_port:1000
         ~transmit:(fun s -> Sim.Channel.send ba s)
         ~events:(function

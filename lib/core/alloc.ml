@@ -105,9 +105,6 @@ let cross c =
 
 type pair = cell option * cell option
 
-let between above below =
-  match (above, below) with None, None -> None | _ -> Some (above, below)
-
 let no_cells = function None | Some (None, None) -> true | Some _ -> false
 
 let wrap_taps alloc obs_req obs_ind =

@@ -73,11 +73,6 @@ type pair = cell option * cell option
     request heading down charges what follows to [below], an indication
     heading up to [above]. *)
 
-val between : cell option -> cell option -> pair option
-(** [between above below] is the pair for one boundary, or [None] when
-    neither side has a cell, so a factory that installs no cells builds
-    no pair. *)
-
 val no_cells : pair option -> bool
 (** Whether a pair charges nothing: absent, or both sides [None]. *)
 

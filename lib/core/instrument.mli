@@ -1,9 +1,9 @@
 (** The consolidated instrumentation context threaded through every stack
     factory.
 
-    Before this record existed, each factory grew the same five optional
-    arguments ([?stats ?tracer ?monitors ?telemetry ?pool]) and every new
-    instrument meant touching every signature in the repo.  An
+    Before this record existed, each factory grew the same optional
+    arguments ([?stats ?tracer ?monitors ?telemetry ?pool ?trace]) and
+    every new instrument meant touching every signature in the repo.  An
     {!Instrument.t} bundles them — plus the {e recursion level}, the tag
     that namespaces observability when a whole transport stack runs as
     the link of another stack (see {!Link} and [Transport.Tunnel]).
@@ -20,6 +20,7 @@ type t = {
   monitors : Monitor.Runtime.t option;
   telemetry : Sim.Telemetry.t option;
   pool : Bitkit.Pool.t option;
+  trace : Sim.Trace.t option;  (** where a stack's runtime records its [Note]s *)
   level : int;  (** recursion depth: 0 = over a raw channel *)
 }
 
@@ -32,6 +33,7 @@ val v :
   ?monitors:Monitor.Runtime.t ->
   ?telemetry:Sim.Telemetry.t ->
   ?pool:Bitkit.Pool.t ->
+  ?trace:Sim.Trace.t ->
   ?level:int ->
   unit ->
   t
@@ -73,8 +75,8 @@ val alloc_cell : t -> string -> Alloc.cell option
 
 val attributed : t -> bool
 (** Whether {!alloc_cell} returns cells: [telemetry] and [stats] are
-    both present. A factory builds its {!Runtime.alloc_spec} and its
-    probes' cell pairs only then. *)
+    both present. {!Compose.Run} builds a stack's {!Runtime.alloc_spec}
+    and its probes' cell pairs only then. *)
 
 val labelled : t -> bool
 (** Whether anything reads an endpoint's name: a monitor (its key) or a

@@ -14,10 +14,11 @@
 
     {!Stack} composes two sublayers into one (test T1: the upper sublayer
     uses and improves the service of the lower), and {!Seam} does the same
-    with a conformance {!Probe} watching the boundary. Because composition
-    is by module functor over the port types, the stack has no access to
-    either sublayer's internal state — test T3's state separation holds by
-    construction. *)
+    with a conformance {!Probe} watching the boundary. A whole stack is
+    declared with {!Compose}, which nests the seams and derives what each
+    needs from the nesting. Because composition is by module functor over
+    the port types, the stack has no access to either sublayer's internal
+    state — test T3's state separation holds by construction. *)
 
 type ('up_ind, 'down_req, 'timer) action =
   | Up of 'up_ind

@@ -1,7 +1,9 @@
 (** Runs a sublayer (or a whole {!Machine.Stack}) under the discrete-event
     simulator: timers become engine events, [Down] requests go to a
     transmit function (usually a {!Sim.Channel}), [Up] indications go to a
-    delivery callback, and [Note]s are recorded in an optional trace.
+    delivery callback, and [Note]s are recorded in an optional trace. A
+    stack declared with {!Compose} runs through {!Compose.Run}, which
+    builds the {!alloc_spec} below from the declaration.
 
     Timers. The runtime keeps one entry per armed timer value. The entry
     is made when the timer is first set, together with the one closure
@@ -22,8 +24,8 @@ type 'timer alloc_spec = {
     machines; this spec covers entry (which machine a [from_above],
     [from_below] or timer fire starts in) and the excursions out of the
     stack ([deliver]/[transmit] callbacks).  A runtime created without
-    one brackets nothing, so a factory passes a spec only when it has
-    cells to put in it. *)
+    one brackets nothing, so {!Compose.Run} passes a spec only when it
+    has cells to put in it. *)
 
 module Make (S : Machine.S) : sig
   type t

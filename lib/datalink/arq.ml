@@ -82,7 +82,8 @@ let counters_in sc =
     c_give_ups = Sublayer.Stats.counter sc "give_ups";
   }
 
-let fresh_counters () = counters_in (Sublayer.Stats.unregistered "arq")
+let scope = "arq"
+let fresh_counters () = counters_in (Sublayer.Stats.unregistered scope)
 
 let snapshot c =
   let open Sublayer.Stats in
@@ -95,7 +96,7 @@ let snapshot c =
 
 module type S = sig
   include
-    Sublayer.Machine.S
+    Sublayer.Compose.SUBLAYER
       with type up_req = string
        and type up_ind = string
        and type down_req = Bitkit.Wirebuf.t

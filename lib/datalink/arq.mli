@@ -88,6 +88,9 @@ type counters = {
 val counters_in : Sublayer.Stats.scope -> counters
 (** Find-or-create the five counters in [scope]. *)
 
+val scope : string
+(** ["arq"]: the scope every variant counts under. *)
+
 val fresh_counters : unit -> counters
 (** Counters in a private unregistered scope. *)
 
@@ -95,7 +98,7 @@ val snapshot : counters -> stats
 
 module type S = sig
   include
-    Sublayer.Machine.S
+    Sublayer.Compose.SUBLAYER
       with type up_req = string
        and type up_ind = string
        and type down_req = Bitkit.Wirebuf.t

@@ -5,6 +5,7 @@
 open Sublayer.Machine
 
 let name = "arq-gbn"
+let scope = Arq.scope
 
 type t = {
   cfg : Arq.config;

@@ -4,6 +4,7 @@
 open Sublayer.Machine
 
 let name = "arq-sw"
+let scope = Arq.scope
 
 type t = {
   cfg : Arq.config;

@@ -2,14 +2,14 @@
     (with decoded sequence numbers checked against the ARQ variant's
     window discipline), detector⇄framer and framer⇄linecode (length
     sanity). Mirrors {!Transport.Conform}: the probes are always in the
-    composition, each the tap of the {!Sublayer.Machine.Seam} between
-    the sublayers it watches, and carry no-op closures when no registry
-    is given, and [?alloc] cells charge crossings through
-    {!Sublayer.Alloc.wrap_taps}. A probe with no monitor and no cell
-    observes nothing and charges nothing, so each constructor then
-    returns one inert probe shared by every endpoint and allocates
-    nothing; a monitor or a cell gets the endpoint a probe of its
-    own. *)
+    composition, each the tap of the {!Sublayer.Compose.Seam} between
+    the sublayers it watches and built by the composer with that seam's
+    cells, and carry no-op closures when no registry is given, and
+    [?alloc] cells charge crossings through {!Sublayer.Alloc.wrap_taps}.
+    A probe with no monitor and no cell observes nothing and charges
+    nothing, so each constructor then returns one inert probe shared by
+    every endpoint and allocates nothing; a monitor or a cell gets the
+    endpoint a probe of its own. *)
 
 module P_arq_det : sig
   type t = {

@@ -6,6 +6,7 @@ open Sublayer.Machine
 
 module Error_detection = struct
   let name = "error-detection"
+  let scope = "detector"
 
   type t = {
     det : Detector.t;
@@ -27,7 +28,7 @@ module Error_detection = struct
     let scope =
       match stats with
       | Some s -> s
-      | None -> Sublayer.Stats.unregistered "detector"
+      | None -> Sublayer.Stats.unregistered scope
     in
     {
       det;
@@ -98,6 +99,7 @@ end
 
 module Framing = struct
   let name = "framing"
+  let scope = "framer"
 
   type t = {
     framer : Framer.t;
@@ -117,7 +119,7 @@ module Framing = struct
     let scope =
       match stats with
       | Some s -> s
-      | None -> Sublayer.Stats.unregistered "framer"
+      | None -> Sublayer.Stats.unregistered scope
     in
     {
       framer;
@@ -156,6 +158,7 @@ end
 
 module Line_coding = struct
   let name = "line-coding"
+  let scope = "linecode"
 
   type t = {
     code : Linecode.t;
@@ -175,7 +178,7 @@ module Line_coding = struct
     let scope =
       match stats with
       | Some s -> s
-      | None -> Sublayer.Stats.unregistered "linecode"
+      | None -> Sublayer.Stats.unregistered scope
     in
     {
       code;

@@ -1,13 +1,14 @@
-(** The stateless data-link sublayers as {!Sublayer.Machine.S} machines,
-    ready for {!Sublayer.Machine.Seam} composition. Each machine's state
-    is its mechanism value ({!Detector.t}, {!Framer.t}, {!Linecode.t})
-    plus its own counters, so replacing the mechanism is replacing the
-    state — the surrounding stack code never changes (test T3) — and
-    every sublayer's drop/pass counts stay private to it. *)
+(** The stateless data-link sublayers as {!Sublayer.Compose.SUBLAYER}
+    machines, ready to declare a stack with. Each counts under its
+    [scope] ([detector], [framer], [linecode]), not its [name]. Each
+    machine's state is its mechanism value ({!Detector.t}, {!Framer.t},
+    {!Linecode.t}) plus its own counters, so replacing the mechanism is
+    replacing the state — the surrounding stack code never changes (test
+    T3) — and every sublayer's drop/pass counts stay private to it. *)
 
 module Error_detection : sig
   include
-    Sublayer.Machine.S
+    Sublayer.Compose.SUBLAYER
       with type up_req = Bitkit.Wirebuf.t
        and type up_ind = Bitkit.Slice.t
        and type down_req = Bitkit.Slice.t
@@ -35,7 +36,7 @@ end
 
 module Framing : sig
   include
-    Sublayer.Machine.S
+    Sublayer.Compose.SUBLAYER
       with type up_req = Bitkit.Slice.t
        and type up_ind = Bitkit.Slice.t
        and type down_req = Bitkit.Bitseq.t
@@ -49,7 +50,7 @@ end
 
 module Line_coding : sig
   include
-    Sublayer.Machine.S
+    Sublayer.Compose.SUBLAYER
       with type up_req = Bitkit.Bitseq.t
        and type up_ind = Bitkit.Bitseq.t
        and type down_req = Bitkit.Bitseq.t

@@ -1,5 +1,4 @@
-module Machine = Sublayer.Machine
-module Runtime = Sublayer.Runtime
+module Compose = Sublayer.Compose
 
 type spec = {
   arq : (module Arq.S);
@@ -36,9 +35,14 @@ let arq_stats t = t.arq_stats ()
 let is_idle t = t.is_idle ()
 let gave_up t = t.killed || t.arq_gave_up ()
 
-let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
-  let stats = ins.I.stats and monitors = ins.I.monitors
-  and telemetry = ins.I.telemetry and pool = ins.I.pool in
+(* Error detection over framing over line coding; the ARQ on top is the
+   spec's, so its seam is declared per endpoint. *)
+module Lower =
+  Compose.Seam (Layers.Error_detection) (Conform.P_det_frm)
+    (Compose.Seam (Layers.Framing) (Conform.P_frm_line) (Compose.Last (Layers.Line_coding)))
+
+let endpoint engine ?(ins = I.none) ~name spec ~transmit ~deliver =
+  let pool = ins.I.pool in
   (* The detector's loans live until the end of the event that framed
      them; the engine hook is what frees them. Attaching per endpoint is
      idempotent in effect — draining an empty deferred list is a no-op. *)
@@ -46,70 +50,29 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
     (fun p -> Sim.Engine.after_event engine (fun () -> Bitkit.Pool.drain_deferred p))
     pool;
   let name = I.tagged_name ins name in
-  let module A = (val spec.arq : Arq.S) in
-  let module Lower =
-    Machine.Seam (Layers.Framing) (Conform.P_frm_line) (Layers.Line_coding)
-  in
-  let module Middle = Machine.Seam (Layers.Error_detection) (Conform.P_det_frm) (Lower) in
-  let module Full = Machine.Seam (A) (Conform.P_arq_det) (Middle) in
-  let module R = Runtime.Make (Full) in
-  (* One scope per sublayer, so the registry reports [arq.*],
-     [detector.*], [framer.*] and [linecode.*] side by side (level-
-     prefixed when the stack is nested). *)
-  let in_scope sub = I.scope ins sub in
-  let now () = Sim.Engine.now engine in
-  let sp sub = I.span ins ~now ~track:name sub in
-  (match (telemetry, stats) with
+  (match (ins.I.telemetry, ins.I.stats) with
   | Some tele, Some reg -> Sublayer.Stats.telemetry_source tele ~name reg
   | _ -> ());
-  (* Cells, the alloc spec and the probes' cell pairs exist only under
-     telemetry. *)
-  let acell sub = I.alloc_cell ins sub in
-  let arq_c = acell "arq" and det_c = acell "detector" and frm_c = acell "framer"
-  and line_c = acell "linecode" in
-  let alloc =
-    if not (I.attributed ins) then None
-    else
-      Some
-        { Sublayer.Runtime.al_top = arq_c; al_bottom = line_c; al_app = acell "app";
-          al_wire = acell "wire";
-          al_timer =
-            (* Only the ARQ owns timers; every other slot is [Nothing.t]. *)
-            (fun (tm : Full.timer) ->
-            match tm with
-            | Either.Left _ -> arq_c
-            | Either.Right (Either.Left _) -> .
-            | Either.Right (Either.Right (Either.Left _)) -> .
-            | Either.Right (Either.Right (Either.Right _)) -> .);
-        }
+  let module A = (val spec.arq : Arq.S) in
+  let module S = Compose.Seam (A) (Conform.P_arq_det) (Lower) in
+  let module R = Compose.Run (S) in
+  let now () = Sim.Engine.now engine in
+  let sc sub = I.scope ins sub and sp sub = I.span ins ~now ~track:name sub in
+  let r =
+    let open Layers in
+    R.create engine ~ins ~name ~transmit ~deliver
+      ( A.initial ?stats:(sc A.scope) ?span:(sp A.scope) spec.arq_config,
+        (fun ?alloc mon ~conn:key ->
+          Conform.arq_det ?alloc mon ~key ~variant:A.name ~window:spec.arq_config.Arq.window),
+        ( Error_detection.make ?stats:(sc Error_detection.scope) ?span:(sp Error_detection.scope)
+            ?pool spec.detector,
+          (fun ?alloc mon ~conn:key -> Conform.det_frm ?alloc mon ~key),
+          ( Framing.make ?stats:(sc Framing.scope) ?span:(sp Framing.scope) spec.framer,
+            (fun ?alloc mon ~conn:key -> Conform.frm_line ?alloc mon ~key),
+            Line_coding.make ?stats:(sc Line_coding.scope) ?span:(sp Line_coding.scope)
+              spec.linecode ) ) )
   in
-  (* Built bottom-up: scopes and monitor instances register from the line
-     code upward. *)
-  let between = Sublayer.Alloc.between in
-  let line =
-    Layers.Line_coding.make ?stats:(in_scope "linecode") ?span:(sp "linecode")
-      spec.linecode
-  in
-  let frm_line = Conform.frm_line ?alloc:(between frm_c line_c) monitors ~key:name in
-  let framing =
-    Layers.Framing.make ?stats:(in_scope "framer") ?span:(sp "framer") spec.framer
-  in
-  let det_frm = Conform.det_frm ?alloc:(between det_c frm_c) monitors ~key:name in
-  let detection =
-    Layers.Error_detection.make ?stats:(in_scope "detector") ?span:(sp "detector")
-      ?pool spec.detector
-  in
-  let arq_det =
-    Conform.arq_det ?alloc:(between arq_c det_c) monitors ~key:name ~variant:A.name
-      ~window:spec.arq_config.Arq.window
-  in
-  let arq = A.initial ?stats:(in_scope "arq") ?span:(sp "arq") spec.arq_config in
-  let st =
-    Full.make arq arq_det
-      (Middle.make detection det_frm (Lower.make framing frm_line line))
-  in
-  let r = R.create engine ?trace ?alloc ~name ~transmit ~deliver st in
-  let arq () = Full.upper (R.state r) in
+  let arq () = S.upper (R.state r) in
   {
     send = R.from_above r;
     from_wire = R.from_below r;
@@ -123,9 +86,9 @@ let endpoint engine ?trace ?(ins = I.none) ~name spec ~transmit ~deliver =
 (* The Link-seam variant: transmit into any [Sublayer.Link], receive as
    its attached callback, and treat link death as ARQ give-up (the
    sender must stop retransmitting into a dead path). *)
-let over_link engine ?trace ?ins ~name spec ~link ~deliver =
+let over_link engine ?ins ~name spec ~link ~deliver =
   let ep =
-    endpoint engine ?trace ?ins ~name spec
+    endpoint engine ?ins ~name spec
       ~transmit:(fun bits -> Sublayer.Link.transmit link bits)
       ~deliver
   in
@@ -165,13 +128,13 @@ let link engine ?trace ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
   in
   Sublayer.Link.set_transmit link_a (fun bits -> Sim.Channel.send a_to_b bits);
   Sublayer.Link.set_transmit link_b (fun bits -> Sim.Channel.send b_to_a bits);
-  let ins side = I.v ?stats:side ?tracer ?monitors ?telemetry ?pool () in
+  let ins side = I.v ?stats:side ?tracer ?monitors ?telemetry ?pool ?trace () in
   let a =
-    over_link engine ?trace ~ins:(ins stats_a) ~name:"A" spec ~link:link_a
+    over_link engine ~ins:(ins stats_a) ~name:"A" spec ~link:link_a
       ~deliver:(fun payload -> Queue.add payload received_at_a)
   in
   let b =
-    over_link engine ?trace ~ins:(ins stats_b) ~name:"B" spec ~link:link_b
+    over_link engine ~ins:(ins stats_b) ~name:"B" spec ~link:link_b
       ~deliver:(fun payload -> Queue.add payload received_at_b)
   in
   { a; b; a_to_b; b_to_a; received_at_a; received_at_b }

@@ -1,7 +1,8 @@
-(** Composition of the four data-link sublayers of Figure 2 into a running
-    endpoint: error recovery / error detection / framing / line coding,
-    over a raw bit channel. Every mechanism is chosen independently —
-    the replaceability the paper claims for sublayered designs. *)
+(** The four data-link sublayers of Figure 2 declared as one running
+    endpoint with {!Sublayer.Compose}: error recovery / error detection /
+    framing / line coding, over a raw bit channel. Every mechanism is
+    chosen independently — the replaceability the paper claims for
+    sublayered designs. *)
 
 type spec = {
   arq : (module Arq.S);
@@ -33,7 +34,6 @@ val gave_up : endpoint -> bool
 
 val endpoint :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   spec ->
@@ -52,11 +52,11 @@ val endpoint :
     sampling source under [name] and {!Sublayer.Alloc} cells are
     installed at every seam. With [ins.pool], the detector protects
     frames in loaned arena slots (see {!Layers.Error_detection.make});
-    the engine drains deferred releases after every event. *)
+    the engine drains deferred releases after every event. With
+    [ins.trace], the stack's [Note]s are recorded there under [name]. *)
 
 val over_link :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   spec ->

@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "cm"
+let scope = name
 
 type phase =
   | Closed
@@ -57,7 +58,7 @@ let no_span = Sublayer.Span.disabled name
 
 let initial ?stats ?span cfg ~isn ~local_port ~remote_port =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "cm"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   let sp = match span with Some sp -> sp | None -> no_span in
   { cfg; isn; local_port; remote_port; phase = Closed; isn_local = None;

@@ -48,7 +48,7 @@ val isns : t -> (int * int) option
 type timer = Handshake | Fin_retx | Time_wait_expiry
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req = Iface.cm_req
      and type up_ind = Iface.cm_ind

@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "cm-timer"
+let scope = name
 
 type phase =
   | Closed
@@ -49,19 +50,12 @@ let no_span = Sublayer.Span.disabled name
 
 let initial ?stats ?span cfg ~isn ~local_port ~remote_port ~idle_timeout =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "cm-timer"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   { cfg; isn; local_port; remote_port; idle_timeout;
     ctrs = Sublayer.Stats.memoised counters sc;
     sp = (match span with Some sp -> sp | None -> no_span);
     phase = Closed }
-
-let phase_name t =
-  match t.phase with
-  | Closed -> "CLOSED"
-  | Listening -> "LISTEN"
-  | Active _ -> "ACTIVE"
-  | Draining _ -> "DRAINING"
 
 let stamp ~isn_local ~isn_remote payload =
   Down

@@ -13,8 +13,8 @@
     timers}: after [idle_timeout] with nothing outstanding the connection
     reports the peer gone and closes.
 
-    The module implements exactly {!Cm}'s machine ports, so
-    [Machine.Stack (Rd) (Machine.Stack (Cm_timer) (Dm))] composes without
+    The module implements exactly {!Cm}'s machine ports, so swapping
+    [Cm] for [Cm_timer] in a stack declaration composes without
     touching RD, OSR or DM — experiment E10's CM-replacement case, for
     the whole sublayer rather than just the ISN mechanism.
 
@@ -37,12 +37,10 @@ val initial :
     [segments_dropped], [idle_closes]. When [span] is given, instant
     [established]/[idle_close] markers record the delta-t lifecycle. *)
 
-val phase_name : t -> string
-
 type timer = Idle
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req = Iface.cm_req
      and type up_ind = Iface.cm_ind

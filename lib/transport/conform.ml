@@ -71,12 +71,15 @@ let observe_osr_rd spec mon ~conn =
     in
     (obs_req, obs_ind)
 
-let osr_rd ?(spec = Monitor.Specs.osr_rd) ?alloc mon ~conn =
+let stream_rd spec ?alloc mon ~conn =
   if inert alloc mon then inert_osr_rd
   else
     let obs_req, obs_ind = observe_osr_rd spec mon ~conn in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
     { P_osr_rd.obs_req; obs_ind }
+
+let osr_rd = stream_rd Monitor.Specs.osr_rd
+let msg_rd = stream_rd (Monitor.Specs.stream_rd ~upper:"msg")
 
 let observe_rd_cm mon ~conn =
   match mon with

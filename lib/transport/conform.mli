@@ -4,12 +4,13 @@
     stacks expose — app⇄OSR (closures around the endpoint, since the app
     sits above the stack), OSR⇄RD, RD⇄CM and the opaque PDU boundaries
     CM⇄DM, CM⇄Rec, Rec⇄DM. The probes are {e always} part of the
-    composition: each factory passes one as the tap of the
-    {!Sublayer.Machine.Seam} between the two sublayers it watches, so a
-    probe costs no drain level of its own. When no {!Monitor.Runtime.t}
-    is supplied a probe's state is a pair of shared no-op closures, so a
-    monitored and an unmonitored endpoint have identical types, event
-    counts and schedules. Each constructor's [?alloc] cells charge its
+    composition: a stack declaration names each one's module as the tap
+    of the {!Sublayer.Compose.Seam} between the two sublayers it
+    watches, and hands over its constructor, which the composer calls
+    with that seam's cells; a probe costs no drain level of its own.
+    When no {!Monitor.Runtime.t} is supplied a probe's state is a pair
+    of shared no-op closures, so a monitored and an unmonitored endpoint
+    have identical types, event counts and schedules. Each constructor's [?alloc] cells charge its
     crossings through {!Sublayer.Alloc.wrap_taps}; omitted, crossings
     are unattributed.
 
@@ -67,26 +68,20 @@ module P_pdu : sig
        and type timer = Sublayer.Machine.Nothing.t
 end
 
-val osr_rd :
-  ?spec:Monitor.Spec.t ->
-  ?alloc:Sublayer.Alloc.pair ->
-  Monitor.Runtime.t option ->
-  conn:string ->
-  P_osr_rd.t
-(** [spec] defaults to {!Monitor.Specs.osr_rd}; the {!Msg} stack passes
+(** Each constructor is a {!Sublayer.Compose.probe}, so a stack
+    declaration hands it over as it is. *)
+
+val osr_rd : P_osr_rd.t Sublayer.Compose.probe
+(** Checked against {!Monitor.Specs.osr_rd}. *)
+
+val msg_rd : P_osr_rd.t Sublayer.Compose.probe
+(** The same boundary under the {!Msg} stack, checked against
     [Monitor.Specs.stream_rd ~upper:"msg"]. *)
 
-val rd_cm :
-  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_rd_cm.t
-
-val cm_dm :
-  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
-
-val cm_rec :
-  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
-
-val rec_dm :
-  ?alloc:Sublayer.Alloc.pair -> Monitor.Runtime.t option -> conn:string -> P_pdu.t
+val rd_cm : P_rd_cm.t Sublayer.Compose.probe
+val cm_dm : P_pdu.t Sublayer.Compose.probe
+val cm_rec : P_pdu.t Sublayer.Compose.probe
+val rec_dm : P_pdu.t Sublayer.Compose.probe
 
 val app :
   Monitor.Runtime.t option ->

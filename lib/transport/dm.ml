@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "dm"
+let scope = name
 
 type conn = { local_port : int; remote_port : int }
 
@@ -38,7 +39,7 @@ let no_span = Sublayer.Span.disabled name
 
 let make ?stats ?span ?pool ~local_port ~remote_port () =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "dm"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   {
     conn = { local_port; remote_port };

@@ -7,7 +7,7 @@
 type conn = { local_port : int; remote_port : int }
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type up_req = Bitkit.Wirebuf.t
      and type up_ind = Bitkit.Slice.t
      and type down_req = Bitkit.Slice.t

@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "msg"
+let scope = name
 
 (* This sublayer's own header (it owns the bits OSR would otherwise own —
    test T3 for a replacement sublayer). *)
@@ -84,7 +85,7 @@ let no_span = Sublayer.Span.disabled name
 
 let initial ?stats ?cc_stats ?span cfg ~now =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "msg"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   { cfg; now;
     ctrs = Sublayer.Stats.memoised counters sc;
@@ -92,7 +93,6 @@ let initial ?stats ?cc_stats ?span cfg ~now =
     sp = (match span with Some sp -> sp | None -> no_span);
     pre_sends = []; pre_close = false; conn = None }
 
-let messages_delivered t = Sublayer.Stats.value t.ctrs.c_messages_delivered
 let messages_sent t = Sublayer.Stats.value t.ctrs.c_messages_sent
 
 let stream_finished t =

@@ -4,12 +4,13 @@
     The paper (§6) frames SST and Minion as "a specific use case for
     sublayering: how do I sublayer TCP to avoid head-of-line blocking?".
     This module is that use case realised: it has exactly OSR's lower
-    ports (so [Machine.Stack (Msg) (Stack (Rd) (...))] type-checks
-    unchanged — tests T1–T3 at work), but offers a {e message} service
-    instead of a byte stream: each message is fragmented, carried by RD's
-    exactly-once segments, reassembled independently, and delivered as
-    soon as {e its own} bytes arrive — a lost segment delays only the
-    message it belongs to, never its neighbours.
+    ports (so [Compose.Seam (Msg) (Conform.P_osr_rd) (...)] declares the
+    stack with the rest unchanged — tests T1–T3 at work), but offers a
+    {e message} service instead of a byte stream: each message is
+    fragmented, carried by RD's exactly-once segments, reassembled
+    independently, and delivered as soon as {e its own} bytes arrive — a
+    lost segment delays only the message it belongs to, never its
+    neighbours.
 
     Rate control (the same pluggable {!Cc}) and flow control ride this
     sublayer's own header: window:16, msg_id:16, frag_off:16, msg_len:16.
@@ -55,12 +56,11 @@ val initial :
     opens a fresh-trace [msg_send] span (closed when fully fragmented)
     and delivery records an instant [msg_delivered]. *)
 
-val messages_delivered : t -> int
 val messages_sent : t -> int
 val stream_finished : t -> bool
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req := up_req
      and type up_ind := up_ind

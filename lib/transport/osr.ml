@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "osr"
+let scope = name
 
 type stats = {
   mutable bytes_written : int;
@@ -122,7 +123,7 @@ let no_span = Sublayer.Span.disabled name
 
 let initial ?stats ?cc_stats ?span ?pool cfg ~now =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "osr"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   let sp = match span with Some sp -> sp | None -> no_span in
   { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; cc_stats; sp; pool;
@@ -135,18 +136,12 @@ let stats t =
     bytes_delivered = v t.ctrs.c_bytes_delivered;
     segments_out = v t.ctrs.c_segments_out }
 
-let cc_name t = match t.conn with None -> t.cfg.Config.cc.Cc.algo_name | Some c -> c.cc.Cc.name
 let cwnd t =
   match t.conn with
   | None -> Float.of_int t.cfg.Config.mss
   | Some c -> c.cc.Cc.window ()
 
 let peer_window t = match t.conn with None -> 0xFFFF | Some c -> c.peer_window
-let unsent_bytes t =
-  match t.conn with
-  | None -> List.fold_left (fun acc s -> acc + String.length s) 0 t.pre_writes
-  | Some c -> Outbuf.length c.outbuf
-
 let unread_bytes t = match t.conn with None -> 0 | Some c -> c.unread
 
 let stream_finished t =

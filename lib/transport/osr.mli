@@ -43,12 +43,10 @@ type stats = {
 val stats : t -> stats
 (** Fresh snapshot per call. *)
 
-val cc_name : t -> string
 val cwnd : t -> float
 (** Current congestion window in bytes (MSS-sized before establishment). *)
 
 val peer_window : t -> int
-val unsent_bytes : t -> int
 val stream_finished : t -> bool
 (** All written bytes are acknowledged and no close is pending. *)
 
@@ -58,7 +56,7 @@ val unread_bytes : t -> int
 type timer = Persist
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req = Iface.app_req
      and type up_ind = Iface.app_ind

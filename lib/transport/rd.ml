@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "rd"
+let scope = name
 
 type stats = {
   mutable segments_sent : int;
@@ -80,7 +81,7 @@ let no_span = Sublayer.Span.disabled name
 
 let initial ?stats ?span cfg ~now =
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "rd"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   let sp = match span with Some sp -> sp | None -> no_span in
   { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; sp; conn = None }
@@ -103,10 +104,6 @@ let stats t =
     acks_only = v t.ctrs.c_acks_only;
     dup_segments = v t.ctrs.c_dup_segments }
 
-let outstanding t =
-  match t.conn with None -> 0 | Some c -> c.snd_max - c.snd_acked
-
-let srtt t = match t.conn with None -> None | Some c -> c.srtt
 let rto t = match t.conn with None -> t.cfg.Config.rto_init | Some c -> c.rto
 
 (* Absolute sequence of a stream offset (SYN consumes one number). *)

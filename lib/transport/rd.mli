@@ -40,16 +40,12 @@ type stats = {
 val stats : t -> stats
 (** Fresh snapshot per call. *)
 
-val outstanding : t -> int
-(** Unacknowledged stream bytes. *)
-
-val srtt : t -> float option
 val rto : t -> float
 
 type timer = Rto | Ack_delay
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req = Iface.rd_req
      and type up_ind = Iface.rd_ind

@@ -1,6 +1,7 @@
 open Sublayer.Machine
 
 let name = "rec"
+let scope = name
 
 type counters = {
   c_sent : Sublayer.Stats.counter;
@@ -40,13 +41,12 @@ let derive_mac_key key =
 let initial ?stats ?span ?pool ~key ~local_port ~remote_port () =
   if String.length key <> 32 then invalid_arg "Rec: key must be 32 bytes";
   let sc =
-    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "rec"
+    match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   { key; mac_key = derive_mac_key key; local_port; remote_port; seq = 0; pool;
     ctrs = Sublayer.Stats.memoised counters sc;
     sp = (match span with Some sp -> sp | None -> no_span) }
 
-let records_sent t = Sublayer.Stats.value t.ctrs.c_sent
 let auth_failures t = Sublayer.Stats.value t.ctrs.c_failures
 
 type up_req = Bitkit.Wirebuf.t

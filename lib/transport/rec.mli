@@ -6,11 +6,11 @@
 
     Insertion is the strongest form of the replaceability claim: because
     this module's up and down ports are the same opaque wirebuf/slice
-    pair every other sublayer crossing uses,
-    [Machine.Stack (Cm) (Machine.Stack (Rec) (Dm))] composes with
-    {e zero} changes to DM, CM, RD or OSR — none of them can tell the
-    records are encrypted (test T3: the record fields are invisible bits
-    to every other sublayer).
+    pair every other sublayer crossing uses, one more seam in the
+    declaration, [Seam (Cm) (Conform.P_pdu) (Seam (Rec) (Conform.P_pdu)
+    (Last (Dm)))], composes with {e zero} changes to DM, CM, RD or OSR
+    — none of them can tell the records are encrypted (test T3: the
+    record fields are invisible bits to every other sublayer).
 
     Wire record: [seq:64 LE | ciphertext | tag:64]. Confidentiality is
     ChaCha20 (RFC 8439) keyed per direction (the nonce binds the sender's
@@ -47,7 +47,6 @@ val initial :
     slot; otherwise (and on pool overrun) it is one fresh [Bytes],
     bit-identical on the wire. *)
 
-val records_sent : t -> int
 val auth_failures : t -> int
 
 val seal : t -> string -> t * string
@@ -57,7 +56,7 @@ val open_ : t -> string -> string option
 (** Verify-and-decrypt one record; [None] if forged or damaged. *)
 
 include
-  Sublayer.Machine.S
+  Sublayer.Compose.SUBLAYER
     with type t := t
      and type up_req = Bitkit.Wirebuf.t
      and type up_ind = Bitkit.Slice.t

@@ -25,8 +25,6 @@ type unacked = {
 
 type t = {
   engine : Sim.Engine.t;
-  trace : Sim.Trace.t option;
-  name : string;
   cfg : Config.t;
   isn_gen : Isn.t;
   transmit : string -> unit;
@@ -72,14 +70,9 @@ let state_name t =
   | CLOSING -> "CLOSING" | TIME_WAIT -> "TIME_WAIT"
   | CLOSE_WAIT -> "CLOSE_WAIT" | LAST_ACK -> "LAST_ACK"
 
-let note t msg =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Sim.Trace.record tr ~time:(Sim.Engine.now t.engine) ~actor:t.name msg
-
-let create engine ?trace ~name cfg ~local_port ~remote_port ~transmit ~events =
+let create engine cfg ~local_port ~remote_port ~transmit ~events =
   let now () = Sim.Engine.now engine in
-  { engine; trace; name; cfg; isn_gen = Config.make_isn cfg engine; transmit; events;
+  { engine; cfg; isn_gen = Config.make_isn cfg engine; transmit; events;
     cc = cfg.Config.cc.Cc.create ~mss:cfg.Config.mss ~now;
     state = CLOSED; local_port; remote_port; iss = 0; irs = 0; snd_una = 0;
     snd_nxt = 0; snd_wnd = 0xFFFF; rcv_nxt = 0; rcv_wnd = min 0xFFFF cfg.Config.rcv_buf;
@@ -143,7 +136,6 @@ and on_rto t =
       t.rto <- Float.min (2. *. t.rto) t.cfg.Config.rto_max;
       t.cc.Cc.on_loss Cc.Timeout;
       send_segment t ~payload:u.u_payload ~flags:u.u_flags u.u_seq;
-      note t "rto retransmit";
       arm_rto t
 
 let queue_and_send t ?(payload = "") ?(flags = Wire.no_flags) () =
@@ -302,12 +294,10 @@ let update_rtt t sample =
 
 let from_wire t wire =
   match Wire.decode_slice wire with
-  | None -> note t "bad segment dropped"
+  | None -> ()
   | Some (h, payload) ->
       (* demultiplexing check (DM's job, inline here) *)
-      if h.Wire.dst_port <> t.local_port || h.Wire.src_port <> t.remote_port then
-        note t "segment for another pcb"
-      else begin
+      if h.Wire.dst_port = t.local_port && h.Wire.src_port = t.remote_port then begin
         let f = h.Wire.flags in
         if f.Wire.rst then begin
           if t.state <> CLOSED && t.state <> LISTEN then begin
@@ -515,13 +505,13 @@ let factory =
     Host.fname = "monolithic";
     peek = Wire.peek_ports;
     make =
-      (fun ?ins:_ engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
+      (fun ?ins:_ engine ~name:_ cfg ~local_port ~remote_port ~transmit ~events ->
         (* The monolith is deliberately opaque: it ignores the instrument
            context, since no per-sublayer counters or spans exist to
            register. It reads each received segment in place; its
            segments are the strings [Wire.encode] writes. *)
         let transmit s = transmit (Bitkit.Slice.of_string s) in
-        let t = create engine ~name cfg ~local_port ~remote_port ~transmit ~events in
+        let t = create engine cfg ~local_port ~remote_port ~transmit ~events in
         {
           Host.ep_from_wire = from_wire t;
           ep_connect = (fun () -> connect t);

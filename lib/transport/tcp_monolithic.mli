@@ -18,8 +18,6 @@ type t
 
 val create :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
-  name:string ->
   Config.t ->
   local_port:int ->
   remote_port:int ->

@@ -1,91 +1,49 @@
-module Machine = Sublayer.Machine
+module Compose = Sublayer.Compose
+module I = Sublayer.Instrument
 
-(* Tcp_sublayered with one extra module slotted in below CM. *)
-module Bottom = Machine.Seam (Rec) (Conform.P_pdu) (Dm)
-module Lower = Machine.Seam (Cm) (Conform.P_pdu) (Bottom)
-module Middle = Machine.Seam (Rd) (Conform.P_rd_cm) (Lower)
-module Full = Machine.Seam (Osr) (Conform.P_osr_rd) (Middle)
-module R = Sublayer.Runtime.Make (Full)
+(* Tcp_sublayered's declaration with one extra module slotted in below CM. *)
+module S =
+  Compose.Seam (Osr) (Conform.P_osr_rd)
+    (Compose.Seam (Rd) (Conform.P_rd_cm)
+       (Compose.Seam (Cm) (Conform.P_pdu) (Compose.Seam (Rec) (Conform.P_pdu) (Compose.Last (Dm)))))
+module R = Compose.Run (S)
 
 type t = R.t
 
 let demo_key = String.init 32 (fun i -> Char.chr (7 * (i + 3) land 0xFF))
 
-let create engine ?trace ?(ins = Sublayer.Instrument.none) ~key ~name cfg
-    ~local_port ~remote_port ~transmit ~events =
-  let module I = Sublayer.Instrument in
-  let now () = Sim.Engine.now engine in
+let create engine ?(ins = I.none) ~key ~name cfg ~local_port ~remote_port ~transmit ~events =
+  let now () = Sim.Engine.now engine and pool = ins.I.pool in
+  let sc sub = I.scope ins sub and sp sub = I.span ins ~now ~track:name sub in
   let isn = Config.make_isn cfg engine in
-  let monitors = ins.I.monitors and pool = ins.I.pool in
-  let sc sub = I.scope ins sub in
-  let sp sub = I.span ins ~now ~track:name sub in
-  let acell sub = I.alloc_cell ins sub in
-  let osr_c = acell "osr" and rd_c = acell "rd" and cm_c = acell "cm"
-  and rec_c = acell "rec" and dm_c = acell "dm" in
-  let alloc =
-    if not (I.attributed ins) then None
-    else
-      Some
-        { Sublayer.Runtime.al_top = osr_c; al_bottom = dm_c; al_app = acell "app";
-          al_wire = acell "wire";
-          al_timer =
-            (* Only OSR, RD and CM own timers; the Rec and DM slots are
-               [Nothing.t], discharged by refutation cases. *)
-            (fun (tm : Full.timer) ->
-            match tm with
-            | Either.Left _ -> osr_c
-            | Either.Right (Either.Left _) -> rd_c
-            | Either.Right (Either.Right (Either.Left _)) -> cm_c
-            | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-            | Either.Right (Either.Right (Either.Right (Either.Right _))) -> .);
-        }
-  in
-  let osr =
-    Osr.initial ?stats:(sc "osr") ?cc_stats:(sc "cc") ?span:(sp "osr") ?pool cfg
-      ~now
-  in
-  let rd = Rd.initial ?stats:(sc "rd") ?span:(sp "rd") cfg ~now in
-  let cm = Cm.initial ?stats:(sc "cm") ?span:(sp "cm") cfg ~isn ~local_port ~remote_port in
-  let rec_ =
-    Rec.initial ?stats:(sc "rec") ?span:(sp "rec") ?pool ~key ~local_port
-      ~remote_port ()
-  in
-  let dm = Dm.make ?stats:(sc "dm") ?span:(sp "dm") ?pool ~local_port ~remote_port () in
-  let between = Sublayer.Alloc.between in
-  let rec_dm = Conform.rec_dm ?alloc:(between rec_c dm_c) monitors ~conn:name in
-  let cm_rec = Conform.cm_rec ?alloc:(between cm_c rec_c) monitors ~conn:name in
-  let rd_cm = Conform.rd_cm ?alloc:(between rd_c cm_c) monitors ~conn:name in
-  let osr_rd = Conform.osr_rd ?alloc:(between osr_c rd_c) monitors ~conn:name in
-  R.create engine ?trace ?alloc ~name ~transmit ~deliver:events
-    (Full.make osr osr_rd
-       (Middle.make rd rd_cm (Lower.make cm cm_rec (Bottom.make rec_ rec_dm dm))))
+  R.create engine ~ins ~name ~transmit ~deliver:events
+    ( Osr.initial ?stats:(sc Osr.scope) ?cc_stats:(sc "cc") ?span:(sp Osr.scope) ?pool cfg ~now,
+      Conform.osr_rd,
+      ( Rd.initial ?stats:(sc Rd.scope) ?span:(sp Rd.scope) cfg ~now,
+        Conform.rd_cm,
+        ( Cm.initial ?stats:(sc Cm.scope) ?span:(sp Cm.scope) cfg ~isn ~local_port ~remote_port,
+          Conform.cm_rec,
+          ( Rec.initial ?stats:(sc Rec.scope) ?span:(sp Rec.scope) ?pool ~key ~local_port
+              ~remote_port (),
+            Conform.rec_dm,
+            Dm.make ?stats:(sc Dm.scope) ?span:(sp Dm.scope) ?pool ~local_port ~remote_port ()
+          ) ) ) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen
 let write t s = R.from_above t (`Write s)
-let read t n = R.from_above t (`Read n)
-let close t = R.from_above t `Close
 let from_wire t wire = R.from_below t wire
-let halt t = R.halt t
-let stream_finished t = Osr.stream_finished (Full.upper (R.state t))
-
-let rec_state t =
-  Bottom.upper (Lower.lower (Middle.lower (Full.lower (R.state t))))
-let records_sent t = Rec.records_sent (rec_state t)
-let auth_failures t = Rec.auth_failures (rec_state t)
 
 let stack =
   { Host.from_above = R.from_above; from_below = R.from_below; halt = R.halt;
-    finished = stream_finished }
+    finished = (fun t -> Osr.stream_finished (S.upper (R.state t))) }
 
 let factory ~key =
   {
     Host.fname = "sublayered-secure";
     peek = Segment.peek_ports;
     make =
-      (fun ?(ins = Sublayer.Instrument.none) engine ~name cfg ~local_port
-           ~remote_port ~transmit ~events ->
+      (fun ?(ins = I.none) engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
         Host.stack_endpoint stack ~ins ~name ~events (fun events ->
-            create engine ~ins ~key ~name cfg ~local_port ~remote_port ~transmit
-              ~events));
+            create engine ~ins ~key ~name cfg ~local_port ~remote_port ~transmit ~events));
   }

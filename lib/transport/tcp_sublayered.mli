@@ -1,13 +1,12 @@
-(** The sublayered TCP endpoint: {!Osr} / {!Rd} / {!Cm} / {!Dm} composed
-    with {!Sublayer.Machine.Seam} (Figure 5). One value of {!t} is one
-    end of one connection; multi-connection port demultiplexing lives in
+(** The sublayered TCP endpoint: {!Osr} / {!Rd} / {!Cm} / {!Dm}, declared
+    with {!Sublayer.Compose} (Figure 5). One value of {!t} is one end of
+    one connection; multi-connection port demultiplexing lives in
     {!Host}. *)
 
 type t
 
 val create :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?ins:Sublayer.Instrument.t ->
   name:string ->
   Config.t ->
@@ -31,7 +30,9 @@ val create :
     attribution charges [<sub>.gc.minor_words] per sublayer (plus
     [app.*]/[wire.*] for the excursions outside the stack). With
     [ins.pool], OSR stages out-of-order segments in arena slots and DM
-    emits outgoing segments into them (see {!Osr.initial}, {!Dm.make}). *)
+    emits outgoing segments into them (see {!Osr.initial}, {!Dm.make}).
+    With [ins.trace], the stack's [Note]s are recorded there under
+    [name]. *)
 
 val from_above : t -> Iface.app_req -> unit
 (** Hand the stack one application request: {!connect}, {!listen},
@@ -54,13 +55,8 @@ val halt : t -> unit
 
 (** Inspection (used by tests and benches). *)
 
-val cm_phase : t -> string
 val rd_stats : t -> Rd.stats
 val osr_stats : t -> Osr.stats
 val cwnd : t -> float
 val peer_window_of : t -> int
-val srtt : t -> float option
-val outstanding : t -> int
-val unsent_bytes : t -> int
 val stream_finished : t -> bool
-val cc_name : t -> string

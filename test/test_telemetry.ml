@@ -384,12 +384,13 @@ let test_soak_drops () =
 
 (* --- timer owners ---------------------------------------------------------- *)
 
-(* Each factory maps a fired timer to its owner's allocation cell by hand
-   ([al_timer]). Fire one timer at a time, with nothing else happening
-   in that event, and check that the owner's [gc.minor_words] counter
-   takes words while the sublayers the fire never reaches, and the other
-   host, take none: a map that sends a timer to another sublayer's cell
-   charges that cell and leaves the owner at zero. *)
+(* [Sublayer.Compose.Run] maps a fired timer to its owner's allocation
+   cell from the stack's declaration. Fire one timer at a time, with
+   nothing else happening in that event, and check that the owner's
+   [gc.minor_words] counter takes words while the sublayers the fire
+   never reaches, and the other host, take none: a map that sends a
+   timer to another sublayer's cell charges that cell and leaves the
+   owner at zero. *)
 
 module Host = Transport.Host
 
@@ -506,6 +507,102 @@ let test_timer_owners ~factory ~cm ~below_cm () =
       owner_took ~what:"persist" ~owner:"osr" ~untouched:[] ~idle_host:srv client
   | _ -> assert false
 
+(* --- seam cell pairs -------------------------------------------------------- *)
+
+(* A crossing charges the sublayer it enters: a request heading down the
+   one below the seam, an indication heading up the one above. Fire one
+   timer alone and require every sublayer it reaches, on both sides of
+   each seam it crosses, to take words: a seam whose cell pair names its
+   sides the wrong way round charges the sublayer a request leaves and
+   leaves the bottom one at zero, and a timer charged to the wrong owner
+   leaves the owner at zero. *)
+let test_seam_cells ~factory ~cm ~below_cm () =
+  Sublayer.Alloc.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
+  let scopes = [ "osr"; "rd"; cm ] @ below_cm @ [ "app"; "wire" ] in
+  (* RD's delayed ack goes down through every sublayer below RD and
+     never up to OSR. *)
+  let engine, _, regs, c, server = timer_pair factory in
+  Host.write c "ten bytes!";
+  while received server < 10 do
+    ignore (Sim.Engine.step engine)
+  done;
+  match fire_one engine regs scopes with
+  | [ client; srv ] ->
+      List.iter
+        (fun owner ->
+          owner_took ~what:"ack delay" ~owner ~untouched:[ "osr"; "app" ] ~idle_host:client srv)
+        ("rd" :: cm :: below_cm)
+  | _ -> assert false
+
+(* The datalink stack's ARQ retransmits into a channel that loses every
+   frame: the retransmission goes down through the three sublayers below
+   the ARQ, and the ARQ is charged for the fire. *)
+let test_seam_cells_datalink () =
+  Sublayer.Alloc.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
+  let engine = Sim.Engine.create ~seed:62 () in
+  let stats_a = Sublayer.Stats.create ~label:"A" ()
+  and stats_b = Sublayer.Stats.create ~label:"B" () in
+  let link =
+    Datalink.Stack.link engine ~stats_a ~stats_b ~telemetry:(Telemetry.create ())
+      (Sim.Channel.lossy 1.0) Datalink.Stack.default_spec
+  in
+  Datalink.Stack.send link.Datalink.Stack.a "lost";
+  let scopes = [ "arq"; "detector"; "framer"; "linecode"; "app"; "wire" ] in
+  match fire_one engine [ stats_a; stats_b ] scopes with
+  | [ a; b ] ->
+      List.iter
+        (fun owner ->
+          owner_took ~what:"retransmission" ~owner ~untouched:[ "app" ] ~idle_host:b a)
+        [ "arq"; "detector"; "framer"; "linecode" ];
+      check Alcotest.int "retransmitted" 1
+        (Datalink.Stack.arq_stats link.Datalink.Stack.a).Datalink.Arq.retransmissions
+  | _ -> assert false
+
+(* [Tcp_messages] is declared like the other stacks, so under telemetry
+   each of its sublayers, and the excursions above and below it, get a
+   cell that a one-message exchange charges. *)
+let test_seam_cells_messages () =
+  Sublayer.Alloc.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
+  let module M = Transport.Tcp_messages in
+  let engine = Sim.Engine.create ~seed:63 () in
+  let telemetry = Telemetry.create () in
+  let stats_a = Sublayer.Stats.create ~label:"A" ()
+  and stats_b = Sublayer.Stats.create ~label:"B" () in
+  let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) and to_b = ref (fun _ -> ()) in
+  let ch dir =
+    Sim.Channel.create engine Sim.Channel.ideal ~size:Bitkit.Slice.length
+      ~deliver:(fun s -> !dir s) ()
+  in
+  let got = ref [] in
+  let mk reg ~local_port ~remote_port ch events =
+    M.create engine ~ins:(Sublayer.Instrument.v ~stats:reg ~telemetry ()) ~name:"m"
+      Transport.Config.default ~local_port ~remote_port ~transmit:(Sim.Channel.send ch) ~events
+  in
+  let a = mk stats_a ~local_port:1 ~remote_port:2 (ch to_b) ignore in
+  let b =
+    mk stats_b ~local_port:2 ~remote_port:1 (ch to_a) (function
+      | `Msg m -> got := m :: !got
+      | _ -> ())
+  in
+  to_a := M.from_wire a;
+  to_b := M.from_wire b;
+  M.listen b;
+  M.connect a;
+  M.send a "one message";
+  Sim.Engine.run ~until:5. engine;
+  check Alcotest.(list string) "delivered" [ "one message" ] !got;
+  List.iter
+    (fun sub ->
+      let words =
+        List.fold_left (fun acc host -> acc + List.assoc sub host) 0
+          (cells [ stats_a; stats_b ] [ sub ])
+      in
+      check Alcotest.bool (sub ^ " charged") true (words > 0))
+    [ "msg"; "rd"; "cm"; "dm"; "app"; "wire" ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -541,6 +638,20 @@ let () =
             (test_timer_owners
                ~factory:(Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key)
                ~cm:"cm" ~below_cm:[ "rec"; "dm" ]);
+        ] );
+      ( "seam cells",
+        [
+          Alcotest.test_case "sublayered" `Quick
+            (test_seam_cells ~factory:Host.sublayered ~cm:"cm" ~below_cm:[ "dm" ]);
+          Alcotest.test_case "watson" `Quick
+            (test_seam_cells ~factory:(Transport.Tcp_watson.factory ()) ~cm:"cm-timer"
+               ~below_cm:[ "dm" ]);
+          Alcotest.test_case "secure" `Quick
+            (test_seam_cells
+               ~factory:(Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key)
+               ~cm:"cm" ~below_cm:[ "rec"; "dm" ]);
+          Alcotest.test_case "datalink" `Quick test_seam_cells_datalink;
+          Alcotest.test_case "messages" `Quick test_seam_cells_messages;
         ] );
       ( "boundaries",
         [

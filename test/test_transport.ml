@@ -1622,6 +1622,7 @@ let note_pin =
 let test_note_pin () =
   let engine = Sim.Engine.create ~seed:3 () in
   let trace = Sim.Trace.create () in
+  let ins = Sublayer.Instrument.v ~trace () in
   let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
   let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
   let ch dir =
@@ -1631,7 +1632,7 @@ let test_note_pin () =
   in
   let ab = ch to_b and ba = ch to_a in
   let mk name ~local_port ~remote_port ch =
-    Tcp_sublayered.create engine ~trace ~name Config.default ~local_port ~remote_port
+    Tcp_sublayered.create engine ~ins ~name Config.default ~local_port ~remote_port
       ~transmit:(fun s -> Sim.Channel.send ch s)
       ~events:(fun _ -> ())
   in
