@@ -243,8 +243,8 @@ let stats_cmd =
 let trace_cmd =
   let run loss bytes =
     let engine = Sim.Engine.create ~seed:2 () in
-    let trace = Sim.Trace.create () in
-    let ins = Sublayer.Instrument.v ~trace () in
+    let tracer = Sim.Tracer.create () in
+    let ins = Sublayer.Instrument.v ~tracer () in
     let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
     let ch dir =
@@ -277,12 +277,20 @@ let trace_cmd =
     Sim.Engine.run ~until:60. engine;
     Printf.printf "transfer of %d bytes complete (received %d); sublayer trace:\n\n"
       bytes (Buffer.length received);
-    Format.printf "%a" Sim.Trace.pp trace
+    (* The runtime records each [Note] as an instant under "note". *)
+    List.iter
+      (fun (sp : Sim.Tracer.span) ->
+        if sp.sp_sublayer = "note" then
+          Printf.printf "%10.6f %-12s %s\n" sp.sp_start sp.sp_track sp.sp_name)
+      (Sim.Tracer.spans tracer)
   in
   let loss = Arg.(value & opt float 0.1 & info [ "loss" ] ~doc:"Loss probability.") in
   let bytes = Arg.(value & opt int 5_000 & info [ "bytes" ] ~doc:"Stream size.") in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Print the sublayer event trace of a lossy transfer.")
+    (Cmd.info "trace"
+       ~doc:
+         "Print the sublayer event trace of a lossy transfer: every Note a sublayer \
+          emits, as its runtime records it in the tracer.")
     Term.(const run $ loss $ bytes)
 
 (* --- scale --- *)
@@ -432,9 +440,6 @@ let top_cmd =
     let channel = { (Sim.Channel.lossy loss) with Sim.Channel.delay = 0.02 } in
     let stats = Sublayer.Stats.create ~label:"top" () in
     let tele = Sim.Telemetry.create ~label:"top" () in
-    Sublayer.Alloc.set_enabled true;
-    Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-    @@ fun () ->
     let fabric =
       Transport.Fabric.create engine ~hosts ~stats ~telemetry:tele ~channel
         ~flows ~bytes ()

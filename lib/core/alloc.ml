@@ -1,10 +1,9 @@
 (* Attribution context: one per domain (shards run one domain each, and a
    shared checkpoint would interleave their charge intervals). The cell
    stack handles reentrancy — app delivery can call back into the stack
-   (auto-read credit) while an [enter] is open. *)
-
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
+   (auto-read credit) while a bracket is open. Outside every bracket the
+   current cell is [None], so the first push charges nothing and only
+   anchors the checkpoint. *)
 
 type cell = { a_counter : Stats.counter }
 
@@ -39,17 +38,6 @@ let key =
 let overhead_words () =
   int_of_float (Domain.DLS.get key).overhead
 
-let set_enabled b =
-  (* Re-anchor the checkpoint on enable so the first charged interval
-     starts now, not at domain birth. *)
-  if b then begin
-    let ctx = Domain.DLS.get key in
-    ctx.cur <- None;
-    ctx.depth <- 0;
-    ctx.checkpoint <- Gc.minor_words ()
-  end;
-  Atomic.set enabled_flag b
-
 let charge ctx =
   let now = Gc.minor_words () in
   (match ctx.cur with
@@ -79,29 +67,27 @@ let pop ctx =
   end
   else ctx.cur <- None
 
-let enter c = if Atomic.get enabled_flag then push (Domain.DLS.get key) c
-let exit_ () = if Atomic.get enabled_flag then pop (Domain.DLS.get key)
-
-(* The enabled decision is taken ONCE per bracket: a [set_enabled] flip
-   mid-step cannot leave an [enter] without its matching exit (or vice
-   versa), and the pop runs even when [f] raises, so an exception in a
-   machine step or callback never skews every later attribution on the
-   domain. The step and its two arguments are passed apart, so the
-   disabled path calls [f a b] without building a closure. *)
+(* The pop runs even when [f] raises, so an exception in a machine step
+   or callback never skews every later attribution on the domain. The
+   step and its two arguments are passed apart, so a bracket without a
+   cell calls [f a b] without building a closure. *)
 let bracket c f a b =
-  if Atomic.get enabled_flag then begin
-    let ctx = Domain.DLS.get key in
-    push ctx c;
-    Fun.protect ~finally:(fun () -> pop ctx) (fun () -> f a b)
-  end
-  else f a b
+  match c with
+  | None -> f a b
+  | Some _ -> (
+      let ctx = Domain.DLS.get key in
+      push ctx c;
+      match f a b with
+      | () -> pop ctx
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          pop ctx;
+          Printexc.raise_with_backtrace e bt)
 
 let cross c =
-  if Atomic.get enabled_flag then begin
-    let ctx = Domain.DLS.get key in
-    charge ctx;
-    ctx.cur <- c
-  end
+  let ctx = Domain.DLS.get key in
+  charge ctx;
+  ctx.cur <- c
 
 type pair = cell option * cell option
 

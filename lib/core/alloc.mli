@@ -15,22 +15,20 @@
     a [Down] crossing means the machine below is about to run, an [Up]
     crossing the machine above.
 
-    Discipline (same as [Monitor.Runtime]): disabled (the default), every
-    hook is one atomic load and no allocation; enabled, each hook costs
-    two boxed-float reads whose own words are calibrated away
-    ({!overhead_words}), so the counters converge on the protocol's true
-    allocation.  The attribution context is domain-local, so engine
-    shards running in parallel never share a checkpoint. *)
+    There is no switch: words are attributed iff there are cells to
+    charge them to. {!Compose.Run} builds cells only when
+    {!Instrument.attributed} holds (telemetry and stats both given);
+    without them the runtime brackets nothing and the probes are
+    unwrapped, so an unattributed stack never calls this module. A hook
+    with a cell costs two boxed-float reads whose own words are
+    calibrated away ({!overhead_words}), so the counters converge on the
+    protocol's true allocation.  The attribution context is
+    domain-local, so engine shards running in parallel never share a
+    checkpoint. *)
 
 type cell
 (** Destination of attributed words: the [gc.minor_words] counter of one
     sublayer's {!Stats.scope}. *)
-
-val set_enabled : bool -> unit
-(** Global switch, default [false]: attribution costs ~6 words per
-    crossing when on, so only telemetry/bench runs enable it. *)
-
-val enabled : unit -> bool
 
 val cell : Stats.scope -> cell
 (** Find-or-create the scope's [gc.minor_words] counter. *)
@@ -42,26 +40,17 @@ val overhead_words : unit -> int
 (** Calibrated self-cost of one [Gc.minor_words] read (boxed float),
     subtracted from every charged interval. *)
 
-(** {1 Hooks} (no-ops while disabled) *)
-
-val enter : cell option -> unit
-(** Charge the open interval to the current cell, push it, and make
-    [cell] current — used at runtime entry points and around nested
-    excursions (app delivery, wire transmit). [None] runs the interval
-    unattributed. *)
-
-val exit_ : unit -> unit
-(** Charge the open interval to the current cell and pop back to the
-    cell that was current before the matching {!enter}. *)
+(** {1 Hooks} *)
 
 val bracket : cell option -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
-(** [bracket c f a b] runs [f a b] between an {!enter}/{!exit_} pair that
-    is exception-safe (the pop runs even when [f] raises) and immune to a
-    {!set_enabled} flip mid-[f] (the enabled decision is taken once, so
-    the cell stack can never be left unbalanced). Disabled, it is one
-    atomic load and the call: the step is passed apart from its
-    arguments so the caller builds no closure. Prefer this to calling
-    the pair directly. *)
+(** [bracket (Some c) f a b] charges the open interval to the current
+    cell, makes [c] current, runs [f a b], then charges [c] and makes
+    current again the cell that was — the runtime's entry points and
+    its excursions out of the stack (app delivery, wire transmit).
+    Brackets nest, and the pop runs even when [f] raises.
+    [bracket None f a b] is [f a b]: with no cell the interval stays
+    with whatever cell is current. The step is passed apart from its
+    arguments so the caller builds no closure. *)
 
 val cross : cell option -> unit
 (** Charge the open interval to the current cell and make [cell]

@@ -60,6 +60,6 @@ module Run (S : STACK) = struct
               al_app = Instrument.alloc_cell ins "app"; al_wire = Instrument.alloc_cell ins "wire";
               al_timer = (fun tm -> cells.(S.owner tm)) } )
     in
-    create engine ?trace:ins.Instrument.trace ?alloc ~name ~transmit ~deliver
+    create engine ?tracer:ins.Instrument.tracer ?alloc ~name ~transmit ~deliver
       (S.build cells ins.Instrument.monitors ~conn:name parts)
 end

@@ -104,9 +104,9 @@ module Run (S : STACK) : sig
     deliver:(S.up_ind -> unit) ->
     S.parts ->
     t
-  (** One endpoint. [name] keys its probes' monitors and its [Note]s in
-      [ins.trace]; with cells, [app] and [wire] charge the excursions
-      out of the stack. *)
+  (** One endpoint. [name] keys its probes' monitors and is the track
+      its [Note]s are recorded on in [ins.tracer]; with cells, [app] and
+      [wire] charge the excursions out of the stack. *)
 
   val state : t -> S.t
   val from_above : t -> S.up_req -> unit

@@ -4,17 +4,16 @@ type t = {
   monitors : Monitor.Runtime.t option;
   telemetry : Sim.Telemetry.t option;
   pool : Bitkit.Pool.t option;
-  trace : Sim.Trace.t option;
   level : int;
 }
 
 let none =
   { stats = None; tracer = None; monitors = None; telemetry = None;
-    pool = None; trace = None; level = 0 }
+    pool = None; level = 0 }
 
-let v ?stats ?tracer ?monitors ?telemetry ?pool ?trace ?(level = 0) () =
+let v ?stats ?tracer ?monitors ?telemetry ?pool ?(level = 0) () =
   if level < 0 then invalid_arg "Instrument.v: negative level";
-  { stats; tracer; monitors; telemetry; pool; trace; level }
+  { stats; tracer; monitors; telemetry; pool; level }
 
 let deeper t = { t with level = t.level + 1 }
 let level_tag t = "l" ^ string_of_int t.level

@@ -2,11 +2,17 @@
     factory.
 
     Before this record existed, each factory grew the same optional
-    arguments ([?stats ?tracer ?monitors ?telemetry ?pool ?trace]) and
-    every new instrument meant touching every signature in the repo.  An
+    arguments ([?stats ?tracer ?monitors ?telemetry ?pool]) and every
+    new instrument meant touching every signature in the repo.  An
     {!Instrument.t} bundles them — plus the {e recursion level}, the tag
     that namespaces observability when a whole transport stack runs as
     the link of another stack (see {!Link} and [Transport.Tunnel]).
+
+    An instrument is on iff it is given: there is no process-wide
+    switch. Span contexts, monitor instances and allocation cells exist
+    only when the field they come from is [Some], and an absent one
+    costs its call site one [None] match; without [stats], a machine's
+    counters live in an unregistered scope that no report reads.
 
     Level tags keep the two recursion levels of an Ouroboros run apart in
     one shared registry/tracer: scopes and endpoint names at level 0 keep
@@ -17,10 +23,10 @@
 type t = {
   stats : Stats.registry option;
   tracer : Sim.Tracer.t option;
+      (** spans, and the [Note]s a stack's runtime records as instants *)
   monitors : Monitor.Runtime.t option;
   telemetry : Sim.Telemetry.t option;
   pool : Bitkit.Pool.t option;
-  trace : Sim.Trace.t option;  (** where a stack's runtime records its [Note]s *)
   level : int;  (** recursion depth: 0 = over a raw channel *)
 }
 
@@ -33,7 +39,6 @@ val v :
   ?monitors:Monitor.Runtime.t ->
   ?telemetry:Sim.Telemetry.t ->
   ?pool:Bitkit.Pool.t ->
-  ?trace:Sim.Trace.t ->
   ?level:int ->
   unit ->
   t

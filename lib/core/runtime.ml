@@ -20,7 +20,7 @@ module Make (S : Machine.S) = struct
 
   type t = {
     engine : Sim.Engine.t;
-    trace : Sim.Trace.t option;
+    tracer : Sim.Tracer.t option;
     name : string;
     transmit : S.down_req -> unit;
     deliver : S.up_ind -> unit;
@@ -36,15 +36,16 @@ module Make (S : Machine.S) = struct
     mutable halted : bool;
   }
 
-  let create engine ?trace ?alloc ~name ~transmit ~deliver st =
-    { engine; trace; alloc; name; transmit; deliver; st; timers = []; halted = false }
+  let create engine ?tracer ?alloc ~name ~transmit ~deliver st =
+    { engine; tracer; alloc; name; transmit; deliver; st; timers = []; halted = false }
 
   let state t = t.st
 
   let note t msg =
-    match t.trace with
+    match t.tracer with
     | None -> ()
-    | Some tr -> Sim.Trace.record tr ~time:(Sim.Engine.now t.engine) ~actor:t.name msg
+    | Some tr ->
+        Sim.Tracer.instant tr ~at:(Sim.Engine.now t.engine) ~track:t.name ~sublayer:"note" msg
 
   let rec find tm = function
     | [] -> raise_notrace Not_found
@@ -66,7 +67,7 @@ module Make (S : Machine.S) = struct
      crossings lands on the machine actually running. Reentrancy — e.g.
      delivery calling back into [from_above] — nests via the cell stack;
      [Alloc.bracket] keeps it balanced when a step or callback raises,
-     and calls [f a b] straight through while attribution is off. *)
+     and calls [f a b] straight through for a runtime without cells. *)
   let bracket t cell f a b =
     match t.alloc with
     | None -> f a b

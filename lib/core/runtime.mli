@@ -1,9 +1,11 @@
 (** Runs a sublayer (or a whole {!Machine.Stack}) under the discrete-event
     simulator: timers become engine events, [Down] requests go to a
     transmit function (usually a {!Sim.Channel}), [Up] indications go to a
-    delivery callback, and [Note]s are recorded in an optional trace. A
-    stack declared with {!Compose} runs through {!Compose.Run}, which
-    builds the {!alloc_spec} below from the declaration.
+    delivery callback, and [Note]s are recorded in an optional tracer:
+    each is a {!Sim.Tracer.instant} at the current virtual time on the
+    endpoint's track, under sublayer ["note"], its text the instant's
+    name. A stack declared with {!Compose} runs through {!Compose.Run},
+    which builds the {!alloc_spec} below from the declaration.
 
     Timers. The runtime keeps one entry per armed timer value. The entry
     is made when the timer is first set, together with the one closure
@@ -32,16 +34,17 @@ module Make (S : Machine.S) : sig
 
   val create :
     Sim.Engine.t ->
-    ?trace:Sim.Trace.t ->
+    ?tracer:Sim.Tracer.t ->
     ?alloc:S.timer alloc_spec ->
     name:string ->
     transmit:(S.down_req -> unit) ->
     deliver:(S.up_ind -> unit) ->
     S.t ->
     t
-  (** [name] identifies this endpoint in traces.  [alloc] enables
-      per-sublayer allocation attribution at the runtime seams (the
-      hooks are no-ops unless {!Alloc.set_enabled} is on). *)
+  (** [name] is the track this endpoint's [Note]s are recorded on in
+      [tracer].  [alloc] enables per-sublayer allocation attribution at
+      the runtime seams: each entry point and excursion is an
+      {!Alloc.bracket} of the spec's cell for it. *)
 
   val state : t -> S.t
   (** Current sublayer state (for assertions and inspection). *)

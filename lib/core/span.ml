@@ -8,9 +8,9 @@
    feeds its sojourn into a per-name log₂ histogram in the machine's
    stats scope, so aggregate latency attribution needs no tracer at all.
 
-   Every operation is a no-op (after one boolean load) when the ctx has
-   no tracer or tracing is globally disabled, and tests that before it
-   builds anything, so a disabled ctx allocates nothing. *)
+   Every operation is a no-op (after one [None] match) when the ctx has
+   no tracer, and tests that before it builds anything, so a disabled
+   ctx allocates nothing. *)
 
 type ctx = {
   tracer : Sim.Tracer.t option;
@@ -33,34 +33,33 @@ let make ~tracer ?stats ~now ~track sublayer =
   { tracer = Some tracer; track; sublayer; scope = stats; now;
     opens = Hashtbl.create 16 }
 
-let active ctx =
-  match ctx.tracer with Some _ -> Sim.Tracer.enabled () | None -> false
+let active ctx = Option.is_some ctx.tracer
 
 let fresh_trace ctx =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.fresh_trace tr
-  | _ -> 0
+  | Some tr -> Sim.Tracer.fresh_trace tr
+  | None -> 0
 
 let open_ ctx ~key ?trace ?parent name =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () ->
+  | Some tr ->
       let id =
         Sim.Tracer.start tr ~at:(ctx.now ()) ~track:ctx.track
           ~sublayer:ctx.sublayer ?trace ?parent name
       in
       Hashtbl.replace ctx.opens key id
-  | _ -> ()
+  | None -> ()
 
 let id_of ctx ~key =
   match Hashtbl.find_opt ctx.opens key with Some id -> id | None -> 0
 
 let trace_of ctx ~key =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> (
+  | Some tr -> (
       match Hashtbl.find_opt ctx.opens key with
       | None -> 0
       | Some id -> Option.value ~default:0 (Sim.Tracer.trace_of tr id))
-  | _ -> 0
+  | None -> 0
 
 let observe ctx (sp : Sim.Tracer.span) =
   match ctx.scope with
@@ -73,7 +72,7 @@ let observe ctx (sp : Sim.Tracer.span) =
    it cross-host, just forget the key. *)
 let close ctx ~key ?detail () =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> (
+  | Some tr -> (
       match Hashtbl.find_opt ctx.opens key with
       | None -> ()
       | Some id -> (
@@ -81,7 +80,7 @@ let close ctx ~key ?detail () =
           match Sim.Tracer.finish tr ~at:(ctx.now ()) ?detail id with
           | Some sp -> observe ctx sp
           | None -> ()))
-  | _ -> ()
+  | None -> ()
 
 let close_all ctx ?detail () =
   if active ctx then begin
@@ -91,36 +90,36 @@ let close_all ctx ?detail () =
 
 let instant ctx ?trace ?parent ?detail name =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () ->
+  | Some tr ->
       Sim.Tracer.instant tr ~at:(ctx.now ()) ~track:ctx.track
         ~sublayer:ctx.sublayer ?trace ?parent ?detail name
-  | _ -> ()
+  | None -> ()
 
 (* An instant child of the keyed span, in its trace: the retransmission
    lineage primitive. *)
 let child ctx ~key ?detail name =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> (
+  | Some tr -> (
       match Hashtbl.find_opt ctx.opens key with
       | None -> instant ctx ?detail name
       | Some id ->
           let trace = Option.value ~default:0 (Sim.Tracer.trace_of tr id) in
           Sim.Tracer.instant tr ~at:(ctx.now ()) ~track:ctx.track
             ~sublayer:ctx.sublayer ~trace ~parent:id ?detail name)
-  | _ -> ()
+  | None -> ()
 
 (* Detached spans (not in [opens]): for intervals closed by another
    machine entirely, found again through the correlation table. *)
 let start_free ctx ?trace ?parent name =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () ->
+  | Some tr ->
       Sim.Tracer.start tr ~at:(ctx.now ()) ~track:ctx.track
         ~sublayer:ctx.sublayer ?trace ?parent name
-  | _ -> 0
+  | None -> 0
 
 let close_id ctx ~id ?detail () =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () && id <> 0 -> (
+  | Some tr when id <> 0 -> (
       match Sim.Tracer.finish tr ~at:(ctx.now ()) ?detail id with
       | Some sp ->
           observe ctx sp;
@@ -130,27 +129,25 @@ let close_id ctx ~id ?detail () =
 
 let trace_of_id ctx ~id =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () ->
-      Option.value ~default:0 (Sim.Tracer.trace_of tr id)
-  | _ -> 0
+  | Some tr -> Option.value ~default:0 (Sim.Tracer.trace_of tr id)
+  | None -> 0
 
 (* --- Correlation keys --- *)
 
 let bind ctx key v =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.bind tr key v
-  | _ -> ()
+  | Some tr -> Sim.Tracer.bind tr key v
+  | None -> ()
 
 let lookup ctx key =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () ->
-      Option.value ~default:0 (Sim.Tracer.lookup tr key)
-  | _ -> 0
+  | Some tr -> Option.value ~default:0 (Sim.Tracer.lookup tr key)
+  | None -> 0
 
 let unbind ctx key =
   match ctx.tracer with
-  | Some tr when Sim.Tracer.enabled () -> Sim.Tracer.unbind tr key
-  | _ -> ()
+  | Some tr -> Sim.Tracer.unbind tr key
+  | None -> ()
 
 let take ctx key =
   let v = lookup ctx key in

@@ -7,10 +7,10 @@
     {!Sim.Tracer}. Closing a keyed span also records its sojourn into a
     [<name>_us] log₂ histogram in the machine's {!Stats} scope.
 
-    All operations reduce to a single boolean load, and allocate nothing,
-    when the ctx was built with {!disabled} or tracing is globally off
-    ({!Sim.Tracer.set_enabled}). A caller that builds a key or detail
-    string for a span should build it only under {!active}. *)
+    A ctx records iff it was given a tracer: every operation on a ctx
+    built with {!disabled} reduces to one [None] match and allocates
+    nothing. A caller that builds a key or detail string for a span
+    should build it only under {!active}. *)
 
 type ctx
 
@@ -28,7 +28,7 @@ val make :
 (** [make ~tracer ?stats ~now ~track sublayer]. *)
 
 val active : ctx -> bool
-(** Tracer present and tracing globally enabled. *)
+(** Whether the ctx has a tracer. *)
 
 val fresh_trace : ctx -> int
 (** New trace id, or 0 when inactive. *)

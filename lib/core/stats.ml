@@ -1,10 +1,3 @@
-(* The process-wide kill switch is read on every counter bump from every
-   domain running a shard, so it is an [Atomic.t] (one plain load on the
-   hot path), never a [ref]. *)
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
 type counter = { c_name : string; mutable c : int }
 type gauge = { g_name : string; mutable g : int }
 
@@ -75,8 +68,8 @@ let counter s name =
       s.counters <- c :: s.counters;
       c
 
-let incr c = if Atomic.get enabled_flag then c.c <- c.c + 1
-let add c n = if Atomic.get enabled_flag then c.c <- c.c + n
+let incr c = c.c <- c.c + 1
+let add c n = c.c <- c.c + n
 let value c = c.c
 
 let gauge s name =
@@ -87,7 +80,7 @@ let gauge s name =
       s.gauges <- g :: s.gauges;
       g
 
-let set g v = if Atomic.get enabled_flag then g.g <- v
+let set g v = g.g <- v
 let gauge_value g = g.g
 
 let histogram s name =
@@ -113,13 +106,11 @@ let bucket_of v =
   end
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
-    let v = if v < 0 then 0 else v in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    let b = bucket_of v in
-    h.buckets.(b) <- h.buckets.(b) + 1
-  end
+  let v = if v < 0 then 0 else v in
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum + v;
+  let b = bucket_of v in
+  h.buckets.(b) <- h.buckets.(b) + 1
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum

@@ -7,9 +7,11 @@
     own instruments; nothing is shared across scopes.
 
     Design constraints, in order:
-    - the hot path ([incr]/[add]/[observe]) never allocates;
-    - a single global switch ({!set_enabled}) turns every instrument into
-      a no-op (one boolean load) so disabled runs pay ~nothing;
+    - the hot path ([incr]/[add]/[set]/[observe]) is plain stores: no
+      allocation, no atomic load;
+    - there is no switch: a run that wants no report passes no
+      registry, and its machines count into {!unregistered} scopes
+      nobody enumerates;
     - names are stable strings following the [sublayer.counter] scheme,
       so reports from different stacks line up column-for-column.
 
@@ -31,12 +33,6 @@ type scope
 
 type registry
 (** A named collection of scopes, typically one per host/endpoint. *)
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all instruments (default: enabled).  When
-    disabled, [incr]/[add]/[set]/[observe] are no-ops. *)
-
-val enabled : unit -> bool
 
 (** {1 Registries and scopes} *)
 

@@ -112,7 +112,7 @@ let bit_channel engine config ~deliver =
     ~size:(fun bits -> (Bitkit.Bitseq.length bits + 7) / 8)
     ~corrupt:Sim.Channel.corrupt_bits ~deliver ()
 
-let link engine ?trace ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
+let link engine ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
     config spec =
   let received_at_a = Queue.create () in
   let received_at_b = Queue.create () in
@@ -128,7 +128,7 @@ let link engine ?trace ?stats_a ?stats_b ?tracer ?monitors ?telemetry ?pool
   in
   Sublayer.Link.set_transmit link_a (fun bits -> Sim.Channel.send a_to_b bits);
   Sublayer.Link.set_transmit link_b (fun bits -> Sim.Channel.send b_to_a bits);
-  let ins side = I.v ?stats:side ?tracer ?monitors ?telemetry ?pool ?trace () in
+  let ins side = I.v ?stats:side ?tracer ?monitors ?telemetry ?pool () in
   let a =
     over_link engine ~ins:(ins stats_a) ~name:"A" spec ~link:link_a
       ~deliver:(fun payload -> Queue.add payload received_at_a)

@@ -53,7 +53,8 @@ val endpoint :
     installed at every seam. With [ins.pool], the detector protects
     frames in loaned arena slots (see {!Layers.Error_detection.make});
     the engine drains deferred releases after every event. With
-    [ins.trace], the stack's [Note]s are recorded there under [name]. *)
+    [ins.tracer], the stack's [Note]s are recorded there too, as
+    instants on track [name] under sublayer ["note"]. *)
 
 val over_link :
   Sim.Engine.t ->
@@ -80,7 +81,6 @@ type link = {
 
 val link :
   Sim.Engine.t ->
-  ?trace:Sim.Trace.t ->
   ?stats_a:Sublayer.Stats.registry ->
   ?stats_b:Sublayer.Stats.registry ->
   ?tracer:Sim.Tracer.t ->

@@ -1,10 +1,7 @@
-(* Process-wide kill switch, read on every probe from every shard
-   domain: atomic load, never a plain [ref]. Registries themselves are
-   per-shard instances — see {!merged_verdicts} for the explicit
-   cross-domain merge. *)
-let on = Atomic.make true
-let set_enabled v = Atomic.set on v
-let enabled () = Atomic.get on
+(* A registry is one shard's mutable state: sharded runs hold one per
+   shard and merge their verdicts after the domains join (see
+   {!merged_verdicts}). An endpoint with no registry attaches no
+   instance, so an unmonitored crossing never reaches this module. *)
 
 type instance = {
   spec : Spec.t;
@@ -25,13 +22,13 @@ and registry = {
   mutable instances : instance list;  (* newest first *)
   mutable viols : string list;        (* newest first *)
   mutable nviols : int;
-  mutable unreported : string list;   (* oldest first, drained by Soak *)
+  unreported : string Queue.t;        (* oldest first, drained by Soak *)
 }
 
 type t = registry
 
 let create ?(label = "monitors") () =
-  { rlabel = label; instances = []; viols = []; nviols = 0; unreported = [] }
+  { rlabel = label; instances = []; viols = []; nviols = 0; unreported = Queue.create () }
 
 let label t = t.rlabel
 
@@ -65,10 +62,10 @@ let violate inst mid ~a ~b =
   let r = inst.reg in
   r.viols <- msg :: r.viols;
   r.nviols <- r.nviols + 1;
-  r.unreported <- r.unreported @ [ msg ]
+  Queue.add msg r.unreported
 
 let observe inst mid ~a ~b =
-  if Atomic.get on && not inst.i_dead then begin
+  if not inst.i_dead then begin
     (match Spec.msg_dir inst.spec mid with
     | Spec.Down -> inst.checked_down <- inst.checked_down + 1
     | Spec.Up -> inst.checked_up <- inst.checked_up + 1);
@@ -79,12 +76,7 @@ let observe inst mid ~a ~b =
 let violations t = List.rev t.viols
 let violation_count t = t.nviols
 
-let next_violation t =
-  match t.unreported with
-  | [] -> None
-  | v :: rest ->
-      t.unreported <- rest;
-      Some v
+let next_violation t = Queue.take_opt t.unreported
 
 let invariant t () = next_violation t
 
@@ -93,37 +85,29 @@ let checked t =
     (fun acc i -> acc + i.checked_down + i.checked_up)
     0 t.instances
 
-let verdicts t =
+(* Each observed event is charged to the sublayer that sent it: [Down]
+   to the spec's upper, [Up] to its lower. Sharded runs hold one
+   registry per shard (monitors are single-domain mutable state); after
+   the domains join, one tally over every registry's instances is the
+   explicit merge, instead of sharing a registry across domains. *)
+let merged_verdicts ts =
   let tbl = Hashtbl.create 16 in
   let bump name c v =
     let c0, v0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
     Hashtbl.replace tbl name (c0 + c, v0 + v)
   in
   List.iter
-    (fun i ->
-      bump (Spec.upper i.spec) i.checked_down (Bool.to_int i.violated_down);
-      bump (Spec.lower i.spec) i.checked_up (Bool.to_int i.violated_up))
-    t.instances;
-  Hashtbl.fold (fun name (c, v) acc -> (name, c, v) :: acc) tbl []
-  |> List.sort compare
-
-(* Sharded runs hold one registry per shard (monitors are single-domain
-   mutable state); after the domains join, verdicts are summed here — an
-   explicit merge instead of sharing the registry across domains. *)
-let merged_verdicts ts =
-  let tbl = Hashtbl.create 16 in
-  List.iter
     (fun t ->
       List.iter
-        (fun (name, c, v) ->
-          let c0, v0 =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name)
-          in
-          Hashtbl.replace tbl name (c0 + c, v0 + v))
-        (verdicts t))
+        (fun i ->
+          bump (Spec.upper i.spec) i.checked_down (Bool.to_int i.violated_down);
+          bump (Spec.lower i.spec) i.checked_up (Bool.to_int i.violated_up))
+        t.instances)
     ts;
   Hashtbl.fold (fun name (c, v) acc -> (name, c, v) :: acc) tbl []
   |> List.sort compare
+
+let verdicts t = merged_verdicts [ t ]
 
 let merged_invariant ts () =
   List.fold_left

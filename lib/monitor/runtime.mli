@@ -4,24 +4,20 @@
     spec) pair — the key is the same connection/track name the tracer
     uses, so a violation message names a track the {!Sim.Soak} flight
     recorder can follow. Instances are attached at stack construction
-    (cold); {!observe} is the hot path: a boolean load when monitoring is
-    globally disabled, a table walk and integer mutations when enabled,
-    and allocation only on the first violation of an instance (which also
-    silences it, so one bug does not cascade into a report flood).
+    (cold); {!observe} is the hot path: a table walk and integer
+    mutations, and allocation only on the first violation of an instance
+    (which also silences it, so one bug does not cascade into a report
+    flood).
 
-    Mirrors the global-switch discipline of {!Sublayer.Stats} and
-    {!Sim.Tracer}: {!set_enabled} [false] makes every monitor a no-op. *)
+    A monitor checks iff it was given: an endpoint built without a
+    registry attaches no instance, and its probes are shared inert ones
+    that never call into this module. *)
 
 type t
 (** A monitor registry (one per simulation, shared by every endpoint). *)
 
 val create : ?label:string -> unit -> t
 val label : t -> string
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all monitors (default: enabled). *)
-
-val enabled : unit -> bool
 
 type instance
 
@@ -45,8 +41,9 @@ val violations : t -> string list
 val violation_count : t -> int
 
 val next_violation : t -> string option
-(** Drain one not-yet-reported violation — the {!Sim.Soak} [invariant]
-    hook: each violation surfaces exactly once. *)
+(** Drain the oldest not-yet-reported violation — the {!Sim.Soak}
+    [invariant] hook: each violation surfaces exactly once, in the
+    order they happened. *)
 
 val invariant : t -> unit -> string option
 (** [invariant t] is [fun () -> next_violation t]. *)
@@ -61,9 +58,9 @@ val verdicts : t -> (string * int * int) list
     [?verdicts] hook expects. *)
 
 val merged_verdicts : t list -> (string * int * int) list
-(** Sum {!verdicts} across several registries (one per shard in a
-    sharded run) — the explicit cross-domain merge, performed after the
-    shard domains have joined. *)
+(** {!verdicts} tallied over several registries' instances at once (one
+    registry per shard in a sharded run) — the explicit cross-domain
+    merge, performed after the shard domains have joined. *)
 
 val merged_invariant : t list -> unit -> string option
 (** A {!Sim.Soak.run} [invariant] hook draining unreported violations

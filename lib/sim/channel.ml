@@ -149,7 +149,7 @@ let transmit_once ?loan t msg =
        serialisation plus the wait behind earlier messages, and
        [channel.prop] the propagation that follows. *)
     (match t.tracer with
-    | Some tr when Tracer.enabled () ->
+    | Some tr ->
         let t0 = Engine.now t.engine in
         if serialisation > 0. then begin
           let id =
@@ -163,7 +163,7 @@ let transmit_once ?loan t msg =
             ~sublayer:"channel" "channel.prop"
         in
         ignore (Tracer.finish tr ~at:(t0 +. latency) id)
-    | Some _ | None -> ());
+    | None -> ());
     match loan with
     | Some (pool, slot) when aliased ->
         (* This delivery reads the pool slot: hold a reference until the

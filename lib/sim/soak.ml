@@ -66,7 +66,7 @@ let shard_driver shard =
 
 let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     ?(quiesce = true) ?sample ?(sample_every = 1) ?tracer ?(flight_n = 32)
-    ?(flight_cap = 8) ?(verdicts = fun () -> []) ?events
+    ?(flight_cap = 8) ?(verdicts = fun () -> [])
     ?(telemetry = []) ?(on_slice = fun (_ : float) -> ())
     ?(drops = fun () -> []) ~name ~driver ~finished () =
   let violations = ref [] in
@@ -162,7 +162,6 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     (match tracer with
     | Some tr -> [ ("tracer", Tracer.dropped tr) ]
     | None -> [])
-    @ (match events with Some ev -> [ ("events", Events.dropped ev) ] | None -> [])
     @ List.concat_map
         (fun t -> [ ("telemetry:" ^ Telemetry.label t, Telemetry.dropped t) ])
         telemetry
@@ -180,10 +179,10 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     drops = ring_drops @ drops () }
 
 let run ?step ?until ?invariant ?quiesce ?sample ?sample_every ?tracer
-    ?flight_n ?flight_cap ?verdicts ?events ?telemetry ?on_slice ?drops ~name
+    ?flight_n ?flight_cap ?verdicts ?telemetry ?on_slice ?drops ~name
     ~engine ~finished () =
   run_driver ?step ?until ?invariant ?quiesce ?sample ?sample_every ?tracer
-    ?flight_n ?flight_cap ?verdicts ?events ?telemetry ?on_slice ?drops ~name
+    ?flight_n ?flight_cap ?verdicts ?telemetry ?on_slice ?drops ~name
     ~driver:(engine_driver engine) ~finished ()
 
 let reproducible scenario ~seed =

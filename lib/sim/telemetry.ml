@@ -23,27 +23,16 @@ type source = {
 type t = {
   t_label : string;
   t_interval : float;
-  t_cap : int;
-  t_ring : sample option array;
-  mutable t_head : int; (* next write position *)
-  mutable t_len : int;
-  mutable t_recorded : int;
-  mutable t_dropped : int;
+  t_ring : sample Ring.t;
   mutable t_last_ts : float;
   mutable t_sources : source list; (* reverse registration order *)
 }
 
 let create ?(label = "telemetry") ?(capacity = 4096) ?(interval = 0.) () =
-  if capacity <= 0 then invalid_arg "Telemetry.create: capacity must be > 0";
   {
     t_label = label;
     t_interval = interval;
-    t_cap = capacity;
-    t_ring = Array.make capacity None;
-    t_head = 0;
-    t_len = 0;
-    t_recorded = 0;
-    t_dropped = 0;
+    t_ring = Ring.create ~capacity { ts = 0.; det = []; nondet = [] };
     t_last_ts = neg_infinity;
     t_sources = [];
   }
@@ -120,14 +109,8 @@ let record t ~now =
           else det := kv :: !det)
         (read_source s))
     (List.rev t.t_sources);
-  let sample =
-    { ts = now; det = List.sort by_key !det; nondet = List.sort by_key !nondet }
-  in
-  if t.t_len = t.t_cap then t.t_dropped <- t.t_dropped + 1
-  else t.t_len <- t.t_len + 1;
-  t.t_ring.(t.t_head) <- Some sample;
-  t.t_head <- (t.t_head + 1) mod t.t_cap;
-  t.t_recorded <- t.t_recorded + 1;
+  Ring.push t.t_ring
+    { ts = now; det = List.sort by_key !det; nondet = List.sort by_key !nondet };
   t.t_last_ts <- now
 
 let tick t ~now =
@@ -136,28 +119,14 @@ let tick t ~now =
 
 let sample_now t ~now = record t ~now
 
-let samples t =
-  let start = (t.t_head - t.t_len + t.t_cap) mod t.t_cap in
-  List.init t.t_len (fun i ->
-      match t.t_ring.((start + i) mod t.t_cap) with
-      | Some s -> s
-      | None -> assert false)
-
-let last_sample t =
-  if t.t_len = 0 then None
-  else t.t_ring.((t.t_head - 1 + t.t_cap) mod t.t_cap)
-
-let length t = t.t_len
-let recorded t = t.t_recorded
-let dropped t = t.t_dropped
-let capacity t = t.t_cap
+let samples t = Ring.to_list t.t_ring
+let last_sample t = Ring.newest t.t_ring
+let length t = Ring.length t.t_ring
+let recorded t = Ring.recorded t.t_ring
+let dropped t = Ring.dropped t.t_ring
 
 let clear t =
-  Array.fill t.t_ring 0 t.t_cap None;
-  t.t_head <- 0;
-  t.t_len <- 0;
-  t.t_recorded <- 0;
-  t.t_dropped <- 0;
+  Ring.clear t.t_ring;
   t.t_last_ts <- neg_infinity;
   List.iter
     (fun s ->
@@ -222,7 +191,7 @@ let to_json t =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "{\"label\":\"%s\",\"interval\":%g,\"dropped\":%d,\"samples\":["
-       (json_escape t.t_label) t.t_interval t.t_dropped);
+       (json_escape t.t_label) t.t_interval (dropped t));
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';

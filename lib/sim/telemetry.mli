@@ -79,7 +79,6 @@ val recorded : t -> int
 (** Samples ever recorded (monotonic). *)
 
 val dropped : t -> int
-val capacity : t -> int
 val clear : t -> unit
 (** Forget retained samples and re-anchor counter baselines at the next
     reading; [recorded]/[dropped] reset. *)

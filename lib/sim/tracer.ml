@@ -1,16 +1,10 @@
 (* Causal span collector. Self-contained (sim does not see the sublayer
    library): spans are opened/closed by whoever holds the tracer, with
    virtual-time stamps supplied by the caller. Finished spans land in a
-   bounded ring (same eviction discipline as [Events]); live spans are
-   indexed by id so a span opened on one host can be closed on another
-   (cross-host causality without touching any wire format). *)
-
-(* The kill switch is process-wide and read from every shard domain, so
-   it is atomic; each shard owns a private tracer instance, so the rings
-   themselves are never shared across domains. *)
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+   bounded {!Ring}; live spans are indexed by id so a span opened on one
+   host can be closed on another (cross-host causality without touching
+   any wire format). Each shard owns a private tracer instance, so a
+   tracer is never shared across domains. *)
 
 type span = {
   sp_id : int;
@@ -25,26 +19,22 @@ type span = {
 }
 
 type t = {
-  ring : span option array; (* finished spans, oldest at [head] *)
-  mutable head : int;
-  mutable len : int;
-  mutable recorded : int;
+  ring : span Ring.t; (* finished spans *)
   mutable next_id : int;
   mutable next_trace : int;
   live : (int, span) Hashtbl.t;
   keys : (string, int) Hashtbl.t;
 }
 
-let create ?(capacity = 8192) () =
-  if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
-  { ring = Array.make capacity None; head = 0; len = 0; recorded = 0;
-    next_id = 1; next_trace = 1; live = Hashtbl.create 64;
-    keys = Hashtbl.create 64 }
+let blank =
+  { sp_id = 0; sp_trace = 0; sp_parent = 0; sp_track = ""; sp_sublayer = "";
+    sp_name = ""; sp_start = 0.; sp_end = 0.; sp_detail = "" }
 
-let capacity t = Array.length t.ring
-let length t = t.len
-let recorded t = t.recorded
-let dropped t = t.recorded - t.len
+let create ?(capacity = 8192) () =
+  { ring = Ring.create ~capacity blank; next_id = 1; next_trace = 1;
+    live = Hashtbl.create 64; keys = Hashtbl.create 64 }
+
+let dropped t = Ring.dropped t.ring
 
 let fresh_trace t =
   let tr = t.next_trace in
@@ -62,18 +52,6 @@ let start t ~at ~track ~sublayer ?(trace = 0) ?(parent = 0) name =
   Hashtbl.replace t.live id sp;
   id
 
-let push t sp =
-  let cap = Array.length t.ring in
-  if t.len = cap then begin
-    t.ring.(t.head) <- Some sp;
-    t.head <- (t.head + 1) mod cap
-  end
-  else begin
-    t.ring.((t.head + t.len) mod cap) <- Some sp;
-    t.len <- t.len + 1
-  end;
-  t.recorded <- t.recorded + 1
-
 let finish t ~at ?detail id =
   match Hashtbl.find_opt t.live id with
   | None -> None
@@ -81,11 +59,11 @@ let finish t ~at ?detail id =
       Hashtbl.remove t.live id;
       sp.sp_end <- at;
       (match detail with Some d -> sp.sp_detail <- d | None -> ());
-      push t sp;
+      Ring.push t.ring sp;
       Some sp
 
 let instant t ~at ~track ~sublayer ?(trace = 0) ?(parent = 0) ?(detail = "") name =
-  push t
+  Ring.push t.ring
     { sp_id = (let id = t.next_id in t.next_id <- id + 1; id);
       sp_trace = trace; sp_parent = parent; sp_track = track;
       sp_sublayer = sublayer; sp_name = name; sp_start = at; sp_end = at;
@@ -101,15 +79,7 @@ let trace_of t id =
   match Hashtbl.find_opt t.live id with
   | Some sp -> Some sp.sp_trace
   | None ->
-      let cap = Array.length t.ring in
-      let rec scan i =
-        if i >= t.len then None
-        else
-          match t.ring.((t.head + t.len - 1 - i + cap) mod cap) with
-          | Some sp when sp.sp_id = id -> Some sp.sp_trace
-          | _ -> scan (i + 1)
-      in
-      scan 0
+      Option.map (fun sp -> sp.sp_trace) (Ring.find_newest t.ring (fun sp -> sp.sp_id = id))
 
 (* String-keyed correlation table: a sublayer binds an id (span or trace)
    under a key only it and its peer can reconstruct — e.g. the canonical
@@ -118,27 +88,9 @@ let bind t key v = Hashtbl.replace t.keys key v
 let lookup t key = Hashtbl.find_opt t.keys key
 let unbind t key = Hashtbl.remove t.keys key
 
-let spans t =
-  let cap = Array.length t.ring in
-  List.init t.len (fun i ->
-      match t.ring.((t.head + i) mod cap) with
-      | Some sp -> sp
-      | None -> assert false)
-
+let spans t = Ring.to_list t.ring
 let live_spans t = Hashtbl.fold (fun _ sp acc -> sp :: acc) t.live []
-
-let last t n =
-  let all = spans t in
-  let len = List.length all in
-  if len <= n then all else List.filteri (fun i _ -> i >= len - n) all
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.head <- 0;
-  t.len <- 0;
-  t.recorded <- 0;
-  Hashtbl.reset t.live;
-  Hashtbl.reset t.keys
+let last t n = Ring.last t.ring n
 
 let duration sp =
   if Float.is_nan sp.sp_end then 0. else sp.sp_end -. sp.sp_start

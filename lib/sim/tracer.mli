@@ -4,9 +4,13 @@
     and closed at sublayer boundaries, linked into causal lineages by a
     {e trace id} (one per payload entering a stack) and a {e parent span}
     (a retransmission is a child of the original send). Finished spans
-    live in a bounded ring; a string-keyed correlation table lets the
+    live in a bounded {!Ring}; a string-keyed correlation table lets the
     receiving end of a link close a span the sending end opened — the
     cross-host linkage is out of band, so no wire format changes.
+
+    A tracer is also a stack's event log: [Sublayer.Runtime] records
+    each [Note] a machine emits as an {!instant} on the endpoint's track
+    under sublayer ["note"], its text as the span's name.
 
     The module is deliberately ignorant of the sublayer library (sim does
     not depend on it); [Sublayer.Span] layers the per-machine ergonomics
@@ -28,13 +32,8 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** Ring capacity defaults to 8192 finished spans; older spans are
-    evicted, counted by {!dropped}. *)
-
-val set_enabled : bool -> unit
-(** Global kill switch shared by all tracers: with tracing disabled the
-    instrumented hot paths reduce to a single boolean load. *)
-
-val enabled : unit -> bool
+    evicted, counted by {!dropped}. A tracer records whatever it is
+    handed: an instrument that has no tracer records nothing. *)
 
 val fresh_trace : t -> int
 (** Allocate a new trace id (never 0). *)
@@ -79,14 +78,9 @@ val bind : t -> string -> int -> unit
 val lookup : t -> string -> int option
 val unbind : t -> string -> unit
 
-val capacity : t -> int
-val length : t -> int
-(** Finished spans currently retained. *)
-
-val recorded : t -> int
-(** Finished spans ever recorded (monotonic). *)
-
 val dropped : t -> int
+(** Finished spans evicted from the ring so far. *)
+
 val spans : t -> span list
 (** Retained finished spans, oldest first. *)
 
@@ -96,7 +90,6 @@ val live_spans : t -> span list
 val last : t -> int -> span list
 (** The most recent [n] finished spans, oldest first. *)
 
-val clear : t -> unit
 val duration : span -> float
 val span_to_string : span -> string
 val pp_span : Format.formatter -> span -> unit

@@ -35,7 +35,6 @@ val run :
   ?invariant:(unit -> string option) ->
   ?tracer:Tracer.t ->
   ?verdicts:(unit -> (string * int * int) list) ->
-  ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
   name:string ->
@@ -48,7 +47,7 @@ val run :
     slices (default 0.5) until every flow is finished or virtual time
     [until] (default 600). The report embeds the {!Soak.report}, whose
     per-slice samples record the engine's live-timer count.
-    [events] / [telemetry] / [on_slice] pass through to the soak:
+    [telemetry] / [on_slice] pass through to the soak:
     telemetry ticks at every slice boundary and ring drop counts land in
     [soak.drops]. *)
 
@@ -59,7 +58,6 @@ val run_sharded :
   ?invariant:(unit -> string option) ->
   ?tracer:Tracer.t ->
   ?verdicts:(unit -> (string * int * int) list) ->
-  ?events:Events.t ->
   ?telemetry:Telemetry.t list ->
   ?on_slice:(float -> unit) ->
   name:string ->

@@ -26,13 +26,13 @@ val create :
     conformance probes on the OSR⇄RD, RD⇄CM and CM⇄DM interfaces check
     every crossing against the {!Monitor.Specs} contracts under the key
     [name]. With [ins.telemetry] (and [ins.stats]), {!Sublayer.Alloc}
-    cells are installed at every T2 seam so enabling allocation
-    attribution charges [<sub>.gc.minor_words] per sublayer (plus
-    [app.*]/[wire.*] for the excursions outside the stack). With
-    [ins.pool], OSR stages out-of-order segments in arena slots and DM
-    emits outgoing segments into them (see {!Osr.initial}, {!Dm.make}).
-    With [ins.trace], the stack's [Note]s are recorded there under
-    [name]. *)
+    cells are installed at every T2 seam, so allocation is charged to
+    [<sub>.gc.minor_words] per sublayer (plus [app.*]/[wire.*] for the
+    excursions outside the stack). With [ins.pool], OSR stages
+    out-of-order segments in arena slots and DM emits outgoing segments
+    into them (see {!Osr.initial}, {!Dm.make}). With [ins.tracer], the
+    stack's [Note]s are also recorded there, as instants on track
+    [name] under sublayer ["note"]. *)
 
 val from_above : t -> Iface.app_req -> unit
 (** Hand the stack one application request: {!connect}, {!listen},

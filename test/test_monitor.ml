@@ -1,7 +1,7 @@
 (* Runtime conformance monitors (E25): legal runs on every stack are
    violation-free on both engine backends, a monitored fabric fires the
    unmonitored schedule, mutated sublayers are caught and blamed by
-   name, and the global kill switch makes observation free. *)
+   name, and violations and verdicts come back in order and summed. *)
 
 open Transport
 
@@ -256,31 +256,56 @@ let test_mutation_arq_window () =
   p.Datalink.Conform.P_arq_det.obs_req (Datalink.Arq.data_wirebuf ~seq:100 "bad");
   expect_violation monitors ~guilty:"arq-gbn" ~key:"mut-dl"
 
-(* --- Global kill switch ------------------------------------------ *)
+(* --- Verdicts ------------------------------------------------------ *)
 
-(* Disabled monitors check nothing: a full transfer with a registry
-   attached records zero events, and the observe hot path does not
-   allocate. *)
-let test_disabled_is_free () =
-  Fun.protect ~finally:(fun () -> Monitor.Runtime.set_enabled true) @@ fun () ->
-  Monitor.Runtime.set_enabled false;
-  check Alcotest.bool "reads back" false (Monitor.Runtime.enabled ());
-  let monitors = legal_transfer `Wheel Host.sublayered ~seed:61 in
-  check Alcotest.int "no events" 0 (Monitor.Runtime.checked monitors);
-  check Alcotest.bool "no verdict counts" true
-    (List.for_all (fun (_, c, v) -> c = 0 && v = 0)
-       (Monitor.Runtime.verdicts monitors));
-  (* allocation-free observe: drive one probe closure in a tight loop *)
-  let reg = Monitor.Runtime.create ~label:"off" () in
-  let p = Conform.osr_rd (Some reg) ~conn:"off" in
-  let before = Gc.allocated_bytes () in
-  for _ = 1 to 50_000 do
-    p.Conform.P_osr_rd.obs_req `Connect
+(* Two registries, one per shard say, each collecting a thousand
+   violations from go-back-N probes that send outside their window. *)
+let violating_registries () =
+  let regs = [| Monitor.Runtime.create ~label:"r0" (); Monitor.Runtime.create ~label:"r1" () |] in
+  for i = 0 to 1_999 do
+    let p =
+      Datalink.Conform.arq_det (Some regs.(i mod 2)) ~key:(Printf.sprintf "k%d" i)
+        ~variant:"arq-gbn" ~window:4
+    in
+    p.Datalink.Conform.P_arq_det.obs_req (Datalink.Arq.data_wirebuf ~seq:0 "ok");
+    p.Datalink.Conform.P_arq_det.obs_req (Datalink.Arq.data_wirebuf ~seq:100 "bad")
   done;
-  let allocated = Gc.allocated_bytes () -. before in
-  if allocated > 512. then
-    Alcotest.failf "disabled observe allocated %.0f bytes" allocated;
-  check Alcotest.int "still zero" 0 (Monitor.Runtime.checked reg)
+  regs
+
+(* Each violation surfaces once through [next_violation], oldest first. *)
+let test_violations_drain_in_order () =
+  Array.iteri
+    (fun r reg ->
+      let rec drain acc =
+        match Monitor.Runtime.next_violation reg with
+        | None -> List.rev acc
+        | Some v -> drain (v :: acc)
+      in
+      let drained = drain [] in
+      check Alcotest.int "all drained" 1_000 (List.length drained);
+      check Alcotest.(list string) "drained = violations, oldest first"
+        (Monitor.Runtime.violations reg) drained;
+      List.iteri
+        (fun j v ->
+          let key = Printf.sprintf "[k%d]" ((2 * j) + r) in
+          if not (contains v key) then Alcotest.failf "violation %d is %S, wanted %s" j v key)
+        drained;
+      check Alcotest.(option string) "drained once" None (Monitor.Runtime.next_violation reg))
+    (violating_registries ())
+
+(* Merging registries tallies their instances together: the sum of
+   each registry's verdicts, sublayer by sublayer. *)
+let test_merged_verdicts () =
+  let regs = violating_registries () in
+  let each = Array.map Monitor.Runtime.verdicts regs in
+  check
+    Alcotest.(list (triple string int int))
+    "one registry" [ ("arq-gbn", 2_000, 1_000); ("detector", 0, 0) ] each.(0);
+  check
+    Alcotest.(list (triple string int int))
+    "merged = summed"
+    (List.map2 (fun (n, c, v) (_, c', v') -> (n, c + c', v + v')) each.(0) each.(1))
+    (Monitor.Runtime.merged_verdicts (Array.to_list regs))
 
 let () =
   Alcotest.run "monitor"
@@ -297,5 +322,7 @@ let () =
           Alcotest.test_case "rd over-ack" `Quick test_mutation_rd_overack;
           Alcotest.test_case "cm early pdu" `Quick test_mutation_cm_early_pdu;
           Alcotest.test_case "arq outside window" `Quick test_mutation_arq_window ] );
-      ( "kill switch",
-        [ Alcotest.test_case "disabled is free" `Quick test_disabled_is_free ] ) ]
+      ( "verdicts",
+        [ Alcotest.test_case "violations drain oldest first" `Quick
+            test_violations_drain_in_order;
+          Alcotest.test_case "merged verdicts sum registries" `Quick test_merged_verdicts ] ) ]

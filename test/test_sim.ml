@@ -297,50 +297,49 @@ let test_channel_burst_loss () =
     Alcotest.failf "burst runs %.2f not longer than iid runs %.2f" (mean_run burst)
       (mean_run iid)
 
-(* --- Trace --- *)
+(* --- The observability ring --- *)
 
-let test_trace () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t ~time:1.0 ~actor:"a" "send x";
-  Sim.Trace.record t ~time:2.0 ~actor:"b" "recv x";
-  Sim.Trace.record t ~time:3.0 ~actor:"a" "send y";
-  check Alcotest.int "count prefix" 2 (Sim.Trace.count t "send");
-  check Alcotest.int "count actor" 1 (Sim.Trace.count t ~actor:"b" "recv");
-  check Alcotest.int "entries" 3 (List.length (Sim.Trace.entries t));
-  let first = List.hd (Sim.Trace.entries t) in
-  check Alcotest.string "chronological" "send x" first.Sim.Trace.event;
-  Sim.Trace.clear t;
-  check Alcotest.int "cleared" 0 (List.length (Sim.Trace.entries t))
+(* [Sim.Ring] is the store behind the tracer's finished spans and the
+   telemetry samples: records come back oldest first, and the newest-first
+   lookups are what [Tracer.trace_of] and [Telemetry.last_sample] use. *)
+let test_ring () =
+  let r = Sim.Ring.create ~capacity:8 (0., "") in
+  check Alcotest.(option reject) "empty: no newest" None
+    (Option.map ignore (Sim.Ring.newest r));
+  Sim.Ring.push r (1.0, "send x");
+  Sim.Ring.push r (2.0, "recv x");
+  Sim.Ring.push r (3.0, "send y");
+  check Alcotest.int "length" 3 (Sim.Ring.length r);
+  check Alcotest.int "recorded" 3 (Sim.Ring.recorded r);
+  check Alcotest.int "nothing dropped" 0 (Sim.Ring.dropped r);
+  check Alcotest.(list string) "chronological" [ "send x"; "recv x"; "send y" ]
+    (List.map snd (Sim.Ring.to_list r));
+  check Alcotest.(option string) "newest" (Some "send y")
+    (Option.map snd (Sim.Ring.newest r));
+  check Alcotest.(option (float 0.)) "newest match first" (Some 3.0)
+    (Option.map fst (Sim.Ring.find_newest r (fun (_, e) -> String.starts_with ~prefix:"send" e)));
+  check Alcotest.(list string) "last two, oldest first" [ "recv x"; "send y" ]
+    (List.map snd (Sim.Ring.last r 2));
+  Sim.Ring.clear r;
+  check Alcotest.int "cleared" 0 (List.length (Sim.Ring.to_list r))
 
-let test_trace_bounded () =
-  (* The ring retains at most [capacity] entries but counts stay
-     all-time. *)
-  let t = Sim.Trace.create ~capacity:100 () in
+let test_ring_bounded () =
+  (* The ring retains at most [capacity] records; every eviction is
+     counted. *)
+  let r = Sim.Ring.create ~capacity:100 0. in
   for i = 1 to 250 do
-    Sim.Trace.record t ~time:(Float.of_int i) ~actor:"a" "send x"
+    Sim.Ring.push r (Float.of_int i)
   done;
-  check Alcotest.int "retained bounded" 100 (List.length (Sim.Trace.entries t));
-  check Alcotest.int "dropped counted" 150 (Sim.Trace.dropped t);
-  check Alcotest.int "count survives eviction" 250 (Sim.Trace.count t "send");
-  let oldest = List.hd (Sim.Trace.entries t) in
-  check (Alcotest.float 1e-9) "oldest evicted first" 151. oldest.Sim.Trace.time;
-  Sim.Trace.clear t;
-  check Alcotest.int "cleared" 0 (Sim.Trace.count t "send");
-  check Alcotest.int "dropped reset" 0 (Sim.Trace.dropped t)
-
-let test_events_indexed_count () =
-  let t = Sim.Events.create ~capacity:64 () in
-  for i = 1 to 1000 do
-    Sim.Events.emit t ~at:(Float.of_int i) ~actor:(if i mod 2 = 0 then "a" else "b")
-      ~detail:(string_of_int i) "retransmit"
-  done;
-  Sim.Events.emit t ~at:1001. ~actor:"a" "give-up";
-  check Alcotest.int "all-time prefix count" 1000
-    (Sim.Events.count t ~prefix:"retrans" ());
-  check Alcotest.int "per-actor count" 500 (Sim.Events.count t ~actor:"a" ~prefix:"retransmit" ());
-  check Alcotest.int "other kind" 1 (Sim.Events.count t ~prefix:"give" ());
-  check Alcotest.int "window bounded" 64 (Sim.Events.length t);
-  check Alcotest.int "recorded all-time" 1001 (Sim.Events.recorded t)
+  check Alcotest.int "retained bounded" 100 (List.length (Sim.Ring.to_list r));
+  check Alcotest.int "dropped counted" 150 (Sim.Ring.dropped r);
+  check Alcotest.int "recorded all-time" 250 (Sim.Ring.recorded r);
+  check (Alcotest.float 1e-9) "oldest evicted first" 151. (List.hd (Sim.Ring.to_list r));
+  check Alcotest.(option (float 1e-9)) "evicted records not found" None
+    (Sim.Ring.find_newest r (fun x -> x < 151.));
+  Sim.Ring.clear r;
+  check Alcotest.int "cleared" 0 (Sim.Ring.length r);
+  check Alcotest.int "recorded reset" 0 (Sim.Ring.recorded r);
+  check Alcotest.int "dropped reset" 0 (Sim.Ring.dropped r)
 
 let () =
   Alcotest.run "sim"
@@ -376,8 +375,7 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "record/count" `Quick test_trace;
-          Alcotest.test_case "bounded ring" `Quick test_trace_bounded;
-          Alcotest.test_case "events indexed count" `Quick test_events_indexed_count;
+          Alcotest.test_case "record/count" `Quick test_ring;
+          Alcotest.test_case "bounded ring" `Quick test_ring_bounded;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Unit tests for the Sublayer.Stats instruments, plus one integration
-   check that a lossy ARQ run's retransmit counter agrees with the
-   structured trace. *)
+   check that a lossy ARQ run's retransmit counter agrees with the Notes
+   its runtime records in the tracer. *)
 
 let check = Alcotest.check
 module Stats = Sublayer.Stats
@@ -44,24 +44,6 @@ let test_histograms () =
     "bucket layout"
     [ (1, 2); (2, 2); (4, 1); (8, 1); (512, 1) ]
     (Stats.hist_buckets h)
-
-let test_enabled_switch () =
-  let sc = Stats.scope (Stats.create ()) "arq" in
-  let c = Stats.counter sc "data_sent" in
-  let g = Stats.gauge sc "w" in
-  let h = Stats.histogram sc "d" in
-  Stats.set_enabled false;
-  Fun.protect ~finally:(fun () -> Stats.set_enabled true) (fun () ->
-      Stats.incr c;
-      Stats.add c 10;
-      Stats.set g 5;
-      Stats.observe h 3;
-      check Alcotest.bool "reports disabled" false (Stats.enabled ());
-      check Alcotest.int "counter frozen" 0 (Stats.value c);
-      check Alcotest.int "gauge frozen" 0 (Stats.gauge_value g);
-      check Alcotest.int "histogram frozen" 0 (Stats.hist_count h));
-  Stats.incr c;
-  check Alcotest.int "counts again once re-enabled" 1 (Stats.value c)
 
 let test_unregistered_scope () =
   (* Machines fall back to an unregistered scope when the caller passes
@@ -172,19 +154,19 @@ let test_memo_two_domains () =
   check Alcotest.bool "one value per scope" true
     (Array.for_all2 ( == ) mine theirs)
 
-(* --- Integration: counters vs. the structured trace --- *)
+(* --- Integration: counters vs. the Note instants in the tracer --- *)
 
 let test_arq_retransmits_match_trace () =
-  (* Drive a go-back-n link over a lossy channel with both a trace and a
+  (* Drive a go-back-n link over a lossy channel with both a tracer and a
      stats registry attached; the [arq.retransmissions] counter must
-     agree with the all-time count of "retransmit" trace events, per
-     endpoint. *)
+     agree with the number of "retransmit" Notes the runtime records in
+     the tracer, per endpoint. *)
   let engine = Sim.Engine.create ~seed:7 () in
-  let trace = Sim.Trace.create ~capacity:64 () in
+  let tracer = Sim.Tracer.create () in
   let stats_a = Stats.create ~label:"A" () in
   let stats_b = Stats.create ~label:"B" () in
   let link =
-    Datalink.Stack.link engine ~trace ~stats_a ~stats_b
+    Datalink.Stack.link engine ~tracer ~stats_a ~stats_b
       (Sim.Channel.lossy 0.2) Datalink.Stack.default_spec
   in
   let payloads = List.init 40 (Printf.sprintf "payload %d") in
@@ -195,17 +177,19 @@ let test_arq_retransmits_match_trace () =
   check Alcotest.bool "lossy run actually retransmitted" true
     (counted stats_a > 0);
   (* The stack combinator prefixes machine notes with the sublayer name,
-     so the ARQ's note indexes as "arq-gbn: retransmit". *)
-  check Alcotest.int "A counter matches trace"
-    (Sim.Trace.count trace ~actor:"A" "arq-gbn: retransmit")
-    (counted stats_a);
-  check Alcotest.int "B counter matches trace"
-    (Sim.Trace.count trace ~actor:"B" "arq-gbn: retransmit")
-    (counted stats_b);
-  (* The capacity-64 ring has long since evicted the early entries; the
-     all-time indexed count must not care. *)
-  check Alcotest.bool "trace window is bounded" true
-    (List.length (Sim.Trace.entries trace) <= 64)
+     so the ARQ's note reads "arq-gbn: retransmit ...". *)
+  let notes track =
+    List.length
+      (List.filter
+         (fun (sp : Sim.Tracer.span) ->
+           sp.sp_sublayer = "note" && sp.sp_track = track
+           && String.starts_with ~prefix:"arq-gbn: retransmit" sp.sp_name)
+         (Sim.Tracer.spans tracer))
+  in
+  check Alcotest.int "A counter matches trace" (notes "A") (counted stats_a);
+  check Alcotest.int "B counter matches trace" (notes "B") (counted stats_b);
+  (* The counts above read the ring's window: it must hold the whole run. *)
+  check Alcotest.int "nothing evicted" 0 (Sim.Tracer.dropped tracer)
 
 let () =
   Alcotest.run "stats"
@@ -215,7 +199,6 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "histograms" `Quick test_histograms;
-          Alcotest.test_case "enabled switch" `Quick test_enabled_switch;
           Alcotest.test_case "unregistered scope" `Quick test_unregistered_scope;
         ] );
       ( "memo",

@@ -486,16 +486,42 @@ let test_runtime_halt_mid_apply () =
   check Alcotest.int "no armed timer" 0 (BurstRt.active_timers r);
   check Alcotest.int "no pending event" 0 (Sim.Engine.pending engine)
 
+(* A machine that notes each request half a second after it arrives. *)
+module Noter = struct
+  let name = "noter"
+
+  type t = unit
+  type up_req = string
+  type up_ind = unit
+  type down_req = unit
+  type down_ind = unit
+  type timer = Due of string
+
+  let handle_up_req () m = ((), [ Machine.Set_timer (Due m, 0.5) ])
+  let handle_down_ind () () = ((), [])
+  let handle_timer () (Due m) = ((), [ Machine.Note ("noted " ^ m) ])
+end
+
+module NoterRt = Runtime.Make (Noter)
+
+(* The runtime records each [Note] a step returns in the tracer it was
+   given, as an instant at the current virtual time on the endpoint's
+   track under sublayer "note", and records its own halt the same way. *)
 let test_runtime_trace_notes () =
   let engine = Sim.Engine.create () in
-  let trace = Sim.Trace.create () in
-  let module Rt = Runtime.Make (Echo) in
-  let rt =
-    Rt.create engine ~trace ~name:"e" ~transmit:ignore ~deliver:ignore ()
-  in
-  ignore rt;
-  Sim.Trace.record trace ~time:0. ~actor:"e" "hello";
-  check Alcotest.int "recorded" 1 (Sim.Trace.count trace "hello")
+  let tracer = Sim.Tracer.create () in
+  let rt = NoterRt.create engine ~tracer ~name:"e" ~transmit:ignore ~deliver:ignore () in
+  NoterRt.from_above rt "hello";
+  ignore (Sim.Engine.schedule engine ~after:2.0 (fun () -> NoterRt.halt rt));
+  Sim.Engine.run engine;
+  check
+    Alcotest.(list (pair (pair (float 0.) (float 0.)) (triple string string string)))
+    "two instants"
+    [ ((0.5, 0.5), ("e", "note", "noted hello")); ((2.0, 2.0), ("e", "note", "halted")) ]
+    (List.map
+       (fun (sp : Sim.Tracer.span) ->
+         ((sp.sp_start, sp.sp_end), (sp.sp_track, sp.sp_sublayer, sp.sp_name)))
+       (Sim.Tracer.spans tracer))
 
 (* --- Runtime timers = reference model --- *)
 

@@ -1,6 +1,6 @@
 (* Telemetry: bounded-ring sampling semantics, determinism across shard
-   counts, the disabled-path cost contract, and the per-boundary copy
-   breakdown counters. *)
+   counts, what an absent instrument costs, allocation attribution, and
+   the per-boundary copy breakdown counters. *)
 
 module Telemetry = Sim.Telemetry
 
@@ -239,14 +239,10 @@ let test_on_off_identity () =
       ?telemetry ()
   in
   let t = Telemetry.create () in
-  let on =
-    Sublayer.Alloc.set_enabled true;
-    Fun.protect
-      ~finally:(fun () -> Sublayer.Alloc.set_enabled false)
-      (fun () -> fingerprint ~telemetry:t ())
-  in
+  let on = fingerprint ~telemetry:t () in
   Fingerprint.check_same (fingerprint ()) on;
-  (* The enabled run must have attributed allocation somewhere. *)
+  (* Telemetry with stats attributes allocation, with no switch to turn
+     on: the run must have charged some sublayer's cell. *)
   let attributed =
     List.exists
       (fun s ->
@@ -257,31 +253,88 @@ let test_on_off_identity () =
   in
   check Alcotest.bool "per-sublayer minor words attributed" true attributed
 
-(* --- disabled path ------------------------------------------------------ *)
+(* --- absent instruments --------------------------------------------------- *)
 
-let test_disabled_costs_nothing () =
-  check Alcotest.bool "alloc disabled by default" false (Sublayer.Alloc.enabled ());
-  let reg = Sublayer.Stats.create () in
-  let c = Some (Sublayer.Alloc.cell (Sublayer.Stats.scope reg "osr")) in
-  (* Warm up so any one-time initialisation is done. *)
-  Sublayer.Alloc.cross c;
-  Sublayer.Alloc.enter c;
-  Sublayer.Alloc.exit_ ();
-  let before = int_of_float (Gc.minor_words ()) in
-  for _ = 1 to 10_000 do
-    Sublayer.Alloc.enter c;
-    Sublayer.Alloc.cross c;
-    Sublayer.Alloc.exit_ ()
+(* An endpoint with no monitor and no allocation cells gets the shared
+   inert probes of [Transport.Conform] and [Datalink.Conform]: a crossing
+   calls a no-op, with nothing to check and no cell to charge. *)
+let test_inert_probes_free () =
+  let module T = Transport.Conform in
+  let module D = Datalink.Conform in
+  let osr_rd = T.osr_rd None ~conn:"x"
+  and rd_cm = T.rd_cm None ~conn:"x"
+  and pdu = T.cm_dm None ~conn:"x"
+  and arq_det = D.arq_det None ~key:"x" ~variant:"arq-gbn" ~window:8
+  and det_frm = D.det_frm None ~key:"x"
+  and frm_line = D.frm_line None ~key:"x" in
+  let buf = Bitkit.Wirebuf.of_string "pdu"
+  and sl = Bitkit.Slice.of_string "pdu"
+  and bits = Bitkit.Bitseq.of_string "pdu" in
+  let observe () =
+    osr_rd.T.P_osr_rd.obs_req `Connect;
+    osr_rd.T.P_osr_rd.obs_ind `Established;
+    rd_cm.T.P_rd_cm.obs_req `Close;
+    rd_cm.T.P_rd_cm.obs_ind `Peer_fin;
+    pdu.T.P_pdu.obs_req buf;
+    pdu.T.P_pdu.obs_ind sl;
+    arq_det.D.P_arq_det.obs_req buf;
+    arq_det.D.P_arq_det.obs_ind sl;
+    det_frm.D.P_det_frm.obs_req sl;
+    det_frm.D.P_det_frm.obs_ind sl;
+    frm_line.D.P_frm_line.obs_req bits;
+    frm_line.D.P_frm_line.obs_ind bits
+  in
+  observe ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 50_000 do
+    observe ()
   done;
-  let after = int_of_float (Gc.minor_words ()) in
-  (* The two [Gc.minor_words] reads box a float each; the 30k disabled
-     hooks in between must add nothing. *)
+  let words = Gc.minor_words () -. before in
+  (* the float [Gc.minor_words] returns is the only allocation *)
   check Alcotest.bool
-    (Printf.sprintf "disabled hooks allocation-free (%d words)" (after - before))
-    true
-    (after - before <= 16);
-  check Alcotest.int "nothing attributed" 0
-    (match c with Some c -> Sublayer.Alloc.cell_value c | None -> 0)
+    (Printf.sprintf "%.0f words for 50 000 rounds of 12 crossings" words)
+    true (words <= 2.)
+
+(* A stats-only endpoint has no cells, so its runtime brackets nothing
+   and its probes never cross: run inside an outer bracket, the words
+   the whole exchange allocates stay with the outer cell. An attributed
+   endpoint, run the same way, takes most of them into its own cells. *)
+let test_stats_only_no_alloc () =
+  let outer_share ?telemetry () =
+    let outer = Sublayer.Alloc.cell (Sublayer.Stats.unregistered "outer") in
+    let engine = Sim.Engine.create ~seed:64 () in
+    let stats_a = Sublayer.Stats.create ~label:"A" ()
+    and stats_b = Sublayer.Stats.create ~label:"B" () in
+    let exchange () () =
+      let a, b =
+        Transport.Host.pair engine ~stats_a ~stats_b ?telemetry Sim.Channel.ideal
+      in
+      Transport.Host.listen b ~port:80;
+      let c = Transport.Host.connect a ~remote_port:80 () in
+      Transport.Host.write c (String.make 20_000 'x');
+      Transport.Host.close c;
+      Sim.Engine.run ~until:5. engine
+    in
+    let w0 = Gc.minor_words () in
+    Sublayer.Alloc.bracket (Some outer) exchange () ();
+    let total = Gc.minor_words () -. w0 in
+    let cells =
+      List.exists
+        (fun (k, _) -> Filename.check_suffix k "gc.minor_words")
+        (Sublayer.Stats.snapshot stats_a @ Sublayer.Stats.snapshot stats_b)
+    in
+    (float_of_int (Sublayer.Alloc.cell_value outer) /. total, cells)
+  in
+  let share, cells = outer_share () in
+  check Alcotest.bool "stats only: no cell built" false cells;
+  check Alcotest.bool
+    (Printf.sprintf "stats only: the outer cell took %.4f of the words" share)
+    true (share >= 0.99);
+  let share, cells = outer_share ~telemetry:(Telemetry.create ()) () in
+  check Alcotest.bool "attributed: cells built" true cells;
+  check Alcotest.bool
+    (Printf.sprintf "attributed: the outer cell took %.4f of the words" share)
+    true (share < 0.5)
 
 let test_no_telemetry_no_samples () =
   (* A run without telemetry leaves nothing sampled anywhere: the
@@ -452,8 +505,6 @@ let timer_pair ?(autoread = true) factory =
 let received server = match !server with Some s -> Host.received_length s | None -> 0
 
 let test_timer_owners ~factory ~cm ~below_cm () =
-  Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
   let scopes = [ "osr"; "rd"; cm ] @ below_cm @ [ "app"; "wire" ] in
   (* RD's delayed ack: the server's only timer due before the client's
      RTO; the ack it sends goes down, never up to OSR. *)
@@ -517,8 +568,6 @@ let test_timer_owners ~factory ~cm ~below_cm () =
    leaves the bottom one at zero, and a timer charged to the wrong owner
    leaves the owner at zero. *)
 let test_seam_cells ~factory ~cm ~below_cm () =
-  Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
   let scopes = [ "osr"; "rd"; cm ] @ below_cm @ [ "app"; "wire" ] in
   (* RD's delayed ack goes down through every sublayer below RD and
      never up to OSR. *)
@@ -539,8 +588,6 @@ let test_seam_cells ~factory ~cm ~below_cm () =
    frame: the retransmission goes down through the three sublayers below
    the ARQ, and the ARQ is charged for the fire. *)
 let test_seam_cells_datalink () =
-  Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
   let engine = Sim.Engine.create ~seed:62 () in
   let stats_a = Sublayer.Stats.create ~label:"A" ()
   and stats_b = Sublayer.Stats.create ~label:"B" () in
@@ -564,8 +611,6 @@ let test_seam_cells_datalink () =
    each of its sublayers, and the excursions above and below it, get a
    cell that a one-message exchange charges. *)
 let test_seam_cells_messages () =
-  Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
   let module M = Transport.Tcp_messages in
   let engine = Sim.Engine.create ~seed:63 () in
   let telemetry = Telemetry.create () in
@@ -624,8 +669,10 @@ let () =
         ] );
       ( "disabled",
         [
-          Alcotest.test_case "probe path free" `Quick test_disabled_costs_nothing;
+          Alcotest.test_case "probe path free" `Quick test_inert_probes_free;
           Alcotest.test_case "no samples" `Quick test_no_telemetry_no_samples;
+          Alcotest.test_case "stats-only endpoint makes no Alloc call" `Quick
+            test_stats_only_no_alloc;
         ] );
       ( "timer owners",
         [

@@ -463,24 +463,11 @@ let test_trace_of_finished_span () =
 
 (* --- disabled path --- *)
 
-let test_disabled_records_nothing () =
-  let tracer = Tracer.create () in
-  Tracer.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Tracer.set_enabled true)
-    (fun () ->
-      let ok = transport_run ~loss:0.05 ~seed:5 ~bytes:10_000 tracer in
-      check Alcotest.bool "transfer exact" true ok;
-      check Alcotest.int "nothing recorded" 0 (Tracer.recorded tracer);
-      check Alcotest.int "nothing live" 0 (List.length (Tracer.live_spans tracer)))
-
-(* Every span operation on a disabled ctx, and on a ctx whose tracer is
-   switched off, is a test and a return: these calls sit on every data
-   path, so they must not even build the closure or key they would use. *)
+(* Every span operation on a ctx without a tracer is a test and a
+   return: these calls sit on every data path, so they must not even
+   build the closure or key they would use. *)
 let test_disabled_span_allocates_nothing () =
-  let tracer = Tracer.create () in
-  let off = Sublayer.Span.disabled "rd"
-  and muted = Sublayer.Span.make ~tracer ~now:(fun () -> 0.) ~track:"A" "rd" in
+  let ctx = Sublayer.Span.disabled "rd" in
   let ops ctx =
     Sublayer.Span.instant ctx "frame";
     Sublayer.Span.instant ctx ~trace:3 ~parent:4 ~detail:"dropped" "corrupt";
@@ -502,24 +489,16 @@ let test_disabled_span_allocates_nothing () =
     ignore (Sys.opaque_identity (Sublayer.Span.lookup_local ctx "off:0"));
     ignore (Sys.opaque_identity (Sublayer.Span.take_local ctx "off:0"))
   in
-  Tracer.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Tracer.set_enabled true)
-    (fun () ->
-      List.iter
-        (fun (name, ctx) ->
-          ops ctx;
-          let before = Gc.minor_words () in
-          for _ = 1 to 1_000 do
-            ops ctx
-          done;
-          let words = Gc.minor_words () -. before in
-          (* the float [Gc.minor_words] returns is the only allocation *)
-          check Alcotest.bool
-            (Printf.sprintf "%s: %.0f words for 1 000 rounds" name words)
-            true (words <= 2.))
-        [ ("disabled ctx", off); ("tracer switched off", muted) ]);
-  check Alcotest.int "nothing recorded" 0 (Tracer.recorded tracer)
+  ops ctx;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ops ctx
+  done;
+  let words = Gc.minor_words () -. before in
+  (* the float [Gc.minor_words] returns is the only allocation *)
+  check Alcotest.bool
+    (Printf.sprintf "disabled ctx: %.0f words for 1 000 rounds" words)
+    true (words <= 2.)
 
 let () =
   Alcotest.run "trace"
@@ -549,8 +528,6 @@ let () =
         ] );
       ( "disabled",
         [
-          Alcotest.test_case "disabled tracer records nothing" `Quick
-            test_disabled_records_nothing;
           Alcotest.test_case "disabled spans allocate nothing" `Quick
             test_disabled_span_allocates_nothing;
         ] );

@@ -1555,8 +1555,6 @@ let test_observed_endpoints () =
   check Alcotest.(list string) "tracer: spans tracked by label" labels
     (List.sort_uniq compare
        (List.map (fun sp -> sp.Sim.Tracer.sp_track) (Sim.Tracer.spans tracer)));
-  Sublayer.Alloc.set_enabled true;
-  Fun.protect ~finally:(fun () -> Sublayer.Alloc.set_enabled false) @@ fun () ->
   let names, stats_a = observed_run ~telemetry:(Sim.Telemetry.create ()) () in
   check Alcotest.(list string) "telemetry: no name read" [ "A"; "B" ] names;
   List.iter
@@ -1594,7 +1592,8 @@ let test_host_port_exhaustion () =
   let c = Host.connect host ~local_port:1000 ~remote_port:80 () in
   check Alcotest.int "explicit bind after exhaustion" 1000 (Host.local_port c)
 
-(* The [Note] text of a traced [Tcp_sublayered] connection, pinned: a
+(* The [Note] text of a traced [Tcp_sublayered] connection, pinned as
+   the runtime records it in the tracer (instants under "note"): a
    lossy handshake (one SYN retransmitted), a short write, both closes
    and a final halt. Each level of the stack prefixes its upper or lower
    sublayer's name, so CM's notes climb five prefixes and RD's three. *)
@@ -1621,8 +1620,8 @@ let note_pin =
 
 let test_note_pin () =
   let engine = Sim.Engine.create ~seed:3 () in
-  let trace = Sim.Trace.create () in
-  let ins = Sublayer.Instrument.v ~trace () in
+  let tracer = Sim.Tracer.create () in
+  let ins = Sublayer.Instrument.v ~tracer () in
   let to_a = ref (fun (_ : Bitkit.Slice.t) -> ()) in
   let to_b = ref (fun (_ : Bitkit.Slice.t) -> ()) in
   let ch dir =
@@ -1649,10 +1648,13 @@ let test_note_pin () =
   Sim.Engine.run ~until:60. engine;
   Tcp_sublayered.halt a;
   let got =
-    List.map
-      (fun (e : Sim.Trace.entry) -> (Printf.sprintf "%.6f" e.time, e.actor, e.event))
-      (Sim.Trace.entries trace)
+    List.filter_map
+      (fun (sp : Sim.Tracer.span) ->
+        if sp.sp_sublayer <> "note" then None
+        else Some (Printf.sprintf "%.6f" sp.sp_start, sp.sp_track, sp.sp_name))
+      (Sim.Tracer.spans tracer)
   in
+  check Alcotest.int "nothing evicted" 0 (Sim.Tracer.dropped tracer);
   check Alcotest.(list (triple string string string)) "trace entries" note_pin got
 
 (* --- sublayered vs monolithic behavioural comparison (E12 support) --- *)
