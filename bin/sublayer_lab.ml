@@ -254,6 +254,9 @@ let trace_cmd =
     in
     let ab = ch to_b and ba = ch to_a in
     let received = Buffer.create 1024 in
+    (* The server reads what each [`Data] delivers, as [Host] does, so
+       OSR's receive window reopens. *)
+    let read_b = ref (fun (_ : int) -> ()) in
     let a =
       Transport.Tcp_sublayered.create engine ~ins ~name:"client"
         Transport.Config.default ~local_port:1000 ~remote_port:80
@@ -265,18 +268,23 @@ let trace_cmd =
         Transport.Config.default ~local_port:80 ~remote_port:1000
         ~transmit:(fun s -> Sim.Channel.send ba s)
         ~events:(function
-          | `Data s -> Bitkit.Slice.add_to_buffer received s
+          | `Data s ->
+              Bitkit.Slice.add_to_buffer received s;
+              !read_b (Bitkit.Slice.length s)
           | _ -> ())
     in
     to_a := Transport.Tcp_sublayered.from_wire a;
     to_b := Transport.Tcp_sublayered.from_wire b;
+    read_b := Transport.Tcp_sublayered.read b;
     Transport.Tcp_sublayered.listen b;
     Transport.Tcp_sublayered.connect a;
     Transport.Tcp_sublayered.write a (random_data 2 bytes);
     Transport.Tcp_sublayered.close a;
     Sim.Engine.run ~until:60. engine;
-    Printf.printf "transfer of %d bytes complete (received %d); sublayer trace:\n\n"
-      bytes (Buffer.length received);
+    let got = Buffer.length received in
+    Printf.printf "transfer of %d bytes %s (received %d); sublayer trace:\n\n" bytes
+      (if got = bytes then "complete" else "incomplete")
+      got;
     (* The runtime records each [Note] as an instant under "note". *)
     List.iter
       (fun (sp : Sim.Tracer.span) ->

@@ -5,8 +5,9 @@
     and {!concat} actually move bytes, and each such move is charged to a
     process-wide counter ({!copied_bytes}) so benchmarks can report exact
     bytes-copied-per-packet figures. The record is exposed read-only so
-    readers ({!Bitio.Reader.of_slice}) can be built without a copy; never
-    mutate [base] through other aliases. *)
+    header readers (such as [Transport.Segment.decode_dm_slice]) can
+    load fields straight from [base] without a copy; never mutate [base]
+    through other aliases. *)
 
 type t = private { base : string; off : int; len : int }
 
@@ -57,9 +58,10 @@ val pp : Format.formatter -> t -> unit
 (** {1 Copy accounting} *)
 
 val note_copy : int -> unit
-(** Charge [n] bytes to the copy counter (used by {!Bitio} and channel
-    corruption, which copy through other paths). The counter is atomic,
-    so domains running shards in parallel never lose updates. *)
+(** Charge [n] bytes to the copy counter, for copies made through
+    [Bytes] directly (by {!Blockbuf}, {!Wirebuf} and [Transport.Wire]).
+    The counter is atomic, so domains running shards in parallel never
+    lose updates. *)
 
 val copied_bytes : unit -> int
 val reset_copied : unit -> unit

@@ -14,44 +14,15 @@ type state = {
   cfg : config;
   table : (Addr.t, entry) Hashtbl.t;  (** excludes self *)
   neighbors : (int, Addr.t) Hashtbl.t;
-  mutable dirty : bool;
-  mutable trigger_armed : bool;
+  mutable trigger : Sim.Engine.handle option;
+      (** the armed triggered update, which batches every change made
+          before it fires *)
+  mutable periodic : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
   c_triggered : Sublayer.Stats.counter;
 }
-
-let magic = 0x44 (* 'D' *)
-
-let encode_vector entries =
-  let w = Bitkit.Bitio.Writer.create () in
-  Bitkit.Bitio.Writer.uint8 w magic;
-  Bitkit.Bitio.Writer.uint16 w (List.length entries);
-  List.iter
-    (fun (dst, metric) ->
-      Bitkit.Bitio.Writer.uint32 w dst;
-      Bitkit.Bitio.Writer.uint8 w metric)
-    entries;
-  Bitkit.Bitio.Writer.contents w
-
-let decode_vector s =
-  match
-    let r = Bitkit.Bitio.Reader.of_string s in
-    if Bitkit.Bitio.Reader.uint8 r <> magic then None
-    else begin
-      let count = Bitkit.Bitio.Reader.uint16 r in
-      let entries =
-        List.init count (fun _ ->
-            let dst = Bitkit.Bitio.Reader.uint32 r in
-            let metric = Bitkit.Bitio.Reader.uint8 r in
-            (dst, metric))
-      in
-      Some entries
-    end
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
 
 (* The advertised vector for interface [i]: self at metric 0, every table
    entry at its metric — except routes learned via [i], poisoned to
@@ -70,22 +41,18 @@ let advertise st =
   Hashtbl.iter
     (fun i _ ->
       Sublayer.Stats.incr st.c_sent;
-      st.env.Routing.send i (encode_vector (vector_for st i)))
+      st.env.Routing.send i (Pdu.encode_dv (vector_for st i)))
     st.neighbors
 
 let arm_trigger st =
-  st.dirty <- true;
-  if not st.trigger_armed then begin
-    st.trigger_armed <- true;
-    ignore
-      (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay (fun () ->
-           st.trigger_armed <- false;
-           if st.dirty then begin
-             st.dirty <- false;
+  if Option.is_none st.trigger then
+    st.trigger <-
+      Some
+        (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay
+           (fun () ->
+             st.trigger <- None;
              Sublayer.Stats.incr st.c_triggered;
-             advertise st
-           end))
-  end
+             advertise st))
 
 let set_route st dst metric via =
   match Hashtbl.find_opt st.table dst with
@@ -113,7 +80,7 @@ let neighbor_up st ~ifindex peer =
   | _ -> set_route st peer 1 ifindex);
   (* Give the new neighbor our view immediately. *)
   Sublayer.Stats.incr st.c_sent;
-  st.env.Routing.send ifindex (encode_vector (vector_for st ifindex))
+  st.env.Routing.send ifindex (Pdu.encode_dv (vector_for st ifindex))
 
 let neighbor_down st ~ifindex _peer =
   Hashtbl.remove st.neighbors ifindex;
@@ -122,7 +89,7 @@ let neighbor_down st ~ifindex _peer =
     st.table
 
 let on_pdu st ~ifindex pdu =
-  match decode_vector pdu with
+  match Pdu.decode_dv pdu with
   | None -> Sublayer.Stats.incr st.c_undecodable
   | Some entries ->
       Sublayer.Stats.incr st.c_received;
@@ -153,18 +120,19 @@ let factory ?(config = default_config) () =
       (fun env ->
         let st =
           { env; cfg = config; table = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            dirty = false; trigger_armed = false;
+            trigger = None; periodic = None;
             c_sent = Sublayer.Stats.counter env.Routing.stats "vectors_sent";
             c_received = Sublayer.Stats.counter env.Routing.stats "vectors_received";
             c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
             c_triggered = Sublayer.Stats.counter env.Routing.stats "triggered_updates" }
         in
         let rec periodic () =
-          ignore
-            (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
-               (fun () ->
-                 advertise st;
-                 periodic ()))
+          st.periodic <-
+            Some
+              (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
+                 (fun () ->
+                   advertise st;
+                   periodic ()))
         in
         periodic ();
         {
@@ -173,5 +141,7 @@ let factory ?(config = default_config) () =
           neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
           on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
           routes = (fun () -> routes st);
+          stop =
+            (fun () -> List.iter (Option.iter Sim.Engine.cancel) [ st.periodic; st.trigger ]);
         });
   }

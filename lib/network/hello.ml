@@ -12,9 +12,10 @@ type t = {
   self : Addr.t;
   send : int -> string -> unit;
   notify : event -> unit;
-  mutable interfaces : int list;
   neighbors : (int, neighbor) Hashtbl.t;
-  mutable handles : Sim.Engine.handle list;
+  hello_timers : (int, Sim.Engine.handle) Hashtbl.t;
+      (* the armed HELLO of each interface, replaced on each re-arm *)
+  mutable sweep_timer : Sim.Engine.handle option;
   mutable stopped : bool;
   sent : Sublayer.Stats.counter;
   received : Sublayer.Stats.counter;
@@ -22,38 +23,19 @@ type t = {
   downs : Sublayer.Stats.counter;
 }
 
-let magic = 0x48 (* 'H' *)
-
-let encode self =
-  let w = Bitkit.Bitio.Writer.create () in
-  Bitkit.Bitio.Writer.uint8 w magic;
-  Bitkit.Bitio.Writer.uint32 w self;
-  Bitkit.Bitio.Writer.contents w
-
-let decode s =
-  match
-    let r = Bitkit.Bitio.Reader.of_string s in
-    if Bitkit.Bitio.Reader.uint8 r <> magic then None
-    else Some (Bitkit.Bitio.Reader.uint32 r)
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
-
 let create engine ?stats cfg ~self ~send ~notify =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered "hello"
   in
-  let counted_notify ups downs event =
-    (match event with
-    | Up _ -> Sublayer.Stats.incr ups
-    | Down _ -> Sublayer.Stats.incr downs);
-    notify event
-  in
   let ups = Sublayer.Stats.counter sc "neighbor_ups" in
   let downs = Sublayer.Stats.counter sc "neighbor_downs" in
-  { engine; cfg; self; send; notify = counted_notify ups downs;
-    interfaces = []; neighbors = Hashtbl.create 8;
-    handles = []; stopped = false;
+  let notify event =
+    Sublayer.Stats.incr (match event with Up _ -> ups | Down _ -> downs);
+    notify event
+  in
+  { engine; cfg; self; send; notify;
+    neighbors = Hashtbl.create 8;
+    hello_timers = Hashtbl.create 4; sweep_timer = None; stopped = false;
     sent = Sublayer.Stats.counter sc "hellos_sent";
     received = Sublayer.Stats.counter sc "hellos_received";
     ups; downs }
@@ -62,47 +44,42 @@ let hold t = t.cfg.interval *. Float.of_int t.cfg.hold_multiplier
 
 (* One sweep timer expires dead neighbors; granularity = interval. *)
 let rec arm_sweep t =
-  if not t.stopped then begin
-    let h =
-      Sim.Engine.schedule t.engine ~after:t.cfg.interval (fun () ->
-          let now = Sim.Engine.now t.engine in
-          let dead =
-            Hashtbl.fold
-              (fun ifindex n acc -> if n.deadline < now then (ifindex, n.peer) :: acc else acc)
-              t.neighbors []
-          in
-          List.iter
-            (fun (ifindex, peer) ->
-              Hashtbl.remove t.neighbors ifindex;
-              t.notify (Down { ifindex; peer }))
-            dead;
-          arm_sweep t)
-    in
-    t.handles <- h :: t.handles
-  end
+  if not t.stopped then
+    t.sweep_timer <-
+      Some
+        (Sim.Engine.schedule t.engine ~after:t.cfg.interval (fun () ->
+             let now = Sim.Engine.now t.engine in
+             let dead =
+               Hashtbl.fold
+                 (fun ifindex n acc ->
+                   if n.deadline < now then (ifindex, n.peer) :: acc else acc)
+                 t.neighbors []
+             in
+             List.iter
+               (fun (ifindex, peer) ->
+                 Hashtbl.remove t.neighbors ifindex;
+                 t.notify (Down { ifindex; peer }))
+               dead;
+             arm_sweep t))
 
 let rec arm_hello t ifindex =
-  if not t.stopped then begin
-    let h =
-      Sim.Engine.schedule t.engine ~after:t.cfg.interval (fun () ->
-          Sublayer.Stats.incr t.sent;
-          t.send ifindex (encode t.self);
-          arm_hello t ifindex)
-    in
-    t.handles <- h :: t.handles
-  end
+  if not t.stopped then
+    Hashtbl.replace t.hello_timers ifindex
+      (Sim.Engine.schedule t.engine ~after:t.cfg.interval (fun () ->
+           Sublayer.Stats.incr t.sent;
+           t.send ifindex (Pdu.encode_hello t.self);
+           arm_hello t ifindex))
 
 let add_interface t ifindex =
-  if not (List.mem ifindex t.interfaces) then begin
-    t.interfaces <- ifindex :: t.interfaces;
+  if not (Hashtbl.mem t.hello_timers ifindex) then begin
     Sublayer.Stats.incr t.sent;
-    t.send ifindex (encode t.self);
+    t.send ifindex (Pdu.encode_hello t.self);
     arm_hello t ifindex;
-    if List.length t.interfaces = 1 then arm_sweep t
+    if Option.is_none t.sweep_timer then arm_sweep t
   end
 
 let on_pdu t ~ifindex pdu =
-  match decode pdu with
+  match Pdu.decode_hello pdu with
   | None -> ()
   | Some peer -> (
       Sublayer.Stats.incr t.received;
@@ -124,5 +101,7 @@ let neighbors t =
 
 let stop t =
   t.stopped <- true;
-  List.iter Sim.Engine.cancel t.handles;
-  t.handles <- []
+  Hashtbl.iter (fun _ h -> Sim.Engine.cancel h) t.hello_timers;
+  Hashtbl.reset t.hello_timers;
+  Option.iter Sim.Engine.cancel t.sweep_timer;
+  t.sweep_timer <- None

@@ -1,8 +1,8 @@
 (** Neighbor determination — the lowest network sublayer (Figure 4):
     periodic HELLO messages on every interface, a hold timer per neighbor,
     and up/down notifications to the route-computation sublayer above.
-    Its PDU format (a magic byte plus the sender's address) is owned
-    entirely by this sublayer. *)
+    Its PDU ({!Pdu.encode_hello}: a magic byte plus the sender's address)
+    is read and written by this sublayer alone. *)
 
 type config = {
   interval : float;      (** seconds between HELLOs *)
@@ -36,4 +36,5 @@ val neighbors : t -> (int * Addr.t) list
 (** Currently-alive (ifindex, peer) pairs. *)
 
 val stop : t -> unit
-(** Cancel all timers (end of simulation). *)
+(** Cancel all timers (end of simulation). One timer per interface and
+    one sweep are armed at any time, so this cancels everything. *)

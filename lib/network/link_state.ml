@@ -2,49 +2,23 @@ type config = { refresh_interval : float }
 
 let default_config = { refresh_interval = 5.0 }
 
-type lsp = { origin : Addr.t; seq : int; adj : Addr.t list }
+type lsp = Pdu.lsp = { origin : Addr.t; seq : int; adj : Addr.t list }
 
 type state = {
   env : Routing.env;
-  cfg : config;
   lsdb : (Addr.t, lsp) Hashtbl.t;
   neighbors : (int, Addr.t) Hashtbl.t;  (** alive adjacencies *)
   mutable own_seq : int;
   mutable installed : (Addr.t, int) Hashtbl.t;
+  mutable refresh : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
   c_spf_runs : Sublayer.Stats.counter;
 }
 
-let magic = 0x4C (* 'L' *)
-
-let encode_lsp lsp =
-  let w = Bitkit.Bitio.Writer.create () in
-  Bitkit.Bitio.Writer.uint8 w magic;
-  Bitkit.Bitio.Writer.uint32 w lsp.origin;
-  Bitkit.Bitio.Writer.uint32 w lsp.seq;
-  Bitkit.Bitio.Writer.uint8 w (List.length lsp.adj);
-  List.iter (fun n -> Bitkit.Bitio.Writer.uint32 w n) lsp.adj;
-  Bitkit.Bitio.Writer.contents w
-
-let decode_lsp s =
-  match
-    let r = Bitkit.Bitio.Reader.of_string s in
-    if Bitkit.Bitio.Reader.uint8 r <> magic then None
-    else begin
-      let origin = Bitkit.Bitio.Reader.uint32 r in
-      let seq = Bitkit.Bitio.Reader.uint32 r in
-      let count = Bitkit.Bitio.Reader.uint8 r in
-      let adj = List.init count (fun _ -> Bitkit.Bitio.Reader.uint32 r) in
-      Some { origin; seq; adj }
-    end
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
-
 let flood st ?except lsp =
-  let pdu = encode_lsp lsp in
+  let pdu = Pdu.encode_lsp lsp in
   Hashtbl.iter
     (fun i _ ->
       if Some i <> except then begin
@@ -129,7 +103,7 @@ let neighbor_up st ~ifindex peer =
   Hashtbl.iter
     (fun _ lsp ->
       Sublayer.Stats.incr st.c_sent;
-      st.env.Routing.send ifindex (encode_lsp lsp))
+      st.env.Routing.send ifindex (Pdu.encode_lsp lsp))
     st.lsdb;
   regenerate_own st
 
@@ -138,7 +112,7 @@ let neighbor_down st ~ifindex _peer =
   regenerate_own st
 
 let on_pdu st ~ifindex pdu =
-  match decode_lsp pdu with
+  match Pdu.decode_lsp pdu with
   | None -> Sublayer.Stats.incr st.c_undecodable
   | Some lsp ->
       Sublayer.Stats.incr st.c_received;
@@ -171,21 +145,22 @@ let factory ?(config = default_config) () =
     make =
       (fun env ->
         let st =
-          { env; cfg = config; lsdb = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            own_seq = 0; installed = Hashtbl.create 32;
+          { env; lsdb = Hashtbl.create 32; neighbors = Hashtbl.create 8;
+            own_seq = 0; installed = Hashtbl.create 32; refresh = None;
             c_sent = Sublayer.Stats.counter env.Routing.stats "lsps_sent";
             c_received = Sublayer.Stats.counter env.Routing.stats "lsps_received";
             c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
             c_spf_runs = Sublayer.Stats.counter env.Routing.stats "spf_runs" }
         in
         let rec refresh () =
-          ignore
-            (Sim.Engine.schedule env.Routing.engine ~after:config.refresh_interval
-               (fun () ->
-                 (match Hashtbl.find_opt st.lsdb env.Routing.self with
-                 | Some own -> flood st own
-                 | None -> ());
-                 refresh ()))
+          st.refresh <-
+            Some
+              (Sim.Engine.schedule env.Routing.engine ~after:config.refresh_interval
+                 (fun () ->
+                   (match Hashtbl.find_opt st.lsdb env.Routing.self with
+                   | Some own -> flood st own
+                   | None -> ());
+                   refresh ()))
         in
         refresh ();
         {
@@ -194,5 +169,6 @@ let factory ?(config = default_config) () =
           neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
           on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
           routes = (fun () -> routes st);
+          stop = (fun () -> Option.iter Sim.Engine.cancel st.refresh);
         });
   }

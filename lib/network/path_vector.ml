@@ -16,52 +16,18 @@ type state = {
   cfg : config;
   table : (Addr.t, entry) Hashtbl.t;
   neighbors : (int, Addr.t) Hashtbl.t;
-  mutable dirty : bool;
-  mutable trigger_armed : bool;
+  mutable trigger : Sim.Engine.handle option;
+      (** the armed triggered update, which batches every change made
+          before it fires *)
+  mutable periodic : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
   c_loops_rejected : Sublayer.Stats.counter;
 }
 
-let magic = 0x50 (* 'P' *)
-
-(* PDU: magic, count, then per destination: addr32, path_len:8, addrs. *)
-let encode_vector entries =
-  let w = Bitkit.Bitio.Writer.create () in
-  Bitkit.Bitio.Writer.uint8 w magic;
-  Bitkit.Bitio.Writer.uint16 w (List.length entries);
-  List.iter
-    (fun (dst, path) ->
-      Bitkit.Bitio.Writer.uint32 w dst;
-      Bitkit.Bitio.Writer.uint8 w (List.length path);
-      List.iter (fun a -> Bitkit.Bitio.Writer.uint32 w a) path)
-    entries;
-  Bitkit.Bitio.Writer.contents w
-
-let decode_vector s =
-  match
-    let r = Bitkit.Bitio.Reader.of_string s in
-    if Bitkit.Bitio.Reader.uint8 r <> magic then None
-    else begin
-      let count = Bitkit.Bitio.Reader.uint16 r in
-      let entries =
-        List.init count (fun _ ->
-            let dst = Bitkit.Bitio.Reader.uint32 r in
-            let len = Bitkit.Bitio.Reader.uint8 r in
-            let path = List.init len (fun _ -> Bitkit.Bitio.Reader.uint32 r) in
-            (dst, path))
-      in
-      Some entries
-    end
-  with
-  | v -> v
-  | exception Bitkit.Bitio.Reader.Truncated -> None
-
-(* Our advertisement: ourselves (empty path, meaning "I am the
-   destination") plus every valid route, each with our address prepended
-   by the receiver's perspective — we send the path as-is; the receiver
-   prepends us. *)
+(* Our advertisement: ourselves (the empty path: "I am the destination")
+   plus every valid route's path as-is; the receiver prepends us. *)
 let vector_for st =
   (st.env.Routing.self, [])
   :: Hashtbl.fold
@@ -69,7 +35,7 @@ let vector_for st =
        st.table []
 
 let advertise st =
-  let pdu = encode_vector (vector_for st) in
+  let pdu = Pdu.encode_pv (vector_for st) in
   Hashtbl.iter
     (fun i _ ->
       Sublayer.Stats.incr st.c_sent;
@@ -77,17 +43,13 @@ let advertise st =
     st.neighbors
 
 let arm_trigger st =
-  st.dirty <- true;
-  if not st.trigger_armed then begin
-    st.trigger_armed <- true;
-    ignore
-      (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay (fun () ->
-           st.trigger_armed <- false;
-           if st.dirty then begin
-             st.dirty <- false;
-             advertise st
-           end))
-  end
+  if Option.is_none st.trigger then
+    st.trigger <-
+      Some
+        (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay
+           (fun () ->
+             st.trigger <- None;
+             advertise st))
 
 (* Deterministic preference: shorter path, then smaller next hop. *)
 let better (p1 : Addr.t list) (p2 : Addr.t list) =
@@ -99,12 +61,10 @@ let set_route st dst path via =
   match Hashtbl.find_opt st.table dst with
   | Some e ->
       if (not e.valid) || e.path <> path || e.via <> via then begin
-        let was_valid = e.valid in
         e.path <- path;
         e.via <- via;
         e.valid <- true;
         st.env.Routing.install dst via;
-        ignore was_valid;
         arm_trigger st
       end
   | None ->
@@ -125,14 +85,14 @@ let neighbor_up st ~ifindex peer =
   | Some e when e.valid && List.length e.path <= 1 -> ()
   | _ -> set_route st peer [ peer ] ifindex);
   Sublayer.Stats.incr st.c_sent;
-  st.env.Routing.send ifindex (encode_vector (vector_for st))
+  st.env.Routing.send ifindex (Pdu.encode_pv (vector_for st))
 
 let neighbor_down st ~ifindex _peer =
   Hashtbl.remove st.neighbors ifindex;
   Hashtbl.iter (fun dst e -> if e.via = ifindex then invalidate st dst e) st.table
 
 let on_pdu st ~ifindex pdu =
-  match (decode_vector pdu, Hashtbl.find_opt st.neighbors ifindex) with
+  match (Pdu.decode_pv pdu, Hashtbl.find_opt st.neighbors ifindex) with
   | None, _ -> Sublayer.Stats.incr st.c_undecodable
   | _, None -> ()
   | Some entries, Some neighbor ->
@@ -188,18 +148,19 @@ let factory ?(config = default_config) () =
       (fun env ->
         let st =
           { env; cfg = config; table = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            dirty = false; trigger_armed = false;
+            trigger = None; periodic = None;
             c_sent = Sublayer.Stats.counter env.Routing.stats "vectors_sent";
             c_received = Sublayer.Stats.counter env.Routing.stats "vectors_received";
             c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
             c_loops_rejected = Sublayer.Stats.counter env.Routing.stats "loops_rejected" }
         in
         let rec periodic () =
-          ignore
-            (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
-               (fun () ->
-                 advertise st;
-                 periodic ()))
+          st.periodic <-
+            Some
+              (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
+                 (fun () ->
+                   advertise st;
+                   periodic ()))
         in
         periodic ();
         {
@@ -208,5 +169,7 @@ let factory ?(config = default_config) () =
           neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
           on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
           routes = (fun () -> routes st);
+          stop =
+            (fun () -> List.iter (Option.iter Sim.Engine.cancel) [ st.periodic; st.trigger ]);
         });
   }

@@ -24,14 +24,15 @@ type counters = {
 type t = {
   addr : Addr.t;
   fib : Fib.t;
-  mutable hello : Hello.t option;
-  mutable routing : Routing.instance option;
+  hello : Hello.t;
+  routing : Routing.instance;
   interfaces : (int, frame -> unit) Hashtbl.t;
   mutable next_ifindex : int;
   deliver : Packet.t -> unit;
   ctrs : counters;
   sp : Sublayer.Span.ctx;
   probe : Conform.fib_probe;
+  mutable stopped : bool;
 }
 
 (* Correlation key for one data packet's network transit: every router it
@@ -42,8 +43,8 @@ type t = {
    the same pair, which left the first packet's span open forever. *)
 let pkey (p : Packet.t) = Printf.sprintf "pkt:%d" p.Packet.nonce
 
-let transmit t ifindex frame =
-  match Hashtbl.find_opt t.interfaces ifindex with
+let transmit interfaces ifindex frame =
+  match Hashtbl.find_opt interfaces ifindex with
   | Some send -> send frame
   | None -> ()
 
@@ -75,11 +76,9 @@ let create engine ?(hello_config = Hello.default_config) ?stats ?tracer
           ~track:(Addr.to_string addr) "router"
     | None -> Sublayer.Span.disabled "router"
   in
-  let t =
-    { addr; fib = Fib.create ~stats:(in_scope "fib") (); hello = None;
-      routing = None; interfaces = Hashtbl.create 4; next_ifindex = 0; deliver;
-      ctrs; sp; probe = Conform.fib monitors ~key:(Addr.to_string addr) }
-  in
+  let fib = Fib.create ~stats:(in_scope "fib") () in
+  let probe = Conform.fib monitors ~key:(Addr.to_string addr) in
+  let interfaces = Hashtbl.create 4 in
   let proto_scope = in_scope routing.Routing.protocol in
   let installed = Sublayer.Stats.counter proto_scope "routes_installed" in
   let uninstalled = Sublayer.Stats.counter proto_scope "routes_uninstalled" in
@@ -87,19 +86,19 @@ let create engine ?(hello_config = Hello.default_config) ?stats ?tracer
     {
       Routing.engine;
       self = addr;
-      send = (fun i pdu -> transmit t i (Routing_pdu pdu));
+      send = (fun i pdu -> transmit interfaces i (Routing_pdu pdu));
       install =
         (fun dst ifindex ->
           Sublayer.Stats.incr installed;
-          let before = Fib.size t.fib in
-          Fib.insert t.fib (Addr.host dst) ifindex;
-          t.probe.Conform.obs_insert ~fresh:(Fib.size t.fib > before));
+          let before = Fib.size fib in
+          Fib.insert fib (Addr.host dst) ifindex;
+          probe.Conform.obs_insert ~fresh:(Fib.size fib > before));
       uninstall =
         (fun dst ->
           Sublayer.Stats.incr uninstalled;
-          let before = Fib.size t.fib in
-          Fib.remove t.fib (Addr.host dst);
-          t.probe.Conform.obs_remove ~removed:(Fib.size t.fib < before));
+          let before = Fib.size fib in
+          Fib.remove fib (Addr.host dst);
+          probe.Conform.obs_remove ~removed:(Fib.size fib < before));
       stats = proto_scope;
     }
   in
@@ -110,16 +109,15 @@ let create engine ?(hello_config = Hello.default_config) ?stats ?tracer
   in
   let hello =
     Hello.create engine hello_config ~stats:(in_scope "hello") ~self:addr
-      ~send:(fun i pdu -> transmit t i (Hello_pdu pdu))
+      ~send:(fun i pdu -> transmit interfaces i (Hello_pdu pdu))
       ~notify
   in
-  t.hello <- Some hello;
-  t.routing <- Some instance;
-  t
+  { addr; fib; hello; routing = instance; interfaces; next_ifindex = 0; deliver; ctrs;
+    sp; probe; stopped = false }
 
 let addr t = t.addr
 let fib t = t.fib
-let routing t = Option.get t.routing
+let routing t = t.routing
 let stats t =
   {
     forwarded = Sublayer.Stats.value t.ctrs.c_forwarded;
@@ -128,13 +126,13 @@ let stats t =
     no_route = Sublayer.Stats.value t.ctrs.c_no_route;
     ttl_expired = Sublayer.Stats.value t.ctrs.c_ttl_expired;
   }
-let neighbors t = Hello.neighbors (Option.get t.hello)
+let neighbors t = Hello.neighbors t.hello
 
 let add_interface t ~transmit:send =
   let ifindex = t.next_ifindex in
   t.next_ifindex <- ifindex + 1;
   Hashtbl.replace t.interfaces ifindex send;
-  Hello.add_interface (Option.get t.hello) ifindex;
+  Hello.add_interface t.hello ifindex;
   ifindex
 
 (* The forwarding data path: local delivery, FIB lookup, TTL handling.
@@ -179,14 +177,16 @@ let route t packet =
                 ~trace:(Sublayer.Span.trace_of_id t.sp ~id)
                 ~detail:("ttl=" ^ string_of_int packet.Packet.ttl) "forward"
             end;
-            transmit t ifindex (Data packet))
+            transmit t.interfaces ifindex (Data packet))
   end
 
+(* A stopped router drops whatever was still in flight to it. *)
 let on_frame t ~ifindex frame =
-  match frame with
-  | Hello_pdu pdu -> Hello.on_pdu (Option.get t.hello) ~ifindex pdu
-  | Routing_pdu pdu -> (routing t).Routing.on_pdu ~ifindex pdu
-  | Data packet -> route t packet
+  if not t.stopped then
+    match frame with
+    | Hello_pdu pdu -> Hello.on_pdu t.hello ~ifindex pdu
+    | Routing_pdu pdu -> t.routing.Routing.on_pdu ~ifindex pdu
+    | Data packet -> route t packet
 
 let originate t ~dst payload =
   Sublayer.Stats.incr t.ctrs.c_originated;
@@ -200,4 +200,7 @@ let originate t ~dst payload =
   end;
   route t packet
 
-let stop t = Hello.stop (Option.get t.hello)
+let stop t =
+  t.stopped <- true;
+  Hello.stop t.hello;
+  t.routing.Routing.stop ()

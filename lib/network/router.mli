@@ -69,3 +69,6 @@ val stats : t -> stats
 (** Snapshot of the forwarding-path counters (fresh record per call). *)
 
 val stop : t -> unit
+(** Stop neighbor determination and route computation, cancelling every
+    timer they armed. A stopped router sends nothing more and drops
+    frames that arrive afterwards. *)

@@ -4,6 +4,7 @@ type instance = {
   neighbor_down : ifindex:int -> Addr.t -> unit;
   on_pdu : ifindex:int -> string -> unit;
   routes : unit -> (Addr.t * int) list;
+  stop : unit -> unit;
 }
 
 type env = {

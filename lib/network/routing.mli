@@ -16,6 +16,9 @@ type instance = {
       (** A routing PDU arriving from the neighbor on [ifindex]. *)
   routes : unit -> (Addr.t * int) list;
       (** Current (destination, interface) view, for inspection. *)
+  stop : unit -> unit;
+      (** Cancel the protocol's periodic and triggered timers: a stopped
+          instance advertises nothing more. *)
 }
 
 type env = {

@@ -1,5 +1,4 @@
 type link = {
-  ends : int * int;
   fwd : Router.frame Sim.Channel.t;  (* low node -> high node *)
   rev : Router.frame Sim.Channel.t;
   mutable saved : Sim.Channel.config;
@@ -11,7 +10,6 @@ type node = { router : Router.t; received : Packet.t Queue.t }
 type t = {
   engine : Sim.Engine.t;
   nodes : node array;
-  links : (int * int) list ref;
   link_tbl : (int * int, link) Hashtbl.t;
 }
 
@@ -35,13 +33,14 @@ let grid w h =
   in
   horizontal @ vertical
 
+let norm (a, b) = if a < b then (a, b) else (b, a)
+
 let random ~n ~extra ~seed =
   let rng = Bitkit.Rng.create seed in
   (* Random spanning tree: attach each node to a random earlier one. *)
   let tree = List.init (n - 1) (fun i -> (Bitkit.Rng.int rng (i + 1), i + 1)) in
   (* The complete graph bounds how many chords can exist at all. *)
   let extra = min extra ((n * (n - 1) / 2) - (n - 1)) in
-  let norm (a, b) = if a < b then (a, b) else (b, a) in
   let mem edges e = List.mem (norm e) (List.map norm edges) in
   let rec chords k edges =
     if k = 0 then edges
@@ -52,8 +51,6 @@ let random ~n ~extra ~seed =
     end
   in
   chords extra tree
-
-let norm (a, b) = if a < b then (a, b) else (b, a)
 
 let build engine ?(channel = Sim.Channel.ideal) ?(ins = Sublayer.Instrument.none)
     ~routing ~n edges =
@@ -77,7 +74,7 @@ let build engine ?(channel = Sim.Channel.ideal) ?(ins = Sublayer.Instrument.none
         { router; received })
   in
   let link_tbl = Hashtbl.create (List.length edges) in
-  let t = { engine; nodes; links = ref []; link_tbl } in
+  let t = { engine; nodes; link_tbl } in
   List.iter
     (fun e ->
       let a, b = norm e in
@@ -110,8 +107,7 @@ let build engine ?(channel = Sim.Channel.ideal) ?(ins = Sublayer.Instrument.none
       in
       Sublayer.Link.attach lab (fun f -> Router.on_frame nodes.(b).router ~ifindex:if_b f);
       Sublayer.Link.attach lba (fun f -> Router.on_frame nodes.(a).router ~ifindex:if_a f);
-      Hashtbl.replace link_tbl (a, b) { ends = (a, b); fwd; rev; saved = channel; up = true };
-      t.links := (a, b) :: !(t.links))
+      Hashtbl.replace link_tbl (a, b) { fwd; rev; saved = channel; up = true })
     edges;
   t
 
@@ -177,9 +173,8 @@ let reference_distances ~n edges =
   done;
   d
 
-(* Map (node, ifindex) back to the node at the other end of that
-   interface's link. Interface indices are assigned in edge order, so we
-   reconstruct the mapping by replaying edge construction order. *)
+(* The node at the other end of [node]'s interface [ifindex], as its
+   hello sublayer last heard it. *)
 let neighbor_of t node ifindex =
   match List.assoc_opt ifindex (Router.neighbors t.nodes.(node).router) with
   | Some peer_addr ->

@@ -75,3 +75,5 @@ val routing_traffic_bytes : t -> int
 (** Total control-plane bytes (hello + routing PDUs) sent so far. *)
 
 val stop : t -> unit
+(** {!Router.stop} every router: once the deliveries in flight have
+    landed, the topology leaves no event pending. *)

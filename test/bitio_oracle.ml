@@ -1,9 +1,11 @@
-(* Reference oracle for [Bitkit.Bitio]'s word-level fields: the
-   bit-at-a-time writer and reader they replaced, kept as they were (one
-   [bit] call per field bit, the bound checked bit by bit) because each
-   step is easy to check by eye. Property tests hold the library's writer
-   and reader to these, byte for byte and value for value. Only the
-   operations the properties compare are kept. *)
+(* The bit codec the test oracles are written in: a bit-at-a-time writer
+   and reader (one [bit] call per field bit, the bound checked bit by
+   bit), so that each step is easy to check by eye. [Codec_oracle]
+   writes every header of the libraries with it, field by field, and
+   property tests hold the libraries' store-based writers and in-place
+   readers to those codecs. A multi-bit field is MSB first, and the
+   writer keeps the low [width] bits of a value, whatever lies above
+   them. *)
 
 module Writer = struct
   type t = {
@@ -71,6 +73,20 @@ module Writer = struct
 
   let bit_length t = t.total
 
+  (* RFC 1071 over the bytes written so far, one byte at a time: an even
+     byte is a word's high half, an odd one its low half. *)
+  let internet_checksum t =
+    if t.nbits <> 0 then invalid_arg "Bitio_oracle.Writer.internet_checksum";
+    let sum = ref 0 in
+    for i = 0 to t.len - 1 do
+      let b = Char.code (Bytes.get t.buf i) in
+      sum := !sum + if i land 1 = 0 then b lsl 8 else b
+    done;
+    while !sum lsr 16 <> 0 do
+      sum := (!sum land 0xFFFF) + (!sum lsr 16)
+    done;
+    lnot !sum land 0xFFFF
+
   let contents t =
     if t.nbits = 0 then Bytes.sub_string t.buf 0 t.len
     else begin
@@ -86,10 +102,7 @@ module Reader = struct
 
   exception Truncated
 
-  let of_slice (sl : Bitkit.Slice.t) =
-    { base = sl.Bitkit.Slice.base;
-      pos = 8 * sl.Bitkit.Slice.off;
-      limit = 8 * (sl.Bitkit.Slice.off + sl.Bitkit.Slice.len) }
+  let of_string base = { base; pos = 0; limit = 8 * String.length base }
 
   let bit t =
     if t.pos >= t.limit then raise Truncated;
@@ -105,4 +118,15 @@ module Reader = struct
       v := (!v lsl 1) lor (if bit t then 1 else 0)
     done;
     !v
+
+  let uint8 t = bits t 8
+  let uint16 t = bits t 16
+  let uint32 t = bits t 32
+  let remaining_bits t = t.limit - t.pos
+
+  let bytes t n =
+    if t.pos land 7 <> 0 then invalid_arg "Bitio_oracle.Reader.bytes: not byte-aligned";
+    String.init n (fun _ -> Char.chr (bits t 8))
+
+  let rest t = bytes t (remaining_bits t / 8)
 end

@@ -1,16 +1,17 @@
-(* Reference oracle for every header codec in [Transport] and
-   [Datalink]: Figure 6's DM, CM, RD and OSR, the RFC 793 header of
-   [Transport.Wire], the ARQ PDU and [Transport.Msg]'s header. These are
-   the [Bitkit.Bitio] writers and readers the libraries replaced, kept as
-   they were (one writer or reader call per field, masking left to
-   [Bitio], a short input caught as [Truncated]) because each reads as
-   its field list itself. Property tests hold the libraries'
-   store-based writers and in-place readers to these, byte for byte and
-   field for field. *)
+(* Reference oracle for every header and PDU codec in [Transport],
+   [Datalink] and [Network]: Figure 6's DM, CM, RD and OSR, the RFC 793
+   header of [Transport.Wire], the ARQ PDU, [Transport.Msg]'s header and
+   the HELLO, DV, LS and PV PDUs of Figure 4. These are the bit-codec
+   writers and readers the libraries replaced, kept as they were (one
+   writer or reader call per field, masking left to the bit writer, a
+   short input caught as [Truncated]) because each reads as its field
+   list itself; they now run on the bit-at-a-time [Bitio_oracle].
+   Property tests hold the libraries' store-based writers and in-place
+   readers to these, byte for byte and field for field. *)
 
 open Transport.Segment
-module W = Bitkit.Bitio.Writer
-module R = Bitkit.Bitio.Reader
+module W = Bitio_oracle.Writer
+module R = Bitio_oracle.Reader
 
 let catch_truncated f = match f () with v -> Some v | exception R.Truncated -> None
 
@@ -127,7 +128,7 @@ module Wire = struct
   open Transport.Wire
 
   let encode t ~payload =
-    let w = W.create ~size:(header_bytes + String.length payload) () in
+    let w = W.create () in
     W.uint16 w t.src_port;
     W.uint16 w t.dst_port;
     W.uint32 w (t.seq land 0xFFFFFFFF);
@@ -234,4 +235,88 @@ module Msg = struct
 
   let encode_header = encode write_header
   let decode_header = decode read_header
+end
+
+(* The network PDUs of Figure 4: a magic byte, then the sublayer's own
+   fields; bytes after the PDU are ignored. *)
+module Pdu = struct
+  let encode write =
+    let w = W.create () in
+    write w;
+    W.contents w
+
+  let decode magic read s =
+    catch_truncated (fun () ->
+        let r = R.of_string s in
+        if R.uint8 r <> magic then None else Some (read r))
+    |> Option.join
+
+  (* Hello: magic:8 self:32 *)
+
+  let encode_hello self =
+    encode (fun w ->
+        W.uint8 w 0x48;
+        W.uint32 w self)
+
+  let decode_hello = decode 0x48 R.uint32
+
+  (* DV: magic:8 count:16, then dst:32 metric:8 per entry *)
+
+  let encode_dv entries =
+    encode (fun w ->
+        W.uint8 w 0x44;
+        W.uint16 w (List.length entries);
+        List.iter
+          (fun (dst, metric) ->
+            W.uint32 w dst;
+            W.uint8 w metric)
+          entries)
+
+  let decode_dv =
+    decode 0x44 (fun r ->
+        let count = R.uint16 r in
+        List.init count (fun _ ->
+            let dst = R.uint32 r in
+            let metric = R.uint8 r in
+            (dst, metric)))
+
+  (* LS: magic:8 origin:32 seq:32 count:8, then adj:32 per neighbour *)
+
+  let encode_lsp { Network.Pdu.origin; seq; adj } =
+    encode (fun w ->
+        W.uint8 w 0x4C;
+        W.uint32 w origin;
+        W.uint32 w seq;
+        W.uint8 w (List.length adj);
+        List.iter (W.uint32 w) adj)
+
+  let decode_lsp =
+    decode 0x4C (fun r ->
+        let origin = R.uint32 r in
+        let seq = R.uint32 r in
+        let count = R.uint8 r in
+        let adj = List.init count (fun _ -> R.uint32 r) in
+        { Network.Pdu.origin; seq; adj })
+
+  (* PV: magic:8 count:16, then dst:32 len:8 and len * addr:32 per entry *)
+
+  let encode_pv entries =
+    encode (fun w ->
+        W.uint8 w 0x50;
+        W.uint16 w (List.length entries);
+        List.iter
+          (fun (dst, path) ->
+            W.uint32 w dst;
+            W.uint8 w (List.length path);
+            List.iter (W.uint32 w) path)
+          entries)
+
+  let decode_pv =
+    decode 0x50 (fun r ->
+        let count = R.uint16 r in
+        List.init count (fun _ ->
+            let dst = R.uint32 r in
+            let len = R.uint8 r in
+            let path = List.init len (fun _ -> R.uint32 r) in
+            (dst, path)))
 end

@@ -183,10 +183,7 @@ let test_hello_up_down () =
     ignore
       (Sim.Engine.at engine ~time:t (fun () ->
            if not !lost then begin
-             let w = Bitkit.Bitio.Writer.create () in
-             Bitkit.Bitio.Writer.uint8 w 0x48;
-             Bitkit.Bitio.Writer.uint32 w (Addr.node 1);
-             Hello.on_pdu h ~ifindex:0 (Bitkit.Bitio.Writer.contents w);
+             Hello.on_pdu h ~ifindex:0 (Pdu.encode_hello (Addr.node 1));
              peer_hello (t +. 1.0)
            end))
   in
@@ -213,6 +210,104 @@ let test_hello_ignores_garbage () =
   Hello.on_pdu h ~ifindex:0 "junk";
   Hello.on_pdu h ~ifindex:0 "";
   check Alcotest.int "no events" 0 !events
+
+(* --- PDU codecs: one store writer and one in-place reader each, held
+   to the bit-codec references in [Codec_oracle.Pdu] --- *)
+
+module CP = Codec_oracle.Pdu
+
+let addr_gen = QCheck2.Gen.(0 -- 0xFFFFFFFF)
+let path_gen = QCheck2.Gen.(list_size (0 -- 8) addr_gen)
+let dv_gen = QCheck2.Gen.(list_size (0 -- 20) (pair addr_gen (0 -- 255)))
+
+let lsp_gen =
+  QCheck2.Gen.(
+    map3
+      (fun origin seq adj -> { Pdu.origin; seq; adj })
+      addr_gen addr_gen (list_size (0 -- 20) addr_gen))
+
+let pv_gen = QCheck2.Gen.(list_size (0 -- 10) (pair addr_gen path_gen))
+
+(* Random bytes, often behind one of the four magic bytes. *)
+let garbage_gen =
+  QCheck2.Gen.(
+    map2
+      (fun first rest -> match first with Some c -> String.make 1 c ^ rest | None -> rest)
+      (option (oneofl [ 'H'; 'D'; 'L'; 'P' ]))
+      (string_size ~gen:char (0 -- 40)))
+
+(* Each decoder paired with its reference, compared on one input; a
+   decoder that raised would fail the property. *)
+let decoders_agree s =
+  Pdu.decode_hello s = CP.decode_hello s
+  && Pdu.decode_dv s = CP.decode_dv s
+  && Pdu.decode_lsp s = CP.decode_lsp s
+  && Pdu.decode_pv s = CP.decode_pv s
+
+(* The whole PDU, each of its strict prefixes, and the PDU with trailing
+   bytes must decode as the reference does. *)
+let prefixes_and_tail_agree s tail =
+  decoders_agree (s ^ tail)
+  && List.for_all (fun cut -> decoders_agree (String.sub s 0 cut))
+       (List.init (String.length s) Fun.id)
+
+let pdu_props =
+  let tail = QCheck2.Gen.(string_size ~gen:char (0 -- 8)) in
+  let codec name gen ~encode ~oracle ~decode =
+    [ qtest (name ^ ": writer = reference bytes") gen (fun v -> encode v = oracle v);
+      qtest (name ^ ": reader inverts the writer") gen (fun v -> decode (encode v) = Some v);
+      qtest (name ^ ": prefixes and trailing bytes, readers agree")
+        (QCheck2.Gen.pair gen tail)
+        (fun (v, tail) -> prefixes_and_tail_agree (encode v) tail) ]
+  in
+  codec "hello" addr_gen ~encode:Pdu.encode_hello ~oracle:CP.encode_hello
+    ~decode:Pdu.decode_hello
+  @ codec "dv" dv_gen ~encode:Pdu.encode_dv ~oracle:CP.encode_dv ~decode:Pdu.decode_dv
+  @ codec "ls" lsp_gen ~encode:Pdu.encode_lsp ~oracle:CP.encode_lsp ~decode:Pdu.decode_lsp
+  @ codec "pv" pv_gen ~encode:Pdu.encode_pv ~oracle:CP.encode_pv ~decode:Pdu.decode_pv
+  @ [ qtest ~count:1000 "garbage: no reader raises, readers agree" garbage_gen
+        decoders_agree ]
+
+(* Fields wider than their widths are masked exactly as the reference's
+   bit writer masks them, count fields included. *)
+let test_pdu_masking () =
+  let wide = [ -1; 0x1_2345_6789; min_int; 300 ] in
+  List.iter
+    (fun v ->
+      check Alcotest.string "hello" (CP.encode_hello v) (Pdu.encode_hello v);
+      check Alcotest.string "dv" (CP.encode_dv [ (v, v) ]) (Pdu.encode_dv [ (v, v) ]);
+      let lsp = { Pdu.origin = v; seq = v; adj = [ v ] } in
+      check Alcotest.string "ls" (CP.encode_lsp lsp) (Pdu.encode_lsp lsp);
+      check Alcotest.string "pv" (CP.encode_pv [ (v, [ v ]) ]) (Pdu.encode_pv [ (v, [ v ]) ]))
+    wide;
+  let adj = List.init 300 Fun.id in
+  let lsp = { Pdu.origin = 1; seq = 2; adj } in
+  check Alcotest.string "ls count keeps its low 8 bits" (CP.encode_lsp lsp)
+    (Pdu.encode_lsp lsp);
+  let path = List.init 256 Fun.id in
+  check Alcotest.string "pv len keeps its low 8 bits" (CP.encode_pv [ (7, path) ])
+    (Pdu.encode_pv [ (7, path) ])
+
+(* A count the buffer cannot hold is rejected before any list is built:
+   the cost of the rejection does not grow with the count. *)
+let test_pdu_lying_counts () =
+  let ls_lie = "\x4c" ^ String.make 8 '\000' ^ "\xff" in
+  let lies =
+    [ ("dv", fun () -> Pdu.decode_dv "\x44\xff\xff" = None);
+      ("pv", fun () -> Pdu.decode_pv "\x50\xff\xff" = None);
+      ("ls", fun () -> Pdu.decode_lsp ls_lie = None) ]
+  in
+  List.iter
+    (fun (name, reject) ->
+      check Alcotest.bool (name ^ " rejected") true (reject ());
+      let calls = 100 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (reject ()))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int calls in
+      if words > 8. then Alcotest.failf "%s: %.1f minor words per rejection" name words)
+    lies
 
 (* --- Routing protocols over topologies (E2) --- *)
 
@@ -371,6 +466,44 @@ let test_router_stats () =
   check Alcotest.int "originated by 0" 1 (Router.stats (Topology.router net 0)).Router.originated;
   Topology.stop net
 
+(* After [Topology.stop] a converged network sends nothing more: hello,
+   routing and their triggers are cancelled, the deliveries in flight at
+   stop land on stopped routers, and the engine runs dry. *)
+let test_stop_quiesces () =
+  List.iter
+    (fun (pname, routing) ->
+      let engine, net, t = build_and_converge ~seed:33 routing 10 (Topology.ring 10) in
+      check Alcotest.bool (pname ^ " converged") true (t <> None);
+      Topology.stop net;
+      let bytes = Topology.routing_traffic_bytes net in
+      let in_flight = Sim.Engine.pending engine in
+      let fired = Sim.Engine.events_fired engine in
+      Sim.Engine.run ~until:(Sim.Engine.now engine +. 600.) engine;
+      check Alcotest.int (pname ^ ": no PDU sent after stop") bytes
+        (Topology.routing_traffic_bytes net);
+      check Alcotest.int (pname ^ ": nothing pending") 0 (Sim.Engine.pending engine);
+      check Alcotest.bool (pname ^ ": only the deliveries in flight fired") true
+        (Sim.Engine.events_fired engine - fired <= in_flight))
+    protocols
+
+(* Hello keeps one handle per armed timer, so a long-running network's
+   live heap stays flat instead of growing with every HELLO sent. *)
+let test_hello_memory_flat () =
+  let engine, net, _ =
+    build_and_converge ~seed:33 (Link_state.factory ()) 10 (Topology.ring 10)
+  in
+  let t0 = Sim.Engine.now engine in
+  let live_at dt =
+    Sim.Engine.run ~until:(t0 +. dt) engine;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let early = live_at 1000. in
+  let late = live_at 4000. in
+  Topology.stop net;
+  if abs (late - early) >= 1000 then
+    Alcotest.failf "live words %d at +1000 s, %d at +4000 s" early late
+
 let () =
   Alcotest.run "network"
     [
@@ -400,7 +533,15 @@ let () =
         [
           Alcotest.test_case "up/down lifecycle" `Quick test_hello_up_down;
           Alcotest.test_case "garbage ignored" `Quick test_hello_ignores_garbage;
+          Alcotest.test_case "live heap stays flat" `Quick test_hello_memory_flat;
         ] );
+      ( "pdu",
+        pdu_props
+        @ [
+            Alcotest.test_case "fields masked to their widths" `Quick test_pdu_masking;
+            Alcotest.test_case "lying counts rejected in constant words" `Quick
+              test_pdu_lying_counts;
+          ] );
       ( "routing",
         [
           Alcotest.test_case "convergence (E2)" `Slow test_convergence_canonical_topologies;
@@ -411,5 +552,6 @@ let () =
           Alcotest.test_case "ttl bounds transients" `Quick test_ttl_prevents_loops;
           Alcotest.test_case "dv = ls = pv outcomes (E2)" `Slow test_dv_and_ls_agree;
           Alcotest.test_case "router stats" `Quick test_router_stats;
+          Alcotest.test_case "stop quiesces the network" `Quick test_stop_quiesces;
         ] );
     ]
