@@ -18,9 +18,9 @@ let () =
   let n = 8 in
   let edges = Network.Topology.ring 8 in
   let net = Network.Topology.build engine ~routing ~n edges in
+  let module P = (val routing : Network.Routing.S) in
   (match Network.Topology.converge net with
-  | Some t -> Printf.printf "network converged (%s) at t=%.1fs\n"
-                routing.Network.Routing.protocol t
+  | Some t -> Printf.printf "network converged (%s) at t=%.1fs\n" P.name t
   | None -> failwith "no convergence");
 
   (* Attach transport hosts at nodes 0 and 4: TCP segments become packet

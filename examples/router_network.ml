@@ -13,7 +13,8 @@ let () =
     | _ :: "ls" :: _ -> Network.Link_state.factory ()
     | _ -> Network.Distance_vector.factory ()
   in
-  Printf.printf "routing protocol: %s\n" routing.Network.Routing.protocol;
+  let module P = (val routing : Network.Routing.S) in
+  Printf.printf "routing protocol: %s\n" P.name;
 
   let engine = Sim.Engine.create ~seed:11 () in
   let n = 12 in

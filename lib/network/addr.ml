@@ -18,7 +18,6 @@ let to_string a =
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 let equal = Int.equal
-let compare = Int.compare
 
 let node i = (10 lsl 24) lor (i land 0xFFFF)
 

@@ -15,7 +15,6 @@ val of_string : string -> t
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val node : int -> t
 (** [node i] is the conventional address of simulated node [i]

@@ -1,8 +1,9 @@
-(* Conformance observation for the router⇄FIB T2 interface. Unlike the
-   transport and data-link boundaries this one is direct function calls,
-   not a machine stack, so the probe is a record of observation closures
-   the router invokes at its own call sites: route-computation writes
-   (install/uninstall) and data-path reads (lookup). *)
+(* Conformance observation for the route-computation⇄forwarding T2
+   interface. The FIB is forwarding's own table, so whether a write was
+   fresh or a lookup hit is known only inside forwarding: the probe is a
+   record of observation closures forwarding invokes at its own call
+   sites, route-computation writes (install/uninstall) and data-path
+   reads (lookup). *)
 
 type fib_probe = {
   obs_insert : fresh:bool -> unit;

@@ -1,7 +1,8 @@
 (** Conformance observation for the router⇄FIB T2 interface (the only
-    coupling between route computation and forwarding). The router calls
-    these closures at its FIB call sites; with no registry they are
-    no-ops, so a monitored and an unmonitored router behave identically.
+    coupling between route computation and forwarding). Forwarding
+    calls these closures at its FIB call sites, inside the sublayer
+    whose table the FIB is; with no registry they are no-ops, so a
+    monitored and an unmonitored router behave identically.
 
     The spec ({!Monitor.Specs.fib}) tracks the table size through
     observed writes and flags a forwarding hit claimed against an empty

@@ -10,14 +10,14 @@ let default_config =
 type entry = { mutable metric : int; mutable via : int }
 
 type state = {
-  env : Routing.env;
   cfg : config;
+  self : Addr.t;
+  port : Routing.port;
   table : (Addr.t, entry) Hashtbl.t;  (** excludes self *)
   neighbors : (int, Addr.t) Hashtbl.t;
-  mutable trigger : Sim.Engine.handle option;
-      (** the armed triggered update, which batches every change made
+  mutable triggered : bool;
+      (** a triggered update is armed; it batches every change made
           before it fires *)
-  mutable periodic : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
@@ -35,24 +35,20 @@ let vector_for st i =
         (dst, metric) :: acc)
       st.table []
   in
-  (st.env.Routing.self, 0) :: entries
+  (st.self, 0) :: entries
 
 let advertise st =
   Hashtbl.iter
     (fun i _ ->
       Sublayer.Stats.incr st.c_sent;
-      st.env.Routing.send i (Pdu.encode_dv (vector_for st i)))
+      Routing.send st.port i (Pdu.encode_dv (vector_for st i)))
     st.neighbors
 
 let arm_trigger st =
-  if Option.is_none st.trigger then
-    st.trigger <-
-      Some
-        (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay
-           (fun () ->
-             st.trigger <- None;
-             Sublayer.Stats.incr st.c_triggered;
-             advertise st))
+  if not st.triggered then begin
+    st.triggered <- true;
+    Routing.set_timer st.port Routing.Trigger st.cfg.triggered_delay
+  end
 
 let set_route st dst metric via =
   match Hashtbl.find_opt st.table dst with
@@ -62,14 +58,14 @@ let set_route st dst metric via =
         e.metric <- metric;
         e.via <- via;
         let reachable = metric < st.cfg.infinity_metric in
-        if reachable then st.env.Routing.install dst via
-        else if was_reachable then st.env.Routing.uninstall dst;
+        if reachable then Routing.install st.port dst via
+        else if was_reachable then Routing.uninstall st.port dst;
         arm_trigger st
       end
   | None ->
       Hashtbl.replace st.table dst { metric; via };
       if metric < st.cfg.infinity_metric then begin
-        st.env.Routing.install dst via;
+        Routing.install st.port dst via;
         arm_trigger st
       end
 
@@ -80,7 +76,7 @@ let neighbor_up st ~ifindex peer =
   | _ -> set_route st peer 1 ifindex);
   (* Give the new neighbor our view immediately. *)
   Sublayer.Stats.incr st.c_sent;
-  st.env.Routing.send ifindex (Pdu.encode_dv (vector_for st ifindex))
+  Routing.send st.port ifindex (Pdu.encode_dv (vector_for st ifindex))
 
 let neighbor_down st ~ifindex _peer =
   Hashtbl.remove st.neighbors ifindex;
@@ -95,7 +91,7 @@ let on_pdu st ~ifindex pdu =
       Sublayer.Stats.incr st.c_received;
       List.iter
         (fun (dst, metric) ->
-          if not (Addr.equal dst st.env.Routing.self) then begin
+          if not (Addr.equal dst st.self) then begin
             let cost = min (metric + 1) st.cfg.infinity_metric in
             match Hashtbl.find_opt st.table dst with
             | Some e when e.via = ifindex ->
@@ -107,41 +103,32 @@ let on_pdu st ~ifindex pdu =
           end)
         entries
 
-let routes st =
-  Hashtbl.fold
-    (fun dst e acc -> if e.metric < st.cfg.infinity_metric then (dst, e.via) :: acc else acc)
-    st.table []
-  |> List.sort compare
+let start st = Routing.set_timer st.port Routing.Periodic st.cfg.advertise_interval
+
+let on_timer st = function
+  | Routing.Periodic ->
+      advertise st;
+      start st
+  | Routing.Trigger ->
+      st.triggered <- false;
+      Sublayer.Stats.incr st.c_triggered;
+      advertise st
 
 let factory ?(config = default_config) () =
-  {
-    Routing.protocol = "distance-vector";
-    make =
-      (fun env ->
-        let st =
-          { env; cfg = config; table = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            trigger = None; periodic = None;
-            c_sent = Sublayer.Stats.counter env.Routing.stats "vectors_sent";
-            c_received = Sublayer.Stats.counter env.Routing.stats "vectors_received";
-            c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
-            c_triggered = Sublayer.Stats.counter env.Routing.stats "triggered_updates" }
-        in
-        let rec periodic () =
-          st.periodic <-
-            Some
-              (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
-                 (fun () ->
-                   advertise st;
-                   periodic ()))
-        in
-        periodic ();
-        {
-          Routing.rname = "distance-vector";
-          neighbor_up = (fun ~ifindex peer -> neighbor_up st ~ifindex peer);
-          neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
-          on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
-          routes = (fun () -> routes st);
-          stop =
-            (fun () -> List.iter (Option.iter Sim.Engine.cancel) [ st.periodic; st.trigger ]);
-        });
-  }
+  (module Routing.Make (struct
+    let name = "distance-vector"
+
+    type t = state
+
+    let initial sc self =
+      { cfg = config; self; port = Routing.port sc; table = Hashtbl.create 32;
+        neighbors = Hashtbl.create 8; triggered = false;
+        c_sent = Sublayer.Stats.counter sc "vectors_sent";
+        c_received = Sublayer.Stats.counter sc "vectors_received";
+        c_undecodable = Sublayer.Stats.counter sc "undecodable";
+        c_triggered = Sublayer.Stats.counter sc "triggered_updates" }
+
+    let port st = st.port
+    let start, neighbor_up, neighbor_down, on_pdu, on_timer =
+      (start, neighbor_up, neighbor_down, on_pdu, on_timer)
+  end) : Routing.S)

@@ -1,6 +1,6 @@
-(** Distance-vector route computation (RIP-style Bellman–Ford) behind the
-    {!Routing.factory} interface: split horizon with poisoned reverse,
-    triggered updates, infinity = 16. *)
+(** Distance-vector route computation (RIP-style Bellman–Ford) as a
+    {!Routing.S}: split horizon with poisoned reverse, triggered updates,
+    infinity = 16. *)
 
 type config = {
   advertise_interval : float;

@@ -107,9 +107,3 @@ let entries t =
       | 0 -> Int.compare a.Addr.len b.Addr.len
       | c -> c)
     !acc
-
-let clear t =
-  t.root.hop <- None;
-  t.root.zero <- None;
-  t.root.one <- None;
-  t.count <- 0

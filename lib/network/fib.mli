@@ -24,5 +24,3 @@ val lookup : t -> Addr.t -> int option
 val size : t -> int
 val entries : t -> (Addr.prefix * int) list
 (** Sorted by (prefix net, len). *)
-
-val clear : t -> unit

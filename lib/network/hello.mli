@@ -1,8 +1,14 @@
-(** Neighbor determination — the lowest network sublayer (Figure 4):
-    periodic HELLO messages on every interface, a hold timer per neighbor,
-    and up/down notifications to the route-computation sublayer above.
-    Its PDU ({!Pdu.encode_hello}: a magic byte plus the sender's address)
-    is read and written by this sublayer alone. *)
+(** Neighbor determination — the lowest network sublayer (Figure 4) — as
+    a {!Sublayer.Compose.SUBLAYER}: a HELLO on every attached interface
+    each interval, a hold deadline per neighbor, and up/down events to
+    the route-computation sublayer above. Its PDU ({!Pdu.encode_hello}:
+    a magic byte plus the sender's address) is read and written by this
+    sublayer alone; every other frame passes through it untouched.
+
+    Its timers belong to the runtime that runs it: one per interface for
+    the next HELLO and one sweep, armed at the first interface, that
+    expires the neighbors whose deadline passed. Halting the runtime
+    stops them. *)
 
 type config = {
   interval : float;      (** seconds between HELLOs *)
@@ -11,30 +17,26 @@ type config = {
 
 val default_config : config
 
-type event = Up of { ifindex : int; peer : Addr.t } | Down of { ifindex : int; peer : Addr.t }
+type wire = Start | Attach of int | Frame of int * Packet.frame
+(** What reaches the router from below: it starts (passed up as
+    {!Started}), a link is attached as an interface, a frame arrives on
+    one. *)
 
-type t
+type event =
+  | Started | Neighbor_up of int * Addr.t | Neighbor_down of int * Addr.t
+  | Received of int * Packet.frame  (** any frame but a HELLO *)
 
-val create :
-  Sim.Engine.t ->
-  ?stats:Sublayer.Stats.scope ->
-  config ->
-  self:Addr.t ->
-  send:(int -> string -> unit) ->
-  notify:(event -> unit) ->
-  t
+include
+  Sublayer.Compose.SUBLAYER
+    with type up_req = int * Packet.frame
+     and type up_ind = event
+     and type down_req = int * Packet.frame
+     and type down_ind = wire
+
+val initial :
+  ?stats:Sublayer.Stats.scope -> config -> self:Addr.t -> now:(unit -> float) -> t
 (** Counters (when [stats] is given): [hellos_sent], [hellos_received],
-    [neighbor_ups], [neighbor_downs]. *)
-
-val add_interface : t -> int -> unit
-(** Start HELLOs on an interface. *)
-
-val on_pdu : t -> ifindex:int -> string -> unit
-(** A HELLO PDU received on an interface. Malformed PDUs are ignored. *)
+    [neighbor_ups], [neighbor_downs]. Malformed HELLOs are ignored. *)
 
 val neighbors : t -> (int * Addr.t) list
 (** Currently-alive (ifindex, peer) pairs. *)
-
-val stop : t -> unit
-(** Cancel all timers (end of simulation). One timer per interface and
-    one sweep are armed at any time, so this cancels everything. *)

@@ -5,12 +5,13 @@ let default_config = { refresh_interval = 5.0 }
 type lsp = Pdu.lsp = { origin : Addr.t; seq : int; adj : Addr.t list }
 
 type state = {
-  env : Routing.env;
+  cfg : config;
+  self : Addr.t;
+  port : Routing.port;
   lsdb : (Addr.t, lsp) Hashtbl.t;
   neighbors : (int, Addr.t) Hashtbl.t;  (** alive adjacencies *)
   mutable own_seq : int;
   mutable installed : (Addr.t, int) Hashtbl.t;
-  mutable refresh : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
@@ -23,7 +24,7 @@ let flood st ?except lsp =
     (fun i _ ->
       if Some i <> except then begin
         Sublayer.Stats.incr st.c_sent;
-        st.env.Routing.send i pdu
+        Routing.send st.port i pdu
       end)
     st.neighbors
 
@@ -34,7 +35,7 @@ let spf st =
     match Hashtbl.find_opt st.lsdb a with Some l -> l.adj | None -> []
   in
   let two_way a b = List.mem b (adjacency a) && List.mem a (adjacency b) in
-  let self = st.env.Routing.self in
+  let self = st.self in
   let first_hop = Hashtbl.create 32 in
   let visited = Hashtbl.create 32 in
   Hashtbl.replace visited self ();
@@ -82,17 +83,17 @@ let recompute st =
     (fun dst i ->
       match Hashtbl.find_opt st.installed dst with
       | Some j when j = i -> ()
-      | _ -> st.env.Routing.install dst i)
+      | _ -> Routing.install st.port dst i)
     next;
   Hashtbl.iter
-    (fun dst _ -> if not (Hashtbl.mem next dst) then st.env.Routing.uninstall dst)
+    (fun dst _ -> if not (Hashtbl.mem next dst) then Routing.uninstall st.port dst)
     st.installed;
   st.installed <- next
 
 let regenerate_own st =
   st.own_seq <- st.own_seq + 1;
   let adj = Hashtbl.fold (fun _ p acc -> p :: acc) st.neighbors [] in
-  let lsp = { origin = st.env.Routing.self; seq = st.own_seq; adj } in
+  let lsp = { origin = st.self; seq = st.own_seq; adj } in
   Hashtbl.replace st.lsdb lsp.origin lsp;
   flood st lsp;
   recompute st
@@ -103,7 +104,7 @@ let neighbor_up st ~ifindex peer =
   Hashtbl.iter
     (fun _ lsp ->
       Sublayer.Stats.incr st.c_sent;
-      st.env.Routing.send ifindex (Pdu.encode_lsp lsp))
+      Routing.send st.port ifindex (Pdu.encode_lsp lsp))
     st.lsdb;
   regenerate_own st
 
@@ -116,7 +117,7 @@ let on_pdu st ~ifindex pdu =
   | None -> Sublayer.Stats.incr st.c_undecodable
   | Some lsp ->
       Sublayer.Stats.incr st.c_received;
-      if Addr.equal lsp.origin st.env.Routing.self then begin
+      if Addr.equal lsp.origin st.self then begin
         (* A stale copy of our own LSP is circulating; outbid it. *)
         if lsp.seq >= st.own_seq then begin
           st.own_seq <- lsp.seq;
@@ -136,39 +137,27 @@ let on_pdu st ~ifindex pdu =
         end
       end
 
-let routes st =
-  Hashtbl.fold (fun dst i acc -> (dst, i) :: acc) st.installed [] |> List.sort compare
+let start st = Routing.set_timer st.port Routing.Periodic st.cfg.refresh_interval
+
+let on_timer st _ =
+  (match Hashtbl.find_opt st.lsdb st.self with Some own -> flood st own | None -> ());
+  start st
 
 let factory ?(config = default_config) () =
-  {
-    Routing.protocol = "link-state";
-    make =
-      (fun env ->
-        let st =
-          { env; lsdb = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            own_seq = 0; installed = Hashtbl.create 32; refresh = None;
-            c_sent = Sublayer.Stats.counter env.Routing.stats "lsps_sent";
-            c_received = Sublayer.Stats.counter env.Routing.stats "lsps_received";
-            c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
-            c_spf_runs = Sublayer.Stats.counter env.Routing.stats "spf_runs" }
-        in
-        let rec refresh () =
-          st.refresh <-
-            Some
-              (Sim.Engine.schedule env.Routing.engine ~after:config.refresh_interval
-                 (fun () ->
-                   (match Hashtbl.find_opt st.lsdb env.Routing.self with
-                   | Some own -> flood st own
-                   | None -> ());
-                   refresh ()))
-        in
-        refresh ();
-        {
-          Routing.rname = "link-state";
-          neighbor_up = (fun ~ifindex peer -> neighbor_up st ~ifindex peer);
-          neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
-          on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
-          routes = (fun () -> routes st);
-          stop = (fun () -> Option.iter Sim.Engine.cancel st.refresh);
-        });
-  }
+  (module Routing.Make (struct
+    let name = "link-state"
+
+    type t = state
+
+    let initial sc self =
+      { cfg = config; self; port = Routing.port sc; lsdb = Hashtbl.create 32;
+        neighbors = Hashtbl.create 8; own_seq = 0; installed = Hashtbl.create 32;
+        c_sent = Sublayer.Stats.counter sc "lsps_sent";
+        c_received = Sublayer.Stats.counter sc "lsps_received";
+        c_undecodable = Sublayer.Stats.counter sc "undecodable";
+        c_spf_runs = Sublayer.Stats.counter sc "spf_runs" }
+
+    let port st = st.port
+    let start, neighbor_up, neighbor_down, on_pdu, on_timer =
+      (start, neighbor_up, neighbor_down, on_pdu, on_timer)
+  end) : Routing.S)

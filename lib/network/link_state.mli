@@ -1,4 +1,4 @@
-(** Link-state route computation behind the {!Routing.factory} interface:
+(** Link-state route computation as a {!Routing.S}:
     sequence-numbered LSP flooding, database sync on adjacency-up, and
     shortest-path-first (unit-cost Dijkstra = BFS) with a two-way
     connectivity check. Experiment E2 swaps this against

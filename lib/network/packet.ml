@@ -20,6 +20,6 @@ let decrement_ttl p = if p.ttl <= 1 then None else Some { p with ttl = p.ttl - 1
 
 let size p = 12 + Bitkit.Slice.length p.payload
 
-let pp fmt p =
-  Format.fprintf fmt "%a -> %a ttl=%d (%d bytes)" Addr.pp p.src Addr.pp p.dst p.ttl
-    (Bitkit.Slice.length p.payload)
+type frame = Hello_pdu of string | Routing_pdu of string | Data of t
+
+let frame_size = function Hello_pdu s | Routing_pdu s -> String.length s | Data p -> size p

@@ -3,7 +3,7 @@
     Test T3 for the network sublayers holds because they use "completely
     different packets (e.g., LSPs versus IP packets), not merely different
     headers in the same packet": {!t} is the data-plane packet; hello and
-    routing PDUs travel as distinct frame kinds (see {!Router.frame}). *)
+    routing PDUs travel as distinct frame kinds ({!frame}). *)
 
 type t = {
   src : Addr.t;
@@ -28,4 +28,8 @@ val decrement_ttl : t -> t option
 val size : t -> int
 (** Approximate on-wire bytes (fixed 12-byte header + payload). *)
 
-val pp : Format.formatter -> t -> unit
+type frame = Hello_pdu of string | Routing_pdu of string | Data of t
+(** What a link between two routers carries: neighbour determination's
+    PDU, route computation's PDU or a data packet. *)
+
+val frame_size : frame -> int

@@ -12,14 +12,14 @@ let default_config =
 type entry = { mutable path : Addr.t list; mutable via : int; mutable valid : bool }
 
 type state = {
-  env : Routing.env;
   cfg : config;
+  self : Addr.t;
+  port : Routing.port;
   table : (Addr.t, entry) Hashtbl.t;
   neighbors : (int, Addr.t) Hashtbl.t;
-  mutable trigger : Sim.Engine.handle option;
-      (** the armed triggered update, which batches every change made
+  mutable triggered : bool;
+      (** a triggered update is armed; it batches every change made
           before it fires *)
-  mutable periodic : Sim.Engine.handle option;
   c_sent : Sublayer.Stats.counter;
   c_received : Sublayer.Stats.counter;
   c_undecodable : Sublayer.Stats.counter;
@@ -29,7 +29,7 @@ type state = {
 (* Our advertisement: ourselves (the empty path: "I am the destination")
    plus every valid route's path as-is; the receiver prepends us. *)
 let vector_for st =
-  (st.env.Routing.self, [])
+  (st.self, [])
   :: Hashtbl.fold
        (fun dst e acc -> if e.valid then (dst, e.path) :: acc else acc)
        st.table []
@@ -39,17 +39,14 @@ let advertise st =
   Hashtbl.iter
     (fun i _ ->
       Sublayer.Stats.incr st.c_sent;
-      st.env.Routing.send i pdu)
+      Routing.send st.port i pdu)
     st.neighbors
 
 let arm_trigger st =
-  if Option.is_none st.trigger then
-    st.trigger <-
-      Some
-        (Sim.Engine.schedule st.env.Routing.engine ~after:st.cfg.triggered_delay
-           (fun () ->
-             st.trigger <- None;
-             advertise st))
+  if not st.triggered then begin
+    st.triggered <- true;
+    Routing.set_timer st.port Routing.Trigger st.cfg.triggered_delay
+  end
 
 (* Deterministic preference: shorter path, then smaller next hop. *)
 let better (p1 : Addr.t list) (p2 : Addr.t list) =
@@ -64,18 +61,18 @@ let set_route st dst path via =
         e.path <- path;
         e.via <- via;
         e.valid <- true;
-        st.env.Routing.install dst via;
+        Routing.install st.port dst via;
         arm_trigger st
       end
   | None ->
       Hashtbl.replace st.table dst { path; via; valid = true };
-      st.env.Routing.install dst via;
+      Routing.install st.port dst via;
       arm_trigger st
 
 let invalidate st dst e =
   if e.valid then begin
     e.valid <- false;
-    st.env.Routing.uninstall dst;
+    Routing.uninstall st.port dst;
     arm_trigger st
   end
 
@@ -85,7 +82,7 @@ let neighbor_up st ~ifindex peer =
   | Some e when e.valid && List.length e.path <= 1 -> ()
   | _ -> set_route st peer [ peer ] ifindex);
   Sublayer.Stats.incr st.c_sent;
-  st.env.Routing.send ifindex (Pdu.encode_pv (vector_for st))
+  Routing.send st.port ifindex (Pdu.encode_pv (vector_for st))
 
 let neighbor_down st ~ifindex _peer =
   Hashtbl.remove st.neighbors ifindex;
@@ -99,12 +96,12 @@ let on_pdu st ~ifindex pdu =
       Sublayer.Stats.incr st.c_received;
       List.iter
         (fun (dst, path) ->
-          if not (Addr.equal dst st.env.Routing.self) then begin
+          if not (Addr.equal dst st.self) then begin
             let candidate = neighbor :: path in
             (* structural loop prevention: never accept a path through
                ourselves, and bound path length *)
             if
-              (not (List.exists (Addr.equal st.env.Routing.self) path))
+              (not (List.exists (Addr.equal st.self) path))
               && List.length candidate <= st.cfg.max_path
             then begin
               match Hashtbl.find_opt st.table dst with
@@ -137,39 +134,31 @@ let on_pdu st ~ifindex pdu =
           then invalidate st dst e)
         st.table
 
-let routes st =
-  Hashtbl.fold (fun dst e acc -> if e.valid then (dst, e.via) :: acc else acc) st.table []
-  |> List.sort compare
+let start st = Routing.set_timer st.port Routing.Periodic st.cfg.advertise_interval
+
+let on_timer st = function
+  | Routing.Periodic ->
+      advertise st;
+      start st
+  | Routing.Trigger ->
+      st.triggered <- false;
+      advertise st
 
 let factory ?(config = default_config) () =
-  {
-    Routing.protocol = "path-vector";
-    make =
-      (fun env ->
-        let st =
-          { env; cfg = config; table = Hashtbl.create 32; neighbors = Hashtbl.create 8;
-            trigger = None; periodic = None;
-            c_sent = Sublayer.Stats.counter env.Routing.stats "vectors_sent";
-            c_received = Sublayer.Stats.counter env.Routing.stats "vectors_received";
-            c_undecodable = Sublayer.Stats.counter env.Routing.stats "undecodable";
-            c_loops_rejected = Sublayer.Stats.counter env.Routing.stats "loops_rejected" }
-        in
-        let rec periodic () =
-          st.periodic <-
-            Some
-              (Sim.Engine.schedule env.Routing.engine ~after:config.advertise_interval
-                 (fun () ->
-                   advertise st;
-                   periodic ()))
-        in
-        periodic ();
-        {
-          Routing.rname = "path-vector";
-          neighbor_up = (fun ~ifindex peer -> neighbor_up st ~ifindex peer);
-          neighbor_down = (fun ~ifindex peer -> neighbor_down st ~ifindex peer);
-          on_pdu = (fun ~ifindex pdu -> on_pdu st ~ifindex pdu);
-          routes = (fun () -> routes st);
-          stop =
-            (fun () -> List.iter (Option.iter Sim.Engine.cancel) [ st.periodic; st.trigger ]);
-        });
-  }
+  (module Routing.Make (struct
+    let name = "path-vector"
+
+    type t = state
+
+    let initial sc self =
+      { cfg = config; self; port = Routing.port sc; table = Hashtbl.create 32;
+        neighbors = Hashtbl.create 8; triggered = false;
+        c_sent = Sublayer.Stats.counter sc "vectors_sent";
+        c_received = Sublayer.Stats.counter sc "vectors_received";
+        c_undecodable = Sublayer.Stats.counter sc "undecodable";
+        c_loops_rejected = Sublayer.Stats.counter sc "loops_rejected" }
+
+    let port st = st.port
+    let start, neighbor_up, neighbor_down, on_pdu, on_timer =
+      (start, neighbor_up, neighbor_down, on_pdu, on_timer)
+  end) : Routing.S)

@@ -1,5 +1,5 @@
-(** Path-vector route computation (BGP-style) behind the same
-    {!Routing.factory} interface as {!Distance_vector} and {!Link_state}
+(** Path-vector route computation (BGP-style), a {!Routing.S} like
+    {!Distance_vector} and {!Link_state}
     — the third interchangeable mechanism for the route-computation
     sublayer of Figure 4.
 

@@ -1,8 +1,5 @@
-type frame = Hello_pdu of string | Routing_pdu of string | Data of Packet.t
-
-let frame_size = function
-  | Hello_pdu s | Routing_pdu s -> String.length s
-  | Data p -> Packet.size p
+module Compose = Sublayer.Compose
+module I = Sublayer.Instrument
 
 type stats = {
   mutable forwarded : int;
@@ -21,20 +18,6 @@ type counters = {
   c_ttl_expired : Sublayer.Stats.counter;
 }
 
-type t = {
-  addr : Addr.t;
-  fib : Fib.t;
-  hello : Hello.t;
-  routing : Routing.instance;
-  interfaces : (int, frame -> unit) Hashtbl.t;
-  mutable next_ifindex : int;
-  deliver : Packet.t -> unit;
-  ctrs : counters;
-  sp : Sublayer.Span.ctx;
-  probe : Conform.fib_probe;
-  mutable stopped : bool;
-}
-
 (* Correlation key for one data packet's network transit: every router it
    crosses can rebuild the key from the packet alone, so the origin's
    "transit" span is closed by whichever router terminates the packet
@@ -43,22 +26,139 @@ type t = {
    the same pair, which left the first packet's span open forever. *)
 let pkey (p : Packet.t) = Printf.sprintf "pkt:%d" p.Packet.nonce
 
-let transmit interfaces ifindex frame =
-  match Hashtbl.find_opt interfaces ifindex with
-  | Some send -> send frame
-  | None -> ()
+(* Forwarding, the top sublayer: the FIB, which only route computation's
+   indications write, and the data path, which only reads it. *)
+module Forwarding = struct
+  let name = "forwarding"
+  let scope = "router"
 
-let create engine ?(hello_config = Hello.default_config) ?stats ?tracer
-    ?monitors ~addr ~routing ~deliver () =
+  type t = {
+    addr : Addr.t;
+    fib : Fib.t;
+    ctrs : counters;
+    sp : Sublayer.Span.ctx;
+    probe : Conform.fib_probe;
+  }
+
+  type up_req = Addr.t * Bitkit.Slice.t
+  type up_ind = Packet.t
+  type down_req = int * Packet.frame
+  type down_ind = Routing.ind
+  type timer = Sublayer.Machine.Nothing.t
+
+  (* Local delivery, FIB lookup, TTL handling. Route computation is
+     invisible here except through the FIB. *)
+  let route t packet =
+    if Addr.equal packet.Packet.dst t.addr then begin
+      Sublayer.Stats.incr t.ctrs.c_delivered;
+      if Sublayer.Span.active t.sp then
+        ignore
+          (Sublayer.Span.close_id t.sp
+             ~id:(Sublayer.Span.take t.sp (pkey packet))
+             ~detail:"delivered" ());
+      [ Sublayer.Machine.Up packet ]
+    end
+    else begin
+      let next = Fib.lookup t.fib packet.Packet.dst in
+      t.probe.Conform.obs_lookup ~hit:(next <> None);
+      match next with
+      | None ->
+          Sublayer.Stats.incr t.ctrs.c_no_route;
+          if Sublayer.Span.active t.sp then
+            ignore
+              (Sublayer.Span.close_id t.sp
+                 ~id:(Sublayer.Span.take t.sp (pkey packet))
+                 ~detail:"no_route" ());
+          []
+      | Some ifindex -> (
+          match Packet.decrement_ttl packet with
+          | None ->
+              Sublayer.Stats.incr t.ctrs.c_ttl_expired;
+              if Sublayer.Span.active t.sp then
+                ignore
+                  (Sublayer.Span.close_id t.sp
+                     ~id:(Sublayer.Span.take t.sp (pkey packet))
+                     ~detail:"ttl_expired" ());
+              []
+          | Some packet ->
+              Sublayer.Stats.incr t.ctrs.c_forwarded;
+              if Sublayer.Span.active t.sp then begin
+                (* Lookup, not take: the transit span stays bound until a
+                   terminating router closes it. *)
+                let id = Sublayer.Span.lookup t.sp (pkey packet) in
+                Sublayer.Span.instant t.sp ~parent:id
+                  ~trace:(Sublayer.Span.trace_of_id t.sp ~id)
+                  ~detail:("ttl=" ^ string_of_int packet.Packet.ttl) "forward"
+              end;
+              [ Sublayer.Machine.Down (ifindex, Packet.Data packet) ])
+    end
+
+  let handle_up_req t (dst, payload) =
+    Sublayer.Stats.incr t.ctrs.c_originated;
+    let packet = Packet.make ~src:t.addr ~dst payload in
+    if Sublayer.Span.active t.sp then begin
+      let id =
+        Sublayer.Span.start_free t.sp ~trace:(Sublayer.Span.fresh_trace t.sp) "transit"
+      in
+      Sublayer.Span.bind t.sp (pkey packet) id
+    end;
+    (t, route t packet)
+
+  let handle_down_ind t = function
+    | Routing.Install (dst, ifindex) ->
+        let before = Fib.size t.fib in
+        Fib.insert t.fib (Addr.host dst) ifindex;
+        t.probe.Conform.obs_insert ~fresh:(Fib.size t.fib > before);
+        (t, [])
+    | Routing.Uninstall dst ->
+        let before = Fib.size t.fib in
+        Fib.remove t.fib (Addr.host dst);
+        t.probe.Conform.obs_remove ~removed:(Fib.size t.fib < before);
+        (t, [])
+    | Routing.Data packet -> (t, route t packet)
+
+  let handle_timer _ tm = Sublayer.Machine.Nothing.absurd tm
+end
+
+(* The taps of the two seams carry no monitor yet: they charge each
+   crossing to the allocation cells on either side, so under telemetry
+   every sublayer pays for its own words. *)
+module Tap (M : sig type req type ind end) = struct
+  include Sublayer.Machine.Probe (struct include M let name = "mon" end)
+
+  let make ?alloc _ ~conn:_ =
+    let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc ignore ignore in
+    { obs_req; obs_ind }
+end
+
+module P_fwd = Tap (struct type req = int * Packet.frame type ind = Routing.ind end)
+module P_hello = Tap (struct type req = int * Packet.frame type ind = Hello.event end)
+
+type t = {
+  fib : Fib.t;
+  ctrs : counters;
+  interfaces : (int, Packet.frame -> unit) Hashtbl.t;
+  mutable next_ifindex : int;
+  from_below : Hello.wire -> unit;
+  from_above : Addr.t * Bitkit.Slice.t -> unit;
+  neighbors : unit -> (int * Addr.t) list;
+  halt : unit -> unit;
+}
+
+let create engine ?(hello_config = Hello.default_config) ?(ins = I.none) ~addr ~routing
+    ~deliver () =
+  let module P = (val routing : Routing.S) in
+  let module L = Compose.Seam (P) (P_hello) (Compose.Last (Hello)) in
+  let module S = Compose.Seam (Forwarding) (P_fwd) (L) in
+  let module R = Compose.Run (S) in
   (* One scope per network sublayer: forwarding ("router"), the FIB, the
      hello machinery, and the route-computation protocol under its own
      name — T3's separation applied to the counters. *)
   let in_scope sub =
-    match stats with
-    | Some reg -> Sublayer.Stats.scope reg sub
-    | None -> Sublayer.Stats.unregistered sub
+    match I.scope ins sub with Some sc -> sc | None -> Sublayer.Stats.unregistered sub
   in
-  let rsc = in_scope "router" in
+  let name = Addr.to_string addr and now () = Sim.Engine.now engine in
+  let rsc = in_scope Forwarding.scope in
   let ctrs =
     {
       c_forwarded = Sublayer.Stats.counter rsc "forwarded";
@@ -69,55 +169,33 @@ let create engine ?(hello_config = Hello.default_config) ?stats ?tracer
     }
   in
   let sp =
-    match tracer with
-    | Some tr ->
-        Sublayer.Span.make ~tracer:tr ~stats:rsc
-          ~now:(fun () -> Sim.Engine.now engine)
-          ~track:(Addr.to_string addr) "router"
-    | None -> Sublayer.Span.disabled "router"
+    Option.value (I.span ins ~now ~track:name Forwarding.scope)
+      ~default:(Sublayer.Span.disabled Forwarding.scope)
   in
   let fib = Fib.create ~stats:(in_scope "fib") () in
-  let probe = Conform.fib monitors ~key:(Addr.to_string addr) in
+  let probe = Conform.fib ins.I.monitors ~key:name in
   let interfaces = Hashtbl.create 4 in
-  let proto_scope = in_scope routing.Routing.protocol in
-  let installed = Sublayer.Stats.counter proto_scope "routes_installed" in
-  let uninstalled = Sublayer.Stats.counter proto_scope "routes_uninstalled" in
-  let env =
-    {
-      Routing.engine;
-      self = addr;
-      send = (fun i pdu -> transmit interfaces i (Routing_pdu pdu));
-      install =
-        (fun dst ifindex ->
-          Sublayer.Stats.incr installed;
-          let before = Fib.size fib in
-          Fib.insert fib (Addr.host dst) ifindex;
-          probe.Conform.obs_insert ~fresh:(Fib.size fib > before));
-      uninstall =
-        (fun dst ->
-          Sublayer.Stats.incr uninstalled;
-          let before = Fib.size fib in
-          Fib.remove fib (Addr.host dst);
-          probe.Conform.obs_remove ~removed:(Fib.size fib < before));
-      stats = proto_scope;
-    }
+  let transmit (ifindex, frame) =
+    match Hashtbl.find_opt interfaces ifindex with Some send -> send frame | None -> ()
   in
-  let instance = routing.Routing.make env in
-  let notify = function
-    | Hello.Up { ifindex; peer } -> instance.Routing.neighbor_up ~ifindex peer
-    | Hello.Down { ifindex; peer } -> instance.Routing.neighbor_down ~ifindex peer
+  let r =
+    R.create engine ~ins ~name ~transmit ~deliver
+      ( { Forwarding.addr; fib; ctrs; sp; probe },
+        P_fwd.make,
+        ( P.initial (in_scope P.scope) addr,
+          P_hello.make,
+          Hello.initial ~stats:(in_scope Hello.scope) hello_config ~self:addr ~now ) )
   in
-  let hello =
-    Hello.create engine hello_config ~stats:(in_scope "hello") ~self:addr
-      ~send:(fun i pdu -> transmit interfaces i (Hello_pdu pdu))
-      ~notify
-  in
-  { addr; fib; hello; routing = instance; interfaces; next_ifindex = 0; deliver; ctrs;
-    sp; probe; stopped = false }
+  (* Route computation arms its periodic timer now, before any link is
+     attached, so every router's timer is queued ahead of the HELLOs. *)
+  R.from_below r Hello.Start;
+  { fib; ctrs; interfaces; next_ifindex = 0; from_below = R.from_below r;
+    from_above = R.from_above r;
+    neighbors = (fun () -> Hello.neighbors (L.lower (S.lower (R.state r))));
+    halt = (fun () -> R.halt r) }
 
-let addr t = t.addr
 let fib t = t.fib
-let routing t = t.routing
+
 let stats t =
   {
     forwarded = Sublayer.Stats.value t.ctrs.c_forwarded;
@@ -126,81 +204,16 @@ let stats t =
     no_route = Sublayer.Stats.value t.ctrs.c_no_route;
     ttl_expired = Sublayer.Stats.value t.ctrs.c_ttl_expired;
   }
-let neighbors t = Hello.neighbors t.hello
 
-let add_interface t ~transmit:send =
+let neighbors t = t.neighbors ()
+
+let add_interface t ~transmit =
   let ifindex = t.next_ifindex in
   t.next_ifindex <- ifindex + 1;
-  Hashtbl.replace t.interfaces ifindex send;
-  Hello.add_interface t.hello ifindex;
+  Hashtbl.replace t.interfaces ifindex transmit;
+  t.from_below (Hello.Attach ifindex);
   ifindex
 
-(* The forwarding data path: local delivery, FIB lookup, TTL handling.
-   Route computation is invisible here except through the FIB. *)
-let route t packet =
-  if Addr.equal packet.Packet.dst t.addr then begin
-    Sublayer.Stats.incr t.ctrs.c_delivered;
-    if Sublayer.Span.active t.sp then
-      ignore
-        (Sublayer.Span.close_id t.sp
-           ~id:(Sublayer.Span.take t.sp (pkey packet))
-           ~detail:"delivered" ());
-    t.deliver packet
-  end
-  else begin
-    let next = Fib.lookup t.fib packet.Packet.dst in
-    t.probe.Conform.obs_lookup ~hit:(next <> None);
-    match next with
-    | None ->
-        Sublayer.Stats.incr t.ctrs.c_no_route;
-        if Sublayer.Span.active t.sp then
-          ignore
-            (Sublayer.Span.close_id t.sp
-               ~id:(Sublayer.Span.take t.sp (pkey packet))
-               ~detail:"no_route" ())
-    | Some ifindex -> (
-        match Packet.decrement_ttl packet with
-        | None ->
-            Sublayer.Stats.incr t.ctrs.c_ttl_expired;
-            if Sublayer.Span.active t.sp then
-              ignore
-                (Sublayer.Span.close_id t.sp
-                   ~id:(Sublayer.Span.take t.sp (pkey packet))
-                   ~detail:"ttl_expired" ())
-        | Some packet ->
-            Sublayer.Stats.incr t.ctrs.c_forwarded;
-            if Sublayer.Span.active t.sp then begin
-              (* Lookup, not take: the transit span stays bound until a
-                 terminating router closes it. *)
-              let id = Sublayer.Span.lookup t.sp (pkey packet) in
-              Sublayer.Span.instant t.sp ~parent:id
-                ~trace:(Sublayer.Span.trace_of_id t.sp ~id)
-                ~detail:("ttl=" ^ string_of_int packet.Packet.ttl) "forward"
-            end;
-            transmit t.interfaces ifindex (Data packet))
-  end
-
-(* A stopped router drops whatever was still in flight to it. *)
-let on_frame t ~ifindex frame =
-  if not t.stopped then
-    match frame with
-    | Hello_pdu pdu -> Hello.on_pdu t.hello ~ifindex pdu
-    | Routing_pdu pdu -> t.routing.Routing.on_pdu ~ifindex pdu
-    | Data packet -> route t packet
-
-let originate t ~dst payload =
-  Sublayer.Stats.incr t.ctrs.c_originated;
-  let packet = Packet.make ~src:t.addr ~dst payload in
-  if Sublayer.Span.active t.sp then begin
-    let id =
-      Sublayer.Span.start_free t.sp
-        ~trace:(Sublayer.Span.fresh_trace t.sp) "transit"
-    in
-    Sublayer.Span.bind t.sp (pkey packet) id
-  end;
-  route t packet
-
-let stop t =
-  t.stopped <- true;
-  Hello.stop t.hello;
-  t.routing.Routing.stop ()
+let on_frame t ~ifindex frame = t.from_below (Hello.Frame (ifindex, frame))
+let originate t ~dst payload = t.from_above (dst, payload)
+let stop t = t.halt ()

@@ -1,35 +1,63 @@
-(** The narrow interface between the route-computation sublayer and its
-    neighbours in the stack (Figure 4).
+(** Route computation — the middle network sublayer of Figure 4 — and
+    the narrow interfaces on either side of it.
 
-    Downward it receives neighbor up/down events from the neighbor-
-    determination sublayer and exchanges its own PDUs with peer routers;
-    upward it only ever calls [install]/[uninstall] on the forwarding
-    table. A routing protocol is a {!factory}; {!Distance_vector} and
-    {!Link_state} both implement it, which is what lets experiment E2 swap
-    them without touching any other sublayer. *)
+    Below, it hears {!Hello.event}s and sends [(ifindex, frame)]
+    requests: its own PDUs, and forwarding's packets passed through.
+    Above, it only ever tells forwarding to {!Install} or {!Uninstall} a
+    host route, and hands up the data packets that arrived. A protocol
+    is a first-class module {!S}, the middle level of every router's
+    stack declaration; {!Distance_vector}, {!Link_state} and
+    {!Path_vector} are three, which is what lets experiment E2 swap them
+    without touching any other sublayer. *)
 
-type instance = {
-  rname : string;
-  neighbor_up : ifindex:int -> Addr.t -> unit;
-  neighbor_down : ifindex:int -> Addr.t -> unit;
-  on_pdu : ifindex:int -> string -> unit;
-      (** A routing PDU arriving from the neighbor on [ifindex]. *)
-  routes : unit -> (Addr.t * int) list;
-      (** Current (destination, interface) view, for inspection. *)
-  stop : unit -> unit;
-      (** Cancel the protocol's periodic and triggered timers: a stopped
-          instance advertises nothing more. *)
-}
+type ind = Install of Addr.t * int | Uninstall of Addr.t | Data of Packet.t
 
-type env = {
-  engine : Sim.Engine.t;
-  self : Addr.t;
-  send : int -> string -> unit;  (** send a routing PDU on an interface *)
-  install : Addr.t -> int -> unit;  (** (re)install a host route *)
-  uninstall : Addr.t -> unit;
-  stats : Sublayer.Stats.scope;
-      (** the protocol instance's own counter scope, named after the
-          protocol; the router also counts route-install churn here *)
-}
+type timer =
+  | Periodic  (** periodic advertisement or refresh, armed on {!Hello.Started} *)
+  | Trigger  (** a triggered update, batching every change made before it fires *)
 
-type factory = { protocol : string; make : env -> instance }
+module type S = sig
+  include
+    Sublayer.Compose.SUBLAYER
+      with type up_req = int * Packet.frame
+       and type up_ind = ind
+       and type down_req = int * Packet.frame
+       and type down_ind = Hello.event
+       and type timer = timer
+
+  val initial : Sublayer.Stats.scope -> Addr.t -> t
+  (** [initial scope self]: the state at router [self], counting in
+      [scope] (named after the protocol), [routes_installed] and
+      [routes_uninstalled] included. *)
+end
+
+type factory = (module S)
+
+(** {1 Writing a protocol}
+
+    A protocol's handlers collect one step's actions on its {!port};
+    {!Make} returns them in the order they were made. *)
+
+type port
+
+val port : Sublayer.Stats.scope -> port
+val send : port -> int -> string -> unit
+val install : port -> Addr.t -> int -> unit
+val uninstall : port -> Addr.t -> unit
+val set_timer : port -> timer -> float -> unit
+
+module type PROTOCOL = sig
+  val name : string  (** also the scope its counters are found under *)
+
+  type t
+
+  val initial : Sublayer.Stats.scope -> Addr.t -> t
+  val port : t -> port
+  val start : t -> unit
+  val neighbor_up : t -> ifindex:int -> Addr.t -> unit
+  val neighbor_down : t -> ifindex:int -> Addr.t -> unit
+  val on_pdu : t -> ifindex:int -> string -> unit
+  val on_timer : t -> timer -> unit
+end
+
+module Make (P : PROTOCOL) : S with type t = P.t

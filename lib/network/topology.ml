@@ -1,6 +1,6 @@
 type link = {
-  fwd : Router.frame Sim.Channel.t;  (* low node -> high node *)
-  rev : Router.frame Sim.Channel.t;
+  fwd : Packet.frame Sim.Channel.t;  (* low node -> high node *)
+  rev : Packet.frame Sim.Channel.t;
   mutable saved : Sim.Channel.config;
   mutable up : bool;
 }
@@ -14,7 +14,6 @@ type t = {
 }
 
 let engine t = t.engine
-let size t = Array.length t.nodes
 let router t i = t.nodes.(i).router
 
 let line n = List.init (n - 1) (fun i -> (i, i + 1))
@@ -54,20 +53,15 @@ let random ~n ~extra ~seed =
 
 let build engine ?(channel = Sim.Channel.ideal) ?(ins = Sublayer.Instrument.none)
     ~routing ~n edges =
-  let module I = Sublayer.Instrument in
-  let stats = ins.I.stats and tracer = ins.I.tracer
-  and monitors = ins.I.monitors and telemetry = ins.I.telemetry in
   (* One shared registry for the whole network, registered once. *)
-  (match (telemetry, stats) with
-  | Some tele, Some reg ->
-      Sublayer.Stats.telemetry_source tele ~name:"net" reg
+  (match (ins.Sublayer.Instrument.telemetry, ins.Sublayer.Instrument.stats) with
+  | Some tele, Some reg -> Sublayer.Stats.telemetry_source tele ~name:"net" reg
   | _ -> ());
   let nodes =
     Array.init n (fun i ->
         let received = Queue.create () in
         let router =
-          Router.create engine ?stats ?tracer ?monitors ~addr:(Addr.node i)
-            ~routing
+          Router.create engine ~ins ~addr:(Addr.node i) ~routing
             ~deliver:(fun p -> Queue.add p received)
             ()
         in
@@ -86,12 +80,12 @@ let build engine ?(channel = Sim.Channel.ideal) ?(ins = Sublayer.Instrument.none
       let lab = Sublayer.Link.make ~id:(Printf.sprintf "%d->%d" a b) () in
       let lba = Sublayer.Link.make ~id:(Printf.sprintf "%d->%d" b a) () in
       let fwd =
-        Sim.Channel.create engine channel ~size:Router.frame_size
+        Sim.Channel.create engine channel ~size:Packet.frame_size
           ~deliver:(fun f -> Sublayer.Link.deliver lab f)
           ()
       in
       let rev =
-        Sim.Channel.create engine channel ~size:Router.frame_size
+        Sim.Channel.create engine channel ~size:Packet.frame_size
           ~deliver:(fun f -> Sublayer.Link.deliver lba f)
           ()
       in

@@ -5,7 +5,6 @@
 type t
 
 val engine : t -> Sim.Engine.t
-val size : t -> int
 val router : t -> int -> Router.t
 
 (** Canonical edge lists. Nodes are numbered 0..n-1. *)

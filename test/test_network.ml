@@ -167,48 +167,49 @@ let prop_random_topology_connected =
       done;
       !ok)
 
-(* --- Hello --- *)
+(* --- Hello, driven alone through a runtime --- *)
+
+module Hello_rt = Sublayer.Runtime.Make (Hello)
+
+let hello_runtime engine ~deliver =
+  Hello_rt.create engine ~name:"h" ~transmit:ignore ~deliver
+    (Hello.initial Hello.default_config ~self:(Addr.node 0)
+       ~now:(fun () -> Sim.Engine.now engine))
+
+let hello_from h ifindex pdu = Hello_rt.from_below h (Hello.Frame (ifindex, Packet.Hello_pdu pdu))
 
 let test_hello_up_down () =
   let engine = Sim.Engine.create () in
   let events = ref [] in
   let lost = ref false in
-  let h =
-    Hello.create engine Hello.default_config ~self:(Addr.node 0)
-      ~send:(fun _ _ -> ())
-      ~notify:(fun e -> events := e :: !events)
-  in
+  let h = hello_runtime engine ~deliver:(fun e -> events := e :: !events) in
   (* Simulate the peer's hellos arriving every second until "failure". *)
   let rec peer_hello t =
     ignore
       (Sim.Engine.at engine ~time:t (fun () ->
            if not !lost then begin
-             Hello.on_pdu h ~ifindex:0 (Pdu.encode_hello (Addr.node 1));
+             hello_from h 0 (Pdu.encode_hello (Addr.node 1));
              peer_hello (t +. 1.0)
            end))
   in
-  Hello.add_interface h 0;
+  Hello_rt.from_below h (Hello.Attach 0);
   peer_hello 0.5;
   ignore (Sim.Engine.at engine ~time:5.2 (fun () -> lost := true));
   Sim.Engine.run ~until:15. engine;
-  Hello.stop h;
-  let ups = List.filter (function Hello.Up _ -> true | _ -> false) !events in
-  let downs = List.filter (function Hello.Down _ -> true | _ -> false) !events in
+  Hello_rt.halt h;
+  let ups = List.filter (function Hello.Neighbor_up _ -> true | _ -> false) !events in
+  let downs = List.filter (function Hello.Neighbor_down _ -> true | _ -> false) !events in
   check Alcotest.int "one up" 1 (List.length ups);
   check Alcotest.int "one down after hold expiry" 1 (List.length downs);
   check Alcotest.(list (pair int bool)) "no neighbors left" []
-    (List.map (fun (i, a) -> (i, Addr.equal a (Addr.node 1))) (Hello.neighbors h))
+    (List.map (fun (i, a) -> (i, Addr.equal a (Addr.node 1))) (Hello.neighbors (Hello_rt.state h)))
 
 let test_hello_ignores_garbage () =
   let engine = Sim.Engine.create () in
   let events = ref 0 in
-  let h =
-    Hello.create engine Hello.default_config ~self:(Addr.node 0)
-      ~send:(fun _ _ -> ())
-      ~notify:(fun _ -> incr events)
-  in
-  Hello.on_pdu h ~ifindex:0 "junk";
-  Hello.on_pdu h ~ifindex:0 "";
+  let h = hello_runtime engine ~deliver:(fun _ -> incr events) in
+  hello_from h 0 "junk";
+  hello_from h 0 "";
   check Alcotest.int "no events" 0 !events
 
 (* --- PDU codecs: one store writer and one in-place reader each, held
@@ -486,8 +487,106 @@ let test_stop_quiesces () =
         (Sim.Engine.events_fired engine - fired <= in_flight))
     protocols
 
-(* Hello keeps one handle per armed timer, so a long-running network's
-   live heap stays flat instead of growing with every HELLO sent. *)
+(* A stopped router drops what it is asked to originate, as it drops the
+   frames that reach it: the packet is not sent, and nothing is left
+   pending. *)
+let test_stopped_router_sends_nothing () =
+  List.iter
+    (fun (pname, routing) ->
+      let engine, net, _ = build_and_converge ~seed:33 routing 10 (Topology.ring 10) in
+      Topology.stop net;
+      Sim.Engine.run ~until:(Sim.Engine.now engine +. 10.) engine;
+      let bytes = Topology.routing_traffic_bytes net in
+      Topology.send net ~src:0 ~dst:5 "after stop";
+      check Alcotest.int (pname ^ ": no byte sent") bytes (Topology.routing_traffic_bytes net);
+      check Alcotest.int (pname ^ ": nothing pending") 0 (Sim.Engine.pending engine);
+      check Alcotest.int (pname ^ ": nothing originated") 0
+        (Router.stats (Topology.router net 0)).Router.originated)
+    protocols
+
+(* --- Route computation as a machine: [initial] and [handle_*] called
+   directly, with no engine --- *)
+
+(* Three routers on a line, 0 - 1 - 2: [wires.(r)] maps each interface of
+   router [r] to the peer at its far end and the peer's interface. *)
+let wires = [| [ (0, (1, 0)) ]; [ (0, (0, 0)); (1, (2, 0)) ]; [ (0, (1, 1)) ] |]
+
+let test_protocol_machine routing ~triggered () =
+  let module P = (val routing : Routing.S) in
+  let module M = Sublayer.Machine in
+  let st = Array.init 3 (fun r -> P.initial (Sublayer.Stats.unregistered P.scope) (Addr.node r)) in
+  let fib = Array.init 3 (fun _ -> Hashtbl.create 4) in
+  let inbox = Queue.create () and triggers = Queue.create () in
+  (* One step of router [r]: its PDUs go to the far end's inbox, its
+     route writes to its table, its triggered updates to a queue. *)
+  let step r handle =
+    let s, acts = handle st.(r) in
+    st.(r) <- s;
+    List.iter
+      (function
+        | M.Down (i, frame) ->
+            let peer, j = List.assoc i wires.(r) in
+            Queue.add (peer, Hello.Received (j, frame)) inbox
+        | M.Up (Routing.Install (dst, i)) -> Hashtbl.replace fib.(r) dst i
+        | M.Up (Routing.Uninstall dst) -> Hashtbl.remove fib.(r) dst
+        | M.Set_timer (Routing.Trigger, _) -> Queue.add r triggers
+        | _ -> ())
+      acts;
+    acts
+  in
+  let timers acts = List.filter_map (function M.Set_timer (tm, _) -> Some tm | _ -> None) acts in
+  let sent acts = List.filter_map (function M.Down (i, _) -> Some i | _ -> None) acts in
+  let installed acts =
+    List.filter_map (function M.Up (Routing.Install (d, i)) -> Some (d, i) | _ -> None) acts
+  in
+  let uninstalled acts =
+    List.sort compare
+      (List.filter_map (function M.Up (Routing.Uninstall d) -> Some d | _ -> None) acts)
+  in
+  for r = 0 to 2 do
+    let acts = step r (fun s -> P.handle_down_ind s Hello.Started) in
+    check Alcotest.int "start: one action" 1 (List.length acts);
+    check Alcotest.bool "start: it arms the periodic timer" true (timers acts = [ Routing.Periodic ])
+  done;
+  (* Router 0's first neighbour. Link state installs nothing until the
+     neighbour's LSP confirms the link both ways. *)
+  let acts = step 0 (fun s -> P.handle_down_ind s (Hello.Neighbor_up (0, Addr.node 1))) in
+  check Alcotest.(list int) "neighbour up: one PDU, on that interface" [ 0 ] (sent acts);
+  check Alcotest.(list (pair int int)) "neighbour up: the neighbour installed"
+    (if triggered then [ (Addr.node 1, 0) ] else [])
+    (installed acts);
+  check Alcotest.bool "neighbour up: one triggered update armed" true
+    (timers acts = if triggered then [ Routing.Trigger ] else []);
+  List.iter
+    (fun (r, i, peer) ->
+      ignore (step r (fun s -> P.handle_down_ind s (Hello.Neighbor_up (i, Addr.node peer)))))
+    [ (1, 0, 0); (1, 1, 2); (2, 0, 1) ];
+  (* Hand every PDU to the router at the far end, firing each triggered
+     update once the PDUs in flight are in. *)
+  let rec exchange () =
+    if not (Queue.is_empty inbox) then begin
+      let r, ev = Queue.pop inbox in
+      ignore (step r (fun s -> P.handle_down_ind s ev));
+      exchange ()
+    end
+    else if not (Queue.is_empty triggers) then begin
+      let r = Queue.pop triggers in
+      ignore (step r (fun s -> P.handle_timer s Routing.Trigger));
+      exchange ()
+    end
+  in
+  exchange ();
+  let table r = List.sort compare (List.of_seq (Hashtbl.to_seq fib.(r))) in
+  let n = Addr.node in
+  check Alcotest.(list (pair int int)) "PDUs install router 0's routes" [ (n 1, 0); (n 2, 0) ] (table 0);
+  check Alcotest.(list (pair int int)) "PDUs install router 1's routes" [ (n 0, 0); (n 2, 1) ] (table 1);
+  check Alcotest.(list (pair int int)) "PDUs install router 2's routes" [ (n 0, 0); (n 1, 0) ] (table 2);
+  let acts = step 0 (fun s -> P.handle_down_ind s (Hello.Neighbor_down (0, n 1))) in
+  check Alcotest.(list int) "neighbour down: routes via it uninstalled" [ n 1; n 2 ] (uninstalled acts)
+
+(* The runtime keeps one entry per armed timer, so a long-running
+   network's live heap stays flat instead of growing with every HELLO
+   sent. *)
 let test_hello_memory_flat () =
   let engine, net, _ =
     build_and_converge ~seed:33 (Link_state.factory ()) 10 (Topology.ring 10)
@@ -553,5 +652,13 @@ let () =
           Alcotest.test_case "dv = ls = pv outcomes (E2)" `Slow test_dv_and_ls_agree;
           Alcotest.test_case "router stats" `Quick test_router_stats;
           Alcotest.test_case "stop quiesces the network" `Quick test_stop_quiesces;
+          Alcotest.test_case "a stopped router sends nothing" `Quick
+            test_stopped_router_sends_nothing;
+          Alcotest.test_case "dv, no engine" `Quick
+            (test_protocol_machine (Distance_vector.factory ()) ~triggered:true);
+          Alcotest.test_case "ls, no engine" `Quick
+            (test_protocol_machine (Link_state.factory ()) ~triggered:false);
+          Alcotest.test_case "pv, no engine" `Quick
+            (test_protocol_machine (Path_vector.factory ()) ~triggered:true);
         ] );
     ]

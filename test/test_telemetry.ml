@@ -648,6 +648,37 @@ let test_seam_cells_messages () =
       check Alcotest.bool (sub ^ " charged") true (words > 0))
     [ "msg"; "rd"; "cm"; "dm"; "app"; "wire" ]
 
+(* A router is one Compose declaration too: under stats and telemetry a
+   routed exchange charges its forwarding ([router]), route-computation
+   and [hello] cells, and the wire excursion below them; with stats
+   alone no cell exists. *)
+let test_seam_cells_network () =
+  let run telemetry =
+    let engine = Sim.Engine.create ~seed:64 () in
+    let stats = Sublayer.Stats.create () in
+    let net =
+      Network.Topology.build engine
+        ~ins:(Sublayer.Instrument.v ~stats ?telemetry ())
+        ~routing:(Network.Distance_vector.factory ()) ~n:6 (Network.Topology.ring 6)
+    in
+    check Alcotest.bool "converged" true (Network.Topology.converge net <> None);
+    Network.Topology.send net ~src:0 ~dst:3 "routed";
+    Sim.Engine.run ~until:(Sim.Engine.now engine +. 10.) engine;
+    Network.Topology.stop net;
+    check Alcotest.int "delivered" 1 (List.length (Network.Topology.received net 3));
+    Sublayer.Stats.snapshot stats
+  in
+  let on = run (Some (Telemetry.create ())) in
+  List.iter
+    (fun sub ->
+      match List.assoc_opt (sub ^ ".gc.minor_words") on with
+      | Some w -> check Alcotest.bool (sub ^ " charged") true (w > 0)
+      | None -> Alcotest.failf "no %s cell" sub)
+    [ "router"; "distance-vector"; "hello"; "wire" ];
+  let cell (key, _) = String.ends_with ~suffix:".gc.minor_words" key in
+  check Alcotest.(list string) "no cell without telemetry" []
+    (List.map fst (List.filter cell (run None)))
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -699,6 +730,7 @@ let () =
                ~cm:"cm" ~below_cm:[ "rec"; "dm" ]);
           Alcotest.test_case "datalink" `Quick test_seam_cells_datalink;
           Alcotest.test_case "messages" `Quick test_seam_cells_messages;
+          Alcotest.test_case "network" `Quick test_seam_cells_network;
         ] );
       ( "boundaries",
         [
