@@ -80,37 +80,43 @@ let test_partial_partition () =
 (* --- sharded execution ------------------------------------------------- *)
 
 (* One scenario, parameterised only by the shard count: 8 hosts, 64
-   flows, loss, per-shard monitor registries. [shards = 1] runs the
-   single engine directly with no domains; the whole Workload report
-   (per-flow exactness, events fired, end time, every per-slice sample,
-   merged monitor verdicts) must be structurally identical at every
-   shard count — the same discipline test_wheel applies to heap vs
-   wheel, extended to parallel execution. *)
-let sharded_report ?link_faults ?(loss = 0.02) ~shards ~seed () =
+   flows, loss, per-shard stats and monitor registries. [shards = 1]
+   runs the single engine directly with no domains; the whole Workload
+   report (per-flow exactness, events fired, end time, every per-slice
+   sample, merged monitor verdicts) must be structurally identical at
+   every shard count — the same discipline test_wheel applies to heap vs
+   wheel, extended to parallel execution. Returns the report, the stats
+   registries and the instant of shard 0's last event (the whole run's
+   when there is one shard). *)
+let sharded_run ?link_faults ~shards ~seed () =
   let flows = 64 in
   let shard = Sim.Shard.create ~seed ~lookahead:0.001 ~shards () in
-  let mons =
-    Array.init shards (fun i ->
-        Monitor.Runtime.create ~label:(Printf.sprintf "shard%d" i) ())
-  in
+  let label i = Printf.sprintf "shard%d" i in
+  let mons = Array.init shards (fun i -> Monitor.Runtime.create ~label:(label i) ()) in
+  let stats = Array.init shards (fun i -> Sublayer.Stats.create ~label:(label i) ()) in
   let fabric =
-    Transport.Fabric.create_sharded shard ~hosts:8 ~monitors:mons ?link_faults
-      ~channel:(Sim.Channel.lossy loss) ~flows ~bytes:384 ()
+    Transport.Fabric.create_sharded shard ~hosts:8 ~stats ~monitors:mons ?link_faults
+      ~channel:(Sim.Channel.lossy 0.02) ~flows ~bytes:384 ()
   in
-  Sim.Workload.run_sharded ~spacing:0.01 ~name:"shard-identity" ~shard
-    ~launch_site:(Transport.Fabric.launch_site fabric)
-    ~verdicts:(fun () -> Monitor.Runtime.merged_verdicts (Array.to_list mons))
-    ~flows
-    (Transport.Fabric.ops fabric)
+  let last = ref 0. and e0 = Sim.Shard.engine shard 0 in
+  Sim.Engine.after_event e0 (fun () -> last := Sim.Engine.now e0);
+  let r =
+    Sim.Workload.run_sharded ~spacing:0.01 ~name:"shard-identity" ~shard
+      ~launch_site:(Transport.Fabric.launch_site fabric)
+      ~verdicts:(fun () -> Monitor.Runtime.merged_verdicts (Array.to_list mons))
+      ~flows
+      (Transport.Fabric.ops fabric)
+  in
+  (r, stats, !last)
 
 let check_identity ?link_faults ~seed () =
-  let base = sharded_report ?link_faults ~shards:1 ~seed () in
+  let base, _, _ = sharded_run ?link_faults ~shards:1 ~seed () in
   if not (Sim.Workload.ok base) then
     Alcotest.failf "single-shard baseline not ok: %a" Sim.Workload.pp_report
       base;
   List.iter
     (fun shards ->
-      let r = sharded_report ?link_faults ~shards ~seed () in
+      let r, _, _ = sharded_run ?link_faults ~shards ~seed () in
       if r <> base then
         Alcotest.failf "%d-shard run diverged from single-engine: %a vs %a"
           shards Sim.Workload.pp_report r Sim.Workload.pp_report base)
@@ -118,18 +124,16 @@ let check_identity ?link_faults ~seed () =
 
 let test_shard_identity () = check_identity ~seed:21 ()
 
-(* Same identity with a fault plan partitioning the 3<->4 host pair —
+(* A fault plan partitioning the 3<->4 host pair from 0.3 s to 1.7 s —
    cross-shard links at both 2 shards (blocks 0-3 | 4-7) and 4 shards
    (pairs), so faults land on conduit-fed channels. *)
+let partition_3_4 (src, dst) =
+  if (src = 3 && dst = 4) || (src = 4 && dst = 3) then
+    Some [ Sim.Faultplan.Partition { at = 0.3 }; Sim.Faultplan.Heal { at = 1.7 } ]
+  else None
+
 let test_shard_identity_faults () =
-  let partition =
-    [ Sim.Faultplan.Partition { at = 0.3 }; Sim.Faultplan.Heal { at = 1.7 } ]
-  in
-  let link_faults (src, dst) =
-    if (src = 3 && dst = 4) || (src = 4 && dst = 3) then Some partition
-    else None
-  in
-  check_identity ~link_faults ~seed:22 ()
+  check_identity ~link_faults:partition_3_4 ~seed:22 ()
 
 (* The conduit's conservative contract, in isolation: messages at or
    after the receiver's clock drain in push order; a message before it —
@@ -274,6 +278,27 @@ let test_pinned_fabric () =
       ( ("churn 100 x 256 B", 42, 100, 256),
         (1137, "0x1.9c70a3d70a3d8p+5", "123c4a56490f17abe335bd2f280d9238") ) ]
 
+(* The identity scenarios above compare shard counts with each other,
+   so a change that moved every shard count alike would pass them. Pin
+   their one-shard runs the same way. *)
+let test_pinned_sharded () =
+  List.iter
+    (fun ((name, seed, link_faults), (events, vtime, digest)) ->
+      let r, stats, last = sharded_run ?link_faults ~shards:1 ~seed () in
+      let snapshot = Sublayer.Stats.snapshot_to_json (Sublayer.Stats.snapshot stats.(0)) in
+      Alcotest.(check bool) (name ^ " delivered exactly") true
+        (Sim.Workload.ok r && r.Sim.Workload.exact = r.Sim.Workload.flows);
+      Alcotest.(check int) (name ^ " events") events r.Sim.Workload.soak.Sim.Soak.events_fired;
+      Alcotest.(check string) (name ^ " end time") vtime (Printf.sprintf "%h" last);
+      Alcotest.(check string)
+        (Printf.sprintf "%s stats digest of %s" name snapshot)
+        digest
+        (Digest.to_hex (Digest.string snapshot)))
+    [ ( ("seed 21", 21, None),
+        (708, "0x1.35810624dd2f2p+2", "7a89cbc331154e526432ea314034034e") );
+      ( ("seed 22, 3<->4 partitioned", 22, Some partition_3_4),
+        (723, "0x1.7fbe76c8b4395p+2", "ed4df85cde15a0c319c0cdc2e1adf3e7") ) ]
+
 let () =
   Alcotest.run "scale"
     [
@@ -306,5 +331,6 @@ let () =
           Alcotest.test_case "Fabric.create_sharded stops at the 16-bit port space"
             `Quick (check_port_limit "Fabric.create_sharded" build_sharded) ] );
       ( "pinned",
-        [ Alcotest.test_case "seeded fabric schedules" `Quick test_pinned_fabric ] );
+        [ Alcotest.test_case "seeded fabric schedules" `Quick test_pinned_fabric;
+          Alcotest.test_case "seeded sharded fabric schedules" `Quick test_pinned_sharded ] );
     ]
