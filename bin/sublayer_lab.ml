@@ -369,7 +369,8 @@ let shard_cmd =
       in
       let fabric =
         Transport.Fabric.create_sharded shard ~hosts ~channel ~flows ~bytes
-          ~monitors ()
+          ~ins:(Array.map (fun m -> Sublayer.Instrument.v ~monitors:m ()) monitors)
+          ()
       in
       let mons = Array.to_list monitors in
       let wall0 = Unix.gettimeofday () in

@@ -72,8 +72,7 @@ let remove t prefix =
   in
   go (Some t.root) 0
 
-let lookup t addr =
-  Sublayer.Stats.incr t.lookups;
+let find t addr =
   let rec go node depth best =
     match node with
     | None -> best
@@ -83,7 +82,11 @@ let lookup t addr =
         else if bit addr depth = 0 then go node.zero (depth + 1) best
         else go node.one (depth + 1) best
   in
-  let hit = go (Some t.root) 0 None in
+  go (Some t.root) 0 None
+
+let lookup t addr =
+  Sublayer.Stats.incr t.lookups;
+  let hit = find t addr in
   if hit = None then Sublayer.Stats.incr t.misses;
   hit
 

@@ -188,7 +188,7 @@ let fib_path t ~src ~dst =
     if here = dst then Some (List.rev (here :: acc))
     else if budget = 0 || List.mem here acc then None
     else begin
-      match Fib.lookup (Router.fib t.nodes.(here).router) dst_addr with
+      match Fib.find (Router.fib t.nodes.(here).router) dst_addr with
       | None -> None
       | Some ifindex -> (
           match neighbor_of t here ifindex with

@@ -49,7 +49,7 @@ val run :
     per-slice samples record the engine's live-timer count.
     [telemetry] / [on_slice] pass through to the soak:
     telemetry ticks at every slice boundary and ring drop counts land in
-    [soak.drops]. *)
+    [soak.drops]. It is the one-engine case of {!run_sharded}'s loop. *)
 
 val run_sharded :
   ?spacing:float ->
@@ -68,7 +68,7 @@ val run_sharded :
   report
 (** {!run} over a {!Shard} group: flow [i]'s launch event is scheduled
     on shard [launch_site i] (the shard owning its client host —
-    [Transport.Fabric.create_sharded] exposes the placement), and each
+    [Transport.Fabric.launch_site] exposes the placement), and each
     soak slice advances all shards through the safe-window protocol.
     The ["live"] sample is the group-wide total, so a [shards = 1]
     report is structurally identical to a multi-shard one — the

@@ -504,6 +504,33 @@ let test_stopped_router_sends_nothing () =
         (Router.stats (Topology.router net 0)).Router.originated)
     protocols
 
+(* [fib.lookups] and [fib.misses] count the data path only: the harness
+   walks the FIBs to decide convergence without touching them, so after
+   converging both read 0, and one packet across ring(10) adds one lookup
+   per forwarding hop — the hops [router.forwarded] counts and the FIB
+   monitor checks. *)
+let test_fib_counts_data_path () =
+  let engine = Sim.Engine.create ~seed:33 () in
+  let stats = Sublayer.Stats.create ~label:"fib-count" () in
+  let monitors = Monitor.Runtime.create ~label:"fib-count" () in
+  let net =
+    Topology.build engine ~ins:(Sublayer.Instrument.v ~stats ~monitors ())
+      ~routing:(Distance_vector.factory ()) ~n:10 (Topology.ring 10)
+  in
+  if Topology.converge net = None then Alcotest.fail "ring(10) did not converge";
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Sublayer.Stats.snapshot stats))
+  in
+  check Alcotest.int "no lookup while converging" 0 (counter "fib.lookups");
+  check Alcotest.int "no miss while converging" 0 (counter "fib.misses");
+  Topology.send net ~src:0 ~dst:5 "counted";
+  Sim.Engine.run ~until:(Sim.Engine.now engine +. 1.) engine;
+  check Alcotest.int "delivered" 1 (List.length (Topology.received net 5));
+  check Alcotest.int "one lookup per hop" 5 (counter "fib.lookups");
+  check Alcotest.int "forwarded" 5 (counter "router.forwarded");
+  check Alcotest.(triple string int int) "monitor checked the same hops" ("fib", 5, 0)
+    (List.find (fun (k, _, _) -> k = "fib") (Monitor.Runtime.verdicts monitors))
+
 (* --- Route computation as a machine: [initial] and [handle_*] called
    directly, with no engine --- *)
 
@@ -654,6 +681,8 @@ let () =
           Alcotest.test_case "stop quiesces the network" `Quick test_stop_quiesces;
           Alcotest.test_case "a stopped router sends nothing" `Quick
             test_stopped_router_sends_nothing;
+          Alcotest.test_case "fib counters count the data path" `Quick
+            test_fib_counts_data_path;
           Alcotest.test_case "dv, no engine" `Quick
             (test_protocol_machine (Distance_vector.factory ()) ~triggered:true);
           Alcotest.test_case "ls, no engine" `Quick

@@ -52,20 +52,21 @@ let test_backend_agreement () =
 (* Partial partition at 1k flows: the links out of host 0 go dark for two
    virtual seconds while the rest of the fabric keeps running. Every flow
    must still deliver exactly — the partitioned ones by retransmitting
-   after the heal, the others without ever noticing. *)
+   after the heal, the others without ever noticing. Per-link faults
+   need the per-pair topology, built here on one shard. *)
 let test_partial_partition () =
-  let engine = Sim.Engine.create ~seed:15 () in
+  let shard = Sim.Shard.create ~seed:15 ~shards:1 () in
   let partition = [ Sim.Faultplan.Partition { at = 0.5 }; Sim.Faultplan.Heal { at = 2.5 } ] in
   let link_faults (src, dst) =
     if src = 0 || dst = 0 then Some partition else None
   in
   let fabric =
-    Transport.Fabric.create engine ~hosts:8 ~link_faults
+    Transport.Fabric.create_sharded shard ~hosts:8 ~link_faults
       ~channel:(Sim.Channel.lossy 0.01) ~flows:1000 ~bytes:256 ()
   in
   let r =
-    Sim.Workload.run ~spacing:0.002 ~name:"partial-partition" ~engine
-      ~flows:1000
+    Sim.Workload.run_sharded ~spacing:0.002 ~name:"partial-partition" ~shard
+      ~launch_site:(Transport.Fabric.launch_site fabric) ~flows:1000
       (Transport.Fabric.ops fabric)
   in
   if not (Sim.Workload.ok r) then
@@ -95,8 +96,12 @@ let sharded_run ?link_faults ~shards ~seed () =
   let mons = Array.init shards (fun i -> Monitor.Runtime.create ~label:(label i) ()) in
   let stats = Array.init shards (fun i -> Sublayer.Stats.create ~label:(label i) ()) in
   let fabric =
-    Transport.Fabric.create_sharded shard ~hosts:8 ~stats ~monitors:mons ?link_faults
-      ~channel:(Sim.Channel.lossy 0.02) ~flows ~bytes:384 ()
+    Transport.Fabric.create_sharded shard ~hosts:8
+      ~ins:
+        (Array.map2
+           (fun stats monitors -> Sublayer.Instrument.v ~stats ~monitors ())
+           stats mons)
+      ?link_faults ~channel:(Sim.Channel.lossy 0.02) ~flows ~bytes:384 ()
   in
   let last = ref 0. and e0 = Sim.Shard.engine shard 0 in
   Sim.Engine.after_event e0 (fun () -> last := Sim.Engine.now e0);
@@ -134,6 +139,19 @@ let partition_3_4 (src, dst) =
 
 let test_shard_identity_faults () =
   check_identity ~link_faults:partition_3_4 ~seed:22 ()
+
+(* One engine drains a pool, and a cross-shard delivery would return its
+   loan on another domain: a sharded fabric refuses a bundle with one. *)
+let test_sharded_refuses_pool () =
+  let shard = Sim.Shard.create ~shards:2 () in
+  let pool = Bitkit.Pool.create ~slots:8 ~slot_bytes:64 () in
+  Alcotest.check_raises "pool refused"
+    (Invalid_argument "Fabric.create_sharded: a pool is drained by one engine")
+    (fun () ->
+      ignore
+        (Transport.Fabric.create_sharded shard
+           ~ins:[| Sublayer.Instrument.v ~pool (); Sublayer.Instrument.none |]
+           ~channel:Sim.Channel.ideal ~flows:1 ~bytes:1 ()))
 
 (* The conduit's conservative contract, in isolation: messages at or
    after the receiver's clock drain in push order; a message before it —
@@ -320,6 +338,7 @@ let () =
             test_shard_identity;
           Alcotest.test_case "sharded == single-engine under link faults"
             `Quick test_shard_identity_faults;
+          Alcotest.test_case "a pool is refused" `Quick test_sharded_refuses_pool;
           Alcotest.test_case "conduit lookahead contract" `Quick
             test_conduit_lookahead;
           Alcotest.test_case "no delivery into a shard's past" `Quick

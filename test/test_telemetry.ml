@@ -172,7 +172,11 @@ let sharded_series ?link_faults ~shards ~seed () =
         Telemetry.create ~label:(Printf.sprintf "shard%d" i) ())
   in
   let fabric =
-    Transport.Fabric.create_sharded shard ~hosts:8 ~stats ~telemetry
+    Transport.Fabric.create_sharded shard ~hosts:8
+      ~ins:
+        (Array.map2
+           (fun stats telemetry -> Sublayer.Instrument.v ~stats ~telemetry ())
+           stats telemetry)
       ?link_faults ~channel:(Sim.Channel.lossy 0.02) ~flows ~bytes:384 ()
   in
   let r =
