@@ -70,3 +70,4 @@ let close t =
 type stats = { tx : int; rx : int; dropped : int }
 
 let stats t = { tx = t.n_tx; rx = t.n_rx; dropped = t.n_dropped }
+let transmitted t = t.n_tx

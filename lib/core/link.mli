@@ -81,3 +81,7 @@ type stats = { tx : int; rx : int; dropped : int }
 val stats : 'a t -> stats
 (** Frames transmitted, delivered, and dropped (dead/unwired), fresh
     record per call. *)
+
+val transmitted : 'a t -> int
+(** [(stats t).tx], without allocating the record: a host reads it
+    around every connection it spawns for a listener. *)

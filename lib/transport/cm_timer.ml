@@ -109,9 +109,12 @@ let handle_down_ind t pdu =
       let peer_isn = cm.Segment.isn_local in
       let echoed = cm.Segment.isn_remote in
       match t.phase with
-      | Listening ->
+      | Listening when echoed = 0 ->
           (* First contact: adopt the initiator's identity, mint our own
-             ISN, and hand RD the pair straight away. *)
+             ISN, and hand RD the pair straight away. An initiator echoes
+             0 until it has learned our ISN, so a segment echoing one is
+             a straggler of an incarnation this end no longer holds, and
+             is dropped below. *)
           let isn_local =
             t.isn.Isn.next ~local_port:t.local_port ~remote_port:t.remote_port
           in

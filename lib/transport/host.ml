@@ -79,7 +79,9 @@ type conn = {
   c_local : int;
   c_remote : int;
   c_accepted : bool;  (** spawned by a listener *)
-  mutable ep : endpoint;  (** [unbound] until the factory has made it *)
+  mutable ep : endpoint;
+      (** [unbound] until the factory has made it, and an inert endpoint
+          again once the connection retires *)
   mutable auto_read : bool;
   store : Bitkit.Blockbuf.t;  (** delivered bytes since the last [take_received] *)
   mutable c_established : bool;
@@ -118,11 +120,13 @@ type t = {
   link : Bitkit.Slice.t Link.t;
   transmit : Bitkit.Slice.t -> unit;  (* into [link], shared by every connection *)
   ins : I.t;
+  (* The live connections: each leaves at its terminal indication
+     ([retire]). *)
   conns : conn Ports.t;
-  (* Connections per local port (closed ones included: the table never
-     forgets a connection), so the ephemeral scan tests a port in O(1). *)
+  (* Live connections per local port, so the ephemeral scan tests a port
+     in O(1) and a port is free again once its last connection retires. *)
   port_use : int Ports.t;
-  mutable ephemeral_used : int;  (* ephemeral ports with a connection *)
+  mutable ephemeral_used : int;  (* ephemeral ports with a live connection *)
   listeners : unit Ports.t;
   mutable accept_cb : (conn -> unit) option;
   mutable next_ephemeral : int;
@@ -130,6 +134,39 @@ type t = {
 
 let stats_registry host = host.ins.I.stats
 let wire_link host = host.link
+
+(* The endpoint of a connection without a stack: before the factory has
+   made one, and after retirement, where it answers [finished] as the
+   stack did when it retired. *)
+let inert finished =
+  { ep_from_wire = ignore; ep_connect = ignore; ep_listen = ignore; ep_write = ignore;
+    ep_read = ignore; ep_close = ignore; ep_abort = ignore;
+    ep_finished = (fun () -> finished) }
+
+let unbound = inert false
+let drained = inert true
+
+let is_ephemeral port = port >= first_ephemeral && port <= last_ephemeral
+
+(* Retire [c]: it reads as closed, its key and its port use leave the
+   tables, and the handle keeps its receive store and flags but swaps its
+   endpoint for an inert one, so the stack is garbage once its last timer
+   has run. A connection that a newer one with the same ports displaced
+   from the table leaves the table alone; retiring twice changes
+   nothing. *)
+let retire host c =
+  c.c_closed <- true;
+  let key = conn_key ~local:c.c_local ~remote:c.c_remote in
+  (match Ports.find host.conns key with
+  | live when live == c -> (
+      Ports.remove host.conns key;
+      match Ports.find host.port_use c.c_local with
+      | 1 ->
+          Ports.remove host.port_use c.c_local;
+          if is_ephemeral c.c_local then host.ephemeral_used <- host.ephemeral_used - 1
+      | n -> Ports.replace host.port_use c.c_local (n - 1))
+  | _ | (exception Not_found) -> ());
+  c.ep <- (if c.ep.ep_finished () then drained else unbound)
 
 let handle_event host c (e : Iface.app_ind) =
   (match e with
@@ -146,19 +183,14 @@ let handle_event host c (e : Iface.app_ind) =
       if c.auto_read then c.ep.ep_read (Bitkit.Slice.length s);
       match c.user_data with Some cb -> cb (Bitkit.Slice.to_string s) | None -> ())
   | `Peer_closed -> c.c_peer_closed <- true
-  | `Closed -> c.c_closed <- true
+  | `Closed -> retire host c
   | `Reset ->
       c.c_reset <- true;
-      c.c_closed <- true
+      retire host c
   | `Aborted ->
       c.c_aborted <- true;
-      c.c_closed <- true);
+      retire host c);
   match c.user_event with Some cb -> cb e | None -> ()
-
-let unbound =
-  { ep_from_wire = ignore; ep_connect = ignore; ep_listen = ignore; ep_write = ignore;
-    ep_read = ignore; ep_close = ignore; ep_abort = ignore;
-    ep_finished = (fun () -> false) }
 
 let make_conn host ~local_port ~remote_port ~accepted =
   let c =
@@ -182,8 +214,7 @@ let make_conn host ~local_port ~remote_port ~accepted =
   let key = conn_key ~local:local_port ~remote:remote_port in
   if not (Ports.mem host.conns key) then begin
     let n = try Ports.find host.port_use local_port with Not_found -> 0 in
-    if n = 0 && local_port >= first_ephemeral && local_port <= last_ephemeral then
-      host.ephemeral_used <- host.ephemeral_used + 1;
+    if n = 0 && is_ephemeral local_port then host.ephemeral_used <- host.ephemeral_used + 1;
     Ports.replace host.port_use local_port (n + 1)
   end;
   Ports.replace host.conns key c;
@@ -222,6 +253,8 @@ let connect host ?local_port ~remote_port () =
 
 let listen host ~port = Ports.replace host.listeners port ()
 
+let connections host = List.of_seq (Ports.to_seq_values host.conns)
+
 let on_accept host cb = host.accept_cb <- Some cb
 
 let from_wire host wire =
@@ -235,8 +268,16 @@ let from_wire host wire =
             let c =
               make_conn host ~local_port:dst_port ~remote_port:src_port ~accepted:true
             in
+            let sent = Link.transmitted host.link in
             c.ep.ep_listen ();
-            c.ep.ep_from_wire wire
+            c.ep.ep_from_wire wire;
+            (* A passive connection opens on its first segment by answering
+               it in the same call (a SYN|ACK) or by indicating
+               [`Established] (Watson's first contact). One that did
+               neither is still listening and has dropped the segment (a
+               late FIN for a retired connection, say): it holds no
+               session, so it retires at once. *)
+            if (not c.c_established) && Link.transmitted host.link = sent then retire host c
           end)
 
 let create engine ?(config = Config.default) ?(factory = sublayered)
@@ -262,8 +303,8 @@ let create engine ?(config = Config.default) ?(factory = sublayered)
       next_ephemeral = first_ephemeral }
   in
   Link.attach link (from_wire host);
-  Link.on_death link (fun () ->
-      Ports.iter (fun _ c -> abort_conn host c) host.conns);
+  (* Aborting retires each connection, so walk a snapshot of the table. *)
+  Link.on_death link (fun () -> List.iter (abort_conn host) (connections host));
   host
 
 let write c s = c.ep.ep_write s
@@ -291,8 +332,6 @@ let local_port c = c.c_local
 let remote_port c = c.c_remote
 let on_data c cb = c.user_data <- Some cb
 let on_event c cb = c.user_event <- Some cb
-
-let connections host = Ports.fold (fun _ c acc -> c :: acc) host.conns []
 
 (* A CRC-32 guard standing in for the data link's error-detection
    sublayer: corrupted wire segments are dropped, never delivered. The

@@ -7,13 +7,30 @@
     The host routes each wire segment by its DM ports only
     ({!Segment.peek_ports} for the sublayered format, {!Wire.peek_ports}
     for the standard one); everything else in the segment is the owning
-    connection's business. *)
+    connection's business.
+
+    The table holds live connections only. A connection retires at its
+    terminal indication: [`Closed] (after TIME_WAIT on the active
+    closer), [`Reset] or [`Aborted]. Retiring removes it from the table,
+    frees its port and drops its stack; the {!conn} handle keeps its
+    receive store and flags. A segment for a retired connection goes to
+    the listener on its port, if there is one. When the connection
+    spawned for it does not open on that segment (a late FIN, say), the
+    stack has dropped the segment, and the connection retires at once,
+    sending nothing. *)
 
 (** What the host needs from an endpoint implementation. Wire segments
     cross this boundary as {!Bitkit.Slice} views of the received buffer
     — no copy per hop. *)
 type endpoint = {
   ep_from_wire : Bitkit.Slice.t -> unit;
+      (** On a connection spawned for a listener, the first call decides
+          whether it opens: it counts as open only if the endpoint
+          transmits or indicates [`Established] within that call.
+          Otherwise the host retires it at once, so a passive endpoint
+          must answer an opening segment synchronously, and must drop
+          without transmitting (no RST) a segment that leaves it
+          listening. *)
   ep_connect : unit -> unit;
   ep_listen : unit -> unit;
   ep_write : string -> unit;
@@ -96,7 +113,7 @@ val create :
     {!Tunnel} over another transport connection (recursive
     sublayering). The link's MTU hint, when present, caps the
     configured MSS; link death aborts every live connection
-    ({!aborted} turns true, stacks go inert).
+    ({!aborted} turns true, stacks go inert) and so retires it.
 
     [ins] bundles the instruments. With [ins.stats], every connection's
     sublayers register their counters in it (connections sharing the
@@ -122,26 +139,33 @@ val from_wire : t -> Bitkit.Slice.t -> unit
 (** {1 Connections} *)
 
 type conn
+(** One end of a connection. After it retires, {!write}, {!close} and
+    {!consume} are no-ops, and the receive store and the flags below
+    keep reading as they did at retirement. *)
 
 exception Ports_exhausted of string
-(** Raised by {!connect} when no ephemeral port is left; the message
-    names the host. *)
+(** Raised by {!connect} when every ephemeral port has a live
+    connection; the message names the host. *)
 
 val connect : t -> ?local_port:int -> remote_port:int -> unit -> conn
 (** Open a connection to [remote_port]. Without [local_port], the host
     picks the next ephemeral port (49152–65535, round-robin from where
-    the last pick stopped) that no connection of this host uses,
-    skipping ports bound explicitly; each pick costs O(1) amortised.
-    A host never forgets a connection, closed ones included, so a port
-    stays taken once used: after 16 384 ephemeral connections {!connect}
-    raises {!Ports_exhausted} (without [local_port]) instead of reusing
-    one. *)
+    the last pick stopped) that no live connection of this host uses,
+    skipping ports bound explicitly; each pick costs O(1) amortised. A
+    port is free again once its connections retire, so {!connect}
+    (without [local_port]) raises {!Ports_exhausted} only while all
+    16 384 ephemeral ports have live connections. *)
 
 val listen : t -> port:int -> unit
 val on_accept : t -> (conn -> unit) -> unit
 
 val write : conn -> string -> unit
+(** Append to the outgoing stream; a no-op once the connection has
+    retired. *)
+
 val close : conn -> unit
+(** Close gracefully once the stream has drained; a no-op once the
+    connection has retired. *)
 
 val set_autoread : conn -> bool -> unit
 (** By default every delivered byte is immediately credited back to the
@@ -151,7 +175,8 @@ val set_autoread : conn -> bool -> unit
     persist probe alive). Call {!consume} to grant credit manually. *)
 
 val consume : conn -> int -> unit
-(** Grant [n] bytes of flow-control credit (reopening the window). *)
+(** Grant [n] bytes of flow-control credit (reopening the window); a
+    no-op once the connection has retired. *)
 
 (** Each connection keeps what it delivers in a receive store
     ({!Bitkit.Blockbuf}): taking the bytes in is the one counted copy
@@ -185,12 +210,16 @@ val aborted : conn -> bool
     ETIMEDOUT analogue) and tore the connection down locally. *)
 
 val finished : conn -> bool
+(** Every written byte is acknowledged. After retirement, the answer
+    the stack gave when the connection retired. *)
+
 val local_port : conn -> int
 val remote_port : conn -> int
 val on_data : conn -> (string -> unit) -> unit
 val on_event : conn -> (Iface.app_ind -> unit) -> unit
 
 val connections : t -> conn list
+(** The live connections: retired ones are gone from the table. *)
 
 (** {1 Wiring helpers} *)
 

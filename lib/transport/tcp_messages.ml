@@ -11,16 +11,19 @@ type t = R.t
 
 let create engine ?(ins = I.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let now () = Sim.Engine.now engine in
-  let sc sub = I.scope ins sub and sp sub = I.span ins ~now ~track:name sub in
   let isn = Config.make_isn cfg engine in
   R.create engine ~ins ~name ~transmit ~deliver:events
-    ( Msg.initial ?stats:(sc Msg.scope) ?cc_stats:(sc "cc") ?span:(sp Msg.scope) cfg ~now,
+    ( Msg.initial ?stats:(I.scope ins Msg.scope) ?cc_stats:(I.scope ins "cc")
+        ?span:(I.span ins ~now ~track:name Msg.scope) cfg ~now,
       Conform.msg_rd,
-      ( Rd.initial ?stats:(sc Rd.scope) ?span:(sp Rd.scope) cfg ~now,
+      ( Rd.initial ?stats:(I.scope ins Rd.scope) ?span:(I.span ins ~now ~track:name Rd.scope)
+          cfg ~now,
         Conform.rd_cm,
-        ( Cm.initial ?stats:(sc Cm.scope) ?span:(sp Cm.scope) cfg ~isn ~local_port ~remote_port,
+        ( Cm.initial ?stats:(I.scope ins Cm.scope) ?span:(I.span ins ~now ~track:name Cm.scope)
+            cfg ~isn ~local_port ~remote_port,
           Conform.cm_dm,
-          Dm.make ?stats:(sc Dm.scope) ?span:(sp Dm.scope) ~local_port ~remote_port () ) ) )
+          Dm.make ?stats:(I.scope ins Dm.scope) ?span:(I.span ins ~now ~track:name Dm.scope)
+            ~local_port ~remote_port () ) ) )
 
 let connect t = R.from_above t `Connect
 let listen t = R.from_above t `Listen

@@ -13,16 +13,19 @@ type t = R.t
 
 let create engine ?(ins = I.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let now () = Sim.Engine.now engine and pool = ins.I.pool in
-  let sc sub = I.scope ins sub and sp sub = I.span ins ~now ~track:name sub in
   let isn = Config.make_isn cfg engine in
   R.create engine ~ins ~name ~transmit ~deliver:events
-    ( Osr.initial ?stats:(sc Osr.scope) ?cc_stats:(sc "cc") ?span:(sp Osr.scope) ?pool cfg ~now,
+    ( Osr.initial ?stats:(I.scope ins Osr.scope) ?cc_stats:(I.scope ins "cc")
+        ?span:(I.span ins ~now ~track:name Osr.scope) ?pool cfg ~now,
       Conform.osr_rd,
-      ( Rd.initial ?stats:(sc Rd.scope) ?span:(sp Rd.scope) cfg ~now,
+      ( Rd.initial ?stats:(I.scope ins Rd.scope) ?span:(I.span ins ~now ~track:name Rd.scope)
+          cfg ~now,
         Conform.rd_cm,
-        ( Cm.initial ?stats:(sc Cm.scope) ?span:(sp Cm.scope) cfg ~isn ~local_port ~remote_port,
+        ( Cm.initial ?stats:(I.scope ins Cm.scope) ?span:(I.span ins ~now ~track:name Cm.scope)
+            cfg ~isn ~local_port ~remote_port,
           Conform.cm_dm,
-          Dm.make ?stats:(sc Dm.scope) ?span:(sp Dm.scope) ?pool ~local_port ~remote_port () ) ) )
+          Dm.make ?stats:(I.scope ins Dm.scope) ?span:(I.span ins ~now ~track:name Dm.scope)
+            ?pool ~local_port ~remote_port () ) ) )
 
 let from_above = R.from_above
 let connect t = R.from_above t `Connect

@@ -407,7 +407,10 @@ let test_cm_timer_partition () =
         (Host.received srv2)
   | None -> Alcotest.fail "no accept after heal");
   (* A delayed duplicate from the dead incarnation, with ISNs the server
-     no longer recognises, must be dropped (delta-t trust). *)
+     no longer recognises, must be dropped (delta-t trust). The server
+     retired that incarnation, so the duplicate reaches the listener: it
+     echoes an ISN, so it is no first contact, and the connection spawned
+     for it accepts nothing, sends nothing and does not stay. *)
   let stale =
     String.concat ""
       [ Segment.write_dm { Segment.src_port = 5000; dst_port = 80 };
@@ -419,8 +422,17 @@ let test_cm_timer_partition () =
         Segment.write_osr Segment.default_osr; "ghost" ]
   in
   let before = Host.received_length srv1 in
+  let live = Host.connections b and sent = Sublayer.Link.transmitted (Host.wire_link b) in
+  server := None;
   Host.from_wire b (Bitkit.Slice.of_string stale);
-  check Alcotest.int "stale incarnation rejected" before (Host.received_length srv1)
+  check Alcotest.int "stale incarnation rejected" before (Host.received_length srv1);
+  check Alcotest.bool "stale incarnation not accepted" true (Option.is_none !server);
+  check Alcotest.int "stale incarnation answered with nothing" sent
+    (Sublayer.Link.transmitted (Host.wire_link b));
+  let after = Host.connections b in
+  check Alcotest.bool "stale incarnation leaves the table as it was" true
+    (List.length after = List.length live
+    && List.for_all (fun c -> List.exists (( == ) c) live) after)
 
 let () =
   Alcotest.run "chaos"
