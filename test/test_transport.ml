@@ -1321,11 +1321,14 @@ let test_interop_both_directions () =
       (Tcp_monolithic.factory, Shim.factory, "mono->shim");
       (Shim.factory, Shim.factory, "shim->shim") ]
 
-(* The four E4 pairings that put RFC 793 on the wire, pinned to a
-   recorded run: each factory's transmit is tapped, and a 20 KB transfer
-   at 3 % loss must fire the same events, send its last segment at the
-   same virtual time, deliver exactly, and put the same segments on the
-   wire, byte for byte and in order, in each direction. *)
+(* The four E4 pairings that put RFC 793 on the wire, and the record
+   layer's sealed segments, pinned to a recorded run: each factory's
+   transmit is tapped, and a 20 KB transfer at 3 % loss must fire the
+   same events, send its last segment at the same virtual time, deliver
+   exactly, and put the same segments on the wire, byte for byte and in
+   order, in each direction. The secure row holds Rec's ChaCha20
+   ciphertext and SipHash tags end to end: a wrong keystream shared by
+   both ends would still deliver exactly, but not these bytes. *)
 
 type tap = { mutable segs : int; mutable last : float; bytes : Buffer.t }
 
@@ -1390,7 +1393,12 @@ let test_wire_bytes_pinned () =
       ( ("shim<->shim", 73, Shim.factory, Shim.factory),
         ( 49, "0x1.09374bc6a7efap-2",
           (25, "e9d6c743d358cefc9524f55b63e304c4"),
-          (24, "3aae7888e03e8d032f6345e63ac753d6") ) ) ]
+          (24, "3aae7888e03e8d032f6345e63ac753d6") ) );
+      ( ( "secure<->secure", 74, Tcp_secure.factory ~key:Tcp_secure.demo_key,
+          Tcp_secure.factory ~key:Tcp_secure.demo_key ),
+        ( 46, "0x1.cac083126e979p-8",
+          (23, "c9d05d101d44538ae59731e4a7b2ef39"),
+          (22, "ef4a2dee07def807fb2c2c3107a03e98") ) ) ]
 
 let test_interop_bidirectional () =
   let o =
