@@ -1,147 +1,32 @@
-(* ChaCha20 (RFC 8439) as a word-level kernel.
+(* ChaCha20 (RFC 8439). The keystream is computed and XORed in
+   crypto_kernels.c; this module checks every argument before the call,
+   so the C code never sees an offset or length outside its buffers. The
+   kernel reduces the counter and nonce words mod 2^32. *)
 
-   The sixteen state words live in unboxed int64 locals (mutable refs
-   the compiler keeps in registers and stack slots, never the heap), and
-   each block's keystream is XORed from those words straight into the
-   destination, four bytes at a time. Nothing is allocated per block: no
-   tuple per quarter-round, no state arrays, no keystream string. The key
-   and nonce words are parsed once per call. Every entry point goes
-   through [xor_stream]. *)
-
-let mask = 0xFFFFFFFF
-
-let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
-
-(* The kernel's rotation. Only the low 32 bits of a state word matter:
-   the kernel never masks its additions, since sums wrap harmlessly above
-   bit 32 and neither addition nor XOR carries high bits down. The one
-   mask per step sits here, where a rotation would otherwise pull high
-   garbage into the low word. Untagged int64 arithmetic makes each step
-   a few instructions shorter than on tagged ints. *)
-let[@inline] rot64 x n =
-  let x = Int64.logand x 0xFFFFFFFFL in
-  Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (32 - n))
-
-(* The reference quarter-round, for the RFC 8439 §2.1.1 vector; the
-   kernel below inlines the same eight steps on its locals. *)
-let quarter_round (a, b, c, d) =
-  let a = (a + b) land mask in
-  let d = rotl (d lxor a) 16 in
-  let c = (c + d) land mask in
-  let b = rotl (b lxor c) 12 in
-  let a = (a + b) land mask in
-  let d = rotl (d lxor a) 8 in
-  let c = (c + d) land mask in
-  let b = rotl (b lxor c) 7 in
-  (a, b, c, d)
-
-external get32u : string -> int -> int32 = "%caml_string_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external swap32 : int32 -> int32 = "%bswap_int32"
-
-let[@inline] get32_le s i =
-  let w = get32u s i in
-  if Sys.big_endian then swap32 w else w
-
-let[@inline] set32_le b i w = set32u b i (if Sys.big_endian then swap32 w else w)
-
-let[@inline] word32_le s i = Int32.to_int (get32_le s i) land mask
-
-(* XOR keystream word [k] (value [w], possibly above 32 bits before
-   masking) over bytes [4k, 4k+4) of the block, clipped to the block's
-   first [lim] bytes. *)
-let xor_word src s dst d lim k w =
-  let p = 4 * k in
-  if p + 4 <= lim then
-    set32_le dst (d + p) (Int32.logxor (get32_le src (s + p)) (Int32.of_int w))
-  else
-    for j = 0 to lim - p - 1 do
-      Bytes.unsafe_set dst (d + p + j)
-        (Char.unsafe_chr
-           (Char.code (String.unsafe_get src (s + p + j)) lxor ((w lsr (8 * j)) land 0xFF)))
-    done
+external xor_kernel :
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  string ->
+  (int[@untagged]) ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "bitkit_chacha20_xor_byte" "bitkit_chacha20_xor"
+[@@noalloc]
 
 let xor_stream ~key ~counter ~n0 ~n1 ~n2 src spos dst dpos len =
   if String.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
   if len < 0 || spos < 0 || dpos < 0
      || spos > String.length src - len || dpos > Bytes.length dst - len
   then invalid_arg "Chacha20.xor_stream";
-  let c0 = 0x61707865 and c1 = 0x3320646e and c2 = 0x79622d32 and c3 = 0x6b206574 in
-  let k0 = word32_le key 0 and k1 = word32_le key 4 and k2 = word32_le key 8
-  and k3 = word32_le key 12 and k4 = word32_le key 16 and k5 = word32_le key 20
-  and k6 = word32_le key 24 and k7 = word32_le key 28 in
-  let n0 = n0 land mask and n1 = n1 land mask and n2 = n2 land mask in
-  let off = ref 0 and ctr = ref counter in
-  while !off < len do
-    let c12 = !ctr land mask in
-    let x0 = ref (Int64.of_int c0) and x1 = ref (Int64.of_int c1)
-    and x2 = ref (Int64.of_int c2) and x3 = ref (Int64.of_int c3) in
-    let x4 = ref (Int64.of_int k0) and x5 = ref (Int64.of_int k1)
-    and x6 = ref (Int64.of_int k2) and x7 = ref (Int64.of_int k3) in
-    let x8 = ref (Int64.of_int k4) and x9 = ref (Int64.of_int k5)
-    and x10 = ref (Int64.of_int k6) and x11 = ref (Int64.of_int k7) in
-    let x12 = ref (Int64.of_int c12) and x13 = ref (Int64.of_int n0)
-    and x14 = ref (Int64.of_int n1) and x15 = ref (Int64.of_int n2) in
-    for _ = 1 to 10 do
-      (* column rounds: (0 4 8 12) (1 5 9 13) (2 6 10 14) (3 7 11 15) *)
-      x0 := Int64.add !x0 !x4; x12 := rot64 (Int64.logxor !x12 !x0) 16;
-      x8 := Int64.add !x8 !x12; x4 := rot64 (Int64.logxor !x4 !x8) 12;
-      x0 := Int64.add !x0 !x4; x12 := rot64 (Int64.logxor !x12 !x0) 8;
-      x8 := Int64.add !x8 !x12; x4 := rot64 (Int64.logxor !x4 !x8) 7;
-      x1 := Int64.add !x1 !x5; x13 := rot64 (Int64.logxor !x13 !x1) 16;
-      x9 := Int64.add !x9 !x13; x5 := rot64 (Int64.logxor !x5 !x9) 12;
-      x1 := Int64.add !x1 !x5; x13 := rot64 (Int64.logxor !x13 !x1) 8;
-      x9 := Int64.add !x9 !x13; x5 := rot64 (Int64.logxor !x5 !x9) 7;
-      x2 := Int64.add !x2 !x6; x14 := rot64 (Int64.logxor !x14 !x2) 16;
-      x10 := Int64.add !x10 !x14; x6 := rot64 (Int64.logxor !x6 !x10) 12;
-      x2 := Int64.add !x2 !x6; x14 := rot64 (Int64.logxor !x14 !x2) 8;
-      x10 := Int64.add !x10 !x14; x6 := rot64 (Int64.logxor !x6 !x10) 7;
-      x3 := Int64.add !x3 !x7; x15 := rot64 (Int64.logxor !x15 !x3) 16;
-      x11 := Int64.add !x11 !x15; x7 := rot64 (Int64.logxor !x7 !x11) 12;
-      x3 := Int64.add !x3 !x7; x15 := rot64 (Int64.logxor !x15 !x3) 8;
-      x11 := Int64.add !x11 !x15; x7 := rot64 (Int64.logxor !x7 !x11) 7;
-      (* diagonal rounds: (0 5 10 15) (1 6 11 12) (2 7 8 13) (3 4 9 14) *)
-      x0 := Int64.add !x0 !x5; x15 := rot64 (Int64.logxor !x15 !x0) 16;
-      x10 := Int64.add !x10 !x15; x5 := rot64 (Int64.logxor !x5 !x10) 12;
-      x0 := Int64.add !x0 !x5; x15 := rot64 (Int64.logxor !x15 !x0) 8;
-      x10 := Int64.add !x10 !x15; x5 := rot64 (Int64.logxor !x5 !x10) 7;
-      x1 := Int64.add !x1 !x6; x12 := rot64 (Int64.logxor !x12 !x1) 16;
-      x11 := Int64.add !x11 !x12; x6 := rot64 (Int64.logxor !x6 !x11) 12;
-      x1 := Int64.add !x1 !x6; x12 := rot64 (Int64.logxor !x12 !x1) 8;
-      x11 := Int64.add !x11 !x12; x6 := rot64 (Int64.logxor !x6 !x11) 7;
-      x2 := Int64.add !x2 !x7; x13 := rot64 (Int64.logxor !x13 !x2) 16;
-      x8 := Int64.add !x8 !x13; x7 := rot64 (Int64.logxor !x7 !x8) 12;
-      x2 := Int64.add !x2 !x7; x13 := rot64 (Int64.logxor !x13 !x2) 8;
-      x8 := Int64.add !x8 !x13; x7 := rot64 (Int64.logxor !x7 !x8) 7;
-      x3 := Int64.add !x3 !x4; x14 := rot64 (Int64.logxor !x14 !x3) 16;
-      x9 := Int64.add !x9 !x14; x4 := rot64 (Int64.logxor !x4 !x9) 12;
-      x3 := Int64.add !x3 !x4; x14 := rot64 (Int64.logxor !x14 !x3) 8;
-      x9 := Int64.add !x9 !x14; x4 := rot64 (Int64.logxor !x4 !x9) 7
-    done;
-    let lim = min 64 (len - !off) and s = spos + !off and d = dpos + !off in
-    xor_word src s dst d lim 0 (Int64.to_int !x0 + c0);
-    xor_word src s dst d lim 1 (Int64.to_int !x1 + c1);
-    xor_word src s dst d lim 2 (Int64.to_int !x2 + c2);
-    xor_word src s dst d lim 3 (Int64.to_int !x3 + c3);
-    xor_word src s dst d lim 4 (Int64.to_int !x4 + k0);
-    xor_word src s dst d lim 5 (Int64.to_int !x5 + k1);
-    xor_word src s dst d lim 6 (Int64.to_int !x6 + k2);
-    xor_word src s dst d lim 7 (Int64.to_int !x7 + k3);
-    xor_word src s dst d lim 8 (Int64.to_int !x8 + k4);
-    xor_word src s dst d lim 9 (Int64.to_int !x9 + k5);
-    xor_word src s dst d lim 10 (Int64.to_int !x10 + k6);
-    xor_word src s dst d lim 11 (Int64.to_int !x11 + k7);
-    xor_word src s dst d lim 12 (Int64.to_int !x12 + c12);
-    xor_word src s dst d lim 13 (Int64.to_int !x13 + n0);
-    xor_word src s dst d lim 14 (Int64.to_int !x14 + n1);
-    xor_word src s dst d lim 15 (Int64.to_int !x15 + n2);
-    off := !off + 64;
-    incr ctr
-  done
+  xor_kernel key counter n0 n1 n2 src spos dst dpos len
 
 let nonce_word nonce i =
   if String.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes";
-  word32_le nonce (4 * i)
+  Int32.to_int (String.get_int32_le nonce (4 * i))
 
 let xor_sub ~key ?(counter = 1) ~nonce src spos dst dpos len =
   xor_stream ~key ~counter ~n0:(nonce_word nonce 0) ~n1:(nonce_word nonce 1)

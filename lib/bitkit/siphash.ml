@@ -1,81 +1,30 @@
-(* SipHash-2-4 as a word-level kernel.
+(* SipHash-2-4. The hash is computed in crypto_kernels.c; this module
+   checks every argument before the call, so the C code never reads
+   outside the message. *)
 
-   [v0..v3] are local int64 refs that never escape, so the compiler keeps
-   them unboxed; message words are read eight bytes at a time straight
-   from the caller's string. The optional prefix (up to 7 bytes, given as
-   an int) is hashed as if it preceded the message, which lets a caller
-   authenticate [header ‖ region] without concatenating them. *)
+external hash_kernel :
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int64[@unboxed]) = "bitkit_siphash24_byte" "bitkit_siphash24"
+[@@noalloc]
 
-external get64u : string -> int -> int64 = "%caml_string_get64u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline] get64_le s i =
-  let w = get64u s i in
-  if Sys.big_endian then swap64 w else w
-
-let[@inline] rotl x n = Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
-
-(* Byte [j] of [prefix ‖ msg[pos..]]. *)
-let[@inline] vbyte ~prefix ~prefix_len msg pos j =
-  if j < prefix_len then (prefix lsr (8 * j)) land 0xFF
-  else Char.code (String.unsafe_get msg (pos + j - prefix_len))
-
-(* [k <= 7] bytes of [prefix ‖ msg[pos..]] from [j], little-endian in an int. *)
-let gather ~prefix ~prefix_len msg pos j k =
-  let w = ref 0 in
-  for i = k - 1 downto 0 do
-    w := (!w lsl 8) lor vbyte ~prefix ~prefix_len msg pos (j + i)
-  done;
-  !w
-
-let hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len =
+(* Inlined into [tag_into], whose result then never leaves a register. *)
+let[@inline] hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len =
   if String.length key <> 16 then invalid_arg "Siphash: key must be 16 bytes";
   if pos < 0 || len < 0 || pos > String.length msg - len || prefix_len < 0
      || prefix_len > 7
   then invalid_arg "Siphash.hash_sub";
-  let k0 = get64_le key 0 and k1 = get64_le key 8 in
-  let v0 = ref (Int64.logxor 0x736f6d6570736575L k0)
-  and v1 = ref (Int64.logxor 0x646f72616e646f6dL k1)
-  and v2 = ref (Int64.logxor 0x6c7967656e657261L k0)
-  and v3 = ref (Int64.logxor 0x7465646279746573L k1) in
-  let n = prefix_len + len in
-  let full = n / 8 in
-  (* Word [full] is the final block: the tail bytes plus the length in
-     its top byte. The first word straddles the prefix when there is one.
-     Pass [full + 1] is the finalisation: no word, [v2] flipped, four
-     rounds. *)
-  for i = 0 to full + 1 do
-    let m =
-      if i > full then 0L
-      else if i = full then
-        Int64.logor
-          (Int64.of_int (gather ~prefix ~prefix_len msg pos (8 * full) (n land 7)))
-          (Int64.shift_left (Int64.of_int (n land 0xFF)) 56)
-      else if i > 0 || prefix_len = 0 then get64_le msg (pos + (8 * i) - prefix_len)
-      else
-        Int64.logor
-          (Int64.of_int (gather ~prefix ~prefix_len msg pos 0 7))
-          (Int64.shift_left (Int64.of_int (vbyte ~prefix ~prefix_len msg pos 7)) 56)
-    in
-    if i > full then v2 := Int64.logxor !v2 0xFFL;
-    v3 := Int64.logxor !v3 m;
-    for _ = 1 to (if i > full then 4 else 2) do
-      v0 := Int64.add !v0 !v1; v1 := rotl !v1 13; v1 := Int64.logxor !v1 !v0;
-      v0 := rotl !v0 32;
-      v2 := Int64.add !v2 !v3; v3 := rotl !v3 16; v3 := Int64.logxor !v3 !v2;
-      v0 := Int64.add !v0 !v3; v3 := rotl !v3 21; v3 := Int64.logxor !v3 !v0;
-      v2 := Int64.add !v2 !v1; v1 := rotl !v1 17; v1 := Int64.logxor !v1 !v2;
-      v2 := rotl !v2 32
-    done;
-    v0 := Int64.logxor !v0 m
-  done;
-  Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
+  hash_kernel key prefix prefix_len msg pos len
 
 let hash_sub ~key msg ~pos ~len = hash_prefixed ~key ~prefix:0 ~prefix_len:0 msg ~pos ~len
 let hash ~key msg = hash_sub ~key msg ~pos:0 ~len:(String.length msg)
 
 let tag_into ~key msg ~pos ~len dst dpos =
-  Bytes.set_int64_le dst dpos (hash_sub ~key msg ~pos ~len)
+  Bytes.set_int64_le dst dpos (hash_prefixed ~key ~prefix:0 ~prefix_len:0 msg ~pos ~len)
 
 let tag ~key msg =
   let b = Bytes.create 8 in

@@ -4,9 +4,12 @@
     Validated against the reference test vectors in the test suite, and
     against a straightforward reference implementation by property tests.
 
-    The kernel keeps its four state words unboxed and reads the message
-    eight bytes at a time in place: hashing allocates nothing beyond the
-    boxed [int64] result. *)
+    The kernel is portable C (crypto_kernels.c), where the four state
+    words live in 64-bit registers and rotate in one instruction each; it
+    reads the message eight bytes at a time in place. Every argument is
+    checked here, in OCaml, before the call. Hashing allocates nothing
+    beyond the boxed [int64] a caller outside this module receives, and
+    {!tag_into} allocates nothing at all. *)
 
 val hash : key:string -> string -> int64
 (** [hash ~key msg] with a 16-byte [key]. *)
@@ -20,11 +23,17 @@ val hash_prefixed :
 (** {!hash} of the [prefix_len] (at most 7) little-endian bytes of
     [prefix] followed by the substring [pos, pos+len): authenticates
     [header ‖ region] with no concatenation. [prefix_len = 0] is
-    {!hash_sub}. *)
+    {!hash_sub}.
+
+    @raise Invalid_argument if [key] is not 16 bytes, [prefix_len] is
+    outside 0–7, or [pos], [len] leave [msg]; so do {!hash_sub},
+    {!hash}, {!tag_into} and {!tag}. *)
 
 val tag_into : key:string -> string -> pos:int -> len:int -> Bytes.t -> int -> unit
 (** [tag_into ~key msg ~pos ~len dst dpos] writes the 8-byte tag of the
-    substring directly into [dst] at [dpos]. *)
+    substring directly into [dst] at [dpos].
+
+    @raise Invalid_argument also if [dpos, dpos+8) leaves [dst]. *)
 
 val tag : key:string -> string -> string
 (** The 8-byte little-endian serialisation of {!hash}. *)

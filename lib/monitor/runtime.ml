@@ -1,7 +1,13 @@
 (* A registry is one shard's mutable state: sharded runs hold one per
    shard and merge their verdicts after the domains join (see
    {!merged_verdicts}). An endpoint with no registry attaches no
-   instance, so an unmonitored crossing never reaches this module. *)
+   instance, so an unmonitored crossing never reaches this module.
+
+   The registry keeps one tally per sublayer name, not its instances: an
+   instance resolves the two tallies it charges when it is attached, and
+   becomes garbage with the stack that holds it. *)
+
+type tally = { mutable checked : int; mutable violated : int }
 
 type instance = {
   spec : Spec.t;
@@ -9,17 +15,14 @@ type instance = {
   cfg : Spec.config;
   reg : registry;
   mutable i_dead : bool;
-  (* per-direction event counts: Down events are the upper sublayer
-     talking, Up events the lower *)
-  mutable checked_down : int;
-  mutable checked_up : int;
-  mutable violated_down : bool;
-  mutable violated_up : bool;
+  (* Down events are the upper sublayer talking, Up events the lower *)
+  down : tally;
+  up : tally;
 }
 
 and registry = {
   rlabel : string;
-  mutable instances : instance list;  (* newest first *)
+  tallies : (string, tally) Hashtbl.t;  (* by sublayer name *)
   mutable viols : string list;        (* newest first *)
   mutable nviols : int;
   unreported : string Queue.t;        (* oldest first, drained by Soak *)
@@ -28,18 +31,22 @@ and registry = {
 type t = registry
 
 let create ?(label = "monitors") () =
-  { rlabel = label; instances = []; viols = []; nviols = 0; unreported = Queue.create () }
+  { rlabel = label; tallies = Hashtbl.create 8; viols = []; nviols = 0;
+    unreported = Queue.create () }
 
 let label t = t.rlabel
 
+let tally t name =
+  match Hashtbl.find_opt t.tallies name with
+  | Some c -> c
+  | None ->
+      let c = { checked = 0; violated = 0 } in
+      Hashtbl.add t.tallies name c;
+      c
+
 let attach t ~key spec =
-  let inst =
-    { spec; key; cfg = Spec.init spec; reg = t; i_dead = false;
-      checked_down = 0; checked_up = 0; violated_down = false;
-      violated_up = false }
-  in
-  t.instances <- inst :: t.instances;
-  inst
+  { spec; key; cfg = Spec.init spec; reg = t; i_dead = false;
+    down = tally t (Spec.upper spec); up = tally t (Spec.lower spec) }
 
 let dead inst = inst.i_dead
 
@@ -52,7 +59,8 @@ let violate inst mid ~a ~b =
   let guilty =
     if is_down then Spec.upper inst.spec else Spec.lower inst.spec
   in
-  if is_down then inst.violated_down <- true else inst.violated_up <- true;
+  let c = if is_down then inst.down else inst.up in
+  c.violated <- c.violated + 1;
   let msg =
     Printf.sprintf "monitor %s[%s]: %s violated: %s a=%d b=%d"
       (Spec.name inst.spec) inst.key guilty
@@ -66,9 +74,8 @@ let violate inst mid ~a ~b =
 
 let observe inst mid ~a ~b =
   if not inst.i_dead then begin
-    (match Spec.msg_dir inst.spec mid with
-    | Spec.Down -> inst.checked_down <- inst.checked_down + 1
-    | Spec.Up -> inst.checked_up <- inst.checked_up + 1);
+    let c = match Spec.msg_dir inst.spec mid with Spec.Down -> inst.down | Spec.Up -> inst.up in
+    c.checked <- c.checked + 1;
     if not (Spec.step inst.spec inst.cfg mid ~a ~b) then
       violate inst mid ~a ~b
   end
@@ -80,29 +87,22 @@ let next_violation t = Queue.take_opt t.unreported
 
 let invariant t () = next_violation t
 
-let checked t =
-  List.fold_left
-    (fun acc i -> acc + i.checked_down + i.checked_up)
-    0 t.instances
+let checked t = Hashtbl.fold (fun _ c acc -> acc + c.checked) t.tallies 0
 
 (* Each observed event is charged to the sublayer that sent it: [Down]
    to the spec's upper, [Up] to its lower. Sharded runs hold one
    registry per shard (monitors are single-domain mutable state); after
-   the domains join, one tally over every registry's instances is the
+   the domains join, one sum over every registry's tallies is the
    explicit merge, instead of sharing a registry across domains. *)
 let merged_verdicts ts =
   let tbl = Hashtbl.create 16 in
-  let bump name c v =
-    let c0, v0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
-    Hashtbl.replace tbl name (c0 + c, v0 + v)
-  in
   List.iter
     (fun t ->
-      List.iter
-        (fun i ->
-          bump (Spec.upper i.spec) i.checked_down (Bool.to_int i.violated_down);
-          bump (Spec.lower i.spec) i.checked_up (Bool.to_int i.violated_up))
-        t.instances)
+      Hashtbl.iter
+        (fun name c ->
+          let c0, v0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl name) in
+          Hashtbl.replace tbl name (c0 + c.checked, v0 + c.violated))
+        t.tallies)
     ts;
   Hashtbl.fold (fun name (c, v) acc -> (name, c, v) :: acc) tbl []
   |> List.sort compare

@@ -1,13 +1,18 @@
 (** Runtime conformance monitors.
 
-    A registry holds one monitor {e instance} per (connection, interface
-    spec) pair — the key is the same connection/track name the tracer
-    uses, so a violation message names a track the {!Sim.Soak} flight
-    recorder can follow. Instances are attached at stack construction
-    (cold); {!observe} is the hot path: a table walk and integer
-    mutations, and allocation only on the first violation of an instance
-    (which also silences it, so one bug does not cascade into a report
-    flood).
+    Each (connection, interface spec) pair gets one monitor {e instance}
+    — the key is the same connection/track name the tracer uses, so a
+    violation message names a track the {!Sim.Soak} flight recorder can
+    follow. Instances are attached at stack construction (cold);
+    {!observe} is the hot path: a table walk and integer mutations, and
+    allocation only on the first violation of an instance (which also
+    silences it, so one bug does not cascade into a report flood).
+
+    A registry keeps no instance: it keeps one [checked]/[violated]
+    tally per sublayer name, and an instance resolves the two tallies it
+    charges at {!attach}. An instance is held only by the stack that
+    attached it, so a retired connection's monitors become garbage with
+    its stack.
 
     A monitor checks iff it was given: an endpoint built without a
     registry attaches no instance, and its probes are shared inert ones
@@ -49,7 +54,7 @@ val invariant : t -> unit -> string option
 (** [invariant t] is [fun () -> next_violation t]. *)
 
 val checked : t -> int
-(** Total events checked across all instances. *)
+(** Total events checked by every instance ever attached. *)
 
 val verdicts : t -> (string * int * int) list
 (** Per-sublayer [(name, checked, violated)] counts, name-sorted: each
@@ -58,7 +63,7 @@ val verdicts : t -> (string * int * int) list
     [?verdicts] hook expects. *)
 
 val merged_verdicts : t list -> (string * int * int) list
-(** {!verdicts} tallied over several registries' instances at once (one
+(** {!verdicts} summed over several registries' tallies at once (one
     registry per shard in a sharded run) — the explicit cross-domain
     merge, performed after the shard domains have joined. *)
 

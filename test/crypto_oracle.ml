@@ -1,9 +1,11 @@
-(* Reference oracles for the record layer's word-level kernels: the
-   straightforward ChaCha20 / SipHash-2-4 / record seal-and-open code the
-   kernels replaced, kept verbatim in spirit (tuples per quarter-round,
-   boxed int64 state, string concatenation) because it is easy to check
-   against the RFC and paper by eye. Property tests hold the library's
-   kernels and [Rec] to these, byte for byte. *)
+(* Reference oracles for the record layer's kernels (in C, in
+   lib/bitkit/crypto_kernels.c): the straightforward ChaCha20 /
+   SipHash-2-4 / record seal-and-open code the kernels replaced, kept
+   verbatim in spirit (tuples per quarter-round, boxed int64 state,
+   string concatenation) because it is easy to check against the RFC and
+   paper by eye. The RFC 8439 §2.1.1 vector tests [quarter_round] here.
+   Property tests hold the library's kernels and [Rec] to these, byte
+   for byte. *)
 
 module Chacha20 = struct
   let mask = 0xFFFFFFFF

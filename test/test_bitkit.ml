@@ -334,10 +334,11 @@ let prop_internet_valid =
 
 (* --- Chacha20 / Siphash (RFC vectors) --- *)
 
+(* RFC 8439 §2.1.1. The library's kernel inlines its quarter-rounds in
+   C, so the vector holds the oracle's, which the kernel is held to. *)
 let test_chacha_quarter_round () =
-  (* RFC 8439 §2.1.1 *)
   let a, b, c, d =
-    Chacha20.quarter_round (0x11111111, 0x01020304, 0x9b8d6f43, 0x01234567)
+    Crypto_oracle.Chacha20.quarter_round (0x11111111, 0x01020304, 0x9b8d6f43, 0x01234567)
   in
   check Alcotest.int "a" 0xea2a92f4 a;
   check Alcotest.int "b" 0xcb1cf8ce b;
@@ -478,11 +479,142 @@ let prop_siphash_oracle =
          && Bytes.sub_string tag_b post 8 = O.Siphash.tag ~key msg
          && Bytes.sub_string tag_b 0 post = String.make post '#'))
 
-(* The kernels' whole point: a call over 1 KiB allocates a small fixed
-   number of words (SipHash boxes its int64 result; ChaCha nothing),
-   not thousands. *)
+(* The C boundary. Every argument is checked in OCaml before the kernel
+   runs, so a hostile call either raises [Invalid_argument], exactly when
+   the range check below rejects it, before touching a byte, or writes
+   its destination range and nothing else. Offsets and lengths are
+   negative, one past the end, [max_int] or [min_int] a quarter of the
+   time; keys, nonces and prefix lengths are wrong a fifth of the time.
+   The counter and the nonce words take values past 32 bits, which the
+   kernel reduces mod 2^32 as the oracle's [land] does. *)
+
+(* [pos, pos+len) lies in a buffer of [size] bytes, decided without the
+   sum [pos + len], which overflows at [max_int]. *)
+let fits ~pos ~len size = pos >= 0 && len >= 0 && pos <= size && len <= size - pos
+
+type boundary_case = {
+  key : string;  (* ChaCha20's; SipHash's is [skey] *)
+  skey : string;
+  nonce : string;
+  counter : int;
+  hi : int;  (* added to each nonce word above bit 32 *)
+  src : string;
+  spos : int;
+  dst_len : int;
+  dpos : int;
+  len : int;
+  prefix : int;
+  prefix_len : int;
+}
+
+let boundary_case_gen =
+  QCheck2.Gen.(
+    let length good bad = frequency [ (4, return good); (1, oneofl bad) ] in
+    let offset n = frequency [ (3, int_range 0 n); (1, oneofl [ -1; n + 1; max_int; min_int ]) ] in
+    let* key = length 32 [ 0; 16; 31; 33 ] >>= bytes_gen
+    and* skey = length 16 [ 0; 8; 15; 17 ] >>= bytes_gen
+    and* nonce = length 12 [ 0; 11; 13 ] >>= bytes_gen
+    and* counter = oneof [ int_range 0 8; oneofl [ -1; 0xFFFF_FFFF; max_int; min_int ] ]
+    and* hi = oneofl [ 0; 1; -1; max_int lsr 32 ]
+    and* src = int_range 0 150 >>= bytes_gen
+    and* dst_len = int_range 0 150
+    and* prefix = int
+    and* prefix_len = frequency [ (4, int_range 0 7); (1, oneofl [ -1; 8; max_int; min_int ]) ] in
+    let* spos = offset (String.length src) and* dpos = offset dst_len in
+    let room =
+      if spos < 0 || dpos < 0 then 0
+      else max 0 (min (String.length src - spos) (dst_len - dpos))
+    in
+    let* len =
+      frequency [ (3, int_range 0 room); (1, oneofl [ -1; room + 1; max_int; min_int ]) ]
+    in
+    return { key; skey; nonce; counter; hi; src; spos; dst_len; dpos; len; prefix; prefix_len })
+
+let print_boundary_case c =
+  Printf.sprintf
+    "key=%d skey=%d nonce=%d counter=%d hi=%d src=%d spos=%d dst=%d dpos=%d len=%d prefix_len=%d"
+    (String.length c.key) (String.length c.skey) (String.length c.nonce) c.counter c.hi
+    (String.length c.src) c.spos c.dst_len c.dpos c.len c.prefix_len
+
+let canary = '\xA5'
+
+(* A call on a canary-filled destination of [dst_len] bytes raises
+   [Invalid_argument] iff [bad], leaving every byte in place; otherwise
+   it writes [expect ()] at [at] and no byte outside it. *)
+let writes_only ~dst_len ~bad ~at ~expect call =
+  let b = Bytes.make dst_len canary in
+  match call b with
+  | exception Invalid_argument _ -> bad && Bytes.for_all (Char.equal canary) b
+  | () ->
+      let e = expect () in
+      let n = String.length e in
+      (not bad)
+      && Bytes.sub_string b at n = e
+      && Bytes.for_all (Char.equal canary) (Bytes.sub b 0 at)
+      && Bytes.for_all (Char.equal canary) (Bytes.sub b (at + n) (dst_len - at - n))
+
+(* A call that writes nothing raises [Invalid_argument] iff [bad], and
+   otherwise returns [expect ()]. *)
+let returns ~bad ~expect call =
+  match call () with
+  | exception Invalid_argument _ -> bad
+  | v -> (not bad) && v = expect ()
+
+let prop_kernel_boundary =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"hostile arguments raise or stay in range"
+       ~print:print_boundary_case boundary_case_gen (fun c ->
+         let src_len = String.length c.src in
+         let bad_key = String.length c.key <> 32 and bad_nonce = String.length c.nonce <> 12 in
+         let bad_skey = String.length c.skey <> 16 in
+         let bad_src = not (fits ~pos:c.spos ~len:c.len src_len) in
+         let bad_dst = not (fits ~pos:c.dpos ~len:c.len c.dst_len) in
+         let bad_prefix = c.prefix_len < 0 || c.prefix_len > 7 in
+         let region () = String.sub c.src c.spos c.len in
+         (* [xor_stream] takes its nonce as words, so it runs on a valid one. *)
+         let nonce12 = if bad_nonce then String.make 12 'n' else c.nonce in
+         let word i =
+           (Int32.to_int (String.get_int32_le nonce12 (4 * i)) land 0xFFFF_FFFF) + (c.hi lsl 32)
+         in
+         let prefix_bytes () =
+           String.init c.prefix_len (fun i -> Char.chr ((c.prefix lsr (8 * i)) land 0xFF))
+         in
+         let cipher s = O.Chacha20.encrypt ~key:c.key ~counter:c.counter ~nonce:c.nonce s in
+         writes_only ~dst_len:c.dst_len ~bad:(bad_key || bad_src || bad_dst) ~at:c.dpos
+           ~expect:(fun () ->
+             O.Chacha20.encrypt ~key:c.key ~counter:c.counter ~nonce:nonce12 (region ()))
+           (fun b ->
+             Chacha20.xor_stream ~key:c.key ~counter:c.counter ~n0:(word 0) ~n1:(word 1)
+               ~n2:(word 2) c.src c.spos b c.dpos c.len)
+         && writes_only ~dst_len:c.dst_len ~bad:(bad_key || bad_nonce || bad_dst) ~at:c.dpos
+              ~expect:(fun () -> cipher (String.make c.len canary))
+              (fun b ->
+                Chacha20.xor_into ~key:c.key ~counter:c.counter ~nonce:c.nonce b ~pos:c.dpos
+                  ~len:c.len)
+         && returns ~bad:(bad_key || bad_nonce) ~expect:(fun () -> cipher c.src) (fun () ->
+                Chacha20.encrypt ~key:c.key ~counter:c.counter ~nonce:c.nonce c.src)
+         && returns ~bad:(bad_skey || bad_src)
+              ~expect:(fun () -> O.Siphash.hash ~key:c.skey (region ()))
+              (fun () -> Siphash.hash_sub ~key:c.skey c.src ~pos:c.spos ~len:c.len)
+         && returns ~bad:(bad_skey || bad_src || bad_prefix)
+              ~expect:(fun () -> O.Siphash.hash ~key:c.skey (prefix_bytes () ^ region ()))
+              (fun () ->
+                Siphash.hash_prefixed ~key:c.skey ~prefix:c.prefix ~prefix_len:c.prefix_len
+                  c.src ~pos:c.spos ~len:c.len)
+         && writes_only ~dst_len:c.dst_len
+              ~bad:(bad_skey || bad_src || not (fits ~pos:c.dpos ~len:8 c.dst_len))
+              ~at:c.dpos
+              ~expect:(fun () -> O.Siphash.tag ~key:c.skey (region ()))
+              (fun b -> Siphash.tag_into ~key:c.skey c.src ~pos:c.spos ~len:c.len b c.dpos)))
+
+(* The kernels' whole point: a call over 1 KiB allocates nothing, not
+   thousands of words. Measured per call (dev profile): ChaCha20's
+   [xor_into] 0.0 words in C and 0.0 as word-level OCaml; SipHash's
+   [tag_into] 0.0 in C, whose [int64] result stays unboxed, and 3.0 as
+   word-level OCaml, which boxed it. *)
 let test_crypto_kernels_allocation_free () =
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let sip_key = String.sub key 0 16 in
   let b = Bytes.make 1024 'p' in
   let calls = 1000 in
   let words f =
@@ -496,13 +628,13 @@ let test_crypto_kernels_allocation_free () =
   let chacha = words (fun () -> Chacha20.xor_into ~key ~nonce b ~pos:0 ~len:1024) in
   let sip =
     words (fun () ->
-        Siphash.tag_into ~key:(String.sub key 0 16) (Bytes.unsafe_to_string b) ~pos:0
-          ~len:1016 b 1016)
+        Siphash.tag_into ~key:sip_key (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 b 1016)
   in
-  check Alcotest.bool (Printf.sprintf "chacha xor_into 1 KiB: %.1f words/call" chacha) true
-    (chacha <= 8.);
-  check Alcotest.bool (Printf.sprintf "siphash tag_into 1 KiB: %.1f words/call" sip) true
-    (sip <= 8.)
+  (* [Gc.minor_words]'s own boxed result adds 0.002 per call here. *)
+  check Alcotest.bool (Printf.sprintf "chacha xor_into 1 KiB: %.3f words/call" chacha) true
+    (chacha < 0.01);
+  check Alcotest.bool (Printf.sprintf "siphash tag_into 1 KiB: %.3f words/call" sip) true
+    (sip < 0.01)
 
 (* --- Rng --- *)
 
@@ -834,6 +966,7 @@ let () =
           prop_chacha_encrypt_oracle;
           prop_chacha_in_place_oracle;
           prop_siphash_oracle;
+          prop_kernel_boundary;
           Alcotest.test_case "kernels allocate O(1) words per call" `Quick
             test_crypto_kernels_allocation_free;
         ] );

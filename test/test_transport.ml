@@ -1640,30 +1640,42 @@ let check_no_connections name hosts =
 (* Every finished connection used to stay reachable from the host's
    table with its whole stack: 637 live words per flow after a full major
    GC. Retired, a flow leaves nothing behind (a flat 8 290 words), so at
-   most 16 words per flow may accrue between flow 500 and flow 2 000. *)
+   most 16 words per flow may accrue between flow 500 and flow 2 000. A
+   shared monitor registry must not hold a retired connection either: it
+   kept every attached instance, 172 words per flow. *)
 let test_retired_flows_hold_no_memory () =
-  let engine = Sim.Engine.create ~seed:3 () in
-  let a, b =
-    Host.pair engine ~stats_a:(Sublayer.Stats.create ()) ~stats_b:(Sublayer.Stats.create ())
-      Sim.Channel.ideal
-  in
-  let data = random_data 3 256 in
-  let sv = serve b (fun () -> data) in
-  let flows n =
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (sequential_flow engine a data))
-    done;
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let at_500 = flows 500 in
-  let at_2000 = flows 1500 in
-  let per = float_of_int (at_2000 - at_500) /. 1500. in
-  check Alcotest.int "every flow exact" 2000 sv.exact;
-  check Alcotest.bool
-    (Printf.sprintf "%.1f live words per flow (%d at flow 500, %d at 2000)" per at_500 at_2000)
-    true (per <= 16.);
-  check_no_connections "after 2 000 flows" [ ("A", a); ("B", b) ]
+  List.iter
+    (fun (name, monitors) ->
+      let engine = Sim.Engine.create ~seed:3 () in
+      let a, b =
+        Host.pair engine ~stats_a:(Sublayer.Stats.create ())
+          ~stats_b:(Sublayer.Stats.create ()) ?monitors Sim.Channel.ideal
+      in
+      let data = random_data 3 256 in
+      let sv = serve b (fun () -> data) in
+      let flows n =
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (sequential_flow engine a data))
+        done;
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let at_500 = flows 500 in
+      let at_2000 = flows 1500 in
+      let per = float_of_int (at_2000 - at_500) /. 1500. in
+      check Alcotest.int (name ^ ": every flow exact") 2000 sv.exact;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.1f live words per flow (%d at flow 500, %d at 2000)" name per
+           at_500 at_2000)
+        true (per <= 16.);
+      Option.iter
+        (fun m ->
+          check Alcotest.bool (name ^ ": monitors checked crossings") true
+            (Monitor.Runtime.checked m > 0);
+          check Alcotest.int (name ^ ": no violation") 0 (Monitor.Runtime.violation_count m))
+        monitors;
+      check_no_connections (name ^ " after 2 000 flows") [ ("A", a); ("B", b) ])
+    [ ("stats", None); ("stats and monitors", Some (Monitor.Runtime.create ())) ]
 
 (* A retired connection frees its port: one client completes more
    connections than there are ephemeral ports, and the picker wraps onto
