@@ -39,18 +39,25 @@ let rec below t bound =
   let v = r mod bound in
   if r - v + (bound - 1) < 0 then below t bound else v
 
+(* A power-of-two bound divides 2^62, so [below] never rejects there and
+   its [r mod bound] is [r land (bound - 1)]. *)
 let int t bound =
   assert (bound > 0);
-  below t bound
+  if bound land (bound - 1) = 0 then
+    Int64.to_int (Int64.shift_right_logical (next t) 2) land (bound - 1)
+  else below t bound
 
-(* Byte [i] is what [int t 256] would draw: bits 2–9 of one draw (a
-   power-of-two bound never rejects). *)
+(* Byte [i] is what [int t 256] would draw: bits 2–9 of one draw. The
+   state stays in a local over the loop and is stored once. *)
 let bytes t n =
   let b = Bytes.create n in
+  let s = ref (Bytes.get_int64_le t 0) in
   for i = 0 to n - 1 do
+    s := Int64.add !s golden;
     Bytes.unsafe_set b i
-      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical (next t) 2) land 0xFF))
+      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical (mix !s) 2) land 0xFF))
   done;
+  Bytes.set_int64_le t 0 !s;
   Bytes.unsafe_to_string b
 
 let[@inline] float t =

@@ -21,6 +21,15 @@ let[@inline] hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len =
   hash_kernel key prefix prefix_len msg pos len
 
 let hash_sub ~key msg ~pos ~len = hash_prefixed ~key ~prefix:0 ~prefix_len:0 msg ~pos ~len
+
+(* The hash never leaves a register, so a caller in another module gets
+   a [bool] and no boxed [int64]. *)
+let verify_prefixed ~key ~prefix ~prefix_len msg ~pos ~len ~tag_pos =
+  if tag_pos < 0 || tag_pos > String.length msg - 8 then invalid_arg "Siphash.verify_prefixed";
+  Int64.equal
+    (hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len)
+    (String.get_int64_le msg tag_pos)
+
 let hash ~key msg = hash_sub ~key msg ~pos:0 ~len:(String.length msg)
 
 let tag_into ~key msg ~pos ~len dst dpos =

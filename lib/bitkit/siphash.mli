@@ -9,7 +9,7 @@
     reads the message eight bytes at a time in place. Every argument is
     checked here, in OCaml, before the call. Hashing allocates nothing
     beyond the boxed [int64] a caller outside this module receives, and
-    {!tag_into} allocates nothing at all. *)
+    {!verify_prefixed} and {!tag_into} allocate nothing at all. *)
 
 val hash : key:string -> string -> int64
 (** [hash ~key msg] with a 16-byte [key]. *)
@@ -28,6 +28,23 @@ val hash_prefixed :
     @raise Invalid_argument if [key] is not 16 bytes, [prefix_len] is
     outside 0–7, or [pos], [len] leave [msg]; so do {!hash_sub},
     {!hash}, {!tag_into} and {!tag}. *)
+
+val verify_prefixed :
+  key:string ->
+  prefix:int ->
+  prefix_len:int ->
+  string ->
+  pos:int ->
+  len:int ->
+  tag_pos:int ->
+  bool
+(** [verify_prefixed ~key ~prefix ~prefix_len msg ~pos ~len ~tag_pos] is
+    whether {!hash_prefixed} of the same arguments equals the 8
+    little-endian bytes of [msg] at [tag_pos]: how a record's tag is
+    checked in place, with no boxed [int64].
+
+    @raise Invalid_argument as {!hash_prefixed} does, and also if
+    [tag_pos, tag_pos+8) leaves [msg]. *)
 
 val tag_into : key:string -> string -> pos:int -> len:int -> Bytes.t -> int -> unit
 (** [tag_into ~key msg ~pos ~len dst dpos] writes the 8-byte tag of the

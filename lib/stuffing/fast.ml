@@ -15,18 +15,20 @@ module Bitseq = Bitkit.Bitseq
    A transition packs the bits it emits (at most 16 per input byte) from
    bit 24 up, their count in bits 16-23 and the next state in bits 8-15,
    so the entry masked with 0xFF00 is already the next byte's row: the
-   path one byte waits on is a [land], a [lor] and a load. -1 marks a
-   wrong stuffed bit. *)
+   path one byte waits on is a [land] and a load. -1 marks a wrong
+   stuffed bit. The byte loops are C (stuffing_kernels.c in Bitkit); the
+   per-bit steps here build their tables and take the bits after the
+   last whole byte. *)
 
 type t = {
   flag : Bitseq.t;
-  find_tab : int array;  (* the flag's automaton a byte at a time, see [find_table] *)
+  find_tab : Bytes.t;  (* the flag's automaton a byte at a time, see [find_table] *)
   k : int;
   sbit : int;
   gap : int;  (* at least this many data bits precede each stuffed bit *)
   delta : int array;  (* [2 * q + bit] -> next automaton state *)
-  stuff_tab : int array;  (* [(q lsl 8) lor byte] -> transition *)
-  unstuff_tab : int array;
+  stuff_tab : Bytes.t;  (* [(q lsl 8) lor byte] -> transition *)
+  unstuff_tab : Bytes.t;
 }
 
 let pack next count bits = (bits lsl 24) lor (count lsl 16) lor (next lsl 8)
@@ -57,6 +59,15 @@ let unstuff_step t q b =
   if q = t.k then if b <> t.sbit then -1 else pack (delta t q b) 0 0
   else pack (delta t q b) 1 b
 
+(* A table for the kernels: entries [f 0 .. f (n - 1)] as native-endian
+   64-bit words, so the C loads an untagged entry. *)
+let words n f =
+  let b = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_ne b (8 * i) (Int64.of_int (f i))
+  done;
+  b
+
 (* Eight per-bit transitions folded into one table entry. *)
 let table t step =
   let entry q v =
@@ -69,7 +80,7 @@ let table t step =
     in
     go q 7 0 0
   in
-  Array.init ((t.k + 1) lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
+  words ((t.k + 1) lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
 (* The flag's string-matching automaton read a byte at a time, its
    states kept multiplied by 256: the entry at [q lor v] is the state
@@ -88,7 +99,7 @@ let find_table flag =
     in
     go q 0
   in
-  Array.init (m lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
+  words (m lsl 8) (fun i -> entry (i lsr 8) (i land 0xFF))
 
 let compile scheme =
   let rule = scheme.Rule.rule in
@@ -102,24 +113,30 @@ let compile scheme =
       find_tab = find_table (Array.of_list (List.map Bool.to_int scheme.Rule.flag)); k; sbit;
       (* after a stuffed bit the automaton climbs from here back to [k],
          at most one state per data bit *)
-      gap = k - delta.((2 * k) + sbit); delta; stuff_tab = [||]; unstuff_tab = [||] }
+      gap = k - delta.((2 * k) + sbit); delta; stuff_tab = Bytes.empty;
+      unstuff_tab = Bytes.empty }
   in
   { t with stuff_tab = table t stuff_step; unstuff_tab = table t unstuff_step }
 
-(* Output goes through an int accumulator into a buffer with room for
-   the worst case; [take] copies out the exact frame. *)
-type writer = { dst : Bytes.t; mutable byte : int; mutable acc : int; mutable nacc : int }
+(* Output goes into a buffer with room for the worst case: bits
+   [0, nbits) of [dst], MSB first, the last partial byte padded with
+   zeros. The kernels continue from there and [emit] appends the flags
+   and the last bits; [take] copies out the exact frame. *)
+type writer = { dst : Bytes.t; mutable nbits : int }
 
-let writer nbits = { dst = Bytes.create ((nbits + 7) / 8); byte = 0; acc = 0; nacc = 0 }
+let writer nbits = { dst = Bytes.create ((nbits + 7) / 8); nbits = 0 }
 
+(* Append the [n] (at most 8) low bits of [bits]. [n = 0], an unstuffing
+   step that drops the stuffed bit, writes nothing: the buffer may be full. *)
 let emit w bits n =
-  w.acc <- (w.acc lsl n) lor bits;
-  w.nacc <- w.nacc + n;
-  while w.nacc >= 8 do
-    w.nacc <- w.nacc - 8;
-    Bytes.unsafe_set w.dst w.byte (Char.unsafe_chr ((w.acc lsr w.nacc) land 0xFF));
-    w.byte <- w.byte + 1
-  done
+  if n > 0 then begin
+    let o = w.nbits lsr 3 and r = w.nbits land 7 in
+    let x = bits lsl (16 - r - n) in
+    let hi = if r = 0 then 0 else Char.code (Bytes.unsafe_get w.dst o) in
+    Bytes.unsafe_set w.dst o (Char.unsafe_chr (hi lor (x lsr 8)));
+    if r + n > 8 then Bytes.unsafe_set w.dst (o + 1) (Char.unsafe_chr (x land 0xFF));
+    w.nbits <- w.nbits + n
+  end
 
 let emit_seq w seq =
   let n = Bitseq.length seq in
@@ -131,77 +148,68 @@ let emit_seq w seq =
   done
 
 let take w =
-  let nbits = (8 * w.byte) + w.nacc in
-  if w.nacc > 0 then
-    Bytes.unsafe_set w.dst w.byte (Char.unsafe_chr ((w.acc lsl (8 - w.nacc)) land 0xFF));
-  let nbytes = (nbits + 7) / 8 in
+  let nbytes = (w.nbits + 7) / 8 in
   let data = if nbytes = Bytes.length w.dst then w.dst else Bytes.sub w.dst 0 nbytes in
-  Bitseq.unsafe_of_bytes_bits data nbits
+  Bitseq.unsafe_of_bytes_bits data w.nbits
 
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external swap32 : int32 -> int32 = "%bswap_int32"
+(* The byte loops, in stuffing_kernels.c beside Bitkit's other kernels.
+   Every range is checked here before the call. A transducer's state
+   crosses as [(nbits lsl 8) lor q]: the output bits written so far, the
+   last partial byte left in the buffer, and the automaton state. *)
+external transduce_kernel :
+  Bytes.t ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "bitkit_stuffing_transduce_byte" "bitkit_stuffing_transduce"
+[@@noalloc]
+
+external find_kernel :
+  Bytes.t ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "bitkit_stuffing_find_flag_byte" "bitkit_stuffing_find_flag"
+[@@noalloc]
+
+external deframe_kernel :
+  Bytes.t ->
+  Bytes.t ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  Bytes.t ->
+  (int[@untagged]) = "bitkit_stuffing_deframe_byte" "bitkit_stuffing_deframe"
+[@@noalloc]
+
+(* The per-bit steps from a kernel's packed [state] over the last [n]
+   (at most 7) input bits, the low bits of [tail], MSB first. False if a
+   stuffed bit is wrong or missing (the input ends in state [k]). *)
+let finish t step w state n tail =
+  w.nbits <- state lsr 8;
+  let q = ref (state land 0xFF) and i = ref (n - 1) in
+  while !i >= 0 && !q >= 0 do
+    let x = step t !q ((tail lsr !i) land 1) in
+    if x < 0 then q := -1
+    else begin
+      emit w (bits_of x) (count_of x);
+      q := next_of x
+    end;
+    decr i
+  done;
+  !q >= 0 && !q <> t.k
 
 (* [transduce t tab step w src pos len] feeds bits [pos, pos + len) of
-   [src] through the transducer into [w]: a table entry per whole byte,
-   then a step per remaining bit. It is false if a stuffed bit is wrong
-   or missing (the input ends in state [k]).
-
-   The accumulator leaves in one 32-bit store once 32 bits are pending.
-   Those are output bits, so the store stays inside the worst-case
-   buffer, which [emit] and [take] also write unchecked. The store is
-   unchecked as well: [Bytes.set_int32_be]'s bounds check spilled the
-   loop's bounds to the stack and cost 4 % of [datalink] goodput
-   (EXPERIMENTS.md, E39). *)
+   [src] through the transducer into [w]: the kernel takes the whole
+   bytes, [finish] the rest. *)
 let transduce t tab step w src pos len =
-  let data = Bitseq.to_string src and dst = w.dst and sh = pos land 7 in
-  let j = ref (pos lsr 3) and stop = (pos lsr 3) + (len lsr 3) in
-  let e = ref 0 and acc = ref w.acc and nacc = ref w.nacc and o = ref w.byte in
-  while !j < stop do
-    (* bits [8j + sh, 8j + sh + 8) lie in [src], so byte [j + 1] exists
-       if they straddle two *)
-    let v =
-      if sh = 0 then Char.code (String.unsafe_get data !j)
-      else
-        (((Char.code (String.unsafe_get data !j) lsl 8)
-         lor Char.code (String.unsafe_get data (!j + 1)))
-         lsr (8 - sh))
-        land 0xFF
-    in
-    let x = Array.unsafe_get tab ((!e land 0xFF00) lor v) in
-    e := x;
-    if x < 0 then j := stop
-    else begin
-      let c = count_of x in
-      acc := (!acc lsl c) lor bits_of x;
-      nacc := !nacc + c;
-      if !nacc >= 32 then begin
-        nacc := !nacc - 32;
-        let x = Int32.of_int (!acc lsr !nacc) in
-        set32u dst !o (if Sys.big_endian then x else swap32 x);
-        o := !o + 4
-      end;
-      incr j
-    end
-  done;
-  if !e < 0 then false
-  else begin
-    w.acc <- !acc;
-    w.nacc <- !nacc;
-    w.byte <- !o;
-    (* write out the whole bytes still pending *)
-    emit w 0 0;
-    let q = ref (next_of !e) and i = ref (len land lnot 7) and ok = ref true in
-    while !ok && !i < len do
-      let x = step t !q (Bool.to_int (Bitseq.get src (pos + !i))) in
-      if x < 0 then ok := false
-      else begin
-        emit w (bits_of x) (count_of x);
-        q := next_of x;
-        incr i
-      end
-    done;
-    !ok && !q <> t.k
-  end
+  let state = transduce_kernel tab (Bitseq.to_string src) pos (len lsr 3) w.dst (w.nbits lsl 8) in
+  let n = len land 7 in
+  state >= 0 && finish t step w state n (Bitseq.byte_at src (pos + len - n) lsr (8 - n))
 
 let stuffed_bound t len = len + (len / t.gap)
 
@@ -211,8 +219,9 @@ let stuff t bits =
   ignore (transduce t t.stuff_tab stuff_step w bits 0 len);
   take w
 
+(* Written without the sum [pos + len], which overflows at [max_int]. *)
 let check_range name bits pos len =
-  if pos < 0 || len < 0 || pos + len > Bitseq.length bits then invalid_arg name
+  if pos < 0 || len < 0 || pos > Bitseq.length bits - len then invalid_arg name
 
 let unstuff_sub t bits ~pos ~len =
   check_range "Fast.unstuff_sub" bits pos len;
@@ -231,35 +240,29 @@ let encode_sub t bits ~pos ~len =
 
 let encode t bits = encode_sub t bits ~pos:0 ~len:(Bitseq.length bits)
 
-(* One table step per byte from [from], each 8-bit window shifted out
-   of two bytes (a byte-aligned [from] shifts by nothing). Bits past the
-   end read as zero, so a match that ends there is no match. The loop
-   makes no call, so the automaton state stays in a register. *)
-let find_flag t ~from bits =
-  let len = Bitseq.length bits and m = Bitseq.length t.flag in
-  if from < 0 || from > len then invalid_arg "Fast.find_flag";
-  if m = 0 then Some from
-  else begin
-    let data = Bitseq.to_string bits and tab = t.find_tab and sh = from land 7 in
-    let n = String.length data in
-    (* the windows starting at bits [8j + sh] below [len] *)
-    let j = ref (from lsr 3) and stop = (len - sh + 7) lsr 3 and q = ref 0 in
-    while !q >= 0 && !j < stop do
-      let next = if !j + 1 < n then Char.code (String.unsafe_get data (!j + 1)) else 0 in
-      let v = (((Char.code (String.unsafe_get data !j) lsl 8) lor next) lsr (8 - sh)) land 0xFF in
-      q := Array.unsafe_get tab (!q lor v);
-      incr j
-    done;
-    (* the flag's last bit, if it ended in the window just read *)
-    let last = (8 * (!j - 1)) + sh - 1 - !q in
-    if !q < 0 && last < len then Some (last + 1 - m) else None
-  end
+(* The first flag at or after bit [from], or -1. *)
+let search t bits from =
+  let m = Bitseq.length t.flag in
+  if m = 0 then from else find_kernel t.find_tab (Bitseq.to_string bits) from (Bitseq.length bits) m
 
+let find_flag t ~from bits =
+  if from < 0 || from > Bitseq.length bits then invalid_arg "Fast.find_flag";
+  let i = search t bits from in
+  if i < 0 then None else Some i
+
+(* The kernel finds the closing flag and unstuffs the body in one pass;
+   [finish] takes the body's last bits. An empty flag closes the frame
+   where it opens. *)
 let decode t bits =
-  match find_flag t ~from:0 bits with
-  | None -> None
-  | Some start -> (
-      let body = start + Bitseq.length t.flag in
-      match find_flag t ~from:body bits with
-      | None -> None
-      | Some stop -> unstuff_sub t bits ~pos:body ~len:(stop - body))
+  let len = Bitseq.length bits and m = Bitseq.length t.flag in
+  let start = search t bits 0 in
+  if start < 0 || len - start < 2 * m then None
+  else if m = 0 then Some Bitseq.empty
+  else begin
+    let body = start + m in
+    let w = writer (len - body - m) in
+    let r = deframe_kernel t.find_tab t.unstuff_tab (Bitseq.to_string bits) body len m w.dst in
+    if r >= 0 && finish t unstuff_step w (r lsr 10) ((r lsr 7) land 7) (r land 0x7F) then
+      Some (take w)
+    else None
+  end

@@ -18,23 +18,44 @@
     [(bits lsl 24) lor (count lsl 16) lor (next lsl 8)]: the output bits,
     their count and the next state, which sits where the next byte's row
     index wants it, so a byte step is [tab.((e land 0xFF00) lor byte)]
-    and the path each byte waits on is that [land], [lor] and load. [-1]
+    and the path each byte waits on is that [land] and a load. [-1]
     marks a wrong stuffed bit. The 8-bit state field is why a trigger
-    may be at most 255 bits long. A partial last byte takes the per-bit
-    transitions the tables are built from. Output gathers in an int
-    accumulator and leaves in one 32-bit big-endian store whenever 32
-    bits are pending, into a buffer sized for the worst case; the frame
-    is then copied out at its exact size. {!compile} also turns the
-    flag's string-matching automaton into an int table over states kept
-    multiplied by 256, a match stored as [-1 - i] for the bit [i] it ends
-    at, so {!find_flag} hunts a byte per step: each 8-bit window is
-    shifted out of two bytes, off the path each step waits on, which is
-    one [lor] and one load. {!encode_sub} stuffs a range of a larger
-    sequence in place, so a framer can read a payload from the buffer it
-    already sits in. Build the tables once per scheme
-    ([Datalink.Framer.hdlc] closes over them), not once per frame: the
-    transducers hold [(k + 1) × 256] ints each, the flag search
-    [m × 256] for an [m]-bit flag. *)
+    may be at most 255 bits long. {!compile} also turns the flag's
+    string-matching automaton into a table over states kept multiplied
+    by 256, a match stored as [-1 - i] for the bit [i] it ends at, so the
+    flag search steps a byte at a time: each 8-bit window is shifted out
+    of two bytes, off the path each step waits on, which is one load.
+
+    The tables are built here, in OCaml, and stored as native 64-bit
+    words. The loops that walk them are portable C99
+    ([lib/bitkit/stuffing_kernels.c], scalar, beside the record layer's
+    kernels), called through [[@@noalloc]] externals with untagged ints
+    once every range has been checked here; each loop is compiled twice,
+    once for a byte-aligned start. A transducer's state crosses the
+    boundary packed in one int, the output bits written so far and [q];
+    the output's partial last byte waits in the buffer. Whole bytes go
+    through the C; a partial last byte takes the per-bit transitions the
+    tables are built from, here. Output gathers in a 64-bit accumulator
+    and leaves in one 32-bit big-endian store whenever 32 bits are
+    pending, into a buffer sized for the worst case; the frame is then
+    copied out at its exact size. {!encode_sub} stuffs a range of a
+    larger sequence in place, so a framer can read a payload from the
+    buffer it already sits in.
+
+    {!decode} is one pass over the body. After the opening flag, one C
+    loop runs the flag automaton [ceil ((m + 7) / 8)] bytes ahead of the
+    unstuffer ([m] the flag length: one byte for a 1-bit flag, two for
+    HDLC's 8 bits, four for 24): once the search has read [f] bytes
+    without a match no flag starts before bit [8f - m + 1] of the body,
+    so every byte the unstuffer takes lies wholly before any flag still
+    to be found, and a wrong stuffed bit there means [None] whether or
+    not a closing flag follows. When the closing flag turns up the
+    unstuffer takes the body's remaining whole bytes, and its last bits
+    go through the per-bit steps.
+
+    Build the tables once per scheme ([Datalink.Framer.hdlc] closes over
+    them), not once per frame: the transducers hold [(k + 1) × 256]
+    words each, the flag search [m × 256] for an [m]-bit flag. *)
 
 type t
 (** A scheme compiled to its transition tables. *)
@@ -69,6 +90,6 @@ val find_flag : t -> from:int -> Bitkit.Bitseq.t -> int option
     [Invalid_argument] unless [0 <= from <= length bits]. *)
 
 val decode : t -> Bitkit.Bitseq.t -> Bitkit.Bitseq.t option
-(** {!Codec.decode}: find the opening flag, find the closing flag from
-    the body start (both with {!find_flag}), then unstuff the range
-    between them in place. *)
+(** {!Codec.decode}: find the opening flag as {!find_flag} does, then
+    find the closing flag and unstuff the body between them in one pass
+    (see Design). *)

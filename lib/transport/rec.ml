@@ -69,6 +69,11 @@ let mac t ~port s ~pos ~len =
   Bitkit.Siphash.hash_prefixed ~key:t.mac_key ~prefix:(port land 0xFFFF) ~prefix_len:2
     s ~pos ~len
 
+(* [mac] compared with the tag at [tag_pos], in place and unboxed. *)
+let mac_ok t ~port s ~pos ~len ~tag_pos =
+  Bitkit.Siphash.verify_prefixed ~key:t.mac_key ~prefix:(port land 0xFFFF) ~prefix_len:2
+    s ~pos ~len ~tag_pos
+
 (* Seal [pdu] as record [t.seq] into [b] at [off] ([overhead] plus the
    PDU's length bytes of room): the plaintext is emitted once into place
    (the copy [emit_into] charges), encrypted there, and tagged over the
@@ -114,9 +119,7 @@ let open_slice t record =
     let s = record.Bitkit.Slice.base and off = record.Bitkit.Slice.off in
     let seq = Int64.to_int (String.get_int64_le s off) in
     let port = t.remote_port in
-    if not (Int64.equal (mac t ~port s ~pos:off ~len:(n - 8))
-              (String.get_int64_le s (off + n - 8)))
-    then begin
+    if not (mac_ok t ~port s ~pos:off ~len:(n - 8) ~tag_pos:(off + n - 8)) then begin
       Sublayer.Stats.incr t.ctrs.c_failures;
       None
     end

@@ -505,6 +505,7 @@ type boundary_case = {
   len : int;
   prefix : int;
   prefix_len : int;
+  tag_pos : int;  (* where [Siphash.verify_prefixed] reads the tag in [src] *)
 }
 
 let boundary_case_gen =
@@ -527,14 +528,20 @@ let boundary_case_gen =
     in
     let* len =
       frequency [ (3, int_range 0 room); (1, oneofl [ -1; room + 1; max_int; min_int ]) ]
+    and* tag_pos =
+      let n = String.length src in
+      frequency
+        [ (3, if n < 8 then return 0 else int_range 0 (n - 8)); (1, oneofl [ -1; n - 7; max_int ]) ]
     in
-    return { key; skey; nonce; counter; hi; src; spos; dst_len; dpos; len; prefix; prefix_len })
+    return
+      { key; skey; nonce; counter; hi; src; spos; dst_len; dpos; len; prefix; prefix_len; tag_pos })
 
 let print_boundary_case c =
   Printf.sprintf
-    "key=%d skey=%d nonce=%d counter=%d hi=%d src=%d spos=%d dst=%d dpos=%d len=%d prefix_len=%d"
+    "key=%d skey=%d nonce=%d counter=%d hi=%d src=%d spos=%d dst=%d dpos=%d len=%d prefix_len=%d \
+     tag_pos=%d"
     (String.length c.key) (String.length c.skey) (String.length c.nonce) c.counter c.hi
-    (String.length c.src) c.spos c.dst_len c.dpos c.len c.prefix_len
+    (String.length c.src) c.spos c.dst_len c.dpos c.len c.prefix_len c.tag_pos
 
 let canary = '\xA5'
 
@@ -601,6 +608,16 @@ let prop_kernel_boundary =
               (fun () ->
                 Siphash.hash_prefixed ~key:c.skey ~prefix:c.prefix ~prefix_len:c.prefix_len
                   c.src ~pos:c.spos ~len:c.len)
+         && returns
+              ~bad:
+                (bad_skey || bad_src || bad_prefix
+                || not (fits ~pos:c.tag_pos ~len:8 src_len))
+              ~expect:(fun () ->
+                O.Siphash.tag ~key:c.skey (prefix_bytes () ^ region ())
+                = String.sub c.src c.tag_pos 8)
+              (fun () ->
+                Siphash.verify_prefixed ~key:c.skey ~prefix:c.prefix ~prefix_len:c.prefix_len
+                  c.src ~pos:c.spos ~len:c.len ~tag_pos:c.tag_pos)
          && writes_only ~dst_len:c.dst_len
               ~bad:(bad_skey || bad_src || not (fits ~pos:c.dpos ~len:8 c.dst_len))
               ~at:c.dpos
@@ -611,7 +628,9 @@ let prop_kernel_boundary =
    thousands of words. Measured per call (dev profile): ChaCha20's
    [xor_into] 0.0 words in C and 0.0 as word-level OCaml; SipHash's
    [tag_into] 0.0 in C, whose [int64] result stays unboxed, and 3.0 as
-   word-level OCaml, which boxed it. *)
+   word-level OCaml, which boxed it; [verify_prefixed] 0.0, where
+   [hash_prefixed] and [Int64.equal] called from another module cost
+   3.0 for the boxed hash. *)
 let test_crypto_kernels_allocation_free () =
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
   let sip_key = String.sub key 0 16 in
@@ -630,11 +649,24 @@ let test_crypto_kernels_allocation_free () =
     words (fun () ->
         Siphash.tag_into ~key:sip_key (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 b 1016)
   in
+  (* [tag_into] left the tag of bytes [0, 1016) at 1016. *)
+  let verified = ref true in
+  let verify =
+    words (fun () ->
+        verified :=
+          !verified
+          && Siphash.verify_prefixed ~key:sip_key ~prefix:0 ~prefix_len:0
+               (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 ~tag_pos:1016)
+  in
+  check Alcotest.bool "verify_prefixed accepts the tag" true !verified;
   (* [Gc.minor_words]'s own boxed result adds 0.002 per call here. *)
   check Alcotest.bool (Printf.sprintf "chacha xor_into 1 KiB: %.3f words/call" chacha) true
     (chacha < 0.01);
   check Alcotest.bool (Printf.sprintf "siphash tag_into 1 KiB: %.3f words/call" sip) true
-    (sip < 0.01)
+    (sip < 0.01);
+  check Alcotest.bool
+    (Printf.sprintf "siphash verify_prefixed 1 KiB: %.3f words/call" verify)
+    true (verify < 0.01)
 
 (* --- Rng --- *)
 
@@ -677,9 +709,18 @@ module Boxed_rng = struct
   let bool t = Int64.logand (int64 t) 1L = 1L
 end
 
+(* Bounds for [int] draws: small and large ones, and every power of two
+   from 1 to 2^61, which [Rng.int] masks instead of dividing. *)
+let rng_bound_gen =
+  QCheck2.Gen.(frequency [ (2, 1 -- 1_000_000); (1, map (fun i -> 1 lsl i) (0 -- 61)) ])
+
 let prop_rng_stream =
   qtest "rng stream = boxed splitmix64"
-    QCheck2.Gen.(pair int (list_size (1 -- 50) (pair (0 -- 5) (1 -- 1_000_000))))
+    QCheck2.Gen.(
+      pair int
+        (map2 ( @ )
+           (list_size (1 -- 50) (pair (0 -- 5) rng_bound_gen))
+           (return (List.init 62 (fun i -> (2, 1 lsl i))))))
     (fun (seed, draws) ->
       let r = Rng.create seed and o = { Boxed_rng.state = Int64.of_int seed } in
       let same (kind, n) =
