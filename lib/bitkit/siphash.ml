@@ -30,6 +30,12 @@ let verify_prefixed ~key ~prefix ~prefix_len msg ~pos ~len ~tag_pos =
     (hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len)
     (String.get_int64_le msg tag_pos)
 
+(* The hash goes from a register straight into [dst], so a caller in
+   another module boxes nothing. *)
+let tag_prefixed_into ~key ~prefix ~prefix_len msg ~pos ~len dst dpos =
+  if dpos < 0 || dpos > Bytes.length dst - 8 then invalid_arg "Siphash.tag_prefixed_into";
+  Bytes.set_int64_le dst dpos (hash_prefixed ~key ~prefix ~prefix_len msg ~pos ~len)
+
 let hash ~key msg = hash_sub ~key msg ~pos:0 ~len:(String.length msg)
 
 let tag_into ~key msg ~pos ~len dst dpos =

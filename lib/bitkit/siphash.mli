@@ -9,7 +9,8 @@
     reads the message eight bytes at a time in place. Every argument is
     checked here, in OCaml, before the call. Hashing allocates nothing
     beyond the boxed [int64] a caller outside this module receives, and
-    {!verify_prefixed} and {!tag_into} allocate nothing at all. *)
+    {!verify_prefixed}, {!tag_prefixed_into} and {!tag_into} allocate
+    nothing at all. *)
 
 val hash : key:string -> string -> int64
 (** [hash ~key msg] with a 16-byte [key]. *)
@@ -45,6 +46,24 @@ val verify_prefixed :
 
     @raise Invalid_argument as {!hash_prefixed} does, and also if
     [tag_pos, tag_pos+8) leaves [msg]. *)
+
+val tag_prefixed_into :
+  key:string ->
+  prefix:int ->
+  prefix_len:int ->
+  string ->
+  pos:int ->
+  len:int ->
+  Bytes.t ->
+  int ->
+  unit
+(** [tag_prefixed_into ~key ~prefix ~prefix_len msg ~pos ~len dst dpos]
+    writes {!hash_prefixed} of the same arguments into [dst] at [dpos] as
+    8 little-endian bytes: how a record is tagged in place, with no
+    boxed [int64].
+
+    @raise Invalid_argument as {!hash_prefixed} does, and also if
+    [dpos, dpos+8) leaves [dst]; then [dst] is untouched. *)
 
 val tag_into : key:string -> string -> pos:int -> len:int -> Bytes.t -> int -> unit
 (** [tag_into ~key msg ~pos ~len dst dpos] writes the 8-byte tag of the

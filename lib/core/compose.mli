@@ -9,21 +9,41 @@
 
       module R = Run (S)
     ]}
-    Each level is the {!Machine.Seam} of its sublayer over the level
-    below, so names, [Note] text, action order and per-PDU cost are the
-    seams'. What a factory would otherwise wire by hand follows from the
-    nesting:
+    What a factory would otherwise wire by hand follows from the nesting:
     - one allocation cell per sublayer, under its {!SUBLAYER.scope};
     - each seam's probe, built with the cells of its two sides: above,
       the level's own sublayer; below, the top sublayer of the level
       beneath;
     - the runtime's {!Runtime.alloc_spec}: the top and bottom sublayers'
       cells for the entry points, and for a firing timer the cell of
-      the sublayer whose level unwraps it — at a seam, [Left] is the
-      level's own sublayer and [Right] goes one level deeper.
+      the level whose {!key} it carries.
 
     Cells exist only when {!Instrument.attributed} holds; otherwise no
-    cell, pair or spec is built and each probe is made without one. *)
+    cell, pair or spec is built and each probe is made without one.
+
+    {1 The drain}
+
+    The composer runs a declared stack on a drain of its own. Its
+    contract:
+    - {b Order.} It makes the same sublayer calls, tap observations and
+      boundary actions, in the same order, as the reference drain: the
+      same sublayers nested with {!Machine.Stack}, each probe a
+      {!Machine.Probe} level of its own, run by {!Runtime.Make}. A lower
+      stack drains completely before the level above takes any of its
+      [Up]s, so each level still hands the level above one list.
+    - {b State in place.} Each {!Seam} level is one record a step updates
+      in place; a step copies no state. {!Run.state} reads the live
+      record, and an old state is not kept.
+    - {b One key per timer.} A sublayer's timer is tagged once, with the
+      {!key} constructor its level adds, and crosses the levels above
+      unwrapped; the runtime finds it by comparing flat keys.
+    - {b Notes only under a tracer.} With a tracer a [Note] reaches the
+      runtime with the prefixes the reference drain gives it, built as
+      it climbs; without one no seam passes a [Note] on, so none reaches
+      the runtime and no prefix is built.
+    - {b Inert probes not called.} A seam whose tap is its probe's
+      shared {!TAP.inert} value calls neither observer and skips the
+      walk that shows a lower list's [Up]s to the tap. *)
 
 (** A sublayer a stack can be declared with. *)
 module type SUBLAYER = sig
@@ -34,24 +54,60 @@ module type SUBLAYER = sig
       (level-prefixed by {!Instrument.scoped}). *)
 end
 
+(** What a {!Seam} needs of its tap: a name, a record of two observers,
+    and the one value that observes nothing. Every {!Machine.Probe}
+    instantiation is one. *)
+module type TAP = sig
+  val name : string
+
+  type up_req
+  type up_ind
+  type t = { obs_req : up_req -> unit; obs_ind : up_ind -> unit }
+
+  val inert : t
+end
+
+type key = ..
+(** A timer of a declared stack: its sublayer's timer under the
+    constructor the sublayer's level adds. *)
+
 type 'p probe = ?alloc:Alloc.pair -> Monitor.Runtime.t option -> conn:string -> 'p
 (** A seam's probe constructor: given the seam's cell pair (absent when
     nothing is attributed), the monitors and the endpoint's name to key
     them by. Every transport [Conform] constructor is one. *)
 
-(** A declared stack. *)
+(** A declared stack: what a {!Seam} needs of the stack below it, and
+    {!Run} of the whole. *)
 module type STACK = sig
-  include Machine.S
+  val name : string
+  (** The name of the reference nesting, probes included. *)
+
+  type t
+  type up_req
+  type up_ind
+  type down_req
+  type down_ind
+
+  type timer
+  (** The timers in its actions: a {!key} above a seam, the sublayer's
+      own type for a {!Last}. *)
 
   type parts
   (** What a factory hands over, top to bottom: each sublayer's initial
       state, and between two of them the probe constructor of their
       seam. *)
 
+  type step
+  (** What a step returns, as {!shape} says: its actions, and for a
+      {!Last} the sublayer's next state. *)
+
   val scopes : string array
   (** The sublayers' scopes, bottom first. *)
 
-  val owner : timer -> int
+  val key : timer -> key
+  (** A timer of its actions as a key: the tag, for a {!Last}. *)
+
+  val owner : key -> int
   (** The index in {!scopes} of the sublayer that owns a timer. *)
 
   val build : Alloc.cell option array -> Monitor.Runtime.t option -> conn:string -> parts -> t
@@ -59,9 +115,22 @@ module type STACK = sig
       probe made with the cells of its seam from [cells] (indexed as
       {!scopes}; empty when nothing is attributed). Probes are made
       bottom up. *)
+
+  val shape : (t, (up_ind, down_req, timer) Machine.action list, step) Runtime.shape
+  (** [In_place] for a seam, whose record a step updates; [Pair] for a
+      {!Last}, whose step is its sublayer's handler's. *)
+
+  val up_req : traced:bool -> t -> up_req -> step
+  (** A step; its actions are in order. [traced] is whether the endpoint
+      has a tracer: a seam passes [Note]s on only then. *)
+
+  val down_ind : traced:bool -> t -> down_ind -> step
+
+  val fire : traced:bool -> t -> key -> step
+  (** A timer one of its levels owns has fired. *)
 end
 
-(** The bottom of a stack: one sublayer. *)
+(** The bottom of a stack: one sublayer, run by its own handlers. *)
 module Last (M : SUBLAYER) :
   STACK
     with type t = M.t
@@ -71,12 +140,15 @@ module Last (M : SUBLAYER) :
      and type down_ind = M.down_ind
      and type timer = M.timer
      and type parts = M.t
+     and type step = M.t * (M.up_ind, M.down_req, M.timer) Machine.action list
 
 (** [Seam (U) (P) (L)]: the sublayer [U] over the stack [L], the
-    boundary between them watched by a probe of type [P.t]. *)
+    boundary between them watched by a probe of type [P.t]. Its state is
+    one record holding [U]'s state, the probe and [L]'s state, updated in
+    place by each step; [upper] and [lower] read it. *)
 module Seam
     (U : SUBLAYER)
-    (P : Machine.TAP with type up_req = U.down_req and type up_ind = U.down_ind)
+    (P : TAP with type up_req = U.down_req and type up_ind = U.down_ind)
     (L : STACK with type up_req = U.down_req and type up_ind = U.down_ind) : sig
   include
     STACK
@@ -84,15 +156,16 @@ module Seam
        and type up_ind = U.up_ind
        and type down_req = L.down_req
        and type down_ind = L.down_ind
-       and type timer = (U.timer, L.timer) Either.t
+       and type timer = key
        and type parts = U.t * P.t probe * L.parts
+       and type step = (U.up_ind, L.down_req, key) Machine.action list
 
   val upper : t -> U.t
   val lower : t -> L.t
 end
 
-(** A declared stack under the simulator: {!Runtime.Make} with the
-    wiring above done at [create]. *)
+(** A declared stack under the simulator: {!Runtime.Drive} over the
+    drain above, with the wiring done at [create]. *)
 module Run (S : STACK) : sig
   type t
 

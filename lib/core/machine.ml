@@ -26,42 +26,26 @@ module Nothing = struct
   let absurd (x : t) = match x with _ -> .
 end
 
-module type TAP = sig
-  val name : string
-
-  type up_req
-  type up_ind
-  type t = { obs_req : up_req -> unit; obs_ind : up_ind -> unit }
-end
-
-(* The one drain behind [Stack] and [Seam]: [Upper] over [Lower], with
-   each crossing between them shown to a tap when [Tap.tapped]. A stack
-   is a seam without a tap: its [Tap.t] is [unit] and is never read.
-   [Tap.lower_tag] prefixes the [Note]s that come up from [Lower]. *)
-module Join
+module Stack
     (Upper : S)
-    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind)
-    (Tap : sig
-      type t
-
-      val tapped : bool
-      val obs_req : t -> Upper.down_req -> unit
-      val obs_ind : t -> Upper.down_ind -> unit
-      val lower_tag : string
-    end) =
+    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) =
 struct
+  let name = Upper.name ^ "/" ^ Lower.name
+
+  type t = Upper.t * Lower.t
   type up_req = Upper.up_req
   type up_ind = Upper.up_ind
   type down_req = Lower.down_req
   type down_ind = Lower.down_ind
   type timer = (Upper.timer, Lower.timer) Either.t
 
-  (* Built once per functor application, like [Tap.lower_tag]. *)
+  (* Built once per functor application. *)
   let upper_tag = Upper.name ^ ": "
+  let lower_tag = Lower.name ^ ": "
 
   (* The states of one step. The drain updates them in place, so a
-     crossing costs no tuple. A seam keeps this record as its state. *)
-  type step = { mutable u : Upper.t; tap : Tap.t; mutable l : Lower.t }
+     crossing costs no tuple. *)
+  type step = { mutable u : Upper.t; mutable l : Lower.t }
 
   (* What is left once the list being drained runs out: the rest of the
      other side's list, saved at the crossing that interrupted it. A
@@ -70,16 +54,6 @@ struct
     | Done
     | Upper_rest of (Upper.up_ind, Upper.down_req, Upper.timer) action list * rest
     | Lower_rest of (Lower.up_ind, Lower.down_req, Lower.timer) action list * rest
-
-  (* [Lower] has just returned [acts]: the tap sees every [Up] in it now,
-     before [Upper] takes the first, as a probe level between the two
-     would have. *)
-  let rec arrive tap = function
-    | [] -> ()
-    | Up i :: acts ->
-        Tap.obs_ind tap i;
-        arrive tap acts
-    | _ :: acts -> arrive tap acts
 
   (* Route the two sublayers' action streams across the internal boundary.
      An upper [Down r] becomes a lower [handle_up_req]; a lower [Up i]
@@ -92,10 +66,8 @@ struct
     | [] -> resume st k
     | Up i :: acts -> Up i :: drain_upper st acts k
     | Down r :: acts ->
-        if Tap.tapped then Tap.obs_req st.tap r;
         let l, lower = Lower.handle_up_req st.l r in
         st.l <- l;
-        if Tap.tapped then arrive st.tap lower;
         drain_lower st lower (match acts with [] -> k | _ -> Upper_rest (acts, k))
     | Set_timer (tm, d) :: acts -> Set_timer (Either.Left tm, d) :: drain_upper st acts k
     | Cancel_timer tm :: acts -> Cancel_timer (Either.Left tm) :: drain_upper st acts k
@@ -111,50 +83,23 @@ struct
     | Down r :: acts -> Down r :: drain_lower st acts k
     | Set_timer (tm, d) :: acts -> Set_timer (Either.Right tm, d) :: drain_lower st acts k
     | Cancel_timer tm :: acts -> Cancel_timer (Either.Right tm) :: drain_lower st acts k
-    | Note s :: acts -> Note (Tap.lower_tag ^ s) :: drain_lower st acts k
+    | Note s :: acts -> Note (lower_tag ^ s) :: drain_lower st acts k
 
   and[@tail_mod_cons] resume st = function
     | Done -> []
     | Upper_rest (acts, k) -> drain_upper st acts k
     | Lower_rest (acts, k) -> drain_lower st acts k
 
-  (* Drain a step that began in the upper (lower) sublayer. *)
-  let run_upper st acts = drain_upper st acts Done
-
-  let run_lower st acts =
-    if Tap.tapped then arrive st.tap acts;
-    drain_lower st acts Done
-end
-
-module Stack
-    (Upper : S)
-    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) =
-struct
-  include
-    Join (Upper) (Lower)
-      (struct
-        type t = unit
-
-        let tapped = false
-        let obs_req () _ = ()
-        let obs_ind () _ = ()
-        let lower_tag = Lower.name ^ ": "
-      end)
-
-  let name = Upper.name ^ "/" ^ Lower.name
-
-  type t = Upper.t * Lower.t
-
   (* Finish a step that began in the upper (lower) sublayer. The pair
      going in is handed back when neither state moved. *)
   let from_upper ((u0, l0) as t) (u, acts) =
-    let st = { u; tap = (); l = l0 } in
-    let out = run_upper st acts in
+    let st = { u; l = l0 } in
+    let out = drain_upper st acts Done in
     ((if st.u == u0 && st.l == l0 then t else (st.u, st.l)), out)
 
   let from_lower ((u0, l0) as t) (l, acts) =
-    let st = { u = u0; tap = (); l } in
-    let out = run_lower st acts in
+    let st = { u = u0; l } in
+    let out = drain_lower st acts Done in
     ((if st.u == u0 && st.l == l0 then t else (st.u, st.l)), out)
 
   let handle_up_req ((u, _) as t) req = from_upper t (Upper.handle_up_req u req)
@@ -163,53 +108,6 @@ struct
   let handle_timer ((u, l) as t) = function
     | Either.Left tm -> from_upper t (Upper.handle_timer u tm)
     | Either.Right tm -> from_lower t (Lower.handle_timer l tm)
-end
-
-module Seam
-    (Upper : S)
-    (P : TAP with type up_req = Upper.down_req and type up_ind = Upper.down_ind)
-    (Lower : S with type up_req = Upper.down_req and type up_ind = Upper.down_ind) =
-struct
-  (* Named as [Stack (Upper) (Stack (P) (Lower))] is, and a [Note] from
-     [Lower] carries the two prefixes it would get there. *)
-  include
-    Join (Upper) (Lower)
-      (struct
-        type t = P.t
-
-        let tapped = true
-        let obs_req (p : t) r = p.obs_req r
-        let obs_ind (p : t) i = p.obs_ind i
-        let lower_tag = P.name ^ "/" ^ Lower.name ^ ": " ^ Lower.name ^ ": "
-      end)
-
-  let name = Upper.name ^ "/" ^ P.name ^ "/" ^ Lower.name
-
-  (* The drain's own record is the state: a step copies the incoming one,
-     drains into the copy and hands the copy on, so it allocates one
-     record. A copy is never written once its step returns. *)
-  type t = step
-
-  let make u tap l = { u; tap; l }
-  let upper t = t.u
-  let lower t = t.l
-
-  let from_upper t (u, acts) =
-    let st = { u; tap = t.tap; l = t.l } in
-    let out = run_upper st acts in
-    ((if st.u == t.u && st.l == t.l then t else st), out)
-
-  let from_lower t (l, acts) =
-    let st = { u = t.u; tap = t.tap; l } in
-    let out = run_lower st acts in
-    ((if st.u == t.u && st.l == t.l then t else st), out)
-
-  let handle_up_req t req = from_upper t (Upper.handle_up_req t.u req)
-  let handle_down_ind t ind = from_lower t (Lower.handle_down_ind t.l ind)
-
-  let handle_timer t = function
-    | Either.Left tm -> from_upper t (Upper.handle_timer t.u tm)
-    | Either.Right tm -> from_lower t (Lower.handle_timer t.l tm)
 end
 
 module Identity (M : sig
@@ -242,6 +140,10 @@ struct
   let name = M.name
 
   type t = { obs_req : M.req -> unit; obs_ind : M.ind -> unit }
+
+  let nop _ = ()
+  let inert = { obs_req = nop; obs_ind = nop }
+
   type up_req = M.req
   type up_ind = M.ind
   type down_req = M.req

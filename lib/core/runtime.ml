@@ -11,21 +11,75 @@ type 'timer alloc_spec = {
   (* owner of a firing timer *)
 }
 
-module Make (S : Machine.S) = struct
+type ('state, 'acts, 'step) shape =
+  | In_place : ('state, 'acts, 'acts) shape
+  | Pair : ('state, 'acts, 'state * 'acts) shape
+
+module type DRIVEN = sig
+  type t
+  type up_req
+  type up_ind
+  type down_req
+  type down_ind
+  type timer
+  type step
+
+  val shape : (t, (up_ind, down_req, timer) Machine.action list, step) shape
+  val up_req : traced:bool -> t -> up_req -> step
+  val down_ind : traced:bool -> t -> down_ind -> step
+  val timer : traced:bool -> t -> timer -> step
+end
+
+module type ENDPOINT = sig
+  type t
+  type state
+  type up_req
+  type up_ind
+  type down_req
+  type down_ind
+  type timer
+
+  val create :
+    Sim.Engine.t ->
+    ?tracer:Sim.Tracer.t ->
+    ?alloc:timer alloc_spec ->
+    name:string ->
+    transmit:(down_req -> unit) ->
+    deliver:(up_ind -> unit) ->
+    state ->
+    t
+
+  val state : t -> state
+  val from_above : t -> up_req -> unit
+  val from_below : t -> down_ind -> unit
+  val halt : t -> unit
+  val halted : t -> bool
+  val active_timers : t -> int
+end
+
+module Drive (D : DRIVEN) = struct
+  type state = D.t
+  type up_req = D.up_req
+  type up_ind = D.up_ind
+  type down_req = D.down_req
+  type down_ind = D.down_ind
+  type timer = D.timer
+
   (* One armed timer. Re-arming it reschedules this entry in place with
      the fire closure built when the entry was, so a re-arm allocates
      only the engine's event; cancelling or firing it removes the
      entry. *)
-  type entry = { tm : S.timer; mutable handle : Sim.Engine.handle; fire : unit -> unit }
+  type entry = { tm : D.timer; mutable handle : Sim.Engine.handle; fire : unit -> unit }
+  type acts = (D.up_ind, D.down_req, D.timer) Machine.action list
 
   type t = {
     engine : Sim.Engine.t;
     tracer : Sim.Tracer.t option;
     name : string;
-    transmit : S.down_req -> unit;
-    deliver : S.up_ind -> unit;
-    alloc : S.timer alloc_spec option;
-    mutable st : S.t;
+    transmit : D.down_req -> unit;
+    deliver : D.up_ind -> unit;
+    alloc : D.timer alloc_spec option;
+    mutable st : D.t;
     (* The armed timers, at most one entry per timer value: arming a
        timer that is already set re-arms it. An endpoint arms a handful
        at a time, so a list searched with structural equality is short
@@ -40,6 +94,7 @@ module Make (S : Machine.S) = struct
     { engine; tracer; alloc; name; transmit; deliver; st; timers = []; halted = false }
 
   let state t = t.st
+  let traced t = Option.is_some t.tracer
 
   let note t msg =
     match t.tracer with
@@ -108,21 +163,21 @@ module Make (S : Machine.S) = struct
       | None -> on_timer t tm
       | Some a -> Alloc.bracket (a.al_timer tm) on_timer t tm
 
-  and on_timer t tm =
-    let st, acts = S.handle_timer t.st tm in
-    t.st <- st;
-    apply t acts
+  (* Keep the state a step returns, if it returns one, and apply its
+     actions. *)
+  and finish : type p. (D.t, acts, p) shape -> t -> p -> unit =
+   fun shape t step ->
+    match shape with
+    | In_place -> apply t step
+    | Pair ->
+        let st, acts = step in
+        t.st <- st;
+        apply t acts
 
-  let on_up_req t req =
-    let st, acts = S.handle_up_req t.st req in
-    t.st <- st;
-    apply t acts
+  and on_timer t tm = finish D.shape t (D.timer ~traced:(traced t) t.st tm)
 
-  let on_down_ind t ind =
-    let st, acts = S.handle_down_ind t.st ind in
-    t.st <- st;
-    apply t acts
-
+  let on_up_req t req = finish D.shape t (D.up_req ~traced:(traced t) t.st req)
+  let on_down_ind t ind = finish D.shape t (D.down_ind ~traced:(traced t) t.st ind)
   let from_above t req = if not t.halted then bracket t (fun a -> a.al_top) on_up_req t req
   let from_below t ind = if not t.halted then bracket t (fun a -> a.al_bottom) on_down_ind t ind
 
@@ -137,3 +192,15 @@ module Make (S : Machine.S) = struct
   let halted t = t.halted
   let active_timers t = List.length t.timers
 end
+
+module Make (S : Machine.S) = Drive (struct
+  include S
+
+  (* A step is the pair the sublayer's handler returns. *)
+  type step = S.t * (S.up_ind, S.down_req, S.timer) Machine.action list
+
+  let shape = Pair
+  let up_req ~traced:_ t req = S.handle_up_req t req
+  let down_ind ~traced:_ t ind = S.handle_down_ind t ind
+  let timer ~traced:_ t tm = S.handle_timer t tm
+end)

@@ -24,13 +24,9 @@ end)
 let nop _ = ()
 
 (* A probe with no monitor and no allocation cells observes nothing and
-   charges nothing, so every such endpoint shares one probe per
-   interface and allocates none. *)
+   charges nothing, so every such endpoint shares its interface's inert
+   probe, allocates none, and its seam calls nothing. *)
 let inert alloc mon = Option.is_none mon && Sublayer.Alloc.no_cells alloc
-
-let inert_arq_det = { P_arq_det.obs_req = nop; obs_ind = nop }
-let inert_det_frm = { P_det_frm.obs_req = nop; obs_ind = nop }
-let inert_frm_line = { P_frm_line.obs_req = nop; obs_ind = nop }
 
 let observe_arq_det mon ~key ~variant ~window =
   match mon with
@@ -66,7 +62,7 @@ let observe_arq_det mon ~key ~variant ~window =
     (obs_req, obs_ind)
 
 let arq_det ?alloc mon ~key ~variant ~window =
-  if inert alloc mon then inert_arq_det
+  if inert alloc mon then P_arq_det.inert
   else
     let obs_req, obs_ind = observe_arq_det mon ~key ~variant ~window in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
@@ -94,7 +90,7 @@ let observe_det_frm mon ~key =
       (obs_req, obs_ind)
 
 let det_frm ?alloc mon ~key =
-  if inert alloc mon then inert_det_frm
+  if inert alloc mon then P_det_frm.inert
   else
     let obs_req, obs_ind = observe_det_frm mon ~key in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
@@ -116,7 +112,7 @@ let observe_frm_line mon ~key =
       (obs_req, obs_ind)
 
 let frm_line ?alloc mon ~key =
-  if inert alloc mon then inert_frm_line
+  if inert alloc mon then P_frm_line.inert
   else
     let obs_req, obs_ind = observe_frm_line mon ~key in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in

@@ -7,15 +7,18 @@
     cells, and carry no-op closures when no registry is given, and
     [?alloc] cells charge crossings through {!Sublayer.Alloc.wrap_taps}.
     A probe with no monitor and no cell observes nothing and charges
-    nothing, so each constructor then returns one inert probe shared by
-    every endpoint and allocates nothing; a monitor or a cell gets the
-    endpoint a probe of its own. *)
+    nothing, so each constructor then returns its module's [inert] probe,
+    shared by every endpoint, allocates nothing, and the seam holding it
+    calls neither observer; a monitor or a cell gets the endpoint a probe
+    of its own. *)
 
 module P_arq_det : sig
   type t = {
     obs_req : Bitkit.Wirebuf.t -> unit;
     obs_ind : Bitkit.Slice.t -> unit;
   }
+
+  val inert : t
 
   include
     Sublayer.Machine.S
@@ -33,6 +36,8 @@ module P_det_frm : sig
     obs_ind : Bitkit.Slice.t -> unit;
   }
 
+  val inert : t
+
   include
     Sublayer.Machine.S
       with type t := t
@@ -48,6 +53,8 @@ module P_frm_line : sig
     obs_req : Bitkit.Bitseq.t -> unit;
     obs_ind : Bitkit.Bitseq.t -> unit;
   }
+
+  val inert : t
 
   include
     Sublayer.Machine.S

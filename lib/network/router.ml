@@ -122,13 +122,16 @@ end
 
 (* The taps of the two seams carry no monitor yet: they charge each
    crossing to the allocation cells on either side, so under telemetry
-   every sublayer pays for its own words. *)
+   every sublayer pays for its own words. Without cells a tap is the
+   shared inert one, which its seam never calls. *)
 module Tap (M : sig type req type ind end) = struct
   include Sublayer.Machine.Probe (struct include M let name = "mon" end)
 
   let make ?alloc _ ~conn:_ =
-    let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc ignore ignore in
-    { obs_req; obs_ind }
+    if Sublayer.Alloc.no_cells alloc then inert
+    else
+      let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc ignore ignore in
+      { obs_req; obs_ind }
 end
 
 module P_fwd = Tap (struct type req = int * Packet.frame type ind = Routing.ind end)

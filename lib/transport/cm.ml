@@ -288,9 +288,13 @@ let handle_timer t (tm : timer) =
       else begin
         Sublayer.Stats.incr t.ctrs.c_handshake_retx;
         Sublayer.Span.child t.sp ~key:"hs" ~detail:"syn" "retx";
+        let acts = [ control t syn; Set_timer (Handshake, backoff t.cfg.Config.syn_rto (n + 1)) ] in
+        (* The text is built only for a tracer, which [sp] has exactly
+           when the endpoint does. *)
         ( { t with phase = Syn_sent (n + 1) },
-          [ Note (Printf.sprintf "SYN retransmit #%d" (n + 1)); control t syn;
-            Set_timer (Handshake, backoff t.cfg.Config.syn_rto (n + 1)) ] )
+          if Sublayer.Span.active t.sp then
+            Note (Printf.sprintf "SYN retransmit #%d" (n + 1)) :: acts
+          else acts )
       end
   | Handshake, Syn_rcvd n ->
       if n >= t.cfg.Config.syn_retries then abort t "handshake gave up"

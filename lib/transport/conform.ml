@@ -25,13 +25,9 @@ end)
 let nop _ = ()
 
 (* A probe with no monitor and no allocation cells observes nothing and
-   charges nothing, so every such endpoint shares one probe per
-   interface and allocates none. *)
+   charges nothing, so every such endpoint shares its interface's inert
+   probe, allocates none, and its seam calls nothing. *)
 let inert alloc mon = Option.is_none mon && Sublayer.Alloc.no_cells alloc
-
-let inert_osr_rd = { P_osr_rd.obs_req = nop; obs_ind = nop }
-let inert_rd_cm = { P_rd_cm.obs_req = nop; obs_ind = nop }
-let inert_pdu = { P_pdu.obs_req = nop; obs_ind = nop }
 
 (* Resolve the alphabet ids once at attach time; the per-event closures
    then do a constructor match and one [observe] call. *)
@@ -72,7 +68,7 @@ let observe_osr_rd spec mon ~conn =
     (obs_req, obs_ind)
 
 let stream_rd spec ?alloc mon ~conn =
-  if inert alloc mon then inert_osr_rd
+  if inert alloc mon then P_osr_rd.inert
   else
     let obs_req, obs_ind = observe_osr_rd spec mon ~conn in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
@@ -111,7 +107,7 @@ let observe_rd_cm mon ~conn =
     (obs_req, obs_ind)
 
 let rd_cm ?alloc mon ~conn =
-  if inert alloc mon then inert_rd_cm
+  if inert alloc mon then P_rd_cm.inert
   else
     let obs_req, obs_ind = observe_rd_cm mon ~conn in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
@@ -141,7 +137,7 @@ let observe_pdu spec mon ~conn =
       (obs_req, obs_ind)
 
 let pdu spec ?alloc mon ~conn =
-  if inert alloc mon then inert_pdu
+  if inert alloc mon then P_pdu.inert
   else
     let obs_req, obs_ind = observe_pdu spec mon ~conn in
     let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in

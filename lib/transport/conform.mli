@@ -16,15 +16,18 @@
 
     A probe with no monitor and no cell ([?alloc] absent, or both sides
     [None]) observes nothing and charges nothing, so each constructor
-    then returns one inert probe shared by every endpoint, the
-    physically same record each time, and allocates nothing. A monitor
-    or a cell gets the endpoint a probe of its own. *)
+    then returns its module's [inert] probe, the physically same record
+    for every endpoint, and allocates nothing; the seam holding it calls
+    neither observer. A monitor or a cell gets the endpoint a probe of
+    its own. *)
 
 module P_osr_rd : sig
   type t = {
     obs_req : Iface.rd_req -> unit;
     obs_ind : Iface.rd_ind -> unit;
   }
+
+  val inert : t
 
   include
     Sublayer.Machine.S
@@ -42,6 +45,8 @@ module P_rd_cm : sig
     obs_ind : Iface.cm_ind -> unit;
   }
 
+  val inert : t
+
   include
     Sublayer.Machine.S
       with type t := t
@@ -57,6 +62,8 @@ module P_pdu : sig
     obs_req : Bitkit.Wirebuf.t -> unit;
     obs_ind : Bitkit.Slice.t -> unit;
   }
+
+  val inert : t
 
   include
     Sublayer.Machine.S

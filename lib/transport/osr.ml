@@ -96,6 +96,10 @@ type conn = {
   advertised : int;
   last_ce : float;            (* when we last saw a CE mark *)
   last_ecn_reaction : float;  (* sender side: rate-limit on_ecn *)
+  persist_armed : bool;
+      (* set when a zero window arms [Persist], cleared when it fires
+         without re-arming or an open window cancels it: OSR cancels
+         the probe only while this holds *)
 }
 
 type t = {
@@ -197,6 +201,7 @@ let note_segment t c ~off ~len =
 let try_send t c =
   let acts = ref [] in
   let c = ref c in
+  let probe = ref false in
   let continue = ref true in
   while !continue do
     let cn = !c in
@@ -213,7 +218,7 @@ let try_send t c =
     if want > 0 && cn.peer_window <= 0 then begin
       (* Zero window: respect it (no blast-through) and keep a persist
          probe armed so a lost window update cannot deadlock us. *)
-      if in_flight = 0 then acts := `Persist_arm :: !acts;
+      probe := in_flight = 0;
       continue := false
     end
     else if want = 0 || nagled || (room < want && in_flight > 0) then continue := false
@@ -227,16 +232,15 @@ let try_send t c =
       in
       Sublayer.Stats.incr t.ctrs.c_segments_out;
       note_segment t cn ~off:cn.next_off ~len:want;
-      acts := `Transmit (cn.next_off, want, osr_pdu) :: !acts;
+      acts := Down (`Transmit (cn.next_off, want, osr_pdu)) :: !acts;
       c := { cn with next_off = cn.next_off + want }
     end
   done;
-  ( !c,
-    List.rev_map
-      (function
-        | `Persist_arm -> Set_timer (Persist, persist_interval)
-        | #Iface.rd_req as req -> Down req)
-      !acts )
+  let c = !c in
+  if !probe then
+    ( (if c.persist_armed then c else { c with persist_armed = true }),
+      List.rev (Set_timer (Persist, persist_interval) :: !acts) )
+  else (c, List.rev !acts)
 
 let maybe_fin c =
   if
@@ -380,6 +384,10 @@ let free_reasm t =
         c.reasm
   | _ -> ()
 
+(* Disarm the probe at a terminal indication, if it is set. *)
+let cancel_persist t acts =
+  match t.conn with Some c when c.persist_armed -> Cancel_timer Persist :: acts | _ -> acts
+
 let handle_down_ind t (ind : down_ind) =
   match (ind, t.conn) with
   | `Established, None ->
@@ -393,7 +401,8 @@ let handle_down_ind t (ind : down_ind) =
           fin_requested = t.pre_close; fin_sent = false; peer_fin_seen = false;
           reasm = []; rcv_cum = 0; unread = 0;
           advertised = min 0xFFFF t.cfg.Config.rcv_buf;
-          last_ce = Float.neg_infinity; last_ecn_reaction = Float.neg_infinity }
+          last_ce = Float.neg_infinity; last_ecn_reaction = Float.neg_infinity;
+          persist_armed = false }
       in
       (* Pre-establishment writes get their buffer spans now — their wait
          only becomes attributable once a connection exists. *)
@@ -447,25 +456,28 @@ let handle_down_ind t (ind : down_ind) =
       let c = { c with acked = max c.acked upto } in
       let c, send_acts = try_send t c in
       let c, fin_acts = maybe_fin c in
-      let persist_acts = if c.peer_window > 0 then [ Cancel_timer Persist ] else [] in
-      ({ t with conn = Some c }, persist_acts @ send_acts @ fin_acts)
+      (* An open window needs no probe: disarm one that is set. *)
+      if c.peer_window > 0 && c.persist_armed then
+        ( { t with conn = Some { c with persist_armed = false } },
+          (Cancel_timer Persist :: send_acts) @ fin_acts )
+      else ({ t with conn = Some c }, send_acts @ fin_acts)
   | `Loss kind, Some c ->
       c.cc.Cc.on_loss kind;
       (t, [])
   | `Peer_fin, Some c ->
       ({ t with conn = Some { c with peer_fin_seen = true } }, [ Up `Peer_closed ])
-  | `Closed, _ -> (t, [ Cancel_timer Persist; Up `Closed ])
+  | `Closed, _ -> (t, cancel_persist t [ Up `Closed ])
   | `Reset, _ ->
       (* A reset connection will never reopen its window: without
          clearing state here the persist timer would probe a corpse
          forever and the engine could never quiesce. *)
       Sublayer.Span.close_all t.sp ~detail:"reset" ();
       free_reasm t;
-      ({ t with conn = None }, [ Cancel_timer Persist; Up `Reset ])
+      ({ t with conn = None }, cancel_persist t [ Up `Reset ])
   | `Aborted, _ ->
       Sublayer.Span.close_all t.sp ~detail:"aborted" ();
       free_reasm t;
-      ({ t with conn = None }, [ Cancel_timer Persist; Up `Aborted ])
+      ({ t with conn = None }, cancel_persist t [ Up `Aborted ])
   | (`Segment _ | `Acked _ | `Loss _ | `Peer_fin), None ->
       (t, [ Note "indication before establishment dropped" ])
 
@@ -488,4 +500,7 @@ let handle_timer t Persist =
       ( { t with conn = Some c },
         [ Down (`Transmit (c.next_off - 1, 1, osr_pdu));
           Set_timer (Persist, persist_interval) ] )
+  | Some c when c.persist_armed ->
+      (* It fired and is not re-armed. *)
+      ({ t with conn = Some { c with persist_armed = false } }, [])
   | Some _ | None -> (t, [])

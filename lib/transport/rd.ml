@@ -185,6 +185,19 @@ let arm_rto t c =
 let give_up t c =
   c.backoffs >= t.cfg.Config.max_retries || t.now () >= deadline t c
 
+(* RD cancels only a timer it armed. [Ack_delay] is armed only while
+   [ack_pending] holds, so an ack sent now disarms it only then; with no
+   delayed ack owed (always, when [delayed_ack] is off) there is nothing
+   to cancel. [Rto] is armed only while segments wait in [sndq]. *)
+let cancel_ack_delay c acts = if c.ack_pending then Cancel_timer Ack_delay :: acts else acts
+
+let cancel_armed t acts =
+  match t.conn with
+  | None -> acts
+  | Some c ->
+      let acts = cancel_ack_delay c acts in
+      if Bitkit.Fifo.is_empty c.sndq then acts else Cancel_timer Rto :: acts
+
 let with_conn t f =
   match t.conn with
   | None -> (t, [ Note "no connection" ])
@@ -224,6 +237,7 @@ let handle_up_req t (req : up_req) =
           end;
           let act = send_data t c sent in
           let was_idle = Bitkit.Fifo.is_empty c.sndq in
+          let owed = c.ack_pending in
           let c =
             { c with sndq = Bitkit.Fifo.push c.sndq sent;
               snd_max = max c.snd_max (offset + len);
@@ -232,12 +246,11 @@ let handle_up_req t (req : up_req) =
                  after a long quiet period aborts spuriously *)
               last_progress = (if was_idle then t.now () else c.last_progress);
               backoffs = (if was_idle then 0 else c.backoffs);
-              (* the data segment piggybacks our cumulative ack *)
               ack_pending = false }
           in
           let acts = if was_idle then [ act; arm_rto t c ] else [ act ] in
-          let acts = if t.cfg.Config.delayed_ack then Cancel_timer Ack_delay :: acts else acts in
-          ({ t with conn = Some c }, acts))
+          (* the data segment piggybacks the ack a delayed one owed *)
+          ({ t with conn = Some c }, if owed then Cancel_timer Ack_delay :: acts else acts))
 
 (* --- Receiver side: an arriving data segment. --- *)
 let handle_data t c (rd : Segment.rd) osr_pdu =
@@ -278,11 +291,11 @@ let handle_data t c (rd : Segment.rd) osr_pdu =
             Set_timer (Ack_delay, t.cfg.Config.ack_delay) ] )
       else
         ( { c with ack_pending = false },
-          [ Up (`Segment (offset, osr_pdu)); send_ack t c; Cancel_timer Ack_delay ] )
+          Up (`Segment (offset, osr_pdu)) :: send_ack t c :: cancel_ack_delay c [] )
     end
     else begin
       Sublayer.Stats.incr t.ctrs.c_dup_segments;
-      ({ c with ack_pending = false }, [ send_ack t c; Cancel_timer Ack_delay ])
+      ({ c with ack_pending = false }, send_ack t c :: cancel_ack_delay c [])
     end
   end
 
@@ -381,10 +394,12 @@ let handle_ack t c (rd : Segment.rd) osr_pdu =
           let fresh_window = c.snd_acked >= c.recover in
           let c = { c with sndq; recover = (if fresh_window then c.snd_max else c.recover) } in
           let loss_acts = if fresh_window then [ Up (`Loss Cc.Dup_ack) ] else [] in
-          ( c,
-            Note (Printf.sprintf "fast retransmit offset=%d" victim.s_off)
-            :: (send_data t c resend :: loss_acts)
-            @ [ arm_rto t c ] )
+          let acts = (send_data t c resend :: loss_acts) @ [ arm_rto t c ] in
+          (* The text is built only for a tracer, which [sp] has exactly
+             when the endpoint does. *)
+          if Sublayer.Span.active t.sp then
+            (c, Note (Printf.sprintf "fast retransmit offset=%d" victim.s_off) :: acts)
+          else (c, acts)
     end
     else (c, [])
   end
@@ -418,12 +433,12 @@ let handle_down_ind t (ind : down_ind) =
   | `Closed ->
       (* CM is done with this connection: stop our timers so the engine
          can quiesce, but keep the record for stats/srtt readers. *)
-      (t, [ Cancel_timer Rto; Cancel_timer Ack_delay; Up `Closed ])
+      (t, cancel_armed t [ Up `Closed ])
   | `Reset ->
       (* The peer refused or tore down the connection; retransmitting
          into it would livelock, so drop all state and timers. *)
       Sublayer.Span.close_all t.sp ~detail:"reset" ();
-      ({ t with conn = None }, [ Cancel_timer Rto; Cancel_timer Ack_delay; Up `Reset ])
+      ({ t with conn = None }, cancel_armed t [ Up `Reset ])
   | `Pdu pdu ->
       with_conn t (fun c ->
           match Segment.decode_rd_slice pdu with
@@ -453,10 +468,10 @@ let handle_timer t tm =
            own vocabulary; no layer violation needed (T3). *)
         Sublayer.Span.close_all t.sp ~detail:"aborted" ();
         ( { t with conn = None },
-          [ Note
-              (Printf.sprintf "giving up after %d backoffs, %.1fs stalled"
-                 c.backoffs (t.now () -. c.last_progress));
-            Cancel_timer Ack_delay; Up `Aborted; Down `Abort ] )
+          Note
+            (Printf.sprintf "giving up after %d backoffs, %.1fs stalled" c.backoffs
+               (t.now () -. c.last_progress))
+          :: cancel_ack_delay c [ Up `Aborted; Down `Abort ] )
       end
       else
       match Bitkit.Fifo.find_opt (fun s -> not s.s_sacked) c.sndq with
@@ -492,6 +507,8 @@ let handle_timer t tm =
             { c with sndq; backoffs = c.backoffs + 1;
               rto = Float.min (2. *. c.rto) t.cfg.Config.rto_max }
           in
+          let acts = [ send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ] in
           ( { t with conn = Some c },
-            [ Note (Printf.sprintf "rto retransmit offset=%d rto=%.2f" victim.s_off c.rto);
-              send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ] ))
+            if Sublayer.Span.active t.sp then
+              Note (Printf.sprintf "rto retransmit offset=%d rto=%.2f" victim.s_off c.rto) :: acts
+            else acts ))

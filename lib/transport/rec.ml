@@ -65,11 +65,14 @@ let crypt t ~port ~seq src spos dst dpos len =
   Bitkit.Chacha20.xor_stream ~key:t.key ~counter:1 ~n0:(port land 0xFFFF)
     ~n1:seq ~n2:(seq lsr 32) src spos dst dpos len
 
-let mac t ~port s ~pos ~len =
-  Bitkit.Siphash.hash_prefixed ~key:t.mac_key ~prefix:(port land 0xFFFF) ~prefix_len:2
-    s ~pos ~len
+(* The tag of [s]'s bytes [pos, pos+len) after the port prefix, written
+   into [dst] at [dpos], unboxed. *)
+let mac_into t ~port s ~pos ~len dst dpos =
+  Bitkit.Siphash.tag_prefixed_into ~key:t.mac_key ~prefix:(port land 0xFFFF) ~prefix_len:2
+    s ~pos ~len dst dpos
 
-(* [mac] compared with the tag at [tag_pos], in place and unboxed. *)
+(* The tag [mac_into] would write, compared with the one at [tag_pos],
+   in place and unboxed. *)
 let mac_ok t ~port s ~pos ~len ~tag_pos =
   Bitkit.Siphash.verify_prefixed ~key:t.mac_key ~prefix:(port land 0xFFFF) ~prefix_len:2
     s ~pos ~len ~tag_pos
@@ -87,7 +90,7 @@ let seal_into t pdu b off =
   crypt t ~port ~seq s (off + 8) b (off + 8) n;
   (* The tag lands past the hashed region, so reading the buffer through
      an alias while writing there is sound. *)
-  Bytes.set_int64_le b (off + 8 + n) (mac t ~port s ~pos:off ~len:(8 + n))
+  mac_into t ~port s ~pos:off ~len:(8 + n) b (off + 8 + n)
 
 let seal_heap t pdu =
   let b = Bytes.create (overhead + Bitkit.Wirebuf.length pdu) in

@@ -622,7 +622,16 @@ let prop_kernel_boundary =
               ~bad:(bad_skey || bad_src || not (fits ~pos:c.dpos ~len:8 c.dst_len))
               ~at:c.dpos
               ~expect:(fun () -> O.Siphash.tag ~key:c.skey (region ()))
-              (fun b -> Siphash.tag_into ~key:c.skey c.src ~pos:c.spos ~len:c.len b c.dpos)))
+              (fun b -> Siphash.tag_into ~key:c.skey c.src ~pos:c.spos ~len:c.len b c.dpos)
+         && writes_only ~dst_len:c.dst_len
+              ~bad:
+                (bad_skey || bad_src || bad_prefix
+                || not (fits ~pos:c.dpos ~len:8 c.dst_len))
+              ~at:c.dpos
+              ~expect:(fun () -> O.Siphash.tag ~key:c.skey (prefix_bytes () ^ region ()))
+              (fun b ->
+                Siphash.tag_prefixed_into ~key:c.skey ~prefix:c.prefix ~prefix_len:c.prefix_len
+                  c.src ~pos:c.spos ~len:c.len b c.dpos)))
 
 (* The kernels' whole point: a call over 1 KiB allocates nothing, not
    thousands of words. Measured per call (dev profile): ChaCha20's
@@ -630,7 +639,9 @@ let prop_kernel_boundary =
    [tag_into] 0.0 in C, whose [int64] result stays unboxed, and 3.0 as
    word-level OCaml, which boxed it; [verify_prefixed] 0.0, where
    [hash_prefixed] and [Int64.equal] called from another module cost
-   3.0 for the boxed hash. *)
+   3.0 for the boxed hash; [tag_prefixed_into] 0.0, where
+   [hash_prefixed] and [Bytes.set_int64_le] from another module cost
+   3.0 the same way. *)
 let test_crypto_kernels_allocation_free () =
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
   let sip_key = String.sub key 0 16 in
@@ -659,6 +670,14 @@ let test_crypto_kernels_allocation_free () =
                (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 ~tag_pos:1016)
   in
   check Alcotest.bool "verify_prefixed accepts the tag" true !verified;
+  let prefixed =
+    words (fun () ->
+        Siphash.tag_prefixed_into ~key:sip_key ~prefix:0xBEEF ~prefix_len:2
+          (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 b 1016)
+  in
+  check Alcotest.bool "verify_prefixed accepts the prefixed tag" true
+    (Siphash.verify_prefixed ~key:sip_key ~prefix:0xBEEF ~prefix_len:2
+       (Bytes.unsafe_to_string b) ~pos:0 ~len:1016 ~tag_pos:1016);
   (* [Gc.minor_words]'s own boxed result adds 0.002 per call here. *)
   check Alcotest.bool (Printf.sprintf "chacha xor_into 1 KiB: %.3f words/call" chacha) true
     (chacha < 0.01);
@@ -666,7 +685,10 @@ let test_crypto_kernels_allocation_free () =
     (sip < 0.01);
   check Alcotest.bool
     (Printf.sprintf "siphash verify_prefixed 1 KiB: %.3f words/call" verify)
-    true (verify < 0.01)
+    true (verify < 0.01);
+  check Alcotest.bool
+    (Printf.sprintf "siphash tag_prefixed_into 1 KiB: %.3f words/call" prefixed)
+    true (prefixed < 0.01)
 
 (* --- Rng --- *)
 

@@ -107,16 +107,22 @@ let test_stack_causal_order () =
    scripts reach every routing case, re-entrant crossings included.
    Messages are ints whose hundreds count the crossings made so far;
    past four, a crossing template becomes a note, which bounds the
-   recursion. *)
+   recursion. A timer is armed at least an eighth of a second ahead, so
+   a run over a bounded time fires a bounded number of them. *)
 type template = T_up | T_down | T_set of int | T_cancel of int | T_note
 
 let scripts : template list array array ref = ref [||]
+
+(* Every call a scripted machine takes, in order: its number, the kind
+   of call (0 request, 1 indication, 2 timer) and the input. *)
+let calls = ref []
 
 module Scripted (N : sig
   val index : int
 end) =
 struct
   let name = "m" ^ string_of_int N.index
+  let scope = name
 
   type t = int
   type up_req = int
@@ -126,13 +132,14 @@ struct
   type timer = int
 
   let step n kind m =
+    calls := (N.index, kind, m) :: !calls;
     let n = ((n * 31) + (m * 3) + kind + 1) land 0xFFFF in
     let entries = !scripts.(N.index) in
     let deep = m >= 400 in
     let act = function
       | T_up -> if deep then Machine.Note "deep" else Machine.Up (m + 100 + N.index)
       | T_down -> if deep then Machine.Note "deep" else Machine.Down (m + 100 + N.index)
-      | T_set k -> Machine.Set_timer (k, Float.of_int (n land 7) *. 0.125)
+      | T_set k -> Machine.Set_timer (k, Float.of_int (1 + (n land 7)) *. 0.125)
       | T_cancel k -> Machine.Cancel_timer k
       | T_note -> Machine.Note (Printf.sprintf "%d@%d" kind m)
     in
@@ -259,97 +266,151 @@ let prop_stack_matches_oracle =
            (run (module New.D4) ((0, tap), (0, 0)) t4 inputs)
            (run (module Old.D4) ((0, tap), (0, 0)) t4 inputs))
 
-(* --- Seam = stack over probe --- *)
+(* --- Compose drain = reference drain --- *)
 
-(* Each timer as its owner's number and key: the seams wrap a timer once
-   per level, the nested stacks twice. *)
-let owned owner =
-  List.map
-    (List.map (function
-      | Machine.Set_timer (tm, d) -> Machine.Set_timer (owner tm, d)
-      | Machine.Cancel_timer tm -> Machine.Cancel_timer (owner tm)
-      | Machine.Up i -> Machine.Up i
-      | Machine.Down r -> Machine.Down r
-      | Machine.Note s -> Machine.Note s))
+(* The scripted machines declared with [Compose] and run by
+   [Compose.Run], against the same machines nested with [Machine.Stack],
+   each probe a [Machine.Probe] level of its own, run by [Runtime.Make]:
+   the reference drain. Both run on an engine, so what is compared is
+   what an endpoint does: the sublayer calls and tap observations in
+   order, every transmission and delivery at its virtual time (timer
+   fires show as calls and as what they send), and the notes a tracer
+   records. *)
 
-(* A run reduced to what both shapes share: the sublayers' states, the
-   actions with owned timers and [Note] text as is, and the tap log. *)
-let view project owner (st, steps, log) = (project st, owned owner steps, log)
+type feed = From_above of int | From_below of int | Wait of int
 
-(* One seam, and a seam over a seam, each against the probe levels it
-   replaces, nested by the library's [Stack] and by the oracle's. *)
-module Seam1 = Machine.Seam (M0) (Tap) (M1)
-module Seam2_lower = Machine.Seam (M1) (Tap) (M2)
-module Seam2 = Machine.Seam (M0) (Tap) (Seam2_lower)
+let gen_feeds =
+  QCheck2.Gen.(
+    let feed =
+      frequency
+        [ (3, map (fun m -> From_above m) (0 -- 99)); (3, map (fun m -> From_below m) (0 -- 99));
+          (2, map (fun d -> Wait d) (1 -- 8)) ]
+    in
+    pair (array_repeat 3 gen_script) (list_size (1 -- 8) feed))
 
-let seam1 inputs =
-  view (fun st -> (Seam1.upper st, Seam1.lower st))
-    (function Either.Left k -> (0, k) | Either.Right k -> (1, k))
-    (run (module Seam1) (Seam1.make 0 tap 0)
-       (fun j k -> if j = 0 then Either.Left k else Either.Right k)
-       inputs)
+type endpoint = { above : int -> unit; below : int -> unit }
 
-let seam2 inputs =
-  view
-    (fun st ->
-      let l = Seam2.lower st in
-      (Seam2.upper st, (Seam2_lower.upper l, Seam2_lower.lower l)))
-    (function
-      | Either.Left k -> (0, k)
-      | Either.Right (Either.Left k) -> (1, k)
-      | Either.Right (Either.Right k) -> (2, k))
-    (run (module Seam2) (Seam2.make 0 tap (Seam2_lower.make 0 (tap_at 1) 0))
-       (fun j k ->
-         match j with
-         | 0 -> Either.Left k
-         | 1 -> Either.Right (Either.Left k)
-         | _ -> Either.Right (Either.Right k))
-       inputs)
+type maker =
+  Sim.Engine.t ->
+  Sim.Tracer.t option ->
+  transmit:(int -> unit) ->
+  deliver:(int -> unit) ->
+  endpoint
 
-module Nested (Stack : STACK) = struct
-  module N1 = Stack (M0) (Stack (Tap) (M1))
-  module N2 = Stack (M0) (Stack (Tap) (Stack (M1) (Stack (Tap) (M2))))
+(* Feed an endpoint on a fresh engine, then let its timers run out. *)
+let drive ~traced (make : maker) feeds =
+  calls := [];
+  tap_log := [];
+  let engine = Sim.Engine.create () in
+  let tracer = if traced then Some (Sim.Tracer.create ()) else None in
+  let out = ref [] in
+  let log x = out := (Sim.Engine.now engine, x) :: !out in
+  let ep = make engine tracer ~transmit:(fun r -> log (`Tx r)) ~deliver:(fun i -> log (`Rx i)) in
+  let wait d =
+    let until = Sim.Engine.now engine +. (Float.of_int d *. 0.125) in
+    Sim.Engine.run ~max_events:2_000 ~until engine
+  in
+  List.iter
+    (function From_above m -> ep.above m | From_below m -> ep.below m | Wait d -> wait d)
+    feeds;
+  wait 16;
+  let notes =
+    match tracer with
+    | None -> []
+    | Some tr ->
+        List.map (fun (sp : Sim.Tracer.span) -> (sp.sp_start, sp.sp_name)) (Sim.Tracer.spans tr)
+  in
+  (List.rev !calls, List.rev !tap_log, List.rev !out, notes)
 
-  let run1 inputs =
-    view (fun (a, (_, b)) -> (a, b))
-      (fun (tm : N1.timer) ->
-        match tm with
-        | Either.Left k -> (0, k)
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right k) -> (1, k))
-      (run (module N1) (0, (tap, 0))
-         (fun j k -> if j = 0 then Either.Left k else Either.Right (Either.Right k))
-         inputs)
+module Ref2 = Runtime.Make (Machine.Stack (M0) (Machine.Stack (Tap) (M1)))
 
-  let run2 inputs =
-    view (fun (a, (_, (b, (_, c)))) -> (a, (b, c)))
-      (fun (tm : N2.timer) ->
-        match tm with
-        | Either.Left k -> (0, k)
-        | Either.Right (Either.Left _) -> .
-        | Either.Right (Either.Right (Either.Left k)) -> (1, k)
-        | Either.Right (Either.Right (Either.Right (Either.Left _))) -> .
-        | Either.Right (Either.Right (Either.Right (Either.Right k))) -> (2, k))
-      (run (module N2) (0, (tap, (0, (tap_at 1, 0))))
-         (fun j k ->
-           match j with
-           | 0 -> Either.Left k
-           | 1 -> Either.Right (Either.Right (Either.Left k))
-           | _ -> Either.Right (Either.Right (Either.Right (Either.Right k))))
-         inputs)
+module Ref3 =
+  Runtime.Make
+    (Machine.Stack (M0) (Machine.Stack (Tap) (Machine.Stack (M1) (Machine.Stack (Tap) (M2)))))
+
+(* The references, the probe levels' states tapping as [tap_at] numbers
+   them. *)
+let reference2 engine tracer ~transmit ~deliver =
+  let r = Ref2.create engine ?tracer ~name:"e" ~transmit ~deliver (0, (tap_at 0, 0)) in
+  { above = Ref2.from_above r; below = Ref2.from_below r }
+
+let reference3 ~upper engine tracer ~transmit ~deliver =
+  let r =
+    Ref3.create engine ?tracer ~name:"e" ~transmit ~deliver
+      (0, (tap_at upper, (0, (tap_at 1, 0))))
+  in
+  { above = Ref3.from_above r; below = Ref3.from_below r }
+
+(* A tap whose shared inert value logs as tap 9, so a seam that calls an
+   inert probe shows in the log. *)
+module Watched = struct
+  let name = Tap.name
+
+  type up_req = int
+  type up_ind = int
+  type t = Tap.t = { obs_req : int -> unit; obs_ind : int -> unit }
+
+  let inert = tap_at 9
 end
 
-module New_nested = Nested (Machine.Stack)
-module Old_nested = Nested (Stack_oracle.Stack)
+module C2 = Compose.Seam (M0) (Tap) (Compose.Last (M1))
+module C3 = Compose.Seam (M0) (Watched) (Compose.Seam (M1) (Tap) (Compose.Last (M2)))
+module Run2 = Compose.Run (C2)
+module Run3 = Compose.Run (C3)
+
+let probe tap : _ Compose.probe = fun ?alloc:_ _ ~conn:_ -> tap
+
+let composed2 engine tracer ~transmit ~deliver =
+  let ins = Instrument.v ?tracer () in
+  let r = Run2.create engine ~ins ~name:"e" ~transmit ~deliver (0, probe (tap_at 0), 0) in
+  { above = Run2.from_above r; below = Run2.from_below r }
+
+let parts3 upper = (0, probe upper, (0, probe (tap_at 1), 0))
+
+let composed3 ~upper engine tracer ~transmit ~deliver =
+  let ins = Instrument.v ?tracer () in
+  let r = Run3.create engine ~ins ~name:"e" ~transmit ~deliver (parts3 upper) in
+  { above = Run3.from_above r; below = Run3.from_below r }
+
+(* [Compose.Run]'s runtime over [C3], noting whether any step handed the
+   runtime a [Note]. *)
+let noted = ref false
+
+module Noted = Runtime.Drive (struct
+  include C3
+
+  let note step =
+    if List.exists (function Machine.Note _ -> true | _ -> false) step then noted := true;
+    step
+
+  let up_req ~traced t r = note (C3.up_req ~traced t r)
+  let down_ind ~traced t i = note (C3.down_ind ~traced t i)
+  let timer ~traced t tm = note (C3.fire ~traced t (C3.key tm))
+end)
+
+let untraced3 engine tracer ~transmit ~deliver =
+  let r =
+    Noted.create engine ?tracer ~name:"e" ~transmit ~deliver
+      (C3.build [||] None ~conn:"e" (parts3 (tap_at 0)))
+  in
+  { above = Noted.from_above r; below = Noted.from_below r }
 
 let prop_seam_matches_stack =
-  qtest ~count:1000 "seam = stack over probe" gen_drain (fun (script, inputs) ->
+  qtest ~count:1000 "seam = stack over probe" gen_feeds (fun (script, feeds) ->
       scripts := script;
-      let s1 = seam1 inputs and s2 = seam2 inputs in
-      s1 = New_nested.run1 inputs
-      && s1 = Old_nested.run1 inputs
-      && s2 = New_nested.run2 inputs
-      && s2 = Old_nested.run2 inputs)
+      let run = drive ~traced:true in
+      let calls, taps, out, notes = run (composed3 ~upper:Watched.inert) feeds in
+      let calls', taps', out', notes' = run (reference3 ~upper:9) feeds in
+      noted := false;
+      let untraced = drive ~traced:false untraced3 feeds in
+      run composed2 feeds = run reference2 feeds
+      && run (composed3 ~upper:(tap_at 0)) feeds = run (reference3 ~upper:0) feeds
+      (* an inert upper probe: nothing logs as tap 9, the rest as before *)
+      && calls = calls' && out = out' && notes = notes'
+      && taps = List.filter (fun (n, _) -> n <> 9) taps'
+      (* no tracer: no [Note] reaches the runtime, and nothing else moves *)
+      && untraced = drive ~traced:false (reference3 ~upper:0) feeds
+      && not !noted)
 
 (* --- Runtime --- *)
 

@@ -782,6 +782,91 @@ let test_msg_stack_is_a_module_swap () =
   check Alcotest.bool "finished" true (Tcp_messages.finished a);
   check Alcotest.int "sent" 1 (Tcp_messages.messages_sent a)
 
+(* --- Timer cancels: only a timer a sublayer armed --- *)
+
+let timer_acts tm acts =
+  List.fold_left
+    (fun (set, cancel) -> function
+      | Sublayer.Machine.Set_timer (t, _) when t = tm -> (set + 1, cancel)
+      | Sublayer.Machine.Cancel_timer t when t = tm -> (set, cancel + 1)
+      | _ -> (set, cancel))
+    (0, 0) acts
+
+(* RD arms [Ack_delay] exactly when it owes a delayed ack, so a segment
+   it answers cancels the timer only then: with delayed acks off no
+   segment yields a cancel, and with them on only the one that finds an
+   ack owed does. [Closed] cancels only what is armed: the owed ack's
+   timer, and [Rto] only with segments in flight. *)
+let test_rd_cancels_only_armed_timers () =
+  let segment offset payload =
+    `Pdu
+      (Bitkit.Slice.of_string
+         (onion
+            [ Segment.write_rd
+                { Segment.seq = 201 + offset; ack = 0; len = String.length payload;
+                  has_data = true; has_ack = false; sacks = [] };
+              Segment.write_osr Segment.default_osr ]
+            payload))
+  in
+  let established cfg =
+    fst (Rd.handle_down_ind (Rd.initial cfg ~now:(fun () -> 0.)) (`Established (100, 200)))
+  in
+  let feed rd ind =
+    let rd, acts = Rd.handle_down_ind rd ind in
+    (rd, timer_acts Rd.Ack_delay acts)
+  in
+  let pair = Alcotest.(pair int int) in
+  let rd = established Config.default in
+  let rd, first = feed rd (segment 0 "a") in
+  let rd, second = feed rd (segment 1 "b") in
+  let _, dup = feed rd (segment 0 "a") in
+  check pair "no delayed acks: in order" (0, 0) first;
+  check pair "no delayed acks: next" (0, 0) second;
+  check pair "no delayed acks: duplicate" (0, 0) dup;
+  let rd = established { Config.default with delayed_ack = true } in
+  let rd, first = feed rd (segment 0 "a") in
+  let owing = rd in
+  let rd, second = feed rd (segment 1 "b") in
+  let rd, dup = feed rd (segment 0 "a") in
+  check pair "delayed acks: the first segment arms" (1, 0) first;
+  check pair "delayed acks: the next one acks and cancels" (0, 1) second;
+  check pair "delayed acks: nothing owed, nothing cancelled" (0, 0) dup;
+  let closed rd = Rd.handle_down_ind rd `Closed |> snd in
+  check pair "closed, an ack owed" (0, 1) (timer_acts Rd.Ack_delay (closed owing));
+  check pair "closed, nothing owed" (0, 0) (timer_acts Rd.Ack_delay (closed rd));
+  check pair "closed, nothing in flight" (0, 0) (timer_acts Rd.Rto (closed rd));
+  let sending, _ = Rd.handle_up_req rd (`Transmit (0, 1, Bitkit.Wirebuf.of_string "x")) in
+  check pair "closed, a segment in flight" (0, 1) (timer_acts Rd.Rto (closed sending))
+
+(* OSR cancels [Persist] on an ack with an open window only when a zero
+   window armed it: the ack reopening the window still disarms the
+   probe, and the acks around it cancel nothing; so does [Closed]. *)
+let test_osr_cancels_only_armed_persist () =
+  let acked window =
+    `Acked (0, Bitkit.Slice.of_string (Segment.write_osr { Segment.default_osr with window }), None)
+  in
+  let step osr f =
+    let osr, acts = f osr in
+    (osr, timer_acts Osr.Persist acts)
+  in
+  let pair = Alcotest.(pair int int) in
+  let osr = Osr.initial Config.default ~now:(fun () -> 0.) in
+  let osr, _ = Osr.handle_down_ind osr `Established in
+  let osr, open_ack = step osr (fun o -> Osr.handle_down_ind o (acked 0xFFFF)) in
+  let osr, closed = step osr (fun o -> Osr.handle_down_ind o (acked 0)) in
+  let osr, write = step osr (fun o -> Osr.handle_up_req o (`Write "x")) in
+  let probing = osr in
+  let osr, reopen = step osr (fun o -> Osr.handle_down_ind o (acked 0xFFFF)) in
+  let osr, after = step osr (fun o -> Osr.handle_down_ind o (acked 0xFFFF)) in
+  let finish o = Osr.handle_down_ind o `Closed in
+  check pair "an open window, nothing armed" (0, 0) open_ack;
+  check pair "a closed window, nothing to send" (0, 0) closed;
+  check pair "a write into a zero window arms the probe" (1, 0) write;
+  check pair "the reopening ack cancels it" (0, 1) reopen;
+  check pair "then nothing is armed" (0, 0) after;
+  check pair "closed while probing" (0, 1) (snd (step probing finish));
+  check pair "closed with nothing armed" (0, 0) (snd (step osr finish))
+
 (* --- Flow control: slow readers, zero windows, persist probes --- *)
 
 let slow_reader_run factory ~seed =
@@ -2026,6 +2111,10 @@ let () =
             test_zero_window_survives_long_stall;
           Alcotest.test_case "advertised window tracks backlog" `Quick
             test_window_shrinks_with_backlog;
+          Alcotest.test_case "rd cancels only armed timers" `Quick
+            test_rd_cancels_only_armed_timers;
+          Alcotest.test_case "osr cancels only an armed probe" `Quick
+            test_osr_cancels_only_armed_persist;
         ] );
       ( "watson",
         [
