@@ -1,8 +1,8 @@
 (* [front] then the reverse of [back]: a push conses onto [back], and a
    pop or split that finds [front] empty reverses [back] once for all it
-   holds. [find_opt] and [split_while] visit [front] and then [back]
-   reversed, so they see the elements in queue order; [map] maps each
-   list where it stands. *)
+   holds. [find_opt] and [split_while] answer in queue order, [front]
+   first; [find_opt] walks [back] where it stands and keeps its last
+   match, the oldest. [map_shared] maps each list where it stands. *)
 type 'a t = { front : 'a list; back : 'a list }
 
 let empty = { front = []; back = [] }
@@ -17,12 +17,30 @@ let pop q =
       | [] -> None
       | x :: front -> Some (x, { front; back = [] }))
 
-let map f q = { front = List.map f q.front; back = List.map f q.back }
+(* [l] with [f] applied to each element: the cells after the last
+   element [f] changes are [l]'s own, and so is [l] when [f] changes
+   none. *)
+let rec map_list f = function
+  | [] as l -> l
+  | x :: rest as l ->
+      let y = f x in
+      let rest' = map_list f rest in
+      if y == x && rest' == rest then l else y :: rest'
+
+let map_shared f q =
+  let front = map_list f q.front and back = map_list f q.back in
+  if front == q.front && back == q.back then q else { front; back }
+
+(* The suffix of [l] that starts at its last element satisfying [p],
+   [found] if none does. *)
+let rec last_match p found = function
+  | [] -> found
+  | x :: rest as l -> last_match p (if p x then l else found) rest
 
 let find_opt p q =
   match List.find_opt p q.front with
   | Some _ as found -> found
-  | None -> List.find_opt p (List.rev q.back)
+  | None -> ( match last_match p [] q.back with x :: _ -> Some x | [] -> None)
 
 let split_while p q =
   let rec go taken = function

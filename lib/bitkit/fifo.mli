@@ -14,12 +14,20 @@ val push : 'a t -> 'a -> 'a t
 val pop : 'a t -> ('a * 'a t) option
 (** The oldest element and the queue after it. *)
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** Map every element, keeping the order. [f] should be pure: the order
-    in which it is applied is unspecified. *)
+val map_shared : ('a -> 'a) -> 'a t -> 'a t
+(** Map every element, keeping the order, and share what [f] leaves
+    alone: an element [x] with [f x == x] stays in place, the list cells
+    after the last element [f] changes in either half of the queue are
+    kept, and the queue itself comes back when [f] changes nothing. So a
+    map that changes [k] elements allocates for them and the cells
+    before them in their half, never for the rest. [f] should be pure:
+    the order in which it is applied is unspecified. *)
 
 val find_opt : ('a -> bool) -> 'a t -> 'a option
-(** The oldest element satisfying the predicate. *)
+(** The oldest element satisfying the predicate. A miss allocates
+    nothing: the back half is searched where it stands, not reversed,
+    so the predicate may also be applied to elements newer than the one
+    returned. *)
 
 val split_while : ('a -> bool) -> 'a t -> 'a list * 'a t
 (** [split_while p q] takes the longest prefix of [q] whose elements

@@ -195,75 +195,94 @@ let note_segment t c ~off ~len =
     done
   end
 
-(* Release segments while both windows have room. A single segment is
-   always allowed when nothing is in flight, so a tiny window cannot
-   deadlock the connection. *)
-let try_send t c =
-  let acts = ref [] in
-  let c = ref c in
-  let probe = ref false in
-  let continue = ref true in
+(* A step builds at most one connection record and one [t], and hands
+   back [t] itself when [c'] is already its record. A [t] with a
+   connection has no pre-establishment writes left. *)
+let with_conn t c' =
+  match t.conn with
+  | Some c when c == c' -> t
+  | Some _ | None -> { t with conn = Some c'; pre_writes = [] }
+
+(* Release segments while both windows have room, then the FIN once the
+   stream is done. A single segment is always allowed when nothing is in
+   flight, so a tiny window cannot deadlock the connection.
+   [peer_window], [acked] and [last_ecn_reaction] are the step's values
+   of those fields (an ack may just have moved them); with [disarm] an
+   open window cancels the probe. The burst builds the step's one
+   record. [rev_acts] are the actions that go before the burst's,
+   newest first. *)
+let release t c ~peer_window ~acked ~last_ecn_reaction ~disarm rev_acts =
+  let mss = t.cfg.Config.mss in
+  let acts = ref rev_acts and next_off = ref c.next_off in
+  let probe = ref false and continue = ref true in
+  (* One header for the burst: its window and echo bit cannot change
+     within a step. Written at the first segment. *)
+  let header = ref "" in
   while !continue do
-    let cn = !c in
-    let in_flight = cn.next_off - cn.acked in
-    let window = int_of_float (Float.min (cn.cc.Cc.window ()) (Float.of_int cn.peer_window)) in
-    let room = window - in_flight in
-    let want = min t.cfg.Config.mss (Outbuf.length cn.outbuf) in
+    let in_flight = !next_off - acked in
+    let want = min mss (Outbuf.length c.outbuf) in
     (* Nagle: while data is in flight, hold back sub-MSS segments so
        small writes coalesce — unless the stream is being closed. *)
     let nagled =
-      t.cfg.Config.nagle && want < t.cfg.Config.mss && in_flight > 0
-      && not cn.fin_requested
+      t.cfg.Config.nagle && want < mss && in_flight > 0 && not c.fin_requested
     in
-    if want > 0 && cn.peer_window <= 0 then begin
+    if want > 0 && peer_window <= 0 then begin
       (* Zero window: respect it (no blast-through) and keep a persist
          probe armed so a lost window update cannot deadlock us. *)
       probe := in_flight = 0;
       continue := false
     end
-    else if want = 0 || nagled || (room < want && in_flight > 0) then continue := false
+    else if want = 0 || nagled then continue := false
     else begin
-      let payload = Outbuf.take cn.outbuf want in
-      let osr_pdu =
-        Bitkit.Wirebuf.push
-          (Bitkit.Wirebuf.of_slice payload)
-          ~owner:"osr"
-          (Segment.write_osr (my_header t cn))
-      in
-      Sublayer.Stats.incr t.ctrs.c_segments_out;
-      note_segment t cn ~off:cn.next_off ~len:want;
-      acts := Down (`Transmit (cn.next_off, want, osr_pdu)) :: !acts;
-      c := { cn with next_off = cn.next_off + want }
+      let window = int_of_float (Float.min (c.cc.Cc.window ()) (Float.of_int peer_window)) in
+      if window - in_flight < want && in_flight > 0 then continue := false
+      else begin
+        let payload = Outbuf.take c.outbuf want in
+        if String.length !header = 0 then header := block t c;
+        let osr_pdu =
+          Bitkit.Wirebuf.push (Bitkit.Wirebuf.of_slice payload) ~owner:"osr" !header
+        in
+        Sublayer.Stats.incr t.ctrs.c_segments_out;
+        note_segment t c ~off:!next_off ~len:want;
+        acts := Down (`Transmit (!next_off, want, osr_pdu)) :: !acts;
+        next_off := !next_off + want
+      end
     end
   done;
-  let c = !c in
-  if !probe then
-    ( (if c.persist_armed then c else { c with persist_armed = true }),
-      List.rev (Set_timer (Persist, persist_interval) :: !acts) )
-  else (c, List.rev !acts)
-
-let maybe_fin c =
-  if
-    c.fin_requested && (not c.fin_sent) && Outbuf.length c.outbuf = 0
-    && c.acked = c.next_off
-  then ({ c with fin_sent = true }, [ Down `Close ])
-  else (c, [])
-
-(* Recompute the advertised window from reassembly occupancy and unread
-   delivered bytes; announce reopenings proactively (the stalled peer has
-   no traffic to learn from otherwise). *)
-let refresh_window t c =
-  let buffered =
-    List.fold_left (fun acc (_, (b, _)) -> acc + Bitkit.Slice.length b) 0 c.reasm
+  let next_off = !next_off in
+  let fin =
+    c.fin_requested && (not c.fin_sent) && Outbuf.length c.outbuf = 0 && acked = next_off
   in
-  let advertised = max 0 (min 0xFFFF (t.cfg.Config.rcv_buf - buffered - c.unread)) in
-  if advertised = c.advertised then (c, [])
-  else begin
-    let reopened = c.advertised < t.cfg.Config.mss && advertised >= t.cfg.Config.mss in
-    let c = { c with advertised } in
-    if reopened then (c, [ Down (`Announce_block (block t c)) ])
-    else (c, [ Down (`Set_block (block t c)) ])
-  end
+  let persist_armed = !probe || ((not disarm) && c.persist_armed) in
+  let c' =
+    if
+      next_off = c.next_off && peer_window = c.peer_window && acked = c.acked
+      && Float.equal last_ecn_reaction c.last_ecn_reaction
+      && persist_armed = c.persist_armed && not fin
+    then c
+    else
+      { c with next_off; peer_window; acked; last_ecn_reaction; persist_armed;
+        fin_sent = c.fin_sent || fin }
+  in
+  let acts = if !probe then Set_timer (Persist, persist_interval) :: !acts else !acts in
+  (with_conn t c', List.rev (if fin then Down `Close :: acts else acts))
+
+(* The advertised window for reassembly occupancy [reasm] and [unread]
+   delivered bytes. *)
+let advertise t ~reasm ~unread =
+  let buffered =
+    List.fold_left (fun acc (_, (b, _)) -> acc + Bitkit.Slice.length b) 0 reasm
+  in
+  max 0 (min 0xFFFF (t.cfg.Config.rcv_buf - buffered - unread))
+
+(* Announce a window that moved from [old] to [c]'s, in front of [acts]:
+   a reopening at once (the stalled peer has no traffic to learn from
+   otherwise), any other change with the next segment. *)
+let window_acts t ~old c acts =
+  if c.advertised = old then acts
+  else if old < t.cfg.Config.mss && c.advertised >= t.cfg.Config.mss then
+    Down (`Announce_block (block t c)) :: acts
+  else Down (`Set_block (block t c)) :: acts
 
 let handle_up_req t (req : up_req) =
   match (req, t.conn) with
@@ -276,18 +295,23 @@ let handle_up_req t (req : up_req) =
       Sublayer.Stats.add t.ctrs.c_bytes_written (String.length s);
       note_write t c (c.next_off + Outbuf.length c.outbuf) (String.length s);
       Outbuf.push c.outbuf s;
-      let c, acts = try_send t c in
-      ({ t with conn = Some c }, acts)
+      release t c ~peer_window:c.peer_window ~acked:c.acked
+        ~last_ecn_reaction:c.last_ecn_reaction ~disarm:false []
   | `Read n, Some c ->
-      let c = { c with unread = max 0 (c.unread - n) } in
-      let c, acts = refresh_window t c in
-      ({ t with conn = Some c }, acts)
+      let unread = max 0 (c.unread - n) in
+      let advertised = advertise t ~reasm:c.reasm ~unread in
+      if unread = c.unread && advertised = c.advertised then (t, [])
+      else
+        let c' = { c with unread; advertised } in
+        (with_conn t c', window_acts t ~old:c.advertised c' [])
   | `Read _, None -> (t, [])
   | `Close, None -> ({ t with pre_close = true }, [])
   | `Close, Some c ->
-      let c = { c with fin_requested = true } in
-      let c, acts = maybe_fin c in
-      ({ t with conn = Some c }, acts)
+      let fin =
+        (not c.fin_sent) && Outbuf.length c.outbuf = 0 && c.acked = c.next_off
+      in
+      ( with_conn t { c with fin_requested = true; fin_sent = c.fin_sent || fin },
+        if fin then [ Down `Close ] else [] )
 
 (* Copy an out-of-order payload into storage OSR owns across events: the
    incoming wire view dies with the current event (a channel may hold it
@@ -316,17 +340,66 @@ let rec insert offset owned = function
   | (off, _) as staged :: rest when off < offset -> staged :: insert offset owned rest
   | rest -> (offset, owned) :: rest
 
-(* Insert a segment into the reassembly store and deliver the in-order
-   prefix. Duplicate offsets cannot occur (RD delivers exactly once), but
-   a segment at an already-delivered offset is ignored defensively.
+(* The staged run that continues the stream from [cum] in the
+   offset-ascending store: where it ends, and the store after it. *)
+let rec run_end cum = function
+  | (off, (sl, _)) :: rest when off = cum -> run_end (cum + Bitkit.Slice.length sl) rest
+  | _ -> cum
 
-   An in-order arrival is guaranteed to drain within this call, so it is
-   entered as a borrowed view of the wire buffer — the zero-copy fast
-   path; only segments that will sit in [reasm] across events are
+let rec after_run cum = function
+  | (off, (sl, _)) :: rest when off = cum -> after_run (cum + Bitkit.Slice.length sl) rest
+  | reasm -> reasm
+
+(* The walks below visit the staged segments of [reasm] that come before
+   its suffix [rest]: the run an in-order arrival delivers. *)
+
+(* Their [Data], in order, in front of [acts]. *)
+let rec run_acts rest acts reasm =
+  match reasm with
+  | (_, (sl, _)) :: more when reasm != rest -> Up (`Data sl) :: run_acts rest acts more
+  | _ -> acts
+
+(* Close their reassembly spans and hand their pool slots back at the
+   end of the event. *)
+let rec retire_run t rest reasm =
+  match reasm with
+  | (off, (_, slot)) :: more when reasm != rest ->
+      if Sublayer.Span.active t.sp then
+        Sublayer.Span.close t.sp ~key:("r:" ^ string_of_int off) ~detail:"delivered" ();
+      (match t.pool with
+      | Some pool when slot <> Bitkit.Pool.no_slot -> Bitkit.Pool.defer_release pool slot
+      | Some _ | None -> ());
+      retire_run t rest more
+  | _ -> ()
+
+(* The new block goes down at once when a data segment arrives
+   CE-marked: the echo starts now. *)
+let echo_acts t (hdr : Segment.osr) c =
+  if hdr.Segment.ecn_ce then [ Down (`Set_block (block t c)) ] else []
+
+(* Accept a segment that arrived with [hdr]: insert it into the
+   reassembly store and deliver the in-order prefix, in one record with
+   the header's window and CE mark. Duplicate offsets cannot occur (RD
+   delivers exactly once), but a segment at an already-delivered offset
+   is ignored defensively.
+
+   An in-order arrival is delivered at once, as a borrowed view of the
+   wire buffer — the zero-copy fast path — with the staged run it
+   completes; only segments that will sit in [reasm] across events are
    staged. Delivered pool slots are released at end of event, after the
    application has consumed the [`Data] views. *)
-let accept_segment t c offset payload =
-  if offset < c.rcv_cum || List.mem_assoc offset c.reasm then (c, [])
+let accept_segment t c (hdr : Segment.osr) offset payload =
+  (* A CE mark on received data is echoed back to the sender, whose
+     congestion controller reacts — not ours. *)
+  let last_ce = if hdr.Segment.ecn_ce then t.now () else c.last_ce in
+  let peer_window = hdr.Segment.window in
+  if offset < c.rcv_cum || List.mem_assoc offset c.reasm then begin
+    let c' =
+      if peer_window = c.peer_window && not hdr.Segment.ecn_ce then c
+      else { c with peer_window; last_ce }
+    in
+    (with_conn t c', echo_acts t hdr c')
+  end
   else begin
     (* RD bound this offset's trace locally on fresh delivery; the reasm
        span covers the wait for in-order release. *)
@@ -336,41 +409,28 @@ let accept_segment t c offset payload =
         ~key:("r:" ^ string_of_int offset)
         ~trace "reasm"
     end;
-    let owned =
-      if offset = c.rcv_cum then (payload, Bitkit.Pool.no_slot)
-      else stage t payload
-    in
-    let reasm = insert offset owned c.reasm in
-    let rec drain cum reasm delivered =
-      match reasm with
-      | (off, (sl, slot)) :: rest when off = cum ->
-          drain (cum + Bitkit.Slice.length sl) rest ((sl, slot) :: delivered)
-      | _ -> (cum, reasm, List.rev delivered)
-    in
-    let rcv_cum, reasm, delivered = drain c.rcv_cum reasm [] in
-    if Sublayer.Span.active t.sp then
-      ignore
-        (List.fold_left
-           (fun off (sl, _) ->
-             Sublayer.Span.close t.sp
-               ~key:("r:" ^ string_of_int off)
-               ~detail:"delivered" ();
-             off + Bitkit.Slice.length sl)
-           c.rcv_cum delivered);
-    (match t.pool with
-    | Some pool ->
-        List.iter
-          (fun (_, slot) ->
-            if slot <> Bitkit.Pool.no_slot then Bitkit.Pool.defer_release pool slot)
-          delivered
-    | None -> ());
-    let fresh_bytes =
-      List.fold_left (fun acc (sl, _) -> acc + Bitkit.Slice.length sl) 0 delivered
-    in
-    Sublayer.Stats.add t.ctrs.c_bytes_delivered fresh_bytes;
-    let c = { c with reasm; rcv_cum; unread = c.unread + fresh_bytes } in
-    let c, window_acts = refresh_window t c in
-    (c, List.map (fun (sl, _) -> Up (`Data sl)) delivered @ window_acts)
+    if offset > c.rcv_cum then begin
+      (* A gap before it: staged until the gap fills. *)
+      let reasm = insert offset (stage t payload) c.reasm in
+      let advertised = advertise t ~reasm ~unread:c.unread in
+      let c' = { c with peer_window; last_ce; reasm; advertised } in
+      (with_conn t c', window_acts t ~old:c.advertised c' (echo_acts t hdr c'))
+    end
+    else begin
+      let cum = offset + Bitkit.Slice.length payload in
+      let rcv_cum = run_end cum c.reasm and reasm = after_run cum c.reasm in
+      if Sublayer.Span.active t.sp then
+        Sublayer.Span.close t.sp ~key:("r:" ^ string_of_int offset) ~detail:"delivered" ();
+      retire_run t reasm c.reasm;
+      let fresh_bytes = rcv_cum - c.rcv_cum in
+      Sublayer.Stats.add t.ctrs.c_bytes_delivered fresh_bytes;
+      let unread = c.unread + fresh_bytes in
+      let advertised = advertise t ~reasm ~unread in
+      let c' = { c with peer_window; last_ce; reasm; rcv_cum; unread; advertised } in
+      ( with_conn t c',
+        Up (`Data payload)
+        :: run_acts reasm (window_acts t ~old:c.advertised c' (echo_acts t hdr c')) c.reasm )
+    end
   end
 
 (* Return any staged pool slots before dropping connection state, or an
@@ -413,59 +473,44 @@ let handle_down_ind t (ind : down_ind) =
              base + String.length s)
            0 (List.rev t.pre_writes));
       List.iter (Outbuf.push c.outbuf) (List.rev t.pre_writes);
-      let c, send_acts = try_send t c in
-      let c, fin_acts = maybe_fin c in
-      ( { t with conn = Some c; pre_writes = [] },
-        (Up `Established :: Down (`Set_block (block t c)) :: send_acts) @ fin_acts )
+      release t c ~peer_window:c.peer_window ~acked:c.acked
+        ~last_ecn_reaction:c.last_ecn_reaction ~disarm:false
+        [ Down (`Set_block (block t c)); Up `Established ]
   | `Established, Some _ -> (t, [ Note "duplicate establishment ignored" ])
   | `Segment (offset, osr_pdu), Some c -> (
       match Segment.decode_osr_slice osr_pdu with
       | None -> (t, [ Note "undecodable osr pdu dropped" ])
-      | Some (hdr, payload) ->
-          let c = { c with peer_window = hdr.Segment.window } in
-          (* A CE mark on received data is echoed back to the sender,
-             whose congestion controller reacts — not ours. *)
-          let c =
-            if hdr.Segment.ecn_ce then { c with last_ce = t.now () } else c
-          in
-          let c, acts = accept_segment t c offset payload in
-          let acts =
-            if hdr.Segment.ecn_ce then acts @ [ Down (`Set_block (block t c)) ]
-            else acts
-          in
-          ({ t with conn = Some c }, acts))
+      | Some (hdr, payload) -> accept_segment t c hdr offset payload)
   | `Acked (upto, block_bytes, rtt), Some c ->
-      let c =
-        match Segment.decode_osr_slice block_bytes with
-        | Some (hdr, _) ->
-            let c =
-              if hdr.Segment.ecn_echo && t.now () -. c.last_ecn_reaction > echo_period
-              then begin
-                (* React to congestion marks at most once per echo period
-                   (standing in for once-per-RTT CWR semantics). *)
-                c.cc.Cc.on_ecn ();
-                { c with last_ecn_reaction = t.now () }
-              end
-              else c
-            in
-            { c with peer_window = hdr.Segment.window }
-        | None -> c
+      let peer_window, echo =
+        match Segment.decode_osr_header block_bytes with
+        | Some hdr -> (hdr.Segment.window, hdr.Segment.ecn_echo)
+        | None -> (c.peer_window, false)
+      in
+      let last_ecn_reaction =
+        if not echo then c.last_ecn_reaction
+        else begin
+          let now = t.now () in
+          if now -. c.last_ecn_reaction > echo_period then begin
+            (* React to congestion marks at most once per echo period
+               (standing in for once-per-RTT CWR semantics). *)
+            c.cc.Cc.on_ecn ();
+            now
+          end
+          else c.last_ecn_reaction
+        end
       in
       let bytes = upto - c.acked in
       if bytes > 0 then c.cc.Cc.on_ack ~bytes ~rtt;
-      let c = { c with acked = max c.acked upto } in
-      let c, send_acts = try_send t c in
-      let c, fin_acts = maybe_fin c in
       (* An open window needs no probe: disarm one that is set. *)
-      if c.peer_window > 0 && c.persist_armed then
-        ( { t with conn = Some { c with persist_armed = false } },
-          (Cancel_timer Persist :: send_acts) @ fin_acts )
-      else ({ t with conn = Some c }, send_acts @ fin_acts)
+      let disarm = peer_window > 0 && c.persist_armed in
+      release t c ~peer_window ~acked:(max c.acked upto) ~last_ecn_reaction ~disarm
+        (if disarm then [ Cancel_timer Persist ] else [])
   | `Loss kind, Some c ->
       c.cc.Cc.on_loss kind;
       (t, [])
   | `Peer_fin, Some c ->
-      ({ t with conn = Some { c with peer_fin_seen = true } }, [ Up `Peer_closed ])
+      (with_conn t { c with peer_fin_seen = true }, [ Up `Peer_closed ])
   | `Closed, _ -> (t, cancel_persist t [ Up `Closed ])
   | `Reset, _ ->
       (* A reset connection will never reopen its window: without
@@ -492,15 +537,14 @@ let handle_timer t Persist =
         Bitkit.Wirebuf.push
           (Bitkit.Wirebuf.of_slice payload)
           ~owner:"osr"
-          (Segment.write_osr (my_header t c))
+          (block t c)
       in
       Sublayer.Stats.incr t.ctrs.c_segments_out;
       note_segment t c ~off:c.next_off ~len:1;
-      let c = { c with next_off = c.next_off + 1 } in
-      ( { t with conn = Some c },
-        [ Down (`Transmit (c.next_off - 1, 1, osr_pdu));
+      ( with_conn t { c with next_off = c.next_off + 1 },
+        [ Down (`Transmit (c.next_off, 1, osr_pdu));
           Set_timer (Persist, persist_interval) ] )
   | Some c when c.persist_armed ->
       (* It fired and is not re-armed. *)
-      ({ t with conn = Some { c with persist_armed = false } }, [])
+      (with_conn t { c with persist_armed = false }, [])
   | Some _ | None -> (t, [])

@@ -22,8 +22,6 @@ let cumulative = function (0, b) :: _ -> b | _ -> 0
 let covers t lo hi =
   lo >= hi || List.exists (fun (a, b) -> a <= lo && hi <= b) t
 
-let beyond t point = List.filter (fun (a, _) -> a > point) t
-
 let intervals t = t
 
 let total_bytes t = List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 t

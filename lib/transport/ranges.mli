@@ -18,9 +18,7 @@ val cumulative : t -> int
 val covers : t -> int -> int -> bool
 (** Is [\[lo, hi)] fully contained? *)
 
-val beyond : t -> int -> (int * int) list
-(** Intervals entirely above the given point, ascending — the SACK
-    candidates. *)
-
 val intervals : t -> (int * int) list
+(** Ascending; the ones above {!cumulative} are the SACK candidates. *)
+
 val total_bytes : t -> int

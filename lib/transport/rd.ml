@@ -106,19 +106,31 @@ let stats t =
 
 let rto t = match t.conn with None -> t.cfg.Config.rto_init | Some c -> c.rto
 
+let outstanding t =
+  let rec drain q =
+    match Bitkit.Fifo.pop q with
+    | None -> []
+    | Some (s, q) -> (s.s_off, s.s_sacked, s.s_retx) :: drain q
+  in
+  match t.conn with None -> [] | Some c -> drain c.sndq
+
 (* Absolute sequence of a stream offset (SYN consumes one number). *)
 let abs_seq isn offset = (isn + 1 + offset) land 0xFFFFFFFF
 
+(* The first three received intervals above the cumulative point, as
+   SACK blocks, in one pass: the intervals ascend, and only the first
+   can reach back to the cumulative point. *)
+let rec sack_blocks isn cum n = function
+  | (lo, hi) :: rest when n > 0 ->
+      if lo > cum then
+        { Segment.sack_start = abs_seq isn lo; sack_end = abs_seq isn hi }
+        :: sack_blocks isn cum (n - 1) rest
+      else sack_blocks isn cum n rest
+  | _ -> []
+
 let rcv_sacks t c =
   if not t.cfg.Config.use_sack then []
-  else begin
-    let cum = Ranges.cumulative c.rcv in
-    Ranges.beyond c.rcv cum
-    |> List.filteri (fun i _ -> i < 3)
-    |> List.map (fun (a, b) ->
-           { Segment.sack_start = abs_seq c.isn_remote a;
-             sack_end = abs_seq c.isn_remote b })
-  end
+  else sack_blocks c.isn_remote (Ranges.cumulative c.rcv) 3 (Ranges.intervals c.rcv)
 
 (* Every outgoing segment carries our cumulative ack and SACK view. *)
 let data_segment t c sent =
@@ -157,33 +169,20 @@ let send_ack t c =
          ~owner:"rd"
          (Segment.write_rd (pure_ack t c))))
 
-let update_rtt c sample cfg =
-  let srtt, rttvar =
-    match c.srtt with
-    | None -> (sample, sample /. 2.)
-    | Some srtt ->
-        let err = sample -. srtt in
-        let srtt = srtt +. (0.125 *. err) in
-        let rttvar = c.rttvar +. (0.25 *. (Float.abs err -. c.rttvar)) in
-        (srtt, rttvar)
-  in
-  let rto =
-    Float.min cfg.Config.rto_max
-      (Float.max cfg.Config.rto_min (srtt +. (4. *. rttvar)))
-  in
-  { c with srtt = Some srtt; rttvar; rto }
+let clamp_rto cfg rto = Float.min cfg.Config.rto_max (Float.max cfg.Config.rto_min rto)
 
 (* ETIMEDOUT semantics: no cumulative progress for [give_up_after]
    seconds, or [max_retries] consecutive backoffs, aborts the
    connection. The RTO delay is clamped to the deadline so the abort
-   lands within [give_up_after] rather than one backed-off RTO late. *)
+   lands within [give_up_after] rather than one backed-off RTO late.
+   [now] is the step's time, read once per step. *)
 let deadline t c = c.last_progress +. t.cfg.Config.give_up_after
 
-let arm_rto t c =
-  Set_timer (Rto, Float.min c.rto (Float.max 0.001 (deadline t c -. t.now ())))
+let arm_rto t c now =
+  Set_timer (Rto, Float.min c.rto (Float.max 0.001 (deadline t c -. now)))
 
-let give_up t c =
-  c.backoffs >= t.cfg.Config.max_retries || t.now () >= deadline t c
+let give_up t c now =
+  c.backoffs >= t.cfg.Config.max_retries || now >= deadline t c
 
 (* RD cancels only a timer it armed. [Ack_delay] is armed only while
    [ack_pending] holds, so an ack sent now disarms it only then; with no
@@ -198,10 +197,13 @@ let cancel_armed t acts =
       let acts = cancel_ack_delay c acts in
       if Bitkit.Fifo.is_empty c.sndq then acts else Cancel_timer Rto :: acts
 
-let with_conn t f =
-  match t.conn with
-  | None -> (t, [ Note "no connection" ])
-  | Some c -> f c
+let no_connection t = (t, [ Note "no connection" ])
+
+(* [sndq] with [resend] in place of the segment at its offset: offsets
+   are unique, so only that segment and the list cells before it in its
+   half of the queue are new. *)
+let replace sndq resend =
+  Bitkit.Fifo.map_shared (fun s -> if s.s_off = resend.s_off then resend else s) sndq
 
 let handle_up_req t (req : up_req) =
   match req with
@@ -218,10 +220,13 @@ let handle_up_req t (req : up_req) =
       | Some c ->
           let c = { c with block } in
           ({ t with conn = Some c }, [ send_ack t c ]))
-  | `Transmit (offset, len, osr_pdu) ->
-      with_conn t (fun c ->
+  | `Transmit (offset, len, osr_pdu) -> (
+      match t.conn with
+      | None -> no_connection t
+      | Some c ->
+          let now = t.now () in
           let sent =
-            { s_off = offset; s_len = len; s_pdu = osr_pdu; s_sent_at = t.now ();
+            { s_off = offset; s_len = len; s_pdu = osr_pdu; s_sent_at = now;
               s_retx = false; s_sacked = false }
           in
           if Sublayer.Span.active t.sp then begin
@@ -237,23 +242,199 @@ let handle_up_req t (req : up_req) =
           end;
           let act = send_data t c sent in
           let was_idle = Bitkit.Fifo.is_empty c.sndq in
-          let owed = c.ack_pending in
-          let c =
+          let c' =
             { c with sndq = Bitkit.Fifo.push c.sndq sent;
               snd_max = max c.snd_max (offset + len);
               (* an idle sender's give-up clock starts when data is
                  queued, not at establishment — else the first write
                  after a long quiet period aborts spuriously *)
-              last_progress = (if was_idle then t.now () else c.last_progress);
+              last_progress = (if was_idle then now else c.last_progress);
               backoffs = (if was_idle then 0 else c.backoffs);
               ack_pending = false }
           in
-          let acts = if was_idle then [ act; arm_rto t c ] else [ act ] in
+          let acts = if was_idle then [ act; arm_rto t c' now ] else [ act ] in
           (* the data segment piggybacks the ack a delayed one owed *)
-          ({ t with conn = Some c }, if owed then Cancel_timer Ack_delay :: acts else acts))
+          ({ t with conn = Some c' }, cancel_ack_delay c acts))
 
-(* --- Receiver side: an arriving data segment. --- *)
-let handle_data t c (rd : Segment.rd) osr_pdu =
+(* --- An arriving segment: its data (receiver side), then its ack field
+   (sender side). The two halves change disjoint fields of the
+   connection, so [receive] decides the data half and does its side
+   effects, then hands its verdict to [acknowledge], which does the ack
+   half, builds the step's one record and puts the data half's actions
+   in front of its own. --- *)
+
+(* What the data half found. *)
+type arrival =
+  | No_data
+  | Implausible  (* an extent that does not fit its PDU: dropped *)
+  | Fresh  (* new bytes, acknowledged at once *)
+  | Fresh_owed  (* new in-order bytes whose ack is delayed *)
+  | Duplicate  (* nothing new: acknowledged at once *)
+
+(* The step's result: [c'] is its one record, built from [c] (or [c]
+   itself, and then so is [t]); the data half's actions go in front of
+   the ack half's [acts]. *)
+let finish t c c' arrival offset osr_pdu acts =
+  let acts =
+    match arrival with
+    | No_data -> acts
+    | Implausible -> Note "implausible data segment dropped" :: acts
+    | Fresh_owed ->
+        Up (`Segment (offset, osr_pdu)) :: Set_timer (Ack_delay, t.cfg.Config.ack_delay) :: acts
+    | Fresh -> Up (`Segment (offset, osr_pdu)) :: send_ack t c' :: cancel_ack_delay c acts
+    | Duplicate -> send_ack t c' :: cancel_ack_delay c acts
+  in
+  ((if c' == c then t else { t with conn = Some c' }), acts)
+
+(* [c] with the data half's fields and a new [sndq], if any changed. *)
+let with_receiver c ~rcv ~owed sndq =
+  if rcv == c.rcv && owed = c.ack_pending && sndq == c.sndq then c
+  else { c with rcv; ack_pending = owed; sndq }
+
+(* Does a SACK block cover [s]? Each block's edges are reconstructed
+   near [s]'s own sequence number. *)
+let rec sacked_by isn s = function
+  | [] -> false
+  | b :: blocks ->
+      let lo =
+        Sublayer.Seqspace.reconstruct Iface.seq32
+          ~reference:(abs_seq isn s.s_off) b.Segment.sack_start
+        - isn - 1
+      in
+      let hi = lo + ((b.Segment.sack_end - b.Segment.sack_start) land 0xFFFFFFFF) in
+      (lo <= s.s_off && s.s_off + s.s_len <= hi) || sacked_by isn s blocks
+
+(* Karn's rule: the RTT sample is the newest acked segment sent only
+   once; [found] is the suffix of the acked prefix that starts at it. *)
+let rec last_unretransmitted found = function
+  | [] -> found
+  | s :: rest as l -> last_unretransmitted (if s.s_retx then found else l) rest
+
+(* --- Sender side: the ack field of an arriving segment. [rcv] and
+   [owed] are the data half's new receive ranges and delayed-ack flag.
+   --- *)
+let acknowledge t c (rd : Segment.rd) osr_pdu ~rcv ~owed arrival offset =
+  if not rd.Segment.has_ack then
+    finish t c (with_receiver c ~rcv ~owed c.sndq) arrival offset osr_pdu []
+  else begin
+    let acked_off =
+      Sublayer.Seqspace.reconstruct Iface.seq32
+        ~reference:(abs_seq c.isn_local c.snd_acked) rd.Segment.ack
+      - c.isn_local - 1
+    in
+    (* SACK processing: mark covered segments, sharing the rest. *)
+    let sndq =
+      match rd.Segment.sacks with
+      | [] -> c.sndq
+      | blocks ->
+          Bitkit.Fifo.map_shared
+            (fun s ->
+              if s.s_sacked || not (sacked_by c.isn_local s blocks) then s
+              else { s with s_sacked = true })
+            c.sndq
+    in
+    if acked_off > c.snd_acked && acked_off <= c.snd_max then begin
+      (* New data acknowledged: [sndq] ascends by offset, so the acked
+         segments are a prefix of it. *)
+      let now = t.now () in
+      let newly, remaining =
+        Bitkit.Fifo.split_while (fun s -> s.s_off + s.s_len <= acked_off) sndq
+      in
+      if Sublayer.Span.active t.sp then
+        List.iter
+          (fun s ->
+            (* Usually a no-op forget: the receiver already closed the span
+               at delivery. It only finishes here (duration = full RTT)
+               when the two ends do not share a tracer. *)
+            Sublayer.Span.close t.sp ~key:(fkey s.s_off) ~detail:"acked" ();
+            Sublayer.Span.unbind t.sp
+              (xh_key ~isn_local:c.isn_local ~isn_remote:c.isn_remote s.s_off))
+          newly;
+      let rtt_sample =
+        match last_unretransmitted [] newly with
+        | s :: _ -> Some (now -. s.s_sent_at)
+        | [] -> None
+      in
+      let srtt, rttvar, rto =
+        match (rtt_sample, c.srtt) with
+        | Some sample, None ->
+            let rttvar = sample /. 2. in
+            (Some sample, rttvar, clamp_rto t.cfg (sample +. (4. *. rttvar)))
+        | Some sample, Some srtt ->
+            let err = sample -. srtt in
+            let srtt = srtt +. (0.125 *. err) in
+            let rttvar = c.rttvar +. (0.25 *. (Float.abs err -. c.rttvar)) in
+            (Some srtt, rttvar, clamp_rto t.cfg (srtt +. (4. *. rttvar)))
+        | None, Some srtt ->
+            (* Karn's rule gives no sample from retransmitted segments,
+               but a cumulative advance still clears exponential backoff
+               — otherwise serial loss recovery crawls at rto_max. *)
+            (c.srtt, c.rttvar, clamp_rto t.cfg (srtt +. (4. *. c.rttvar)))
+        | None, None -> (c.srtt, c.rttvar, clamp_rto t.cfg t.cfg.Config.rto_init)
+      in
+      let c' =
+        { c with rcv; ack_pending = owed; sndq = remaining; snd_acked = acked_off;
+          dup_acks = 0; srtt; rttvar; rto; backoffs = 0; last_progress = now }
+      in
+      let timer_act =
+        if Bitkit.Fifo.is_empty remaining then Cancel_timer Rto else arm_rto t c' now
+      in
+      (* The timer action must precede the [`Acked] indication: delivering
+         it makes OSR release new segments synchronously, and those arm the
+         RTO — a stale Cancel_timer sequenced afterwards would silently
+         disarm it and deadlock the transfer. *)
+      finish t c c' arrival offset osr_pdu
+        [ timer_act; Up (`Acked (acked_off, osr_pdu, rtt_sample)) ]
+    end
+    else if acked_off = c.snd_acked && not (Bitkit.Fifo.is_empty sndq) then begin
+      (* Duplicate ack. Once the threshold is reached we enter SACK-style
+         recovery: each further dupack may refetch the next hole (earliest
+         unsacked segment not already retransmitted this window), so
+         multiple losses in one window do not each cost an RTO. The
+         congestion controller is told once per window. *)
+      let dup_acks = c.dup_acks + 1 in
+      let victim =
+        if dup_acks >= t.cfg.Config.dupack_threshold then
+          Bitkit.Fifo.find_opt (fun s -> not (s.s_sacked || s.s_retx)) sndq
+        else None
+      in
+      match victim with
+      | None ->
+          finish t c { c with rcv; ack_pending = owed; sndq; dup_acks } arrival offset osr_pdu []
+      | Some victim ->
+          Sublayer.Stats.incr t.ctrs.c_retransmits;
+          Sublayer.Stats.incr t.ctrs.c_fast_retransmits;
+          if Sublayer.Span.active t.sp then
+            Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"fast" "retx";
+          let now = t.now () in
+          let resend = { victim with s_retx = true; s_sent_at = now } in
+          let fresh_window = c.snd_acked >= c.recover in
+          let c' =
+            { c with rcv; ack_pending = owed; sndq = replace sndq resend; dup_acks;
+              recover = (if fresh_window then c.snd_max else c.recover) }
+          in
+          let rest = [ arm_rto t c' now ] in
+          let acts =
+            send_data t c' resend
+            :: (if fresh_window then Up (`Loss Cc.Dup_ack) :: rest else rest)
+          in
+          (* The text is built only for a tracer, which [sp] has exactly
+             when the endpoint does. *)
+          finish t c c' arrival offset osr_pdu
+            (if Sublayer.Span.active t.sp then
+               Note (Printf.sprintf "fast retransmit offset=%d" victim.s_off) :: acts
+             else acts)
+    end
+    else
+      (* No progress and not a countable dupack — but the segment still
+         carries the peer's current OSR block: pass it up so pure window
+         updates reopen a zero-window-stalled sender. *)
+      finish t c (with_receiver c ~rcv ~owed sndq) arrival offset osr_pdu
+        [ Up (`Acked (c.snd_acked, osr_pdu, None)) ]
+  end
+
+(* --- Receiver side: the data of an arriving segment. --- *)
+let receive t c (rd : Segment.rd) osr_pdu =
   let rcv_cum = Ranges.cumulative c.rcv in
   let seq_abs =
     Sublayer.Seqspace.reconstruct Iface.seq32 ~reference:(abs_seq c.isn_remote rcv_cum)
@@ -263,12 +444,9 @@ let handle_data t c (rd : Segment.rd) osr_pdu =
   (* RD cannot know the upper sublayer's header size (T3), so the only
      sanity check available is that the claimed extent fits in the PDU. *)
   if offset < 0 || rd.Segment.len > Bitkit.Slice.length osr_pdu then
-    (c, [ Note "implausible data segment dropped" ])
+    acknowledge t c rd osr_pdu ~rcv:c.rcv ~owed:c.ack_pending Implausible offset
   else begin
-    let before = Ranges.cumulative c.rcv in
     let rcv, fresh = Ranges.add c.rcv offset (offset + rd.Segment.len) in
-    let c = { c with rcv } in
-    let advanced = Ranges.cumulative rcv > before in
     if fresh then begin
       if Sublayer.Span.active t.sp then begin
         (* Close the sender's flight span here, at delivery — the span
@@ -285,129 +463,16 @@ let handle_data t c (rd : Segment.rd) osr_pdu =
       (* Delayed acks apply only to in-order data; gaps must be acked
          immediately (they are the sender's dupack signal), and at most
          one ack may be owed at a time (ack every second segment). *)
-      if t.cfg.Config.delayed_ack && advanced && not c.ack_pending then
-        ( { c with ack_pending = true },
-          [ Up (`Segment (offset, osr_pdu));
-            Set_timer (Ack_delay, t.cfg.Config.ack_delay) ] )
-      else
-        ( { c with ack_pending = false },
-          Up (`Segment (offset, osr_pdu)) :: send_ack t c :: cancel_ack_delay c [] )
+      if t.cfg.Config.delayed_ack && Ranges.cumulative rcv > rcv_cum && not c.ack_pending
+      then acknowledge t c rd osr_pdu ~rcv ~owed:true Fresh_owed offset
+      else acknowledge t c rd osr_pdu ~rcv ~owed:false Fresh offset
     end
     else begin
       Sublayer.Stats.incr t.ctrs.c_dup_segments;
-      ({ c with ack_pending = false }, send_ack t c :: cancel_ack_delay c [])
+      (* The same ranges: keep the record's own. *)
+      acknowledge t c rd osr_pdu ~rcv:c.rcv ~owed:false Duplicate offset
     end
   end
-
-(* --- Sender side: the ack field of an arriving segment. --- *)
-let handle_ack t c (rd : Segment.rd) osr_pdu =
-  let acked_off =
-    Sublayer.Seqspace.reconstruct Iface.seq32
-      ~reference:(abs_seq c.isn_local c.snd_acked) rd.Segment.ack
-    - c.isn_local - 1
-  in
-  (* SACK processing: mark covered segments. *)
-  let c =
-    if rd.Segment.sacks = [] then c
-    else begin
-      let sacked s =
-        s.s_sacked
-        || List.exists
-             (fun b ->
-               let lo =
-                 Sublayer.Seqspace.reconstruct Iface.seq32
-                   ~reference:(abs_seq c.isn_local s.s_off) b.Segment.sack_start
-                 - c.isn_local - 1
-               in
-               let hi = lo + ((b.Segment.sack_end - b.Segment.sack_start) land 0xFFFFFFFF) in
-               lo <= s.s_off && s.s_off + s.s_len <= hi)
-             rd.Segment.sacks
-      in
-      { c with sndq = Bitkit.Fifo.map (fun s -> { s with s_sacked = sacked s }) c.sndq }
-    end
-  in
-  if acked_off > c.snd_acked && acked_off <= c.snd_max then begin
-    (* New data acknowledged: [sndq] ascends by offset, so the acked
-       segments are a prefix of it. *)
-    let newly, remaining =
-      Bitkit.Fifo.split_while (fun s -> s.s_off + s.s_len <= acked_off) c.sndq
-    in
-    if Sublayer.Span.active t.sp then
-      List.iter
-        (fun s ->
-          (* Usually a no-op forget: the receiver already closed the span
-             at delivery. It only finishes here (duration = full RTT)
-             when the two ends do not share a tracer. *)
-          Sublayer.Span.close t.sp ~key:(fkey s.s_off) ~detail:"acked" ();
-          Sublayer.Span.unbind t.sp
-            (xh_key ~isn_local:c.isn_local ~isn_remote:c.isn_remote s.s_off))
-        newly;
-    let rtt_sample =
-      List.fold_left
-        (fun acc s -> if s.s_retx then acc else Some (t.now () -. s.s_sent_at))
-        None newly
-    in
-    let c =
-      match rtt_sample with
-      | Some s -> update_rtt c s t.cfg
-      | None ->
-          (* Karn's rule gives no sample from retransmitted segments, but
-             a cumulative advance still clears exponential backoff —
-             otherwise serial loss recovery crawls at rto_max. *)
-          let base =
-            match c.srtt with
-            | Some srtt -> srtt +. (4. *. c.rttvar)
-            | None -> t.cfg.Config.rto_init
-          in
-          { c with rto = Float.min t.cfg.Config.rto_max (Float.max t.cfg.Config.rto_min base) }
-    in
-    let c =
-      { c with sndq = remaining; snd_acked = acked_off; dup_acks = 0;
-        backoffs = 0; last_progress = t.now () }
-    in
-    let timer_act = if Bitkit.Fifo.is_empty remaining then Cancel_timer Rto else arm_rto t c in
-    (* The timer action must precede the [`Acked] indication: delivering
-       it makes OSR release new segments synchronously, and those arm the
-       RTO — a stale Cancel_timer sequenced afterwards would silently
-       disarm it and deadlock the transfer. *)
-    (c, [ timer_act; Up (`Acked (acked_off, osr_pdu, rtt_sample)) ])
-  end
-  else if acked_off = c.snd_acked && not (Bitkit.Fifo.is_empty c.sndq) then begin
-    (* Duplicate ack. Once the threshold is reached we enter SACK-style
-       recovery: each further dupack may refetch the next hole (earliest
-       unsacked segment not already retransmitted this window), so
-       multiple losses in one window do not each cost an RTO. The
-       congestion controller is told once per window. *)
-    let c = { c with dup_acks = c.dup_acks + 1 } in
-    if c.dup_acks >= t.cfg.Config.dupack_threshold then begin
-      match Bitkit.Fifo.find_opt (fun s -> not (s.s_sacked || s.s_retx)) c.sndq with
-      | None -> (c, [])
-      | Some victim ->
-          Sublayer.Stats.incr t.ctrs.c_retransmits;
-          Sublayer.Stats.incr t.ctrs.c_fast_retransmits;
-          if Sublayer.Span.active t.sp then
-            Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"fast" "retx";
-          let resend = { victim with s_retx = true; s_sent_at = t.now () } in
-          let sndq =
-            Bitkit.Fifo.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
-          in
-          let fresh_window = c.snd_acked >= c.recover in
-          let c = { c with sndq; recover = (if fresh_window then c.snd_max else c.recover) } in
-          let loss_acts = if fresh_window then [ Up (`Loss Cc.Dup_ack) ] else [] in
-          let acts = (send_data t c resend :: loss_acts) @ [ arm_rto t c ] in
-          (* The text is built only for a tracer, which [sp] has exactly
-             when the endpoint does. *)
-          if Sublayer.Span.active t.sp then
-            (c, Note (Printf.sprintf "fast retransmit offset=%d" victim.s_off) :: acts)
-          else (c, acts)
-    end
-    else (c, [])
-  end
-  else
-    (* No progress and not a countable dupack — but the segment still
-       carries the peer's current OSR block: pass it up so pure window
-       updates reopen a zero-window-stalled sender. *)
-    (c, [ Up (`Acked (c.snd_acked, osr_pdu, None)) ])
 
 let handle_down_ind t (ind : down_ind) =
   match ind with
@@ -439,29 +504,26 @@ let handle_down_ind t (ind : down_ind) =
          into it would livelock, so drop all state and timers. *)
       Sublayer.Span.close_all t.sp ~detail:"reset" ();
       ({ t with conn = None }, cancel_armed t [ Up `Reset ])
-  | `Pdu pdu ->
-      with_conn t (fun c ->
+  | `Pdu pdu -> (
+      match t.conn with
+      | None -> no_connection t
+      | Some c -> (
           match Segment.decode_rd_slice pdu with
           | None -> (t, [ Note "undecodable rd pdu dropped" ])
           | Some (rd, osr_pdu) ->
-              let c, acts1 =
-                if rd.Segment.has_data then handle_data t c rd osr_pdu else (c, [])
-              in
-              let c, acts2 =
-                if rd.Segment.has_ack then handle_ack t c rd osr_pdu else (c, [])
-              in
-              ({ t with conn = Some c }, acts1 @ acts2))
+              if rd.Segment.has_data then receive t c rd osr_pdu
+              else acknowledge t c rd osr_pdu ~rcv:c.rcv ~owed:c.ack_pending No_data 0))
 
 let handle_timer t tm =
-  match tm with
-  | Ack_delay ->
-      with_conn t (fun c ->
-          if c.ack_pending then
-            ({ t with conn = Some { c with ack_pending = false } }, [ send_ack t c ])
-          else (t, []))
-  | Rto ->
-  with_conn t (fun c ->
-      if (not (Bitkit.Fifo.is_empty c.sndq)) && give_up t c then begin
+  match (tm, t.conn) with
+  | _, None -> no_connection t
+  | Ack_delay, Some c ->
+      if c.ack_pending then
+        ({ t with conn = Some { c with ack_pending = false } }, [ send_ack t c ])
+      else (t, [])
+  | Rto, Some c -> (
+      let now = t.now () in
+      if (not (Bitkit.Fifo.is_empty c.sndq)) && give_up t c now then begin
         (* Retransmission exhausted: the path is (as far as RD can tell)
            a blackhole. Abort upward with ETIMEDOUT semantics and tell
            CM to tear the connection down — all within this sublayer's
@@ -470,45 +532,33 @@ let handle_timer t tm =
         ( { t with conn = None },
           Note
             (Printf.sprintf "giving up after %d backoffs, %.1fs stalled" c.backoffs
-               (t.now () -. c.last_progress))
+               (now -. c.last_progress))
           :: cancel_ack_delay c [ Up `Aborted; Down `Abort ] )
       end
       else
-      match Bitkit.Fifo.find_opt (fun s -> not s.s_sacked) c.sndq with
-      | None -> (
-          match Bitkit.Fifo.find_opt (fun _ -> true) c.sndq with
-          | None -> (t, [])
-          | Some all_sacked ->
-              (* Everything outstanding is sacked but not cumulatively
-                 acked: resend the oldest anyway. *)
-              Sublayer.Stats.incr t.ctrs.c_retransmits;
-              Sublayer.Stats.incr t.ctrs.c_timeouts;
-              if Sublayer.Span.active t.sp then
-                Sublayer.Span.child t.sp ~key:(fkey all_sacked.s_off) ~detail:"rto" "retx";
-              let resend = { all_sacked with s_retx = true; s_sent_at = t.now () } in
-              let sndq =
-                Bitkit.Fifo.map (fun s -> if s.s_off = resend.s_off then resend else s) c.sndq
-              in
-              let c =
-                { c with sndq; backoffs = c.backoffs + 1;
-                  rto = Float.min (2. *. c.rto) t.cfg.Config.rto_max }
-              in
-              ({ t with conn = Some c }, [ send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ]))
-      | Some victim ->
-          Sublayer.Stats.incr t.ctrs.c_retransmits;
-          Sublayer.Stats.incr t.ctrs.c_timeouts;
-          if Sublayer.Span.active t.sp then
-            Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"rto" "retx";
-          let resend = { victim with s_retx = true; s_sent_at = t.now () } in
-          let sndq =
-            Bitkit.Fifo.map (fun s -> if s.s_off = victim.s_off then resend else s) c.sndq
-          in
-          let c =
-            { c with sndq; backoffs = c.backoffs + 1;
-              rto = Float.min (2. *. c.rto) t.cfg.Config.rto_max }
-          in
-          let acts = [ send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c ] in
-          ( { t with conn = Some c },
+        (* The oldest unsacked segment, or when everything outstanding
+           is sacked but not cumulatively acked, the oldest anyway. *)
+        let unsacked = Bitkit.Fifo.find_opt (fun s -> not s.s_sacked) c.sndq in
+        let victim =
+          match unsacked with
+          | Some _ -> unsacked
+          | None -> Bitkit.Fifo.find_opt (fun _ -> true) c.sndq
+        in
+        match victim with
+        | None -> (t, [])
+        | Some victim ->
+            Sublayer.Stats.incr t.ctrs.c_retransmits;
+            Sublayer.Stats.incr t.ctrs.c_timeouts;
             if Sublayer.Span.active t.sp then
-              Note (Printf.sprintf "rto retransmit offset=%d rto=%.2f" victim.s_off c.rto) :: acts
-            else acts ))
+              Sublayer.Span.child t.sp ~key:(fkey victim.s_off) ~detail:"rto" "retx";
+            let resend = { victim with s_retx = true; s_sent_at = now } in
+            let c =
+              { c with sndq = replace c.sndq resend; backoffs = c.backoffs + 1;
+                rto = Float.min (2. *. c.rto) t.cfg.Config.rto_max }
+            in
+            let acts = [ send_data t c resend; Up (`Loss Cc.Timeout); arm_rto t c now ] in
+            ( { t with conn = Some c },
+              if Option.is_some unsacked && Sublayer.Span.active t.sp then
+                Note (Printf.sprintf "rto retransmit offset=%d rto=%.2f" victim.s_off c.rto)
+                :: acts
+              else acts ))

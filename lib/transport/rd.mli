@@ -42,6 +42,11 @@ val stats : t -> stats
 
 val rto : t -> float
 
+val outstanding : t -> (int * bool * bool) list
+(** The segments in flight, oldest first: each one's stream offset,
+    whether a SACK block has covered it, and whether it has been
+    retransmitted. *)
+
 type timer = Rto | Ack_delay
 
 include

@@ -147,14 +147,16 @@ let write_osr t =
   set8 b 2 (bit t.ecn_echo 0x80 lor bit t.ecn_ce 0x40);
   Bytes.unsafe_to_string b
 
+let osr_at s o =
+  let fl = get8 s (o + 2) in
+  { window = get16 s o; ecn_echo = fl land 0x80 <> 0; ecn_ce = fl land 0x40 <> 0 }
+
 let decode_osr_slice (sl : Slice.t) =
   if sl.len < osr_header_bytes then None
-  else
-    let fl = get8 sl.base (sl.off + 2) in
-    Some
-      ( { window = get16 sl.base sl.off; ecn_echo = fl land 0x80 <> 0;
-          ecn_ce = fl land 0x40 <> 0 },
-        rest sl osr_header_bytes )
+  else Some (osr_at sl.base sl.off, rest sl osr_header_bytes)
+
+let decode_osr_header (sl : Slice.t) =
+  if sl.len < osr_header_bytes then None else Some (osr_at sl.base sl.off)
 
 let header_bytes = dm_header_bytes + cm_header_bytes + rd_header_bytes + osr_header_bytes
 

@@ -79,6 +79,10 @@ val osr_header_bytes : int
 val write_osr : osr -> string
 val decode_osr_slice : Bitkit.Slice.t -> (osr * Bitkit.Slice.t) option
 
+val decode_osr_header : Bitkit.Slice.t -> osr option
+(** [decode_osr_slice]'s header without the view past it, for a reader
+    that needs only the fields (OSR reading the block an ack carries). *)
+
 val mark_ce : Bitkit.Slice.t -> Bitkit.Slice.t
 (** Set the CE (congestion-experienced) bit in the OSR header of a full
     wire segment, leaving everything else intact — the action of an

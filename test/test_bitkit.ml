@@ -821,16 +821,21 @@ let prop_hex_roundtrip =
 
 (* --- Fifo --- *)
 
-type fifo_op = Push of int | Pop | Map | Find of int | Split of int
+type fifo_op = Push of int | Pop | Map | Bump of int | Find of int | Split of int
 
 (* Every operation against a plain list in queue order: the same
-   results, and the same elements left in the same order. *)
+   results, and the same elements left in the same order. [Bump k] is a
+   sharing map that changes only the elements equal to [k], so it
+   changes none when [k] is absent, and then the queue itself comes
+   back. [Find] misses whenever [k] is at least every element, and both
+   halves of the queue are searched in order, not reversed. *)
 let prop_fifo_model =
   let op_gen =
     QCheck2.Gen.(
       frequency
         [ (4, map (fun x -> Push x) (0 -- 50)); (2, return Pop); (1, return Map);
-          (1, map (fun k -> Find k) (0 -- 60)); (1, map (fun k -> Split k) (0 -- 60)) ])
+          (2, map (fun k -> Bump k) (0 -- 60)); (1, map (fun k -> Find k) (0 -- 60));
+          (1, map (fun k -> Split k) (0 -- 60)) ])
   in
   qtest "fifo = list model" QCheck2.Gen.(list_size (0 -- 60) op_gen) (fun ops ->
       let rec drain q = match Fifo.pop q with None -> [] | Some (x, q) -> x :: drain q in
@@ -847,7 +852,11 @@ let prop_fifo_model =
               | None, [] -> (q, model, true)
               | Some (x, q), y :: model -> (q, model, x = y)
               | _ -> (q, model, false))
-          | Map -> (Fifo.map succ q, List.map succ model, true)
+          | Map -> (Fifo.map_shared succ q, List.map succ model, true)
+          | Bump k ->
+              let bump x = if x = k then x + 1 else x in
+              let q' = Fifo.map_shared bump q in
+              (q', List.map bump model, List.mem k model || q' == q)
           | Find k -> (q, model, Fifo.find_opt (fun x -> x > k) q = List.find_opt (fun x -> x > k) model)
           | Split k ->
               let taken, q = Fifo.split_while (fun x -> x < k) q in
@@ -858,6 +867,43 @@ let prop_fifo_model =
       in
       let _, _, ok = List.fold_left step (Fifo.empty, [], true) ops in
       ok)
+
+(* What RD's scoreboard leans on: a search that finds nothing and a
+   sharing map that changes nothing allocate nothing, over a queue with
+   elements in both halves, and a map that changes one element next to
+   the oldest allocates the same over 8 elements as over 64. *)
+let test_fifo_allocation () =
+  let queue n =
+    (* [n] pushed and the oldest popped, which moves the rest to the
+       front half; then [n] more on the back half. *)
+    let rec fill q i hi = if i = hi then q else fill (Fifo.push q i) (i + 1) hi in
+    match Fifo.pop (fill Fifo.empty 0 n) with
+    | Some (_, q) -> fill q n (2 * n)
+    | None -> assert false
+  in
+  let words f =
+    let calls = 1000 in
+    ignore (f ());
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let negative x = if x < 0 then x + 1 else x and bump2 x = if x = 2 then 3 else x in
+  let q = queue 32 in
+  let miss = words (fun () -> Fifo.find_opt (fun x -> x < 0) q) in
+  let unchanged = words (fun () -> Fifo.map_shared negative q) in
+  check Alcotest.bool "nothing changed: the queue itself" true (Fifo.map_shared negative q == q);
+  check Alcotest.bool (Printf.sprintf "find_opt miss: %.3f words/call" miss) true (miss < 0.01);
+  check Alcotest.bool (Printf.sprintf "map_shared, no change: %.3f words/call" unchanged)
+    true (unchanged < 0.01);
+  let one_change n =
+    let q = queue n in
+    words (fun () -> Fifo.map_shared bump2 q)
+  in
+  check (Alcotest.float 0.01) "one change next to the oldest: 8 = 64 elements" (one_change 8)
+    (one_change 64)
 
 (* --- Blockbuf --- *)
 
@@ -992,7 +1038,10 @@ let () =
           Alcotest.test_case "alignment" `Quick test_bitio_alignment;
           prop_bitio_u32_roundtrip;
         ] );
-      ("fifo", [ prop_fifo_model ]);
+      ( "fifo",
+        [ prop_fifo_model;
+          Alcotest.test_case "misses and unchanged maps allocate nothing" `Quick
+            test_fifo_allocation ] );
       ( "blockbuf",
         [
           prop_blockbuf_model;

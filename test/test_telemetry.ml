@@ -508,15 +508,25 @@ let timer_pair ?(autoread = true) factory =
 
 let received server = match !server with Some s -> Host.received_length s | None -> 0
 
+(* Step until the server holds [n] bytes. A fault that stops delivery
+   fails here, when no event is left or five virtual seconds pass,
+   instead of spinning. *)
+let step_until_received engine server n =
+  let deadline = Sim.Engine.now engine +. 5. in
+  while received server < n do
+    if not (Sim.Engine.step engine) then
+      Alcotest.failf "no event left with %d of %d bytes received" (received server) n;
+    if Sim.Engine.now engine > deadline then
+      Alcotest.failf "%d of %d bytes received after 5 s" (received server) n
+  done
+
 let test_timer_owners ~factory ~cm ~below_cm () =
   let scopes = [ "osr"; "rd"; cm ] @ below_cm @ [ "app"; "wire" ] in
   (* RD's delayed ack: the server's only timer due before the client's
      RTO; the ack it sends goes down, never up to OSR. *)
   let engine, _, regs, c, server = timer_pair factory in
   Host.write c "ten bytes!";
-  while received server < 10 do
-    ignore (Sim.Engine.step engine)
-  done;
+  step_until_received engine server 10;
   check (Alcotest.option (Alcotest.float 0.)) "ack delay due next"
     (Some (Sim.Engine.now engine +. 0.01))
     (Sim.Engine.next_time engine);
@@ -577,9 +587,7 @@ let test_seam_cells ~factory ~cm ~below_cm () =
      never up to OSR. *)
   let engine, _, regs, c, server = timer_pair factory in
   Host.write c "ten bytes!";
-  while received server < 10 do
-    ignore (Sim.Engine.step engine)
-  done;
+  step_until_received engine server 10;
   match fire_one engine regs scopes with
   | [ client; srv ] ->
       List.iter

@@ -81,6 +81,16 @@ let prop_peek_ports =
           (fun ((h : Segment.dm), _) -> (h.src_port, h.dst_port))
           (Segment.decode_dm_slice sl))
 
+(* OSR's header-only reader agrees with its slice reader on any view. *)
+let prop_osr_header =
+  qtest "osr header = slice reader"
+    QCheck2.Gen.(triple (string_size (0 -- 8)) (0 -- 4) (0 -- 4))
+    (fun (s, pre, post) ->
+      let len = max 0 (String.length s - pre - post) in
+      let pre = min pre (String.length s) in
+      let sl = Bitkit.Slice.make s ~off:pre ~len in
+      Segment.decode_osr_header sl = Option.map fst (Segment.decode_osr_slice sl))
+
 (* A data segment's four headers and payload, as [Segment]'s writers lay
    them out, peeled by the four slice readers. *)
 let data_segment ?(dm = { Segment.src_port = 5; dst_port = 6 })
@@ -292,7 +302,7 @@ let test_ranges () =
   let r, fresh = Ranges.add r 200 300 in
   check Alcotest.bool "gap fresh" true fresh;
   check Alcotest.int "cumulative stuck" 100 (Ranges.cumulative r);
-  check Alcotest.(list (pair int int)) "beyond" [ (200, 300) ] (Ranges.beyond r 100);
+  check Alcotest.(list (pair int int)) "two intervals" [ (0, 100); (200, 300) ] (Ranges.intervals r);
   let r, fresh = Ranges.add r 100 200 in
   check Alcotest.bool "fill fresh" true fresh;
   check Alcotest.int "merged" 300 (Ranges.cumulative r);
@@ -866,6 +876,223 @@ let test_osr_cancels_only_armed_persist () =
   check pair "then nothing is armed" (0, 0) after;
   check pair "closed while probing" (0, 1) (snd (step probing finish));
   check pair "closed with nothing armed" (0, 0) (snd (step osr finish))
+
+(* --- What one RD or OSR step allocates --- *)
+
+(* Minor words one call of [f] allocates, averaged over many calls on the
+   same state: a handler is a pure function of its state, so each call
+   repeats the same step. *)
+let step_words f =
+  ignore (f ());
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* RD on an established connection (ISNs 100 and 200) at time 0. *)
+let rd_established ?(cfg = Config.default) () =
+  fst (Rd.handle_down_ind (Rd.initial cfg ~now:(fun () -> 0.)) (`Established (100, 200)))
+
+(* A segment from the peer's RD: [payload] at [offset] of its stream (no
+   data when empty), acknowledging ours up to [ack] with [sacks] as
+   ranges of our stream. *)
+let rd_pdu ?(offset = 0) ?(payload = "") ?(sacks = []) ~ack () =
+  let block (lo, hi) = { Segment.sack_start = 101 + lo; sack_end = 101 + hi } in
+  `Pdu
+    (Bitkit.Slice.of_string
+       (onion
+          [ Segment.write_rd
+              { Segment.seq = 201 + offset; ack = 101 + ack; len = String.length payload;
+                has_data = payload <> ""; has_ack = true; sacks = List.map block sacks };
+            Segment.write_osr Segment.default_osr ]
+          payload))
+
+(* [n] segments of 100 bytes sent from offset [from]. *)
+let rd_transmit ?(from = 0) rd n =
+  let payload = Bitkit.Wirebuf.of_string (String.make 100 'x') in
+  let rec go rd i =
+    if i = n then rd
+    else go (fst (Rd.handle_up_req rd (`Transmit (from + (100 * i), 100, payload)))) (i + 1)
+  in
+  go rd 0
+
+(* The data path's two RD steps build one connection record each, with
+   no action list appended and no SACK list filtered: 111 words for a
+   receiver's in-order segment, 154 when the data half copied the record
+   twice and the step appended the halves' lists, and 110 for a sender's
+   ack of new data, 139 when the RTT update and the ack copied it once
+   each. *)
+let test_rd_step_words () =
+  let receiver = rd_established () in
+  let segment = rd_pdu ~payload:(String.make 100 'd') ~ack:0 () in
+  let in_order = step_words (fun () -> Rd.handle_down_ind receiver segment) in
+  let sender = rd_transmit (rd_established ()) 4 in
+  let ack = rd_pdu ~ack:100 () in
+  let new_data = step_words (fun () -> Rd.handle_down_ind sender ack) in
+  check Alcotest.bool (Printf.sprintf "receiver's in-order segment: %.1f words" in_order) true
+    (in_order <= 120.);
+  check Alcotest.bool (Printf.sprintf "sender's ack of new data: %.1f words" new_data) true
+    (new_data <= 120.)
+
+(* A SACK-bearing duplicate ack allocates for the segments whose flags it
+   changes, not for the queue: over [n] segments in flight after the
+   first was acked, with a hole at the oldest, the first duplicate ack
+   marks the segment past the hole sacked, and the third marks the hole
+   retransmitted. Each costs the same over 64 segments as over 8 (70 and
+   110 words), where remapping every queued record cost 205 and 1 045
+   for the first, 307 and 1 315 for the third. *)
+let test_rd_sack_words_flat () =
+  let sack = rd_pdu ~ack:100 ~sacks:[ (200, 300) ] () in
+  let words n =
+    let rd = rd_transmit (rd_established ()) (n + 1) in
+    let rd = fst (Rd.handle_down_ind rd (rd_pdu ~ack:100 ())) in
+    let first = step_words (fun () -> Rd.handle_down_ind rd sack) in
+    let rd = fst (Rd.handle_down_ind rd sack) in
+    let rd = fst (Rd.handle_down_ind rd sack) in
+    check Alcotest.(list (triple int bool bool)) "the hole and the sacked segment"
+      [ (100, false, false); (200, true, false) ]
+      (List.filteri (fun i _ -> i < 2) (Rd.outstanding rd));
+    let third = step_words (fun () -> Rd.handle_down_ind rd sack) in
+    (first, third)
+  in
+  let first8, third8 = words 8 and first64, third64 = words 64 in
+  check (Alcotest.float 0.01) "first duplicate ack: 64 segments = 8" first8 first64;
+  check (Alcotest.float 0.01) "fast retransmit: 64 segments = 8" third8 third64
+
+(* The [`Acked] RD passes up with every data segment the receiver gets
+   moves nothing: OSR reads the window and echo bit from the block and
+   hands its own state back, allocating no more than decoding the block
+   with the header's slice reader does (9 words against 13; 68 when the
+   step copied its record for the header, the ack and the burst). *)
+let test_osr_idle_ack_words () =
+  let osr = Osr.initial Config.default ~now:(fun () -> 0.) in
+  let osr, _ = Osr.handle_down_ind osr `Established in
+  let block = Bitkit.Slice.of_string (Segment.write_osr Segment.default_osr) in
+  let idle = `Acked (0, block, None) in
+  check Alcotest.bool "nothing changed: the state itself" true
+    (fst (Osr.handle_down_ind osr idle) == osr);
+  let step = step_words (fun () -> Osr.handle_down_ind osr idle) in
+  let decode = step_words (fun () -> Segment.decode_osr_slice block) in
+  check Alcotest.bool (Printf.sprintf "no-progress ack: %.1f words, decode %.1f" step decode)
+    true (step <= decode)
+
+(* RD's scoreboard against the parent's remapping: random transmits,
+   acks (duplicate, cumulative to a segment's end, or to any offset, old
+   and beyond the sent ones included) with up to three SACK blocks,
+   enough duplicates for fast retransmits, and RTO fires. The reference
+   rewrites every queued record at each SACK-bearing ack and each
+   retransmission, as RD did before it shared what an ack leaves alone;
+   RD's queue (offsets, sacked and retransmitted flags) must equal it
+   after every step. *)
+type ref_seg = { r_off : int; r_len : int; r_sacked : bool; r_retx : bool }
+
+type rd_op = Send of int | Ack of int * int * (int * int) list | Rto_fire
+
+let prop_rd_scoreboard =
+  let isn = 100 in
+  let abs off = (isn + 1 + off) land 0xFFFFFFFF in
+  let op_gen =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map (fun n -> Send n) (1 -- 1500));
+          ( 6,
+            map3
+              (fun kind k blocks -> Ack (kind, k, blocks))
+              (frequency [ (3, return 0); (2, return 1); (1, return 2) ])
+              (0 -- 60_000)
+              (list_size (0 -- 3) (pair (0 -- 40) (0 -- 40))) );
+          (1, return Rto_fire) ])
+  in
+  let cfg = { Config.default with Config.max_retries = max_int; give_up_after = 1e9 } in
+  let mark_retx victim =
+    List.map (fun r -> if r.r_off = victim.r_off then { r with r_retx = true } else r)
+  in
+  (* One operation on RD and on the reference: [next] is the next
+     offset to send, [acked] the cumulative ack, [dups] the duplicate
+     acks since it last moved. *)
+  let step (rd, model, next, acked, dups) = function
+    | Send len ->
+        let payload = Bitkit.Wirebuf.of_string (String.make len 's') in
+        let rd, _ = Rd.handle_up_req rd (`Transmit (next, len, payload)) in
+        let sent = { r_off = next; r_len = len; r_sacked = false; r_retx = false } in
+        (rd, model @ [ sent ], next + len, acked, dups)
+    | Rto_fire ->
+        let rd, _ = Rd.handle_timer rd Rd.Rto in
+        let model =
+          match (List.find_opt (fun r -> not r.r_sacked) model, model) with
+          | Some victim, _ | None, victim :: _ -> mark_retx victim model
+          | None, [] -> model
+        in
+        (rd, model, next, acked, dups)
+    | Ack (kind, k, blocks) ->
+        let n = List.length model in
+        let ack_off =
+          match (kind, model) with
+          | 0, _ | 1, [] -> acked
+          | 1, _ ->
+              let r = List.nth model (k mod n) in
+              r.r_off + r.r_len
+          | _ -> k mod (next + 2_000)
+        in
+        (* Each block runs from one queued segment's start to another's end. *)
+        let blocks =
+          if n = 0 then []
+          else
+            List.map
+              (fun (i, j) ->
+                let a = List.nth model (i mod n) and b = List.nth model (j mod n) in
+                (min a.r_off b.r_off, max (a.r_off + a.r_len) (b.r_off + b.r_len)))
+              blocks
+        in
+        let sacks =
+          List.map (fun (lo, hi) -> { Segment.sack_start = abs lo; sack_end = abs hi }) blocks
+        in
+        let rd_header =
+          { Segment.seq = 201; ack = abs ack_off; len = 0; has_data = false; has_ack = true;
+            sacks }
+        in
+        let pdu =
+          Bitkit.Slice.of_string
+            (onion [ Segment.write_rd rd_header; Segment.write_osr Segment.default_osr ] "")
+        in
+        let rd, _ = Rd.handle_down_ind rd (`Pdu pdu) in
+        let covered r = List.exists (fun (lo, hi) -> lo <= r.r_off && r.r_off + r.r_len <= hi) blocks in
+        let model =
+          if blocks = [] then model
+          else List.map (fun r -> { r with r_sacked = r.r_sacked || covered r }) model
+        in
+        if ack_off > acked && ack_off <= next then
+          (rd, List.filter (fun r -> r.r_off + r.r_len > ack_off) model, next, ack_off, 0)
+        else if ack_off = acked && model <> [] then begin
+          let dups = dups + 1 in
+          let victim = List.find_opt (fun r -> not (r.r_sacked || r.r_retx)) model in
+          match victim with
+          | Some victim when dups >= cfg.Config.dupack_threshold ->
+              (rd, mark_retx victim model, next, acked, dups)
+          | Some _ | None -> (rd, model, next, acked, dups)
+        end
+        else (rd, model, next, acked, dups)
+  in
+  qtest ~count:300 "rd scoreboard = remapped reference"
+    QCheck2.Gen.(list_size (0 -- 80) op_gen)
+    (fun ops ->
+      let rd =
+        fst (Rd.handle_down_ind (Rd.initial cfg ~now:(fun () -> 0.)) (`Established (isn, 200)))
+      in
+      let same (rd, model, _, _, _) =
+        Rd.outstanding rd = List.map (fun r -> (r.r_off, r.r_sacked, r.r_retx)) model
+      in
+      let _, ok =
+        List.fold_left
+          (fun (state, ok) op ->
+            let state = step state op in
+            (state, ok && same state))
+          ((rd, [], 0, 0, 0), true)
+          ops
+      in
+      ok)
 
 (* --- Flow control: slow readers, zero windows, persist probes --- *)
 
@@ -2020,6 +2247,7 @@ let () =
           Alcotest.test_case "osr codec" `Quick test_osr_codec;
           prop_onion_roundtrip;
           prop_peek_ports;
+          prop_osr_header;
           Alcotest.test_case "T3 layout audit" `Quick test_layout_t3;
         ] );
       ( "wire",
@@ -2115,6 +2343,13 @@ let () =
             test_rd_cancels_only_armed_timers;
           Alcotest.test_case "osr cancels only an armed probe" `Quick
             test_osr_cancels_only_armed_persist;
+        ] );
+      ( "step cost",
+        [
+          Alcotest.test_case "rd data-path steps" `Quick test_rd_step_words;
+          Alcotest.test_case "rd sack words flat in the queue" `Quick test_rd_sack_words_flat;
+          Alcotest.test_case "osr idle ack decodes only" `Quick test_osr_idle_ack_words;
+          prop_rd_scoreboard;
         ] );
       ( "watson",
         [
