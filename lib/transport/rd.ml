@@ -57,7 +57,6 @@ type conn = {
   rto : float;
   backoffs : int;        (* consecutive RTO firings without cumulative progress *)
   last_progress : float; (* when the cumulative ack last advanced (or data was queued) *)
-  block : string;    (* OSR's current header block, opaque *)
   (* receiver *)
   rcv : Ranges.t;
   ack_pending : bool;  (* a delayed ack is owed *)
@@ -68,6 +67,10 @@ type t = {
   now : unit -> float;
   ctrs : counters;
   sp : Sublayer.Span.ctx;
+  block : string;
+      (* OSR's current header block, opaque. It is the connection's, but
+         OSR replaces it at every window change, so it sits here, where
+         storing it copies this record alone. *)
   conn : conn option;
 }
 
@@ -78,13 +81,15 @@ type down_ind = Iface.cm_ind
 type timer = Rto | Ack_delay
 
 let no_span = Sublayer.Span.disabled name
+let default_block = Segment.write_osr Segment.default_osr
 
 let initial ?stats ?span cfg ~now =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
   let sp = match span with Some sp -> sp | None -> no_span in
-  { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; sp; conn = None }
+  { cfg; now; ctrs = Sublayer.Stats.memoised counters sc; sp; block = default_block;
+    conn = None }
 
 (* The flight span of a segment is correlated across hosts by a key both
    ends can compute: the connection's ISN pair (swapped on the receiver)
@@ -165,7 +170,7 @@ let send_ack t c =
   Down
     (`Pdu
       (Bitkit.Wirebuf.push
-         (Bitkit.Wirebuf.of_string c.block)
+         (Bitkit.Wirebuf.of_string t.block)
          ~owner:"rd"
          (Segment.write_rd (pure_ack t c))))
 
@@ -210,16 +215,14 @@ let handle_up_req t (req : up_req) =
   | `Connect -> (t, [ Down `Connect ])
   | `Listen -> (t, [ Down `Listen ])
   | `Close -> (t, [ Down `Close ])
-  | `Set_block block ->
-      (match t.conn with
-      | None -> (t, [])
-      | Some c -> ({ t with conn = Some { c with block } }, []))
-  | `Announce_block block ->
-      (match t.conn with
+  | `Set_block block -> (
+      match t.conn with None -> (t, []) | Some _ -> ({ t with block }, []))
+  | `Announce_block block -> (
+      match t.conn with
       | None -> (t, [])
       | Some c ->
-          let c = { c with block } in
-          ({ t with conn = Some c }, [ send_ack t c ]))
+          let t = { t with block } in
+          (t, [ send_ack t c ]))
   | `Transmit (offset, len, osr_pdu) -> (
       match t.conn with
       | None -> no_connection t
@@ -484,10 +487,9 @@ let handle_down_ind t (ind : down_ind) =
               dup_acks = 0; recover = 0; srtt = None; rttvar = 0.;
               rto = t.cfg.Config.rto_init;
               backoffs = 0; last_progress = t.now ();
-              block = Segment.write_osr Segment.default_osr;
               rcv = Ranges.empty; ack_pending = false }
           in
-          ({ t with conn = Some conn }, [ Up `Established ])
+          ({ t with block = default_block; conn = Some conn }, [ Up `Established ])
       | Some c when Ranges.is_empty c.rcv ->
           (* Timer-based CM learns the peer's ISN only from its first
              segment and re-announces the pair; adopt it without

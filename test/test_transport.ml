@@ -918,23 +918,29 @@ let rd_transmit ?(from = 0) rd n =
   in
   go rd 0
 
-(* The data path's two RD steps build one connection record each, with
-   no action list appended and no SACK list filtered: 111 words for a
+(* The data path's RD steps build one connection record each, with no
+   action list appended and no SACK list filtered: 111 words for a
    receiver's in-order segment, 154 when the data half copied the record
    twice and the step appended the halves' lists, and 110 for a sender's
    ack of new data, 139 when the RTT update and the ack copied it once
-   each. *)
+   each. Storing the block OSR sends down at each window change (twice
+   per segment a receiving application reads) copies RD's own record
+   alone: 10 words, 27 when the block sat in the connection record. *)
 let test_rd_step_words () =
   let receiver = rd_established () in
   let segment = rd_pdu ~payload:(String.make 100 'd') ~ack:0 () in
   let in_order = step_words (fun () -> Rd.handle_down_ind receiver segment) in
+  let block = `Set_block (Segment.write_osr { Segment.default_osr with window = 1234 }) in
+  let set_block = step_words (fun () -> Rd.handle_up_req receiver block) in
   let sender = rd_transmit (rd_established ()) 4 in
   let ack = rd_pdu ~ack:100 () in
   let new_data = step_words (fun () -> Rd.handle_down_ind sender ack) in
   check Alcotest.bool (Printf.sprintf "receiver's in-order segment: %.1f words" in_order) true
     (in_order <= 120.);
   check Alcotest.bool (Printf.sprintf "sender's ack of new data: %.1f words" new_data) true
-    (new_data <= 120.)
+    (new_data <= 120.);
+  check Alcotest.bool (Printf.sprintf "a new block from OSR: %.1f words" set_block) true
+    (set_block <= 12.)
 
 (* A SACK-bearing duplicate ack allocates for the segments whose flags it
    changes, not for the queue: over [n] segments in flight after the
