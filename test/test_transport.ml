@@ -984,7 +984,7 @@ let test_osr_idle_ack_words () =
   check Alcotest.bool (Printf.sprintf "no-progress ack: %.1f words, decode %.1f" step decode)
     true (step <= decode)
 
-(* RD's scoreboard against the parent's remapping: random transmits,
+(* RD's scoreboard against a full remapping: random transmits,
    acks (duplicate, cumulative to a segment's end, or to any offset, old
    and beyond the sent ones included) with up to three SACK blocks,
    enough duplicates for fast retransmits, and RTO fires. The reference
