@@ -9,22 +9,10 @@
    Each header arrives as its packed bytes (never a closure), so
    wirebufs remain safe for structural comparison and hashing. A packed
    header is always whole bytes, which is all the layout audit needs to
-   know of its length.
-
-   [set_eager true] switches the whole process to the legacy
-   copy-per-sublayer behaviour: [push] materializes immediately, so every
-   crossing pays the copy the old string codecs paid. The wire bytes are
-   identical by construction, which is what lets [test_zerocopy] compare
-   the two modes on bit-identical seeded runs. *)
+   know of its length. *)
 
 type header = { h_owner : string; h_bytes : string }
 type t = { headers : header list; hdr_len : int; payload : Slice.t }
-
-(* Atomic so sharded runs on several domains read a coherent mode; it is
-   still a process-wide switch, flipped only between runs. *)
-let eager_mode = Atomic.make false
-let set_eager b = Atomic.set eager_mode b
-let eager () = Atomic.get eager_mode
 
 let of_slice payload = { headers = []; hdr_len = 0; payload }
 let of_string s = of_slice (Slice.of_string s)
@@ -85,19 +73,9 @@ let to_string t =
   if t.headers = [] then Slice.to_string t.payload else emit t
 
 let push t ~owner h_bytes =
-  if Atomic.get eager_mode then begin
-    (* Legacy path: materialize on every crossing. *)
-    let k = String.length h_bytes in
-    let b = Bytes.create (k + length t) in
-    Bytes.blit_string h_bytes 0 b 0 k;
-    Slice.note_copy k;
-    emit_into t b k;
-    of_string (Bytes.unsafe_to_string b)
-  end
-  else
-    { headers = { h_owner = owner; h_bytes } :: t.headers;
-      hdr_len = t.hdr_len + String.length h_bytes;
-      payload = t.payload }
+  { headers = { h_owner = owner; h_bytes } :: t.headers;
+    hdr_len = t.hdr_len + String.length h_bytes;
+    payload = t.payload }
 
 let appendices t =
   List.map (fun h -> (h.h_owner, 8 * String.length h.h_bytes)) t.headers

@@ -20,8 +20,8 @@ val length : t -> int
 val push : t -> owner:string -> string -> t
 (** [push t ~owner header] makes [header] the new outermost header:
     the exact bytes its sublayer's writer returned, always a whole number
-    of bytes. Nothing is copied (outside eager mode, below). [owner]
-    names the sublayer for {!appendices} audits. *)
+    of bytes. Nothing is copied. [owner] names the sublayer for
+    {!appendices} audits. *)
 
 val emit : t -> string
 (** Lay the packet into one fresh buffer: headers outermost-first, then
@@ -58,8 +58,7 @@ val to_string : t -> string
 
 val copy_cost : t -> int
 (** Bytes {!to_string}/{!emit} would charge to the copy counter:
-    {!Slice.copy_cost} of the payload when no headers are pushed
-    (including eager mode, whose copies were already paid at [push]),
+    {!Slice.copy_cost} of the payload when no headers are pushed,
     {!length} otherwise. Lets callers attribute the materialisation to a
     local counter without bracketing the shared process-wide atomic. *)
 
@@ -70,13 +69,3 @@ val appendices : t -> (string * int) list
 
 val outer_header : t -> Slice.t option
 (** The outermost pushed header's packed bytes, if any (zero-copy). *)
-
-(** {1 Legacy copy-per-sublayer mode}
-
-    With eager mode on, {!push} materializes immediately — every sublayer
-    crossing pays the copy the old string codecs paid, while producing
-    bit-identical wire bytes. [test_zerocopy] uses this to compare the two
-    data paths on identical seeded runs. *)
-
-val set_eager : bool -> unit
-val eager : unit -> bool

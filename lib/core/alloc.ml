@@ -90,16 +90,3 @@ let cross c =
   ctx.cur <- c
 
 type pair = cell option * cell option
-
-let no_cells = function None | Some (None, None) -> true | Some _ -> false
-
-let wrap_taps alloc obs_req obs_ind =
-  match alloc with
-  | None | Some (None, None) -> (obs_req, obs_ind)
-  | Some (above, below) ->
-      ( (fun r ->
-          cross below;
-          obs_req r),
-        fun i ->
-          cross above;
-          obs_ind i )

@@ -11,7 +11,7 @@
     The hooks ride the seams that already exist: {!Runtime} brackets its
     entry points ([from_above] enters the top machine, [from_below] the
     bottom one, a timer fire whichever machine owns the timer) and the
-    transparent {!Machine.Probe} taps call {!cross} as messages pass —
+    probe taps {!Compose.Tap} builds call {!cross} as messages pass —
     a [Down] crossing means the machine below is about to run, an [Up]
     crossing the machine above.
 
@@ -60,15 +60,5 @@ val cross : cell option -> unit
 type pair = cell option * cell option
 (** [(above, below)]: the cells on either side of one T2 boundary. A
     request heading down charges what follows to [below], an indication
-    heading up to [above]. *)
-
-val no_cells : pair option -> bool
-(** Whether a pair charges nothing: absent, or both sides [None]. *)
-
-val wrap_taps :
-  pair option -> ('req -> unit) -> ('ind -> unit) -> ('req -> unit) * ('ind -> unit)
-(** [wrap_taps alloc obs_req obs_ind] is the probe charging policy,
-    "cross before observe": each observer first {!cross}es into the
-    destination's cell, so the observation itself is charged with the
-    destination's step. With no cells ([None] or [Some (None, None)])
-    the observers come back unwrapped, and crossings are unattributed. *)
+    heading up to [above]; {!Compose.Tap} builds the probes that cross
+    them. *)

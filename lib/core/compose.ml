@@ -19,6 +19,75 @@ end
 type key = ..
 type 'p probe = ?alloc:Alloc.pair -> Monitor.Runtime.t option -> conn:string -> 'p
 
+module type PROBE = sig
+  type req
+  type ind
+  type t = { obs_req : req -> unit; obs_ind : ind -> unit }
+
+  val inert : t
+
+  include
+    Machine.S
+      with type t := t
+       and type up_req = req
+       and type up_ind = ind
+       and type down_req = req
+       and type down_ind = ind
+       and type timer = Machine.Nothing.t
+
+  val make : (Monitor.Runtime.t -> conn:string -> (req -> unit) * (ind -> unit)) -> t probe
+  val opaque : Monitor.Spec.t -> req_len:(req -> int) -> ind_len:(ind -> int) -> t probe
+  val cells : t probe
+end
+
+module Tap (M : sig
+  type req
+  type ind
+end) =
+struct
+  type req = M.req
+  type ind = M.ind
+
+  include Machine.Probe (struct
+    include M
+
+    let name = "mon"
+  end)
+
+  let nop _ = ()
+
+  (* The policy compose.mli states: inert, or the monitor's observers
+     (no-ops without one), each crossing into its destination's cell
+     before it observes. *)
+  let make observe ?alloc mon ~conn =
+    match (mon, alloc) with
+    | None, (None | Some (None, None)) -> inert
+    | _ -> (
+        let obs_req, obs_ind = match mon with Some m -> observe m ~conn | None -> (nop, nop) in
+        match alloc with
+        | None | Some (None, None) -> { obs_req; obs_ind }
+        | Some (above, below) ->
+            { obs_req =
+                (fun r ->
+                  Alloc.cross below;
+                  obs_req r);
+              obs_ind =
+                (fun i ->
+                  Alloc.cross above;
+                  obs_ind i) })
+
+  let opaque spec ~req_len ~ind_len =
+    make (fun mon ~conn ->
+        let inst = Monitor.Runtime.attach mon ~key:conn spec in
+        let down = Monitor.Spec.msg_id spec Monitor.Spec.Down "pdu"
+        and up = Monitor.Spec.msg_id spec Monitor.Spec.Up "pdu" in
+        ( (fun r -> Monitor.Runtime.observe inst down ~a:(req_len r) ~b:0),
+          fun i -> Monitor.Runtime.observe inst up ~a:(ind_len i) ~b:0 ))
+
+  let unobserved _ ~conn:_ = (nop, nop)
+  let cells ?alloc _ ~conn = make unobserved ?alloc None ~conn
+end
+
 module type STACK = sig
   val name : string
 

@@ -55,8 +55,7 @@ module type SUBLAYER = sig
 end
 
 (** What a {!Seam} needs of its tap: a name, a record of two observers,
-    and the one value that observes nothing. Every {!Machine.Probe}
-    instantiation is one. *)
+    and the one value that observes nothing. Every {!PROBE} is one. *)
 module type TAP = sig
   val name : string
 
@@ -74,7 +73,59 @@ type key = ..
 type 'p probe = ?alloc:Alloc.pair -> Monitor.Runtime.t option -> conn:string -> 'p
 (** A seam's probe constructor: given the seam's cell pair (absent when
     nothing is attributed), the monitors and the endpoint's name to key
-    them by. Every transport [Conform] constructor is one. *)
+    them by. *)
+
+(** {1 Probes}
+
+    Every seam's probe is built by its interface's {!Tap}, under one
+    policy:
+    - {b Inert.} With no monitor and no cell (the pair absent, or both
+      sides [None]), the constructor returns the interface's {!TAP.inert}
+      probe, the physically same record for every endpoint. It allocates
+      nothing, and the seam holding it calls neither observer.
+    - {b Own.} Otherwise the endpoint gets a probe of its own: the
+      monitor's observers, no-ops without one. With a cell, each
+      observer first {!Alloc.cross}es into the cell of the side the
+      message is heading to, so the observation is charged with the step
+      it leads to; a crossing into [None] stays unattributed.
+
+    A monitored and an unmonitored endpoint have the same types, event
+    counts and schedules. *)
+
+module type PROBE = sig
+  type req
+  type ind
+  type t = { obs_req : req -> unit; obs_ind : ind -> unit }
+
+  val inert : t
+
+  (** The probe as a {!Machine.Stack} level of its own, named ["mon"]:
+      the reference nesting a declared stack is held to. *)
+  include
+    Machine.S
+      with type t := t
+       and type up_req = req
+       and type up_ind = ind
+       and type down_req = req
+       and type down_ind = ind
+       and type timer = Machine.Nothing.t
+
+  val make : (Monitor.Runtime.t -> conn:string -> (req -> unit) * (ind -> unit)) -> t probe
+  (** [make observe]: [observe mon ~conn] attaches the interface's spec
+      to [mon] under [conn] and returns its two observers. *)
+
+  val opaque : Monitor.Spec.t -> req_len:(req -> int) -> ind_len:(ind -> int) -> t probe
+  (** For a spec that sees one [pdu] each way, with [a] its length. *)
+
+  val cells : t probe
+  (** Charges the seam's cells and observes nothing, monitored or not. *)
+end
+
+(** The probe of the interface [M.req]/[M.ind]. *)
+module Tap (M : sig
+  type req
+  type ind
+end) : PROBE with type req = M.req and type ind = M.ind
 
 (** A declared stack: what a {!Seam} needs of the stack below it, and
     {!Run} of the whole. *)

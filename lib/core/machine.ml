@@ -110,26 +110,6 @@ struct
     | Either.Right tm -> from_lower t (Lower.handle_timer l tm)
 end
 
-module Identity (M : sig
-  type msg
-
-  val name : string
-end) =
-struct
-  let name = M.name
-
-  type t = unit
-  type up_req = M.msg
-  type up_ind = M.msg
-  type down_req = M.msg
-  type down_ind = M.msg
-  type timer = Nothing.t
-
-  let handle_up_req () msg = ((), [ Down msg ])
-  let handle_down_ind () msg = ((), [ Up msg ])
-  let handle_timer () t = Nothing.absurd t
-end
-
 module Probe (M : sig
   type req
   type ind

@@ -90,28 +90,14 @@ module Nothing : sig
   val absurd : t -> 'a
 end
 
-(** A sublayer with no behaviour of its own, useful as a stack terminator
-    or in tests. *)
-module Identity (M : sig
-  type msg
-
-  val name : string
-end) :
-  S
-    with type t = unit
-     and type up_req = M.msg
-     and type up_ind = M.msg
-     and type down_req = M.msg
-     and type down_ind = M.msg
-     and type timer = Nothing.t
-
 (** A transparent tap on one interface: forwards everything unchanged,
     calling the observation closures on the way past. Its state is the
     pair of closures, so the same stack type can carry live monitors or
     no-op functions — composition and event counts are identical either
     way. A probe composes as a level of its own, or as the
     {!Compose.TAP} of a {!Compose.Seam}, which calls the same closures
-    from inside the boundary. *)
+    from inside the boundary; {!Compose.Tap} builds every library
+    seam's probe on it. *)
 module Probe (M : sig
   type req
   type ind

@@ -57,19 +57,23 @@ let endpoint engine ?(ins = I.none) ~name spec ~transmit ~deliver =
   let module S = Compose.Seam (A) (Conform.P_arq_det) (Lower) in
   let module R = Compose.Run (S) in
   let now () = Sim.Engine.now engine in
-  let sc sub = I.scope ins sub and sp sub = I.span ins ~now ~track:name sub in
+  (* Each sublayer's scope and span are passed to it directly: a helper
+     closure for them would cost every endpoint words. *)
   let r =
     let open Layers in
+    let ed = Error_detection.scope and fr = Framing.scope and lc = Line_coding.scope in
     R.create engine ~ins ~name ~transmit ~deliver
-      ( A.initial ?stats:(sc A.scope) ?span:(sp A.scope) spec.arq_config,
-        (fun ?alloc mon ~conn:key ->
-          Conform.arq_det ?alloc mon ~key ~variant:A.name ~window:spec.arq_config.Arq.window),
-        ( Error_detection.make ?stats:(sc Error_detection.scope) ?span:(sp Error_detection.scope)
+      ( A.initial ?stats:(I.scope ins A.scope)
+          ?span:(I.span ins ~now ~track:name A.scope)
+          spec.arq_config,
+        Conform.arq_det ~variant:A.name ~window:spec.arq_config.Arq.window,
+        ( Error_detection.make ?stats:(I.scope ins ed) ?span:(I.span ins ~now ~track:name ed)
             ?pool spec.detector,
-          (fun ?alloc mon ~conn:key -> Conform.det_frm ?alloc mon ~key),
-          ( Framing.make ?stats:(sc Framing.scope) ?span:(sp Framing.scope) spec.framer,
-            (fun ?alloc mon ~conn:key -> Conform.frm_line ?alloc mon ~key),
-            Line_coding.make ?stats:(sc Line_coding.scope) ?span:(sp Line_coding.scope)
+          Conform.det_frm,
+          ( Framing.make ?stats:(I.scope ins fr) ?span:(I.span ins ~now ~track:name fr)
+              spec.framer,
+            Conform.frm_line,
+            Line_coding.make ?stats:(I.scope ins lc) ?span:(I.span ins ~now ~track:name lc)
               spec.linecode ) ) )
   in
   let arq () = S.upper (R.state r) in

@@ -113,11 +113,11 @@ let rd_cm =
           u "peer_fin"; u "closed"; u "reset" ])
 
 (* Opaque PDU boundaries: single state, length sanity only. *)
-let opaque ~name ~upper ~lower ?(min_down = 1) ?(min_up = 0) () =
+let opaque ~name ~upper ~lower ?(min_up = 0) () =
   make ~name ~upper ~lower
     ~states:[ "xfer" ]
     ~msgs:[ d "pdu"; u "pdu" ]
-    [ rule "xfer" (d "pdu") ~guard:(Cmp (A, Ge, Const min_down)) "xfer";
+    [ rule "xfer" (d "pdu") ~guard:(Cmp (A, Ge, Const 1)) "xfer";
       rule "xfer" (u "pdu") ~guard:(Cmp (A, Ge, Const min_up)) "xfer" ]
 
 let osr_rd = stream_rd ~upper:"osr"

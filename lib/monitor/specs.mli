@@ -29,12 +29,12 @@ val rd_cm : Spec.t
     [`Close] only after establishment; [`Abort] is terminal. *)
 
 val opaque :
-  name:string -> upper:string -> lower:string -> ?min_down:int ->
-  ?min_up:int -> unit -> Spec.t
+  name:string -> upper:string -> lower:string -> ?min_up:int -> unit -> Spec.t
 (** A single-state sanity spec for opaque PDU boundaries (CM↔DM, CM↔Rec,
     Rec↔DM, detector↔framer, framer↔linecode): every crossing is a
-    [pdu] with [a] = length, guarded to be at least [min_down]/[min_up]
-    (default 1 / 0). Mostly a per-interface event counter. *)
+    [pdu] with [a] = length, guarded to be at least 1 going down and
+    [min_up] (default 0) going up. Mostly a per-interface event
+    counter. *)
 
 type arq_variant = Sw | Gbn | Sr
 

@@ -11,14 +11,17 @@ type fib_probe = {
   obs_lookup : hit:bool -> unit;
 }
 
+(* What every unmonitored router shares. *)
+let unmonitored =
+  {
+    obs_insert = (fun ~fresh:_ -> ());
+    obs_remove = (fun ~removed:_ -> ());
+    obs_lookup = (fun ~hit:_ -> ());
+  }
+
 let fib mon ~key =
   match mon with
-  | None ->
-      {
-        obs_insert = (fun ~fresh:_ -> ());
-        obs_remove = (fun ~removed:_ -> ());
-        obs_lookup = (fun ~hit:_ -> ());
-      }
+  | None -> unmonitored
   | Some reg ->
       let spec = Monitor.Specs.fib in
       let inst = Monitor.Runtime.attach reg ~key spec in

@@ -122,20 +122,9 @@ end
 
 (* The taps of the two seams carry no monitor yet: they charge each
    crossing to the allocation cells on either side, so under telemetry
-   every sublayer pays for its own words. Without cells a tap is the
-   shared inert one, which its seam never calls. *)
-module Tap (M : sig type req type ind end) = struct
-  include Sublayer.Machine.Probe (struct include M let name = "mon" end)
-
-  let make ?alloc _ ~conn:_ =
-    if Sublayer.Alloc.no_cells alloc then inert
-    else
-      let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc ignore ignore in
-      { obs_req; obs_ind }
-end
-
-module P_fwd = Tap (struct type req = int * Packet.frame type ind = Routing.ind end)
-module P_hello = Tap (struct type req = int * Packet.frame type ind = Hello.event end)
+   every sublayer pays for its own words. *)
+module P_fwd = Compose.Tap (struct type req = int * Packet.frame type ind = Routing.ind end)
+module P_hello = Compose.Tap (struct type req = int * Packet.frame type ind = Hello.event end)
 
 type t = {
   fib : Fib.t;
@@ -148,8 +137,7 @@ type t = {
   halt : unit -> unit;
 }
 
-let create engine ?(hello_config = Hello.default_config) ?(ins = I.none) ~addr ~routing
-    ~deliver () =
+let create engine ?(ins = I.none) ~addr ~routing ~deliver () =
   let module P = (val routing : Routing.S) in
   let module L = Compose.Seam (P) (P_hello) (Compose.Last (Hello)) in
   let module S = Compose.Seam (Forwarding) (P_fwd) (L) in
@@ -184,10 +172,10 @@ let create engine ?(hello_config = Hello.default_config) ?(ins = I.none) ~addr ~
   let r =
     R.create engine ~ins ~name ~transmit ~deliver
       ( { Forwarding.addr; fib; ctrs; sp; probe },
-        P_fwd.make,
+        P_fwd.cells,
         ( P.initial (in_scope P.scope) addr,
-          P_hello.make,
-          Hello.initial ~stats:(in_scope Hello.scope) hello_config ~self:addr ~now ) )
+          P_hello.cells,
+          Hello.initial ~stats:(in_scope Hello.scope) Hello.default_config ~self:addr ~now ) )
   in
   (* Route computation arms its periodic timer now, before any link is
      attached, so every router's timer is queued ahead of the HELLOs. *)

@@ -14,6 +14,14 @@
     ({!Packet.frame}), satisfying test T3 with "completely different
     packets". Every timer they arm is the runtime's. *)
 
+module C := Sublayer.Compose
+
+(** The taps of the two seams, built with {!Sublayer.Compose.PROBE.cells}:
+    they charge the seams' allocation cells and observe nothing,
+    monitored or not. *)
+module P_fwd : C.PROBE with type req = int * Packet.frame and type ind = Routing.ind
+module P_hello : C.PROBE with type req = int * Packet.frame and type ind = Hello.event
+
 type stats = {
   mutable forwarded : int;
   mutable delivered : int;
@@ -26,7 +34,6 @@ type t
 
 val create :
   Sim.Engine.t ->
-  ?hello_config:Hello.config ->
   ?ins:Sublayer.Instrument.t ->
   addr:Addr.t ->
   routing:Routing.factory ->

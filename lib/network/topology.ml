@@ -214,8 +214,8 @@ let converged t =
   done;
   !ok
 
-let converge ?(step = 0.5) ?(timeout = 300.) t =
-  let deadline = Sim.Engine.now t.engine +. timeout in
+let converge ?(step = 0.5) t =
+  let deadline = Sim.Engine.now t.engine +. 300. in
   let rec go () =
     if converged t then Some (Sim.Engine.now t.engine)
     else if Sim.Engine.now t.engine >= deadline then None

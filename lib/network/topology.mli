@@ -65,10 +65,10 @@ val converged : t -> bool
 (** Every connected (per {!alive_edges}) pair has a FIB path of exactly
     the reference length, and no disconnected pair has one. *)
 
-val converge :
-  ?step:float -> ?timeout:float -> t -> float option
+val converge : ?step:float -> t -> float option
 (** Run the simulation until {!converged} (checked every [step] seconds of
-    virtual time); returns the virtual time of convergence. *)
+    virtual time); returns the virtual time of convergence, or [None]
+    after 300 virtual seconds without it. *)
 
 val routing_traffic_bytes : t -> int
 (** Total control-plane bytes (hello + routing PDUs) sent so far. *)

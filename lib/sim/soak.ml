@@ -64,9 +64,11 @@ let shard_driver shard =
     d_events = (fun () -> Shard.events_fired shard);
     d_pending = (fun () -> Shard.pending shard) }
 
+(* A flight dump keeps the last 32 spans. *)
+let flight_n = 32
+
 let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
-    ?(quiesce = true) ?sample ?(sample_every = 1) ?tracer ?(flight_n = 32)
-    ?(flight_cap = 8) ?(verdicts = fun () -> [])
+    ?sample ?tracer ?(flight_cap = 8) ?(verdicts = fun () -> [])
     ?(telemetry = []) ?(on_slice = fun (_ : float) -> ())
     ?(drops = fun () -> []) ~name ~driver ~finished () =
   let violations = ref [] in
@@ -109,16 +111,11 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     end
   in
   let samples = ref [] in
-  let slices = ref 0 in
   (* [Engine.pending] is O(1), so every slice gets a pending sample —
      the leak telltale — with the caller's snapshot merged in. *)
   let take_sample () =
-    if !slices mod sample_every = 0 then begin
-      let extra = match sample with None -> [] | Some f -> f () in
-      samples :=
-        (driver.d_now (), ("pending", driver.d_pending ()) :: extra)
-        :: !samples
-    end
+    let extra = match sample with None -> [] | Some f -> f () in
+    samples := (driver.d_now (), ("pending", driver.d_pending ()) :: extra) :: !samples
   in
   (* Keep driving through violations: a soak that stops at the first one
      hides every later, possibly distinct, failure — each distinct
@@ -135,7 +132,6 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
   let rec drive () =
     if (not (finished ())) && driver.d_now () < until then begin
       driver.d_run ~until:(driver.d_now () +. step);
-      incr slices;
       take_sample ();
       boundary ();
       (match invariant () with None -> () | Some msg -> record msg);
@@ -148,7 +144,7 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
   (* Let a finished stack's remaining timers (TIME_WAIT, idle timeouts,
      straggler acks) expire: a hardened stack must quiesce, not tick
      forever. Cap the drain so a livelocked stack still reports. *)
-  if quiesce && fin then begin
+  if fin then begin
     driver.d_run ~until:(vtime +. until);
     boundary ()
   end;
@@ -178,12 +174,10 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     verdicts = verdicts ();
     drops = ring_drops @ drops () }
 
-let run ?step ?until ?invariant ?quiesce ?sample ?sample_every ?tracer
-    ?flight_n ?flight_cap ?verdicts ?telemetry ?on_slice ?drops ~name
-    ~engine ~finished () =
-  run_driver ?step ?until ?invariant ?quiesce ?sample ?sample_every ?tracer
-    ?flight_n ?flight_cap ?verdicts ?telemetry ?on_slice ?drops ~name
-    ~driver:(engine_driver engine) ~finished ()
+let run ?step ?until ?invariant ?sample ?tracer ?flight_cap ?verdicts ?telemetry ?on_slice
+    ?drops ~name ~engine ~finished () =
+  run_driver ?step ?until ?invariant ?sample ?tracer ?flight_cap ?verdicts ?telemetry
+    ?on_slice ?drops ~name ~driver:(engine_driver engine) ~finished ()
 
 let reproducible scenario ~seed =
   let a = scenario seed in

@@ -67,11 +67,8 @@ val run_driver :
   ?step:float ->
   ?until:float ->
   ?invariant:(unit -> string option) ->
-  ?quiesce:bool ->
   ?sample:(unit -> (string * int) list) ->
-  ?sample_every:int ->
   ?tracer:Tracer.t ->
-  ?flight_n:int ->
   ?flight_cap:int ->
   ?verdicts:(unit -> (string * int * int) list) ->
   ?telemetry:Telemetry.t list ->
@@ -89,11 +86,8 @@ val run :
   ?step:float ->
   ?until:float ->
   ?invariant:(unit -> string option) ->
-  ?quiesce:bool ->
   ?sample:(unit -> (string * int) list) ->
-  ?sample_every:int ->
   ?tracer:Tracer.t ->
-  ?flight_n:int ->
   ?flight_cap:int ->
   ?verdicts:(unit -> (string * int * int) list) ->
   ?telemetry:Telemetry.t list ->
@@ -111,23 +105,23 @@ val run :
     run keeps driving, so every distinct failure the scenario produces is
     reported, not just the first.
 
-    When [quiesce] is true (default), the remaining queue is drained
-    after finishing — timers a correct stack no longer needs — and the
-    leftover [pending] count is reported.
+    Once finished, the remaining queue is drained — timers a correct
+    stack no longer needs — and the leftover [pending] count is
+    reported.
 
     [sample] (e.g. a [Sublayer.Stats] snapshot thunk — the closure keeps
     this library free of a dependency on the stats module) is evaluated
-    every [sample_every]-th slice (default 1) and the [(vtime, result)]
-    pairs land in the report's [samples], so a regression can be
-    localised to the slice where its counters diverged.  Samples are
+    every slice and the [(vtime, result)] pairs land in the report's
+    [samples], so a regression can be localised to the slice where its
+    counters diverged.  Samples are
     part of the report, so they must be deterministic for
     {!reproducible} scenarios.
 
     When [tracer] is given, the run doubles as a flight recorder: each
-    distinct invariant violation freezes the last [flight_n] (default 32)
-    spans into the report's [flights], up to [flight_cap] (default 8)
-    dumps per run — preferring spans whose track appears in the violation
-    message, so each dump follows the offending connection.
+    distinct invariant violation freezes the last 32 spans into the
+    report's [flights], up to [flight_cap] (default 8) dumps per run —
+    preferring spans whose track appears in the violation message, so
+    each dump follows the offending connection.
 
     [verdicts] is evaluated once, after the run (and quiesce drain)
     completes, and its result lands verbatim in the report — the hook for

@@ -178,8 +178,10 @@ module Eheap = struct
     done
 end
 
+(* Seconds per tick. *)
+let tick = 1e-3
+
 type t = {
-  tick : float;
   n : int;                    (* slots per level *)
   l0 : event list array;      (* ticks of the current window *)
   l1 : event list array;      (* one bucket per window, the next [n - 1] *)
@@ -193,10 +195,9 @@ type t = {
   mutable compactions : int;
 }
 
-let create ?(tick = 1e-3) ?(slots = 1024) () =
-  if tick <= 0. then invalid_arg "Wheel.create: tick must be positive";
+let create ?(slots = 1024) () =
   if slots < 2 then invalid_arg "Wheel.create: need at least two slots";
-  { tick; n = slots; l0 = Array.make slots []; l1 = Array.make slots [];
+  { n = slots; l0 = Array.make slots []; l1 = Array.make slots [];
     l0_count = 0; l1_count = 0; front = Eheap.create ();
     overflow = Eheap.create (); w0 = 0; cur = -1; total = 0; compactions = 0 }
 
@@ -205,8 +206,8 @@ let create ?(tick = 1e-3) ?(slots = 1024) () =
    window arithmetic below never overflows; such events live in the
    overflow heap and are served straight from it once everything nearer
    has fired. *)
-let tick_of t time =
-  let q = time /. t.tick in
+let tick_of time =
+  let q = time /. tick in
   if q >= 1e15 then max_int else int_of_float q
 
 let total t = t.total
@@ -218,7 +219,7 @@ let drop_dead t ev =
 
 let add t ev =
   t.total <- t.total + 1;
-  let k = tick_of t ev.time in
+  let k = tick_of ev.time in
   if k <= t.cur then Eheap.push t.front ev
   else begin
     let w = k / t.n in
@@ -257,7 +258,7 @@ let rec to_l0 t = function
       t.l1_count <- t.l1_count - 1;
       if ev.dead then drop_dead t ev
       else begin
-        let k = tick_of t ev.time in
+        let k = tick_of ev.time in
         t.l0.(k mod t.n) <- ev :: t.l0.(k mod t.n);
         t.l0_count <- t.l0_count + 1
       end;
@@ -298,7 +299,7 @@ let enter_window t w =
   let continue = ref true in
   while !continue do
     let top = overflow_top t in
-    if top != none && (tick_of t top.time / t.n) - w < t.n then begin
+    if top != none && (tick_of top.time / t.n) - w < t.n then begin
       ignore (Eheap.pop t.overflow);
       t.total <- t.total - 1;
       (* [add] re-counts it and routes it to l0 or l1. *)
@@ -346,7 +347,7 @@ let advance t htick =
       let top = overflow_top t in
       if top == none then continue := false
       else begin
-        let k = tick_of t top.time in
+        let k = tick_of top.time in
         if k > htick || k = max_int then continue := false
         else enter_window t (k / t.n)
       end
@@ -359,7 +360,7 @@ let advance t htick =
    the wheels are empty the overflow top is the global minimum and is
    served in place, covering the beyond-arithmetic-range tail. *)
 let peek t ~horizon =
-  advance t (tick_of t horizon);
+  advance t (tick_of horizon);
   if Eheap.size t.front > 0 then Eheap.top t.front
   else if t.l0_count = 0 && t.l1_count = 0 then overflow_top t
   else none

@@ -13,7 +13,6 @@ type t = {
   max_retries : int;
   give_up_after : float;
   dupack_threshold : int;
-  use_sack : bool;
   nagle : bool;
   delayed_ack : bool;
   ack_delay : float;
@@ -35,7 +34,6 @@ let default =
     max_retries = 12;
     give_up_after = 60.0;
     dupack_threshold = 3;
-    use_sack = true;
     nagle = false;
     delayed_ack = false;
     ack_delay = 0.04;

@@ -19,7 +19,6 @@ type t = {
       (** seconds without cumulative progress on outstanding data before
           RD aborts (ETIMEDOUT semantics); [infinity] disables *)
   dupack_threshold : int;
-  use_sack : bool;
   nagle : bool;          (** coalesce sub-MSS writes while data is in flight *)
   delayed_ack : bool;    (** ack every second segment or after [ack_delay] *)
   ack_delay : float;

@@ -1,41 +1,25 @@
-module Machine = Sublayer.Machine
+module Tap = Sublayer.Compose.Tap
 
-module P_osr_rd = Machine.Probe (struct
+module P_osr_rd = Tap (struct
   type req = Iface.rd_req
   type ind = Iface.rd_ind
-
-  let name = "mon"
 end)
 
-module P_rd_cm = Machine.Probe (struct
+module P_rd_cm = Tap (struct
   type req = Iface.cm_req
   type ind = Iface.cm_ind
-
-  let name = "mon"
 end)
 
-module P_pdu = Machine.Probe (struct
+module P_pdu = Tap (struct
   type req = Bitkit.Wirebuf.t
   type ind = Bitkit.Slice.t
-
-  let name = "mon"
 end)
-
-(* Shared no-op closures: an unmonitored probe carries these. *)
-let nop _ = ()
-
-(* A probe with no monitor and no allocation cells observes nothing and
-   charges nothing, so every such endpoint shares its interface's inert
-   probe, allocates none, and its seam calls nothing. *)
-let inert alloc mon = Option.is_none mon && Sublayer.Alloc.no_cells alloc
 
 (* Resolve the alphabet ids once at attach time; the per-event closures
    then do a constructor match and one [observe] call. *)
 
-let observe_osr_rd spec mon ~conn =
-  match mon with
-  | None -> ((nop : Iface.rd_req -> unit), (nop : Iface.rd_ind -> unit))
-  | Some reg ->
+let stream_rd spec =
+  P_osr_rd.make (fun reg ~conn ->
     let inst = Monitor.Runtime.attach reg ~key:conn spec in
     let idd m = Monitor.Spec.msg_id spec Monitor.Spec.Down m
     and idu m = Monitor.Spec.msg_id spec Monitor.Spec.Up m in
@@ -65,22 +49,13 @@ let observe_osr_rd spec mon ~conn =
       | `Reset -> ob reset ~a:0 ~b:0
       | `Aborted -> ob aborted ~a:0 ~b:0
     in
-    (obs_req, obs_ind)
-
-let stream_rd spec ?alloc mon ~conn =
-  if inert alloc mon then P_osr_rd.inert
-  else
-    let obs_req, obs_ind = observe_osr_rd spec mon ~conn in
-    let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
-    { P_osr_rd.obs_req; obs_ind }
+    (obs_req, obs_ind))
 
 let osr_rd = stream_rd Monitor.Specs.osr_rd
 let msg_rd = stream_rd (Monitor.Specs.stream_rd ~upper:"msg")
 
-let observe_rd_cm mon ~conn =
-  match mon with
-  | None -> ((nop : Iface.cm_req -> unit), (nop : Iface.cm_ind -> unit))
-  | Some reg ->
+let rd_cm =
+  P_rd_cm.make (fun reg ~conn ->
     let spec = Monitor.Specs.rd_cm in
     let inst = Monitor.Runtime.attach reg ~key:conn spec in
     let idd m = Monitor.Spec.msg_id spec Monitor.Spec.Down m
@@ -104,52 +79,20 @@ let observe_rd_cm mon ~conn =
       | `Closed -> ob closed ~a:0 ~b:0
       | `Reset -> ob reset ~a:0 ~b:0
     in
-    (obs_req, obs_ind)
+    (obs_req, obs_ind))
 
-let rd_cm ?alloc mon ~conn =
-  if inert alloc mon then P_rd_cm.inert
-  else
-    let obs_req, obs_ind = observe_rd_cm mon ~conn in
-    let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
-    { P_rd_cm.obs_req; obs_ind }
+let pdu ~name ~upper ~lower =
+  P_pdu.opaque
+    (Monitor.Specs.opaque ~name ~upper ~lower ~min_up:1 ())
+    ~req_len:Bitkit.Wirebuf.length ~ind_len:Bitkit.Slice.length
 
-let spec_cm_dm =
-  Monitor.Specs.opaque ~name:"cm-dm" ~upper:"cm" ~lower:"dm" ~min_up:1 ()
-
-let spec_cm_rec =
-  Monitor.Specs.opaque ~name:"cm-rec" ~upper:"cm" ~lower:"rec" ~min_up:1 ()
-
-let spec_rec_dm =
-  Monitor.Specs.opaque ~name:"rec-dm" ~upper:"rec" ~lower:"dm" ~min_up:1 ()
-
-let observe_pdu spec mon ~conn =
-  match mon with
-  | None -> ((nop : Bitkit.Wirebuf.t -> unit), (nop : Bitkit.Slice.t -> unit))
-  | Some reg ->
-      let inst = Monitor.Runtime.attach reg ~key:conn spec in
-      let down = Monitor.Spec.msg_id spec Monitor.Spec.Down "pdu"
-      and up = Monitor.Spec.msg_id spec Monitor.Spec.Up "pdu" in
-      let obs_req buf =
-        Monitor.Runtime.observe inst down ~a:(Bitkit.Wirebuf.length buf) ~b:0
-      and obs_ind s =
-        Monitor.Runtime.observe inst up ~a:(Bitkit.Slice.length s) ~b:0
-      in
-      (obs_req, obs_ind)
-
-let pdu spec ?alloc mon ~conn =
-  if inert alloc mon then P_pdu.inert
-  else
-    let obs_req, obs_ind = observe_pdu spec mon ~conn in
-    let obs_req, obs_ind = Sublayer.Alloc.wrap_taps alloc obs_req obs_ind in
-    { P_pdu.obs_req; obs_ind }
-
-let cm_dm = pdu spec_cm_dm
-let cm_rec = pdu spec_cm_rec
-let rec_dm = pdu spec_rec_dm
+let cm_dm = pdu ~name:"cm-dm" ~upper:"cm" ~lower:"dm"
+let cm_rec = pdu ~name:"cm-rec" ~upper:"cm" ~lower:"rec"
+let rec_dm = pdu ~name:"rec-dm" ~upper:"rec" ~lower:"dm"
 
 let app mon ~conn =
   match mon with
-  | None -> (nop, nop)
+  | None -> (ignore, ignore)
   | Some reg ->
       let spec = Monitor.Specs.app in
       let inst = Monitor.Runtime.attach reg ~key:conn spec in

@@ -122,6 +122,11 @@ let outstanding t =
 (* Absolute sequence of a stream offset (SYN consumes one number). *)
 let abs_seq isn offset = (isn + 1 + offset) land 0xFFFFFFFF
 
+(* The stream offset a 32-bit sequence number [w] stands for, the one
+   nearest the offset [near]. It is reconstructed in offset space, so it
+   holds once the sequence numbers wrap past 2^32. *)
+let offset_of isn ~near w = Sublayer.Seqspace.reconstruct Iface.seq32 ~reference:near (w - isn - 1)
+
 (* The first three received intervals above the cumulative point, as
    SACK blocks, in one pass: the intervals ascend, and only the first
    can reach back to the cumulative point. *)
@@ -133,26 +138,24 @@ let rec sack_blocks isn cum n = function
       else sack_blocks isn cum n rest
   | _ -> []
 
-let rcv_sacks t c =
-  if not t.cfg.Config.use_sack then []
-  else sack_blocks c.isn_remote (Ranges.cumulative c.rcv) 3 (Ranges.intervals c.rcv)
+let rcv_sacks c = sack_blocks c.isn_remote (Ranges.cumulative c.rcv) 3 (Ranges.intervals c.rcv)
 
 (* Every outgoing segment carries our cumulative ack and SACK view. *)
-let data_segment t c sent =
+let data_segment c sent =
   { Segment.seq = abs_seq c.isn_local sent.s_off;
     ack = abs_seq c.isn_remote (Ranges.cumulative c.rcv);
     len = sent.s_len;
     has_data = true;
     has_ack = true;
-    sacks = rcv_sacks t c }
+    sacks = rcv_sacks c }
 
-let pure_ack t c =
+let pure_ack c =
   { Segment.seq = 0;
     ack = abs_seq c.isn_remote (Ranges.cumulative c.rcv);
     len = 0;
     has_data = false;
     has_ack = true;
-    sacks = rcv_sacks t c }
+    sacks = rcv_sacks c }
 
 (* [push] is persistent, so stamping a fresh RD header on the stored OSR
    wirebuf at every (re)transmit costs one cons and never touches the
@@ -163,7 +166,7 @@ let send_data t c sent =
   Down
     (`Pdu
       (Bitkit.Wirebuf.push sent.s_pdu ~owner:"rd"
-         (Segment.write_rd (data_segment t c sent))))
+         (Segment.write_rd (data_segment c sent))))
 
 let send_ack t c =
   Sublayer.Stats.incr t.ctrs.c_acks_only;
@@ -172,7 +175,7 @@ let send_ack t c =
       (Bitkit.Wirebuf.push
          (Bitkit.Wirebuf.of_string t.block)
          ~owner:"rd"
-         (Segment.write_rd (pure_ack t c))))
+         (Segment.write_rd (pure_ack c))))
 
 let clamp_rto cfg rto = Float.min cfg.Config.rto_max (Float.max cfg.Config.rto_min rto)
 
@@ -295,15 +298,11 @@ let with_receiver c ~rcv ~owed sndq =
   else { c with rcv; ack_pending = owed; sndq }
 
 (* Does a SACK block cover [s]? Each block's edges are reconstructed
-   near [s]'s own sequence number. *)
+   near [s]'s own offset. *)
 let rec sacked_by isn s = function
   | [] -> false
   | b :: blocks ->
-      let lo =
-        Sublayer.Seqspace.reconstruct Iface.seq32
-          ~reference:(abs_seq isn s.s_off) b.Segment.sack_start
-        - isn - 1
-      in
+      let lo = offset_of isn ~near:s.s_off b.Segment.sack_start in
       let hi = lo + ((b.Segment.sack_end - b.Segment.sack_start) land 0xFFFFFFFF) in
       (lo <= s.s_off && s.s_off + s.s_len <= hi) || sacked_by isn s blocks
 
@@ -320,11 +319,7 @@ let acknowledge t c (rd : Segment.rd) osr_pdu ~rcv ~owed arrival offset =
   if not rd.Segment.has_ack then
     finish t c (with_receiver c ~rcv ~owed c.sndq) arrival offset osr_pdu []
   else begin
-    let acked_off =
-      Sublayer.Seqspace.reconstruct Iface.seq32
-        ~reference:(abs_seq c.isn_local c.snd_acked) rd.Segment.ack
-      - c.isn_local - 1
-    in
+    let acked_off = offset_of c.isn_local ~near:c.snd_acked rd.Segment.ack in
     (* SACK processing: mark covered segments, sharing the rest. *)
     let sndq =
       match rd.Segment.sacks with
@@ -439,11 +434,7 @@ let acknowledge t c (rd : Segment.rd) osr_pdu ~rcv ~owed arrival offset =
 (* --- Receiver side: the data of an arriving segment. --- *)
 let receive t c (rd : Segment.rd) osr_pdu =
   let rcv_cum = Ranges.cumulative c.rcv in
-  let seq_abs =
-    Sublayer.Seqspace.reconstruct Iface.seq32 ~reference:(abs_seq c.isn_remote rcv_cum)
-      rd.Segment.seq
-  in
-  let offset = seq_abs - c.isn_remote - 1 in
+  let offset = offset_of c.isn_remote ~near:rcv_cum rd.Segment.seq in
   (* RD cannot know the upper sublayer's header size (T3), so the only
      sanity check available is that the claimed extent fits in the PDU. *)
   if offset < 0 || rd.Segment.len > Bitkit.Slice.length osr_pdu then

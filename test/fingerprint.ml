@@ -1,6 +1,6 @@
 (* One seeded many-flow fabric run, reduced to what a schedule identity
    compares. Every "this only observes" claim — a buffer pool, conformance
-   monitors, telemetry, eager copying — is the same check: run the fabric
+   monitors, telemetry — is the same check: run the fabric
    with and without the instrument, and both runs must fire the same
    events, end at the same virtual time, deliver the same flows exactly
    and record the same per-slice live-event samples. *)
@@ -15,9 +15,9 @@ type t = {
 (* Four hosts and 60 flows of 1 KiB at 3 % loss unless told otherwise;
    [monitors] also becomes the soak's invariant and [telemetry] is ticked
    at every slice, as a real run would wire them. *)
-let run ?backend ?stats ?monitors ?telemetry ?pool ?(loss = 0.03)
+let run ?stats ?monitors ?telemetry ?pool ?(loss = 0.03)
     ?(flows = 60) ?(bytes = 1024) ~seed () =
-  let engine = Sim.Engine.create ~seed ?backend () in
+  let engine = Sim.Engine.create ~seed () in
   let fabric =
     Transport.Fabric.create engine ~hosts:4 ?stats ?monitors ?telemetry ?pool
       ~channel:(Sim.Channel.lossy loss) ~flows ~bytes ()

@@ -304,24 +304,50 @@ let test_mechanism_matrix () =
         framers)
     [ Detector.crc Bitkit.Crc.crc32; Detector.crc Bitkit.Crc.crc64_xz; Detector.internet ]
 
+(* An endpoint nothing but a stats registry observes: its sublayers
+   share the registry's counter records and its three probes are the
+   shared inert ones. At most 538 words per endpoint: 532 with each
+   sublayer's scope and span passed to it directly and the ARQ probe's
+   constructor built as one closure block, 538 when the endpoint built
+   an adapter closure for the ARQ probe and two helper closures for the
+   scopes and spans. *)
+let test_unobserved_endpoint_words () =
+  let engine = Sim.Engine.create () in
+  let ins = Sublayer.Instrument.v ~stats:(Sublayer.Stats.create ()) () in
+  let make () =
+    ignore
+      (Sys.opaque_identity
+         (Stack.endpoint engine ~ins ~name:"A" Stack.default_spec ~transmit:ignore
+            ~deliver:ignore))
+  in
+  make ();
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    make ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per endpoint" per) true (per <= 538.)
+
 (* Probes that observe nothing and charge nothing are one shared record
    per interface; a monitor or an allocation cell gets an endpoint a
    probe of its own. *)
 let test_inert_probes_shared () =
-  let module C = Datalink.Conform in
   let mon = Some (Monitor.Runtime.create ()) in
   let cell = Some (Sublayer.Alloc.cell (Sublayer.Stats.unregistered "x")) in
-  let shared name probe =
+  let shared name (probe : _ Sublayer.Compose.probe) =
     Alcotest.(check bool) (name ^ ": unobserved shared") true
-      (probe None None ~key:"x" == probe None None ~key:"y");
+      (probe None ~conn:"x" == probe None ~conn:"y");
+    Alcotest.(check bool) (name ^ ": no cells shared") true
+      (probe ~alloc:(None, None) None ~conn:"x" == probe None ~conn:"x");
     Alcotest.(check bool) (name ^ ": monitored own") false
-      (probe None mon ~key:"x" == probe None None ~key:"x");
+      (probe mon ~conn:"x" == probe None ~conn:"x");
     Alcotest.(check bool) (name ^ ": attributed own") false
-      (probe (Some (cell, None)) None ~key:"x" == probe None None ~key:"x")
+      (probe ~alloc:(cell, None) None ~conn:"x" == probe None ~conn:"x")
   in
-  shared "arq-det" (fun alloc mon ~key -> C.arq_det ?alloc mon ~key ~variant:"arq-gbn" ~window:8);
-  shared "det-frm" (fun alloc mon ~key -> C.det_frm ?alloc mon ~key);
-  shared "frm-line" (fun alloc mon ~key -> C.frm_line ?alloc mon ~key)
+  shared "arq-det" (Conform.arq_det ~variant:"arq-gbn" ~window:8);
+  shared "det-frm" Conform.det_frm;
+  shared "frm-line" Conform.frm_line
 
 let test_corruption_needs_detection () =
   (* With the null detector and a corrupting channel, damaged payloads
@@ -625,6 +651,8 @@ let () =
           Alcotest.test_case "mechanism matrix (E1)" `Slow test_mechanism_matrix;
           Alcotest.test_case "corruption needs detection" `Quick test_corruption_needs_detection;
           Alcotest.test_case "inert probes shared" `Quick test_inert_probes_shared;
+          Alcotest.test_case "unobserved endpoint words" `Quick
+            test_unobserved_endpoint_words;
         ] );
       ( "deframer",
         [

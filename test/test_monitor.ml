@@ -247,7 +247,7 @@ let test_mutation_cm_early_pdu () =
 let test_mutation_arq_window () =
   let monitors = Monitor.Runtime.create ~label:"mut" () in
   let p =
-    Datalink.Conform.arq_det (Some monitors) ~key:"mut-dl" ~variant:"arq-gbn"
+    Datalink.Conform.arq_det (Some monitors) ~conn:"mut-dl" ~variant:"arq-gbn"
       ~window:4
   in
   p.Datalink.Conform.P_arq_det.obs_req (Datalink.Arq.data_wirebuf ~seq:0 "ok");
@@ -264,7 +264,7 @@ let violating_registries () =
   let regs = [| Monitor.Runtime.create ~label:"r0" (); Monitor.Runtime.create ~label:"r1" () |] in
   for i = 0 to 1_999 do
     let p =
-      Datalink.Conform.arq_det (Some regs.(i mod 2)) ~key:(Printf.sprintf "k%d" i)
+      Datalink.Conform.arq_det (Some regs.(i mod 2)) ~conn:(Printf.sprintf "k%d" i)
         ~variant:"arq-gbn" ~window:4
     in
     p.Datalink.Conform.P_arq_det.obs_req (Datalink.Arq.data_wirebuf ~seq:0 "ok");

@@ -630,6 +630,36 @@ let test_hello_memory_flat () =
   if abs (late - early) >= 1000 then
     Alcotest.failf "live words %d at +1000 s, %d at +4000 s" early late
 
+(* A router nothing but a stats registry observes: its FIB probe and
+   its two seams' taps are shared records. At most 952 words per
+   distance-vector router: 948 with the FIB probe shared, 952 when every
+   router built its own. *)
+let test_unobserved_router_words () =
+  let engine = Sim.Engine.create () in
+  let ins = Sublayer.Instrument.v ~stats:(Sublayer.Stats.create ()) () in
+  let routing = Distance_vector.factory () in
+  let make () =
+    ignore
+      (Sys.opaque_identity
+         (Router.create engine ~ins ~addr:(Addr.node 1) ~routing ~deliver:ignore ()))
+  in
+  make ();
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    make ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check Alcotest.bool (Printf.sprintf "%.1f words per router" per) true (per <= 952.)
+
+(* Every unmonitored router shares one FIB probe; a monitored one gets
+   its own. *)
+let test_unmonitored_fib_probe_shared () =
+  check Alcotest.bool "unmonitored shared" true
+    (Conform.fib None ~key:"a" == Conform.fib None ~key:"b");
+  check Alcotest.bool "monitored own" false
+    (Conform.fib (Some (Monitor.Runtime.create ())) ~key:"a" == Conform.fib None ~key:"a")
+
 let () =
   Alcotest.run "network"
     [
@@ -683,6 +713,9 @@ let () =
             test_stopped_router_sends_nothing;
           Alcotest.test_case "fib counters count the data path" `Quick
             test_fib_counts_data_path;
+          Alcotest.test_case "unobserved router words" `Quick test_unobserved_router_words;
+          Alcotest.test_case "unmonitored fib probe shared" `Quick
+            test_unmonitored_fib_probe_shared;
           Alcotest.test_case "dv, no engine" `Quick
             (test_protocol_machine (Distance_vector.factory ()) ~triggered:true);
           Alcotest.test_case "ls, no engine" `Quick

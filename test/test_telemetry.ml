@@ -268,9 +268,9 @@ let test_inert_probes_free () =
   let osr_rd = T.osr_rd None ~conn:"x"
   and rd_cm = T.rd_cm None ~conn:"x"
   and pdu = T.cm_dm None ~conn:"x"
-  and arq_det = D.arq_det None ~key:"x" ~variant:"arq-gbn" ~window:8
-  and det_frm = D.det_frm None ~key:"x"
-  and frm_line = D.frm_line None ~key:"x" in
+  and arq_det = D.arq_det None ~conn:"x" ~variant:"arq-gbn" ~window:8
+  and det_frm = D.det_frm None ~conn:"x"
+  and frm_line = D.frm_line None ~conn:"x" in
   let buf = Bitkit.Wirebuf.of_string "pdu"
   and sl = Bitkit.Slice.of_string "pdu"
   and bits = Bitkit.Bitseq.of_string "pdu" in

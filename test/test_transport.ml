@@ -991,13 +991,14 @@ let test_osr_idle_ack_words () =
    rewrites every queued record at each SACK-bearing ack and each
    retransmission, as RD did before it shared what an ack leaves alone;
    RD's queue (offsets, sacked and retransmitted flags) must equal it
-   after every step. *)
+   after every step. The local ISN sits 4 096 below the 32-bit wrap, so
+   most runs carry their acks and SACK edges across it. *)
 type ref_seg = { r_off : int; r_len : int; r_sacked : bool; r_retx : bool }
 
 type rd_op = Send of int | Ack of int * int * (int * int) list | Rto_fire
 
 let prop_rd_scoreboard =
-  let isn = 100 in
+  let isn = 0xFFFFF000 in
   let abs off = (isn + 1 + off) land 0xFFFFFFFF in
   let op_gen =
     QCheck2.Gen.(
@@ -1099,6 +1100,70 @@ let prop_rd_scoreboard =
           ops
       in
       ok)
+
+(* A stream whose sequence numbers wrap past 2^32: A's ISN, B's remote
+   one, is 0xFFFFFF00, so every 200-byte segment after the first starts
+   past the wrap. The segment at offset 200 is lost, so B's acks carry a
+   SACK block past the wrap. B must place every data offset, and A must
+   read B's acks and SACK edges, as if nothing wrapped. *)
+let test_rd_sequence_wrap () =
+  let isn = 0xFFFFFF00 in
+  let abs off = (isn + 1 + off) land 0xFFFFFFFF in
+  let cfg = { Config.default with Config.delayed_ack = false } in
+  let opened isns =
+    fst (Rd.handle_down_ind (Rd.initial cfg ~now:(fun () -> 0.)) (`Established isns))
+  in
+  let pdus acts =
+    List.filter_map
+      (function
+        | Sublayer.Machine.Down (`Pdu b) ->
+            Some (Bitkit.Slice.of_string (Bitkit.Wirebuf.to_string b))
+        | _ -> None)
+      acts
+  in
+  let transmit (a, sent) off =
+    let a, acts =
+      Rd.handle_up_req a (`Transmit (off, 200, Bitkit.Wirebuf.of_string (String.make 200 'd')))
+    in
+    (a, sent @ pdus acts)
+  in
+  let a, sent = List.fold_left transmit (opened (isn, 100), []) [ 0; 200; 400; 600 ] in
+  (* B's offsets placed, and the acks it sends back. *)
+  let receive (b, offsets, acks) pdu =
+    let b, acts = Rd.handle_down_ind b (`Pdu pdu) in
+    let placed =
+      List.filter_map
+        (function Sublayer.Machine.Up (`Segment (off, _)) -> Some off | _ -> None)
+        acts
+    in
+    (b, offsets @ placed, acks @ pdus acts)
+  in
+  let edges pdu =
+    match Segment.decode_rd_slice pdu with
+    | Some (rd, _) ->
+        ( rd.Segment.ack,
+          List.map (fun b -> (b.Segment.sack_start, b.Segment.sack_end)) rd.Segment.sacks )
+    | None -> Alcotest.fail "an ack that does not decode"
+  in
+  let read a acks = List.fold_left (fun a pdu -> fst (Rd.handle_down_ind a (`Pdu pdu))) a acks in
+  let b, offsets, acks =
+    List.fold_left receive (opened (100, isn), [], []) (List.filteri (fun i _ -> i <> 1) sent)
+  in
+  check Alcotest.(list int) "B places each offset" [ 0; 400; 600 ] offsets;
+  check
+    Alcotest.(list (pair int (list (pair int int))))
+    "B's acks and SACK edges"
+    [ (abs 200, []); (abs 200, [ (abs 400, abs 600) ]); (abs 200, [ (abs 400, abs 800) ]) ]
+    (List.map edges acks);
+  let a = read a acks in
+  check Alcotest.(list (triple int bool bool)) "A: 200 lost, 400 and 600 sacked"
+    [ (200, false, false); (400, true, false); (600, true, false) ]
+    (Rd.outstanding a);
+  let _, offsets, acks = receive (b, [], []) (List.nth sent 1) in
+  check Alcotest.(list int) "B places the lost segment" [ 200 ] offsets;
+  check Alcotest.(list (pair int (list (pair int int)))) "B acks the whole stream"
+    [ (abs 800, []) ] (List.map edges acks);
+  check Alcotest.(list (triple int bool bool)) "A: all acked" [] (Rd.outstanding (read a acks))
 
 (* --- Flow control: slow readers, zero windows, persist probes --- *)
 
@@ -1805,27 +1870,33 @@ let test_unobserved_endpoint_words () =
   let per = (Gc.minor_words () -. w0) /. float_of_int n in
   check Alcotest.bool (Printf.sprintf "%.1f words per endpoint" per) true (per <= 180.)
 
-(* Probes that observe nothing and charge nothing are one shared record
-   per interface; a monitor or an allocation cell gets an endpoint a
-   probe of its own. *)
+(* Every seam's probe is built by its interface's [Compose.Tap]. One
+   that observes nothing and charges nothing is one shared record per
+   interface; a monitor or an allocation cell gets an endpoint a probe of
+   its own. The router's two taps observe nothing, so they stay inert
+   under a monitor. The datalink probes are checked in test_datalink. *)
 let test_inert_probes_shared () =
   let mon = Some (Monitor.Runtime.create ()) in
   let cell = Some (Sublayer.Alloc.cell (Sublayer.Stats.unregistered "x")) in
-  let shared name probe =
+  let shared ?(monitored = true) name (probe : _ Sublayer.Compose.probe) =
     check Alcotest.bool (name ^ ": unobserved shared") true
-      (probe None None ~conn:"x" == probe None None ~conn:"y");
+      (probe None ~conn:"x" == probe None ~conn:"y");
     check Alcotest.bool (name ^ ": no cells shared") true
-      (probe (Some (None, None)) None ~conn:"x" == probe None None ~conn:"x");
-    check Alcotest.bool (name ^ ": monitored own") false
-      (probe None mon ~conn:"x" == probe None None ~conn:"x");
+      (probe ~alloc:(None, None) None ~conn:"x" == probe None ~conn:"x");
+    check Alcotest.bool (name ^ ": monitored own") monitored
+      (probe mon ~conn:"x" != probe None ~conn:"x");
     check Alcotest.bool (name ^ ": attributed own") false
-      (probe (Some (cell, None)) None ~conn:"x" == probe None None ~conn:"x")
+      (probe ~alloc:(cell, None) None ~conn:"x" == probe None ~conn:"x")
   in
-  shared "osr-rd" (fun alloc mon ~conn -> Conform.osr_rd ?alloc mon ~conn);
-  shared "rd-cm" (fun alloc mon ~conn -> Conform.rd_cm ?alloc mon ~conn);
-  shared "cm-dm" (fun alloc mon ~conn -> Conform.cm_dm ?alloc mon ~conn);
-  shared "cm-rec" (fun alloc mon ~conn -> Conform.cm_rec ?alloc mon ~conn);
-  shared "rec-dm" (fun alloc mon ~conn -> Conform.rec_dm ?alloc mon ~conn)
+  let module R = Network.Router in
+  shared "osr-rd" Conform.osr_rd;
+  shared "msg-rd" Conform.msg_rd;
+  shared "rd-cm" Conform.rd_cm;
+  shared "cm-dm" Conform.cm_dm;
+  shared "cm-rec" Conform.cm_rec;
+  shared "rec-dm" Conform.rec_dm;
+  shared ~monitored:false "router fwd" R.P_fwd.cells;
+  shared ~monitored:false "router hello" R.P_hello.cells
 
 (* [Host.sublayered], recording the name each endpoint is given. *)
 let naming names =
@@ -2356,6 +2427,7 @@ let () =
           Alcotest.test_case "rd sack words flat in the queue" `Quick test_rd_sack_words_flat;
           Alcotest.test_case "osr idle ack decodes only" `Quick test_osr_idle_ack_words;
           prop_rd_scoreboard;
+          Alcotest.test_case "rd sequence numbers wrap" `Quick test_rd_sequence_wrap;
         ] );
       ( "watson",
         [

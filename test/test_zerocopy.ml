@@ -3,9 +3,7 @@
    (including truncated and garbage ones, without raising), its writer
    must emit the reference bytes through the wirebuf push path, slice
    decoding must be position-independent (a view into the middle of a
-   larger buffer decodes the same), and whole seeded runs must be
-   bit-identical between the copying (eager) and zero-copy (lazy) wirebuf
-   modes on both scheduler backends. *)
+   larger buffer decodes the same). *)
 
 open Transport
 
@@ -546,36 +544,6 @@ let test_audit_rejects () =
   Alcotest.(check bool) "good stack accepted" false
     (bad [ ("dm", 32); ("cm", 72); ("rd", 88); ("osr", 24) ])
 
-(* --- Whole-run equivalence: eager (copying) vs lazy (zero-copy) --- *)
-
-let soak_fingerprint ~eager ~backend =
-  Bitkit.Wirebuf.set_eager eager;
-  Fun.protect
-    ~finally:(fun () -> Bitkit.Wirebuf.set_eager false)
-    (fun () -> Fingerprint.run ~seed:31 ~backend ())
-
-let test_eager_lazy_identical () =
-  List.iter
-    (fun backend ->
-      Fingerprint.check_same
-        (soak_fingerprint ~eager:true ~backend)
-        (soak_fingerprint ~eager:false ~backend))
-    [ `Wheel; `Heap ]
-
-(* The copying mode really copies: the same run must move strictly more
-   bytes through [Slice]'s copy accounting in eager mode. *)
-let test_lazy_copies_less () =
-  let copied ~eager =
-    Bitkit.Slice.reset_copied ();
-    ignore (soak_fingerprint ~eager ~backend:`Wheel);
-    Bitkit.Slice.copied_bytes ()
-  in
-  let eager_bytes = copied ~eager:true in
-  let lazy_bytes = copied ~eager:false in
-  if not (lazy_bytes < eager_bytes) then
-    Alcotest.failf "zero-copy path copied %d bytes, copying path %d" lazy_bytes
-      eager_bytes
-
 (* The copy counter is shared process state bumped from every shard
    domain; hammer it from two domains at once and demand the exact sum —
    a plain [ref] loses updates here (incr is a read-modify-write), the
@@ -622,13 +590,6 @@ let () =
           Alcotest.test_case "armed on the wire path" `Quick test_audit_armed;
           Alcotest.test_case "rejects malformed stacks" `Quick
             test_audit_rejects;
-        ] );
-      ( "equivalence",
-        [
-          Alcotest.test_case "eager = lazy on both backends" `Quick
-            test_eager_lazy_identical;
-          Alcotest.test_case "lazy copies fewer bytes" `Quick
-            test_lazy_copies_less;
         ] );
       ( "atomicity",
         [
