@@ -96,41 +96,58 @@ module type STACK = sig
   type up_ind
   type down_req
   type down_ind
-  type timer
   type parts
-  type step
 
   val scopes : string array
-  val key : timer -> key
   val owner : key -> int
   val build : Alloc.cell option array -> Monitor.Runtime.t option -> conn:string -> parts -> t
-  val shape : (t, (up_ind, down_req, timer) action list, step) Runtime.shape
-  val up_req : traced:bool -> t -> up_req -> step
-  val down_ind : traced:bool -> t -> down_ind -> step
-  val fire : traced:bool -> t -> key -> step
+
+  include
+    Runtime.DRIVEN
+      with type t := t
+       and type up_req := up_req
+       and type up_ind := up_ind
+       and type down_req := down_req
+       and type down_ind := down_ind
+       and type timer = key
+
+  val scratch_on : (down_req, key) Runtime.Out.store -> scratch
 end
 
 module Last (M : SUBLAYER) = struct
-  include M
+  let name = M.name
 
+  type t = M.t
+  type up_req = M.up_req
+  type up_ind = M.up_ind
+  type down_req = M.down_req
+  type down_ind = M.down_ind
   type key += Key of M.timer
+  type timer = key
   type parts = M.t
+  type scratch = (up_ind, down_req, timer) Runtime.Out.t
 
-  (* A step is the pair [M]'s handler returns: the seam above walks its
-     list as it is, and tags a timer when it passes one on. *)
-  type step = M.t * (M.up_ind, M.down_req, M.timer) action list
-
-  let shape = Runtime.Pair
   let scopes = [| M.scope |]
-  let key tm = Key tm
   let owner _ = 0
   let build _ _ ~conn:_ m = m
-  let up_req ~traced:_ m r = M.handle_up_req m r
-  let down_ind ~traced:_ m i = M.handle_down_ind m i
+  let scratch_on = Runtime.Out.create
+  let scratch () = scratch_on (Runtime.Out.store ())
+  let out b = b
+  let reset _ = ()
+  let key tm = Key tm
 
-  let fire ~traced:_ m = function
-    | Key tm -> M.handle_timer m tm
-    | _ -> invalid_arg "Compose.Last.fire: a timer of another level"
+  (* Keep the state [M]'s handler returns; its list goes to the buffer
+     as it is, each timer tagged with this level's [Key]. *)
+  let push ~traced b (m, acts) =
+    Runtime.Out.push_list ~traced b key acts;
+    m
+
+  let up_req ~traced b m r = push ~traced b (M.handle_up_req m r)
+  let down_ind ~traced b m i = push ~traced b (M.handle_down_ind m i)
+
+  let timer ~traced b m = function
+    | Key tm -> push ~traced b (M.handle_timer m tm)
+    | _ -> invalid_arg "Compose.Last.timer: a timer of another level"
 end
 
 module Seam
@@ -138,6 +155,8 @@ module Seam
     (P : TAP with type up_req = U.down_req and type up_ind = U.down_ind)
     (L : STACK with type up_req = U.down_req and type up_ind = U.down_ind) =
 struct
+  module Out = Runtime.Out
+
   let name = U.name ^ "/" ^ P.name ^ "/" ^ L.name
 
   type up_req = U.up_req
@@ -152,15 +171,28 @@ struct
      only when [L] is a {!Last}, whose steps return its next state. *)
   type t = { mutable u : U.t; tap : P.t; mutable l : L.t }
 
-  (* A step's actions; the state stays where it is. *)
-  type step = (up_ind, down_req, timer) action list
+  (* The buffer this level writes to and the one [L] writes to, over
+     the levels below's, all on one store. *)
+  type scratch = {
+    out : (up_ind, down_req, key) Out.t;
+    below : (L.up_ind, L.down_req, key) Out.t;
+    lower : L.scratch;
+  }
 
-  let shape = Runtime.In_place
+  let scratch_on store =
+    let lower = L.scratch_on store in
+    { out = Out.create store; below = L.out lower; lower }
+
+  let scratch () = scratch_on (Out.store ())
+  let out sc = sc.out
+
+  let reset sc =
+    Out.release sc.below 0;
+    L.reset sc.lower
 
   (* [U]'s index in [scopes]; [L]'s top sublayer is just below it. *)
   let at = Array.length L.scopes
   let scopes = Array.append L.scopes [| U.scope |]
-  let key tm = tm
   let owner = function Key _ -> at | tm -> L.owner tm
 
   let build cells mon ~conn (u, probe, l) =
@@ -176,104 +208,95 @@ struct
   let upper_tag = U.name ^ ": "
   let lower_tag = P.name ^ "/" ^ L.name ^ ": " ^ L.name ^ ": "
 
-  (* A list [L] returns. *)
-  type lower = (L.up_ind, L.down_req, L.timer) action list
+  (* [L] has just written [below] from [i] on: the tap sees every [Up]
+     in it now, before [U] takes the first, as a probe level between the
+     two would have. *)
+  let rec arrive (tap : P.t) (below : (_, _, _) Out.t) i =
+    if i < below.fill then begin
+      (match below.kinds.(i) with Out.Up -> tap.obs_ind (Out.up_at below i) | _ -> ());
+      arrive tap below (i + 1)
+    end
 
-  (* What is left once the list being drained runs out: the rest of the
-     other side's list, saved at the crossing that interrupted it. A
-     crossing that ends its list saves nothing. *)
-  type rest =
-    | Done
-    | Upper_rest of (U.up_ind, U.down_req, U.timer) action list * rest
-    | Lower_rest of lower * rest
+  (* What begins a step of [L]. *)
+  type _ input = Req : L.up_req input | Ind : L.down_ind input | Fire : key input
 
-  (* [L] has just returned [acts]: the tap sees every [Up] in it now,
-     before [U] takes the first, as a probe level between the two would
-     have. *)
-  let rec arrive (tap : P.t) = function
+  (* Route the two sides' actions across the boundary into [sc.out]: an
+     upper [Down r] becomes a step of [L], whose segment is taken in
+     full before [U] takes any of its [Up]s; a lower [Up i] becomes
+     [U.handle_down_ind]. What a crossing triggers is routed before the
+     rest of the list or segment it interrupted, so the order is
+     [Machine.Stack]'s. [U]'s actions are written as [U] made them, a
+     timer under this level's [Key]; [L]'s are handed on by their
+     index in the store, a timer under the key [L] gave it. A [Note] goes on with its prefix
+     only when [traced]; otherwise [L] wrote none and [U]'s stop here. *)
+  let rec drain_upper traced sc st = function
     | [] -> ()
-    | Up i :: acts ->
-        tap.obs_ind i;
-        arrive tap acts
-    | _ :: acts -> arrive tap acts
+    | act :: acts ->
+        (match act with
+        | Up _ -> Out.up sc.out act
+        | Down r ->
+            if st.tap != P.inert then st.tap.obs_req r;
+            cross traced sc st Req r
+        | Set_timer (tm, _) -> Out.set sc.out (Key tm) act
+        | Cancel_timer tm -> Out.cancel sc.out (Key tm)
+        | Note s -> if traced then Out.note sc.out (upper_tag ^ s));
+        drain_upper traced sc st acts
 
-  (* [L]'s step [res], begun by a crossing or an input from below: keep
-     the state it returns, if it returns one, and show its list to the
-     tap. *)
-  let lower_step : type p. (L.t, lower, p) Runtime.shape -> t -> p -> lower =
-   fun shape st res ->
-    let acts : lower =
-      match shape with
-      | In_place -> res
-      | Pair ->
-          let l, acts = res in
-          st.l <- l;
-          acts
+  and drain_lower traced sc st (below : (_, _, _) Out.t) i =
+    if i < below.fill then begin
+      (match below.kinds.(i) with
+      | Out.Up ->
+          let u, acts = U.handle_down_ind st.u (Out.up_at below i) in
+          if u != st.u then st.u <- u;
+          drain_upper traced sc st acts
+      | Out.Note -> Out.note sc.out (lower_tag ^ Out.note_at below i)
+      | (Out.Down | Out.Set | Out.Cancel) as k -> Out.pass sc.out k below.refs.(i));
+      drain_lower traced sc st below (i + 1)
+    end
+
+  (* One step of [L] on [x]: [L] writes its segment at the end of its
+     buffer, the tap sees it, this level drains it, and it is released.
+     A crossing made while it drains writes after it and is released
+     before it returns, so the segment ends at the buffer's fill
+     throughout. A raise leaves it to the runtime, which empties the
+     buffers below the top ([reset]). *)
+  and cross : type x. bool -> scratch -> t -> x input -> x -> unit =
+   fun traced sc st input x ->
+    let below = sc.below in
+    let start = below.fill in
+    let l =
+      match input with
+      | Req -> L.up_req ~traced sc.lower st.l x
+      | Ind -> L.down_ind ~traced sc.lower st.l x
+      | Fire -> L.timer ~traced sc.lower st.l x
     in
-    if st.tap != P.inert then arrive st.tap acts;
-    acts
+    if l != st.l then st.l <- l;
+    if st.tap != P.inert then arrive st.tap below start;
+    drain_lower traced sc st below start;
+    Out.release below start
 
-  (* Route the two sides' action streams across the boundary: an upper
-     [Down r] becomes a step of [L], which drains in full before [U]
-     takes any of its [Up]s; a lower [Up i] becomes [U.handle_down_ind].
-     An action a crossing triggers is routed before the rest of the list
-     it interrupted, so the order is [Machine.Stack]'s. A timer leaves
-     tagged once: [U]'s with this level's [Key], [L]'s as [L.key] tags
-     it. A [Note] leaves with its prefix only when [traced]; otherwise it
-     goes no further. The output is built front to back
-     ([tail_mod_cons]). *)
-  let[@tail_mod_cons] rec drain_upper traced st acts k =
-    match acts with
-    | [] -> resume traced st k
-    | Up i :: acts -> Up i :: drain_upper traced st acts k
-    | Down r :: acts ->
-        if st.tap != P.inert then st.tap.obs_req r;
-        let lower = lower_step L.shape st (L.up_req ~traced st.l r) in
-        drain_lower traced st lower (match acts with [] -> k | _ -> Upper_rest (acts, k))
-    | Set_timer (tm, d) :: acts -> Set_timer (Key tm, d) :: drain_upper traced st acts k
-    | Cancel_timer tm :: acts -> Cancel_timer (Key tm) :: drain_upper traced st acts k
-    | Note s :: acts ->
-        if traced then Note (upper_tag ^ s) :: drain_upper traced st acts k
-        else drain_upper traced st acts k
+  let from_upper traced sc st (u, acts) =
+    if u != st.u then st.u <- u;
+    drain_upper traced sc st acts;
+    st
 
-  and[@tail_mod_cons] drain_lower traced st acts k =
-    match acts with
-    | [] -> resume traced st k
-    | Up i :: acts ->
-        let u, upper = U.handle_down_ind st.u i in
-        st.u <- u;
-        drain_upper traced st upper (match acts with [] -> k | _ -> Lower_rest (acts, k))
-    | Down r :: acts -> Down r :: drain_lower traced st acts k
-    | Set_timer (tm, d) :: acts -> Set_timer (L.key tm, d) :: drain_lower traced st acts k
-    | Cancel_timer tm :: acts -> Cancel_timer (L.key tm) :: drain_lower traced st acts k
-    | Note s :: acts ->
-        if traced then Note (lower_tag ^ s) :: drain_lower traced st acts k
-        else drain_lower traced st acts k
+  let up_req ~traced sc st r = from_upper traced sc st (U.handle_up_req st.u r)
 
-  and[@tail_mod_cons] resume traced st = function
-    | Done -> []
-    | Upper_rest (acts, k) -> drain_upper traced st acts k
-    | Lower_rest (acts, k) -> drain_lower traced st acts k
+  let down_ind ~traced sc st i =
+    cross traced sc st Ind i;
+    st
 
-  let from_upper traced st (u, acts) =
-    st.u <- u;
-    drain_upper traced st acts Done
-
-  let up_req ~traced st r = from_upper traced st (U.handle_up_req st.u r)
-  let down_ind ~traced st i =
-    drain_lower traced st (lower_step L.shape st (L.down_ind ~traced st.l i)) Done
-
-  let fire ~traced st = function
-    | Key tm -> from_upper traced st (U.handle_timer st.u tm)
-    | tm -> drain_lower traced st (lower_step L.shape st (L.fire ~traced st.l tm)) Done
+  let timer ~traced sc st = function
+    | Key tm -> from_upper traced sc st (U.handle_timer st.u tm)
+    | tm ->
+        cross traced sc st Fire tm;
+        st
 end
 
-module Run (S : STACK) = struct
-  include Runtime.Drive (struct
-    include S
+let memo declare = Runtime.remember ( == ) declare
 
-    let timer ~traced t tm = S.fire ~traced t (S.key tm)
-  end)
+module Run (S : STACK) = struct
+  include Runtime.Drive (S)
 
   let create engine ~ins ~name ~transmit ~deliver parts =
     let cells, alloc =
@@ -284,7 +307,7 @@ module Run (S : STACK) = struct
           Some
             { Runtime.al_top = cells.(Array.length cells - 1); al_bottom = cells.(0);
               al_app = Instrument.alloc_cell ins "app"; al_wire = Instrument.alloc_cell ins "wire";
-              al_timer = (fun tm -> cells.(S.owner (S.key tm))) } )
+              al_timer = (fun tm -> cells.(S.owner tm)) } )
     in
     create engine ?tracer:ins.Instrument.tracer ?alloc ~name ~transmit ~deliver
       (S.build cells ins.Instrument.monitors ~conn:name parts)

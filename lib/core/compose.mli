@@ -30,20 +30,45 @@
       same sublayers nested with {!Machine.Stack}, each probe a
       {!Machine.Probe} level of its own, run by {!Runtime.Make}. A lower
       stack drains completely before the level above takes any of its
-      [Up]s, so each level still hands the level above one list.
+      [Up]s, and what a crossing triggers runs before the rest of the
+      list or segment it interrupted.
+    - {b Segments, not lists.} Each level writes what it passes on into
+      a {!Runtime.Out} buffer, and the level above reads that segment,
+      from where the step began to the buffer's fill, then releases it
+      ({!Runtime}'s segment contract, which the runtime's own applier
+      keeps at the top). An action is kept as its sublayer made it and
+      never rebuilt; a [Down], a timer or a note sits once in a store
+      the levels share and is handed on by its index. So a crossing
+      allocates only the {!key} a timer gets where it leaves its
+      sublayer. A sublayer's handler still returns its list; {!Last}
+      writes it to its level's buffer as it is.
+    - {b One scratch per engine.} The buffers of all levels are the
+      declaration's scratch, made by the first {!Run.create} on an engine
+      and shared by every endpoint of the declaration there.
+    - {b Re-entry.} A step that starts while a segment is being read (a
+      [deliver] calling [from_above] on this endpoint, or on another
+      endpoint of the declaration on the same engine) writes after that
+      segment at every level and releases what it wrote before it
+      returns. The levels below the top hold a segment only while a step
+      drains, so a raise is left to the runtime, which empties them
+      ([reset]) with the top segment. So every reader finds its segment
+      where it left it, and a step after a raise starts clean.
     - {b State in place.} Each {!Seam} level is one record a step updates
       in place; a step copies no state. {!Run.state} reads the live
-      record, and an old state is not kept.
+      record, and an old state is not kept: a step that a sublayer's
+      raise cuts short leaves the levels that stepped before it in
+      their new states, where the reference keeps the state from before
+      the step.
     - {b One key per timer.} A sublayer's timer is tagged once, with the
       {!key} constructor its level adds, and crosses the levels above
       unwrapped; the runtime finds it by comparing flat keys.
     - {b Notes only under a tracer.} With a tracer a [Note] reaches the
       runtime with the prefixes the reference drain gives it, built as
-      it climbs; without one no seam passes a [Note] on, so none reaches
+      it climbs; without one no level writes a [Note], so none reaches
       the runtime and no prefix is built.
     - {b Inert probes not called.} A seam whose tap is its probe's
       shared {!TAP.inert} value calls neither observer and skips the
-      walk that shows a lower list's [Up]s to the tap. *)
+      walk that shows a lower segment's [Up]s to the tap. *)
 
 (** A sublayer a stack can be declared with. *)
 module type SUBLAYER = sig
@@ -128,7 +153,9 @@ module Tap (M : sig
 end) : PROBE with type req = M.req and type ind = M.ind
 
 (** A declared stack: what a {!Seam} needs of the stack below it, and
-    {!Run} of the whole. *)
+    {!Run} of the whole. Its steps are {!Runtime.DRIVEN} steps: each
+    writes its actions, in order, at the end of [out scratch] and
+    returns the state to keep; every timer in them is a {!key}. *)
 module type STACK = sig
   val name : string
   (** The name of the reference nesting, probes included. *)
@@ -139,24 +166,13 @@ module type STACK = sig
   type down_req
   type down_ind
 
-  type timer
-  (** The timers in its actions: a {!key} above a seam, the sublayer's
-      own type for a {!Last}. *)
-
   type parts
   (** What a factory hands over, top to bottom: each sublayer's initial
       state, and between two of them the probe constructor of their
       seam. *)
 
-  type step
-  (** What a step returns, as {!shape} says: its actions, and for a
-      {!Last} the sublayer's next state. *)
-
   val scopes : string array
   (** The sublayers' scopes, bottom first. *)
-
-  val key : timer -> key
-  (** A timer of its actions as a key: the tag, for a {!Last}. *)
 
   val owner : key -> int
   (** The index in {!scopes} of the sublayer that owns a timer. *)
@@ -167,21 +183,25 @@ module type STACK = sig
       {!scopes}; empty when nothing is attributed). Probes are made
       bottom up. *)
 
-  val shape : (t, (up_ind, down_req, timer) Machine.action list, step) Runtime.shape
-  (** [In_place] for a seam, whose record a step updates; [Pair] for a
-      {!Last}, whose step is its sublayer's handler's. *)
+  include
+    Runtime.DRIVEN
+      with type t := t
+       and type up_req := up_req
+       and type up_ind := up_ind
+       and type down_req := down_req
+       and type down_ind := down_ind
+       and type timer = key
+  (** [traced] is whether the endpoint has a tracer: a level writes
+      [Note]s only then. [timer] is handed a key one of its levels
+      owns. *)
 
-  val up_req : traced:bool -> t -> up_req -> step
-  (** A step; its actions are in order. [traced] is whether the endpoint
-      has a tracer: a seam passes [Note]s on only then. *)
-
-  val down_ind : traced:bool -> t -> down_ind -> step
-
-  val fire : traced:bool -> t -> key -> step
-  (** A timer one of its levels owns has fired. *)
+  val scratch_on : (down_req, key) Runtime.Out.store -> scratch
+  (** A scratch whose levels' buffers share [store]; [scratch ()] is
+      this on a fresh one. *)
 end
 
-(** The bottom of a stack: one sublayer, run by its own handlers. *)
+(** The bottom of a stack: one sublayer, run by its own handlers. A step
+    writes the list its handler returns to the level's buffer. *)
 module Last (M : SUBLAYER) :
   STACK
     with type t = M.t
@@ -189,9 +209,7 @@ module Last (M : SUBLAYER) :
      and type up_ind = M.up_ind
      and type down_req = M.down_req
      and type down_ind = M.down_ind
-     and type timer = M.timer
      and type parts = M.t
-     and type step = M.t * (M.up_ind, M.down_req, M.timer) Machine.action list
 
 (** [Seam (U) (P) (L)]: the sublayer [U] over the stack [L], the
     boundary between them watched by a probe of type [P.t]. Its state is
@@ -207,13 +225,18 @@ module Seam
        and type up_ind = U.up_ind
        and type down_req = L.down_req
        and type down_ind = L.down_ind
-       and type timer = key
        and type parts = U.t * P.t probe * L.parts
-       and type step = (U.up_ind, L.down_req, key) Machine.action list
 
   val upper : t -> U.t
   val lower : t -> L.t
 end
+
+val memo : ('m -> 'd) -> 'm -> 'd
+(** [memo declare] is [declare] made once per argument, compared
+    physically: for a stack declared over a first-class module, so that
+    every endpoint of one module shares the declaration and with it the
+    scratch {!Run} makes per engine. It keeps the last few declarations;
+    one it dropped is made again. *)
 
 (** A declared stack under the simulator: {!Runtime.Drive} over the
     drain above, with the wiring done at [create]. *)
@@ -228,9 +251,10 @@ module Run (S : STACK) : sig
     deliver:(S.up_ind -> unit) ->
     S.parts ->
     t
-  (** One endpoint. [name] keys its probes' monitors and is the track
-      its [Note]s are recorded on in [ins.tracer]; with cells, [app] and
-      [wire] charge the excursions out of the stack. *)
+  (** One endpoint, on the declaration's scratch for [engine]. [name]
+      keys its probes' monitors and is the track its [Note]s are
+      recorded on in [ins.tracer]; with cells, [app] and [wire] charge
+      the excursions out of the stack. *)
 
   val state : t -> S.t
   val from_above : t -> S.up_req -> unit

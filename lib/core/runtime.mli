@@ -13,7 +13,30 @@
     its engine events will call; setting the timer again while it is
     armed re-schedules that entry with the same closure, so a re-arm
     allocates the engine's event and nothing else. Firing or cancelling
-    the timer drops the entry. *)
+    the timer drops the entry.
+
+    Segments. A step does not hand the runtime a list: it writes its
+    actions at the end of a buffer ({!Out}), and the runtime's one
+    applier reads them from where the step began to the buffer's fill,
+    then releases them. The buffers are the machine's scratch, made
+    once per engine on the first [create] there and shared by every
+    endpoint of the machine on that engine: no step and no endpoint
+    allocates one, and a domain runs its own engine, so a sharded
+    fabric's domains never share a buffer. The contract:
+    - {b A segment ends at the fill.} Whatever runs while a segment is
+      read (a callback that re-enters [from_above] on this endpoint or on
+      another one sharing the buffer, a crossing inside a stack) writes
+      after the segment and releases what it wrote before it returns, so
+      the reader's segment is where it left it.
+    - {b Released on every exit.} A segment is released when it has been
+      read, and also when a step or a callback raises (the runtime then
+      empties the machine's buffers below [out], which only a step in
+      progress fills); a step after a raise starts from the fill before
+      the raising one.
+    - {b Released slots keep nothing.} Releasing a segment, and the
+      store's entries a step made, overwrites their slots with
+      constants, so a buffer keeps no value of a segment it is done
+      with. *)
 
 type 'timer alloc_spec = {
   al_top : Alloc.cell option;  (** machine that handles [from_above] *)
@@ -30,21 +53,83 @@ type 'timer alloc_spec = {
     one brackets nothing, so {!Compose.Run} passes a spec only when it
     has cells to put in it. *)
 
-(** What a machine's step returns, as a value its caller can match on
-    instead of calling back into the machine. *)
-type ('state, 'acts, 'step) shape =
-  | In_place : ('state, 'acts, 'acts) shape
-      (** the actions alone: the step left the state where it was *)
-  | Pair : ('state, 'acts, 'state * 'acts) shape
-      (** the next state and the actions, as a sublayer's handler
-          returns them *)
+(** A buffer of actions, read and written in segments: the hand-off
+    between a step and its reader. Each entry keeps the action its
+    sublayer made; an entry a reader hands on rather than takes (a
+    [Down], a timer, a note) sits once in a store its buffer shares
+    with the buffers of the levels above, so handing it on copies two
+    ints. Writing or handing an entry on allocates nothing once the
+    arrays have grown to their high-water mark. *)
+module Out : sig
+  type ('d, 'tm) store
+  (** The [Down]s (carrying ['d]), timers (['tm]) and notes of a stack's
+      buffers. *)
 
-(** What {!Drive} runs: a machine whose steps may leave their state in
-    place. A step is handed the state and one input and returns a
-    [step] of the declared [shape]: its actions, in order, and for a
-    [Pair] the state to keep. [traced] tells a step whether the endpoint
-    records [Note]s (it has a tracer), so a drain can leave them out
-    when nothing would read them. *)
+  type kind = Up | Down | Set | Cancel | Note
+  type 'u up
+
+  (** A buffer whose [Up]s carry ['u], over a [('d, 'tm) store]: entry
+      [i] of a segment is of kind [kinds.(i)]; an [Up] is read with
+      {!up_at}, anything else is at [refs.(i)] in the store. A reader
+      reads the fields in place rather than through a call per entry
+      (no call across modules is inlined in the dev profile the
+      benchmark builds); only this module writes them. *)
+  type ('u, 'd, 'tm) t = private {
+    mutable fill : int;  (** where the next entry goes *)
+    mutable kinds : kind array;
+    mutable refs : int array;
+    mutable ups : 'u up array;
+    store : ('d, 'tm) store;
+  }
+
+  val store : unit -> ('d, 'tm) store
+
+  val create : ('d, 'tm) store -> ('u, 'd, 'tm) t
+  (** An empty buffer over [store]; both grow on the first write. *)
+
+  (** {2 Writing} Each takes the action as its sublayer made it. *)
+
+  val up : ('u, _, _) t -> ('u, _, _) Machine.action -> unit
+  (** An [Up]. *)
+
+  val set : (_, _, 'tm) t -> 'tm -> (_, _, _) Machine.action -> unit
+  (** A [Set_timer], its timer as given (tagged, say). *)
+
+  val cancel : (_, _, 'tm) t -> 'tm -> unit
+  val note : _ t -> string -> unit
+
+  val pass : (_, 'd, 'tm) t -> kind -> int -> unit
+  (** [pass b k r] hands on an entry of kind [k] (not an [Up]) at [r] in
+      [b]'s store, read from a buffer below that shares it: it writes
+      the entry at the end of [b]. *)
+
+  val push_list :
+    traced:bool -> ('u, 'd, 'tm) t -> ('t -> 'tm) -> ('u, 'd, 't) Machine.action list -> unit
+  (** [push_list ~traced b tag acts] writes a handler's actions in order,
+      each timer [tm] as [tag tm]; a [Note] only when [traced]. *)
+
+  (** {2 Reading} Entry [i] of a segment being read. *)
+
+  val up_at : ('u, _, _) t -> int -> 'u
+  val note_at : _ t -> int -> string
+
+  val release : _ t -> int -> unit
+  (** [release b start] drops [b]'s entries from [start] on: the segment
+      read, with whatever was written after it. The store's entries are
+      dropped at the top, once the segment that refers to them is
+      applied. *)
+end
+
+val remember : ('k -> 'k -> bool) -> ('k -> 'v) -> 'k -> 'v
+(** [remember same make] is [make], remembered for the last few keys
+    ([same] tells them apart): a key it has dropped gets a fresh value.
+    It keeps no key it has dropped alive. *)
+
+(** What {!Drive} runs: a machine whose step writes its actions to a
+    buffer. A step is handed whether the endpoint records [Note]s (it
+    has a tracer), the endpoint's scratch, the state and one input; it
+    writes its actions, in order, at the end of [out scratch] and
+    returns the state to keep. *)
 module type DRIVEN = sig
   type t
   type up_req
@@ -52,12 +137,23 @@ module type DRIVEN = sig
   type down_req
   type down_ind
   type timer
-  type step
 
-  val shape : (t, (up_ind, down_req, timer) Machine.action list, step) shape
-  val up_req : traced:bool -> t -> up_req -> step
-  val down_ind : traced:bool -> t -> down_ind -> step
-  val timer : traced:bool -> t -> timer -> step
+  type scratch
+  (** The buffers a step writes to: [out] and any the step reads. *)
+
+  val scratch : unit -> scratch
+  (** A fresh scratch; {!Drive} makes one per engine. *)
+
+  val out : scratch -> (up_ind, down_req, timer) Out.t
+
+  val reset : scratch -> unit
+  (** Empty the buffers a step fills below [out]: a step that raised
+      may have left a segment there unreleased. Between steps they are
+      empty. *)
+
+  val up_req : traced:bool -> scratch -> t -> up_req -> t
+  val down_ind : traced:bool -> scratch -> t -> down_ind -> t
+  val timer : traced:bool -> scratch -> t -> timer -> t
 end
 
 (** One endpoint: a machine run under the simulator. *)
@@ -100,7 +196,7 @@ module type ENDPOINT = sig
       path for a stack whose link died underneath it (a tunnel's outer
       connection aborting) — state is kept readable, nothing runs.
       Called from a [deliver] or [transmit] callback, it also drops the
-      actions left in the step being applied. Idempotent. *)
+      actions left in the segment being applied. Idempotent. *)
 
   val halted : t -> bool
   val active_timers : t -> int
@@ -117,9 +213,10 @@ module Drive (D : DRIVEN) :
      and type down_ind = D.down_ind
      and type timer = D.timer
 
-(** A sublayer (or a {!Machine.Stack}) under the simulator: each step is
-    the pair its handler returns, and every [Note] reaches the runtime,
-    which records it when it has a tracer. *)
+(** A sublayer (or a {!Machine.Stack}) under the simulator: {!Drive}
+    over its handlers, each step writing the list its handler returns
+    to the buffer, so every [Note] reaches the runtime when it has a
+    tracer. *)
 module Make (S : Machine.S) :
   ENDPOINT
     with type state = S.t

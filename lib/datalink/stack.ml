@@ -36,56 +36,77 @@ let is_idle t = t.is_idle ()
 let gave_up t = t.killed || t.arq_gave_up ()
 
 (* Error detection over framing over line coding; the ARQ on top is the
-   spec's, so its seam is declared per endpoint. *)
+   spec's, so its seam is declared once per ARQ module, by the first
+   endpoint that runs it. *)
 module Lower =
   Compose.Seam (Layers.Error_detection) (Conform.P_det_frm)
     (Compose.Seam (Layers.Framing) (Conform.P_frm_line) (Compose.Last (Layers.Line_coding)))
 
+module type DECLARED = sig
+  val endpoint :
+    Sim.Engine.t ->
+    ins:I.t ->
+    name:string ->
+    spec ->
+    transmit:(Bitkit.Bitseq.t -> unit) ->
+    deliver:(string -> unit) ->
+    endpoint
+end
+
+let declare (module A : Arq.S) =
+  (module struct
+    module S = Compose.Seam (A) (Conform.P_arq_det) (Lower)
+    module R = Compose.Run (S)
+
+    let endpoint engine ~ins ~name spec ~transmit ~deliver =
+      let pool = ins.I.pool in
+      let now () = Sim.Engine.now engine in
+      (* Each sublayer's scope and span are passed to it directly: a
+         helper closure for them would cost every endpoint words. *)
+      let r =
+        let open Layers in
+        let ed = Error_detection.scope and fr = Framing.scope and lc = Line_coding.scope in
+        R.create engine ~ins ~name ~transmit ~deliver
+          ( A.initial ?stats:(I.scope ins A.scope)
+              ?span:(I.span ins ~now ~track:name A.scope)
+              spec.arq_config,
+            Conform.arq_det ~variant:A.name ~window:spec.arq_config.Arq.window,
+            ( Error_detection.make ?stats:(I.scope ins ed) ?span:(I.span ins ~now ~track:name ed)
+                ?pool spec.detector,
+              Conform.det_frm,
+              ( Framing.make ?stats:(I.scope ins fr) ?span:(I.span ins ~now ~track:name fr)
+                  spec.framer,
+                Conform.frm_line,
+                Line_coding.make ?stats:(I.scope ins lc) ?span:(I.span ins ~now ~track:name lc)
+                  spec.linecode ) ) )
+      in
+      let arq () = S.upper (R.state r) in
+      {
+        send = R.from_above r;
+        from_wire = R.from_below r;
+        arq_stats = (fun () -> A.stats (arq ()));
+        is_idle = (fun () -> A.idle (arq ()));
+        arq_gave_up = (fun () -> A.gave_up (arq ()));
+        halt = (fun () -> R.halt r);
+        killed = false;
+      }
+  end : DECLARED)
+
+let declared = Compose.memo declare
+
 let endpoint engine ?(ins = I.none) ~name spec ~transmit ~deliver =
-  let pool = ins.I.pool in
   (* The detector's loans live until the end of the event that framed
      them; the engine hook is what frees them. Attaching per endpoint is
      idempotent in effect — draining an empty deferred list is a no-op. *)
   Option.iter
     (fun p -> Sim.Engine.after_event engine (fun () -> Bitkit.Pool.drain_deferred p))
-    pool;
+    ins.I.pool;
   let name = I.tagged_name ins name in
   (match (ins.I.telemetry, ins.I.stats) with
   | Some tele, Some reg -> Sublayer.Stats.telemetry_source tele ~name reg
   | _ -> ());
-  let module A = (val spec.arq : Arq.S) in
-  let module S = Compose.Seam (A) (Conform.P_arq_det) (Lower) in
-  let module R = Compose.Run (S) in
-  let now () = Sim.Engine.now engine in
-  (* Each sublayer's scope and span are passed to it directly: a helper
-     closure for them would cost every endpoint words. *)
-  let r =
-    let open Layers in
-    let ed = Error_detection.scope and fr = Framing.scope and lc = Line_coding.scope in
-    R.create engine ~ins ~name ~transmit ~deliver
-      ( A.initial ?stats:(I.scope ins A.scope)
-          ?span:(I.span ins ~now ~track:name A.scope)
-          spec.arq_config,
-        Conform.arq_det ~variant:A.name ~window:spec.arq_config.Arq.window,
-        ( Error_detection.make ?stats:(I.scope ins ed) ?span:(I.span ins ~now ~track:name ed)
-            ?pool spec.detector,
-          Conform.det_frm,
-          ( Framing.make ?stats:(I.scope ins fr) ?span:(I.span ins ~now ~track:name fr)
-              spec.framer,
-            Conform.frm_line,
-            Line_coding.make ?stats:(I.scope ins lc) ?span:(I.span ins ~now ~track:name lc)
-              spec.linecode ) ) )
-  in
-  let arq () = S.upper (R.state r) in
-  {
-    send = R.from_above r;
-    from_wire = R.from_below r;
-    arq_stats = (fun () -> A.stats (arq ()));
-    is_idle = (fun () -> A.idle (arq ()));
-    arq_gave_up = (fun () -> A.gave_up (arq ()));
-    halt = (fun () -> R.halt r);
-    killed = false;
-  }
+  let (module D) = declared spec.arq in
+  D.endpoint engine ~ins ~name spec ~transmit ~deliver
 
 (* The Link-seam variant: transmit into any [Sublayer.Link], receive as
    its attached callback, and treat link death as ARQ give-up (the

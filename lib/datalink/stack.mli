@@ -2,7 +2,9 @@
     endpoint with {!Sublayer.Compose}: error recovery / error detection /
     framing / line coding, over a raw bit channel. Every mechanism is
     chosen independently — the replaceability the paper claims for
-    sublayered designs. *)
+    sublayered designs. The stack is declared once per ARQ module value
+    ({!Sublayer.Compose.memo}), by the first endpoint that runs it, so
+    the endpoints of one ARQ share its declaration and its buffers. *)
 
 type spec = {
   arq : (module Arq.S);

@@ -3,9 +3,10 @@ open Sublayer.Machine
 let name = "hello"
 let scope = "hello"
 
-type config = { interval : float; hold_multiplier : int }
-
-let default_config = { interval = 1.0; hold_multiplier = 3 }
+(* Seconds between HELLOs; a neighbor is declared down after three
+   intervals without one. *)
+let interval = 1.0
+let hold = 3. *. interval
 
 type wire = Start | Attach of int | Frame of int * Packet.frame
 
@@ -16,7 +17,6 @@ type event =
 type neighbor = { peer : Addr.t; mutable deadline : float }
 
 type t = {
-  cfg : config;
   self : Addr.t;
   now : unit -> float;
   neighbors : (int, neighbor) Hashtbl.t;
@@ -36,17 +36,15 @@ type down_ind = wire
    neighbors, so the hold granularity is the interval. *)
 type timer = Beacon of int | Sweep
 
-let initial ?stats cfg ~self ~now =
+let initial ?stats ~now self =
   let sc =
     match stats with Some sc -> sc | None -> Sublayer.Stats.unregistered scope
   in
-  { cfg; self; now; neighbors = Hashtbl.create 8; sweeping = false;
+  { self; now; neighbors = Hashtbl.create 8; sweeping = false;
     sent = Sublayer.Stats.counter sc "hellos_sent";
     received = Sublayer.Stats.counter sc "hellos_received";
     ups = Sublayer.Stats.counter sc "neighbor_ups";
     downs = Sublayer.Stats.counter sc "neighbor_downs" }
-
-let hold t = t.cfg.interval *. Float.of_int t.cfg.hold_multiplier
 
 let up t ifindex peer = Sublayer.Stats.incr t.ups; Up (Neighbor_up (ifindex, peer))
 let down t ifindex peer = Sublayer.Stats.incr t.downs; Up (Neighbor_down (ifindex, peer))
@@ -54,14 +52,14 @@ let down t ifindex peer = Sublayer.Stats.incr t.downs; Up (Neighbor_down (ifinde
 let beacon t ifindex =
   Sublayer.Stats.incr t.sent;
   [ Down (ifindex, Packet.Hello_pdu (Pdu.encode_hello t.self));
-    Set_timer (Beacon ifindex, t.cfg.interval) ]
+    Set_timer (Beacon ifindex, interval) ]
 
 let on_pdu t ifindex pdu =
   match Pdu.decode_hello pdu with
   | None -> []
   | Some peer -> (
       Sublayer.Stats.incr t.received;
-      let deadline = t.now () +. hold t in
+      let deadline = t.now () +. hold in
       match Hashtbl.find_opt t.neighbors ifindex with
       | Some n when Addr.equal n.peer peer ->
           n.deadline <- deadline;
@@ -81,7 +79,7 @@ let handle_up_req t req = (t, [ Down req ])
 let handle_down_ind t = function
   | Start -> (t, [ Up Started ])
   | Attach ifindex ->
-      let sweep = if t.sweeping then [] else [ Set_timer (Sweep, t.cfg.interval) ] in
+      let sweep = if t.sweeping then [] else [ Set_timer (Sweep, interval) ] in
       t.sweeping <- true;
       (t, beacon t ifindex @ sweep)
   | Frame (ifindex, Packet.Hello_pdu pdu) -> (t, on_pdu t ifindex pdu)
@@ -98,7 +96,7 @@ let handle_timer t = function
       in
       List.iter (fun (ifindex, _) -> Hashtbl.remove t.neighbors ifindex) dead;
       (t, List.map (fun (ifindex, peer) -> down t ifindex peer) dead
-          @ [ Set_timer (Sweep, t.cfg.interval) ])
+          @ [ Set_timer (Sweep, interval) ])
 
 let neighbors t =
   Hashtbl.fold (fun ifindex n acc -> (ifindex, n.peer) :: acc) t.neighbors []

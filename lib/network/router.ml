@@ -137,11 +137,60 @@ type t = {
   halt : unit -> unit;
 }
 
+(* The hello machinery at the bottom of every router's stack. *)
+module Hello_last = Compose.Last (Hello)
+
+(* What a router's stack hands the router: its entry points and its
+   hello neighbours. *)
+type run = {
+  run_from_below : Hello.wire -> unit;
+  run_from_above : Addr.t * Bitkit.Slice.t -> unit;
+  run_neighbors : unit -> (int * Addr.t) list;
+  run_halt : unit -> unit;
+}
+
+module type DECLARED = sig
+  val run :
+    Sim.Engine.t ->
+    ins:I.t ->
+    name:string ->
+    Forwarding.t ->
+    (string -> Sublayer.Stats.scope) ->
+    now:(unit -> float) ->
+    transmit:(int * Packet.frame -> unit) ->
+    deliver:(Packet.t -> unit) ->
+    run
+end
+
+(* Forwarding over route computation over hello. The protocol is the
+   caller's, so the stack is declared once per protocol module, by the
+   first router that runs it. *)
+let declare (module P : Routing.S) =
+  (module struct
+    module L = Compose.Seam (P) (P_hello) (Hello_last)
+    module S = Compose.Seam (Forwarding) (P_fwd) (L)
+    module R = Compose.Run (S)
+
+    let run engine ~ins ~name (fwd : Forwarding.t) in_scope ~now ~transmit ~deliver =
+      let r =
+        R.create engine ~ins ~name ~transmit ~deliver
+          ( fwd,
+            P_fwd.cells,
+            ( P.initial (in_scope P.scope) fwd.addr,
+              P_hello.cells,
+              Hello.initial ~stats:(in_scope Hello.scope) ~now fwd.addr ) )
+      in
+      (* Route computation arms its periodic timer now, before any link is
+         attached, so every router's timer is queued ahead of the HELLOs. *)
+      R.from_below r Hello.Start;
+      { run_from_below = R.from_below r; run_from_above = R.from_above r;
+        run_neighbors = (fun () -> Hello.neighbors (L.lower (S.lower (R.state r))));
+        run_halt = (fun () -> R.halt r) }
+  end : DECLARED)
+
+let declared = Compose.memo declare
+
 let create engine ?(ins = I.none) ~addr ~routing ~deliver () =
-  let module P = (val routing : Routing.S) in
-  let module L = Compose.Seam (P) (P_hello) (Compose.Last (Hello)) in
-  let module S = Compose.Seam (Forwarding) (P_fwd) (L) in
-  let module R = Compose.Run (S) in
   (* One scope per network sublayer: forwarding ("router"), the FIB, the
      hello machinery, and the route-computation protocol under its own
      name — T3's separation applied to the counters. *)
@@ -169,21 +218,13 @@ let create engine ?(ins = I.none) ~addr ~routing ~deliver () =
   let transmit (ifindex, frame) =
     match Hashtbl.find_opt interfaces ifindex with Some send -> send frame | None -> ()
   in
+  let (module D) = declared routing in
   let r =
-    R.create engine ~ins ~name ~transmit ~deliver
-      ( { Forwarding.addr; fib; ctrs; sp; probe },
-        P_fwd.cells,
-        ( P.initial (in_scope P.scope) addr,
-          P_hello.cells,
-          Hello.initial ~stats:(in_scope Hello.scope) Hello.default_config ~self:addr ~now ) )
+    D.run engine ~ins ~name { Forwarding.addr; fib; ctrs; sp; probe } in_scope ~now ~transmit
+      ~deliver
   in
-  (* Route computation arms its periodic timer now, before any link is
-     attached, so every router's timer is queued ahead of the HELLOs. *)
-  R.from_below r Hello.Start;
-  { fib; ctrs; interfaces; next_ifindex = 0; from_below = R.from_below r;
-    from_above = R.from_above r;
-    neighbors = (fun () -> Hello.neighbors (L.lower (S.lower (R.state r))));
-    halt = (fun () -> R.halt r) }
+  { fib; ctrs; interfaces; next_ifindex = 0; from_below = r.run_from_below;
+    from_above = r.run_from_above; neighbors = r.run_neighbors; halt = r.run_halt }
 
 let fib t = t.fib
 

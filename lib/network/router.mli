@@ -6,7 +6,9 @@
     ]}
     forwarding (the {!Fib} plus the data path) over route computation
     ([P], any {!Routing.factory}) over neighbor determination
-    ({!Hello}).
+    ({!Hello}). The stack is declared once per factory value
+    ({!Sublayer.Compose.memo}), by the first router that runs it, so the
+    routers of one protocol share its declaration and its buffers.
 
     The three communicate only through narrow interfaces: hello events
     feed route computation; route computation writes the FIB; the data

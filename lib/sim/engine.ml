@@ -54,6 +54,7 @@ end
 type queue = Q_heap of Heapq.t | Q_wheel of Wheel.t
 
 type t = {
+  id : int;
   queue : queue;
   mutable clock : float;
   mutable next_seq : int;
@@ -68,8 +69,11 @@ type t = {
   mutable end_hooks : (unit -> unit) list;
 }
 
+let made = Atomic.make 0
+
 let create ?(seed = 42) ?(backend = `Wheel) () =
-  { queue =
+  { id = Atomic.fetch_and_add made 1;
+    queue =
       (match backend with
       | `Heap -> Q_heap (Heapq.create ())
       | `Wheel -> Q_wheel (Wheel.create ()));
@@ -78,6 +82,7 @@ let create ?(seed = 42) ?(backend = `Wheel) () =
 
 let after_event t hook = t.end_hooks <- t.end_hooks @ [ hook ]
 
+let id t = t.id
 let backend t = match t.queue with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 let now t = t.clock
 let rng t = t.random

@@ -24,6 +24,11 @@ val create : ?seed:int -> ?backend:backend -> unit -> t
 
 val backend : t -> backend
 
+val id : t -> int
+(** A number no other engine made in this process has: what a table
+    keyed by engine holds instead of the engine, so it keeps no engine
+    alive. *)
+
 val now : t -> float
 (** Current virtual time in seconds. *)
 

@@ -7,7 +7,7 @@
    seconds each (L0 covers one window of [slots] ticks, L1 one window of
    [slots] windows), a small "front" heap holding the already-reached
    ticks in exact order, and an overflow heap for timers beyond L1's
-   horizon (with the default 1 ms tick and 1024 slots: ~1 s and ~17 min).
+   horizon (with the 1 ms tick and 1024 slots: ~1 s and ~17 min).
 
    Ordering argument: the tick of an event, trunc(time / tick), is
    monotone in its time, so bucketing by tick can never invert the order
@@ -178,11 +178,11 @@ module Eheap = struct
     done
 end
 
-(* Seconds per tick. *)
+(* Seconds per tick, and buckets per level. *)
 let tick = 1e-3
+let slots = 1024
 
 type t = {
-  n : int;                    (* slots per level *)
   l0 : event list array;      (* ticks of the current window *)
   l1 : event list array;      (* one bucket per window, the next [n - 1] *)
   mutable l0_count : int;     (* entries (dead included) in l0 / l1 *)
@@ -195,9 +195,8 @@ type t = {
   mutable compactions : int;
 }
 
-let create ?(slots = 1024) () =
-  if slots < 2 then invalid_arg "Wheel.create: need at least two slots";
-  { n = slots; l0 = Array.make slots []; l1 = Array.make slots [];
+let create () =
+  { l0 = Array.make slots []; l1 = Array.make slots [];
     l0_count = 0; l1_count = 0; front = Eheap.create ();
     overflow = Eheap.create (); w0 = 0; cur = -1; total = 0; compactions = 0 }
 
@@ -222,14 +221,14 @@ let add t ev =
   let k = tick_of ev.time in
   if k <= t.cur then Eheap.push t.front ev
   else begin
-    let w = k / t.n in
+    let w = k / slots in
     if w = t.w0 then begin
-      let s = k mod t.n in
+      let s = k mod slots in
       t.l0.(s) <- ev :: t.l0.(s);
       t.l0_count <- t.l0_count + 1
     end
-    else if w - t.w0 < t.n then begin
-      let s = w mod t.n in
+    else if w - t.w0 < slots then begin
+      let s = w mod slots in
       t.l1.(s) <- ev :: t.l1.(s);
       t.l1_count <- t.l1_count + 1
     end
@@ -259,14 +258,14 @@ let rec to_l0 t = function
       if ev.dead then drop_dead t ev
       else begin
         let k = tick_of ev.time in
-        t.l0.(k mod t.n) <- ev :: t.l0.(k mod t.n);
+        t.l0.(k mod slots) <- ev :: t.l0.(k mod slots);
         t.l0_count <- t.l0_count + 1
       end;
       to_l0 t evs
 
 (* Entering window [w]: cascade its l1 bucket. *)
 let cascade t w =
-  let s = w mod t.n in
+  let s = w mod slots in
   let evs = t.l1.(s) in
   t.l1.(s) <- [];
   to_l0 t evs
@@ -295,11 +294,11 @@ let rec purge_front t =
    the window's l1 bucket. *)
 let enter_window t w =
   t.w0 <- w;
-  t.cur <- (w * t.n) - 1;
+  t.cur <- (w * slots) - 1;
   let continue = ref true in
   while !continue do
     let top = overflow_top t in
-    if top != none && (tick_of top.time / t.n) - w < t.n then begin
+    if top != none && (tick_of top.time / slots) - w < slots then begin
       ignore (Eheap.pop t.overflow);
       t.total <- t.total - 1;
       (* [add] re-counts it and routes it to l0 or l1. *)
@@ -319,15 +318,15 @@ let advance t htick =
     purge_front t;
     if Eheap.size t.front > 0 || t.cur >= htick then continue := false
     else if t.l0_count > 0 then begin
-      let wend = (t.w0 + 1) * t.n in
+      let wend = (t.w0 + 1) * slots in
       let stop = min (wend - 1) htick in
       let k = ref (t.cur + 1) and found = ref false in
       while (not !found) && !k <= stop do
-        if t.l0.(!k mod t.n) <> [] then found := true else incr k
+        if t.l0.(!k mod slots) <> [] then found := true else incr k
       done;
       if !found then begin
         t.cur <- !k;
-        drain_l0 t (!k mod t.n)
+        drain_l0 t (!k mod slots)
       end
       else begin
         (* l0 only holds ticks of the current window, so an empty scan
@@ -338,9 +337,9 @@ let advance t htick =
     end
     else if t.l1_count > 0 then begin
       let d = ref 1 in
-      while !d < t.n && t.l1.((t.w0 + !d) mod t.n) = [] do incr d done;
+      while !d < slots && t.l1.((t.w0 + !d) mod slots) = [] do incr d done;
       let w = t.w0 + !d in
-      if !d >= t.n || w * t.n > htick then continue := false
+      if !d >= slots || w * slots > htick then continue := false
       else enter_window t w
     end
     else begin
@@ -349,7 +348,7 @@ let advance t htick =
       else begin
         let k = tick_of top.time in
         if k > htick || k = max_int then continue := false
-        else enter_window t (k / t.n)
+        else enter_window t (k / slots)
       end
     end
   done
@@ -403,12 +402,12 @@ let rec live_of t kept = function
 (* Sweep dead entries out of every structure (the >50%-dead trigger lives
    in the engine, shared with the heap backend). No closure is built per
    slot, and an empty slot costs one load. *)
-let sweep t slots =
+let sweep t buckets =
   let kept = ref 0 in
-  for i = 0 to Array.length slots - 1 do
-    match slots.(i) with
+  for i = 0 to Array.length buckets - 1 do
+    match buckets.(i) with
     | [] -> ()
-    | slot -> slots.(i) <- live_of t kept slot
+    | slot -> buckets.(i) <- live_of t kept slot
   done;
   !kept
 

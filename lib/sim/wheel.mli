@@ -1,7 +1,7 @@
 (** Hierarchical timing wheel — the engine's default event queue.
 
-    Two levels of [slots] buckets of 1 ms ticks (≈1 s and ≈17 min of
-    horizon at the default), a "front" heap holding already-reached
+    Two levels of 1024 buckets of 1 ms ticks (≈1 s and ≈17 min of
+    horizon), a "front" heap holding already-reached
     ticks in exact [(time, seq)] order, and an overflow heap for timers
     beyond the second level. Schedule and cancel are O(1) for the near
     horizon; the firing order is identical to a binary heap ordered by
@@ -56,8 +56,7 @@ end
 
 type t
 
-val create : ?slots:int -> unit -> t
-(** Default: 1024 slots per level. *)
+val create : unit -> t
 
 val add : t -> event -> unit
 

@@ -173,8 +173,7 @@ module Hello_rt = Sublayer.Runtime.Make (Hello)
 
 let hello_runtime engine ~deliver =
   Hello_rt.create engine ~name:"h" ~transmit:ignore ~deliver
-    (Hello.initial Hello.default_config ~self:(Addr.node 0)
-       ~now:(fun () -> Sim.Engine.now engine))
+    (Hello.initial ~now:(fun () -> Sim.Engine.now engine) (Addr.node 0))
 
 let hello_from h ifindex pdu = Hello_rt.from_below h (Hello.Frame (ifindex, Packet.Hello_pdu pdu))
 
@@ -631,9 +630,10 @@ let test_hello_memory_flat () =
     Alcotest.failf "live words %d at +1000 s, %d at +4000 s" early late
 
 (* A router nothing but a stats registry observes: its FIB probe and
-   its two seams' taps are shared records. At most 952 words per
-   distance-vector router: 948 with the FIB probe shared, 952 when every
-   router built its own. *)
+   its two seams' taps are shared records. At most 400 words per
+   distance-vector router: 379 with the stack declared once per
+   protocol, 948 when every router applied the seam and runtime
+   functors, 952 when every router also built its own FIB probe. *)
 let test_unobserved_router_words () =
   let engine = Sim.Engine.create () in
   let ins = Sublayer.Instrument.v ~stats:(Sublayer.Stats.create ()) () in
@@ -650,7 +650,7 @@ let test_unobserved_router_words () =
     make ()
   done;
   let per = (Gc.minor_words () -. w0) /. float_of_int n in
-  check Alcotest.bool (Printf.sprintf "%.1f words per router" per) true (per <= 952.)
+  check Alcotest.bool (Printf.sprintf "%.1f words per router" per) true (per <= 400.)
 
 (* Every unmonitored router shares one FIB probe; a monitored one gets
    its own. *)
