@@ -82,16 +82,15 @@ let e2 () =
   Printf.printf "  %-16s %-10s %12s %14s %12s %14s\n" "topology" "protocol"
     "converge(s)" "reconverge(s)" "ctl-bytes" "paths=shortest";
   let protocols =
-    [ ("DV", fun () -> Network.Distance_vector.factory ());
-      ("LS", fun () -> Network.Link_state.factory ());
-      ("PV", fun () -> Network.Path_vector.factory ()) ]
+    [ ("DV", Network.Distance_vector.factory); ("LS", Network.Link_state.factory);
+      ("PV", Network.Path_vector.factory) ]
   in
   List.iter
     (fun (tname, n, edges) ->
       List.iter
-        (fun (pname, factory) ->
+        (fun (pname, routing) ->
           let engine = Sim.Engine.create ~seed:33 () in
-          let net = Network.Topology.build engine ~routing:(factory ()) ~n edges in
+          let net = Network.Topology.build engine ~routing ~n edges in
           let t0 = Network.Topology.converge net in
           let bytes0 = Network.Topology.routing_traffic_bytes net in
           let a, b = List.nth edges 0 in
@@ -338,7 +337,7 @@ let e10 () =
     [ ("clock", Transport.Config.Clock); ("hashed", Transport.Config.Hashed 9);
       ("counter", Transport.Config.Counter 0) ];
   (* Whole-CM replacement: Watson's timer-based scheme (no handshake). *)
-  let w = Transport.Tcp_watson.factory () in
+  let w = Transport.Tcp_watson.factory in
   let r = run_transfer ~fa:w ~fb:w ~seed:80 ~bytes:100_000 (Sim.Channel.lossy 0.03) in
   Printf.printf "  %-14s %10b %12.2f   (timer-based CM: no SYN/FIN at all)\n"
     "watson-cm" r.ok r.vtime;

@@ -28,7 +28,7 @@ let tcp_cmd =
       match stack with
       | "monolithic" -> Transport.Tcp_monolithic.factory
       | "shim" -> Transport.Shim.factory
-      | "watson" -> Transport.Tcp_watson.factory ()
+      | "watson" -> Transport.Tcp_watson.factory
       | "secure" -> Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key
       | _ -> Transport.Host.sublayered
     in
@@ -95,9 +95,9 @@ let route_cmd =
   let run topology protocol =
     let routing =
       match protocol with
-      | "ls" -> Network.Link_state.factory ()
-      | "pv" -> Network.Path_vector.factory ()
-      | _ -> Network.Distance_vector.factory ()
+      | "ls" -> Network.Link_state.factory
+      | "pv" -> Network.Path_vector.factory
+      | _ -> Network.Distance_vector.factory
     in
     let n, edges =
       match topology with
@@ -188,7 +188,7 @@ let stats_cmd =
     let factory =
       match stack with
       | "sublayered" -> Transport.Host.sublayered
-      | "watson" -> Transport.Tcp_watson.factory ()
+      | "watson" -> Transport.Tcp_watson.factory
       | "secure" -> Transport.Tcp_secure.factory ~key:Transport.Tcp_secure.demo_key
       | other ->
           Printf.eprintf
@@ -482,7 +482,7 @@ let top_cmd =
                "sublayer-lab top   t=%8.2fs   flows=%d   events=%d   live=%d   cwnd=%dB\n"
                now flows
                (Sim.Engine.events_fired engine)
-               (Sim.Engine.live engine)
+               (Sim.Engine.pending engine)
                (get s.Sim.Telemetry.nondet "fabric.cc.cwnd_bytes"));
           let segs = counter "dm" "segments_in" in
           Buffer.add_string b

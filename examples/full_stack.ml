@@ -11,8 +11,8 @@
 let () =
   let routing =
     match Array.to_list Sys.argv with
-    | _ :: "ls" :: _ -> Network.Link_state.factory ()
-    | _ -> Network.Distance_vector.factory ()
+    | _ :: "ls" :: _ -> Network.Link_state.factory
+    | _ -> Network.Distance_vector.factory
   in
   let engine = Sim.Engine.create ~seed:8 () in
   let n = 8 in

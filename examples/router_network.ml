@@ -10,8 +10,8 @@
 let () =
   let routing =
     match Array.to_list Sys.argv with
-    | _ :: "ls" :: _ -> Network.Link_state.factory ()
-    | _ -> Network.Distance_vector.factory ()
+    | _ :: "ls" :: _ -> Network.Link_state.factory
+    | _ -> Network.Distance_vector.factory
   in
   let module P = (val routing : Network.Routing.S) in
   Printf.printf "routing protocol: %s\n" P.name;

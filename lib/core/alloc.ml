@@ -35,9 +35,6 @@ let key =
         depth = 0;
         overhead = calibrate () })
 
-let overhead_words () =
-  int_of_float (Domain.DLS.get key).overhead
-
 let charge ctx =
   let now = Gc.minor_words () in
   (match ctx.cur with

@@ -21,8 +21,9 @@
     without them the runtime brackets nothing and the probes are
     unwrapped, so an unattributed stack never calls this module. A hook
     with a cell costs two boxed-float reads whose own words are
-    calibrated away ({!overhead_words}), so the counters converge on the
-    protocol's true allocation.  The attribution context is
+    calibrated away (two back-to-back reads measure them once per
+    domain), so the counters converge on the protocol's true
+    allocation.  The attribution context is
     domain-local, so engine shards running in parallel never share a
     checkpoint. *)
 
@@ -35,10 +36,6 @@ val cell : Stats.scope -> cell
 
 val cell_value : cell -> int
 (** Minor words attributed so far (reads the underlying counter). *)
-
-val overhead_words : unit -> int
-(** Calibrated self-cost of one [Gc.minor_words] read (boxed float),
-    subtracted from every charged interval. *)
 
 (** {1 Hooks} *)
 

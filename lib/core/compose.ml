@@ -16,7 +16,7 @@ module type TAP = sig
   val inert : t
 end
 
-type key = ..
+type key = Runtime.key = ..
 type 'p probe = ?alloc:Alloc.pair -> Monitor.Runtime.t option -> conn:string -> 'p
 
 module type PROBE = sig
@@ -109,45 +109,20 @@ module type STACK = sig
        and type up_ind := up_ind
        and type down_req := down_req
        and type down_ind := down_ind
-       and type timer = key
 
-  val scratch_on : (down_req, key) Runtime.Out.store -> scratch
+  val scratch_on : down_req Runtime.Out.store -> scratch
 end
 
 module Last (M : SUBLAYER) = struct
+  include Runtime.Level (M)
+
   let name = M.name
 
-  type t = M.t
-  type up_req = M.up_req
-  type up_ind = M.up_ind
-  type down_req = M.down_req
-  type down_ind = M.down_ind
-  type key += Key of M.timer
-  type timer = key
   type parts = M.t
-  type scratch = (up_ind, down_req, timer) Runtime.Out.t
 
   let scopes = [| M.scope |]
   let owner _ = 0
   let build _ _ ~conn:_ m = m
-  let scratch_on = Runtime.Out.create
-  let scratch () = scratch_on (Runtime.Out.store ())
-  let out b = b
-  let reset _ = ()
-  let key tm = Key tm
-
-  (* Keep the state [M]'s handler returns; its list goes to the buffer
-     as it is, each timer tagged with this level's [Key]. *)
-  let push ~traced b (m, acts) =
-    Runtime.Out.push_list ~traced b key acts;
-    m
-
-  let up_req ~traced b m r = push ~traced b (M.handle_up_req m r)
-  let down_ind ~traced b m i = push ~traced b (M.handle_down_ind m i)
-
-  let timer ~traced b m = function
-    | Key tm -> push ~traced b (M.handle_timer m tm)
-    | _ -> invalid_arg "Compose.Last.timer: a timer of another level"
 end
 
 module Seam
@@ -164,7 +139,6 @@ struct
   type down_req = L.down_req
   type down_ind = L.down_ind
   type key += Key of U.timer
-  type timer = key
   type parts = U.t * P.t probe * L.parts
 
   (* The level's state, updated in place by every step. [l] is written
@@ -174,8 +148,8 @@ struct
   (* The buffer this level writes to and the one [L] writes to, over
      the levels below's, all on one store. *)
   type scratch = {
-    out : (up_ind, down_req, key) Out.t;
-    below : (L.up_ind, L.down_req, key) Out.t;
+    out : (up_ind, down_req) Out.t;
+    below : (L.up_ind, L.down_req) Out.t;
     lower : L.scratch;
   }
 
@@ -211,9 +185,9 @@ struct
   (* [L] has just written [below] from [i] on: the tap sees every [Up]
      in it now, before [U] takes the first, as a probe level between the
      two would have. *)
-  let rec arrive (tap : P.t) (below : (_, _, _) Out.t) i =
+  let rec arrive (tap : P.t) (below : (_, _) Out.t) i =
     if i < below.fill then begin
-      (match below.kinds.(i) with Out.Up -> tap.obs_ind (Out.up_at below i) | _ -> ());
+      if below.refs.(i) = Out.held then tap.obs_ind (Out.up_at below i);
       arrive tap below (i + 1)
     end
 
@@ -226,8 +200,10 @@ struct
      [U.handle_down_ind]. What a crossing triggers is routed before the
      rest of the list or segment it interrupted, so the order is
      [Machine.Stack]'s. [U]'s actions are written as [U] made them, a
-     timer under this level's [Key]; [L]'s are handed on by their
-     index in the store, a timer under the key [L] gave it. A [Note] goes on with its prefix
+     timer under this level's [Key]; [L]'s are handed on by their slot
+     in the store, a timer under the key [L] gave it. A timer's action
+     carries no request, so bound with [as] it has the store's request
+     type and goes in as [U] made it. A [Note] goes on with its prefix
      only when [traced]; otherwise [L] wrote none and [U]'s stop here. *)
   let rec drain_upper traced sc st = function
     | [] -> ()
@@ -237,20 +213,19 @@ struct
         | Down r ->
             if st.tap != P.inert then st.tap.obs_req r;
             cross traced sc st Req r
-        | Set_timer (tm, _) -> Out.set sc.out (Key tm) act
-        | Cancel_timer tm -> Out.cancel sc.out (Key tm)
-        | Note s -> if traced then Out.note sc.out (upper_tag ^ s));
+        | (Set_timer (tm, _) | Cancel_timer tm) as act -> Out.timer sc.out (Key tm) act
+        | Note s -> if traced then Out.put sc.out (Note (upper_tag ^ s)));
         drain_upper traced sc st acts
 
-  and drain_lower traced sc st (below : (_, _, _) Out.t) i =
+  and drain_lower traced sc st (below : (_, _) Out.t) i =
     if i < below.fill then begin
-      (match below.kinds.(i) with
-      | Out.Up ->
-          let u, acts = U.handle_down_ind st.u (Out.up_at below i) in
-          if u != st.u then st.u <- u;
-          drain_upper traced sc st acts
-      | Out.Note -> Out.note sc.out (lower_tag ^ Out.note_at below i)
-      | (Out.Down | Out.Set | Out.Cancel) as k -> Out.pass sc.out k below.refs.(i));
+      (let r = below.refs.(i) in
+       if r = Out.held then begin
+         let u, acts = U.handle_down_ind st.u (Out.up_at below i) in
+         if u != st.u then st.u <- u;
+         drain_upper traced sc st acts
+       end
+       else Out.pass sc.out lower_tag r);
       drain_lower traced sc st below (i + 1)
     end
 

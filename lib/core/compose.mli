@@ -36,12 +36,15 @@
       a {!Runtime.Out} buffer, and the level above reads that segment,
       from where the step began to the buffer's fill, then releases it
       ({!Runtime}'s segment contract, which the runtime's own applier
-      keeps at the top). An action is kept as its sublayer made it and
-      never rebuilt; a [Down], a timer or a note sits once in a store
-      the levels share and is handed on by its index. So a crossing
-      allocates only the {!key} a timer gets where it leaves its
-      sublayer. A sublayer's handler still returns its list; {!Last}
-      writes it to its level's buffer as it is.
+      keeps at the top). Each [Down], timer action or note a level makes
+      is one slot of a store the levels share: the action as its
+      sublayer made it, never rebuilt, with its timer's key beside it.
+      An entry of a level's buffer is one int, a slot's index or the
+      mark of an [Up] the level keeps, so handing an action on copies
+      one int. A crossing allocates only the {!key} a timer gets where
+      it leaves its sublayer (and, under a tracer, the [Note] a seam
+      re-prefixes). A sublayer's handler still returns its list;
+      {!Last} writes it to its level's buffer as it is.
     - {b One scratch per engine.} The buffers of all levels are the
       declaration's scratch, made by the first {!Run.create} on an engine
       and shared by every endpoint of the declaration there.
@@ -60,8 +63,9 @@
       their new states, where the reference keeps the state from before
       the step.
     - {b One key per timer.} A sublayer's timer is tagged once, with the
-      {!key} constructor its level adds, and crosses the levels above
-      unwrapped; the runtime finds it by comparing flat keys.
+      {!key} constructor its level adds (as {!Runtime.Make} tags a lone
+      sublayer's), and crosses the levels above unwrapped; the runtime
+      finds it by comparing flat keys.
     - {b Notes only under a tracer.} With a tracer a [Note] reaches the
       runtime with the prefixes the reference drain gives it, built as
       it climbs; without one no level writes a [Note], so none reaches
@@ -91,9 +95,9 @@ module type TAP = sig
   val inert : t
 end
 
-type key = ..
+type key = Runtime.key = ..
 (** A timer of a declared stack: its sublayer's timer under the
-    constructor the sublayer's level adds. *)
+    constructor the sublayer's level adds, as at every runtime. *)
 
 type 'p probe = ?alloc:Alloc.pair -> Monitor.Runtime.t option -> conn:string -> 'p
 (** A seam's probe constructor: given the seam's cell pair (absent when
@@ -190,18 +194,18 @@ module type STACK = sig
        and type up_ind := up_ind
        and type down_req := down_req
        and type down_ind := down_ind
-       and type timer = key
   (** [traced] is whether the endpoint has a tracer: a level writes
       [Note]s only then. [timer] is handed a key one of its levels
       owns. *)
 
-  val scratch_on : (down_req, key) Runtime.Out.store -> scratch
+  val scratch_on : down_req Runtime.Out.store -> scratch
   (** A scratch whose levels' buffers share [store]; [scratch ()] is
       this on a fresh one. *)
 end
 
-(** The bottom of a stack: one sublayer, run by its own handlers. A step
-    writes the list its handler returns to the level's buffer. *)
+(** The bottom of a stack: one sublayer, run by its own handlers. It is
+    {!Runtime.Level}, the level {!Runtime.Make} runs: a step writes the
+    list its handler returns to the level's buffer. *)
 module Last (M : SUBLAYER) :
   STACK
     with type t = M.t

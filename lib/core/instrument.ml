@@ -15,7 +15,6 @@ let v ?stats ?tracer ?monitors ?telemetry ?pool ?(level = 0) () =
   if level < 0 then invalid_arg "Instrument.v: negative level";
   { stats; tracer; monitors; telemetry; pool; level }
 
-let deeper t = { t with level = t.level + 1 }
 let level_tag t = "l" ^ string_of_int t.level
 
 (* Level 0 keeps the historical bare names so flat runs are report-

@@ -44,10 +44,6 @@ val v :
   t
 (** Build a context; [level] defaults to 0 and must be non-negative. *)
 
-val deeper : t -> t
-(** The same context one recursion level down — what an inner stack
-    running over a {!Link} backed by an outer connection should use. *)
-
 val level_tag : t -> string
 (** ["l0"], ["l1"], ... *)
 

@@ -27,9 +27,6 @@ let make ?(id = "link") ?mtu ?(cost = 1.) ?close ?transmit () =
     n_dropped = 0;
   }
 
-let of_channel ?(id = "channel") ?mtu ?cost ch =
-  make ~id ?mtu ?cost ~transmit:(fun x -> Sim.Channel.send ch x) ()
-
 let id t = t.l_id
 let mtu t = t.l_mtu
 let cost t = t.l_cost

@@ -5,10 +5,10 @@
     consumers actually rely on — transmit one ['a] downward, receive
     ['a]s via an attached callback, read MTU/cost hints, and learn when
     the path below is gone — so that {e anything} honouring it can sit
-    under a stack.  Two implementations ship: a thin adapter over
-    [Sim.Channel] (the flat topology, unchanged behaviour), and
-    [Transport.Tunnel], which presents an established transport
-    connection as a link and makes sublayering recursive.
+    under a stack.  Two kinds ship: a link over a [Sim.Channel], made
+    with {!make} and {!set_transmit} (the flat topology, unchanged
+    behaviour), and [Transport.Tunnel], which presents an established
+    transport connection as a link and makes sublayering recursive.
 
     Discipline: {!transmit} and {!deliver} are synchronous closure calls
     — a link adds no engine events and draws no randomness, so a
@@ -30,14 +30,6 @@ val make :
     side of the knot is always tied second).  [close] is the hook run by
     {!close} — e.g. closing a tunnel's outer connection.  [cost]
     defaults to [1.]. *)
-
-val of_channel :
-  ?id:string -> ?mtu:int -> ?cost:float -> 'a Sim.Channel.t -> 'a t
-(** The adapter that makes [Sim.Channel] one implementation among
-    others: transmit sends into the channel.  The channel's [deliver]
-    was fixed at its creation, so receive-side wiring stays with the
-    caller: create the link first and pass [deliver link] as the
-    channel's delivery callback (or attach elsewhere). *)
 
 val id : 'a t -> string
 val mtu : 'a t -> int option

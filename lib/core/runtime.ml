@@ -1,4 +1,6 @@
-type 'timer alloc_spec = {
+type key = ..
+
+type alloc_spec = {
   al_top : Alloc.cell option;
   (* machine that handles [from_above] *)
   al_bottom : Alloc.cell option;
@@ -7,55 +9,39 @@ type 'timer alloc_spec = {
   (* the [deliver] excursion above the stack *)
   al_wire : Alloc.cell option;
   (* the [transmit] excursion below the stack *)
-  al_timer : 'timer -> Alloc.cell option;
+  al_timer : key -> Alloc.cell option;
   (* owner of a firing timer *)
 }
 
 module Out = struct
-  type kind = Up | Down | Set | Cancel | Note
-
-  (* An action as its sublayer made it, kept for the one field a slot of
-     its kind reads: an [Up]'s indication, a [Down]'s request, a
-     [Set_timer]'s delay, already boxed. A slot never names the
-     action's other type parameters, so no action is rebuilt. *)
+  (* An action as its sublayer made it, named only by the type its
+     reader takes: an [Up]'s indication, or a [Down]'s request. So no
+     action is rebuilt, and a timer's boxed delay is read in place. *)
   type 'u up = Up_of : ('u, _, _) Machine.action -> 'u up [@@unboxed]
-  type 'd down = Down_of : (_, 'd, _) Machine.action -> 'd down [@@unboxed]
-  type delay = Delay_of : (_, _, _) Machine.action -> delay [@@unboxed]
+  type 'd made = Made : (_, 'd, _) Machine.action -> 'd made [@@unboxed]
+  type key += No_key
 
-  (* What a stack's levels hand on without taking: [Down]s, timers and
-     notes, each written once, where it is made, at an index every level
-     above refers to. A timer type has no constant to clear a slot with,
-     so the first timer written stands in; [timers] is empty until then. *)
-  type ('d, 'tm) store = {
-    mutable made : int;
-    mutable made_kinds : kind array;
-    mutable downs : 'd down array;
-    mutable delays : delay array;
-    mutable notes : string array;
-    mutable timers : 'tm array;
-    mutable no_timer : 'tm option;
-  }
+  (* Every [Down], timer action and note a stack's levels make, each
+     written once, where it is made, at an index every level above
+     refers to: slot [j] is the action and, beside it, its timer's key
+     ([No_key] for the others). Slots from [made] on are blank. *)
+  type 'd store = { mutable made : int; mutable acts : 'd made array; mutable keys : key array }
 
-  (* One level's entries: entry [i] is of kind [kinds.(i)]; an [Up]'s
-     action is [ups.(i)], anything else is at [refs.(i)] in the store.
-     Handing an entry on copies two ints. *)
-  type ('u, 'd, 'tm) t = {
+  (* One level's entries: entry [i] is the store's slot [refs.(i)], or
+     [held] for an [Up] kept in [ups.(i)]. Handing an entry on copies
+     one int. *)
+  type ('u, 'd) t = {
     mutable fill : int;
-    mutable kinds : kind array;
     mutable refs : int array;
     mutable ups : 'u up array;
-    store : ('d, 'tm) store;
+    store : 'd store;
   }
 
+  let held = -1
   let no_up = Up_of (Machine.Note "")
-  let no_down = Down_of (Machine.Note "")
-  let no_delay = Delay_of (Machine.Note "")
-
-  let store () =
-    { made = 0; made_kinds = [||]; downs = [||]; delays = [||]; notes = [||]; timers = [||];
-      no_timer = None }
-
-  let create store = { fill = 0; kinds = [||]; refs = [||]; ups = [||]; store }
+  let no_act = Made (Machine.Note "")
+  let store () = { made = 0; acts = [||]; keys = [||] }
+  let create store = { fill = 0; refs = [||]; ups = [||]; store }
 
   let widen a n blank =
     let a' = Array.make n blank in
@@ -64,117 +50,66 @@ module Out = struct
 
   let size a = max 16 (2 * Array.length a)
 
-  let grow b =
-    let n = size b.kinds in
-    b.kinds <- widen b.kinds n Up;
-    b.refs <- widen b.refs n 0;
-    b.ups <- widen b.ups n no_up
-
-  (* The index of a new entry of kind [k] in [b]; [r] is where it is in
-     the store, if it is there. *)
-  let[@inline] next b k r =
+  (* A new entry of [b], at [r] in the store or [held]; its index. *)
+  let[@inline] next b r =
     let i = b.fill in
-    if i = Array.length b.kinds then grow b;
-    b.kinds.(i) <- k;
+    if i = Array.length b.refs then begin
+      let n = size b.refs in
+      b.refs <- widen b.refs n held;
+      b.ups <- widen b.ups n no_up
+    end;
     b.refs.(i) <- r;
     b.fill <- i + 1;
     i
 
-  let grow_store s =
-    let n = size s.made_kinds in
-    s.made_kinds <- widen s.made_kinds n Up;
-    s.downs <- widen s.downs n no_down;
-    s.delays <- widen s.delays n no_delay;
-    s.notes <- widen s.notes n "";
-    match s.no_timer with Some tm -> s.timers <- widen s.timers n tm | None -> ()
-
-  (* The index of a new entry of kind [k] in [b]'s store. *)
-  let[@inline] make b k =
+  (* A new slot of [b]'s store holding [a], with an entry of [b] at it;
+     the slot's index. *)
+  let[@inline] slot b a =
     let s = b.store in
     let j = s.made in
-    if j = Array.length s.made_kinds then grow_store s;
-    s.made_kinds.(j) <- k;
+    if j = Array.length s.acts then begin
+      let n = size s.acts in
+      s.acts <- widen s.acts n no_act;
+      s.keys <- widen s.keys n No_key
+    end;
+    s.acts.(j) <- Made a;
     s.made <- j + 1;
+    ignore (next b j);
     j
 
-  let first_timer s tm =
-    s.no_timer <- Some tm;
-    s.timers <- Array.make (Array.length s.made_kinds) tm
+  let up b a =
+    let i = next b held in
+    b.ups.(i) <- Up_of a
 
-  let[@inline] timer_slot s j tm =
-    (match s.no_timer with None -> first_timer s tm | Some _ -> ());
-    s.timers.(j) <- tm
+  let put b a = ignore (slot b a)
 
-  let up b a = b.ups.(next b Up 0) <- Up_of a
+  let timer b key a =
+    let j = slot b a in
+    b.store.keys.(j) <- key
 
-  let down b a =
-    let j = make b Down in
-    b.store.downs.(j) <- Down_of a;
-    ignore (next b Down j)
-
-  let set b tm a =
-    let j = make b Set in
-    timer_slot b.store j tm;
-    b.store.delays.(j) <- Delay_of a;
-    ignore (next b Set j)
-
-  let cancel b tm =
-    let j = make b Cancel in
-    timer_slot b.store j tm;
-    ignore (next b Cancel j)
-
-  let note b s =
-    let j = make b Note in
-    b.store.notes.(j) <- s;
-    ignore (next b Note j)
-
-  let pass b k r = ignore (next b k r)
   let up_at b i = match b.ups.(i) with Up_of (Machine.Up x) -> x | Up_of _ -> invalid_arg "Out.up_at"
+  let[@inline] made_at b i = b.store.acts.(b.refs.(i))
+  let[@inline] key_at b i = b.store.keys.(b.refs.(i))
 
-  let down_at b i =
-    match b.store.downs.(b.refs.(i)) with
-    | Down_of (Machine.Down x) -> x
-    | Down_of _ -> invalid_arg "Out.down_at"
-
-  let timer_at b i = b.store.timers.(b.refs.(i))
-
-  let delay_at b i =
-    match b.store.delays.(b.refs.(i)) with
-    | Delay_of (Machine.Set_timer (_, d)) -> d
-    | Delay_of _ -> invalid_arg "Out.delay_at"
-
-  let note_at b i = b.store.notes.(b.refs.(i))
+  let pass b tag r =
+    match b.store.acts.(r) with
+    | Made (Machine.Note s) -> put b (Machine.Note (tag ^ s))
+    | Made _ -> ignore (next b r)
 
   let release b start =
     for i = start to b.fill - 1 do
-      match b.kinds.(i) with Up -> b.ups.(i) <- no_up | Down | Set | Cancel | Note -> ()
+      if b.refs.(i) = held then b.ups.(i) <- no_up
     done;
     b.fill <- start
 
+  (* Blank the store's slots from [made] on. *)
   let drop b made =
     let s = b.store in
     for j = made to s.made - 1 do
-      match (s.made_kinds.(j), s.no_timer) with
-      | Down, _ -> s.downs.(j) <- no_down
-      | Set, Some tm ->
-          s.timers.(j) <- tm;
-          s.delays.(j) <- no_delay
-      | Cancel, Some tm -> s.timers.(j) <- tm
-      | Note, _ -> s.notes.(j) <- ""
-      | (Up | Set | Cancel), _ -> ()
+      s.acts.(j) <- no_act;
+      s.keys.(j) <- No_key
     done;
     s.made <- made
-
-  let rec push_list ~traced b tag = function
-    | [] -> ()
-    | act :: acts ->
-        (match act with
-        | Machine.Up _ -> up b act
-        | Machine.Down _ -> down b act
-        | Machine.Set_timer (tm, _) -> set b (tag tm) act
-        | Machine.Cancel_timer tm -> cancel b (tag tm)
-        | Machine.Note s -> if traced then note b s);
-        push_list ~traced b tag acts
 end
 
 (* The values made for the last [kept] keys, newest first: a table that
@@ -206,15 +141,14 @@ module type DRIVEN = sig
   type up_ind
   type down_req
   type down_ind
-  type timer
   type scratch
 
   val scratch : unit -> scratch
-  val out : scratch -> (up_ind, down_req, timer) Out.t
+  val out : scratch -> (up_ind, down_req) Out.t
   val reset : scratch -> unit
   val up_req : traced:bool -> scratch -> t -> up_req -> t
   val down_ind : traced:bool -> scratch -> t -> down_ind -> t
-  val timer : traced:bool -> scratch -> t -> timer -> t
+  val timer : traced:bool -> scratch -> t -> key -> t
 end
 
 module type ENDPOINT = sig
@@ -224,12 +158,11 @@ module type ENDPOINT = sig
   type up_ind
   type down_req
   type down_ind
-  type timer
 
   val create :
     Sim.Engine.t ->
     ?tracer:Sim.Tracer.t ->
-    ?alloc:timer alloc_spec ->
+    ?alloc:alloc_spec ->
     name:string ->
     transmit:(down_req -> unit) ->
     deliver:(up_ind -> unit) ->
@@ -250,13 +183,12 @@ module Drive (D : DRIVEN) = struct
   type up_ind = D.up_ind
   type down_req = D.down_req
   type down_ind = D.down_ind
-  type timer = D.timer
 
   (* One armed timer. Re-arming it reschedules this entry in place with
      the fire closure built when the entry was, so a re-arm allocates
      only the engine's event; cancelling or firing it removes the
      entry. *)
-  type entry = { tm : D.timer; mutable handle : Sim.Engine.handle; fire : unit -> unit }
+  type entry = { tm : key; mutable handle : Sim.Engine.handle; fire : unit -> unit }
 
   type t = {
     engine : Sim.Engine.t;
@@ -264,13 +196,13 @@ module Drive (D : DRIVEN) = struct
     track : (Sim.Tracer.t * string) option;
     transmit : D.down_req -> unit;
     deliver : D.up_ind -> unit;
-    alloc : D.timer alloc_spec option;
+    alloc : alloc_spec option;
     (* The buffers its steps write into, shared with every endpoint of
        [D] on the same engine. *)
     scratch : D.scratch;
     mutable st : D.t;
-    (* The armed timers, at most one entry per timer value: arming a
-       timer that is already set re-arms it. An endpoint arms a handful
+    (* The armed timers, at most one entry per key: arming a timer that
+       is already set re-arms it. An endpoint arms a handful
        at a time, so a list searched with structural equality is short
        and deterministic. *)
     mutable timers : entry list;
@@ -329,14 +261,16 @@ module Drive (D : DRIVEN) = struct
      in order. A callback may halt the runtime mid-segment (a delivery
      that aborts the connection); the rest is then dropped, so a halted
      runtime arms no timer and transmits nothing. *)
-  let rec apply t out i =
-    if i < out.Out.fill && not t.halted then begin
-      (match out.kinds.(i) with
-      | Out.Up -> bracket t (fun a -> a.al_app) call t.deliver (Out.up_at out i)
-      | Out.Down -> bracket t (fun a -> a.al_wire) call t.transmit (Out.down_at out i)
-      | Out.Set -> set_timer t (Out.timer_at out i) (Out.delay_at out i)
-      | Out.Cancel -> cancel_timer t (Out.timer_at out i)
-      | Out.Note -> note t (Out.note_at out i));
+  let rec apply t (out : (_, _) Out.t) i =
+    if i < out.fill && not t.halted then begin
+      (if out.refs.(i) = Out.held then bracket t (fun a -> a.al_app) call t.deliver (Out.up_at out i)
+       else
+         match Out.made_at out i with
+         | Made (Down r) -> bracket t (fun a -> a.al_wire) call t.transmit r
+         | Made (Set_timer (_, delay)) -> set_timer t (Out.key_at out i) delay
+         | Made (Cancel_timer _) -> cancel_timer t (Out.key_at out i)
+         | Made (Note s) -> note t s
+         | Made (Up _) -> invalid_arg "Runtime: an Up in the store");
       apply t out (i + 1)
     end
 
@@ -403,25 +337,43 @@ module Drive (D : DRIVEN) = struct
   let active_timers t = List.length t.timers
 end
 
-module Make (S : Machine.S) = Drive (struct
-  type t = S.t
-  type up_req = S.up_req
-  type up_ind = S.up_ind
-  type down_req = S.down_req
-  type down_ind = S.down_ind
-  type timer = S.timer
-  type scratch = (up_ind, down_req, timer) Out.t
+module Level (M : Machine.S) = struct
+  type t = M.t
+  type up_req = M.up_req
+  type up_ind = M.up_ind
+  type down_req = M.down_req
+  type down_ind = M.down_ind
+  type key += Key of M.timer
+  type scratch = (up_ind, down_req) Out.t
 
-  let scratch () = Out.create (Out.store ())
+  let scratch_on = Out.create
+  let scratch () = scratch_on (Out.store ())
   let out b = b
   let reset _ = ()
 
-  (* Keep the state the handler returns; its list goes to the buffer. *)
-  let push ~traced b (st, acts) =
-    Out.push_list ~traced b Fun.id acts;
-    st
+  (* [M]'s actions go to the buffer as [M] made them, each timer under
+     this level's [Key]; a [Note] only when [traced]. *)
+  let rec write ~traced b = function
+    | [] -> ()
+    | act :: acts ->
+        (match act with
+        | Machine.Up _ -> Out.up b act
+        | Down _ -> Out.put b act
+        | Set_timer (tm, _) | Cancel_timer tm -> Out.timer b (Key tm) act
+        | Note _ -> if traced then Out.put b act);
+        write ~traced b acts
 
-  let up_req ~traced b st req = push ~traced b (S.handle_up_req st req)
-  let down_ind ~traced b st ind = push ~traced b (S.handle_down_ind st ind)
-  let timer ~traced b st tm = push ~traced b (S.handle_timer st tm)
-end)
+  (* Keep the state [M]'s handler returns; its list goes to the buffer. *)
+  let push ~traced b (m, acts) =
+    write ~traced b acts;
+    m
+
+  let up_req ~traced b m r = push ~traced b (M.handle_up_req m r)
+  let down_ind ~traced b m i = push ~traced b (M.handle_down_ind m i)
+
+  let timer ~traced b m = function
+    | Key tm -> push ~traced b (M.handle_timer m tm)
+    | _ -> invalid_arg "Runtime.Level.timer: a timer of another level"
+end
+
+module Make (S : Machine.S) = Drive (Level (S))

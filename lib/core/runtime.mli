@@ -8,12 +8,14 @@
     which drives the composer's own drain with {!Drive} and builds the
     {!alloc_spec} below from the declaration.
 
-    Timers. The runtime keeps one entry per armed timer value. The entry
-    is made when the timer is first set, together with the one closure
-    its engine events will call; setting the timer again while it is
-    armed re-schedules that entry with the same closure, so a re-arm
-    allocates the engine's event and nothing else. Firing or cancelling
-    the timer drops the entry.
+    Timers. Every runtime's timers are {!key}s: a sublayer's timer under
+    the constructor its level adds, whether the level is one sublayer
+    run by {!Make} or a level of a declared stack. The runtime keeps one
+    entry per armed key. The entry is made when the timer is first set,
+    together with the one closure its engine events will call; setting
+    the timer again while it is armed re-schedules that entry with the
+    same closure, so a re-arm allocates the engine's event and nothing
+    else. Firing or cancelling the timer drops the entry.
 
     Segments. A step does not hand the runtime a list: it writes its
     actions at the end of a buffer ({!Out}), and the runtime's one
@@ -34,16 +36,18 @@
       progress fills); a step after a raise starts from the fill before
       the raising one.
     - {b Released slots keep nothing.} Releasing a segment, and the
-      store's entries a step made, overwrites their slots with
-      constants, so a buffer keeps no value of a segment it is done
-      with. *)
+      store's slots a step made, overwrites them with constants, so a
+      buffer keeps no value of a segment it is done with. *)
 
-type 'timer alloc_spec = {
+type key = ..
+(** A timer: a sublayer's timer under the constructor its level adds. *)
+
+type alloc_spec = {
   al_top : Alloc.cell option;  (** machine that handles [from_above] *)
   al_bottom : Alloc.cell option;  (** machine that handles [from_below] *)
   al_app : Alloc.cell option;  (** the [deliver] excursion above the stack *)
   al_wire : Alloc.cell option;  (** the [transmit] excursion below the stack *)
-  al_timer : 'timer -> Alloc.cell option;  (** owner of a firing timer *)
+  al_timer : key -> Alloc.cell option;  (** owner of a firing timer *)
 }
 (** Where {!Alloc} charges the words allocated at the runtime's own
     seams.  Probe taps inside the stack handle the crossings {e between}
@@ -54,68 +58,69 @@ type 'timer alloc_spec = {
     has cells to put in it. *)
 
 (** A buffer of actions, read and written in segments: the hand-off
-    between a step and its reader. Each entry keeps the action its
-    sublayer made; an entry a reader hands on rather than takes (a
-    [Down], a timer, a note) sits once in a store its buffer shares
-    with the buffers of the levels above, so handing it on copies two
-    ints. Writing or handing an entry on allocates nothing once the
-    arrays have grown to their high-water mark. *)
+    between a step and its reader. Each [Down], timer action or note a
+    level makes is one slot of a store its buffer shares with the
+    buffers of the levels above: the action as its sublayer made it,
+    with its timer's key beside it. An entry of a buffer is one int, the
+    index of a slot or {!held} for an [Up] the buffer keeps itself, so
+    handing an action on copies one int. Writing or handing an entry on
+    allocates nothing once the arrays have grown to their high-water
+    mark. *)
 module Out : sig
-  type ('d, 'tm) store
-  (** The [Down]s (carrying ['d]), timers (['tm]) and notes of a stack's
+  type 'd store
+  (** The [Down]s (carrying ['d]), timer actions and notes of a stack's
       buffers. *)
 
-  type kind = Up | Down | Set | Cancel | Note
   type 'u up
 
-  (** A buffer whose [Up]s carry ['u], over a [('d, 'tm) store]: entry
-      [i] of a segment is of kind [kinds.(i)]; an [Up] is read with
-      {!up_at}, anything else is at [refs.(i)] in the store. A reader
-      reads the fields in place rather than through a call per entry
-      (no call across modules is inlined in the dev profile the
-      benchmark builds); only this module writes them. *)
-  type ('u, 'd, 'tm) t = private {
+  type 'd made = Made : (_, 'd, _) Machine.action -> 'd made [@@unboxed]
+  (** An action as its sublayer made it, named only by its [Down]'s
+      type. *)
+
+  (** A buffer whose [Up]s carry ['u], over a ['d store]: entry [i] of a
+      segment is the store's slot [refs.(i)], or {!held} for an [Up],
+      read with {!up_at}. A reader reads the fields in place rather than
+      through a call per entry (no call across modules is inlined in the
+      dev profile the benchmark builds); only this module writes them. *)
+  type ('u, 'd) t = private {
     mutable fill : int;  (** where the next entry goes *)
-    mutable kinds : kind array;
     mutable refs : int array;
     mutable ups : 'u up array;
-    store : ('d, 'tm) store;
+    store : 'd store;
   }
 
-  val store : unit -> ('d, 'tm) store
+  val held : int
+  val store : unit -> 'd store
 
-  val create : ('d, 'tm) store -> ('u, 'd, 'tm) t
+  val create : 'd store -> ('u, 'd) t
   (** An empty buffer over [store]; both grow on the first write. *)
 
   (** {2 Writing} Each takes the action as its sublayer made it. *)
 
-  val up : ('u, _, _) t -> ('u, _, _) Machine.action -> unit
+  val up : ('u, _) t -> ('u, _, _) Machine.action -> unit
   (** An [Up]. *)
 
-  val set : (_, _, 'tm) t -> 'tm -> (_, _, _) Machine.action -> unit
-  (** A [Set_timer], its timer as given (tagged, say). *)
+  val put : (_, 'd) t -> (_, 'd, _) Machine.action -> unit
+  (** A [Down] or a [Note]. *)
 
-  val cancel : (_, _, 'tm) t -> 'tm -> unit
-  val note : _ t -> string -> unit
+  val timer : (_, 'd) t -> key -> (_, 'd, _) Machine.action -> unit
+  (** A [Set_timer] or [Cancel_timer], its timer's key beside it. *)
 
-  val pass : (_, 'd, 'tm) t -> kind -> int -> unit
-  (** [pass b k r] hands on an entry of kind [k] (not an [Up]) at [r] in
-      [b]'s store, read from a buffer below that shares it: it writes
-      the entry at the end of [b]. *)
-
-  val push_list :
-    traced:bool -> ('u, 'd, 'tm) t -> ('t -> 'tm) -> ('u, 'd, 't) Machine.action list -> unit
-  (** [push_list ~traced b tag acts] writes a handler's actions in order,
-      each timer [tm] as [tag tm]; a [Note] only when [traced]. *)
+  val pass : (_, 'd) t -> string -> int -> unit
+  (** [pass b tag r] hands on slot [r] of [b]'s store, written through a
+      buffer below that shares it: it writes an entry at the end of [b].
+      A note is put anew, [tag] before its text. *)
 
   (** {2 Reading} Entry [i] of a segment being read. *)
 
-  val up_at : ('u, _, _) t -> int -> 'u
-  val note_at : _ t -> int -> string
+  val up_at : ('u, _) t -> int -> 'u
+
+  val made_at : (_, 'd) t -> int -> 'd made
+  (** The action of an entry that is not {!held}. *)
 
   val release : _ t -> int -> unit
   (** [release b start] drops [b]'s entries from [start] on: the segment
-      read, with whatever was written after it. The store's entries are
+      read, with whatever was written after it. The store's slots are
       dropped at the top, once the segment that refers to them is
       applied. *)
 end
@@ -136,7 +141,6 @@ module type DRIVEN = sig
   type up_ind
   type down_req
   type down_ind
-  type timer
 
   type scratch
   (** The buffers a step writes to: [out] and any the step reads. *)
@@ -144,7 +148,7 @@ module type DRIVEN = sig
   val scratch : unit -> scratch
   (** A fresh scratch; {!Drive} makes one per engine. *)
 
-  val out : scratch -> (up_ind, down_req, timer) Out.t
+  val out : scratch -> (up_ind, down_req) Out.t
 
   val reset : scratch -> unit
   (** Empty the buffers a step fills below [out]: a step that raised
@@ -153,7 +157,7 @@ module type DRIVEN = sig
 
   val up_req : traced:bool -> scratch -> t -> up_req -> t
   val down_ind : traced:bool -> scratch -> t -> down_ind -> t
-  val timer : traced:bool -> scratch -> t -> timer -> t
+  val timer : traced:bool -> scratch -> t -> key -> t
 end
 
 (** One endpoint: a machine run under the simulator. *)
@@ -164,12 +168,11 @@ module type ENDPOINT = sig
   type up_ind
   type down_req
   type down_ind
-  type timer
 
   val create :
     Sim.Engine.t ->
     ?tracer:Sim.Tracer.t ->
-    ?alloc:timer alloc_spec ->
+    ?alloc:alloc_spec ->
     name:string ->
     transmit:(down_req -> unit) ->
     deliver:(up_ind -> unit) ->
@@ -211,11 +214,27 @@ module Drive (D : DRIVEN) :
      and type up_ind = D.up_ind
      and type down_req = D.down_req
      and type down_ind = D.down_ind
-     and type timer = D.timer
+
+(** One sublayer (or a {!Machine.Stack}) as a {!DRIVEN} machine: a step
+    writes the list its handler returns to the buffer as it is, each
+    timer under the key this level adds, each [Note] only when
+    [traced]. {!Make} runs it, and {!Compose.Last} is it at the bottom
+    of a declared stack. *)
+module Level (M : Machine.S) : sig
+  include
+    DRIVEN
+      with type t = M.t
+       and type up_req = M.up_req
+       and type up_ind = M.up_ind
+       and type down_req = M.down_req
+       and type down_ind = M.down_ind
+
+  val scratch_on : M.down_req Out.store -> scratch
+  (** A scratch over [store]; [scratch ()] is this on a fresh one. *)
+end
 
 (** A sublayer (or a {!Machine.Stack}) under the simulator: {!Drive}
-    over its handlers, each step writing the list its handler returns
-    to the buffer, so every [Note] reaches the runtime when it has a
+    over its {!Level}, so every [Note] reaches the runtime when it has a
     tracer. *)
 module Make (S : Machine.S) :
   ENDPOINT
@@ -224,4 +243,3 @@ module Make (S : Machine.S) :
      and type up_ind = S.up_ind
      and type down_req = S.down_req
      and type down_ind = S.down_ind
-     and type timer = S.timer

@@ -157,5 +157,3 @@ let length_prefix =
   }
 
 let all = [ hdlc Stuffing.Rule.hdlc; cobs; dle_stx; length_prefix ]
-
-let framed_bits t payload = Bitseq.length (t.frame (Slice.of_string payload))

@@ -35,6 +35,3 @@ val length_prefix : t
     out first. *)
 
 val all : t list
-
-val framed_bits : t -> string -> int
-(** Size in bits of a framed payload (for overhead comparisons). *)

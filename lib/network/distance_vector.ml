@@ -1,16 +1,12 @@
-type config = {
-  advertise_interval : float;
-  triggered_delay : float;
-  infinity_metric : int;
-}
+let advertise_interval = 2.0
 
-let default_config =
-  { advertise_interval = 2.0; triggered_delay = 0.05; infinity_metric = 16 }
+(* A triggered update batches every change made this long before it. *)
+let triggered_delay = 0.05
+let infinity_metric = 16
 
 type entry = { mutable metric : int; mutable via : int }
 
 type state = {
-  cfg : config;
   self : Addr.t;
   port : Routing.port;
   table : (Addr.t, entry) Hashtbl.t;  (** excludes self *)
@@ -31,7 +27,7 @@ let vector_for st i =
   let entries =
     Hashtbl.fold
       (fun dst e acc ->
-        let metric = if e.via = i then st.cfg.infinity_metric else e.metric in
+        let metric = if e.via = i then infinity_metric else e.metric in
         (dst, metric) :: acc)
       st.table []
   in
@@ -47,24 +43,24 @@ let advertise st =
 let arm_trigger st =
   if not st.triggered then begin
     st.triggered <- true;
-    Routing.set_timer st.port Routing.Trigger st.cfg.triggered_delay
+    Routing.set_timer st.port Routing.Trigger triggered_delay
   end
 
 let set_route st dst metric via =
   match Hashtbl.find_opt st.table dst with
   | Some e ->
-      let was_reachable = e.metric < st.cfg.infinity_metric in
+      let was_reachable = e.metric < infinity_metric in
       if e.metric <> metric || e.via <> via then begin
         e.metric <- metric;
         e.via <- via;
-        let reachable = metric < st.cfg.infinity_metric in
+        let reachable = metric < infinity_metric in
         if reachable then Routing.install st.port dst via
         else if was_reachable then Routing.uninstall st.port dst;
         arm_trigger st
       end
   | None ->
       Hashtbl.replace st.table dst { metric; via };
-      if metric < st.cfg.infinity_metric then begin
+      if metric < infinity_metric then begin
         Routing.install st.port dst via;
         arm_trigger st
       end
@@ -81,7 +77,7 @@ let neighbor_up st ~ifindex peer =
 let neighbor_down st ~ifindex _peer =
   Hashtbl.remove st.neighbors ifindex;
   Hashtbl.iter
-    (fun dst e -> if e.via = ifindex then set_route st dst st.cfg.infinity_metric e.via)
+    (fun dst e -> if e.via = ifindex then set_route st dst infinity_metric e.via)
     st.table
 
 let on_pdu st ~ifindex pdu =
@@ -92,18 +88,18 @@ let on_pdu st ~ifindex pdu =
       List.iter
         (fun (dst, metric) ->
           if not (Addr.equal dst st.self) then begin
-            let cost = min (metric + 1) st.cfg.infinity_metric in
+            let cost = min (metric + 1) infinity_metric in
             match Hashtbl.find_opt st.table dst with
             | Some e when e.via = ifindex ->
                 (* Whatever our current next hop says overrides. *)
                 if e.metric <> cost then set_route st dst cost ifindex
             | Some e when cost < e.metric -> set_route st dst cost ifindex
             | Some _ -> ()
-            | None -> if cost < st.cfg.infinity_metric then set_route st dst cost ifindex
+            | None -> if cost < infinity_metric then set_route st dst cost ifindex
           end)
         entries
 
-let start st = Routing.set_timer st.port Routing.Periodic st.cfg.advertise_interval
+let start st = Routing.set_timer st.port Routing.Periodic advertise_interval
 
 let on_timer st = function
   | Routing.Periodic ->
@@ -114,14 +110,14 @@ let on_timer st = function
       Sublayer.Stats.incr st.c_triggered;
       advertise st
 
-let factory ?(config = default_config) () =
+let factory =
   (module Routing.Make (struct
     let name = "distance-vector"
 
     type t = state
 
     let initial sc self =
-      { cfg = config; self; port = Routing.port sc; table = Hashtbl.create 32;
+      { self; port = Routing.port sc; table = Hashtbl.create 32;
         neighbors = Hashtbl.create 8; triggered = false;
         c_sent = Sublayer.Stats.counter sc "vectors_sent";
         c_received = Sublayer.Stats.counter sc "vectors_received";

@@ -1,11 +1,8 @@
-type config = { refresh_interval : float }
-
-let default_config = { refresh_interval = 5.0 }
+let refresh_interval = 5.0
 
 type lsp = Pdu.lsp = { origin : Addr.t; seq : int; adj : Addr.t list }
 
 type state = {
-  cfg : config;
   self : Addr.t;
   port : Routing.port;
   lsdb : (Addr.t, lsp) Hashtbl.t;
@@ -137,20 +134,20 @@ let on_pdu st ~ifindex pdu =
         end
       end
 
-let start st = Routing.set_timer st.port Routing.Periodic st.cfg.refresh_interval
+let start st = Routing.set_timer st.port Routing.Periodic refresh_interval
 
 let on_timer st _ =
   (match Hashtbl.find_opt st.lsdb st.self with Some own -> flood st own | None -> ());
   start st
 
-let factory ?(config = default_config) () =
+let factory =
   (module Routing.Make (struct
     let name = "link-state"
 
     type t = state
 
     let initial sc self =
-      { cfg = config; self; port = Routing.port sc; lsdb = Hashtbl.create 32;
+      { self; port = Routing.port sc; lsdb = Hashtbl.create 32;
         neighbors = Hashtbl.create 8; own_seq = 0; installed = Hashtbl.create 32;
         c_sent = Sublayer.Stats.counter sc "lsps_sent";
         c_received = Sublayer.Stats.counter sc "lsps_received";

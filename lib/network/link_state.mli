@@ -3,10 +3,8 @@
     shortest-path-first (unit-cost Dijkstra = BFS) with a two-way
     connectivity check. Experiment E2 swaps this against
     {!Distance_vector} to show that the forwarding sublayer is untouched
-    by the change. *)
+    by the change. A router refloods its own LSP every 5 s. *)
 
-type config = { refresh_interval : float }
-
-val default_config : config
-
-val factory : ?config:config -> unit -> Routing.factory
+val factory : Routing.factory
+(** The protocol, made once: every router declared with it shares one
+    stack declaration. *)

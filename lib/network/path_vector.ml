@@ -1,18 +1,16 @@
-type config = {
-  advertise_interval : float;
-  triggered_delay : float;
-  max_path : int;
-}
+let advertise_interval = 2.0
 
-let default_config =
-  { advertise_interval = 2.0; triggered_delay = 0.05; max_path = 32 }
+(* A triggered update batches every change made this long before it. *)
+let triggered_delay = 0.05
+
+(* Routes longer than this are discarded. *)
+let max_path = 32
 
 (* A route to [dst]: the interface to the next hop and the full path of
    router addresses (next hop first). *)
 type entry = { mutable path : Addr.t list; mutable via : int; mutable valid : bool }
 
 type state = {
-  cfg : config;
   self : Addr.t;
   port : Routing.port;
   table : (Addr.t, entry) Hashtbl.t;
@@ -45,7 +43,7 @@ let advertise st =
 let arm_trigger st =
   if not st.triggered then begin
     st.triggered <- true;
-    Routing.set_timer st.port Routing.Trigger st.cfg.triggered_delay
+    Routing.set_timer st.port Routing.Trigger triggered_delay
   end
 
 (* Deterministic preference: shorter path, then smaller next hop. *)
@@ -102,7 +100,7 @@ let on_pdu st ~ifindex pdu =
                ourselves, and bound path length *)
             if
               (not (List.exists (Addr.equal st.self) path))
-              && List.length candidate <= st.cfg.max_path
+              && List.length candidate <= max_path
             then begin
               match Hashtbl.find_opt st.table dst with
               | Some e when e.valid && e.via = ifindex ->
@@ -134,7 +132,7 @@ let on_pdu st ~ifindex pdu =
           then invalidate st dst e)
         st.table
 
-let start st = Routing.set_timer st.port Routing.Periodic st.cfg.advertise_interval
+let start st = Routing.set_timer st.port Routing.Periodic advertise_interval
 
 let on_timer st = function
   | Routing.Periodic ->
@@ -144,14 +142,14 @@ let on_timer st = function
       st.triggered <- false;
       advertise st
 
-let factory ?(config = default_config) () =
+let factory =
   (module Routing.Make (struct
     let name = "path-vector"
 
     type t = state
 
     let initial sc self =
-      { cfg = config; self; port = Routing.port sc; table = Hashtbl.create 32;
+      { self; port = Routing.port sc; table = Hashtbl.create 32;
         neighbors = Hashtbl.create 8; triggered = false;
         c_sent = Sublayer.Stats.counter sc "vectors_sent";
         c_received = Sublayer.Stats.counter sc "vectors_received";

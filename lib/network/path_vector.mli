@@ -7,14 +7,10 @@
     destination; a router discards any route whose path already contains
     itself, which prevents loops {e structurally} instead of by
     counting-to-infinity. Shorter paths are preferred; ties break on the
-    lexicographically smaller next hop (deterministic convergence). *)
+    lexicographically smaller next hop (deterministic convergence). A
+    router advertises every 2 s, batches triggered updates for 50 ms and
+    discards paths of more than 32 routers. *)
 
-type config = {
-  advertise_interval : float;
-  triggered_delay : float;
-  max_path : int;  (** routes longer than this are discarded *)
-}
-
-val default_config : config
-
-val factory : ?config:config -> unit -> Routing.factory
+val factory : Routing.factory
+(** The protocol, made once: every router declared with it shares one
+    stack declaration. *)

@@ -208,8 +208,6 @@ let run ?until ?max_events t =
     end
   done
 
-let live t = !(t.live)
-
 (* O(1): the cancellation accounting already tracks liveness exactly;
    [pending_scan] remains as the O(total) audit the property tests
    cross-check it against after randomized cancel storms. *)

@@ -69,9 +69,6 @@ val pending_scan : t -> int
     audit the property tests cross-check the cancellation accounting
     against after randomized cancel storms. *)
 
-val live : t -> int
-(** Alias view of the O(1) counter (= {!pending}). *)
-
 val compactions : t -> int
 (** How many times the queue compacted away cancelled entries. *)
 

@@ -67,8 +67,8 @@ let shard_driver shard =
 (* A flight dump keeps the last 32 spans. *)
 let flight_n = 32
 
-let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
-    ?sample ?tracer ?(flight_cap = 8) ?(verdicts = fun () -> [])
+let run ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
+    ?tracer ?(flight_cap = 8) ?(verdicts = fun () -> [])
     ?(telemetry = []) ?(on_slice = fun (_ : float) -> ())
     ?(drops = fun () -> []) ~name ~driver ~finished () =
   let violations = ref [] in
@@ -112,10 +112,9 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
   in
   let samples = ref [] in
   (* [Engine.pending] is O(1), so every slice gets a pending sample —
-     the leak telltale — with the caller's snapshot merged in. *)
+     the leak telltale. *)
   let take_sample () =
-    let extra = match sample with None -> [] | Some f -> f () in
-    samples := (driver.d_now (), ("pending", driver.d_pending ()) :: extra) :: !samples
+    samples := (driver.d_now (), [ ("pending", driver.d_pending ()) ]) :: !samples
   in
   (* Keep driving through violations: a soak that stops at the first one
      hides every later, possibly distinct, failure — each distinct
@@ -173,11 +172,6 @@ let run_driver ?(step = 0.5) ?(until = 120.) ?(invariant = fun () -> None)
     flight_cap;
     verdicts = verdicts ();
     drops = ring_drops @ drops () }
-
-let run ?step ?until ?invariant ?sample ?tracer ?flight_cap ?verdicts ?telemetry ?on_slice
-    ?drops ~name ~engine ~finished () =
-  run_driver ?step ?until ?invariant ?sample ?tracer ?flight_cap ?verdicts ?telemetry
-    ?on_slice ?drops ~name ~driver:(engine_driver engine) ~finished ()
 
 let reproducible scenario ~seed =
   let a = scenario seed in

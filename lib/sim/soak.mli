@@ -19,10 +19,9 @@ type report = {
   violations : string list;
       (** invariant failures, oldest first, deduplicated *)
   samples : (float * (string * int) list) list;
-      (** periodic stats samples [(vtime, snapshot)], oldest first — a
-          ["pending"] entry (the engine's O(1) live-timer count, the leak
-          telltale) followed by whatever the caller's [sample] closure
-          returned that period *)
+      (** periodic samples [(vtime, snapshot)], oldest first: a
+          ["pending"] entry, the driver's O(1) count of scheduled events
+          (the leak telltale) *)
   flights : (string * string list) list;
       (** flight-recorder dumps, one [(violation, spans)] pair per
           distinct invariant violation up to [flight_cap], oldest
@@ -63,11 +62,10 @@ type driver = {
 val engine_driver : Engine.t -> driver
 val shard_driver : Shard.t -> driver
 
-val run_driver :
+val run :
   ?step:float ->
   ?until:float ->
   ?invariant:(unit -> string option) ->
-  ?sample:(unit -> (string * int) list) ->
   ?tracer:Tracer.t ->
   ?flight_cap:int ->
   ?verdicts:(unit -> (string * int * int) list) ->
@@ -79,28 +77,10 @@ val run_driver :
   finished:(unit -> bool) ->
   unit ->
   report
-(** Generalisation of {!run} over a {!driver}; {!run} is the
-    [engine_driver] instance. *)
-
-val run :
-  ?step:float ->
-  ?until:float ->
-  ?invariant:(unit -> string option) ->
-  ?sample:(unit -> (string * int) list) ->
-  ?tracer:Tracer.t ->
-  ?flight_cap:int ->
-  ?verdicts:(unit -> (string * int * int) list) ->
-  ?telemetry:Telemetry.t list ->
-  ?on_slice:(float -> unit) ->
-  ?drops:(unit -> (string * int) list) ->
-  name:string ->
-  engine:Engine.t ->
-  finished:(unit -> bool) ->
-  unit ->
-  report
-(** [run ~name ~engine ~finished ()] advances [engine] in slices of
-    [step] (default 0.5) virtual seconds until [finished ()] or virtual
-    time [until] (default 120), evaluating [invariant] after every slice.
+(** [run ~name ~driver ~finished ()] advances [driver] (one engine or a
+    shard group) in slices of [step] (default 0.5) virtual seconds until
+    [finished ()] or virtual time [until] (default 120), evaluating
+    [invariant] after every slice.
     A [Some msg] result is recorded as a violation (deduplicated); the
     run keeps driving, so every distinct failure the scenario produces is
     reported, not just the first.
@@ -109,13 +89,8 @@ val run :
     stack no longer needs — and the leftover [pending] count is
     reported.
 
-    [sample] (e.g. a [Sublayer.Stats] snapshot thunk — the closure keeps
-    this library free of a dependency on the stats module) is evaluated
-    every slice and the [(vtime, result)] pairs land in the report's
-    [samples], so a regression can be localised to the slice where its
-    counters diverged.  Samples are
-    part of the report, so they must be deterministic for
-    {!reproducible} scenarios.
+    Every slice also lands a sample in the report's [samples], so a leak
+    can be localised to the slice where the count began to climb.
 
     When [tracer] is given, the run doubles as a flight recorder: each
     distinct invariant violation freezes the last 32 spans into the

@@ -29,9 +29,9 @@ let pp_report ppf r =
    [i]'s launch event is scheduled on [engines.(site i)], the engine that
    owns its client host, and the soak advances them all through
    [driver]. Each engine counts its launches in its own cell, written
-   only by its own domain and summed after the run; the ["live"] sample
-   is the driver's pending total, so a one-shard report is structurally
-   identical to a multi-shard one. A launch event captures only its
+   only by its own domain and summed after the run; the soak's
+   ["pending"] sample is the driver's total, so a one-shard report is
+   structurally identical to a multi-shard one. A launch event captures only its
    engine's cell, [ops] and [i]: each word more is one per flow. *)
 let launch_and_soak ~engines ~site ~driver ?(spacing = 0.01) ?(step = 0.5)
     ?(until = 600.) ?invariant ?tracer ?verdicts ?telemetry ?on_slice ~name
@@ -60,9 +60,8 @@ let launch_and_soak ~engines ~site ~driver ?(spacing = 0.01) ?(step = 0.5)
     !done_upto = flows
   in
   let soak =
-    Soak.run_driver ~step ~until ?invariant ?tracer ?verdicts ?telemetry
-      ?on_slice ~sample:(fun () -> [ ("live", driver.d_pending ()) ]) ~name
-      ~driver ~finished ()
+    Soak.run ~step ~until ?invariant ?tracer ?verdicts ?telemetry ?on_slice ~name ~driver
+      ~finished ()
   in
   let exact = ref 0 in
   for i = 0 to flows - 1 do
@@ -71,7 +70,7 @@ let launch_and_soak ~engines ~site ~driver ?(spacing = 0.01) ?(step = 0.5)
   let live_hwm =
     List.fold_left
       (fun acc (_, kvs) ->
-        match List.assoc_opt "live" kvs with Some v -> max acc v | None -> acc)
+        match List.assoc_opt "pending" kvs with Some v -> max acc v | None -> acc)
       0 soak.Soak.samples
   in
   let launched = Array.fold_left (fun acc n -> acc + !n) 0 launched in

@@ -18,8 +18,8 @@ type report = {
   flows : int;
   launched : int;   (** launch events that actually fired *)
   exact : int;      (** flows whose delivery was byte-exact *)
-  live_hwm : int;   (** high-water mark of live engine timers, from the
-                        per-slice samples *)
+  live_hwm : int;   (** high-water mark of the scheduled events, from
+                        the soak's per-slice ["pending"] samples *)
   soak : Soak.report;
 }
 
@@ -46,7 +46,7 @@ val run :
     [now + i * spacing] (default 10 ms apart) and soaks in [step]-sized
     slices (default 0.5) until every flow is finished or virtual time
     [until] (default 600). The report embeds the {!Soak.report}, whose
-    per-slice samples record the engine's live-timer count.
+    per-slice samples record the engine's count of scheduled events.
     [telemetry] / [on_slice] pass through to the soak:
     telemetry ticks at every slice boundary and ring drop counts land in
     [soak.drops]. It is the one-engine case of {!run_sharded}'s loop. *)
@@ -70,7 +70,7 @@ val run_sharded :
     on shard [launch_site i] (the shard owning its client host —
     [Transport.Fabric.launch_site] exposes the placement), and each
     soak slice advances all shards through the safe-window protocol.
-    The ["live"] sample is the group-wide total, so a [shards = 1]
+    The soak's ["pending"] sample is the group-wide total, so a [shards = 1]
     report is structurally identical to a multi-shard one — the
     bit-identity the scale tests compare. Pass every per-shard telemetry
     instance in [telemetry]; ticks happen between slices, when the shard

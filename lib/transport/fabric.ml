@@ -43,7 +43,7 @@ let telemetry_sources (ins : Sublayer.Instrument.t) ~slice_global tele engine =
   Sim.Telemetry.add_counters tele ~name:"engine" (fun () ->
       [ ("events", Sim.Engine.events_fired engine) ]);
   Sim.Telemetry.add_gauges tele ~name:"engine" (fun () ->
-      [ ("live", Sim.Engine.live engine); ("pending", Sim.Engine.pending engine) ]);
+      [ ("pending", Sim.Engine.pending engine) ]);
   (* [Slice.copied_bytes] is one process-global atomic: in a sharded run
      only the shard-0 instance may carry it, or the merge counts it once
      per shard. *)

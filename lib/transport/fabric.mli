@@ -40,10 +40,10 @@ val create :
 
     When [telemetry] is given, the fabric registers its sampling sources
     on it: [fabric.*] (the shared [stats] registry), [engine.*] (events
-    fired, live timers, pending events), [slice.copied_bytes],
+    fired, pending events), [slice.copied_bytes],
     [tracer.dropped] and the [gc.*] source; the host endpoints install
     {!Sublayer.Alloc} cells.  Drive sampling from the soak loop
-    ({!Sim.Soak.run_driver}'s [?telemetry]).
+    ({!Sim.Soak.run}'s [?telemetry]).
 
     When [pool] is given, every host's stacks emit and stage in its arena
     slots, the fabric's transmit closure recognises slot-backed segments

@@ -132,7 +132,6 @@ type t = {
   mutable next_ephemeral : int;
 }
 
-let stats_registry host = host.ins.I.stats
 let wire_link host = host.link
 
 (* The endpoint of a connection without a stack: before the factory has

@@ -128,8 +128,6 @@ val create :
     {!Sublayer.Stats.telemetry_source} is idempotent per (registry,
     telemetry) pair, so shared registries are safe either way. *)
 
-val stats_registry : t -> Sublayer.Stats.registry option
-
 val wire_link : t -> Bitkit.Slice.t Sublayer.Link.t
 (** The link this host transmits into (e.g. to inspect its counters or
     kill it in tests). *)

@@ -146,7 +146,6 @@ let cwnd t =
   | Some c -> c.cc.Cc.window ()
 
 let peer_window t = match t.conn with None -> 0xFFFF | Some c -> c.peer_window
-let unread_bytes t = match t.conn with None -> 0 | Some c -> c.unread
 
 let stream_finished t =
   match t.conn with

@@ -50,9 +50,6 @@ val peer_window : t -> int
 val stream_finished : t -> bool
 (** All written bytes are acknowledged and no close is pending. *)
 
-val unread_bytes : t -> int
-(** Delivered bytes the application has not yet consumed via [`Read]. *)
-
 type timer = Persist
 
 include

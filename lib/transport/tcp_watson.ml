@@ -10,8 +10,11 @@ module R = Compose.Run (S)
 
 type t = R.t
 
-let create engine ?(ins = I.none) ?(idle_timeout = 6.0) ~name cfg ~local_port ~remote_port ~transmit
-    ~events =
+(* Above the maximum RTO, so loss recovery is never mistaken for a dead
+   peer. *)
+let idle_timeout = 6.0
+
+let create engine ?(ins = I.none) ~name cfg ~local_port ~remote_port ~transmit ~events =
   let now () = Sim.Engine.now engine and pool = ins.I.pool in
   let isn = Config.make_isn cfg engine in
   R.create engine ~ins ~name ~transmit ~deliver:events
@@ -35,12 +38,12 @@ let stack =
   { Host.from_above = R.from_above; from_below = R.from_below; halt = R.halt;
     finished = (fun t -> Osr.stream_finished (S.upper (R.state t))) }
 
-let factory ?idle_timeout () =
+let factory =
   {
     Host.fname = "sublayered-watson";
     peek = Segment.peek_ports;
     make =
       (fun ?(ins = I.none) engine ~name cfg ~local_port ~remote_port ~transmit ~events ->
         Host.stack_endpoint stack ~ins ~name ~events (fun events ->
-            create engine ~ins ?idle_timeout ~name cfg ~local_port ~remote_port ~transmit ~events));
+            create engine ~ins ~name cfg ~local_port ~remote_port ~transmit ~events));
   }

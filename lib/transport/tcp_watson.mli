@@ -7,7 +7,6 @@ type t
 val create :
   Sim.Engine.t ->
   ?ins:Sublayer.Instrument.t ->
-  ?idle_timeout:float ->
   name:string ->
   Config.t ->
   local_port:int ->
@@ -15,8 +14,10 @@ val create :
   transmit:(Bitkit.Slice.t -> unit) ->
   events:(Iface.app_ind -> unit) ->
   t
-(** [idle_timeout] defaults to 6 s of virtual time (above the maximum RTO, so loss recovery is never mistaken for a dead peer). *)
+(** A connection closes after 6 s of virtual time with nothing
+    outstanding: above the maximum RTO, so loss recovery is never
+    mistaken for a dead peer. *)
 
 val listen : t -> unit
 val from_wire : t -> Bitkit.Slice.t -> unit
-val factory : ?idle_timeout:float -> unit -> Host.factory
+val factory : Host.factory

@@ -46,7 +46,7 @@ let test_soak_per_violation_flights () =
   in
   let r =
     Sim.Soak.run ~step:1.0 ~until:10. ~invariant ~tracer ~flight_cap:3
-      ~name:"flights" ~engine
+      ~name:"flights" ~driver:(Sim.Soak.engine_driver engine)
       ~finished:(fun () -> false)
       ()
   in
@@ -146,7 +146,8 @@ let datalink_soak arq seed =
     && Queue.length link.Datalink.Stack.received_at_b = List.length payloads
   in
   let report =
-    Sim.Soak.run ~name:"datalink" ~engine ~until:60. ~invariant ~finished
+    Sim.Soak.run ~name:"datalink" ~driver:(Sim.Soak.engine_driver engine) ~until:60. ~invariant
+      ~finished
       ~verdicts:(fun () -> Monitor.Runtime.verdicts monitors)
       ()
   in
@@ -235,8 +236,8 @@ let test_network_reconverges_across_flap () =
       check Alcotest.int (pname ^ ": no fib violations") 0
         (Monitor.Runtime.violation_count monitors);
       Network.Topology.stop net)
-    [ ("dv", Network.Distance_vector.factory ());
-      ("ls", Network.Link_state.factory ()) ]
+    [ ("dv", Network.Distance_vector.factory);
+      ("ls", Network.Link_state.factory) ]
 
 (* --- Transport: blackhole abort (E18's ETIMEDOUT criterion) --- *)
 
@@ -271,7 +272,7 @@ let blackhole_scenario ~heal seed =
     | _ -> ());
   let finished () = if heal then Host.finished c else Host.aborted c in
   let report =
-    Sim.Soak.run ~name:"blackhole" ~engine ~until:60.
+    Sim.Soak.run ~name:"blackhole" ~driver:(Sim.Soak.engine_driver engine) ~until:60.
       ~invariant:(Monitor.Runtime.invariant monitors)
       ~verdicts:(fun () -> Monitor.Runtime.verdicts monitors)
       ~finished ()
@@ -343,7 +344,8 @@ let stack_soak ~fname ~factory seed =
     | None -> false
   in
   let report =
-    Sim.Soak.run ~name:fname ~engine ~until:120. ~invariant ~finished
+    Sim.Soak.run ~name:fname ~driver:(Sim.Soak.engine_driver engine) ~until:120. ~invariant
+      ~finished
       ~verdicts:(fun () -> Monitor.Runtime.verdicts monitors)
       ()
   in
@@ -351,7 +353,7 @@ let stack_soak ~fname ~factory seed =
 
 let stacks () =
   [ ("sublayered", Host.sublayered);
-    ("watson", Tcp_watson.factory ());
+    ("watson", Tcp_watson.factory);
     ("secure", Tcp_secure.factory ~key:Tcp_secure.demo_key) ]
 
 let test_stack_soaks () =
@@ -375,7 +377,7 @@ let test_stack_soak_reproducible () =
 
 let test_cm_timer_partition () =
   let engine = Sim.Engine.create ~seed:77 () in
-  let w = Tcp_watson.factory ~idle_timeout:1.5 () in
+  let w = Tcp_watson.factory in
   let a, b, ab, ba =
     Host.pair_channels engine ~factory_a:w ~factory_b:w Sim.Channel.ideal
   in
@@ -384,13 +386,13 @@ let test_cm_timer_partition () =
   Host.on_accept b (fun c -> server := Some c);
   let c1 = Host.connect a ~local_port:5000 ~remote_port:80 () in
   Host.write c1 "before the storm";
-  (* Partition at 0.5; heal only at 4.0 — both idle timers (1.5 s) fire
+  (* Partition at 0.5; heal only at 8.0 — both idle timers (6 s) fire
      during the outage, so the connection state evaporates on both ends
      (Watson's delta-t design: silence is closure). *)
   Sim.Faultplan.apply engine
-    [ Sim.Faultplan.Partition { at = 0.5 }; Sim.Faultplan.Heal { at = 4.0 } ]
+    [ Sim.Faultplan.Partition { at = 0.5 }; Sim.Faultplan.Heal { at = 8.0 } ]
     [ Sim.Faultplan.target ~name:"a->b" ab; Sim.Faultplan.target ~name:"b->a" ba ];
-  Sim.Engine.run ~until:4.0 engine;
+  Sim.Engine.run ~until:8.0 engine;
   let srv1 = match !server with Some s -> s | None -> Alcotest.fail "no accept" in
   check Alcotest.string "delivered before the partition" "before the storm"
     (Host.received srv1);
@@ -400,7 +402,7 @@ let test_cm_timer_partition () =
   server := None;
   let c2 = Host.connect a ~remote_port:80 () in
   Host.write c2 "fresh incarnation";
-  Sim.Engine.run ~until:5.0 engine;
+  Sim.Engine.run ~until:9.0 engine;
   (match !server with
   | Some srv2 ->
       check Alcotest.string "fresh incarnation accepted" "fresh incarnation"

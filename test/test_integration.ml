@@ -77,22 +77,22 @@ let tcp_over_network ~routing ~fail_mid_transfer ~seed =
 
 let test_tcp_over_network_dv () =
   check Alcotest.bool "delivered" true
-    (tcp_over_network ~routing:(Network.Distance_vector.factory ())
+    (tcp_over_network ~routing:(Network.Distance_vector.factory)
        ~fail_mid_transfer:false ~seed:41)
 
 let test_tcp_over_network_ls () =
   check Alcotest.bool "delivered" true
-    (tcp_over_network ~routing:(Network.Link_state.factory ()) ~fail_mid_transfer:false
+    (tcp_over_network ~routing:(Network.Link_state.factory) ~fail_mid_transfer:false
        ~seed:42)
 
 let test_tcp_survives_rerouting_dv () =
   check Alcotest.bool "delivered across failure" true
-    (tcp_over_network ~routing:(Network.Distance_vector.factory ())
+    (tcp_over_network ~routing:(Network.Distance_vector.factory)
        ~fail_mid_transfer:true ~seed:43)
 
 let test_tcp_survives_rerouting_ls () =
   check Alcotest.bool "delivered across failure" true
-    (tcp_over_network ~routing:(Network.Link_state.factory ()) ~fail_mid_transfer:true
+    (tcp_over_network ~routing:(Network.Link_state.factory) ~fail_mid_transfer:true
        ~seed:44)
 
 (* --- Transport over the data-link stack over a corrupting bit channel --- *)

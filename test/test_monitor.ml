@@ -54,7 +54,7 @@ let factories =
   [ (Host.sublayered, true);
     (Tcp_monolithic.factory, false);
     (Shim.factory, true);
-    (Tcp_watson.factory (), true);
+    (Tcp_watson.factory, true);
     (Tcp_secure.factory ~key:Tcp_secure.demo_key, true) ]
 
 let test_legal_transport backend () =

@@ -102,8 +102,8 @@ let test_engine_live_accounting () =
     if Bitkit.Rng.int rng 2 = 0 then Sim.Engine.cancel h else handles := h :: !handles;
     if i mod 1000 = 0 then
       check Alcotest.int
-        (Printf.sprintf "live = pending after %d cycles" i)
-        (Sim.Engine.pending e) (Sim.Engine.live e)
+        (Printf.sprintf "pending = scan after %d cycles" i)
+        (Sim.Engine.pending_scan e) (Sim.Engine.pending e)
   done;
   (* Cancel half of the survivors, including double-cancels. *)
   List.iteri
@@ -113,10 +113,9 @@ let test_engine_live_accounting () =
         Sim.Engine.cancel h
       end)
     !handles;
-  check Alcotest.int "live = pending after mass cancel" (Sim.Engine.pending e)
-    (Sim.Engine.live e);
+  check Alcotest.int "pending = scan after mass cancel" (Sim.Engine.pending_scan e)
+    (Sim.Engine.pending e);
   Sim.Engine.run e;
-  check Alcotest.int "empty: live" 0 (Sim.Engine.live e);
   check Alcotest.int "empty: pending" 0 (Sim.Engine.pending e)
 
 let test_engine_cancel_after_fire () =
@@ -127,10 +126,9 @@ let test_engine_cancel_after_fire () =
   ignore (Sim.Engine.schedule e ~after:1.0 ignore);
   Sim.Engine.run ~until:0.5 e;
   Sim.Engine.cancel h;
-  check Alcotest.int "live unaffected" 1 (Sim.Engine.live e);
-  check Alcotest.int "pending agrees" 1 (Sim.Engine.pending e);
+  check Alcotest.int "pending unaffected" 1 (Sim.Engine.pending e);
   Sim.Engine.run e;
-  check Alcotest.int "drained" 0 (Sim.Engine.live e)
+  check Alcotest.int "drained" 0 (Sim.Engine.pending e)
 
 let test_engine_compaction () =
   (* Cancelling most of a large queue triggers compaction: dead entries
@@ -145,7 +143,7 @@ let test_engine_compaction () =
      compact. *)
   ignore (Sim.Engine.schedule e ~after:0.5 ignore);
   check Alcotest.bool "compacted at least once" true (Sim.Engine.compactions e > 0);
-  check Alcotest.int "live survivors" 1001 (Sim.Engine.live e);
+  check Alcotest.int "pending survivors" 1001 (Sim.Engine.pending e);
   Sim.Engine.run e;
   check Alcotest.int "survivors fired" 1001 (Sim.Engine.events_fired e)
 

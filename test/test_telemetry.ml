@@ -423,8 +423,8 @@ let test_soak_drops () =
   Telemetry.add_gauges tele ~name:"g" (fun () -> [ ("one", 1) ]);
   let boundaries = ref [] in
   let r =
-    Sim.Soak.run ~step:0.5 ~until:3.0 ~name:"drops" ~engine
-      ~telemetry:[ tele ]
+    Sim.Soak.run ~step:0.5 ~until:3.0 ~name:"drops"
+      ~driver:(Sim.Soak.engine_driver engine) ~telemetry:[ tele ]
       ~on_slice:(fun now -> boundaries := now :: !boundaries)
       ~drops:(fun () -> [ ("custom", 7) ])
       ~finished:(fun () -> false)
@@ -671,7 +671,7 @@ let test_seam_cells_network () =
     let net =
       Network.Topology.build engine
         ~ins:(Sublayer.Instrument.v ~stats ?telemetry ())
-        ~routing:(Network.Distance_vector.factory ()) ~n:6 (Network.Topology.ring 6)
+        ~routing:(Network.Distance_vector.factory) ~n:6 (Network.Topology.ring 6)
     in
     check Alcotest.bool "converged" true (Network.Topology.converge net <> None);
     Network.Topology.send net ~src:0 ~dst:3 "routed";
@@ -722,7 +722,7 @@ let () =
           Alcotest.test_case "sublayered" `Quick
             (test_timer_owners ~factory:Host.sublayered ~cm:"cm" ~below_cm:[ "dm" ]);
           Alcotest.test_case "watson" `Quick
-            (test_timer_owners ~factory:(Transport.Tcp_watson.factory ()) ~cm:"cm-timer"
+            (test_timer_owners ~factory:(Transport.Tcp_watson.factory) ~cm:"cm-timer"
                ~below_cm:[ "dm" ]);
           Alcotest.test_case "secure" `Quick
             (test_timer_owners
@@ -734,7 +734,7 @@ let () =
           Alcotest.test_case "sublayered" `Quick
             (test_seam_cells ~factory:Host.sublayered ~cm:"cm" ~below_cm:[ "dm" ]);
           Alcotest.test_case "watson" `Quick
-            (test_seam_cells ~factory:(Transport.Tcp_watson.factory ()) ~cm:"cm-timer"
+            (test_seam_cells ~factory:(Transport.Tcp_watson.factory) ~cm:"cm-timer"
                ~below_cm:[ "dm" ]);
           Alcotest.test_case "secure" `Quick
             (test_seam_cells

@@ -1281,7 +1281,7 @@ let test_window_shrinks_with_backlog () =
 
 let watson_transfer ?(loss = 0.0) ?(echo = 0) ~seed bytes =
   let engine = Sim.Engine.create ~seed () in
-  let w = Tcp_watson.factory () in
+  let w = Tcp_watson.factory in
   let a, b = Host.pair engine ~factory_a:w ~factory_b:w (Sim.Channel.lossy loss) in
   Host.listen b ~port:80;
   let server = ref None in
@@ -1337,7 +1337,7 @@ let test_watson_skips_handshake_rtt () =
     Sim.Engine.run ~until:30. engine;
     !arrival
   in
-  let watson = first_byte (Tcp_watson.factory ()) in
+  let watson = first_byte (Tcp_watson.factory) in
   let classic = first_byte Host.sublayered in
   check Alcotest.bool
     (Printf.sprintf "watson %.3f at one-way delay, classic %.3f later" watson classic)
@@ -2117,7 +2117,7 @@ let test_churn_leaves_no_stray () =
       check_no_connections (name ^ " after quiescence") [ ("A", a); ("B", b) ])
     [ ("sublayered", Host.sublayered);
       ("secure", Tcp_secure.factory ~key:Tcp_secure.demo_key);
-      ("watson", Tcp_watson.factory ());
+      ("watson", Tcp_watson.factory);
       ("monolithic", Tcp_monolithic.factory);
       ("shim", Shim.factory) ]
 
@@ -2202,7 +2202,7 @@ let test_late_fin_after_retirement () =
       check_int "fresh connection exact" 2 sv.exact;
       check_no_connections (name ^ ": after the fresh connection") [ ("A", a); ("B", b) ])
     [ ("sublayered", Host.sublayered, is_fin, true, Cm.scope);
-      ("watson", Tcp_watson.factory (), echoes_isn, false, Cm_timer.scope) ]
+      ("watson", Tcp_watson.factory, echoes_isn, false, Cm_timer.scope) ]
 
 (* Link death aborts the live connections and only them: a retired
    connection is out of the table, so it sees no second end. *)
