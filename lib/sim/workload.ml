@@ -31,8 +31,9 @@ let pp_report ppf r =
    [driver]. Each engine counts its launches in its own cell, written
    only by its own domain and summed after the run; the soak's
    ["pending"] sample is the driver's total, so a one-shard report is
-   structurally identical to a multi-shard one. A launch event captures only its
-   engine's cell, [ops] and [i]: each word more is one per flow. *)
+   structurally identical to a multi-shard one. A launch event captures
+   only its engine's cell, [ops] and [i]: each word more is one per
+   flow. *)
 let launch_and_soak ~engines ~site ~driver ?(spacing = 0.01) ?(step = 0.5)
     ?(until = 600.) ?invariant ?tracer ?verdicts ?telemetry ?on_slice ~name
     ~flows ops =
